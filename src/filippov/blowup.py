@@ -30,8 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import expr as ex
-from .regularize import TransitionFunction, height_function
+from .regularize import TransitionFunction, blend, height_function
 from .system import PiecewiseSystem
 
 
@@ -62,6 +61,18 @@ class ChartPoint:
         return self.x, sign * self.u, self.u * self.v
 
 
+def _e_blend(
+    system: PiecewiseSystem,
+    transition: TransitionFunction,
+    x: Sequence[float] | float,
+    ybar: float,
+    epsbar: float,
+) -> np.ndarray:
+    """The regularized field at the ambient point of (x, ybar, epsbar) in E."""
+    xs = system.tangential(x)
+    return blend(system, transition.value(ybar, xs), np.array(xs + (epsbar * ybar,)))
+
+
 def e_chart_field(
     system: PiecewiseSystem,
     transition: TransitionFunction,
@@ -78,17 +89,8 @@ def e_chart_field(
     """
     if epsbar < 0:
         raise ValueError(f"epsbar must be nonnegative, got {epsbar}")
-    xs = (float(x),) if np.isscalar(x) else tuple(float(v) for v in x)
-    if len(xs) != system.dim - 1:
-        raise ValueError(f"expected {system.dim - 1} tangential coordinates, got {len(xs)}")
-    psi = transition.value(ybar, xs)
-    ambient = np.array(xs + (epsbar * ybar,))
-    v_plus = system.plus.evaluate(ambient)
-    v_minus = system.minus.evaluate(ambient)
-    blended = 0.5 * ((1.0 + psi) * v_plus + (1.0 - psi) * v_minus)
-    alpha = blended[-1]
-    beta = blended[:-1]
-    return np.concatenate(([alpha], epsbar * beta))
+    blended = _e_blend(system, transition, x, ybar, epsbar)
+    return np.concatenate(([blended[-1]], epsbar * blended[:-1]))
 
 
 def f_chart_field(
@@ -117,9 +119,7 @@ def f_chart_field(
         raise ValueError(f"ytil must be nonnegative, got {ytil}")
     if not 0.0 <= epstil <= 1.0:
         raise ValueError(f"epstil must lie in [0, 1], got {epstil}")
-    xs = (float(x),) if np.isscalar(x) else tuple(float(v) for v in x)
-    if len(xs) != system.dim - 1:
-        raise ValueError(f"expected {system.dim - 1} tangential coordinates, got {len(xs)}")
+    xs = system.tangential(x)
     if sign == 1:
         ambient = np.array(xs + (ytil,))
         v = system.plus.evaluate(ambient)
@@ -143,13 +143,7 @@ class SlowFastSystem:
 
     def beta(self, x: Sequence[float] | float, ybar: float, epsbar: float = 0.0) -> np.ndarray:
         """Slow velocities (the x_i' before the epsbar factor)."""
-        xs = (float(x),) if np.isscalar(x) else tuple(float(v) for v in x)
-        psi = self.transition.value(ybar, xs)
-        ambient = np.array(xs + (epsbar * ybar,))
-        v_plus = self.system.plus.evaluate(ambient)
-        v_minus = self.system.minus.evaluate(ambient)
-        blended = 0.5 * ((1.0 + psi) * v_plus + (1.0 - psi) * v_minus)
-        return blended[:-1]
+        return _e_blend(self.system, self.transition, x, ybar, epsbar)[:-1]
 
     def slow_manifold_residual(self, x: Sequence[float] | float, ybar: float) -> float:
         """Height function value; its zero set is the slow manifold."""

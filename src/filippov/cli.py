@@ -12,8 +12,7 @@ version, the sha256 of the config file and the tolerances used; grid rows
 are {x, verdict, roots: [{t, dh_dt}]} and refined boundary locations land
 in boundary_estimates.  Trajectory CSV columns are t, the tangential
 coordinates, y, event.  Blow-up plot data columns are x, theta, r, chart.
-
-FILIPPOV_THREADS caps the worker pool used for grid sweeps (default 1).
+Grid points are evaluated one after another in a single thread.
 """
 
 from __future__ import annotations
@@ -21,9 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -31,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .blowup import slow_fast
-from .config import ConfigError, SystemConfig, grid_points, load_config
+from .config import ConfigError, SystemConfig, grid_points, load_config, parse_grid
 from .cross import NonMonotoneTransitionError, stratified_slide_curve
 from .expr import DomainError
 from .dynamics import (
@@ -44,23 +41,15 @@ from .dynamics import (
     integrate_filippov,
     track_manifold,
 )
-from .regularize import HeightRoot, ValidationFailure, Verdict, certify, regularized_field
+from .regularize import (
+    HeightRoot,
+    ValidationFailure,
+    Verdict,
+    bisect_sign_change,
+    certify,
+    regularized_field,
+)
 from .system import NotSlidingError, SigmaClass, classify_point
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FILIPPOV_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_grid(fn: Callable, xs: Sequence[float]) -> list:
-    w = _workers()
-    if w > 1:
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            return list(pool.map(fn, xs))
-    return [fn(x) for x in xs]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -85,19 +74,6 @@ def _require_system(cfg: SystemConfig):
     return cfg.system
 
 
-def _refine_flip(predicate: Callable[[float], bool], lo: float, hi: float) -> float:
-    """Bisect the boundary where predicate flips from True (lo) to False (hi)."""
-    for _ in range(80):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _boundaries(xs: np.ndarray, labels: list[str], sliding: str, sewing: str,
                 predicate: Callable[[float], bool]) -> list[float]:
     """Refined boundary locations between sliding and sewing runs.
@@ -106,16 +82,16 @@ def _boundaries(xs: np.ndarray, labels: list[str], sliding: str, sewing: str,
     indeterminate or singular grid points; the flip inside the gap is then
     refined by bisection on ``predicate`` (True on the sliding side).
     """
+    def side(x: float) -> float:
+        return 1.0 if predicate(x) else -1.0
+
     out: list[float] = []
     decided = [(i, lab) for i, lab in enumerate(labels) if lab in (sliding, sewing)]
     for (i, la), (j, lb) in zip(decided, decided[1:]):
         if la == lb or j - i > 3:
             continue
-        lo, hi = float(xs[i]), float(xs[j])
-        if la == sliding:
-            out.append(_refine_flip(predicate, lo, hi))
-        else:
-            out.append(_refine_flip(lambda x: not predicate(x), lo, hi))
+        fa = 1.0 if la == sliding else -1.0
+        out.append(bisect_sign_change(side, float(xs[i]), float(xs[j]), 1e-12, fa=fa))
     return out
 
 
@@ -126,7 +102,7 @@ def _cmd_classify(cfg: SystemConfig, out: Path, grid) -> int:
     def job(x: float) -> str:
         return classify_point(system, float(x), cfg.run.class_tol).value
 
-    labels = _map_grid(job, xs)
+    labels = [job(x) for x in xs]
     predicate = lambda x: classify_point(system, x, cfg.run.class_tol) == SigmaClass.SLIDING
     report = _report_skeleton(cfg)
     report["grid"] = [
@@ -155,7 +131,7 @@ def _cmd_certify(cfg: SystemConfig, out: Path, grid) -> int:
             zero_tol=cfg.run.zero_tol,
         )
 
-    certs = _map_grid(job, xs)
+    certs = [job(x) for x in xs]
     labels = [c.verdict.value for c in certs]
 
     def predicate(x: float) -> bool:
@@ -321,9 +297,7 @@ def run_command(argv: Sequence[str]) -> int:
         out.mkdir(parents=True, exist_ok=True)
         grid = cfg.run.grid
         if getattr(args, "grid", None):
-            from .config import _grid as parse_grid
-
-            grid = parse_grid(args.grid, 0)
+            grid = parse_grid(args.grid)
 
         if args.command == "classify":
             return _cmd_classify(cfg, out, grid)

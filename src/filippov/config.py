@@ -51,7 +51,6 @@ class ConfigError(Exception):
 @dataclass
 class RunParams:
     grid: tuple[float, float, int] = (-1.0, 1.0, 201)
-    ybar_grid: tuple[float, float, int] = (-1.0, 1.0, 41)
     epsilons: tuple[float, ...] = (0.1,)
     etas: tuple[float, ...] = ()
     t_span: tuple[float, float] = (0.0, 1.0)
@@ -64,7 +63,6 @@ class RunParams:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
     max_step: float = float("inf")
-    seed: int = 0
 
 
 @dataclass
@@ -109,7 +107,8 @@ def _floats(value: str, lineno: int) -> tuple[float, ...]:
         raise ConfigError(f"expected comma-separated numbers, got {value!r}", lineno) from exc
 
 
-def _grid(value: str, lineno: int) -> tuple[float, float, int]:
+def parse_grid(value: str, lineno: int | None = None) -> tuple[float, float, int]:
+    """Parse ``lo:hi:count``; ``lineno`` locates errors in a config file."""
     parts = value.split(":")
     if len(parts) != 3:
         raise ConfigError(f"expected grid as lo:hi:count, got {value!r}", lineno)
@@ -120,6 +119,13 @@ def _grid(value: str, lineno: int) -> tuple[float, float, int]:
     if count < 2 or hi <= lo:
         raise ConfigError(f"grid needs hi > lo and count >= 2, got {value!r}", lineno)
     return lo, hi, count
+
+
+def _number(value: str, lineno: int, key: str) -> float:
+    try:
+        return float(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}", lineno) from exc
 
 
 def _parse_expr(text: str, lineno: int, what: str) -> ex.Expr:
@@ -197,28 +203,30 @@ def _build_system(sec: dict[str, tuple[str, int]]) -> PiecewiseSystem:
         raise ConfigError(str(exc)) from exc
 
 
-def _build_transition(sec: dict[str, tuple[str, int]], x_names: tuple[str, ...]) -> TransitionFunction:
-    kind, lineno = sec.get("kind", ("smoothstep", 0))
+def _build_transition(
+    sec: dict[str, tuple[str, int]], prefix: str = "", x_names: tuple[str, ...] = ()
+) -> TransitionFunction:
+    """Transition from the keys ``<prefix>kind``, ``<prefix>m``, ... of a section.
+
+    make_transition checks the kind and its parameters; its errors are
+    reported at the kind line, or at the first parameter when the kind is
+    left at its default.
+    """
+    kind, line = sec.get(prefix + "kind", ("smoothstep", None))
     params: dict = {}
-    if kind == "overshoot":
-        if "m" not in sec:
-            raise ConfigError("overshoot transition needs 'm'", lineno)
-        params["m"] = float(sec["m"][0])
-    elif kind == "biased":
-        if "t0" not in sec:
-            raise ConfigError("biased transition needs 't0'", lineno)
-        params["t0"] = float(sec["t0"][0])
-    elif kind == "custom":
-        if "expr" not in sec:
-            raise ConfigError("custom transition needs 'expr'", lineno)
-        params["expression"] = _parse_expr(sec["expr"][0], sec["expr"][1], "transition expr")
-        params["x_names"] = x_names
-    elif kind != "smoothstep":
-        raise ConfigError(f"unknown transition kind {kind!r}", lineno)
+    for key, (value, lineno) in sec.items():
+        if not key.startswith(prefix) or key == prefix + "kind":
+            continue
+        name = key[len(prefix):]
+        if name == "expr":
+            params[name] = _parse_expr(value, lineno, key)
+        else:
+            params[name] = _number(value, lineno, key)
+        line = line or lineno
     try:
-        return make_transition(kind, **params)
+        return make_transition(kind, x_names, **params)
     except ValidationFailure as exc:
-        raise ConfigError(f"transition: {exc}", lineno) from exc
+        raise ConfigError(f"{prefix.replace('_', ' ')}transition: {exc}", line) from exc
 
 
 def _build_cross(sec: dict[str, tuple[str, int]]) -> CrossSystem:
@@ -234,40 +242,18 @@ def _build_cross(sec: dict[str, tuple[str, int]]) -> CrossSystem:
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}", lineno) from exc
 
-    def transition_for(prefix: str) -> TransitionFunction:
-        kind, lineno = sec.get(f"{prefix}_kind", ("smoothstep", 0))
-        params: dict = {}
-        if kind == "overshoot":
-            if f"{prefix}_m" not in sec:
-                raise ConfigError(f"{prefix} transition needs '{prefix}_m'", lineno)
-            params["m"] = float(sec[f"{prefix}_m"][0])
-        elif kind == "biased":
-            if f"{prefix}_t0" not in sec:
-                raise ConfigError(f"{prefix} transition needs '{prefix}_t0'", lineno)
-            params["t0"] = float(sec[f"{prefix}_t0"][0])
-        elif kind == "custom":
-            if f"{prefix}_expr" not in sec:
-                raise ConfigError(f"{prefix} transition needs '{prefix}_expr'", lineno)
-            params["expression"] = _parse_expr(
-                sec[f"{prefix}_expr"][0], sec[f"{prefix}_expr"][1], f"{prefix} expr"
-            )
-        elif kind != "smoothstep":
-            raise ConfigError(f"unknown transition kind {kind!r}", lineno)
-        try:
-            return make_transition(kind, **params)
-        except ValidationFailure as exc:
-            raise ConfigError(f"{prefix} transition: {exc}", lineno) from exc
-
-    return CrossSystem(fields=fields, phi=transition_for("phi"), psi=transition_for("psi"))
+    return CrossSystem(
+        fields=fields,
+        phi=_build_transition(sec, "phi_"),
+        psi=_build_transition(sec, "psi_"),
+    )
 
 
 def _build_run(sec: dict[str, tuple[str, int]]) -> RunParams:
     run = RunParams()
     for key, (value, lineno) in sec.items():
         if key == "grid":
-            run.grid = _grid(value, lineno)
-        elif key == "ybar_grid":
-            run.ybar_grid = _grid(value, lineno)
+            run.grid = parse_grid(value, lineno)
         elif key == "epsilons":
             run.epsilons = _floats(value, lineno)
             if any(e <= 0 for e in run.epsilons):
@@ -289,15 +275,7 @@ def _build_run(sec: dict[str, tuple[str, int]]) -> RunParams:
             run.mode = value
         elif key in ("class_tol", "transversality_tol", "zero_tol", "lambda_tol",
                      "abs_tol", "rel_tol", "max_step"):
-            try:
-                setattr(run, key, float(value))
-            except ValueError as exc:
-                raise ConfigError(f"{key} must be a number, got {value!r}", lineno) from exc
-        elif key == "seed":
-            try:
-                run.seed = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"seed must be an integer, got {value!r}", lineno) from exc
+            setattr(run, key, _number(value, lineno, key))
         else:
             raise ConfigError(f"unknown [run] key {key!r}", lineno)
     return run
@@ -321,7 +299,7 @@ def load_config(path: str | Path) -> SystemConfig:
     if system is None and cross is None:
         raise ConfigError("config needs a [system] or [cross] section")
     x_names = system.x_names if system is not None else ()
-    transition = _build_transition(sections.get("transition", {}), x_names)
+    transition = _build_transition(sections.get("transition", {}), x_names=x_names)
     run = _build_run(sections.get("run", {}))
     if system is not None and run.x0 is not None and len(run.x0) != system.dim:
         raise ConfigError(f"x0 needs {system.dim} components, got {len(run.x0)}")

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import hausdorff
-from .regularize import TransitionFunction
+from .regularize import Biased, Smoothstep, TransitionFunction, bisect_sign_change
 from .system import VectorFieldDef
 
 CROSS_COORDS = ("x", "y", "z")
@@ -74,8 +74,6 @@ def transition_zero(tf: TransitionFunction, which: str, cells: int = 4096) -> fl
     Exact for the monotone built-in kinds; anything else is scanned for
     sign changes and rejected unless the zero is unique.
     """
-    from .regularize import Biased, Smoothstep
-
     if isinstance(tf, Smoothstep):
         return 0.0
     if isinstance(tf, Biased):
@@ -88,18 +86,9 @@ def transition_zero(tf: TransitionFunction, which: str, cells: int = 4096) -> fl
         if a == 0.0:
             zeros.append(float(ts[k]))
         elif a * b < 0.0:
-            lo_t, hi_t, fa = float(ts[k]), float(ts[k + 1]), float(a)
-            while hi_t - lo_t > 1e-15:
-                mid = 0.5 * (lo_t + hi_t)
-                fm = tf.value(mid)
-                if fm == 0.0:
-                    lo_t = hi_t = mid
-                    break
-                if fa * fm < 0.0:
-                    hi_t = mid
-                else:
-                    lo_t, fa = mid, fm
-            zeros.append(0.5 * (lo_t + hi_t))
+            zeros.append(
+                bisect_sign_change(tf.value, float(ts[k]), float(ts[k + 1]), 1e-15, fa=float(a))
+            )
     if vals[-1] == 0.0:
         zeros.append(1.0)
     deduped = []

@@ -1,9 +1,9 @@
 """Numerical integration of smooth, regularized and hybrid dynamics.
 
-Two steppers: classic fixed-step RK4 and an adaptive Dormand-Prince 5(4)
-pair with PI step control.  Both record node derivatives, so trajectories
-interpolate with cubic Hermite polynomials between accepted steps; event
-location bisects on that interpolant.
+The stepper is an adaptive Dormand-Prince 5(4) pair with PI step control.
+It records node derivatives, so trajectories interpolate with cubic
+Hermite polynomials between accepted steps; event location bisects on that
+interpolant.
 
 The hybrid integrator follows one smooth field until the orbit reaches the
 switching surface, classifies the hit, and either sews through, enters a
@@ -24,6 +24,8 @@ from .regularize import (
     DEFAULT_TRANSVERSALITY_TOL,
     HeightRoot,
     TransitionFunction,
+    bisect_sign_change,
+    blend,
     height_roots,
 )
 from .system import (
@@ -31,6 +33,8 @@ from .system import (
     PiecewiseSystem,
     SigmaClass,
     classify_point,
+    filippov_combination,
+    filippov_weight,
 )
 
 EVENT_TIME_TOL = 1e-12
@@ -76,10 +80,9 @@ class NoSlidingAtError(Exception):
 
 @dataclass
 class IntegratorOptions:
-    method: str = "rk45"  # 'rk45' or 'rk4'
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
-    max_step: float = math.inf  # for rk4 this is the fixed step
+    max_step: float = math.inf
     min_step: float = 1e-13
     max_steps: int = 1_000_000
     class_tol: float = DEFAULT_CLASS_TOL
@@ -200,9 +203,10 @@ def integrate(
     """Integrate x' = fn(t, x) over t_span, forward in time.
 
     Returns the accepted steps; a StepFailure event ends the trajectory
-    early if the adaptive controller underflows its minimum step.  The
-    optional step_callback(recorder) may truncate integration by returning
-    anything non-None after a step was recorded.
+    early if the adaptive controller underflows its minimum step or
+    max_steps runs out before t_end.  The optional step_callback(recorder)
+    may truncate integration by returning anything non-None after a step
+    was recorded.
     """
     opts = opts or IntegratorOptions()
     t0, t_end = float(t_span[0]), float(t_span[1])
@@ -215,25 +219,6 @@ def integrate(
     events: list[Event] = []
     if t_end == t0:
         return rec.build(events)
-
-    if opts.method == "rk4":
-        h = opts.max_step if math.isfinite(opts.max_step) else (t_end - t0) / 100.0
-        n = max(1, int(math.ceil((t_end - t0) / h - 1e-12)))
-        h = (t_end - t0) / n
-        for _ in range(n):
-            k1 = np.asarray(fn(t, y), dtype=float)
-            k2 = np.asarray(fn(t + h / 2, y + h / 2 * k1), dtype=float)
-            k3 = np.asarray(fn(t + h / 2, y + h / 2 * k2), dtype=float)
-            k4 = np.asarray(fn(t + h, y + h * k3), dtype=float)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t = t + h
-            rec.push(t, y, np.asarray(fn(t, y), dtype=float))
-            if step_callback is not None and step_callback(rec) is not None:
-                break
-        return rec.build(events)
-
-    if opts.method != "rk45":
-        raise ValueError(f"unknown method {opts.method!r}")
 
     fcur = f0
     h = min(_initial_step(fn, t, y, fcur, opts.rel_tol, opts.abs_tol, t_end), opts.max_step)
@@ -268,49 +253,14 @@ def integrate(
             h = min(h * min(5.0, max(0.2, factor)), opts.max_step)
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
+    else:
+        if t < t_end:  # max_steps ran out
+            events.append(Event(t, y.copy(), EventKind.STEP_FAILURE))
     return rec.build(events)
 
 
 # ---------------------------------------------------------------------------
 # hybrid (Filippov) integration
-
-def _weights_on_sigma(system: PiecewiseSystem, x: np.ndarray) -> float | None:
-    """Filippov weight lam = a_minus / (a_minus - a_plus), None if undefined."""
-    a_plus, a_minus = system.normal_components_on_sigma(x)
-    denom = a_minus - a_plus
-    if denom == 0.0:
-        return None
-    return a_minus / denom
-
-
-def _sliding_velocity(system: PiecewiseSystem, x: np.ndarray) -> np.ndarray | None:
-    """Tangential part of the Filippov combination, bypassing the class gate.
-
-    The sliding integrator keeps using this while the weight drifts toward
-    its boundary, where classify_point would already call the point
-    singular.
-    """
-    lam = _weights_on_sigma(system, x)
-    if lam is None:
-        return None
-    point = np.append(x, 0.0)
-    v = lam * system.plus.evaluate(point) + (1.0 - lam) * system.minus.evaluate(point)
-    return v[:-1]
-
-
-def _bisect_time(fval: Callable[[float], float], ta: float, tb: float, target: float) -> float:
-    fa = fval(ta) - target
-    while tb - ta > EVENT_TIME_TOL:
-        tm = 0.5 * (ta + tb)
-        fm = fval(tm) - target
-        if fm == 0.0:
-            return tm
-        if fa * fm < 0.0:
-            tb = tm
-        else:
-            ta, fa = tm, fm
-    return 0.5 * (ta + tb)
-
 
 class _Pieces:
     def __init__(self, dim: int):
@@ -437,7 +387,9 @@ def integrate_filippov(
         if abs(seg.states[k - 1][-1]) <= SURFACE_BAND:
             # launched from the surface; cut where the orbit clears the band
             target = -region * SURFACE_BAND / 2.0
-        t_hit = _bisect_time(lambda tt: float(seg.sample(tt)[-1]), ta, tb, target)
+        t_hit = bisect_sign_change(
+            lambda tt: float(seg.sample(tt)[-1]) - target, ta, tb, EVENT_TIME_TOL
+        )
         hit_state = seg.sample(t_hit)
         hit_state[-1] = 0.0
         pieces.extend(seg, upto=k)
@@ -463,18 +415,21 @@ def _slide(system, state, t, t_end, opts, pieces):
     lam_tol = opts.lambda_tol
 
     def lam_of(x: np.ndarray) -> float:
-        lam = _weights_on_sigma(system, x)
+        lam = filippov_weight(system, x)
         if lam is None:
             pieces.events.append(Event(t, np.append(x, 0.0), EventKind.STEP_FAILURE))
             raise UnresolvedSingularityError(t, np.append(x, 0.0), pieces.build())
         return lam
 
     def fn(tt: float, x: np.ndarray) -> np.ndarray:
-        v = _sliding_velocity(system, x)
-        if v is None:
+        # the Filippov combination without the class gate: the weight may
+        # drift toward its boundary, where classify_point already says
+        # singular
+        combo = filippov_combination(system, x)
+        if combo is None:
             pieces.events.append(Event(tt, np.append(x, 0.0), EventKind.STEP_FAILURE))
             raise UnresolvedSingularityError(tt, np.append(x, 0.0), pieces.build())
-        return v
+        return combo[1][:-1]
 
     lam0 = lam_of(state[:-1])
     if not lam_tol < lam0 < 1.0 - lam_tol:
@@ -514,7 +469,7 @@ def _slide(system, state, t, t_end, opts, pieces):
     exit_region = hit["region"]
     ta, tb = float(seg.times[k - 1]), float(seg.times[k])
     target = 1.0 - lam_tol if exit_region > 0 else lam_tol
-    t_exit = _bisect_time(lambda tt: lam_of(seg.sample(tt)), ta, tb, target)
+    t_exit = bisect_sign_change(lambda tt: lam_of(seg.sample(tt)) - target, ta, tb, EVENT_TIME_TOL)
     x_exit = seg.sample(t_exit)
     lift_into_pieces(upto=k)
     return _slide_exit(system, np.append(x_exit, 0.0), t_exit, exit_region, pieces)
@@ -647,26 +602,10 @@ def equilibria_on_manifold(
         tx = manifold_t(x)
         if tx is None:
             return math.nan
-        psi = transition.value(tx, (x,))
-        point = np.array([x, eps * tx])
-        b_plus = system.plus.evaluate(point)[0]
-        b_minus = system.minus.evaluate(point)[0]
-        return 0.5 * ((1.0 + psi) * b_plus + (1.0 - psi) * b_minus)
+        return float(blend(system, transition.value(tx, (x,)), np.array([x, eps * tx]))[0])
 
     xs = np.linspace(lo, hi, samples)
     gs = np.array([g(float(x)) for x in xs])
-
-    def refine_zero(a: float, b: float, fa: float) -> float:
-        while b - a > 1e-12:
-            mid = 0.5 * (a + b)
-            fm = g(mid)
-            if math.isnan(fm) or fm == 0.0:
-                return mid
-            if fa * fm < 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        return 0.5 * (a + b)
 
     delta = (hi - lo) / (samples - 1) / 2.0
 
@@ -686,7 +625,7 @@ def equilibria_on_manifold(
         if math.isnan(fa) or math.isnan(fb) or fa == 0.0:
             continue
         if fa * fb < 0.0:
-            x_star = refine_zero(float(xs[k]), float(xs[k + 1]), float(fa))
+            x_star = bisect_sign_change(g, float(xs[k]), float(xs[k + 1]), 1e-12, fa=float(fa))
             found.append(Equilibrium(x_star, stability_of(x_star)))
     for k in range(samples):
         if gs[k] == 0.0:
@@ -699,18 +638,7 @@ def equilibria_on_manifold(
         da, db = ds[k], ds[k + 1]
         if math.isnan(da) or math.isnan(db) or da * db >= 0.0:
             continue
-        a, b, fa = float(xs[k]), float(xs[k + 1]), float(da)
-        while b - a > 1e-12:
-            mid = 0.5 * (a + b)
-            fm = secant_slope(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fa * fm < 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        x_c = 0.5 * (a + b)
+        x_c = bisect_sign_change(secant_slope, float(xs[k]), float(xs[k + 1]), 1e-12, fa=float(da))
         val = g(x_c)
         if not math.isnan(val) and abs(val) <= eq_tol:
             if not any(abs(e.x - x_c) < 1e-7 for e in found):

@@ -22,12 +22,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .system import PiecewiseSystem
+from .system import PiecewiseSystem, as_tangential
 
 DEFAULT_TRANSVERSALITY_TOL = 1e-8
 DEFAULT_ZERO_TOL = 1e-10
@@ -91,9 +91,11 @@ class Smoothstep(TransitionFunction):
 class Overshoot(TransitionFunction):
     """Cubic plus a calibrated bump c*(1-t^2)^2 whose interior max is ``m``.
 
-    The bump keeps the boundary values and C1 matching intact; c is found by
-    bisection against a numerically maximized interior value, so the peak
-    equals m to within 1e-8.  Not monotone: that is the point.
+    The bump keeps the boundary values and C1 matching intact.  The slope
+    (1-t^2)(3/2 - 4ct) vanishes inside the band only at u = 3/(8c), so the
+    peak equals m exactly when u is the root in (0, 1) of
+    u^4 - 6u^2 + 8mu - 3 = 0; c comes from that root in closed form
+    (Ferrari's resolvent).  Not monotone: that is the point.
     """
 
     m: float
@@ -103,7 +105,7 @@ class Overshoot(TransitionFunction):
         if not self.m > 1.0:
             raise ValidationFailure(f"overshoot max must exceed 1, got {self.m}")
         if self.c == 0.0:
-            self.c = _calibrate_overshoot(self.m)
+            self.c = 3.0 / (8.0 * _overshoot_peak(self.m))
 
     def _core(self, t, x):
         s = 1.0 - t * t
@@ -114,51 +116,18 @@ class Overshoot(TransitionFunction):
         return _cubic_d(t) - 4.0 * self.c * t * s
 
 
-def _interior_max(f, lo: float = -1.0, hi: float = 1.0, samples: int = 2001) -> float:
-    """Maximum of f on [lo, hi]: coarse scan, then golden-section refinement."""
-    ts = np.linspace(lo, hi, samples)
-    vals = np.array([f(t) for t in ts])
-    k = int(np.argmax(vals))
-    a = ts[max(k - 1, 0)]
-    b = ts[min(k + 1, samples - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-14:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return max(vals[k], fc, fd)
+def _overshoot_peak(m: float) -> float:
+    """The root in (0, 1) of u^4 - 6u^2 + 8mu - 3, for m > 1.
 
-
-def _calibrate_overshoot(m: float) -> float:
-    def peak(c: float) -> float:
-        return _interior_max(lambda t: _cubic(t) + c * (1.0 - t * t) ** 2)
-
-    lo = 0.0
-    hi = 1.0
-    while peak(hi) < m:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ValidationFailure(f"cannot reach overshoot max {m}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if peak(mid) < m:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    c = 0.5 * (lo + hi)
-    if abs(peak(c) - m) > 1e-9:
-        raise ValidationFailure(f"overshoot calibration missed: peak {peak(c)} for target {m}")
-    return c
+    Completing the square turns the quartic into (u^2 + y)^2 = (su - 4m/s)^2
+    with y = 2(m^2 - 1)^(1/3) - 1 and s^2 = 2y + 6; the wanted root is the
+    positive one of u^2 + su - q with q = 4m/s - y.  Both q and the root are
+    written without cancellation, using 16m^2 - y^2 s^2 = 6(y + 3).
+    """
+    y = 2.0 * ((m - 1.0) * (m + 1.0)) ** (1.0 / 3.0) - 1.0
+    s = math.sqrt(2.0 * y + 6.0)
+    q = 6.0 * (y + 3.0) / (s * (4.0 * m + y * s))
+    return 2.0 * q / (s + math.sqrt(s * s + 4.0 * q))
 
 
 @dataclass
@@ -243,41 +212,52 @@ def _validate(tf: TransitionFunction, x_names: Sequence[str] = ()) -> None:
                 if tf.deriv_t(float(t), x) <= 0.0:
                     raise ValidationFailure(f"monotone transition has nonpositive slope at t = {t}")
     if isinstance(tf, Overshoot):
-        peak = _interior_max(lambda t: tf.value(t))
+        peak = tf.value(3.0 / (8.0 * tf.c))  # the only interior critical point
         if abs(peak - tf.m) > 1e-8:
             raise ValidationFailure(f"interior max {peak} differs from target {tf.m}")
 
 
-def make_transition(kind: str, **params) -> TransitionFunction:
+def make_transition(kind: str, x_names: Sequence[str] = (), /, **params) -> TransitionFunction:
     """Build and validate a transition function.
 
     Kinds: ``smoothstep``; ``overshoot`` with ``m`` > 1; ``biased`` with
-    ``t0`` in (-1, 1); ``custom`` with ``expression`` (text or tree) and
-    optional ``x_names``.
+    ``t0`` in (-1, 1); ``custom`` with ``expr`` (text or tree), which may
+    use the tangential coordinates ``x_names``.  Missing and unexpected
+    parameters raise ValidationFailure.
     """
     kind = kind.lower()
+
+    def take(name: str):
+        if name not in params:
+            raise ValidationFailure(f"{kind} transition needs {name!r}")
+        return params.pop(name)
+
     if kind == "smoothstep":
         tf: TransitionFunction = Smoothstep()
     elif kind == "overshoot":
-        tf = Overshoot(m=float(params.pop("m")))
+        tf = Overshoot(m=float(take("m")))
     elif kind == "biased":
-        tf = Biased(t0=float(params.pop("t0")))
+        tf = Biased(t0=float(take("t0")))
     elif kind == "custom":
-        expression = params.pop("expression")
-        if isinstance(expression, str):
-            expression = ex.parse(expression)
-        tf = Custom(expression=expression, x_names=tuple(params.pop("x_names", ())))
+        tf = Custom(expression=take("expr"), x_names=tuple(x_names))
     else:
         raise ValidationFailure(f"unknown transition kind {kind!r}")
     if params:
         raise ValidationFailure(f"unexpected parameters for {kind}: {sorted(params)}")
-    x_names = tf.x_names if isinstance(tf, Custom) else ()
-    _validate(tf, x_names)
+    _validate(tf, tf.x_names if isinstance(tf, Custom) else ())
     return tf
 
 
 # ---------------------------------------------------------------------------
 # regularized field
+
+def blend(system: PiecewiseSystem, psi: float, point: Sequence[float]) -> np.ndarray:
+    """(1 + psi)/2 * X_plus + (1 - psi)/2 * X_minus at a full chart point."""
+    # halving the scalar weights costs one array operation less than
+    # halving the sum, and gives the same bits
+    return (0.5 * (1.0 + psi) * system.plus.evaluate(point)
+            + 0.5 * (1.0 - psi) * system.minus.evaluate(point))
+
 
 def regularized_field(
     system: PiecewiseSystem,
@@ -289,11 +269,7 @@ def regularized_field(
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     pt = np.asarray(point, dtype=float)
-    x = pt[:-1]
-    psi = transition.value(pt[-1] / eps, x)
-    v_plus = system.plus.evaluate(pt)
-    v_minus = system.minus.evaluate(pt)
-    return 0.5 * (1.0 + psi) * v_plus + 0.5 * (1.0 - psi) * v_minus
+    return blend(system, transition.value(pt[-1] / eps, pt[:-1]), pt)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +289,12 @@ class HeightFunction:
     total: ex.Expr
 
     def coefficients(self, x: Sequence[float] | float) -> tuple[float, float]:
-        if np.isscalar(x):
-            x = (float(x),)
-        b = dict(zip(self.x_names, (float(v) for v in x)))
+        b = dict(zip(self.x_names, as_tangential(x)))
         return ex.evaluate(self.difference, b), ex.evaluate(self.total, b)
 
     def value(self, x: Sequence[float] | float, t: float) -> tuple[float, float]:
-        diff, tot = self.coefficients(x)
-        xs = (float(x),) if np.isscalar(x) else tuple(float(v) for v in x)
+        xs = as_tangential(x)
+        diff, tot = self.coefficients(xs)
         h = self.transition.value(t, xs) * diff + tot
         dh = self.transition.deriv_t(t, xs) * diff
         return h, dh
@@ -360,6 +334,31 @@ class DegenerateInterval:
     t_hi: float
 
 
+def bisect_sign_change(
+    f: Callable[[float], float], a: float, b: float, tol: float, fa: float | None = None
+) -> float:
+    """A point where f changes sign between a < b, to within tol.
+
+    ``fa`` is f(a) when the caller already has it.  The search stops early
+    at an exact zero or at a NaN value, and also when no float lies strictly
+    between the ends, which ends it for any tol below the float spacing.
+    """
+    if fa is None:
+        fa = f(a)
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        fm = f(mid)
+        if fm == 0.0 or math.isnan(fm):
+            return mid
+        if fa * fm < 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
 def height_roots(
     system: PiecewiseSystem,
     transition: TransitionFunction,
@@ -373,8 +372,15 @@ def height_roots(
     grid nodes where h already vanishes are reported directly.  A run of
     vanishing nodes becomes a DegenerateInterval marker instead of a root.
     """
-    hf = height_function(system, transition)
-    xs = (float(x),) if np.isscalar(x) else tuple(float(v) for v in x)
+    return _roots_on_grid(height_function(system, transition), x, cells, zero_tol)[0]
+
+
+def _roots_on_grid(
+    hf: HeightFunction, x: Sequence[float] | float, cells: int, zero_tol: float
+) -> tuple[list[HeightRoot | DegenerateInterval], np.ndarray]:
+    """height_roots plus the values of h on the grid it scanned."""
+    transition = hf.transition
+    xs = as_tangential(x)
     diff, tot = hf.coefficients(xs)
 
     def h(t: float) -> float:
@@ -413,19 +419,9 @@ def height_roots(
         if near_zero[k] or near_zero[k + 1]:
             continue
         if hs[k] * hs[k + 1] < 0.0:
-            a, b = float(ts[k]), float(ts[k + 1])
-            fa = hs[k]
-            while b - a > ROOT_BISECTION_TOL:
-                mid = 0.5 * (a + b)
-                fm = h(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
+            roots.append(bisect_sign_change(
+                h, float(ts[k]), float(ts[k + 1]), ROOT_BISECTION_TOL, fa=hs[k]
+            ))
 
     roots.sort()
     deduped: list[float] = []
@@ -434,7 +430,7 @@ def height_roots(
             deduped.append(t)
     out.extend(HeightRoot(t, dh(t)) for t in deduped)
     out.sort(key=lambda r: r.t if isinstance(r, HeightRoot) else r.t_lo)
-    return out
+    return out, hs
 
 
 class Verdict(enum.Enum):
@@ -468,15 +464,10 @@ def certify(
     zero_tol: float = DEFAULT_ZERO_TOL,
     cells: int = DEFAULT_GRID_CELLS,
 ) -> SlidingCertificate:
-    found = height_roots(system, transition, x, cells=cells, zero_tol=zero_tol)
+    found, hs = _roots_on_grid(height_function(system, transition), x, cells, zero_tol)
     roots = tuple(r for r in found if isinstance(r, HeightRoot))
     degenerate = tuple(r for r in found if isinstance(r, DegenerateInterval))
-
-    hf = height_function(system, transition)
-    xs = (float(x),) if np.isscalar(x) else tuple(float(v) for v in x)
-    diff, tot = hf.coefficients(xs)
-    ts = np.linspace(-1.0, 1.0, cells + 1)
-    min_abs = float(min(abs(transition.value(float(t), xs) * diff + tot) for t in ts))
+    min_abs = float(np.min(np.abs(hs)))
 
     transversal = [r for r in roots if abs(r.dh_dt) > transversality_tol]
     if transversal and not degenerate:

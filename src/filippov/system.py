@@ -32,6 +32,13 @@ class NotSlidingError(Exception):
         super().__init__(f"point {self.point} classifies as {verdict.value}, not Sliding")
 
 
+def as_tangential(x: Sequence[float] | float) -> tuple[float, ...]:
+    """Surface coordinates as a tuple of floats; a bare number is a planar x."""
+    if np.isscalar(x):
+        return (float(x),)
+    return tuple(float(v) for v in x)
+
+
 @dataclass(frozen=True)
 class VectorFieldDef:
     """A smooth vector field given componentwise by expressions.
@@ -120,14 +127,16 @@ class PiecewiseSystem:
     def x_names(self) -> tuple[str, ...]:
         return self.coords[:-1]
 
+    def tangential(self, x: Sequence[float] | float) -> tuple[float, ...]:
+        """as_tangential(x), checked against the dimension of Sigma."""
+        xs = as_tangential(x)
+        if len(xs) != self.dim - 1:
+            raise ValueError(f"expected {self.dim - 1} tangential coordinates, got {len(xs)}")
+        return xs
+
     def tangential_bindings(self, x: Sequence[float] | float) -> ex.Bindings:
         """Bindings for a point given by its Sigma coordinates (y is set to 0)."""
-        if np.isscalar(x):
-            x = (float(x),)
-        x = tuple(float(v) for v in x)
-        if len(x) != self.dim - 1:
-            raise ValueError(f"expected {self.dim - 1} tangential coordinates, got {len(x)}")
-        b = dict(zip(self.x_names, x))
+        b = dict(zip(self.x_names, self.tangential(x)))
         b[self.y_name] = 0.0
         return b
 
@@ -174,25 +183,44 @@ def classify_point(
     return SigmaClass.SEWING if product > 0 else SigmaClass.SLIDING
 
 
+def filippov_weight(system: PiecewiseSystem, x: Sequence[float] | float) -> float | None:
+    """Filippov weight lam = a_minus / (a_minus - a_plus) at (x, 0).
+
+    None where a_plus = a_minus, the pole of the weight.
+    """
+    a_plus, a_minus = system.normal_components_on_sigma(x)
+    denom = a_minus - a_plus
+    if denom == 0.0:
+        return None
+    return a_minus / denom
+
+
+def filippov_combination(
+    system: PiecewiseSystem, x: Sequence[float] | float
+) -> tuple[float, np.ndarray] | None:
+    """(lam, lam * X_plus + (1 - lam) * X_minus) at (x, 0), with no class gate.
+
+    The y-component of the field is set to 0: lam * a_plus + (1 - lam) *
+    a_minus cancels exactly.  None where the weight is undefined.
+    """
+    lam = filippov_weight(system, x)
+    if lam is None:
+        return None
+    point = as_tangential(x) + (0.0,)
+    field = lam * system.plus.evaluate(point) + (1.0 - lam) * system.minus.evaluate(point)
+    field[-1] = 0.0
+    return lam, field
+
+
 def filippov_sliding_field(
     system: PiecewiseSystem, x: Sequence[float] | float, tol: float = DEFAULT_CLASS_TOL
 ) -> tuple[float, np.ndarray]:
     """Convex combination of the two fields tangent to Sigma at (x, 0).
 
-    Returns (lam, field) where lam = a_minus / (a_minus - a_plus) and
-    field = lam * X_plus + (1 - lam) * X_minus evaluated at (x, 0).  The
-    y-component of the result vanishes by construction.  Raises
-    NotSlidingError unless the point classifies as Sliding.
+    Returns filippov_combination(system, x) at points that classify as
+    Sliding and raises NotSlidingError everywhere else.
     """
     verdict = classify_point(system, x, tol)
     if verdict != SigmaClass.SLIDING:
-        raise NotSlidingError(x if not np.isscalar(x) else (x,), verdict)
-    a_plus, a_minus = system.normal_components_on_sigma(x)
-    lam = a_minus / (a_minus - a_plus)
-    b = system.tangential_bindings(x)
-    point = [b[name] for name in system.coords]
-    v_plus = system.plus.evaluate(point)
-    v_minus = system.minus.evaluate(point)
-    field = lam * v_plus + (1.0 - lam) * v_minus
-    field[-1] = 0.0  # lam * a_plus + (1 - lam) * a_minus cancels exactly
-    return lam, field
+        raise NotSlidingError(as_tangential(x), verdict)
+    return filippov_combination(system, x)

@@ -202,12 +202,3 @@ def test_deterministic_reruns(tmp_path):
     for out in (a, b):
         assert run_command(["certify", "--config", cfg, "--out", str(out), "--grid=-1:1:101"]) == 0
     assert (a / "certificates.json").read_bytes() == (b / "certificates.json").read_bytes()
-
-
-def test_deterministic_under_threads(tmp_path, monkeypatch):
-    cfg = setup_cfg(tmp_path, FOLD_OVERSHOOT)
-    a, b = tmp_path / "serial", tmp_path / "pool"
-    assert run_command(["classify", "--config", cfg, "--out", str(a), "--grid=-1:1:101"]) == 0
-    monkeypatch.setenv("FILIPPOV_THREADS", "4")
-    assert run_command(["classify", "--config", cfg, "--out", str(b), "--grid=-1:1:101"]) == 0
-    assert (a / "classification.json").read_bytes() == (b / "classification.json").read_bytes()

@@ -28,7 +28,6 @@ epsilons = 0.1, 0.05
 x0 = 0, 1
 t_span = 0, 2
 mode = regularized
-seed = 7
 """
 
 
@@ -43,7 +42,6 @@ def test_load_full_config(tmp_path):
     assert cfg.run.x0 == (0.0, 1.0)
     assert cfg.run.t_span == (0.0, 2.0)
     assert cfg.run.mode == "regularized"
-    assert cfg.run.seed == 7
     assert cfg.cross is None
     assert len(cfg.sha256) == 64
 
@@ -72,6 +70,7 @@ def test_grid_points():
 
 def test_line_numbered_errors(tmp_path):
     sys3 = "[system]\ncoords = x, y\nx_plus = 1, 1\nx_minus = 1, -1\n"
+    cross = "[cross]\nx_pp = 1, 1, 1\nx_pm = 1, 1, 1\nx_mp = 1, 1, 1\nx_mm = 1, 1, 1\n"
     cases = [
         ("[nope]\n", 1, "unknown section"),
         ("coords = x, y\n", 1, "outside"),
@@ -85,7 +84,13 @@ def test_line_numbered_errors(tmp_path):
         (sys3 + "[run]\nepsilons = -0.1\n", 6, "positive"),
         (sys3 + "[run]\nwhatever = 3\n", 6, "unknown"),
         (sys3 + "[run]\nt_span = 2, 1\n", 6, "t_span"),
-        (sys3 + "[run]\nseed = x\n", 6, "seed"),
+        (sys3 + "[run]\nseed = 7\n", 6, "unknown"),
+        (sys3 + "[run]\nabs_tol = tiny\n", 6, "number"),
+        (sys3 + "[transition]\nkind = biased\nt0 = 0.2\nm = 2\n", 6, "unexpected"),
+        (sys3 + "[transition]\nm = 2\n", 6, "unexpected"),
+        (sys3 + "[transition]\nkind = overshoot\nm = two\n", 7, "number"),
+        (cross + "phi_kind = biased\nphi_t0 = 0.25\nphi_m = 2\n", 6, "phi transition"),
+        (cross + "psi_m = 2\n", 6, "psi transition"),
     ]
     for text, line, needle in cases:
         with pytest.raises(ConfigError) as err:

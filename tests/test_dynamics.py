@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from filippov.dynamics import (
+    EVENT_TIME_TOL,
     Equilibrium,
     EventKind,
     IntegratorOptions,
@@ -15,7 +16,7 @@ from filippov.dynamics import (
     integrate_filippov,
     track_manifold,
 )
-from filippov.regularize import Biased, Smoothstep
+from filippov.regularize import Biased, Smoothstep, bisect_sign_change
 from filippov.system import system_from_strings
 
 
@@ -55,24 +56,8 @@ def test_dense_output():
         traj.sample(math.pi + 0.1)
 
 
-def test_rk4_fixed_step():
+def test_span_validation():
     fn = lambda t, y: y
-    opts = IntegratorOptions(method="rk4", max_step=0.1)
-    traj = integrate(fn, (1.0,), (0.0, 1.0), opts)
-    assert len(traj.times) == 11
-    assert np.allclose(np.diff(traj.times), 0.1)
-    assert traj.final_time == pytest.approx(1.0, abs=1e-15)
-    # classic fourth order: halving the step cuts the error ~16x
-    err1 = abs(traj.final_state[0] - math.e)
-    traj2 = integrate(fn, (1.0,), (0.0, 1.0), IntegratorOptions(method="rk4", max_step=0.05))
-    err2 = abs(traj2.final_state[0] - math.e)
-    assert err1 / err2 == pytest.approx(16.0, rel=0.2)
-
-
-def test_method_validation():
-    fn = lambda t, y: y
-    with pytest.raises(ValueError):
-        integrate(fn, (1.0,), (0.0, 1.0), IntegratorOptions(method="euler"))
     with pytest.raises(ValueError):
         integrate(fn, (1.0,), (1.0, 0.0))
     # degenerate span returns the single initial node
@@ -89,6 +74,31 @@ def test_step_failure_near_blowup():
     assert traj.events[-1].kind == EventKind.STEP_FAILURE
     assert traj.final_time < 2.0
     assert traj.final_time == pytest.approx(1.0, abs=1e-3)
+
+
+def test_step_failure_when_max_steps_runs_out():
+    traj = integrate(lambda t, y: -y, (1.0,), (0.0, 10.0), IntegratorOptions(max_steps=5))
+    assert traj.final_time < 1.0
+    assert [e.kind for e in traj.events] == [EventKind.STEP_FAILURE]
+    assert traj.events[0].time == traj.final_time
+    # a budget that suffices leaves no event
+    assert not integrate(lambda t, y: -y, (1.0,), (0.0, 10.0)).events
+
+
+def test_bisection_stops_when_floats_run_out():
+    # near t = 1e4 adjacent floats are 1.8e-12 apart, wider than the 1e-12
+    # event tolerance, and f vanishes at no float, so only the
+    # no-float-between rule ends the search
+    calls = [0]
+
+    def f(t):
+        calls[0] += 1
+        if calls[0] > 200:
+            raise RuntimeError("bisection does not terminate")
+        return (t - 1e4) - 0.3
+
+    t = bisect_sign_change(f, 1e4, 1e4 + 1.0, EVENT_TIME_TOL)
+    assert abs(t - 10000.3) <= 2e-12
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +145,18 @@ def test_hybrid_slide_exit():
     # ballistic arc afterwards: x = t - 1/2, y = (t - 1/2)^2
     assert traj.final_state[0] == pytest.approx(0.5, abs=1e-6)
     assert traj.final_state[1] == pytest.approx(0.25, abs=1e-6)
+
+
+@pytest.mark.parametrize("x0, kinds", [
+    ((-1.0, 0.5), [EventKind.STEP_FAILURE]),  # runs out before the hit
+    ((-1.0, 0.0), [EventKind.SLIDE_ENTRY, EventKind.STEP_FAILURE]),  # out while sliding
+])
+def test_hybrid_step_budget_ends_with_step_failure(x0, kinds):
+    traj = integrate_filippov(fold(), x0, (0.0, 2.0), IntegratorOptions(max_steps=3))
+    assert [e.kind for e in traj.events] == kinds
+    assert traj.final_time < 2.0
+    assert traj.events[-1].time == traj.final_time
+    assert np.array_equal(traj.events[-1].state, traj.final_state)
 
 
 def test_hybrid_starts_on_surface_sewing():

@@ -114,19 +114,21 @@ def test_make_transition_validates():
     assert isinstance(make_transition("smoothstep"), Smoothstep)
     assert make_transition("overshoot", m=2.0).m == 2.0
     assert make_transition("biased", t0=0.25).t0 == 0.25
-    tf = make_transition("custom", expression="t*(3 - t^2)/2")
+    tf = make_transition("custom", expr="t*(3 - t^2)/2")
     assert tf.value(0.5) == 0.6875
     with pytest.raises(ValidationFailure):
         make_transition("nope")
     with pytest.raises(ValidationFailure):
         make_transition("smoothstep", m=2.0)
+    with pytest.raises(ValidationFailure, match="needs 'm'"):
+        make_transition("overshoot")
     # custom expressions that miss the boundary values are rejected
     with pytest.raises(ValidationFailure):
-        make_transition("custom", expression="t/2")
+        make_transition("custom", expr="t/2")
     with pytest.raises(ValidationFailure):
-        make_transition("custom", expression="t^2")
+        make_transition("custom", expr="t^2")
     with pytest.raises(ValidationFailure):
-        make_transition("custom", expression="t + q")
+        make_transition("custom", expr="t + q")
 
 
 # ---------------------------------------------------------------------------
