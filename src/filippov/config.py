@@ -173,18 +173,15 @@ def _normalize_surface(
 
 
 def _build_system(sec: dict[str, tuple[str, int]]) -> PiecewiseSystem:
+    for key, (_, lineno) in sec.items():
+        if key not in ("coords", "sigma", "x_plus", "x_minus"):
+            raise ConfigError(f"unknown [system] key {key!r}", lineno)
     if "coords" not in sec:
         raise ConfigError("[system] is missing 'coords'")
     coords_text, lineno = sec["coords"]
     coords = tuple(c.strip() for c in coords_text.split(",") if c.strip())
     if len(coords) < 2:
         raise ConfigError("need at least two coordinates", lineno)
-    if "dim" in sec:
-        dim_text, dim_line = sec["dim"]
-        if int(dim_text) != len(coords):
-            raise ConfigError(
-                f"dim = {dim_text} disagrees with {len(coords)} coordinates", dim_line
-            )
     fields = {}
     for key in ("x_plus", "x_minus"):
         if key not in sec:
@@ -231,6 +228,10 @@ def _build_transition(
 
 def _build_cross(sec: dict[str, tuple[str, int]]) -> CrossSystem:
     keys = {"x_pp": (1, 1), "x_pm": (1, -1), "x_mp": (-1, 1), "x_mm": (-1, -1)}
+    for key, (_, lineno) in sec.items():
+        # phi_* and psi_* keys are checked by make_transition
+        if key not in keys and not key.startswith(("phi_", "psi_")):
+            raise ConfigError(f"unknown [cross] key {key!r}", lineno)
     fields = {}
     for key, signs in keys.items():
         if key not in sec:

@@ -156,22 +156,26 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 
 
 
 class _Recorder:
-    def __init__(self, t0: float, y0: np.ndarray, f0: np.ndarray):
-        self.times = [t0]
-        self.states = [y0.copy()]
-        self.derivs = [f0.copy()]
+    """Nodes and events of a trajectory under construction."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.times: list[float] = []
+        self.states: list[np.ndarray] = []
+        self.derivs: list[np.ndarray] = []
+        self.events: list[Event] = []
 
     def push(self, t, y, f):
         self.times.append(t)
         self.states.append(y.copy())
         self.derivs.append(f.copy())
 
-    def build(self, events=None) -> Trajectory:
+    def event(self, t, y, kind: EventKind):
+        self.events.append(Event(t, y.copy(), kind))
+
+    def build(self) -> Trajectory:
         return Trajectory(
-            np.array(self.times),
-            np.array(self.states),
-            np.array(self.derivs),
-            list(events or []),
+            np.array(self.times), np.array(self.states), np.array(self.derivs), self.events
         )
 
 
@@ -198,15 +202,15 @@ def integrate(
     x0: Sequence[float],
     t_span: tuple[float, float],
     opts: IntegratorOptions | None = None,
-    step_callback=None,
+    stop: Callable[[float, np.ndarray], bool] | None = None,
 ) -> Trajectory:
     """Integrate x' = fn(t, x) over t_span, forward in time.
 
     Returns the accepted steps; a StepFailure event ends the trajectory
     early if the adaptive controller underflows its minimum step or
-    max_steps runs out before t_end.  The optional step_callback(recorder)
-    may truncate integration by returning anything non-None after a step
-    was recorded.
+    max_steps runs out before t_end.  The optional stop(t, x) ends the run
+    at the first accepted node where it is true, which is then the last
+    node of the trajectory; the initial node is not tested.
     """
     opts = opts or IntegratorOptions()
     t0, t_end = float(t_span[0]), float(t_span[1])
@@ -214,13 +218,12 @@ def integrate(
         raise ValueError(f"t_span must be increasing, got {t_span}")
     y = np.asarray(x0, dtype=float).copy()
     t = t0
-    f0 = np.asarray(fn(t, y), dtype=float)
-    rec = _Recorder(t, y, f0)
-    events: list[Event] = []
+    fcur = np.asarray(fn(t, y), dtype=float)
+    rec = _Recorder(y.size)
+    rec.push(t, y, fcur)
     if t_end == t0:
-        return rec.build(events)
+        return rec.build()
 
-    fcur = f0
     h = min(_initial_step(fn, t, y, fcur, opts.rel_tol, opts.abs_tol, t_end), opts.max_step)
     err_prev = 1.0
     ks = np.empty((7, y.size))
@@ -229,7 +232,7 @@ def integrate(
             break
         h = min(h, t_end - t)
         if h < opts.min_step:
-            events.append(Event(t, y.copy(), EventKind.STEP_FAILURE))
+            rec.event(t, y, EventKind.STEP_FAILURE)
             break
         ks[0] = fcur
         for i in range(1, 7):
@@ -244,7 +247,7 @@ def integrate(
             y = y5
             fcur = ks[6].copy()  # FSAL
             rec.push(t, y, fcur)
-            if step_callback is not None and step_callback(rec) is not None:
+            if stop is not None and stop(t, y):
                 break
             # PI controller, conservative enough that the propagated
             # fifth-order solution stays well inside the tolerances
@@ -255,48 +258,12 @@ def integrate(
             h *= max(0.2, 0.9 * err ** -0.2)
     else:
         if t < t_end:  # max_steps ran out
-            events.append(Event(t, y.copy(), EventKind.STEP_FAILURE))
-    return rec.build(events)
+            rec.event(t, y, EventKind.STEP_FAILURE)
+    return rec.build()
 
 
 # ---------------------------------------------------------------------------
 # hybrid (Filippov) integration
-
-class _Pieces:
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.times: list[np.ndarray] = []
-        self.states: list[np.ndarray] = []
-        self.derivs: list[np.ndarray] = []
-        self.events: list[Event] = []
-
-    def extend(self, traj: Trajectory, upto: int | None = None) -> None:
-        sl = slice(None, upto)
-        times = traj.times[sl]
-        if times.size and self.times and self.times[-1].size:
-            if times[0] == self.times[-1][-1]:  # duplicated junction node
-                sl = slice(1, upto)
-                times = traj.times[sl]
-        self.times.append(times)
-        self.states.append(traj.states[sl])
-        self.derivs.append(traj.derivs[sl])
-
-    def add_node(self, t: float, state: np.ndarray, deriv: np.ndarray) -> None:
-        self.times.append(np.array([t]))
-        self.states.append(np.asarray(state, dtype=float)[None, :].copy())
-        self.derivs.append(np.asarray(deriv, dtype=float)[None, :].copy())
-
-    def build(self) -> Trajectory:
-        if not self.times:
-            empty = np.zeros((0, self.dim))
-            return Trajectory(np.zeros(0), empty, empty.copy(), self.events)
-        return Trajectory(
-            np.concatenate(self.times),
-            np.concatenate(self.states),
-            np.concatenate(self.derivs),
-            self.events,
-        )
-
 
 def integrate_filippov(
     system: PiecewiseSystem,
@@ -315,111 +282,84 @@ def integrate_filippov(
     """
     opts = opts or IntegratorOptions()
     state = np.asarray(x0, dtype=float).copy()
-    t = float(t_span[0])
-    t_end = float(t_span[1])
-    n = system.dim
-    if len(state) != n:
-        raise ValueError(f"state dimension {len(state)} does not match system dimension {n}")
-    pieces = _Pieces(n)
-
-    def finish() -> Trajectory:
-        if not pieces.times:
-            pieces.add_node(t, state, np.zeros(n))
-        return pieces.build()
-
-    def fail_singular(time: float, st: np.ndarray):
-        pieces.events.append(Event(time, st.copy(), EventKind.STEP_FAILURE))
-        raise UnresolvedSingularityError(time, st, finish())
-
-    forced_region: int | None = None
-    guard = 0
-    while t < t_end - EVENT_TIME_TOL:
-        guard += 1
-        if guard > opts.max_events:
-            pieces.events.append(Event(t, state.copy(), EventKind.STEP_FAILURE))
+    t, t_end = float(t_span[0]), float(t_span[1])
+    if t_end < t:
+        raise ValueError(f"t_span must be increasing, got {t_span}")
+    if len(state) != system.dim:
+        raise ValueError(
+            f"state dimension {len(state)} does not match system dimension {system.dim}"
+        )
+    orbit = _Recorder(system.dim)
+    exit_side = 0  # the field a slide exit leaves along, for the next segment
+    for _ in range(opts.max_events):
+        if t >= t_end - EVENT_TIME_TOL:
             break
-
-        y = state[-1]
-        if forced_region is not None:
-            region = forced_region
-            forced_region = None
-        elif abs(y) <= SURFACE_BAND:
+        region, exit_side = exit_side, 0
+        if not region and abs(state[-1]) <= SURFACE_BAND:
             verdict = classify_point(system, state[:-1], opts.class_tol)
             if verdict == SigmaClass.SLIDING:
-                pieces.events.append(Event(t, state.copy(), EventKind.SLIDE_ENTRY))
-                t, state, exit_region = _slide(system, state, t, t_end, opts, pieces)
-                if exit_region is None:
+                orbit.event(t, state, EventKind.SLIDE_ENTRY)
+                t, state, exit_side = _slide(system, orbit, t, state, t_end, opts)
+                if not exit_side:
                     break  # reached t_end (or failed) while sliding
-                forced_region = exit_region
                 continue
             if verdict == SigmaClass.SIGMA_SINGULAR:
-                fail_singular(t, state)
+                _fail(orbit, t, state)
             a_plus, _ = system.normal_components_on_sigma(state[:-1])
             region = 1 if a_plus > 0 else -1
-        else:
-            region = 1 if y > 0 else -1
+        elif not region:
+            region = 1 if state[-1] > 0 else -1
 
         field_def = system.plus if region > 0 else system.minus
-        fn = lambda tt, s, fd=field_def: fd.evaluate(s)
-        crossing: dict = {}
+        fn = lambda tt, s: field_def.evaluate(s)
+        crossed = lambda tt, s: s[-1] * region < 0 and abs(s[-1]) > SURFACE_BAND
+        seg = integrate(fn, state, (t, t_end), opts, stop=crossed)
+        # the stop rule ended the segment iff it holds at its last node
+        if not crossed(seg.final_time, seg.final_state):
+            _append(orbit, seg)
+            break  # reached t_end, or failed
 
-        def watch(rec: _Recorder, region=region, crossing=crossing):
-            y_new = rec.states[-1][-1]
-            if y_new * region < 0 and abs(y_new) > SURFACE_BAND:
-                crossing["index"] = len(rec.times) - 1
-                return True
-            return None
-
-        seg = integrate(fn, state, (t, t_end), opts, step_callback=watch)
-
-        if "index" not in crossing:
-            pieces.extend(seg)
-            pieces.events.extend(seg.events)
-            t = seg.final_time
-            state = seg.final_state.copy()
-            if seg.events and seg.events[-1].kind == EventKind.STEP_FAILURE:
-                break
-            continue
-
-        k = crossing["index"]
-        ta, tb = float(seg.times[k - 1]), float(seg.times[k])
         target = 0.0
-        if abs(seg.states[k - 1][-1]) <= SURFACE_BAND:
+        if abs(seg.states[-2][-1]) <= SURFACE_BAND:
             # launched from the surface; cut where the orbit clears the band
             target = -region * SURFACE_BAND / 2.0
-        t_hit = bisect_sign_change(
-            lambda tt: float(seg.sample(tt)[-1]) - target, ta, tb, EVENT_TIME_TOL
-        )
-        hit_state = seg.sample(t_hit)
-        hit_state[-1] = 0.0
-        pieces.extend(seg, upto=k)
-        pieces.add_node(t_hit, hit_state, fn(t_hit, hit_state))
-        pieces.events.append(Event(t_hit, hit_state.copy(), EventKind.SIGMA_HIT))
-
-        verdict = classify_point(system, hit_state[:-1], opts.class_tol)
-        t, state = t_hit, hit_state
-        if verdict == SigmaClass.SIGMA_SINGULAR:
-            fail_singular(t_hit, hit_state)
+        t = _locate(seg, lambda tt, s: float(s[-1]) - target)
+        state = seg.sample(t)
+        state[-1] = 0.0
+        _append(orbit, seg, upto=-1)
+        orbit.push(t, state, fn(t, state))
+        orbit.event(t, state, EventKind.SIGMA_HIT)
+        if classify_point(system, state[:-1], opts.class_tol) == SigmaClass.SIGMA_SINGULAR:
+            _fail(orbit, t, state)
         # Sliding: the loop re-enters through the surface branch above.
         # Sewing: the surface branch picks the receiving side from a_plus.
+    else:
+        if t < t_end - EVENT_TIME_TOL:  # max_events ran out
+            orbit.event(t, state, EventKind.STEP_FAILURE)
+    return _close(orbit, t, state)
 
-    return finish()
 
-
-def _slide(system, state, t, t_end, opts, pieces):
+def _slide(system, orbit, t, state, t_end, opts):
     """Integrate the sliding flow from a surface state.
 
-    Returns (t, state, exit_region): exit_region is +1/-1 when the weight
-    boundary was reached and the orbit leaves along that field, else None.
+    Returns (t, state, exit_side): exit_side is +1/-1 when the weight
+    boundary was reached and the orbit leaves along that field, else 0.
     """
     lam_tol = opts.lambda_tol
 
-    def lam_of(x: np.ndarray) -> float:
-        lam = filippov_weight(system, x)
-        if lam is None:
-            pieces.events.append(Event(t, np.append(x, 0.0), EventKind.STEP_FAILURE))
-            raise UnresolvedSingularityError(t, np.append(x, 0.0), pieces.build())
-        return lam
+    def lam(tt: float, x: np.ndarray) -> float:
+        w = filippov_weight(system, x)
+        if w is None:
+            _fail(orbit, tt, np.append(x, 0.0))
+        return w
+
+    def side(tt: float, x: np.ndarray) -> int:
+        # 0 while the weight stays inside (tol, 1 - tol), else the field it
+        # saturates toward; the one test for slide entry, stop and exit
+        w = lam(tt, x)
+        if lam_tol < w < 1.0 - lam_tol:
+            return 0
+        return 1 if w >= 0.5 else -1
 
     def fn(tt: float, x: np.ndarray) -> np.ndarray:
         # the Filippov combination without the class gate: the weight may
@@ -427,59 +367,62 @@ def _slide(system, state, t, t_end, opts, pieces):
         # singular
         combo = filippov_combination(system, x)
         if combo is None:
-            pieces.events.append(Event(tt, np.append(x, 0.0), EventKind.STEP_FAILURE))
-            raise UnresolvedSingularityError(tt, np.append(x, 0.0), pieces.build())
+            _fail(orbit, tt, np.append(x, 0.0))
         return combo[1][:-1]
 
-    lam0 = lam_of(state[:-1])
-    if not lam_tol < lam0 < 1.0 - lam_tol:
-        boundary = 1 if lam0 >= 0.5 else -1
-        return _slide_exit(system, state, t, boundary, pieces)
-
-    hit: dict = {}
-
-    def watch(rec: _Recorder):
-        lam = lam_of(rec.states[-1])
-        if lam >= 1.0 - lam_tol:
-            hit["region"] = 1
-            hit["index"] = len(rec.times) - 1
-            return True
-        if lam <= lam_tol:
-            hit["region"] = -1
-            hit["index"] = len(rec.times) - 1
-            return True
-        return None
-
-    seg = integrate(fn, state[:-1], (t, t_end), opts, step_callback=watch)
-
-    def lift_into_pieces(upto=None):
-        sl = slice(None, upto)
-        times = seg.times[sl]
-        states = np.hstack([seg.states[sl], np.zeros((len(times), 1))])
-        derivs = np.hstack([seg.derivs[sl], np.zeros((len(times), 1))])
-        pieces.extend(Trajectory(times, states, derivs, []))
-
-    if "index" not in hit:
-        lift_into_pieces()
-        for ev in seg.events:
-            pieces.events.append(Event(ev.time, np.append(ev.state, 0.0), ev.kind))
-        return seg.final_time, np.append(seg.final_state, 0.0), None
-
-    k = hit["index"]
-    exit_region = hit["region"]
-    ta, tb = float(seg.times[k - 1]), float(seg.times[k])
-    target = 1.0 - lam_tol if exit_region > 0 else lam_tol
-    t_exit = bisect_sign_change(lambda tt: lam_of(seg.sample(tt)) - target, ta, tb, EVENT_TIME_TOL)
-    x_exit = seg.sample(t_exit)
-    lift_into_pieces(upto=k)
-    return _slide_exit(system, np.append(x_exit, 0.0), t_exit, exit_region, pieces)
+    exit_side = side(t, state[:-1])
+    if not exit_side:
+        seg = integrate(fn, state[:-1], (t, t_end), opts, stop=side)
+        exit_side = side(seg.final_time, seg.final_state)
+        if not exit_side:
+            _append(orbit, seg)
+            return seg.final_time, np.append(seg.final_state, 0.0), 0
+        target = 1.0 - lam_tol if exit_side > 0 else lam_tol
+        t = _locate(seg, lambda tt, x: lam(tt, x) - target)
+        state = np.append(seg.sample(t), 0.0)
+        _append(orbit, seg, upto=-1)
+    orbit.push(t, state, (system.plus if exit_side > 0 else system.minus).evaluate(state))
+    orbit.event(t, state, EventKind.SLIDE_EXIT)
+    return t, state, exit_side
 
 
-def _slide_exit(system, state, t, exit_region, pieces):
-    deriv = (system.plus if exit_region > 0 else system.minus).evaluate(state)
-    pieces.add_node(t, state, deriv)
-    pieces.events.append(Event(t, state.copy(), EventKind.SLIDE_EXIT))
-    return t, state.copy(), exit_region
+def _append(orbit: _Recorder, seg: Trajectory, upto: int | None = None) -> None:
+    """Join the nodes seg[:upto] and the events of seg to the orbit.
+
+    A first node repeating the orbit's last one is dropped; a sliding
+    segment, integrated in the tangential coordinates, is lifted onto y = 0.
+    """
+    start = 1 if orbit.times and seg.times[0] == orbit.times[-1] else 0
+    times, states, derivs = (a[start:upto] for a in (seg.times, seg.states, seg.derivs))
+    if states.shape[1] < orbit.dim:
+        states = np.hstack([states, np.zeros((len(times), 1))])
+        derivs = np.hstack([derivs, np.zeros((len(times), 1))])
+    orbit.times.extend(times)
+    orbit.states.extend(states)
+    orbit.derivs.extend(derivs)
+    for e in seg.events:
+        state = np.append(e.state, 0.0) if e.state.size < orbit.dim else e.state
+        orbit.event(e.time, state, e.kind)
+
+
+def _locate(seg: Trajectory, g: Callable[[float, np.ndarray], float]) -> float:
+    """A time in the last step of seg where g(t, seg.sample(t)) changes sign."""
+    return bisect_sign_change(
+        lambda tt: g(tt, seg.sample(tt)), float(seg.times[-2]), float(seg.times[-1]),
+        EVENT_TIME_TOL,
+    )
+
+
+def _fail(orbit: _Recorder, t: float, state: np.ndarray):
+    """End the orbit with a StepFailure and raise with what was computed."""
+    orbit.event(t, state, EventKind.STEP_FAILURE)
+    raise UnresolvedSingularityError(t, state, _close(orbit, t, state))
+
+
+def _close(orbit: _Recorder, t: float, state: np.ndarray) -> Trajectory:
+    if not orbit.times:  # nothing was integrated: the orbit is its start
+        orbit.push(t, state, np.zeros(orbit.dim))
+    return orbit.build()
 
 
 # ---------------------------------------------------------------------------

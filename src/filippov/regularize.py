@@ -42,10 +42,6 @@ class ValidationFailure(Exception):
     """A transition function violates one of its defining constraints."""
 
 
-def _clamp(t: float) -> float:
-    return -1.0 if t < -1.0 else (1.0 if t > 1.0 else t)
-
-
 def _cubic(t: float) -> float:
     return (3.0 * t - t ** 3) / 2.0
 
@@ -161,10 +157,10 @@ class Biased(TransitionFunction):
 class Custom(TransitionFunction):
     """Transition given by an expression in (x_1, ..., x_{n-1}, t).
 
-    The expression is evaluated with t clamped to [-1, 1], which forces
-    constancy outside the band; the boundary values are checked at
-    construction.  The t-derivative is the symbolic derivative inside the
-    band and 0 outside.
+    The expression is only evaluated for t in [-1, 1]: outside the band
+    the base class holds the value at -1/+1, and the boundary values are
+    checked at construction.  The t-derivative is the symbolic derivative
+    inside the band and 0 outside.
     """
 
     expression: ex.Expr
@@ -181,7 +177,7 @@ class Custom(TransitionFunction):
         self._deriv = ex.differentiate(self.expression, "t")
 
     def _bindings(self, t: float, x: Sequence[float]) -> ex.Bindings:
-        b: ex.Bindings = {"t": _clamp(t)}
+        b: ex.Bindings = {"t": t}
         for name, v in zip(self.x_names, x):
             b[name] = float(v)
         return b

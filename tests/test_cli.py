@@ -115,6 +115,17 @@ def test_integrate_flag_overrides(tmp_path):
     assert float(lines[-1].split(",")[0]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("mode", ["filippov", "regularized"])
+def test_integrate_rejects_decreasing_tspan(tmp_path, capsys, mode):
+    cfg = setup_cfg(tmp_path, EX21)
+    rc = run_command([
+        "integrate", "--config", cfg, "--out", str(tmp_path), "--tspan", "2,1", "--mode", mode,
+    ])
+    assert rc == 2
+    assert "t_span must be increasing" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_integrate_needs_x0(tmp_path, capsys):
     cfg = setup_cfg(tmp_path, FOLD)
     rc = run_command(["integrate", "--config", cfg, "--out", str(tmp_path)])

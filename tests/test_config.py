@@ -91,6 +91,11 @@ def test_line_numbered_errors(tmp_path):
         (sys3 + "[transition]\nkind = overshoot\nm = two\n", 7, "number"),
         (cross + "phi_kind = biased\nphi_t0 = 0.25\nphi_m = 2\n", 6, "phi transition"),
         (cross + "psi_m = 2\n", 6, "psi transition"),
+        # a misspelt sigma used to load silently as the flat surface
+        (sys3 + "sigm = y - x^2\n", 5, "unknown [system] key 'sigm'"),
+        (sys3 + "dim = 2\n", 5, "unknown [system] key 'dim'"),
+        (sys3 + "dim = two\n", 5, "unknown [system] key 'dim'"),
+        (cross + "eta = 5\n", 6, "unknown [cross] key 'eta'"),
     ]
     for text, line, needle in cases:
         with pytest.raises(ConfigError) as err:

@@ -85,6 +85,24 @@ def test_step_failure_when_max_steps_runs_out():
     assert not integrate(lambda t, y: -y, (1.0,), (0.0, 10.0)).events
 
 
+def test_stop_ends_at_first_accepted_node_where_true():
+    fn = lambda t, y: np.array([1.0])
+    full = integrate(fn, (0.0,), (0.0, 10.0), IntegratorOptions(max_step=0.25))
+    seen = []
+
+    def stop(t, y):
+        seen.append(t)
+        return y[0] > 2.0
+
+    traj = integrate(fn, (0.0,), (0.0, 10.0), IntegratorOptions(max_step=0.25), stop=stop)
+    first = int(np.argmax(full.states[:, 0] > 2.0))
+    assert np.array_equal(traj.times, full.times[: first + 1])
+    assert traj.final_state[0] > 2.0 >= traj.states[-2, 0]
+    assert traj.events == []
+    # asked once per accepted node, never for the initial one
+    assert seen == traj.times[1:].tolist()
+
+
 def test_bisection_stops_when_floats_run_out():
     # near t = 1e4 adjacent floats are 1.8e-12 apart, wider than the 1e-12
     # event tolerance, and f vanishes at no float, so only the
@@ -187,6 +205,11 @@ def test_hybrid_singular_start():
     assert err.value.trajectory.events[-1].kind == EventKind.STEP_FAILURE
 
 
+def test_hybrid_span_validation():
+    with pytest.raises(ValueError, match="increasing"):
+        integrate_filippov(fold(), (0.0, 1.0), (2.0, 1.0))
+
+
 def test_hybrid_dimension_check():
     with pytest.raises(ValueError):
         integrate_filippov(fold(), (0.0, 0.0, 0.0), (0.0, 1.0))
@@ -201,6 +224,48 @@ def test_hybrid_three_dimensional_slide():
     assert [e.kind for e in traj.events] == [EventKind.SLIDE_ENTRY]
     assert np.allclose(traj.final_state, [-1.0, 0.0, 0.0], atol=1e-6)
     assert np.all(traj.states[:, 2] == 0.0)
+
+
+def _singular_partial(sys, x0, t_span):
+    with pytest.raises(UnresolvedSingularityError) as err:
+        integrate_filippov(sys, x0, t_span)
+    return err.value.trajectory
+
+
+HYBRID_ORBITS = {
+    "crossing_then_slide": lambda: integrate_filippov(
+        system_from_strings(("x", "y"), ("1", "-1"), ("1", "1")), (0.0, 1.0), (0.0, 2.0)),
+    "sewing": lambda: integrate_filippov(
+        system_from_strings(("x", "y"), ("1", "1"), ("2", "1")), (0.0, -0.5), (0.0, 1.0)),
+    "slide_exit": lambda: integrate_filippov(fold(), (-0.5, 0.0), (0.0, 1.0)),
+    "hit_slide_exit": lambda: integrate_filippov(fold(), (-1.0, 0.5), (0.0, 1.5)),
+    "budget_before_hit": lambda: integrate_filippov(
+        fold(), (-1.0, 0.5), (0.0, 2.0), IntegratorOptions(max_steps=3)),
+    "budget_while_sliding": lambda: integrate_filippov(
+        fold(), (-1.0, 0.0), (0.0, 2.0), IntegratorOptions(max_steps=3)),
+    "starts_on_surface": lambda: integrate_filippov(
+        system_from_strings(("x", "y"), ("1", "2"), ("1", "1")), (0.0, 0.0), (0.0, 1.0)),
+    "three_dimensional_slide": lambda: integrate_filippov(
+        system_from_strings(("x1", "x2", "y"), ("-x2", "x1", "-1"), ("-x2", "x1", "1")),
+        (1.0, 0.0, 0.0), (0.0, math.pi)),
+    "singular_partial": lambda: _singular_partial(
+        system_from_strings(("x", "y"), ("1", "-1"), ("1", "x")), (-0.5, 0.5), (0.0, 2.0)),
+    "singular_start": lambda: _singular_partial(
+        system_from_strings(("x", "y"), ("1", "0"), ("1", "1")), (0.0, 0.0), (0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HYBRID_ORBITS))
+def test_hybrid_orbit_invariants(name):
+    # trajectory.csv writes an event on the row of its node, so an event off
+    # the nodes would be dropped from the artifact
+    traj = HYBRID_ORBITS[name]()
+    assert len(traj.times) >= 1
+    assert np.all(np.diff(traj.times) > 0)
+    node = {float(t): k for k, t in enumerate(traj.times)}
+    for e in traj.events:
+        assert float(e.time) in node
+        assert np.array_equal(e.state, traj.states[node[float(e.time)]])
 
 
 # ---------------------------------------------------------------------------

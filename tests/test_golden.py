@@ -52,6 +52,18 @@ CASES = {
         FOLD + RUN,
         ["integrate", "--mode", "regularized", "--epsilon", "0.1", "--from=-1,1"],
     ),
+    # hybrid orbits: sew through, slide then exit at the fold, slide in 3-D
+    "sewing": (
+        "[system]\ncoords = x, y\nx_plus = 1, 1\nx_minus = 2, 1\n"
+        "\n[run]\nx0 = 0, -0.5\nt_span = 0, 1\n",
+        ["integrate"],
+    ),
+    "fold_slide_exit": (FOLD + "\n[run]\nx0 = -0.5, 0\nt_span = 0, 1\n", ["integrate"]),
+    "rotation_3d": (
+        "[system]\ncoords = x1, x2, y\nx_plus = -x2, x1, -1\nx_minus = -x2, x1, 1\n"
+        "\n[run]\nx0 = 1, 0, 0\nt_span = 0, 3.141592653589793\n",
+        ["integrate"],
+    ),
     "cross": (
         """\
 [cross]
@@ -96,6 +108,9 @@ GOLDEN = {
         "slowfast.csv": "2c07d6c24b5f8b8b7c7262cb0e0ee3159e429c92f15f95ebbc5cf5a94ac5689a",
         "trajectory.csv": "4c4b7c15be53abe19cd63bd20a61d24b168114cd36bb315470a2c8ef7d8c40c6",
     },
+    "fold_slide_exit": {
+        "trajectory.csv": "12240eb1eb1078403554777799fcd56406423577819577e3ec4619c3ae7bcc9a",
+    },
     "fold_smoothstep": {
         "certificates.json": "9c916a6b352267ef74c0cbda15c1acef101564afc0eca35178f60af0b958986e",
         "classification.json": "8bf9f4973e1b7ed0b1f20d66cd114fba20c607f574d1e5def09bed6516871868",
@@ -105,6 +120,12 @@ GOLDEN = {
     },
     "regularized": {
         "trajectory.csv": "7a866e23a5999de93d25dab5429739df7b0935cb7c02669964f1392ea3013a50",
+    },
+    "rotation_3d": {
+        "trajectory.csv": "4eff1a3f760784f941147af8b86b66e2e5b9f79a1290f24abedd78281ce3ddb2",
+    },
+    "sewing": {
+        "trajectory.csv": "0c59d386f4dca855499cdcc2a0cb081eece6e30b60cae29efede3fbb9689c828",
     },
 }
 
