@@ -138,31 +138,24 @@ class SlowFastSystem:
     system: PiecewiseSystem
     transition: TransitionFunction
 
-    def alpha(self, x: Sequence[float] | float, ybar: float, epsbar: float = 0.0) -> float:
-        return float(e_chart_field(self.system, self.transition, x, ybar, epsbar)[0])
-
-    def beta(self, x: Sequence[float] | float, ybar: float, epsbar: float = 0.0) -> np.ndarray:
-        """Slow velocities (the x_i' before the epsbar factor)."""
-        return _e_blend(self.system, self.transition, x, ybar, epsbar)[:-1]
-
     def slow_manifold_residual(self, x: Sequence[float] | float, ybar: float) -> float:
         """Height function value; its zero set is the slow manifold."""
         h, _ = height_function(self.system, self.transition).value(x, ybar)
         return h
 
-    def manifold_slice(self, x: Sequence[float] | float, cells: int = 512):
-        """Roots of the residual in ybar over [-1, 1] at fixed x."""
+    def manifold_slice(self, x: Sequence[float] | float):
+        """Roots of the residual in ybar over [-1, 1] at fixed x (height_roots)."""
         from .regularize import height_roots
 
-        return height_roots(self.system, self.transition, x, cells=cells)
+        return height_roots(self.system, self.transition, x)
 
     def slow_flow(self, x: Sequence[float] | float, ybar: float) -> np.ndarray:
-        """beta on the divisor; meaningful on the residual's zero set."""
-        return self.beta(x, ybar, 0.0)
+        """Slow velocities beta on the divisor; meaningful on the residual's zero set."""
+        return _e_blend(self.system, self.transition, x, ybar, 0.0)[:-1]
 
     def fast_flow(self, x: Sequence[float] | float, ybar: float) -> float:
-        """ybar' at frozen x on the divisor (equals half the height)."""
-        return self.alpha(x, ybar, 0.0)
+        """ybar' = alpha at frozen x on the divisor (equals half the height)."""
+        return float(e_chart_field(self.system, self.transition, x, ybar, 0.0)[0])
 
 
 def slow_fast(system: PiecewiseSystem, transition: TransitionFunction) -> SlowFastSystem:

@@ -32,7 +32,6 @@ from .config import ConfigError, SystemConfig, grid_points, load_config, parse_g
 from .cross import NonMonotoneTransitionError, stratified_slide_curve
 from .expr import DomainError
 from .dynamics import (
-    IntegratorOptions,
     NoSlidingAtError,
     Trajectory,
     UnresolvedSingularityError,
@@ -42,6 +41,8 @@ from .dynamics import (
     track_manifold,
 )
 from .regularize import (
+    TRANSVERSALITY_TOL,
+    ZERO_TOL,
     HeightRoot,
     ValidationFailure,
     Verdict,
@@ -49,7 +50,7 @@ from .regularize import (
     certify,
     regularized_field,
 )
-from .system import NotSlidingError, SigmaClass, classify_point
+from .system import CLASS_TOL, NotSlidingError, SigmaClass, classify_point
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -61,9 +62,9 @@ def _report_skeleton(cfg: SystemConfig) -> dict:
         "version": __version__,
         "config_sha256": cfg.sha256,
         "tolerances": {
-            "class_tol": cfg.run.class_tol,
-            "transversality_tol": cfg.run.transversality_tol,
-            "zero_tol": cfg.run.zero_tol,
+            "class_tol": CLASS_TOL,
+            "transversality_tol": TRANSVERSALITY_TOL,
+            "zero_tol": ZERO_TOL,
         },
     }
 
@@ -99,11 +100,8 @@ def _cmd_classify(cfg: SystemConfig, out: Path, grid) -> int:
     system = _require_system(cfg)
     xs = grid_points(grid)
 
-    def job(x: float) -> str:
-        return classify_point(system, float(x), cfg.run.class_tol).value
-
-    labels = [job(x) for x in xs]
-    predicate = lambda x: classify_point(system, x, cfg.run.class_tol) == SigmaClass.SLIDING
+    labels = [classify_point(system, float(x)).value for x in xs]
+    predicate = lambda x: classify_point(system, x) == SigmaClass.SLIDING
     report = _report_skeleton(cfg)
     report["grid"] = [
         {"x": float(x), "verdict": lab, "roots": []} for x, lab in zip(xs, labels)
@@ -124,18 +122,11 @@ def _cmd_certify(cfg: SystemConfig, out: Path, grid) -> int:
     system = _require_system(cfg)
     xs = grid_points(grid)
 
-    def job(x: float):
-        return certify(
-            system, cfg.transition, float(x),
-            transversality_tol=cfg.run.transversality_tol,
-            zero_tol=cfg.run.zero_tol,
-        )
-
-    certs = [job(x) for x in xs]
+    certs = [certify(system, cfg.transition, float(x)) for x in xs]
     labels = [c.verdict.value for c in certs]
 
     def predicate(x: float) -> bool:
-        return job(x).verdict == Verdict.SLIDING_CERTIFIED
+        return certify(system, cfg.transition, x).verdict == Verdict.SLIDING_CERTIFIED
 
     report = _report_skeleton(cfg)
     report["grid"] = []
@@ -166,19 +157,12 @@ def _cmd_integrate(cfg: SystemConfig, out: Path, x0, t_span, mode: str, eps: flo
     system = _require_system(cfg)
     if x0 is None:
         raise ConfigError("integrate needs an initial state: set x0 in [run] or pass --from")
-    opts = IntegratorOptions(
-        abs_tol=cfg.run.abs_tol,
-        rel_tol=cfg.run.rel_tol,
-        max_step=cfg.run.max_step,
-        class_tol=cfg.run.class_tol,
-        lambda_tol=cfg.run.lambda_tol,
-    )
     if mode == "filippov":
-        traj = integrate_filippov(system, x0, t_span, opts)
+        traj = integrate_filippov(system, x0, t_span)
     else:
         e = eps if eps is not None else cfg.run.epsilons[0]
         fn = lambda t, s: regularized_field(system, cfg.transition, e, s)
-        traj = integrate(fn, x0, t_span, opts)
+        traj = integrate(fn, x0, t_span)
     _trajectory_csv(out / "trajectory.csv", system.coords, traj)
     return 0
 
@@ -209,10 +193,7 @@ def _cmd_manifold(cfg: SystemConfig, out: Path, grid) -> int:
     report = _report_skeleton(cfg)
     report["tracks"] = []
     for eps in cfg.run.epsilons:
-        track = track_manifold(
-            system, cfg.transition, eps, xs,
-            transversality_tol=cfg.run.transversality_tol,
-        )
+        track = track_manifold(system, cfg.transition, eps, xs)
         pts = track.as_array()
         sigma = np.column_stack([pts[:, 0], np.zeros(len(pts))])
         report["tracks"].append({

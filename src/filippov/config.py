@@ -30,7 +30,7 @@ the drift of g, so downstream code only ever sees the flat surface.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,13 +56,6 @@ class RunParams:
     t_span: tuple[float, float] = (0.0, 1.0)
     x0: tuple[float, ...] | None = None
     mode: str = "filippov"
-    class_tol: float = 1e-9
-    transversality_tol: float = 1e-8
-    zero_tol: float = 1e-10
-    lambda_tol: float = 1e-10
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-7
-    max_step: float = float("inf")
 
 
 @dataclass
@@ -72,7 +65,6 @@ class SystemConfig:
     cross: CrossSystem | None
     run: RunParams
     sha256: str
-    source: str = dc_field(repr=False, default="")
 
 
 def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -102,9 +94,12 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 
 def _floats(value: str, lineno: int) -> tuple[float, ...]:
     try:
-        return tuple(float(v.strip()) for v in value.split(",") if v.strip())
+        vals = tuple(float(v.strip()) for v in value.split(",") if v.strip())
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated numbers, got {value!r}", lineno) from exc
+    if not vals:
+        raise ConfigError("expected at least one number, got an empty list", lineno)
+    return vals
 
 
 def parse_grid(value: str, lineno: int | None = None) -> tuple[float, float, int]:
@@ -274,9 +269,6 @@ def _build_run(sec: dict[str, tuple[str, int]]) -> RunParams:
             if value not in ("filippov", "regularized"):
                 raise ConfigError(f"mode must be 'filippov' or 'regularized', got {value!r}", lineno)
             run.mode = value
-        elif key in ("class_tol", "transversality_tol", "zero_tol", "lambda_tol",
-                     "abs_tol", "rel_tol", "max_step"):
-            setattr(run, key, _number(value, lineno, key))
         else:
             raise ConfigError(f"unknown [run] key {key!r}", lineno)
     return run
@@ -310,7 +302,6 @@ def load_config(path: str | Path) -> SystemConfig:
         cross=cross,
         run=run,
         sha256=hashlib.sha256(data).hexdigest(),
-        source=text,
     )
 
 

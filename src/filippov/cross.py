@@ -23,6 +23,8 @@ from .regularize import Biased, Smoothstep, TransitionFunction, bisect_sign_chan
 from .system import VectorFieldDef
 
 CROSS_COORDS = ("x", "y", "z")
+ZERO_SCAN_CELLS = 4096  # cells of the t-grid transition_zero scans
+CURVE_SAMPLES = 21  # points of the z-window where the curve is measured
 
 
 class NonMonotoneTransitionError(Exception):
@@ -68,20 +70,21 @@ def double_regularized_field(
     return out
 
 
-def transition_zero(tf: TransitionFunction, which: str, cells: int = 4096) -> float:
+def transition_zero(tf: TransitionFunction, which: str) -> float:
     """The unique zero of a transition on [-1, 1].
 
     Exact for the monotone built-in kinds; anything else is scanned for
-    sign changes and rejected unless the zero is unique.
+    sign changes on ZERO_SCAN_CELLS cells and rejected unless the zero is
+    unique.
     """
     if isinstance(tf, Smoothstep):
         return 0.0
     if isinstance(tf, Biased):
         return tf.t0
-    ts = np.linspace(-1.0, 1.0, cells + 1)
+    ts = np.linspace(-1.0, 1.0, ZERO_SCAN_CELLS + 1)
     vals = np.array([tf.value(float(t)) for t in ts])
     zeros: list[float] = []
-    for k in range(cells):
+    for k in range(ZERO_SCAN_CELLS):
         a, b = vals[k], vals[k + 1]
         if a == 0.0:
             zeros.append(float(ts[k]))
@@ -126,9 +129,9 @@ def stratified_slide_curve(
     eps: float,
     eta: float,
     z_window: tuple[float, float] = (0.0, 1.0),
-    samples: int = 21,
 ) -> StratifiedCurve:
-    """Locate the curve and measure its invariance defect.
+    """Locate the curve and measure its invariance defect at CURVE_SAMPLES
+    points of the z-window.
 
     Requires both transitions to have a unique zero; raises
     NonMonotoneTransitionError otherwise.
@@ -139,15 +142,15 @@ def stratified_slide_curve(
     u0 = transition_zero(cs.psi, "psi")
     x = eps * t0
     y = eta * u0
-    zs = np.linspace(z_window[0], z_window[1], samples)
+    zs = np.linspace(z_window[0], z_window[1], CURVE_SAMPLES)
     res_x = 0.0
     res_y = 0.0
     for z in zs:
         v = double_regularized_field(cs, eps, eta, (x, y, float(z)))
         res_x = max(res_x, abs(float(v[0])))
         res_y = max(res_y, abs(float(v[1])))
-    curve = np.column_stack([np.full(samples, x), np.full(samples, y), zs])
-    axis = np.column_stack([np.zeros(samples), np.zeros(samples), zs])
+    curve = np.column_stack([np.full_like(zs, x), np.full_like(zs, y), zs])
+    axis = np.column_stack([np.zeros_like(zs), np.zeros_like(zs), zs])
     return StratifiedCurve(
         eps=eps,
         eta=eta,

@@ -21,15 +21,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .regularize import (
-    DEFAULT_TRANSVERSALITY_TOL,
     HeightRoot,
     TransitionFunction,
     bisect_sign_change,
     blend,
     height_roots,
+    most_transversal,
 )
 from .system import (
-    DEFAULT_CLASS_TOL,
     PiecewiseSystem,
     SigmaClass,
     classify_point,
@@ -37,8 +36,14 @@ from .system import (
     filippov_weight,
 )
 
+ABS_TOL = 1e-9  # step control scales each error component by ABS_TOL + REL_TOL*|y|
+REL_TOL = 1e-7
+MIN_STEP = 1e-13
 EVENT_TIME_TOL = 1e-12
-DEFAULT_LAMBDA_TOL = 1e-10
+MAX_EVENTS = 10_000
+LAMBDA_TOL = 1e-10  # a slide exits once its Filippov weight is this close to 0 or 1
+EQ_SAMPLES = 601  # x-grid on which equilibria_on_manifold samples g
+EQ_TOL = 1e-9  # a critical point of g with |g| at or below this is a zero
 # |y| below this counts as sitting on the surface; crossings are only
 # recognized once the orbit clears the band, which keeps tangential exits
 # from retriggering
@@ -80,14 +85,8 @@ class NoSlidingAtError(Exception):
 
 @dataclass
 class IntegratorOptions:
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-7
     max_step: float = math.inf
-    min_step: float = 1e-13
     max_steps: int = 1_000_000
-    class_tol: float = DEFAULT_CLASS_TOL
-    lambda_tol: float = DEFAULT_LAMBDA_TOL
-    max_events: int = 10_000
 
 
 @dataclass
@@ -179,8 +178,8 @@ class _Recorder:
         )
 
 
-def _initial_step(f, t0, y0, f0, rel_tol, abs_tol, t_end):
-    scale = abs_tol + rel_tol * np.abs(y0)
+def _initial_step(f, t0, y0, f0, t_end):
+    scale = ABS_TOL + REL_TOL * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -224,14 +223,14 @@ def integrate(
     if t_end == t0:
         return rec.build()
 
-    h = min(_initial_step(fn, t, y, fcur, opts.rel_tol, opts.abs_tol, t_end), opts.max_step)
+    h = min(_initial_step(fn, t, y, fcur, t_end), opts.max_step)
     err_prev = 1.0
     ks = np.empty((7, y.size))
     for _ in range(opts.max_steps):
         if t >= t_end:
             break
         h = min(h, t_end - t)
-        if h < opts.min_step:
+        if h < MIN_STEP:
             rec.event(t, y, EventKind.STEP_FAILURE)
             break
         ks[0] = fcur
@@ -240,7 +239,7 @@ def integrate(
             ks[i] = fn(t + _DP_C[i] * h, yi)
         y5 = y + h * (ks.T @ _DP_B5)
         y4 = y + h * (ks.T @ _DP_B4)
-        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        scale = ABS_TOL + REL_TOL * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
         if err <= 1.0:
             t = t + h
@@ -291,12 +290,12 @@ def integrate_filippov(
         )
     orbit = _Recorder(system.dim)
     exit_side = 0  # the field a slide exit leaves along, for the next segment
-    for _ in range(opts.max_events):
+    for _ in range(MAX_EVENTS):
         if t >= t_end - EVENT_TIME_TOL:
             break
         region, exit_side = exit_side, 0
         if not region and abs(state[-1]) <= SURFACE_BAND:
-            verdict = classify_point(system, state[:-1], opts.class_tol)
+            verdict = classify_point(system, state[:-1])
             if verdict == SigmaClass.SLIDING:
                 orbit.event(t, state, EventKind.SLIDE_ENTRY)
                 t, state, exit_side = _slide(system, orbit, t, state, t_end, opts)
@@ -329,7 +328,7 @@ def integrate_filippov(
         _append(orbit, seg, upto=-1)
         orbit.push(t, state, fn(t, state))
         orbit.event(t, state, EventKind.SIGMA_HIT)
-        if classify_point(system, state[:-1], opts.class_tol) == SigmaClass.SIGMA_SINGULAR:
+        if classify_point(system, state[:-1]) == SigmaClass.SIGMA_SINGULAR:
             _fail(orbit, t, state)
         # Sliding: the loop re-enters through the surface branch above.
         # Sewing: the surface branch picks the receiving side from a_plus.
@@ -344,9 +343,9 @@ def _slide(system, orbit, t, state, t_end, opts):
 
     Returns (t, state, exit_side): exit_side is +1/-1 when the weight
     boundary was reached and the orbit leaves along that field, else 0.
+    A weight already at its boundary on entry fails the orbit: the class
+    test says sliding while the exit rule says the slide is over.
     """
-    lam_tol = opts.lambda_tol
-
     def lam(tt: float, x: np.ndarray) -> float:
         w = filippov_weight(system, x)
         if w is None:
@@ -354,10 +353,10 @@ def _slide(system, orbit, t, state, t_end, opts):
         return w
 
     def side(tt: float, x: np.ndarray) -> int:
-        # 0 while the weight stays inside (tol, 1 - tol), else the field it
-        # saturates toward; the one test for slide entry, stop and exit
+        # 0 while the weight stays inside (LAMBDA_TOL, 1 - LAMBDA_TOL), else the
+        # field it saturates toward; the one test for slide entry, stop and exit
         w = lam(tt, x)
-        if lam_tol < w < 1.0 - lam_tol:
+        if LAMBDA_TOL < w < 1.0 - LAMBDA_TOL:
             return 0
         return 1 if w >= 0.5 else -1
 
@@ -370,17 +369,17 @@ def _slide(system, orbit, t, state, t_end, opts):
             _fail(orbit, tt, np.append(x, 0.0))
         return combo[1][:-1]
 
-    exit_side = side(t, state[:-1])
+    if side(t, state[:-1]):
+        _fail(orbit, t, state)
+    seg = integrate(fn, state[:-1], (t, t_end), opts, stop=side)
+    exit_side = side(seg.final_time, seg.final_state)
     if not exit_side:
-        seg = integrate(fn, state[:-1], (t, t_end), opts, stop=side)
-        exit_side = side(seg.final_time, seg.final_state)
-        if not exit_side:
-            _append(orbit, seg)
-            return seg.final_time, np.append(seg.final_state, 0.0), 0
-        target = 1.0 - lam_tol if exit_side > 0 else lam_tol
-        t = _locate(seg, lambda tt, x: lam(tt, x) - target)
-        state = np.append(seg.sample(t), 0.0)
-        _append(orbit, seg, upto=-1)
+        _append(orbit, seg)
+        return seg.final_time, np.append(seg.final_state, 0.0), 0
+    target = 1.0 - LAMBDA_TOL if exit_side > 0 else LAMBDA_TOL
+    t = _locate(seg, lambda tt, x: lam(tt, x) - target)
+    state = np.append(seg.sample(t), 0.0)
+    _append(orbit, seg, upto=-1)
     orbit.push(t, state, (system.plus if exit_side > 0 else system.minus).evaluate(state))
     orbit.event(t, state, EventKind.SLIDE_EXIT)
     return t, state, exit_side
@@ -453,7 +452,6 @@ def track_manifold(
     transition: TransitionFunction,
     eps: float,
     x_grid: Sequence[float],
-    transversality_tol: float = DEFAULT_TRANSVERSALITY_TOL,
 ) -> ManifoldTrack:
     """Locate the sliding manifold over a grid of surface points.
 
@@ -470,17 +468,15 @@ def track_manifold(
     for x in x_grid:
         x = float(x)
         found = height_roots(system, transition, x)
-        roots = [r for r in found if isinstance(r, HeightRoot)]
-        transversal = [r for r in roots if abs(r.dh_dt) > transversality_tol]
-        if not transversal:
+        best = most_transversal(found)
+        if best is None:
             if any(not isinstance(r, HeightRoot) for r in found):
                 excluded.append((x, "height function degenerates"))
-            elif roots:
+            elif found:
                 excluded.append((x, "only tangential roots"))
             else:
                 excluded.append((x, "no root: not a sliding point"))
             continue
-        best = max(transversal, key=lambda r: abs(r.dh_dt))
         points.append(ManifoldPoint(x, best.t, eps * best.t, best.dh_dt))
     if not points:
         x0, reason = excluded[0]
@@ -513,17 +509,15 @@ def equilibria_on_manifold(
     transition: TransitionFunction,
     eps: float,
     x_range: tuple[float, float],
-    samples: int = 601,
-    eq_tol: float = 1e-9,
-    transversality_tol: float = DEFAULT_TRANSVERSALITY_TOL,
 ) -> list[Equilibrium]:
     """Equilibria of the flow restricted to the sliding manifold (planar case).
 
     The restricted velocity g(x) is the tangential component of the
-    regularized field evaluated on the manifold point (x, eps * t_x).
-    Simple zeros come from sign changes refined by bisection; tangential
-    zeros (no sign change) are caught at critical points of g where |g|
-    falls below ``eq_tol``.  Stability is the sign of g' there.
+    regularized field evaluated on the manifold point (x, eps * t_x),
+    sampled at EQ_SAMPLES points of x_range.  Simple zeros come from sign
+    changes refined by bisection; tangential zeros (no sign change) are
+    caught at critical points of g where |g| falls below EQ_TOL.  Stability
+    is the sign of g' there.
     """
     if system.dim != 2:
         raise ValueError("equilibria tracking is implemented for planar systems only")
@@ -531,26 +525,17 @@ def equilibria_on_manifold(
         raise ValueError(f"eps must be positive, got {eps}")
     lo, hi = float(x_range[0]), float(x_range[1])
 
-    def manifold_t(x: float) -> float | None:
-        found = height_roots(system, transition, x)
-        roots = [
-            r for r in found
-            if isinstance(r, HeightRoot) and abs(r.dh_dt) > transversality_tol
-        ]
-        if not roots:
-            return None
-        return max(roots, key=lambda r: abs(r.dh_dt)).t
-
     def g(x: float) -> float:
-        tx = manifold_t(x)
-        if tx is None:
+        root = most_transversal(height_roots(system, transition, x))
+        if root is None:
             return math.nan
+        tx = root.t
         return float(blend(system, transition.value(tx, (x,)), np.array([x, eps * tx]))[0])
 
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, EQ_SAMPLES)
     gs = np.array([g(float(x)) for x in xs])
 
-    delta = (hi - lo) / (samples - 1) / 2.0
+    delta = (hi - lo) / (EQ_SAMPLES - 1) / 2.0
 
     def secant_slope(x: float) -> float:
         return g(min(x + delta, hi)) - g(max(x - delta, lo))
@@ -563,27 +548,27 @@ def equilibria_on_manifold(
 
     found: list[Equilibrium] = []
 
-    for k in range(samples - 1):
+    for k in range(EQ_SAMPLES - 1):
         fa, fb = gs[k], gs[k + 1]
         if math.isnan(fa) or math.isnan(fb) or fa == 0.0:
             continue
         if fa * fb < 0.0:
             x_star = bisect_sign_change(g, float(xs[k]), float(xs[k + 1]), 1e-12, fa=float(fa))
             found.append(Equilibrium(x_star, stability_of(x_star)))
-    for k in range(samples):
+    for k in range(EQ_SAMPLES):
         if gs[k] == 0.0:
             found.append(Equilibrium(float(xs[k]), stability_of(float(xs[k]))))
 
     # tangential zeros: bisect the secant slope to its sign change and keep
     # the critical point if g is small enough there
     ds = np.array([secant_slope(float(x)) for x in xs])
-    for k in range(samples - 1):
+    for k in range(EQ_SAMPLES - 1):
         da, db = ds[k], ds[k + 1]
         if math.isnan(da) or math.isnan(db) or da * db >= 0.0:
             continue
         x_c = bisect_sign_change(secant_slope, float(xs[k]), float(xs[k + 1]), 1e-12, fa=float(da))
         val = g(x_c)
-        if not math.isnan(val) and abs(val) <= eq_tol:
+        if not math.isnan(val) and abs(val) <= EQ_TOL:
             if not any(abs(e.x - x_c) < 1e-7 for e in found):
                 found.append(Equilibrium(x_c, stability_of(x_c)))
 

@@ -20,8 +20,9 @@ from zero certifies sewing, and everything else stays indeterminate.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,9 +30,9 @@ import numpy as np
 from . import expr as ex
 from .system import PiecewiseSystem, as_tangential
 
-DEFAULT_TRANSVERSALITY_TOL = 1e-8
-DEFAULT_ZERO_TOL = 1e-10
-DEFAULT_GRID_CELLS = 512
+TRANSVERSALITY_TOL = 1e-8  # a root with |dh/dt| above this is transversal
+ZERO_TOL = 1e-10  # |h| at or below this is zero at a grid node
+GRID_CELLS = 512  # cells of the t-grid on [-1, 1] that height_roots scans
 ROOT_BISECTION_TOL = 1e-12
 
 _VALIDATION_T = (-1.0, -1.5, -10.0, 1.0, 1.5, 10.0)
@@ -95,13 +96,12 @@ class Overshoot(TransitionFunction):
     """
 
     m: float
-    c: float = 0.0
+    c: float = field(init=False)
 
     def __post_init__(self):
         if not self.m > 1.0:
             raise ValidationFailure(f"overshoot max must exceed 1, got {self.m}")
-        if self.c == 0.0:
-            self.c = 3.0 / (8.0 * _overshoot_peak(self.m))
+        self.c = 3.0 / (8.0 * _overshoot_peak(self.m))
 
     def _core(self, t, x):
         s = 1.0 - t * t
@@ -169,6 +169,8 @@ class Custom(TransitionFunction):
     def __post_init__(self):
         if isinstance(self.expression, str):
             self.expression = ex.parse(self.expression)
+        if "t" in self.x_names:
+            raise ValidationFailure("custom transition: coordinate 't' clashes with the variable t")
         extra = ex.free_vars(self.expression) - set(self.x_names) - {"t"}
         if extra:
             raise ValidationFailure(
@@ -190,18 +192,13 @@ class Custom(TransitionFunction):
 
 
 def _validate(tf: TransitionFunction, x_names: Sequence[str] = ()) -> None:
-    if x_names:
-        grids = [_VALIDATION_X] * len(x_names)
-        samples = list(np.stack(np.meshgrid(*grids), axis=-1).reshape(-1, len(x_names)))
-    else:
-        samples = [()]
-    for x in samples:
+    for x in itertools.product(_VALIDATION_X, repeat=len(x_names)):
         for t in _VALIDATION_T:
             want = -1.0 if t < 0 else 1.0
             got = tf.value(t, x)
             if abs(got - want) > 1e-12:
                 raise ValidationFailure(
-                    f"boundary value violated: psi({t}) = {got} at x = {tuple(x)}, expected {want}"
+                    f"boundary value violated: psi({t}) = {got} at x = {x}, expected {want}"
                 )
         if isinstance(tf, (Smoothstep, Biased)):
             for t in np.linspace(-0.999, 0.999, 101):
@@ -285,7 +282,10 @@ class HeightFunction:
     total: ex.Expr
 
     def coefficients(self, x: Sequence[float] | float) -> tuple[float, float]:
-        b = dict(zip(self.x_names, as_tangential(x)))
+        xs = as_tangential(x)
+        if len(xs) != len(self.x_names):
+            raise ValueError(f"expected {len(self.x_names)} tangential coordinates, got {len(xs)}")
+        b = dict(zip(self.x_names, xs))
         return ex.evaluate(self.difference, b), ex.evaluate(self.total, b)
 
     def value(self, x: Sequence[float] | float, t: float) -> tuple[float, float]:
@@ -359,20 +359,19 @@ def height_roots(
     system: PiecewiseSystem,
     transition: TransitionFunction,
     x: Sequence[float] | float,
-    cells: int = DEFAULT_GRID_CELLS,
-    zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> list[HeightRoot | DegenerateInterval]:
     """Zeros of h(x, .) on [-1, 1].
 
-    Sign changes on a uniform grid are refined by bisection to 1e-12 in t;
-    grid nodes where h already vanishes are reported directly.  A run of
-    vanishing nodes becomes a DegenerateInterval marker instead of a root.
+    Sign changes on a uniform grid of GRID_CELLS cells are refined by
+    bisection to 1e-12 in t; grid nodes where |h| <= ZERO_TOL are reported
+    directly.  A run of vanishing nodes becomes a DegenerateInterval marker
+    instead of a root.
     """
-    return _roots_on_grid(height_function(system, transition), x, cells, zero_tol)[0]
+    return _roots_on_grid(height_function(system, transition), x, GRID_CELLS)[0]
 
 
 def _roots_on_grid(
-    hf: HeightFunction, x: Sequence[float] | float, cells: int, zero_tol: float
+    hf: HeightFunction, x: Sequence[float] | float, cells: int
 ) -> tuple[list[HeightRoot | DegenerateInterval], np.ndarray]:
     """height_roots plus the values of h on the grid it scanned."""
     transition = hf.transition
@@ -387,7 +386,7 @@ def _roots_on_grid(
 
     ts = np.linspace(-1.0, 1.0, cells + 1)
     hs = np.array([h(float(t)) for t in ts])
-    near_zero = np.abs(hs) <= zero_tol
+    near_zero = np.abs(hs) <= ZERO_TOL
 
     out: list[HeightRoot | DegenerateInterval] = []
     roots: list[float] = []
@@ -403,7 +402,7 @@ def _roots_on_grid(
         while j + 1 <= cells and near_zero[j + 1]:
             j += 1
         if j > k and all(
-            abs(h(float(0.5 * (ts[i] + ts[i + 1])))) <= zero_tol for i in range(k, j)
+            abs(h(float(0.5 * (ts[i] + ts[i + 1])))) <= ZERO_TOL for i in range(k, j)
         ):
             out.append(DegenerateInterval(float(ts[k]), float(ts[j])))
         else:
@@ -427,6 +426,14 @@ def _roots_on_grid(
     out.extend(HeightRoot(t, dh(t)) for t in deduped)
     out.sort(key=lambda r: r.t if isinstance(r, HeightRoot) else r.t_lo)
     return out, hs
+
+
+def most_transversal(found: Sequence[HeightRoot | DegenerateInterval]) -> HeightRoot | None:
+    """The transversal root of ``found`` with the largest |dh/dt|, if any."""
+    transversal = [
+        r for r in found if isinstance(r, HeightRoot) and abs(r.dh_dt) > TRANSVERSALITY_TOL
+    ]
+    return max(transversal, key=lambda r: abs(r.dh_dt), default=None)
 
 
 class Verdict(enum.Enum):
@@ -456,19 +463,17 @@ def certify(
     system: PiecewiseSystem,
     transition: TransitionFunction,
     x: Sequence[float] | float,
-    transversality_tol: float = DEFAULT_TRANSVERSALITY_TOL,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    cells: int = DEFAULT_GRID_CELLS,
+    cells: int = GRID_CELLS,
 ) -> SlidingCertificate:
-    found, hs = _roots_on_grid(height_function(system, transition), x, cells, zero_tol)
+    """The height-function test at x, scanning a t-grid of ``cells`` cells."""
+    found, hs = _roots_on_grid(height_function(system, transition), x, cells)
     roots = tuple(r for r in found if isinstance(r, HeightRoot))
     degenerate = tuple(r for r in found if isinstance(r, DegenerateInterval))
     min_abs = float(np.min(np.abs(hs)))
 
-    transversal = [r for r in roots if abs(r.dh_dt) > transversality_tol]
-    if transversal and not degenerate:
-        witness = max(transversal, key=lambda r: abs(r.dh_dt))
+    witness = most_transversal(found)
+    if witness is not None and not degenerate:
         return SlidingCertificate(Verdict.SLIDING_CERTIFIED, roots, degenerate, witness, min_abs)
-    if not roots and not degenerate and min_abs > zero_tol:
+    if not roots and not degenerate and min_abs > ZERO_TOL:
         return SlidingCertificate(Verdict.SEWING_CERTIFIED, roots, degenerate, None, min_abs)
     return SlidingCertificate(Verdict.INDETERMINATE, roots, degenerate, None, min_abs)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import expr as ex
 
-DEFAULT_CLASS_TOL = 1e-9
+CLASS_TOL = 1e-9  # |a_plus * a_minus| at or below this classifies as SigmaSingular
 
 
 class SigmaClass(enum.Enum):
@@ -163,22 +163,18 @@ def lie_derivative(field_def: VectorFieldDef, g: ex.Expr) -> ex.Expr:
     return out
 
 
-def classify_point(
-    system: PiecewiseSystem, x: Sequence[float] | float, tol: float = DEFAULT_CLASS_TOL
-) -> SigmaClass:
+def classify_point(system: PiecewiseSystem, x: Sequence[float] | float) -> SigmaClass:
     """Classify the Sigma point with tangential coordinates ``x``.
 
     The product a_plus * a_minus of the normal components decides: positive
     means orbits sew straight through, negative means both fields point at
     the surface (or both away) and a sliding segment exists, and a value
-    within ``tol`` of zero is left as singular rather than forced into
+    within CLASS_TOL of zero is left as singular rather than forced into
     either class.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     a_plus, a_minus = system.normal_components_on_sigma(x)
     product = a_plus * a_minus
-    if abs(product) <= tol:
+    if abs(product) <= CLASS_TOL:
         return SigmaClass.SIGMA_SINGULAR
     return SigmaClass.SEWING if product > 0 else SigmaClass.SLIDING
 
@@ -213,14 +209,14 @@ def filippov_combination(
 
 
 def filippov_sliding_field(
-    system: PiecewiseSystem, x: Sequence[float] | float, tol: float = DEFAULT_CLASS_TOL
+    system: PiecewiseSystem, x: Sequence[float] | float
 ) -> tuple[float, np.ndarray]:
     """Convex combination of the two fields tangent to Sigma at (x, 0).
 
     Returns filippov_combination(system, x) at points that classify as
     Sliding and raises NotSlidingError everywhere else.
     """
-    verdict = classify_point(system, x, tol)
+    verdict = classify_point(system, x)
     if verdict != SigmaClass.SLIDING:
         raise NotSlidingError(as_tangential(x), verdict)
     return filippov_combination(system, x)

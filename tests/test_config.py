@@ -85,7 +85,17 @@ def test_line_numbered_errors(tmp_path):
         (sys3 + "[run]\nwhatever = 3\n", 6, "unknown"),
         (sys3 + "[run]\nt_span = 2, 1\n", 6, "t_span"),
         (sys3 + "[run]\nseed = 7\n", 6, "unknown"),
-        (sys3 + "[run]\nabs_tol = tiny\n", 6, "number"),
+        (sys3 + "[run]\nabs_tol = 1e-9\n", 6, "unknown [run] key 'abs_tol'"),
+        # tolerances are constants: this key once reached certify but not
+        # slow-fast or manifold, which then disagreed on the same point
+        (sys3 + "[run]\nzero_tol = 0.5\n", 6, "unknown [run] key 'zero_tol'"),
+        (sys3 + "[run]\nepsilons =\n", 6, "empty list"),
+        (sys3 + "[run]\netas = ,\n", 6, "empty list"),
+        (sys3 + "[run]\nx0 =\n", 6, "empty list"),
+        (sys3 + "[run]\nt_span =\n", 6, "empty list"),
+        # the coordinate t would shadow the transition's stretched variable
+        ("[system]\ncoords = t, y\nx_plus = 1, 1\nx_minus = 1, -1\n"
+         "[transition]\nkind = custom\nexpr = (3*t - t^3)/2\n", 6, "clashes"),
         (sys3 + "[transition]\nkind = biased\nt0 = 0.2\nm = 2\n", 6, "unexpected"),
         (sys3 + "[transition]\nm = 2\n", 6, "unexpected"),
         (sys3 + "[transition]\nkind = overshoot\nm = two\n", 7, "number"),

@@ -252,7 +252,26 @@ HYBRID_ORBITS = {
         system_from_strings(("x", "y"), ("1", "-1"), ("1", "x")), (-0.5, 0.5), (0.0, 2.0)),
     "singular_start": lambda: _singular_partial(
         system_from_strings(("x", "y"), ("1", "0"), ("1", "1")), (0.0, 0.0), (0.0, 1.0)),
+    "saturated_slide_entry": lambda: _singular_partial(
+        saturated_weight(), (0.0, 1.0), (0.0, 1.0)),
 }
+
+
+def saturated_weight():
+    # a+ a- = -10 classifies as sliding, but the weight 1e-5/(1e-5 + 1e6)
+    # is already within LAMBDA_TOL of 0
+    return system_from_strings(("x", "y"), ("1", "-1e6"), ("1", "1e-5"))
+
+
+def test_saturated_slide_entry_fails():
+    # used to enter and leave the slide at one time until max_events ran out
+    with pytest.raises(UnresolvedSingularityError) as err:
+        integrate_filippov(saturated_weight(), (0.0, 1.0), (0.0, 1.0))
+    traj = err.value.trajectory
+    assert [e.kind for e in traj.events] == [
+        EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY, EventKind.STEP_FAILURE]
+    assert err.value.time == traj.final_time
+    assert traj.final_state[-1] == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(HYBRID_ORBITS))

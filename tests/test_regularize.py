@@ -77,6 +77,11 @@ def test_overshoot_peak_calibration():
     assert Overshoot(2.0).c == Overshoot(2.0).c
 
 
+def test_overshoot_calibration_cannot_be_bypassed():
+    with pytest.raises(TypeError):
+        Overshoot(2.0, c=1.0)
+
+
 def test_overshoot_requires_m_above_one():
     with pytest.raises(ValidationFailure):
         Overshoot(1.0)
@@ -131,6 +136,17 @@ def test_make_transition_validates():
         make_transition("custom", expr="t + q")
 
 
+def test_custom_transition_messages():
+    # a coordinate named t would be overwritten by the stretched variable
+    with pytest.raises(ValidationFailure, match="coordinate 't' clashes"):
+        make_transition("custom", ("t",), expr="(3*t - t^3)/2")
+    # boundary violations name the point in plain floats
+    with pytest.raises(ValidationFailure) as err:
+        make_transition("custom", ("x",), expr="(3*t - t^3)/2 + x")
+    assert "at x = (-1.0,)" in str(err.value)
+    assert "np." not in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # regularized field
 
@@ -180,6 +196,18 @@ def test_height_function_coefficients():
     diff, tot = hf.coefficients(-0.5)
     assert diff == -3.0
     assert tot == 1.0
+
+
+def test_height_function_checks_dimension():
+    # too many components were silently dropped, too few escaped as an
+    # unbound variable; classify_point already rejected both
+    with pytest.raises(ValueError, match="expected 1 tangential"):
+        certify(fold(), Smoothstep(), (0.5, 7.0))
+    sys3 = system_from_strings(("x1", "x2", "y"), ("1", "0", "x1"), ("1", "0", "x2"))
+    with pytest.raises(ValueError, match="expected 2 tangential"):
+        certify(sys3, Smoothstep(), (0.5,))
+    with pytest.raises(ValueError, match="expected 2 tangential"):
+        height_roots(sys3, Smoothstep(), 0.5)
 
 
 def test_height_roots_fold_sliding():

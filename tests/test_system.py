@@ -79,8 +79,6 @@ def test_classify_fold():
     # the tolerance band around the graze: product is 4x
     assert classify_point(sys, 2.4e-10) == SigmaClass.SIGMA_SINGULAR
     assert classify_point(sys, 2.6e-10) == SigmaClass.SEWING
-    with pytest.raises(ValueError):
-        classify_point(sys, 0.5, tol=-1.0)
 
 
 def test_classify_matches_sign_product():
