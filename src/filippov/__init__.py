@@ -12,7 +12,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .blowup import Chart, ChartPoint, SlowFastSystem, e_chart_field, f_chart_field, slow_fast
+from .blowup import Chart, ChartPoint, SlowFastSystem, e_chart_field, f_chart_field
 from .cross import (
     CrossSystem,
     NonMonotoneTransitionError,
@@ -52,7 +52,6 @@ from .regularize import (
     Biased,
     Custom,
     DegenerateInterval,
-    HeightFunction,
     HeightRoot,
     Overshoot,
     SlidingCertificate,
@@ -61,7 +60,6 @@ from .regularize import (
     ValidationFailure,
     Verdict,
     certify,
-    height_function,
     height_roots,
     make_transition,
     regularized_field,
@@ -90,7 +88,6 @@ __all__ = [
     "Event",
     "EventKind",
     "Expr",
-    "HeightFunction",
     "HeightRoot",
     "IntegratorOptions",
     "ManifoldPoint",
@@ -124,14 +121,12 @@ __all__ = [
     "field_from_strings",
     "filippov_sliding_field",
     "hausdorff",
-    "height_function",
     "height_roots",
     "integrate",
     "integrate_filippov",
     "make_transition",
     "parse",
     "regularized_field",
-    "slow_fast",
     "stratified_slide_curve",
     "substitute",
     "system_from_strings",

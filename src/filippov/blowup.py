@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .regularize import TransitionFunction, blend, height_function
+from .regularize import TransitionFunction, _height_at, blend
 from .system import PiecewiseSystem
 
 
@@ -140,11 +140,12 @@ class SlowFastSystem:
 
     def slow_manifold_residual(self, x: Sequence[float] | float, ybar: float) -> float:
         """Height function value; its zero set is the slow manifold."""
-        h, _ = height_function(self.system, self.transition).value(x, ybar)
-        return h
+        h, _ = _height_at(self.system, self.transition, x)
+        return h(ybar)
 
     def manifold_slice(self, x: Sequence[float] | float):
         """Roots of the residual in ybar over [-1, 1] at fixed x (height_roots)."""
+        # looked up at call time: bench/tracing.py counts calls at regularize.height_roots
         from .regularize import height_roots
 
         return height_roots(self.system, self.transition, x)
@@ -157,6 +158,3 @@ class SlowFastSystem:
         """ybar' = alpha at frozen x on the divisor (equals half the height)."""
         return float(e_chart_field(self.system, self.transition, x, ybar, 0.0)[0])
 
-
-def slow_fast(system: PiecewiseSystem, transition: TransitionFunction) -> SlowFastSystem:
-    return SlowFastSystem(system, transition)

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .blowup import slow_fast
+from .blowup import SlowFastSystem
 from .config import ConfigError, SystemConfig, grid_points, load_config, parse_grid
 from .cross import NonMonotoneTransitionError, stratified_slide_curve
 from .expr import DomainError
@@ -75,6 +75,14 @@ def _require_system(cfg: SystemConfig):
     return cfg.system
 
 
+def _require_planar(cfg: SystemConfig):
+    system = _require_system(cfg)
+    if system.dim != 2:
+        raise ConfigError("the surface grid is planar-only, but this system has "
+                          f"{system.dim - 1} tangential coordinates")
+    return system
+
+
 def _boundaries(xs: np.ndarray, labels: list[str], sliding: str, sewing: str,
                 predicate: Callable[[float], bool]) -> list[float]:
     """Refined boundary locations between sliding and sewing runs.
@@ -97,7 +105,7 @@ def _boundaries(xs: np.ndarray, labels: list[str], sliding: str, sewing: str,
 
 
 def _cmd_classify(cfg: SystemConfig, out: Path, grid) -> int:
-    system = _require_system(cfg)
+    system = _require_planar(cfg)
     xs = grid_points(grid)
 
     labels = [classify_point(system, float(x)).value for x in xs]
@@ -119,7 +127,7 @@ def _certificate_payload(cert) -> tuple[str, list[dict]]:
 
 
 def _cmd_certify(cfg: SystemConfig, out: Path, grid) -> int:
-    system = _require_system(cfg)
+    system = _require_planar(cfg)
     xs = grid_points(grid)
 
     certs = [certify(system, cfg.transition, float(x)) for x in xs]
@@ -167,11 +175,11 @@ def _cmd_integrate(cfg: SystemConfig, out: Path, x0, t_span, mode: str, eps: flo
     return 0
 
 
-def _cmd_slow_fast(cfg: SystemConfig, out: Path, grid) -> int:
+def _cmd_slowfast(cfg: SystemConfig, out: Path, grid) -> int:
     """Polar-cylinder plot data: the slow manifold on the divisor from the
     central chart, plus the saturation arcs from the side charts."""
-    system = _require_system(cfg)
-    sf = slow_fast(system, cfg.transition)
+    system = _require_planar(cfg)
+    sf = SlowFastSystem(system, cfg.transition)
     xs = grid_points(grid)
     lines = ["x,theta,r,chart"]
     for x in xs:
@@ -188,7 +196,7 @@ def _cmd_slow_fast(cfg: SystemConfig, out: Path, grid) -> int:
 
 
 def _cmd_manifold(cfg: SystemConfig, out: Path, grid) -> int:
-    system = _require_system(cfg)
+    system = _require_planar(cfg)
     xs = grid_points(grid)
     report = _report_skeleton(cfg)
     report["tracks"] = []
@@ -285,7 +293,7 @@ def run_command(argv: Sequence[str]) -> int:
         if args.command == "certify":
             return _cmd_certify(cfg, out, grid)
         if args.command == "slow-fast":
-            return _cmd_slow_fast(cfg, out, grid)
+            return _cmd_slowfast(cfg, out, grid)
         if args.command == "manifold":
             return _cmd_manifold(cfg, out, grid)
         if args.command == "cross":
@@ -303,14 +311,16 @@ def run_command(argv: Sequence[str]) -> int:
             mode = args.mode or cfg.run.mode
             return _cmd_integrate(cfg, out, x0, t_span, mode, args.epsilon)
         if args.command == "all":
-            rc = _cmd_classify(cfg, out, grid)
-            rc = rc or _cmd_certify(cfg, out, grid)
-            rc = rc or _cmd_slow_fast(cfg, out, grid)
-            try:
-                rc = rc or _cmd_manifold(cfg, out, grid)
-            except NoSlidingAtError:
-                pass  # nothing to track is fine for the combined run
-            if cfg.run.x0 is not None:
+            rc = 0
+            if cfg.system is not None and cfg.system.dim == 2:
+                rc = _cmd_classify(cfg, out, grid)
+                rc = rc or _cmd_certify(cfg, out, grid)
+                rc = rc or _cmd_slowfast(cfg, out, grid)
+                try:
+                    rc = rc or _cmd_manifold(cfg, out, grid)
+                except NoSlidingAtError:
+                    pass  # nothing to track is fine for the combined run
+            if cfg.system is not None and cfg.run.x0 is not None:
                 rc = rc or _cmd_integrate(
                     cfg, out, cfg.run.x0, cfg.run.t_span, cfg.run.mode, None
                 )

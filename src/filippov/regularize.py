@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .system import PiecewiseSystem, as_tangential
+from .system import PiecewiseSystem
 
 TRANSVERSALITY_TOL = 1e-8  # a root with |dh/dt| above this is transversal
 ZERO_TOL = 1e-10  # |h| at or below this is zero at a grid node
@@ -206,7 +206,7 @@ def _validate(tf: TransitionFunction, x_names: Sequence[str] = ()) -> None:
                     raise ValidationFailure(f"monotone transition has nonpositive slope at t = {t}")
     if isinstance(tf, Overshoot):
         peak = tf.value(3.0 / (8.0 * tf.c))  # the only interior critical point
-        if abs(peak - tf.m) > 1e-8:
+        if not abs(peak - tf.m) <= 1e-12 * tf.m:
             raise ValidationFailure(f"interior max {peak} differs from target {tf.m}")
 
 
@@ -268,42 +268,15 @@ def regularized_field(
 # ---------------------------------------------------------------------------
 # height function and certificates
 
-@dataclass(frozen=True)
-class HeightFunction:
-    """h(x, t) restricted to the surface, as evaluable data.
-
-    difference/total are a_plus - a_minus and a_plus + a_minus with y
-    substituted by 0; h = psi * difference + total.
-    """
-
-    transition: TransitionFunction
-    x_names: tuple[str, ...]
-    difference: ex.Expr
-    total: ex.Expr
-
-    def coefficients(self, x: Sequence[float] | float) -> tuple[float, float]:
-        xs = as_tangential(x)
-        if len(xs) != len(self.x_names):
-            raise ValueError(f"expected {len(self.x_names)} tangential coordinates, got {len(xs)}")
-        b = dict(zip(self.x_names, xs))
-        return ex.evaluate(self.difference, b), ex.evaluate(self.total, b)
-
-    def value(self, x: Sequence[float] | float, t: float) -> tuple[float, float]:
-        xs = as_tangential(x)
-        diff, tot = self.coefficients(xs)
-        h = self.transition.value(t, xs) * diff + tot
-        dh = self.transition.deriv_t(t, xs) * diff
-        return h, dh
-
-
-def height_function(system: PiecewiseSystem, transition: TransitionFunction) -> HeightFunction:
-    a_plus, a_minus = system.normal_traces
-    return HeightFunction(
-        transition=transition,
-        x_names=system.x_names,
-        difference=ex.sub(a_plus, a_minus),
-        total=ex.add(a_plus, a_minus),
-    )
+def _height_at(
+    system: PiecewiseSystem, transition: TransitionFunction, x: Sequence[float] | float
+) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """h(x, .) and dh/dt(x, .) as functions of t at the fixed surface point x."""
+    xs = system.tangential(x)
+    a_plus, a_minus = system.normal_components_on_sigma(xs)
+    diff, tot = a_plus - a_minus, a_plus + a_minus
+    return (lambda t: transition.value(t, xs) * diff + tot,
+            lambda t: transition.deriv_t(t, xs) * diff)
 
 
 def height(
@@ -313,7 +286,8 @@ def height(
     t: float,
 ) -> tuple[float, float]:
     """(h, dh/dt) at surface point x and stretched coordinate t."""
-    return height_function(system, transition).value(x, t)
+    h, dh = _height_at(system, transition, x)
+    return h(t), dh(t)
 
 
 @dataclass(frozen=True)
@@ -367,23 +341,14 @@ def height_roots(
     directly.  A run of vanishing nodes becomes a DegenerateInterval marker
     instead of a root.
     """
-    return _roots_on_grid(height_function(system, transition), x, GRID_CELLS)[0]
+    return _roots_on_grid(system, transition, x, GRID_CELLS)[0]
 
 
 def _roots_on_grid(
-    hf: HeightFunction, x: Sequence[float] | float, cells: int
+    system: PiecewiseSystem, transition: TransitionFunction, x: Sequence[float] | float, cells: int
 ) -> tuple[list[HeightRoot | DegenerateInterval], np.ndarray]:
     """height_roots plus the values of h on the grid it scanned."""
-    transition = hf.transition
-    xs = as_tangential(x)
-    diff, tot = hf.coefficients(xs)
-
-    def h(t: float) -> float:
-        return transition.value(t, xs) * diff + tot
-
-    def dh(t: float) -> float:
-        return transition.deriv_t(t, xs) * diff
-
+    h, dh = _height_at(system, transition, x)
     ts = np.linspace(-1.0, 1.0, cells + 1)
     hs = np.array([h(float(t)) for t in ts])
     near_zero = np.abs(hs) <= ZERO_TOL
@@ -466,7 +431,7 @@ def certify(
     cells: int = GRID_CELLS,
 ) -> SlidingCertificate:
     """The height-function test at x, scanning a t-grid of ``cells`` cells."""
-    found, hs = _roots_on_grid(height_function(system, transition), x, cells)
+    found, hs = _roots_on_grid(system, transition, x, cells)
     roots = tuple(r for r in found if isinstance(r, HeightRoot))
     degenerate = tuple(r for r in found if isinstance(r, DegenerateInterval))
     min_abs = float(np.min(np.abs(hs)))

@@ -32,13 +32,6 @@ class NotSlidingError(Exception):
         super().__init__(f"point {self.point} classifies as {verdict.value}, not Sliding")
 
 
-def as_tangential(x: Sequence[float] | float) -> tuple[float, ...]:
-    """Surface coordinates as a tuple of floats; a bare number is a planar x."""
-    if np.isscalar(x):
-        return (float(x),)
-    return tuple(float(v) for v in x)
-
-
 @dataclass(frozen=True)
 class VectorFieldDef:
     """A smooth vector field given componentwise by expressions.
@@ -128,21 +121,16 @@ class PiecewiseSystem:
         return self.coords[:-1]
 
     def tangential(self, x: Sequence[float] | float) -> tuple[float, ...]:
-        """as_tangential(x), checked against the dimension of Sigma."""
-        xs = as_tangential(x)
+        """Sigma coordinates as a checked tuple of floats; a bare number is a planar x."""
+        xs = (float(x),) if np.isscalar(x) else tuple(float(v) for v in x)
         if len(xs) != self.dim - 1:
             raise ValueError(f"expected {self.dim - 1} tangential coordinates, got {len(xs)}")
         return xs
 
-    def tangential_bindings(self, x: Sequence[float] | float) -> ex.Bindings:
-        """Bindings for a point given by its Sigma coordinates (y is set to 0)."""
-        b = dict(zip(self.x_names, self.tangential(x)))
-        b[self.y_name] = 0.0
-        return b
-
     def normal_components_on_sigma(self, x: Sequence[float] | float) -> tuple[float, float]:
         """(a_plus, a_minus) evaluated at (x, 0)."""
-        b = self.tangential_bindings(x)
+        b = dict(zip(self.x_names, self.tangential(x)))
+        b[self.y_name] = 0.0
         return ex.evaluate(self.normal_traces[0], b), ex.evaluate(self.normal_traces[1], b)
 
 
@@ -202,7 +190,7 @@ def filippov_combination(
     lam = filippov_weight(system, x)
     if lam is None:
         return None
-    point = as_tangential(x) + (0.0,)
+    point = system.tangential(x) + (0.0,)
     field = lam * system.plus.evaluate(point) + (1.0 - lam) * system.minus.evaluate(point)
     field[-1] = 0.0
     return lam, field
@@ -218,5 +206,5 @@ def filippov_sliding_field(
     """
     verdict = classify_point(system, x)
     if verdict != SigmaClass.SLIDING:
-        raise NotSlidingError(as_tangential(x), verdict)
+        raise NotSlidingError(system.tangential(x), verdict)
     return filippov_combination(system, x)

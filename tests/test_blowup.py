@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from filippov.blowup import Chart, ChartPoint, e_chart_field, f_chart_field, slow_fast
+from filippov.blowup import Chart, ChartPoint, SlowFastSystem, e_chart_field, f_chart_field
 from filippov.regularize import HeightRoot, Smoothstep, height, regularized_field
 from filippov.system import SigmaClass, classify_point, filippov_sliding_field, system_from_strings
 
@@ -129,7 +129,7 @@ def test_slow_flow_matches_sliding_velocity():
         x = float(rng.uniform(-2, 2))
         if classify_point(sys, x) != SigmaClass.SLIDING:
             continue
-        sf = slow_fast(sys, tf)
+        sf = SlowFastSystem(sys, tf)
         roots = [r for r in sf.manifold_slice(x) if isinstance(r, HeightRoot)]
         if not roots:
             continue
@@ -142,7 +142,7 @@ def test_slow_flow_matches_sliding_velocity():
 
 def test_fast_flow_and_residual():
     sys = fold()
-    sf = slow_fast(sys, Smoothstep())
+    sf = SlowFastSystem(sys, Smoothstep())
     for x, ybar in ((-0.5, 0.3), (0.7, -0.9)):
         h, _ = height(sys, Smoothstep(), x, ybar)
         assert sf.fast_flow(x, ybar) == pytest.approx(0.5 * h)

@@ -184,6 +184,16 @@ def test_cross_needs_cross_section(tmp_path, capsys):
     assert "needs a [cross] section" in capsys.readouterr().err
 
 
+def test_grid_commands_are_planar_only(tmp_path, capsys):
+    text = "[system]\ncoords = x1, x2, y\nx_plus = -x2, x1, -1\nx_minus = -x2, x1, 1\n"
+    cfg = setup_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    rc = run_command(["certify", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert "planar-only" in capsys.readouterr().err
+    assert not (out / "certificates.json").exists()
+
+
 def test_all_command_artifacts(tmp_path):
     text = FOLD_OVERSHOOT + "\n[run]\nx0 = -1, 1\nt_span = 0, 1\ngrid = -1:1:41\n"
     cfg = setup_cfg(tmp_path, text)

@@ -35,6 +35,26 @@ x0 = -1, 0.5
 t_span = 0, 1.5
 """
 
+ROTATION_3D = (
+    "[system]\ncoords = x1, x2, y\nx_plus = -x2, x1, -1\nx_minus = -x2, x1, 1\n"
+    "\n[run]\nx0 = 1, 0, 0\nt_span = 0, 3.141592653589793\n"
+)
+
+CROSS = """\
+[cross]
+x_pp = -1, -1, 1
+x_pm = -1, 1, 1
+x_mp = 1, -1, 1
+x_mm = 1, 1, 1
+phi_kind = biased
+phi_t0 = 0.25
+psi_kind = smoothstep
+
+[run]
+epsilons = 0.1, 0.05
+etas = 0.2, 0.1
+"""
+
 CASES = {
     "fold_smoothstep": (FOLD + RUN, ["all"]),
     "fold_biased": (FOLD + "\n[transition]\nkind = biased\nt0 = 0.3\n" + RUN, ["all"]),
@@ -59,32 +79,18 @@ CASES = {
         ["integrate"],
     ),
     "fold_slide_exit": (FOLD + "\n[run]\nx0 = -0.5, 0\nt_span = 0, 1\n", ["integrate"]),
-    "rotation_3d": (
-        "[system]\ncoords = x1, x2, y\nx_plus = -x2, x1, -1\nx_minus = -x2, x1, 1\n"
-        "\n[run]\nx0 = 1, 0, 0\nt_span = 0, 3.141592653589793\n",
-        ["integrate"],
-    ),
-    "cross": (
-        """\
-[cross]
-x_pp = -1, -1, 1
-x_pm = -1, 1, 1
-x_mp = 1, -1, 1
-x_mm = 1, 1, 1
-phi_kind = biased
-phi_t0 = 0.25
-psi_kind = smoothstep
-
-[run]
-epsilons = 0.1, 0.05
-etas = 0.2, 0.1
-""",
-        ["cross"],
-    ),
+    "rotation_3d": (ROTATION_3D, ["integrate"]),
+    "cross": (CROSS, ["cross"]),
+    # all on a non-planar system and on a [cross]-only config: one artifact each
+    "rotation_3d_all": (ROTATION_3D, ["all"]),
+    "cross_all": (CROSS, ["all"]),
 }
 
 GOLDEN = {
     "cross": {
+        "cross.json": "dfd2adb66bbd0ca50da0b7bbcf3ef057e8df20a501f3899c2d1ace554fe3a5ee",
+    },
+    "cross_all": {
         "cross.json": "dfd2adb66bbd0ca50da0b7bbcf3ef057e8df20a501f3899c2d1ace554fe3a5ee",
     },
     "curved": {
@@ -122,6 +128,9 @@ GOLDEN = {
         "trajectory.csv": "7a866e23a5999de93d25dab5429739df7b0935cb7c02669964f1392ea3013a50",
     },
     "rotation_3d": {
+        "trajectory.csv": "4eff1a3f760784f941147af8b86b66e2e5b9f79a1290f24abedd78281ce3ddb2",
+    },
+    "rotation_3d_all": {
         "trajectory.csv": "4eff1a3f760784f941147af8b86b66e2e5b9f79a1290f24abedd78281ce3ddb2",
     },
     "sewing": {

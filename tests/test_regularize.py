@@ -14,7 +14,6 @@ from filippov.regularize import (
     Verdict,
     certify,
     height,
-    height_function,
     height_roots,
     make_transition,
     regularized_field,
@@ -75,6 +74,17 @@ def test_overshoot_peak_calibration():
         assert ov.value(-1.0) == -1.0
     # calibration is deterministic
     assert Overshoot(2.0).c == Overshoot(2.0).c
+
+
+def test_overshoot_validates_large_peaks():
+    # the peak check is relative: an absolute 1e-8 lies below one ulp of m
+    # once m exceeds about 7e7, which rejected m = 1e8
+    for m in (1e8, 1e12):
+        ov = make_transition("overshoot", m=m)
+        assert abs(ov.value(3.0 / (8.0 * ov.c)) - m) <= 1e-12 * m
+    # m^2 overflows in the closed form: a NaN peak is rejected, not accepted
+    with pytest.raises(ValidationFailure, match="interior max nan"):
+        make_transition("overshoot", m=1e200)
 
 
 def test_overshoot_calibration_cannot_be_bypassed():
@@ -192,10 +202,9 @@ def test_height_fold():
 
 
 def test_height_function_coefficients():
-    hf = height_function(fold(), Smoothstep())
-    diff, tot = hf.coefficients(-0.5)
-    assert diff == -3.0
-    assert tot == 1.0
+    # at x = -0.5: a_plus - a_minus = -3 and a_plus + a_minus = 1
+    assert height(fold(), Smoothstep(), -0.5, 1.0)[0] == -2.0
+    assert height(fold(), Smoothstep(), -0.5, -1.0)[0] == 4.0
 
 
 def test_height_function_checks_dimension():
