@@ -49,6 +49,7 @@ from .regularize import (
     bisect_sign_change,
     certify,
     regularized_field,
+    regularized_jacobian,
 )
 from .system import CLASS_TOL, NotSlidingError, SigmaClass, classify_point
 
@@ -170,7 +171,8 @@ def _cmd_integrate(cfg: SystemConfig, out: Path, x0, t_span, mode: str, eps: flo
     else:
         e = eps if eps is not None else cfg.run.epsilons[0]
         fn = lambda t, s: regularized_field(system, cfg.transition, e, s)
-        traj = integrate(fn, x0, t_span)
+        jac = lambda t, s: regularized_jacobian(system, cfg.transition, e, s)
+        traj = integrate(fn, x0, t_span, jac=jac)
     _trajectory_csv(out / "trajectory.csv", system.coords, traj)
     return 0
 

@@ -23,6 +23,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,6 +67,10 @@ class TransitionFunction:
             return 0.0
         return self._core_d(t, x)
 
+    def deriv_x(self, t: float, x: Sequence[float] = ()) -> np.ndarray:
+        """The gradient of psi in the surface coordinates x."""
+        return np.zeros(len(x))  # only a custom psi may depend on x
+
     def _core(self, t: float, x: Sequence[float]) -> float:
         raise NotImplementedError
 
@@ -102,6 +107,12 @@ class Overshoot(TransitionFunction):
         if not self.m > 1.0:
             raise ValidationFailure(f"overshoot max must exceed 1, got {self.m}")
         self.c = 3.0 / (8.0 * _overshoot_peak(self.m))
+        # relative: one ulp of m exceeds any absolute bound once m is large;
+        # written with `not` so that it also rejects the NaN peak the closed
+        # form gives once (m - 1)(m + 1) overflows (m near 1.3e154)
+        peak = self.value(3.0 / (8.0 * self.c))  # the only interior critical point
+        if not abs(peak - self.m) <= 1e-12 * self.m:
+            raise ValidationFailure(f"interior max {peak} differs from target {self.m}")
 
     def _core(self, t, x):
         s = 1.0 - t * t
@@ -190,6 +201,19 @@ class Custom(TransitionFunction):
     def _core_d(self, t, x):
         return ex.evaluate(self._deriv, self._bindings(t, x))
 
+    @cached_property
+    def _deriv_x(self) -> tuple[ex.Expr, ...]:
+        # built on first use: only the stiff integrator needs them
+        return tuple(ex.differentiate(self.expression, name) for name in self.x_names)
+
+    def deriv_x(self, t, x=()):
+        out = np.zeros(len(x))
+        if -1.0 < t < 1.0:  # psi is constant outside the band
+            b = self._bindings(t, x)
+            for i, d in enumerate(self._deriv_x[:len(x)]):
+                out[i] = ex.evaluate(d, b)
+        return out
+
 
 def _validate(tf: TransitionFunction, x_names: Sequence[str] = ()) -> None:
     for x in itertools.product(_VALIDATION_X, repeat=len(x_names)):
@@ -204,10 +228,6 @@ def _validate(tf: TransitionFunction, x_names: Sequence[str] = ()) -> None:
             for t in np.linspace(-0.999, 0.999, 101):
                 if tf.deriv_t(float(t), x) <= 0.0:
                     raise ValidationFailure(f"monotone transition has nonpositive slope at t = {t}")
-    if isinstance(tf, Overshoot):
-        peak = tf.value(3.0 / (8.0 * tf.c))  # the only interior critical point
-        if not abs(peak - tf.m) <= 1e-12 * tf.m:
-            raise ValidationFailure(f"interior max {peak} differs from target {tf.m}")
 
 
 def make_transition(kind: str, x_names: Sequence[str] = (), /, **params) -> TransitionFunction:
@@ -263,6 +283,30 @@ def regularized_field(
         raise ValueError(f"eps must be positive, got {eps}")
     pt = np.asarray(point, dtype=float)
     return blend(system, transition.value(pt[-1] / eps, pt[:-1]), pt)
+
+
+def regularized_jacobian(
+    system: PiecewiseSystem,
+    transition: TransitionFunction,
+    eps: float,
+    point: Sequence[float],
+) -> np.ndarray:
+    """The Jacobian of regularized_field at a full chart point (x..., y).
+
+    The psi-blend of the two field Jacobians plus (X_plus - X_minus)/2 times
+    the gradient of psi(x, y/eps): psi'(y/eps)/eps in the y column and, for a
+    custom psi that uses x, d(psi)/dx in the x columns.
+    """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    pt = np.asarray(point, dtype=float)
+    t, xs = pt[-1] / eps, pt[:-1]
+    psi = transition.value(t, xs)
+    jac = 0.5 * (1.0 + psi) * system.plus.jacobian(pt) + 0.5 * (1.0 - psi) * system.minus.jacobian(pt)
+    grad = np.append(transition.deriv_x(t, xs), transition.deriv_t(t, xs) / eps)
+    if grad.any():  # inside the band
+        jac += np.outer(0.5 * (system.plus.evaluate(pt) - system.minus.evaluate(pt)), grad)
+    return jac
 
 
 # ---------------------------------------------------------------------------

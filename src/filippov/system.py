@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,6 +75,17 @@ class VectorFieldDef:
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
         b = self.bindings(point)
         return np.array([ex.evaluate(c, b) for c in self.components], dtype=float)
+
+    @cached_property
+    def _partials(self) -> tuple[tuple[ex.Expr, ...], ...]:
+        # built on first use: only the stiff integrator needs them
+        return tuple(tuple(ex.differentiate(c, name) for name in self.coords)
+                     for c in self.components)
+
+    def jacobian(self, point: Sequence[float]) -> np.ndarray:
+        """The matrix d(components[i])/d(coords[j]) at a chart point."""
+        b = self.bindings(point)
+        return np.array([[ex.evaluate(d, b) for d in row] for row in self._partials], dtype=float)
 
 
 def field_from_strings(coords: Sequence[str], components: Sequence[str]) -> VectorFieldDef:

@@ -16,7 +16,16 @@ from filippov.dynamics import (
     integrate_filippov,
     track_manifold,
 )
-from filippov.regularize import Biased, Smoothstep, bisect_sign_change
+from filippov.cli import run_command
+from filippov.config import load_config
+from filippov.regularize import (
+    Biased,
+    Smoothstep,
+    bisect_sign_change,
+    make_transition,
+    regularized_field,
+    regularized_jacobian,
+)
 from filippov.system import system_from_strings
 
 
@@ -85,6 +94,26 @@ def test_step_failure_when_max_steps_runs_out():
     assert not integrate(lambda t, y: -y, (1.0,), (0.0, 10.0)).events
 
 
+def test_stats_count_the_work():
+    fn = lambda t, y: np.array([y[1], -y[0]])
+    jac = lambda t, y: np.array([[0.0, 1.0], [-1.0, 0.0]])
+    explicit = integrate(fn, (1.0, 0.0), (0.0, 2 * math.pi))
+    rosenbrock = integrate(fn, (1.0, 0.0), (0.0, 2 * math.pi), jac=jac)
+    for traj in (explicit, rosenbrock):
+        st = traj.stats
+        assert st.accepted == len(traj.times) - 1
+        assert st.min_step == pytest.approx(np.diff(traj.times).min(), rel=1e-12)
+    # one start evaluation and one initial-step probe, then per attempt six
+    # new stages (Dormand-Prince, whose last one is the next node's
+    # derivative) or five stages plus the node derivative once accepted
+    st = explicit.stats
+    assert (st.rhs_evals, st.jac_evals) == (2 + 6 * (st.accepted + st.rejected), 0)
+    st = rosenbrock.stats
+    assert st.rhs_evals == 2 + 5 * (st.accepted + st.rejected) + st.accepted
+    assert st.jac_evals == st.accepted  # one per node a step starts from
+    assert np.linalg.norm(rosenbrock.final_state - [1.0, 0.0]) < 1e-6
+
+
 def test_stop_ends_at_first_accepted_node_where_true():
     fn = lambda t, y: np.array([1.0])
     full = integrate(fn, (0.0,), (0.0, 10.0), IntegratorOptions(max_step=0.25))
@@ -117,6 +146,88 @@ def test_bisection_stops_when_floats_run_out():
 
     t = bisect_sign_change(f, 1e4, 1e4 + 1.0, EVENT_TIME_TOL)
     assert abs(t - 10000.3) <= 2e-12
+
+
+# ---------------------------------------------------------------------------
+# the stiff regularized flow
+
+# name: (kind, parameters) of the transitions the fold orbits are run with
+FOLD_TRANSITIONS = {
+    "smoothstep": ("smoothstep", {}),
+    "biased": ("biased", {"t0": 0.3}),
+    "overshoot": ("overshoot", {"m": 2}),
+    "custom_x": ("custom", {"expr": "(3*t - t^3)/2 + x*(1 - t^2)^2/4"}),
+}
+EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
+def fold_config(tmp_path, name):
+    kind, params = FOLD_TRANSITIONS[name]
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text("[system]\ncoords = x, y\nx_plus = 1, 2*x\nx_minus = 1, 2\n"
+                   f"\n[transition]\nkind = {kind}\n"
+                   + "".join(f"{k} = {v}\n" for k, v in params.items()))
+    return cfg
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+@pytest.mark.parametrize("name", sorted(FOLD_TRANSITIONS))
+def test_regularized_orbit_matches_radau_reference(name, eps, tmp_path):
+    # the CLI orbit from (-1, 0.5) over [0, 1.5] against a tight implicit
+    # reference.  Every end point lies within 2e-7 of it; with the step
+    # tolerances loosened to REL_TOL = 1e-2, ABS_TOL = 1e-4 every one
+    # misses by more than 3e-6
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    cfg = fold_config(tmp_path, name)
+    out = tmp_path / "out"
+    assert run_command(["integrate", "--config", str(cfg), "--out", str(out), "--from=-1,0.5",
+                        "--tspan", "0,1.5", "--mode", "regularized", "--epsilon", repr(eps)]) == 0
+    last = (out / "trajectory.csv").read_text().splitlines()[-1].split(",")
+    assert float(last[0]) == 1.5
+    got = np.array([float(last[1]), float(last[2])])
+    c = load_config(str(cfg))
+    ref = solve_ivp(lambda t, s: regularized_field(c.system, c.transition, eps, s), (0.0, 1.5),
+                    [-1.0, 0.5], method="Radau", rtol=1e-10, atol=1e-12)
+    assert ref.success
+    assert np.max(np.abs(got - ref.y[:, -1])) <= 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_TRANSITIONS))
+def test_stiff_step_count_does_not_grow_with_1_over_eps(name):
+    sys = fold()
+    kind, params = FOLD_TRANSITIONS[name]
+    tf = make_transition(kind, ("x",), **params)
+    steps = {}
+    for eps in (1e-1, 1e-4):
+        traj = integrate(lambda t, s: regularized_field(sys, tf, eps, s), (-1.0, 0.5), (0.0, 1.5),
+                         jac=lambda t, s: regularized_jacobian(sys, tf, eps, s))
+        assert traj.final_time == 1.5 and not traj.events
+        steps[eps] = traj.stats.accepted
+    # Dormand-Prince takes 85 and 3715 steps on the smoothstep orbit
+    assert steps[1e-4] <= 3 * steps[1e-1]
+
+
+def test_singular_stage_solve_rejects_the_step():
+    # a repelling band: both fields point away from the surface, so the fast
+    # eigenvalue psi'(0)/eps = 1.5/0.375 = 4 is positive.  On y = 0 the
+    # orbit stays put, the step grows to max_step = 1 and I/(h/4) - J is
+    # exactly singular there; each such step is rejected and retried shorter
+    sys = system_from_strings(("x", "y"), ("1", "1"), ("1", "-1"))
+    tf, eps = Smoothstep(), 0.375
+    traj = integrate(lambda t, s: regularized_field(sys, tf, eps, s), (0.0, 0.0), (0.0, 10.0),
+                     IntegratorOptions(max_step=1.0),
+                     jac=lambda t, s: regularized_jacobian(sys, tf, eps, s))
+    assert traj.events == []
+    assert traj.final_time == 10.0
+    assert np.allclose(traj.final_state, [10.0, 0.0], rtol=0, atol=1e-12)
+    assert traj.stats.rejected > 0
+
+
+def test_non_finite_stage_solve_ends_in_step_failure():
+    traj = integrate(lambda t, y: -y, (1.0,), (0.0, 1.0), jac=lambda t, y: [[math.nan]])
+    assert [e.kind for e in traj.events] == [EventKind.STEP_FAILURE]
+    assert traj.final_time == 0.0
+    assert traj.stats.accepted == 0 and traj.stats.rejected > 0
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +372,27 @@ def saturated_weight():
     # a+ a- = -10 classifies as sliding, but the weight 1e-5/(1e-5 + 1e6)
     # is already within LAMBDA_TOL of 0
     return system_from_strings(("x", "y"), ("1", "-1e6"), ("1", "1e-5"))
+
+
+def test_slide_ending_at_the_weight_pole_keeps_its_nodes():
+    # slides past the fold toward the pole a_plus = a_minus; the slide's
+    # nodes used to be dropped, ending the orbit at its entry
+    sys = system_from_strings(
+        ("x", "y"),
+        ("8.82186e-05", "8.82186e-05*2.627636*(x - 0.269307)*1"),
+        ("8.82186e-05", "8.82186e-05*1.074824*1"),
+    )
+    with pytest.raises(UnresolvedSingularityError) as err:
+        integrate_filippov(sys, (-0.730693, 0.37356), (0.0, 16972.055779620172))
+    traj = err.value.trajectory
+    assert [e.kind for e in traj.events] == [
+        EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY, EventKind.STEP_FAILURE]
+    entry, failure = traj.events[1].time, traj.events[2].time
+    assert failure == err.value.time
+    assert entry < traj.final_time <= failure
+    assert np.all(np.diff(traj.times) > 0)
+    assert np.all(traj.states[traj.times >= entry, 1] == 0.0)
+    assert traj.stats.accepted > 0 and traj.stats.jac_evals == 0  # hybrid segments stay explicit
 
 
 def test_saturated_slide_entry_fails():

@@ -125,7 +125,7 @@ GOLDEN = {
         "trajectory.csv": "4c4b7c15be53abe19cd63bd20a61d24b168114cd36bb315470a2c8ef7d8c40c6",
     },
     "regularized": {
-        "trajectory.csv": "7a866e23a5999de93d25dab5429739df7b0935cb7c02669964f1392ea3013a50",
+        "trajectory.csv": "dbb9bd846f0d62e2b8145d44ae8bd3e47f958c545289317d6dfed3a0ba2237ca",
     },
     "rotation_3d": {
         "trajectory.csv": "4eff1a3f760784f941147af8b86b66e2e5b9f79a1290f24abedd78281ce3ddb2",

@@ -17,6 +17,7 @@ from filippov.regularize import (
     height_roots,
     make_transition,
     regularized_field,
+    regularized_jacobian,
 )
 from filippov.system import SigmaClass, classify_point, system_from_strings
 
@@ -85,6 +86,14 @@ def test_overshoot_validates_large_peaks():
     # m^2 overflows in the closed form: a NaN peak is rejected, not accepted
     with pytest.raises(ValidationFailure, match="interior max nan"):
         make_transition("overshoot", m=1e200)
+
+
+def test_overshoot_built_directly_rejects_a_nan_peak():
+    # make_transition's checks are not needed: construction itself refuses
+    # the c = nan the overflowing closed form gives
+    with pytest.raises(ValidationFailure, match="interior max nan"):
+        Overshoot(1e200)
+    assert Overshoot(1e12).c > 0.0
 
 
 def test_overshoot_calibration_cannot_be_bypassed():
@@ -185,6 +194,35 @@ def test_regularized_field_blends_inside_band():
         regularized_field(sys, tf, 0.0, (0.5, 0.0))
     with pytest.raises(ValueError):
         regularized_field(sys, tf, -0.1, (0.5, 0.0))
+
+
+JACOBIAN_FIELDS = system_from_strings(
+    ("x", "y"), ("x*y + sin(y)", "2*x - y^2"), ("1 + x^2", "exp(-x)*(2 + y)")
+)
+
+
+@pytest.mark.parametrize("transition", [
+    Smoothstep(),
+    Biased(0.3),
+    Overshoot(2.0),
+    Custom("(3*t - t^3)/2 + x*(1 - t^2)^2/4", ("x",)),  # depends on x inside the band
+], ids=["smoothstep", "biased", "overshoot", "custom_x"])
+@pytest.mark.parametrize("t", [-3.0, -0.6, 0.05, 0.45, 0.93, 2.5])  # y/eps, in and out of the band
+def test_regularized_jacobian_matches_central_differences(transition, t):
+    eps = 1e-3
+    for x in (-0.8, 0.3, 0.9):
+        point = np.array([x, eps * t])
+        jac = regularized_jacobian(JACOBIAN_FIELDS, transition, eps, point)
+        for j in range(2):
+            # steps well inside the band: psi is only C1 at its edges
+            step = 1e-6 * (eps if j == 1 else 1.0)
+            e = np.zeros(2)
+            e[j] = step
+            fd = (regularized_field(JACOBIAN_FIELDS, transition, eps, point + e)
+                  - regularized_field(JACOBIAN_FIELDS, transition, eps, point - e)) / (2 * step)
+            assert np.allclose(jac[:, j], fd, rtol=1e-6, atol=1e-6), (x, j, jac[:, j], fd)
+    with pytest.raises(ValueError):
+        regularized_jacobian(JACOBIAN_FIELDS, transition, 0.0, (0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

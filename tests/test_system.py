@@ -56,6 +56,15 @@ def test_field_evaluate():
         f.evaluate((1.0, 2.0, 3.0))
 
 
+def test_field_jacobian():
+    f = field_from_strings(("x", "y"), ("x*y + sin(y)", "x^2 - 3*y"))
+    assert "_partials" not in f.__dict__  # built on first use, not at construction
+    jac = f.jacobian((2.0, 0.5))
+    assert np.allclose(jac, [[0.5, 2.0 + np.cos(0.5)], [4.0, -3.0]], rtol=0, atol=1e-15)
+    with pytest.raises(ValueError):
+        f.jacobian((1.0, 2.0, 3.0))
+
+
 def test_system_chart_agreement():
     a = field_from_strings(("x", "y"), ("1", "1"))
     b = field_from_strings(("u", "y"), ("1", "1"))
