@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .regularize import TransitionFunction, _height_at, blend
+from .regularize import TransitionFunction, blend, height
 from .system import PiecewiseSystem
 
 
@@ -140,8 +140,7 @@ class SlowFastSystem:
 
     def slow_manifold_residual(self, x: Sequence[float] | float, ybar: float) -> float:
         """Height function value; its zero set is the slow manifold."""
-        h, _ = _height_at(self.system, self.transition, x)
-        return h(ybar)
+        return height(self.system, self.transition, x, ybar)[0]
 
     def manifold_slice(self, x: Sequence[float] | float):
         """Roots of the residual in ybar over [-1, 1] at fixed x (height_roots)."""

@@ -19,11 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import hausdorff
-from .regularize import Biased, Smoothstep, TransitionFunction, bisect_sign_change
+from .regularize import TransitionFunction
 from .system import VectorFieldDef
 
 CROSS_COORDS = ("x", "y", "z")
-ZERO_SCAN_CELLS = 4096  # cells of the t-grid transition_zero scans
 CURVE_SAMPLES = 21  # points of the z-window where the curve is measured
 
 
@@ -71,36 +70,14 @@ def double_regularized_field(
 
 
 def transition_zero(tf: TransitionFunction, which: str) -> float:
-    """The unique zero of a transition on [-1, 1].
+    """The unique zero of a transition on [-1, 1], its level set at 0.
 
-    Exact for the monotone built-in kinds; anything else is scanned for
-    sign changes on ZERO_SCAN_CELLS cells and rejected unless the zero is
-    unique.
+    Raises NonMonotoneTransitionError unless there is exactly one.
     """
-    if isinstance(tf, Smoothstep):
-        return 0.0
-    if isinstance(tf, Biased):
-        return tf.t0
-    ts = np.linspace(-1.0, 1.0, ZERO_SCAN_CELLS + 1)
-    vals = np.array([tf.value(float(t)) for t in ts])
-    zeros: list[float] = []
-    for k in range(ZERO_SCAN_CELLS):
-        a, b = vals[k], vals[k + 1]
-        if a == 0.0:
-            zeros.append(float(ts[k]))
-        elif a * b < 0.0:
-            zeros.append(
-                bisect_sign_change(tf.value, float(ts[k]), float(ts[k + 1]), 1e-15, fa=float(a))
-            )
-    if vals[-1] == 0.0:
-        zeros.append(1.0)
-    deduped = []
-    for z in zeros:
-        if not deduped or z - deduped[-1] > 1e-12:
-            deduped.append(z)
-    if len(deduped) != 1:
-        raise NonMonotoneTransitionError(which, len(deduped))
-    return deduped[0]
+    zeros = tf.level_set(0.0)
+    if len(zeros) != 1:
+        raise NonMonotoneTransitionError(which, len(zeros))
+    return zeros[0]
 
 
 @dataclass(frozen=True)

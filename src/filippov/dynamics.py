@@ -474,10 +474,10 @@ def _slide(system, orbit, t, state, t_end, opts):
 
     Returns (t, state, exit_side): exit_side is +1/-1 when the weight
     boundary was reached and the orbit leaves along that field, else 0.
-    A weight already at its boundary on entry fails the orbit: the class
-    test says sliding while the exit rule says the slide is over.  So does
-    the pole a_plus = a_minus of the weight, after the slide's nodes up to
-    it have joined the orbit.
+    A weight already at its boundary on entry fails the orbit (a guard:
+    the relative class band is wider than LAMBDA_TOL, so the class test
+    calls such a point singular first).  So does the pole a_plus = a_minus
+    of the weight, after the slide's nodes up to it have joined the orbit.
     """
     def lam(tt: float, x: np.ndarray) -> float:
         w = filippov_weight(system, x)

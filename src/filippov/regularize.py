@@ -12,9 +12,17 @@ Whether the band traps orbits is decided by the height function
 
     h(x, t) = psi(x, t) * (a_plus - a_minus) + (a_plus + a_minus),
 
-with a_pm the normal field components frozen on the surface.  A transversal
-zero in t certifies a sliding band, absence of zeros with |h| bounded away
-from zero certifies sewing, and everything else stays indeterminate.
+with a_pm the normal field components frozen on the surface.  Where
+a_plus != a_minus, h vanishes exactly where psi(x, t) = r with
+
+    r = -(a_plus + a_minus)/(a_plus - a_minus) = 2*lam - 1,
+
+lam being the Filippov weight.  So the zeros of h are a level set of psi,
+which TransitionFunction.level_set returns: in closed form for smoothstep
+and biased, by bisection on the two monotone branches for overshoot, and
+by a t-grid scan only for a custom psi.  A preimage where psi' != 0
+certifies a sliding band, no preimage certifies sewing, and everything else
+(tangential preimages, or h = 0 identically) stays indeterminate.
 """
 
 from __future__ import annotations
@@ -31,10 +39,10 @@ import numpy as np
 from . import expr as ex
 from .system import PiecewiseSystem
 
-TRANSVERSALITY_TOL = 1e-8  # a root with |dh/dt| above this is transversal
-ZERO_TOL = 1e-10  # |h| at or below this is zero at a grid node
-GRID_CELLS = 512  # cells of the t-grid on [-1, 1] that height_roots scans
-ROOT_BISECTION_TOL = 1e-12
+TRANSVERSALITY_TOL = 1e-8  # a root with |psi'| above this is transversal
+ZERO_TOL = 1e-10  # |psi - r| at or below this is a preimage at a custom scan node
+GRID_CELLS = 512  # cells of the t-grid on [-1, 1] that a custom level set scans
+ROOT_BISECTION_TOL = 1e-14  # width in t at which a level-set bisection stops
 
 _VALIDATION_T = (-1.0, -1.5, -10.0, 1.0, 1.5, 10.0)
 _VALIDATION_X = (-1.0, -0.37, 0.0, 0.58, 1.0)
@@ -50,6 +58,42 @@ def _cubic(t: float) -> float:
 
 def _cubic_d(t: float) -> float:
     return (3.0 - 3.0 * t * t) / 2.0
+
+
+def _cubic_level_set(r: float) -> list[float]:
+    """The t in [-1, 1] with (3t - t^3)/2 = r: one for r in [-1, 1], else none.
+
+    With t = 2 sin(a) the cubic is 3 sin(a) - 4 sin(a)^3 = sin(3a).  The
+    band edges are returned as they are: the formula misses 1 by an ulp.
+    """
+    if not -1.0 <= r <= 1.0:
+        return []
+    return [r if abs(r) == 1.0 else 2.0 * math.sin(math.asin(r) / 3.0)]
+
+
+def bisect_sign_change(
+    f: Callable[[float], float], a: float, b: float, tol: float, fa: float | None = None
+) -> float:
+    """A point where f changes sign between a < b, to within tol.
+
+    ``fa`` is f(a) when the caller already has it.  The search stops early
+    at an exact zero or at a NaN value, and also when no float lies strictly
+    between the ends, which ends it for any tol below the float spacing.
+    """
+    if fa is None:
+        fa = f(a)
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        fm = f(mid)
+        if fm == 0.0 or math.isnan(fm):
+            return mid
+        if fa * fm < 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
 
 
 class TransitionFunction:
@@ -71,6 +115,25 @@ class TransitionFunction:
         """The gradient of psi in the surface coordinates x."""
         return np.zeros(len(x))  # only a custom psi may depend on x
 
+    def level_set(self, r: float, x: Sequence[float] = (), cells: int = GRID_CELLS) -> list[float]:
+        """The sorted t in [-1, 1] with psi(x, t) = r.
+
+        The built-in kinds solve this in closed form.  This generic version,
+        which only a custom psi uses, scans psi - r on a grid of ``cells``
+        cells: a node where |psi - r| <= ZERO_TOL is a preimage, and a sign
+        change between two other nodes is bisected.
+        """
+        f = lambda t: self.value(t, x) - r
+        ts = np.linspace(-1.0, 1.0, cells + 1).tolist()
+        fs = [f(t) for t in ts]
+        out = []
+        for k, (t, ft) in enumerate(zip(ts, fs)):
+            if abs(ft) <= ZERO_TOL:
+                out.append(t)
+            elif k < cells and abs(fs[k + 1]) > ZERO_TOL and ft * fs[k + 1] < 0.0:
+                out.append(bisect_sign_change(f, t, ts[k + 1], ROOT_BISECTION_TOL, fa=ft))
+        return out
+
     def _core(self, t: float, x: Sequence[float]) -> float:
         raise NotImplementedError
 
@@ -88,6 +151,9 @@ class Smoothstep(TransitionFunction):
     def _core_d(self, t, x):
         return _cubic_d(t)
 
+    def level_set(self, r, x=(), cells=GRID_CELLS):
+        return _cubic_level_set(r)
+
 
 @dataclass
 class Overshoot(TransitionFunction):
@@ -97,20 +163,23 @@ class Overshoot(TransitionFunction):
     (1-t^2)(3/2 - 4ct) vanishes inside the band only at u = 3/(8c), so the
     peak equals m exactly when u is the root in (0, 1) of
     u^4 - 6u^2 + 8mu - 3 = 0; c comes from that root in closed form
-    (Ferrari's resolvent).  Not monotone: that is the point.
+    (Ferrari's resolvent).  Not monotone: that is the point.  psi rises
+    from -1 to m on [-1, u] and falls from m to 1 on [u, 1].
     """
 
     m: float
     c: float = field(init=False)
+    u: float = field(init=False)  # the peak, the only interior critical point
 
     def __post_init__(self):
         if not self.m > 1.0:
             raise ValidationFailure(f"overshoot max must exceed 1, got {self.m}")
         self.c = 3.0 / (8.0 * _overshoot_peak(self.m))
+        self.u = 3.0 / (8.0 * self.c)
         # relative: one ulp of m exceeds any absolute bound once m is large;
         # written with `not` so that it also rejects the NaN peak the closed
         # form gives once (m - 1)(m + 1) overflows (m near 1.3e154)
-        peak = self.value(3.0 / (8.0 * self.c))  # the only interior critical point
+        peak = self.value(self.u)
         if not abs(peak - self.m) <= 1e-12 * self.m:
             raise ValidationFailure(f"interior max {peak} differs from target {self.m}")
 
@@ -121,6 +190,23 @@ class Overshoot(TransitionFunction):
     def _core_d(self, t, x):
         s = 1.0 - t * t
         return _cubic_d(t) - 4.0 * self.c * t * s
+
+    def level_set(self, r, x=(), cells=GRID_CELLS):
+        """Bisection on the rising branch [-1, u] for r in [-1, m) and on the
+        falling branch [u, 1] for r in [1, m); the tangency u alone for r = m
+        (and for r between the rounded peak value and m)."""
+        if not -1.0 <= r <= self.m:
+            return []
+        f = lambda t: self.value(t, x) - r
+        top = f(self.u)
+        if r == self.m or top <= 0.0:
+            return [self.u]
+        out = [-1.0 if r == -1.0
+               else bisect_sign_change(f, -1.0, self.u, ROOT_BISECTION_TOL, fa=-1.0 - r)]
+        if r >= 1.0:
+            out.append(1.0 if r == 1.0
+                       else bisect_sign_change(f, self.u, 1.0, ROOT_BISECTION_TOL, fa=top))
+        return out
 
 
 def _overshoot_peak(m: float) -> float:
@@ -162,6 +248,10 @@ class Biased(TransitionFunction):
         w = self._w(t)
         dw = (1.0 - self.t0 * self.t0) / (1.0 - self.t0 * t) ** 2
         return _cubic_d(w) * dw
+
+    def level_set(self, r, x=(), cells=GRID_CELLS):
+        # the inverse of _w: w(t) is one of the cubic's level set
+        return [(w + self.t0) / (1.0 + self.t0 * w) for w in _cubic_level_set(r)]
 
 
 @dataclass
@@ -224,10 +314,6 @@ def _validate(tf: TransitionFunction, x_names: Sequence[str] = ()) -> None:
                 raise ValidationFailure(
                     f"boundary value violated: psi({t}) = {got} at x = {x}, expected {want}"
                 )
-        if isinstance(tf, (Smoothstep, Biased)):
-            for t in np.linspace(-0.999, 0.999, 101):
-                if tf.deriv_t(float(t), x) <= 0.0:
-                    raise ValidationFailure(f"monotone transition has nonpositive slope at t = {t}")
 
 
 def make_transition(kind: str, x_names: Sequence[str] = (), /, **params) -> TransitionFunction:
@@ -312,17 +398,6 @@ def regularized_jacobian(
 # ---------------------------------------------------------------------------
 # height function and certificates
 
-def _height_at(
-    system: PiecewiseSystem, transition: TransitionFunction, x: Sequence[float] | float
-) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """h(x, .) and dh/dt(x, .) as functions of t at the fixed surface point x."""
-    xs = system.tangential(x)
-    a_plus, a_minus = system.normal_components_on_sigma(xs)
-    diff, tot = a_plus - a_minus, a_plus + a_minus
-    return (lambda t: transition.value(t, xs) * diff + tot,
-            lambda t: transition.deriv_t(t, xs) * diff)
-
-
 def height(
     system: PiecewiseSystem,
     transition: TransitionFunction,
@@ -330,14 +405,17 @@ def height(
     t: float,
 ) -> tuple[float, float]:
     """(h, dh/dt) at surface point x and stretched coordinate t."""
-    h, dh = _height_at(system, transition, x)
-    return h(t), dh(t)
+    xs = system.tangential(x)
+    a_plus, a_minus = system.normal_components_on_sigma(xs)
+    diff = a_plus - a_minus
+    return transition.value(t, xs) * diff + (a_plus + a_minus), transition.deriv_t(t, xs) * diff
 
 
 @dataclass(frozen=True)
 class HeightRoot:
     t: float
-    dh_dt: float
+    dh_dt: float  # psi'(t) * (a_plus - a_minus)
+    dpsi_dt: float  # psi'(t): the root is transversal when |psi'| > TRANSVERSALITY_TOL
 
 
 @dataclass(frozen=True)
@@ -348,101 +426,39 @@ class DegenerateInterval:
     t_hi: float
 
 
-def bisect_sign_change(
-    f: Callable[[float], float], a: float, b: float, tol: float, fa: float | None = None
-) -> float:
-    """A point where f changes sign between a < b, to within tol.
-
-    ``fa`` is f(a) when the caller already has it.  The search stops early
-    at an exact zero or at a NaN value, and also when no float lies strictly
-    between the ends, which ends it for any tol below the float spacing.
-    """
-    if fa is None:
-        fa = f(a)
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break
-        fm = f(mid)
-        if fm == 0.0 or math.isnan(fm):
-            return mid
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
 def height_roots(
     system: PiecewiseSystem,
     transition: TransitionFunction,
     x: Sequence[float] | float,
+    cells: int = GRID_CELLS,
 ) -> list[HeightRoot | DegenerateInterval]:
     """Zeros of h(x, .) on [-1, 1].
 
-    Sign changes on a uniform grid of GRID_CELLS cells are refined by
-    bisection to 1e-12 in t; grid nodes where |h| <= ZERO_TOL are reported
-    directly.  A run of vanishing nodes becomes a DegenerateInterval marker
-    instead of a root.
+    Where a_plus != a_minus they are the level set psi(x, .) = r with
+    r = -(a_plus + a_minus)/(a_plus - a_minus) = 2*lam - 1 (``cells`` sizes
+    the scan a custom psi needs).  Where a_plus = a_minus, h is the constant
+    2*a_plus: no zero, or a DegenerateInterval over the band if it is 0.
     """
-    return _roots_on_grid(system, transition, x, GRID_CELLS)[0]
-
-
-def _roots_on_grid(
-    system: PiecewiseSystem, transition: TransitionFunction, x: Sequence[float] | float, cells: int
-) -> tuple[list[HeightRoot | DegenerateInterval], np.ndarray]:
-    """height_roots plus the values of h on the grid it scanned."""
-    h, dh = _height_at(system, transition, x)
-    ts = np.linspace(-1.0, 1.0, cells + 1)
-    hs = np.array([h(float(t)) for t in ts])
-    near_zero = np.abs(hs) <= ZERO_TOL
-
+    xs = system.tangential(x)
+    a_plus, a_minus = system.normal_components_on_sigma(xs)
+    if not (math.isfinite(a_plus) and math.isfinite(a_minus)):
+        raise ex.DomainError(f"normal components {a_plus}, {a_minus} at x = {xs} are not finite")
+    diff, tot = a_plus - a_minus, a_plus + a_minus
+    if diff == 0.0:
+        return [] if tot else [DegenerateInterval(-1.0, 1.0)]
     out: list[HeightRoot | DegenerateInterval] = []
-    roots: list[float] = []
-
-    # runs of vanishing nodes: single nodes are roots, longer runs are
-    # degenerate only if h also vanishes between the nodes
-    k = 0
-    while k <= cells:
-        if not near_zero[k]:
-            k += 1
-            continue
-        j = k
-        while j + 1 <= cells and near_zero[j + 1]:
-            j += 1
-        if j > k and all(
-            abs(h(float(0.5 * (ts[i] + ts[i + 1])))) <= ZERO_TOL for i in range(k, j)
-        ):
-            out.append(DegenerateInterval(float(ts[k]), float(ts[j])))
-        else:
-            for i in range(k, j + 1):
-                roots.append(float(ts[i]))
-        k = j + 1
-
-    for k in range(cells):
-        if near_zero[k] or near_zero[k + 1]:
-            continue
-        if hs[k] * hs[k + 1] < 0.0:
-            roots.append(bisect_sign_change(
-                h, float(ts[k]), float(ts[k + 1]), ROOT_BISECTION_TOL, fa=hs[k]
-            ))
-
-    roots.sort()
-    deduped: list[float] = []
-    for t in roots:
-        if not deduped or t - deduped[-1] > 2.0 * ROOT_BISECTION_TOL:
-            deduped.append(t)
-    out.extend(HeightRoot(t, dh(t)) for t in deduped)
-    out.sort(key=lambda r: r.t if isinstance(r, HeightRoot) else r.t_lo)
-    return out, hs
+    for t in transition.level_set(-tot / diff, xs, cells):
+        slope = transition.deriv_t(t, xs)
+        out.append(HeightRoot(t, slope * diff, slope))
+    return out
 
 
 def most_transversal(found: Sequence[HeightRoot | DegenerateInterval]) -> HeightRoot | None:
-    """The transversal root of ``found`` with the largest |dh/dt|, if any."""
+    """The transversal root of ``found`` with the largest |psi'|, if any."""
     transversal = [
-        r for r in found if isinstance(r, HeightRoot) and abs(r.dh_dt) > TRANSVERSALITY_TOL
+        r for r in found if isinstance(r, HeightRoot) and abs(r.dpsi_dt) > TRANSVERSALITY_TOL
     ]
-    return max(transversal, key=lambda r: abs(r.dh_dt), default=None)
+    return max(transversal, key=lambda r: abs(r.dpsi_dt), default=None)
 
 
 class Verdict(enum.Enum):
@@ -456,7 +472,6 @@ class SlidingCertificate:
     """Outcome of the height-function test at one surface point.
 
     ``witness`` is the most transversal root when sliding is certified.
-    ``min_abs_height`` is the grid minimum of |h|, the sewing evidence.
     Indeterminate is a first-class outcome: tangential roots or a
     degenerate interval land here and are never coerced into a verdict.
     """
@@ -465,7 +480,6 @@ class SlidingCertificate:
     roots: tuple[HeightRoot, ...]
     degenerate: tuple[DegenerateInterval, ...]
     witness: HeightRoot | None
-    min_abs_height: float
 
 
 def certify(
@@ -474,15 +488,20 @@ def certify(
     x: Sequence[float] | float,
     cells: int = GRID_CELLS,
 ) -> SlidingCertificate:
-    """The height-function test at x, scanning a t-grid of ``cells`` cells."""
-    found, hs = _roots_on_grid(system, transition, x, cells)
+    """The height-function test at x.
+
+    SlidingCertified when h(x, .) has a transversal zero in the band,
+    SewingCertified when it has no zero there, Indeterminate otherwise.
+    ``cells`` sizes the t-scan of a custom psi; the built-in kinds need none.
+    """
+    found = height_roots(system, transition, x, cells)
     roots = tuple(r for r in found if isinstance(r, HeightRoot))
     degenerate = tuple(r for r in found if isinstance(r, DegenerateInterval))
-    min_abs = float(np.min(np.abs(hs)))
-
     witness = most_transversal(found)
-    if witness is not None and not degenerate:
-        return SlidingCertificate(Verdict.SLIDING_CERTIFIED, roots, degenerate, witness, min_abs)
-    if not roots and not degenerate and min_abs > ZERO_TOL:
-        return SlidingCertificate(Verdict.SEWING_CERTIFIED, roots, degenerate, None, min_abs)
-    return SlidingCertificate(Verdict.INDETERMINATE, roots, degenerate, None, min_abs)
+    if witness is not None:
+        verdict = Verdict.SLIDING_CERTIFIED
+    elif not found:
+        verdict = Verdict.SEWING_CERTIFIED
+    else:
+        verdict = Verdict.INDETERMINATE
+    return SlidingCertificate(verdict, roots, degenerate, witness)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 
-CLASS_TOL = 1e-9  # |a_plus * a_minus| at or below this classifies as SigmaSingular
+CLASS_TOL = 1e-9  # min(|a_plus|, |a_minus|) at or below CLASS_TOL * max(...) is SigmaSingular
 
 
 class SigmaClass(enum.Enum):
@@ -166,17 +166,17 @@ def lie_derivative(field_def: VectorFieldDef, g: ex.Expr) -> ex.Expr:
 def classify_point(system: PiecewiseSystem, x: Sequence[float] | float) -> SigmaClass:
     """Classify the Sigma point with tangential coordinates ``x``.
 
-    The product a_plus * a_minus of the normal components decides: positive
-    means orbits sew straight through, negative means both fields point at
-    the surface (or both away) and a sliding segment exists, and a value
-    within CLASS_TOL of zero is left as singular rather than forced into
-    either class.
+    The signs of the normal components decide: equal signs mean orbits sew
+    straight through, opposite signs mean both fields point at the surface
+    (or both away) and a sliding segment exists.  A component within
+    CLASS_TOL of zero relative to the other is left as singular rather than
+    forced into either class; the test is unchanged by positive rescaling
+    of the fields.
     """
     a_plus, a_minus = system.normal_components_on_sigma(x)
-    product = a_plus * a_minus
-    if abs(product) <= CLASS_TOL:
+    if min(abs(a_plus), abs(a_minus)) <= CLASS_TOL * max(abs(a_plus), abs(a_minus)):
         return SigmaClass.SIGMA_SINGULAR
-    return SigmaClass.SEWING if product > 0 else SigmaClass.SLIDING
+    return SigmaClass.SEWING if (a_plus > 0) == (a_minus > 0) else SigmaClass.SLIDING
 
 
 def filippov_weight(system: PiecewiseSystem, x: Sequence[float] | float) -> float | None:

@@ -369,8 +369,8 @@ HYBRID_ORBITS = {
 
 
 def saturated_weight():
-    # a+ a- = -10 classifies as sliding, but the weight 1e-5/(1e-5 + 1e6)
-    # is already within LAMBDA_TOL of 0
+    # the weight 1e-5/(1e-5 + 1e6) is already within LAMBDA_TOL of 0; the
+    # relative class band calls the point singular, since |a-| is 1e-11 |a+|
     return system_from_strings(("x", "y"), ("1", "-1e6"), ("1", "1e-5"))
 
 
@@ -396,12 +396,12 @@ def test_slide_ending_at_the_weight_pole_keeps_its_nodes():
 
 
 def test_saturated_slide_entry_fails():
-    # used to enter and leave the slide at one time until max_events ran out
+    # used to enter and leave the slide at one time until max_events ran out;
+    # the hit now classifies SigmaSingular, so the orbit fails before entering
     with pytest.raises(UnresolvedSingularityError) as err:
         integrate_filippov(saturated_weight(), (0.0, 1.0), (0.0, 1.0))
     traj = err.value.trajectory
-    assert [e.kind for e in traj.events] == [
-        EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY, EventKind.STEP_FAILURE]
+    assert [e.kind for e in traj.events] == [EventKind.SIGMA_HIT, EventKind.STEP_FAILURE]
     assert err.value.time == traj.final_time
     assert traj.final_state[-1] == 0.0
 

@@ -2,8 +2,8 @@
 
 Each case runs the CLI on a small-grid config and compares the sha256 of
 every artifact it writes with a digest recorded from an earlier version of
-the tool.  Overshoot configs are left out: their calibration constant is a
-floating-point root, so their last digits may legitimately move.
+the tool.  The overshoot case is covered too: its calibration constant
+comes from a closed form (Ferrari's resolvent), not from a numerical search.
 
 To re-record after an intended output change, run
 ``python tests/test_golden.py`` and paste the printed table into GOLDEN.
@@ -58,6 +58,7 @@ etas = 0.2, 0.1
 CASES = {
     "fold_smoothstep": (FOLD + RUN, ["all"]),
     "fold_biased": (FOLD + "\n[transition]\nkind = biased\nt0 = 0.3\n" + RUN, ["all"]),
+    "fold_overshoot": (FOLD + "\n[transition]\nkind = overshoot\nm = 2\n" + RUN, ["all"]),
     "fold_custom": (
         FOLD + "\n[transition]\nkind = custom\nexpr = (3*t - t^3)/2 + x*(1 - t^2)^2/4\n"
         + RUN.replace("-1:1:41", "-1:1:21"),
@@ -94,34 +95,41 @@ GOLDEN = {
         "cross.json": "dfd2adb66bbd0ca50da0b7bbcf3ef057e8df20a501f3899c2d1ace554fe3a5ee",
     },
     "curved": {
-        "certificates.json": "6f611c387b80dda56760bd0b165c0e46c9b573dd68b33a370981bdbb60730f22",
-        "classification.json": "8722e715bf3bf6e0ae18238382f0c6e95038c2ca1f0edfe1394d468e5800c6aa",
-        "manifold.json": "77a98417c9fe79fbb59270d222aef4d10eeb948695b99d6432937858c05afe4f",
-        "slowfast.csv": "877589863963cc9c39a269f2bd0d2fc11e47feaf01b8f24b9b9cc07938048f95",
+        "certificates.json": "c36ddf39568cedea1d9dc6af49a902df8bb55edf640f643093d1633e82038d3d",
+        "classification.json": "141f426a9bbd1a9473b1b8a5ae4d81d32715ad1415df7b9adedb37f6afb4203c",
+        "manifold.json": "e22f5a8221aff52626f787c34ea8426bc634ff9a0eb01cff477b8e5d6e424c0b",
+        "slowfast.csv": "4760e11f6085107b446f3a1287f3db48972105edfedc7b91581ed41719ab5566",
         "trajectory.csv": "d96c0bc4608d2bd3103e087b61a993983f89e6cc770f47ae4daa15c383ee0db4",
     },
     "fold_biased": {
-        "certificates.json": "ce5a4083b713f7cfe0e6d7828f5c0a0aeeafe98d030065095651a8efd69d2112",
-        "classification.json": "00e8f1bbdf76acf5c3fb56c86a52b655d3b6a3c037aced42c4fd6f84109c137b",
-        "manifold.json": "25aa35e41be1ff6e0579c2ab94d0b283763aff8a2c79b51a018728061bafe108",
-        "slowfast.csv": "ae22de3a13c24d889612d80e8f1e7e9368e9b37875a1c9f1050c811c87ed6c91",
+        "certificates.json": "6aa8301aec635c47fb7978915426a9d9239deb82b64eec3ff4de0a0855d1b4d6",
+        "classification.json": "16f9106b637905dce83179d1dcedd55adea46194040475dfc4234af52e2e4766",
+        "manifold.json": "b923294a2139f5ee5677a70e2bed70ab34829a5d9ddef1065c49f8d692bbd3d6",
+        "slowfast.csv": "4e44b526e75615292b0adf844e23ce6db1725718d291b90e5fcfea6fd394805c",
         "trajectory.csv": "4c4b7c15be53abe19cd63bd20a61d24b168114cd36bb315470a2c8ef7d8c40c6",
     },
     "fold_custom": {
-        "certificates.json": "9e202145cec0b1a70472dda63490d96b035d288fd83eff7f79f525de7ebee2db",
-        "classification.json": "88c2d50dbb9bf8965cfd8302dfa4bde2c2049154f1d1d7a1c8350a180e004f90",
-        "manifold.json": "b30cba36fde0b4ff268ecaa7fc73575cb0e377f3c471ca26a91c011a2d1d1933",
-        "slowfast.csv": "2c07d6c24b5f8b8b7c7262cb0e0ee3159e429c92f15f95ebbc5cf5a94ac5689a",
+        "certificates.json": "7c039e6c8b907d76adf1c9d54b8d5258c3fa064a7db2b973f270fa998f549d16",
+        "classification.json": "24c3f2752111edf4e9d8b1bb53804342cff57497a5d03999d00378a89773e870",
+        "manifold.json": "c183d6eb1195f5bd50b62986b2709c7b2a6583758af3e43c92afee4d4a126864",
+        "slowfast.csv": "ba00c4d8d579414481a50665f8c134f05aeb70dbc3fff84b6b54016df8fd3010",
+        "trajectory.csv": "4c4b7c15be53abe19cd63bd20a61d24b168114cd36bb315470a2c8ef7d8c40c6",
+    },
+    "fold_overshoot": {
+        "certificates.json": "c3df20ff363481cfabf56b007f4bf79c4f8de4ac53453293f620f5519faab592",
+        "classification.json": "609a2a231e749bfa2533c2aff618a63bba80f970501b7f10904d308c20b23b19",
+        "manifold.json": "f5e9bf4712bf488f873f9b7c688b76687589b7a29b8656e170961a8d34424cef",
+        "slowfast.csv": "cf3eb47d52514757aca5242872fff0c1448b8167b7d9900f5eef3e0ae994e896",
         "trajectory.csv": "4c4b7c15be53abe19cd63bd20a61d24b168114cd36bb315470a2c8ef7d8c40c6",
     },
     "fold_slide_exit": {
         "trajectory.csv": "12240eb1eb1078403554777799fcd56406423577819577e3ec4619c3ae7bcc9a",
     },
     "fold_smoothstep": {
-        "certificates.json": "9c916a6b352267ef74c0cbda15c1acef101564afc0eca35178f60af0b958986e",
-        "classification.json": "8bf9f4973e1b7ed0b1f20d66cd114fba20c607f574d1e5def09bed6516871868",
-        "manifold.json": "11d828a1664e9230b7f0d7a14e53f577a8563050c7d677162ddc8504ecad0d9a",
-        "slowfast.csv": "10359e6c6252562bfd03a7e4a19fdf873131a03e53483371c429d57de900739c",
+        "certificates.json": "de89f6385e5ccc3dfdeab3638af9654e38e0786d9071792f8a273fe34abd37d7",
+        "classification.json": "b0842f588e2e81117b5d51bd1c54db149e57f61a4d7b5a821d998b4936b15055",
+        "manifold.json": "666ba8eeb72bb7aa1a95c89d2431bbfc6f8527f61c402a9104e216612356d092",
+        "slowfast.csv": "2ebab8c8894e68f53a8d17976415f670286d797cd63181187236e17850679380",
         "trajectory.csv": "4c4b7c15be53abe19cd63bd20a61d24b168114cd36bb315470a2c8ef7d8c40c6",
     },
     "regularized": {

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from filippov.expr import DomainError
 from filippov.regularize import (
     Biased,
     Custom,
@@ -10,6 +11,7 @@ from filippov.regularize import (
     HeightRoot,
     Overshoot,
     Smoothstep,
+    TransitionFunction,
     ValidationFailure,
     Verdict,
     certify,
@@ -271,7 +273,7 @@ def test_height_roots_fold_tangency():
     # at the graze the single zero sits on the band edge with zero slope
     roots = height_roots(fold(), Smoothstep(), 0.0)
     assert len(roots) == 1
-    assert roots[0] == HeightRoot(1.0, -0.0)
+    assert roots[0] == HeightRoot(1.0, -0.0, 0.0)
 
 
 def test_height_roots_fold_sewing():
@@ -312,8 +314,8 @@ def test_certify_fold():
     cert = certify(sys, tf, 0.5)
     assert cert.verdict == Verdict.SEWING_CERTIFIED
     assert cert.roots == ()
-    # min |h| over the grid: h(t) = psi*(-1) + 3 >= 2
-    assert cert.min_abs_height == pytest.approx(2.0)
+    # the level r = (x + 1)/(1 - x) = 3 lies above the range [-1, 1] of psi
+    assert tf.level_set(3.0) == []
 
     cert = certify(sys, tf, 0.0)
     assert cert.verdict == Verdict.INDETERMINATE
@@ -403,3 +405,122 @@ def test_custom_transition_shifts_roots_with_x():
     assert r0[0].t == pytest.approx(0.0, abs=1e-11)
     assert r1[0].t != pytest.approx(0.0, abs=1e-3)
     assert tf.value(r1[0].t, (1.0,)) == pytest.approx(0.0, abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# level sets of psi
+
+
+def test_level_set_exact_values():
+    assert Smoothstep().level_set(0.0) == [0.0]
+    for t0 in (-0.5, 0.25, 0.3, 0.7):
+        # cross.transition_zero hands this value on as the invariant line
+        assert Biased(t0).level_set(0.0) == [t0]
+    # the band edges come back as they are: the closed form misses 1 by an ulp
+    for tf in (Smoothstep(), Biased(0.3), Biased(-0.8)):
+        assert tf.level_set(1.0) == [1.0]
+        assert tf.level_set(-1.0) == [-1.0]
+        assert tf.level_set(1.0 + 1e-15) == [] == tf.level_set(-1.0 - 1e-15)
+    ov = Overshoot(2.0)
+    assert ov.level_set(-1.0) == [-1.0]
+    rising, edge = ov.level_set(1.0)
+    assert -1.0 < rising < ov.u and edge == 1.0
+    assert ov.value(rising) == pytest.approx(1.0, abs=1e-12)
+    assert ov.level_set(2.0 + 1e-12) == []
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 4.0])
+def test_overshoot_peak_level_is_a_tangency(m):
+    ov = Overshoot(m)
+    assert ov.level_set(m) == [ov.u]
+    # a_plus = m - 1 and a_minus = m + 1 put the level r = -(a+ + a-)/(a+ - a-) at m
+    sys = system_from_strings(("x", "y"), ("1", f"{m - 1.0!r}"), ("1", f"{m + 1.0!r}"))
+    cert = certify(sys, ov, 0.0)
+    assert cert.verdict == Verdict.INDETERMINATE
+    assert [r.t for r in cert.roots] == [ov.u]
+
+
+def test_overshoot_just_below_its_boundary_slides():
+    # the level 2 - 4.5e-9 sits just under the peak, where the two preimages
+    # lie 1e-4 apart: a grid of 512 cells saw neither and said sewing
+    cert = certify(fold(), Overshoot(2.0), 1.0 / 3.0 - 1e-9)
+    assert cert.verdict == Verdict.SLIDING_CERTIFIED
+    assert len(cert.roots) == 2
+    for root in cert.roots:
+        assert root.t == pytest.approx(0.2028, abs=1e-3)
+    assert cert.roots[0].dh_dt < 0 < cert.roots[1].dh_dt
+
+
+def test_custom_level_set_scans_like_the_closed_form():
+    # the same cubic as a custom expression goes through the t-scan
+    cubic = Custom("(3*t - t^3)/2")
+    for r in (-1.0, -0.6, 0.0, 1.0 / 3.0, 0.95, 1.0, 1.2):
+        got, want = cubic.level_set(r), Smoothstep().level_set(r)
+        assert len(got) == len(want)
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_level_with_equal_normal_components():
+    # a_plus = a_minus: h is the constant a_plus + a_minus, however small
+    tiny = system_from_strings(("x", "y"), ("1", "1e-11"), ("1", "1e-11"))
+    assert height_roots(tiny, Smoothstep(), 0.0) == []
+    assert certify(tiny, Smoothstep(), 0.0).verdict == Verdict.SEWING_CERTIFIED
+    assert classify_point(tiny, 0.0) == SigmaClass.SEWING
+
+
+@pytest.mark.parametrize("scale", [10.0 ** k for k in range(-12, 13, 3)])
+@pytest.mark.parametrize("tf", [Smoothstep(), Biased(0.3), Overshoot(2.0)],
+                         ids=["smoothstep", "biased", "overshoot"])
+def test_verdicts_survive_rescaling_the_fields(scale, tf):
+    # a positive factor changes time, not orbits; absolute thresholds on h
+    # and on a_plus * a_minus used to flip these verdicts at small scales
+    k = repr(scale)
+    sys = system_from_strings(("x", "y"), (f"{k}*1", f"{k}*(2*x)"), (f"{k}*1", f"{k}*2"))
+    assert classify_point(sys, -0.5) == SigmaClass.SLIDING
+    assert certify(sys, tf, -0.5).verdict == Verdict.SLIDING_CERTIFIED
+    assert classify_point(sys, 0.5) == SigmaClass.SEWING
+    assert certify(sys, tf, 0.5).verdict == Verdict.SEWING_CERTIFIED
+
+
+def _psi_evaluations(monkeypatch, tf, run) -> int:
+    """Evaluations of psi while run() goes: value calls and direct _core
+    calls, a _core call made from inside value counting once."""
+    count = depth = 0
+
+    def counting(method):
+        def wrapper(*args, **kwargs):
+            nonlocal count, depth
+            count += depth == 0
+            depth += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                depth -= 1
+        return wrapper
+
+    monkeypatch.setattr(TransitionFunction, "value", counting(TransitionFunction.value))
+    monkeypatch.setattr(type(tf), "_core", counting(type(tf)._core))
+    run()
+    return count
+
+
+@pytest.mark.parametrize("tf", [Smoothstep(), Biased(0.3), Overshoot(2.0)],
+                         ids=["smoothstep", "biased", "overshoot"])
+def test_certify_does_not_scan_built_in_transitions(monkeypatch, tf):
+    # a t-grid scan costs 513 evaluations per point; the level set costs none
+    # in closed form and two bisections at most for the overshoot
+    for x in (-0.9, -0.5, 0.0, 0.2, 1.0 / 3.0 - 1e-9, 0.5):
+        assert _psi_evaluations(monkeypatch, tf, lambda: certify(fold(), tf, x)) <= 100
+
+
+def test_certify_scans_a_custom_transition(monkeypatch):
+    # the counter above does see a scan
+    tf = Custom("(3*t - t^3)/2")
+    assert _psi_evaluations(monkeypatch, tf, lambda: certify(fold(), tf, -0.5)) >= 513
+
+
+def test_level_of_non_finite_components_is_an_error():
+    # r = nan lies in no range, which must not read as a sewing certificate
+    sys = system_from_strings(("x", "y"), ("1", "1e308*10*x"), ("1", "1e308*10"))
+    with pytest.raises(DomainError, match="not finite"):
+        certify(sys, Smoothstep(), 0.5)

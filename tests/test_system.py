@@ -85,9 +85,11 @@ def test_classify_fold():
     assert classify_point(sys, -0.5) == SigmaClass.SLIDING
     assert classify_point(sys, 0.5) == SigmaClass.SEWING
     assert classify_point(sys, 0.0) == SigmaClass.SIGMA_SINGULAR
-    # the tolerance band around the graze: product is 4x
-    assert classify_point(sys, 2.4e-10) == SigmaClass.SIGMA_SINGULAR
-    assert classify_point(sys, 2.6e-10) == SigmaClass.SEWING
+    # the relative band around the graze: |a+| = 2|x| against a- = 2
+    assert classify_point(sys, 0.99e-9) == SigmaClass.SIGMA_SINGULAR
+    assert classify_point(sys, -0.99e-9) == SigmaClass.SIGMA_SINGULAR
+    assert classify_point(sys, 1.01e-9) == SigmaClass.SEWING
+    assert classify_point(sys, -1.01e-9) == SigmaClass.SLIDING
 
 
 def test_classify_matches_sign_product():
