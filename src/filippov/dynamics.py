@@ -39,6 +39,8 @@ from .regularize import (
     bisect_sign_change,
     blend,
     height_roots,
+    monotone_breaks,
+    monotone_zeros,
     most_transversal,
 )
 from .system import (
@@ -46,7 +48,7 @@ from .system import (
     SigmaClass,
     classify_point,
     filippov_combination,
-    filippov_weight,
+    sliding_margin,
 )
 
 ABS_TOL = 1e-9  # step control scales each error component by ABS_TOL + REL_TOL*|y|
@@ -54,9 +56,8 @@ REL_TOL = 1e-7
 MIN_STEP = 1e-13
 EVENT_TIME_TOL = 1e-12
 MAX_EVENTS = 10_000
-LAMBDA_TOL = 1e-10  # a slide exits once its Filippov weight is this close to 0 or 1
 EQ_SAMPLES = 601  # x-grid on which equilibria_on_manifold samples g
-EQ_TOL = 1e-9  # a critical point of g with |g| at or below this is a zero
+EQ_TOL = 1e-9  # a sample or critical point of g with |g| at or below this is a zero
 # |y| below this counts as sitting on the surface; crossings are only
 # recognized once the orbit clears the band, which keeps tangential exits
 # from retriggering
@@ -405,9 +406,10 @@ def integrate_filippov(
 
     Surface hits are located by bisection on the dense interpolant to 1e-12
     in time and recorded as SigmaHit.  Sliding hits enter the Filippov
-    combination (SlideEntry) and leave it (SlideExit) along the field whose
-    weight reached its boundary; orbits that merely sew continue on the
-    other side.  Singular hits append a terminal event and raise
+    combination (SlideEntry) and leave it (SlideExit) where the class test
+    stops saying Sliding, along the field whose normal component is the
+    smaller there; orbits that merely sew continue on the other side.
+    Singular hits append a terminal event and raise
     UnresolvedSingularityError carrying the partial trajectory.
     """
     opts = opts or IntegratorOptions()
@@ -470,57 +472,39 @@ def integrate_filippov(
 
 
 def _slide(system, orbit, t, state, t_end, opts):
-    """Integrate the sliding flow from a surface state.
+    """Integrate the sliding flow from a surface state that classifies Sliding.
 
-    Returns (t, state, exit_side): exit_side is +1/-1 when the weight
-    boundary was reached and the orbit leaves along that field, else 0.
-    A weight already at its boundary on entry fails the orbit (a guard:
-    the relative class band is wider than LAMBDA_TOL, so the class test
-    calls such a point singular first).  So does the pole a_plus = a_minus
-    of the weight, after the slide's nodes up to it have joined the orbit.
+    Returns (t, state, exit_side): exit_side is +1/-1 when the slide reached
+    the edge of the class band, where sliding_margin falls to 0 and
+    classify_point stops saying Sliding, else 0.  The orbit leaves along
+    X_plus when |a_plus| <= |a_minus| there, and along X_minus otherwise.
+    The margin has no pole, so the exit is never bisected onto the pole
+    a_plus = a_minus of the Filippov weight; a right-hand side evaluated on
+    that pole fails the orbit, after the slide's nodes up to it have joined
+    the orbit.
     """
-    def lam(tt: float, x: np.ndarray) -> float:
-        w = filippov_weight(system, x)
-        if w is None:
-            raise UnresolvedSingularityError(tt, np.append(x, 0.0), None)
-        return w
-
-    def side(tt: float, x: np.ndarray) -> int:
-        # 0 while the weight stays inside (LAMBDA_TOL, 1 - LAMBDA_TOL), else the
-        # field it saturates toward; the one test for slide entry, stop and exit
-        w = lam(tt, x)
-        if LAMBDA_TOL < w < 1.0 - LAMBDA_TOL:
-            return 0
-        return 1 if w >= 0.5 else -1
+    margin = lambda tt, x: sliding_margin(system, x)
 
     def fn(tt: float, x: np.ndarray) -> np.ndarray:
-        # the Filippov combination without the class gate: the weight may
-        # drift toward its boundary, where classify_point already says
-        # singular
+        # the Filippov combination without the class gate: a step may end
+        # past the band edge, which the stop rule then locates
         combo = filippov_combination(system, x)
         if combo is None:
             raise UnresolvedSingularityError(tt, np.append(x, 0.0), None)
         return combo[1][:-1]
 
-    # no pole on entry: the class test there says a_plus * a_minus < 0
-    if side(t, state[:-1]):
-        _fail(orbit, t, state)
     try:
-        seg = integrate(fn, state[:-1], (t, t_end), opts, stop=side)
+        seg = integrate(fn, state[:-1], (t, t_end), opts, stop=lambda tt, x: margin(tt, x) <= 0.0)
     except UnresolvedSingularityError as exc:
         _append(orbit, exc.trajectory)  # the nodes integrate accepted before the pole
         _fail(orbit, exc.time, exc.state)
-    exit_side = side(seg.final_time, seg.final_state)
-    if not exit_side:
+    if margin(seg.final_time, seg.final_state) > 0.0:
         _append(orbit, seg)
         return seg.final_time, np.append(seg.final_state, 0.0), 0
-    target = 1.0 - LAMBDA_TOL if exit_side > 0 else LAMBDA_TOL
-    try:
-        t = _locate(seg, lambda tt, x: lam(tt, x) - target)
-    except UnresolvedSingularityError as exc:  # the pole lies in the last step
-        _append(orbit, seg, upto=-1)
-        _fail(orbit, exc.time, exc.state)
+    t = _locate(seg, margin)
     state = np.append(seg.sample(t), 0.0)
+    a_plus, a_minus = system.normal_components_on_sigma(state[:-1])
+    exit_side = 1 if abs(a_plus) <= abs(a_minus) else -1
     _append(orbit, seg, upto=-1)
     orbit.push(t, state, (system.plus if exit_side > 0 else system.minus).evaluate(state))
     orbit.event(t, state, EventKind.SLIDE_EXIT)
@@ -657,10 +641,13 @@ def equilibria_on_manifold(
 
     The restricted velocity g(x) is the tangential component of the
     regularized field evaluated on the manifold point (x, eps * t_x),
-    sampled at EQ_SAMPLES points of x_range.  Simple zeros come from sign
-    changes refined by bisection; tangential zeros (no sign change) are
-    caught at critical points of g where |g| falls below EQ_TOL.  Stability
-    is the sign of g' there.
+    sampled at EQ_SAMPLES points of x_range.  Each sample where the sampled
+    values turn moves onto a critical point of g, found by bisecting a
+    secant slope, so that g is monotone between the samples: a sample with
+    |g| <= EQ_TOL is a zero, a tangential one included, and a piece whose
+    ends differ in sign holds one, found by bisection.  No zero is sought
+    across a point where g is undefined (no transversal root, so no
+    manifold).  Stability is the sign of g' at the zero.
     """
     if system.dim != 2:
         raise ValueError("equilibria tracking is implemented for planar systems only")
@@ -675,9 +662,6 @@ def equilibria_on_manifold(
         tx = root.t
         return float(blend(system, transition.value(tx, (x,)), np.array([x, eps * tx]))[0])
 
-    xs = np.linspace(lo, hi, EQ_SAMPLES)
-    gs = np.array([g(float(x)) for x in xs])
-
     delta = (hi - lo) / (EQ_SAMPLES - 1) / 2.0
 
     def secant_slope(x: float) -> float:
@@ -689,35 +673,5 @@ def equilibria_on_manifold(
             return 0
         return 1 if d > 0 else -1
 
-    found: list[Equilibrium] = []
-
-    for k in range(EQ_SAMPLES - 1):
-        fa, fb = gs[k], gs[k + 1]
-        if math.isnan(fa) or math.isnan(fb) or fa == 0.0:
-            continue
-        if fa * fb < 0.0:
-            x_star = bisect_sign_change(g, float(xs[k]), float(xs[k + 1]), 1e-12, fa=float(fa))
-            found.append(Equilibrium(x_star, stability_of(x_star)))
-    for k in range(EQ_SAMPLES):
-        if gs[k] == 0.0:
-            found.append(Equilibrium(float(xs[k]), stability_of(float(xs[k]))))
-
-    # tangential zeros: bisect the secant slope to its sign change and keep
-    # the critical point if g is small enough there
-    ds = np.array([secant_slope(float(x)) for x in xs])
-    for k in range(EQ_SAMPLES - 1):
-        da, db = ds[k], ds[k + 1]
-        if math.isnan(da) or math.isnan(db) or da * db >= 0.0:
-            continue
-        x_c = bisect_sign_change(secant_slope, float(xs[k]), float(xs[k + 1]), 1e-12, fa=float(da))
-        val = g(x_c)
-        if not math.isnan(val) and abs(val) <= EQ_TOL:
-            if not any(abs(e.x - x_c) < 1e-7 for e in found):
-                found.append(Equilibrium(x_c, stability_of(x_c)))
-
-    found.sort(key=lambda e: e.x)
-    deduped: list[Equilibrium] = []
-    for e in found:
-        if not deduped or e.x - deduped[-1].x > 1e-7:
-            deduped.append(e)
-    return deduped
+    xs, gs = monotone_breaks(g, secant_slope, np.linspace(lo, hi, EQ_SAMPLES).tolist())
+    return [Equilibrium(x, stability_of(x)) for x in monotone_zeros(g, xs, gs, EQ_TOL)]

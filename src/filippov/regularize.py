@@ -19,8 +19,10 @@ a_plus != a_minus, h vanishes exactly where psi(x, t) = r with
 
 lam being the Filippov weight.  So the zeros of h are a level set of psi,
 which TransitionFunction.level_set returns: in closed form for smoothstep
-and biased, by bisection on the two monotone branches for overshoot, and
-by a t-grid scan only for a custom psi.  A preimage where psi' != 0
+and biased, and otherwise with monotone_zeros, one bisection per piece
+where psi is monotone.  Those pieces are the two branches of overshoot,
+and for a custom psi the cells of a t-grid whose samples where psi turns
+have moved onto its critical points.  A preimage where psi' != 0
 certifies a sliding band, no preimage certifies sewing, and everything else
 (tangential preimages, or h = 0 identically) stays indeterminate.
 """
@@ -40,9 +42,9 @@ from . import expr as ex
 from .system import PiecewiseSystem
 
 TRANSVERSALITY_TOL = 1e-8  # a root with |psi'| above this is transversal
-ZERO_TOL = 1e-10  # |psi - r| at or below this is a preimage at a custom scan node
-GRID_CELLS = 512  # cells of the t-grid on [-1, 1] that a custom level set scans
-ROOT_BISECTION_TOL = 1e-14  # width in t at which a level-set bisection stops
+ZERO_TOL = 1e-10  # |psi - r| at or below this is a preimage at a custom psi's break
+GRID_CELLS = 512  # cells of the t-grid on [-1, 1] that a custom psi is sampled on
+ROOT_BISECTION_TOL = 1e-14  # width at which monotone_breaks and monotone_zeros stop bisecting
 
 _VALIDATION_T = (-1.0, -1.5, -10.0, 1.0, 1.5, 10.0)
 _VALIDATION_X = (-1.0, -0.37, 0.0, 0.58, 1.0)
@@ -96,6 +98,47 @@ def bisect_sign_change(
     return 0.5 * (a + b)
 
 
+def monotone_breaks(
+    f: Callable[[float], float], slope: Callable[[float], float], ts: Sequence[float]
+) -> tuple[list[float], list[float]]:
+    """Breaks between which f is taken to be monotone, and f at them.
+
+    These are the samples ts of f, except that a sample where the sampled
+    values turn (stop rising and start falling, or the reverse) moves onto
+    the critical point that bisecting ``slope`` finds in its two cells.
+    Only turns closer together than a cell are missed.
+    """
+    fs = [f(t) for t in ts]
+    breaks, values = list(ts), list(fs)
+    for k in range(1, len(ts) - 1):
+        if (fs[k] - fs[k - 1]) * (fs[k + 1] - fs[k]) < 0.0:
+            da = slope(ts[k - 1])
+            if da * slope(ts[k + 1]) < 0.0:
+                breaks[k] = bisect_sign_change(
+                    slope, ts[k - 1], ts[k + 1], ROOT_BISECTION_TOL, fa=da)
+                values[k] = f(breaks[k])
+    return breaks, values
+
+
+def monotone_zeros(
+    f: Callable[[float], float], breaks: Sequence[float], values: Sequence[float], tol: float
+) -> list[float]:
+    """The sorted zeros of f on [breaks[0], breaks[-1]].
+
+    f is monotone between consecutive breaks, and values[k] = f(breaks[k]).
+    A break whose value is within tol of 0 is a zero; a piece whose two ends
+    lie beyond tol with opposite signs holds one zero, which bisection
+    finds.  A NaN value is no zero, and a piece with a NaN end holds none.
+    """
+    out = []
+    for k, (b, v) in enumerate(zip(breaks, values)):
+        if abs(v) <= tol:
+            out.append(b)
+        elif k + 1 < len(breaks) and abs(values[k + 1]) > tol and v * values[k + 1] < 0.0:
+            out.append(bisect_sign_change(f, b, breaks[k + 1], ROOT_BISECTION_TOL, fa=v))
+    return out
+
+
 class TransitionFunction:
     """Base class; concrete kinds implement value/deriv on the core interval."""
 
@@ -118,21 +161,9 @@ class TransitionFunction:
     def level_set(self, r: float, x: Sequence[float] = (), cells: int = GRID_CELLS) -> list[float]:
         """The sorted t in [-1, 1] with psi(x, t) = r.
 
-        The built-in kinds solve this in closed form.  This generic version,
-        which only a custom psi uses, scans psi - r on a grid of ``cells``
-        cells: a node where |psi - r| <= ZERO_TOL is a preimage, and a sign
-        change between two other nodes is bisected.
+        ``cells`` sizes the t-grid of a custom psi; the built-in kinds need none.
         """
-        f = lambda t: self.value(t, x) - r
-        ts = np.linspace(-1.0, 1.0, cells + 1).tolist()
-        fs = [f(t) for t in ts]
-        out = []
-        for k, (t, ft) in enumerate(zip(ts, fs)):
-            if abs(ft) <= ZERO_TOL:
-                out.append(t)
-            elif k < cells and abs(fs[k + 1]) > ZERO_TOL and ft * fs[k + 1] < 0.0:
-                out.append(bisect_sign_change(f, t, ts[k + 1], ROOT_BISECTION_TOL, fa=ft))
-        return out
+        raise NotImplementedError
 
     def _core(self, t: float, x: Sequence[float]) -> float:
         raise NotImplementedError
@@ -192,21 +223,9 @@ class Overshoot(TransitionFunction):
         return _cubic_d(t) - 4.0 * self.c * t * s
 
     def level_set(self, r, x=(), cells=GRID_CELLS):
-        """Bisection on the rising branch [-1, u] for r in [-1, m) and on the
-        falling branch [u, 1] for r in [1, m); the tangency u alone for r = m
-        (and for r between the rounded peak value and m)."""
-        if not -1.0 <= r <= self.m:
-            return []
-        f = lambda t: self.value(t, x) - r
-        top = f(self.u)
-        if r == self.m or top <= 0.0:
-            return [self.u]
-        out = [-1.0 if r == -1.0
-               else bisect_sign_change(f, -1.0, self.u, ROOT_BISECTION_TOL, fa=-1.0 - r)]
-        if r >= 1.0:
-            out.append(1.0 if r == 1.0
-                       else bisect_sign_change(f, self.u, 1.0, ROOT_BISECTION_TOL, fa=top))
-        return out
+        # psi is monotone on [-1, u] and on [u, 1], with exact values at the breaks
+        return monotone_zeros(lambda t: self.value(t, x) - r, (-1.0, self.u, 1.0),
+                              (-1.0 - r, self.m - r, 1.0 - r), 0.0)
 
 
 def _overshoot_peak(m: float) -> float:
@@ -278,6 +297,24 @@ class Custom(TransitionFunction):
                 f"custom transition uses unknown variables {sorted(extra)}"
             )
         self._deriv = ex.differentiate(self.expression, "t")
+        # a psi that uses no tangential coordinate is sampled once per grid size
+        self._x_free = not ex.free_vars(self.expression) & set(self.x_names)
+        self._breaks: dict[int, tuple[list[float], list[float]]] = {}
+
+    def level_set(self, r, x=(), cells=GRID_CELLS):
+        """Bisection on the pieces where psi is monotone, between the breaks
+        monotone_breaks puts on a grid of ``cells`` cells (the symbolic psi'
+        locates the turns).  A break where |psi - r| <= ZERO_TOL is a preimage."""
+        if self._x_free and cells in self._breaks:
+            breaks, psis = self._breaks[cells]
+        else:
+            breaks, psis = monotone_breaks(
+                lambda t: self.value(t, x), lambda t: self._core_d(t, x),
+                np.linspace(-1.0, 1.0, cells + 1).tolist())
+            if self._x_free:
+                self._breaks[cells] = breaks, psis
+        return monotone_zeros(
+            lambda t: self.value(t, x) - r, breaks, [p - r for p in psis], ZERO_TOL)
 
     def _bindings(self, t: float, x: Sequence[float]) -> ex.Bindings:
         b: ex.Bindings = {"t": t}
@@ -436,8 +473,9 @@ def height_roots(
 
     Where a_plus != a_minus they are the level set psi(x, .) = r with
     r = -(a_plus + a_minus)/(a_plus - a_minus) = 2*lam - 1 (``cells`` sizes
-    the scan a custom psi needs).  Where a_plus = a_minus, h is the constant
-    2*a_plus: no zero, or a DegenerateInterval over the band if it is 0.
+    the t-grid a custom psi is sampled on).  Where a_plus = a_minus, h is
+    the constant 2*a_plus: no zero, or a DegenerateInterval over the band
+    if it is 0.
     """
     xs = system.tangential(x)
     a_plus, a_minus = system.normal_components_on_sigma(xs)
@@ -492,7 +530,7 @@ def certify(
 
     SlidingCertified when h(x, .) has a transversal zero in the band,
     SewingCertified when it has no zero there, Indeterminate otherwise.
-    ``cells`` sizes the t-scan of a custom psi; the built-in kinds need none.
+    ``cells`` sizes the t-grid of a custom psi; the built-in kinds need none.
     """
     found = height_roots(system, transition, x, cells)
     roots = tuple(r for r in found if isinstance(r, HeightRoot))

@@ -152,15 +152,21 @@ def system_from_strings(
     return PiecewiseSystem(field_from_strings(coords, plus), field_from_strings(coords, minus))
 
 
-def lie_derivative(field_def: VectorFieldDef, g: ex.Expr) -> ex.Expr:
-    """Derivative of the scalar g along the field, sum_i X_i * dg/dx_i."""
-    extra = ex.free_vars(g) - set(field_def.coords)
-    if extra:
-        raise ValueError(f"scalar uses unknown variables {sorted(extra)}")
-    out: ex.Expr = ex.Const(0.0)
-    for name, comp in zip(field_def.coords, field_def.components):
-        out = ex.add(out, ex.mul(comp, ex.differentiate(g, name)))
-    return out
+def _margin(a_plus: float, a_minus: float) -> float:
+    """+-min(|a_plus|, |a_minus|) - CLASS_TOL * max(|a_plus|, |a_minus|), with
+    + where the two components have opposite signs: positive exactly on
+    Sliding, continuous, and unchanged in sign by positive rescaling."""
+    small, big = sorted((abs(a_plus), abs(a_minus)))
+    return (small if (a_plus > 0) != (a_minus > 0) else -small) - CLASS_TOL * big
+
+
+def sliding_margin(system: PiecewiseSystem, x: Sequence[float] | float) -> float:
+    """Positive exactly where classify_point says Sliding.
+
+    Unlike the Filippov weight it has no pole at a_plus = a_minus, so a
+    sliding orbit can bisect its exit on it.
+    """
+    return _margin(*system.normal_components_on_sigma(x))
 
 
 def classify_point(system: PiecewiseSystem, x: Sequence[float] | float) -> SigmaClass:
@@ -174,21 +180,11 @@ def classify_point(system: PiecewiseSystem, x: Sequence[float] | float) -> Sigma
     of the fields.
     """
     a_plus, a_minus = system.normal_components_on_sigma(x)
-    if min(abs(a_plus), abs(a_minus)) <= CLASS_TOL * max(abs(a_plus), abs(a_minus)):
-        return SigmaClass.SIGMA_SINGULAR
-    return SigmaClass.SEWING if (a_plus > 0) == (a_minus > 0) else SigmaClass.SLIDING
-
-
-def filippov_weight(system: PiecewiseSystem, x: Sequence[float] | float) -> float | None:
-    """Filippov weight lam = a_minus / (a_minus - a_plus) at (x, 0).
-
-    None where a_plus = a_minus, the pole of the weight.
-    """
-    a_plus, a_minus = system.normal_components_on_sigma(x)
-    denom = a_minus - a_plus
-    if denom == 0.0:
-        return None
-    return a_minus / denom
+    if _margin(a_plus, a_minus) > 0.0:
+        return SigmaClass.SLIDING
+    if _margin(a_plus, -a_minus) > 0.0:  # flipping a_minus swaps sewing and sliding
+        return SigmaClass.SEWING
+    return SigmaClass.SIGMA_SINGULAR
 
 
 def filippov_combination(
@@ -196,12 +192,15 @@ def filippov_combination(
 ) -> tuple[float, np.ndarray] | None:
     """(lam, lam * X_plus + (1 - lam) * X_minus) at (x, 0), with no class gate.
 
-    The y-component of the field is set to 0: lam * a_plus + (1 - lam) *
-    a_minus cancels exactly.  None where the weight is undefined.
+    lam = a_minus / (a_minus - a_plus) is the Filippov weight.  The
+    y-component of the field is set to 0: lam * a_plus + (1 - lam) * a_minus
+    cancels exactly.  None where a_plus = a_minus, the pole of the weight.
     """
-    lam = filippov_weight(system, x)
-    if lam is None:
+    a_plus, a_minus = system.normal_components_on_sigma(x)
+    denom = a_minus - a_plus
+    if denom == 0.0:
         return None
+    lam = a_minus / denom
     point = system.tangential(x) + (0.0,)
     field = lam * system.plus.evaluate(point) + (1.0 - lam) * system.minus.evaluate(point)
     field[-1] = 0.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from filippov import dynamics
 from filippov.dynamics import (
     EVENT_TIME_TOL,
     Equilibrium,
@@ -365,34 +366,81 @@ HYBRID_ORBITS = {
         system_from_strings(("x", "y"), ("1", "0"), ("1", "1")), (0.0, 0.0), (0.0, 1.0)),
     "saturated_slide_entry": lambda: _singular_partial(
         saturated_weight(), (0.0, 1.0), (0.0, 1.0)),
+    "slide_toward_the_pole": lambda: integrate_filippov(
+        pole_beyond_fold(), (-0.730693, 0.37356), (0.0, 16972.055779620172)),
+    "slide_past_the_fold": lambda: integrate_filippov(
+        steep_fold(), (-1.257586, 0.693241), (0.0, 62.75512313868072)),
 }
 
 
 def saturated_weight():
-    # the weight 1e-5/(1e-5 + 1e6) is already within LAMBDA_TOL of 0; the
-    # relative class band calls the point singular, since |a-| is 1e-11 |a+|
+    # the weight 1e-5/(1e-5 + 1e6) is all but 0, and the relative class band
+    # calls the point singular, since |a-| is 1e-11 |a+|
     return system_from_strings(("x", "y"), ("1", "-1e6"), ("1", "1e-5"))
 
 
-def test_slide_ending_at_the_weight_pole_keeps_its_nodes():
-    # slides past the fold toward the pole a_plus = a_minus; the slide's
-    # nodes used to be dropped, ending the orbit at its entry
-    sys = system_from_strings(
+def pole_beyond_fold():
+    # the fold at x = 0.269307 lies before the pole a_plus = a_minus at 0.678354
+    return system_from_strings(
         ("x", "y"),
         ("8.82186e-05", "8.82186e-05*2.627636*(x - 0.269307)*1"),
         ("8.82186e-05", "8.82186e-05*1.074824*1"),
     )
-    with pytest.raises(UnresolvedSingularityError) as err:
-        integrate_filippov(sys, (-0.730693, 0.37356), (0.0, 16972.055779620172))
-    traj = err.value.trajectory
+
+
+def steep_fold():
+    # fold at x = -0.257586, pole at -0.032538: the last sliding step
+    # overshoots the fold, and the weight changes sign through the pole
+    return system_from_strings(
+        ("x", "y"),
+        ("0.0256337*1", "0.0256337*2.666149*(x + 0.257586)"),
+        ("0.0256337*1", "0.0256337*0.60001"),
+    )
+
+
+def _assert_exits_at_fold(traj, fold_x, t_end):
     assert [e.kind for e in traj.events] == [
-        EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY, EventKind.STEP_FAILURE]
-    entry, failure = traj.events[1].time, traj.events[2].time
-    assert failure == err.value.time
-    assert entry < traj.final_time <= failure
-    assert np.all(np.diff(traj.times) > 0)
-    assert np.all(traj.states[traj.times >= entry, 1] == 0.0)
+        EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY, EventKind.SLIDE_EXIT]
+    entry, exit_ = traj.events[1], traj.events[2]
+    assert exit_.state[0] == pytest.approx(fold_x, abs=1e-8)
+    assert exit_.state[1] == 0.0
+    assert np.all(traj.states[(traj.times >= entry.time) & (traj.times <= exit_.time), 1] == 0.0)
+    assert traj.final_time == t_end
     assert traj.stats.accepted > 0 and traj.stats.jac_evals == 0  # hybrid segments stay explicit
+
+
+def test_slide_toward_the_weight_pole_exits_at_its_fold():
+    # this slide used to step past the fold toward the pole and fail there;
+    # the exit is now the edge of the class band, which has no pole
+    t_end = 16972.055779620172
+    traj = integrate_filippov(pole_beyond_fold(), (-0.730693, 0.37356), (0.0, t_end))
+    _assert_exits_at_fold(traj, 0.269307, t_end)
+
+
+def test_slide_exit_is_not_bisected_onto_the_weight_pole():
+    # the weight's exit was bisected on lam - (1 - 1e-10) over a last step
+    # that ends past the pole, where lam changes sign through infinity, and
+    # converged on the pole x = -0.0325386 instead of the fold
+    t_end = 62.75512313868072
+    traj = integrate_filippov(steep_fold(), (-1.257586, 0.693241), (0.0, t_end))
+    _assert_exits_at_fold(traj, -0.257586, t_end)
+    # after the exit the orbit follows X_plus: y = k/2 (x - fold)^2
+    x, y = traj.final_state
+    assert y == pytest.approx(0.5 * 2.666149 * (x + 0.257586) ** 2, rel=1e-6)
+
+
+def test_integrate_error_carries_its_accepted_nodes():
+    def fn(t, y):
+        if t > 1.0:
+            raise UnresolvedSingularityError(t, y, None)
+        return -y
+
+    with pytest.raises(UnresolvedSingularityError) as err:
+        integrate(fn, [1.0], (0.0, 5.0))
+    traj = err.value.trajectory
+    assert traj.times[0] == 0.0 and 0.0 < traj.final_time <= 1.0 < err.value.time
+    assert len(traj.times) > 2 and np.all(np.diff(traj.times) > 0)
+    assert traj.final_state[0] == pytest.approx(math.exp(-traj.final_time), rel=1e-6)
 
 
 def test_saturated_slide_entry_fails():
@@ -507,6 +555,42 @@ def test_equilibria_one_degenerate():
 def test_equilibria_none():
     eqs = equilibria_on_manifold(trichotomy_system(), Biased(0.5), 0.02, (-1.0, 1.0))
     assert eqs == []
+
+
+def gap_system(tangential="x"):
+    # sliding for |x| > 0.5 and sewing across the gap |x| < 0.5, where the
+    # manifold, and so g, is undefined
+    return system_from_strings(("x", "y"), (tangential, "-1"), (tangential, "x^2 - 0.25"))
+
+
+def test_no_equilibrium_across_a_sewing_gap():
+    # g = x changes sign across the gap, but not on the manifold
+    assert equilibria_on_manifold(gap_system(), Smoothstep(), 0.05, (-1.0, 1.0)) == []
+
+
+def test_equilibrium_beside_a_sewing_gap():
+    eqs = equilibria_on_manifold(gap_system("x - 0.8"), Smoothstep(), 0.05, (-1.0, 1.0))
+    assert len(eqs) == 1
+    assert eqs[0].x == pytest.approx(0.8, abs=1e-12)
+    assert eqs[0].stability == 1
+
+
+def test_equilibria_search_cost(monkeypatch):
+    # one g sample per grid point, plus one bisection per turn and per zero;
+    # the three passes and the secant-slope scan of every sample took 1800
+    calls = 0
+    height_roots = dynamics.height_roots
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return height_roots(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "height_roots", counting)
+    for t0 in (-0.5, 0.0, 0.5):
+        calls = 0
+        equilibria_on_manifold(trichotomy_system(), Biased(t0), 0.02, (-1.0, 1.0))
+        assert calls <= 800
 
 
 def test_equilibria_validation():

@@ -99,38 +99,38 @@ GOLDEN = {
         "classification.json": "141f426a9bbd1a9473b1b8a5ae4d81d32715ad1415df7b9adedb37f6afb4203c",
         "manifold.json": "e22f5a8221aff52626f787c34ea8426bc634ff9a0eb01cff477b8e5d6e424c0b",
         "slowfast.csv": "4760e11f6085107b446f3a1287f3db48972105edfedc7b91581ed41719ab5566",
-        "trajectory.csv": "d96c0bc4608d2bd3103e087b61a993983f89e6cc770f47ae4daa15c383ee0db4",
+        "trajectory.csv": "ee44b3e10e8f8664d40bb2eae56e4278f927fc1a9570afb7eecafa85d4414084",
     },
     "fold_biased": {
         "certificates.json": "6aa8301aec635c47fb7978915426a9d9239deb82b64eec3ff4de0a0855d1b4d6",
         "classification.json": "16f9106b637905dce83179d1dcedd55adea46194040475dfc4234af52e2e4766",
         "manifold.json": "b923294a2139f5ee5677a70e2bed70ab34829a5d9ddef1065c49f8d692bbd3d6",
         "slowfast.csv": "4e44b526e75615292b0adf844e23ce6db1725718d291b90e5fcfea6fd394805c",
-        "trajectory.csv": "4c4b7c15be53abe19cd63bd20a61d24b168114cd36bb315470a2c8ef7d8c40c6",
+        "trajectory.csv": "6452ca2deaba3dc4444f1bdfd019f8e692fb9d9c1aa292e80722238b747b3d2a",
     },
     "fold_custom": {
         "certificates.json": "7c039e6c8b907d76adf1c9d54b8d5258c3fa064a7db2b973f270fa998f549d16",
         "classification.json": "24c3f2752111edf4e9d8b1bb53804342cff57497a5d03999d00378a89773e870",
         "manifold.json": "c183d6eb1195f5bd50b62986b2709c7b2a6583758af3e43c92afee4d4a126864",
         "slowfast.csv": "ba00c4d8d579414481a50665f8c134f05aeb70dbc3fff84b6b54016df8fd3010",
-        "trajectory.csv": "4c4b7c15be53abe19cd63bd20a61d24b168114cd36bb315470a2c8ef7d8c40c6",
+        "trajectory.csv": "6452ca2deaba3dc4444f1bdfd019f8e692fb9d9c1aa292e80722238b747b3d2a",
     },
     "fold_overshoot": {
         "certificates.json": "c3df20ff363481cfabf56b007f4bf79c4f8de4ac53453293f620f5519faab592",
         "classification.json": "609a2a231e749bfa2533c2aff618a63bba80f970501b7f10904d308c20b23b19",
         "manifold.json": "f5e9bf4712bf488f873f9b7c688b76687589b7a29b8656e170961a8d34424cef",
         "slowfast.csv": "cf3eb47d52514757aca5242872fff0c1448b8167b7d9900f5eef3e0ae994e896",
-        "trajectory.csv": "4c4b7c15be53abe19cd63bd20a61d24b168114cd36bb315470a2c8ef7d8c40c6",
+        "trajectory.csv": "6452ca2deaba3dc4444f1bdfd019f8e692fb9d9c1aa292e80722238b747b3d2a",
     },
     "fold_slide_exit": {
-        "trajectory.csv": "12240eb1eb1078403554777799fcd56406423577819577e3ec4619c3ae7bcc9a",
+        "trajectory.csv": "7a7665127f7932de50fc0fdac978768a5e5da37f200936b5615df7ea2f23d92f",
     },
     "fold_smoothstep": {
         "certificates.json": "de89f6385e5ccc3dfdeab3638af9654e38e0786d9071792f8a273fe34abd37d7",
         "classification.json": "b0842f588e2e81117b5d51bd1c54db149e57f61a4d7b5a821d998b4936b15055",
         "manifold.json": "666ba8eeb72bb7aa1a95c89d2431bbfc6f8527f61c402a9104e216612356d092",
         "slowfast.csv": "2ebab8c8894e68f53a8d17976415f670286d797cd63181187236e17850679380",
-        "trajectory.csv": "4c4b7c15be53abe19cd63bd20a61d24b168114cd36bb315470a2c8ef7d8c40c6",
+        "trajectory.csv": "6452ca2deaba3dc4444f1bdfd019f8e692fb9d9c1aa292e80722238b747b3d2a",
     },
     "regularized": {
         "trajectory.csv": "dbb9bd846f0d62e2b8145d44ae8bd3e47f958c545289317d6dfed3a0ba2237ca",

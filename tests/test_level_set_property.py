@@ -1,5 +1,6 @@
-"""Property test: the closed-form level sets of the built-in transitions
-against a dense sign scan refined by scipy's brentq (a test-only oracle)."""
+"""Property tests: the closed-form level sets of the built-in transitions
+against a dense sign scan refined by scipy's brentq (a test-only oracle),
+and a custom psi's level sets against the built-in transition it spells."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ pytest.importorskip("hypothesis")
 brentq = pytest.importorskip("scipy.optimize").brentq
 from hypothesis import assume, given, settings, strategies as st
 
-from filippov.regularize import Biased, Overshoot, Smoothstep
+from filippov.regularize import Biased, Custom, Overshoot, Smoothstep
 
 SCAN_NODES = 4001
 
@@ -64,3 +65,21 @@ def test_overshoot_level_set(m, s):
     r = -1.5 + s * (m + 2.0)
     assume(abs(r - m) > 1e-4 * m)
     check(Overshoot(m), r)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(m=st.floats(1.05, 10.0), s=st.floats(0.0, 1.0), near_peak=st.booleans(),
+       e=st.floats(-8.9, -1.0))
+def test_custom_overshoot_level_set(m, s, near_peak, e):
+    # r from [-1.5, m + 0.5], or 10^e below the peak, where both preimages
+    # can fall in one cell of the grid.  psi' vanishes where psi takes the
+    # levels m (the peak), -1 and 1 (the band edges); within ZERO_TOL of
+    # those levels the custom psi takes that critical point itself as the
+    # preimage, by design
+    r = m - 10.0 ** e if near_peak else -1.5 + s * (m + 2.0)
+    assume(min(abs(r - m), abs(r - 1.0), abs(r + 1.0)) > 1e-9)
+    ov = Overshoot(m)
+    got = Custom(f"(3*t - t^3)/2 + {ov.c!r}*(1 - t^2)^2").level_set(r)
+    want = ov.level_set(r)
+    assert len(got) == len(want), (got, want)
+    assert got == pytest.approx(want, abs=1e-10)

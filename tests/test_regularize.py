@@ -460,6 +460,23 @@ def test_custom_level_set_scans_like_the_closed_form():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def overshoot_as_custom(ov: Overshoot) -> Custom:
+    return Custom(f"(3*t - t^3)/2 + {ov.c!r}*(1 - t^2)^2", ("x",))
+
+
+def test_custom_level_set_finds_two_preimages_in_one_cell():
+    # the two preimages near the peak lie 7e-5 apart, inside one cell of the
+    # 512-cell grid: the scan of psi - r saw no sign change and said sewing
+    ov = Overshoot(2.0)
+    x = 1.0 / 3.0 - 1e-9
+    cert = certify(fold(), overshoot_as_custom(ov), x)
+    want = certify(fold(), ov, x)
+    assert cert.verdict == want.verdict == Verdict.SLIDING_CERTIFIED
+    assert len(cert.roots) == len(want.roots) == 2
+    for got, exact in zip(cert.roots, want.roots):
+        assert got.t == pytest.approx(exact.t, abs=1e-12)
+
+
 def test_level_with_equal_normal_components():
     # a_plus = a_minus: h is the constant a_plus + a_minus, however small
     tiny = system_from_strings(("x", "y"), ("1", "1e-11"), ("1", "1e-11"))
@@ -517,6 +534,14 @@ def test_certify_scans_a_custom_transition(monkeypatch):
     # the counter above does see a scan
     tf = Custom("(3*t - t^3)/2")
     assert _psi_evaluations(monkeypatch, tf, lambda: certify(fold(), tf, -0.5)) >= 513
+
+
+def test_an_x_free_custom_transition_is_sampled_once(monkeypatch):
+    # the samples do not depend on r or x: a second certify only bisects
+    tf = Custom("(3*t - t^3)/2 + 0.8*(1 - t^2)^2")
+    assert _psi_evaluations(monkeypatch, tf, lambda: certify(fold(), tf, -0.5)) >= 513
+    for x in (-0.9, -0.5, 0.2, 0.45, 0.5):
+        assert _psi_evaluations(monkeypatch, tf, lambda: certify(fold(), tf, x)) <= 100
 
 
 def test_level_of_non_finite_components_is_an_error():

@@ -10,7 +10,6 @@ from filippov.system import (
     classify_point,
     field_from_strings,
     filippov_sliding_field,
-    lie_derivative,
     system_from_strings,
 )
 
@@ -159,17 +158,6 @@ def test_sliding_matches_normal_average_form():
         expect = 0.5 * ((bp + bm) + psi_star * (bp - bm))
         _, v = filippov_sliding_field(sys, x)
         assert v[0] == pytest.approx(expect, rel=1e-12, abs=1e-12)
-
-
-def test_lie_derivative():
-    f = field_from_strings(("x", "y"), ("y", "-x"))
-    g = parse("x^2 + y^2")
-    # rotation preserves the radius
-    d = lie_derivative(f, g)
-    for x, y in ((1.0, 2.0), (-0.3, 0.7)):
-        assert abs(evaluate(d, {"x": x, "y": y})) < 1e-12
-    with pytest.raises(ValueError):
-        lie_derivative(f, parse("q"))
 
 
 def test_three_dimensional_chart():
