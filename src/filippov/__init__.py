@@ -25,7 +25,6 @@ from .dynamics import (
     Equilibrium,
     Event,
     EventKind,
-    IntegratorOptions,
     IntegratorStats,
     ManifoldPoint,
     ManifoldTrack,
@@ -91,7 +90,6 @@ __all__ = [
     "EventKind",
     "Expr",
     "HeightRoot",
-    "IntegratorOptions",
     "IntegratorStats",
     "ManifoldPoint",
     "ManifoldTrack",

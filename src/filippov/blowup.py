@@ -119,16 +119,10 @@ def f_chart_field(
         raise ValueError(f"ytil must be nonnegative, got {ytil}")
     if not 0.0 <= epstil <= 1.0:
         raise ValueError(f"epstil must lie in [0, 1], got {epstil}")
-    xs = system.tangential(x)
-    if sign == 1:
-        ambient = np.array(xs + (ytil,))
-        v = system.plus.evaluate(ambient)
-        a = v[-1]
-        return np.concatenate(([ytil * a, -epstil * a], ytil * v[:-1]))
-    ambient = np.array(xs + (-ytil,))
-    v = system.minus.evaluate(ambient)
-    a = v[-1]
-    return np.concatenate(([-ytil * a, epstil * a], ytil * v[:-1]))
+    field_def = system.plus if sign > 0 else system.minus
+    v = field_def.evaluate(np.array(system.tangential(x) + (sign * ytil,)))
+    a = sign * v[-1]  # F- flips the normal pair; the negation is exact
+    return np.concatenate(([ytil * a, -epstil * a], ytil * v[:-1]))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ version, the sha256 of the config file and the tolerances used; grid rows
 are {x, verdict, roots: [{t, dh_dt}]} and refined boundary locations land
 in boundary_estimates.  Trajectory CSV columns are t, the tangential
 coordinates, y, event.  Blow-up plot data columns are x, theta, r, chart.
+The reported distances are closed forms: a manifold point (x, eps*t) lies
+over the surface point (x, 0), so hausdorff_to_sigma is max |y|, and the
+cross curve runs parallel to the z-axis, so hausdorff_to_axis is
+sqrt(x^2 + y^2).
 Grid points are evaluated one after another in a single thread.
 """
 
@@ -35,7 +39,6 @@ from .dynamics import (
     NoSlidingAtError,
     Trajectory,
     UnresolvedSingularityError,
-    hausdorff,
     integrate,
     integrate_filippov,
     track_manifold,
@@ -204,11 +207,9 @@ def _cmd_manifold(cfg: SystemConfig, out: Path, grid) -> int:
     report["tracks"] = []
     for eps in cfg.run.epsilons:
         track = track_manifold(system, cfg.transition, eps, xs)
-        pts = track.as_array()
-        sigma = np.column_stack([pts[:, 0], np.zeros(len(pts))])
         report["tracks"].append({
             "epsilon": eps,
-            "hausdorff_to_sigma": hausdorff(pts, sigma),
+            "hausdorff_to_sigma": max(abs(p.y) for p in track.points),
             "points": [
                 {"x": p.x, "t": p.t, "y": p.y, "dh_dt": p.dh_dt} for p in track.points
             ],

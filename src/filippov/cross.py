@@ -13,17 +13,18 @@ the role that the sliding manifold plays for a single surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dynamics import hausdorff
 from .regularize import TransitionFunction
 from .system import VectorFieldDef
 
 CROSS_COORDS = ("x", "y", "z")
-CURVE_SAMPLES = 21  # points of the z-window where the curve is measured
+Z_WINDOW = (0.0, 1.0)  # the z-range over which the curve is measured
+CURVE_SAMPLES = 21  # points of Z_WINDOW where the curve is measured
 
 
 class NonMonotoneTransitionError(Exception):
@@ -85,8 +86,9 @@ class StratifiedCurve:
     """The distinguished line {x = eps*t0, y = eta*u0} and its diagnostics.
 
     residual_x/residual_y are the largest absolute transverse velocities of
-    the blended field sampled along the curve; hausdorff_to_axis measures
-    how far the curve sits from the z-axis over the sampled window.
+    the blended field sampled along the curve over Z_WINDOW;
+    hausdorff_to_axis is the curve's distance from the z-axis, which is
+    sqrt(x^2 + y^2) since the curve runs parallel to it.
     """
 
     eps: float
@@ -95,7 +97,6 @@ class StratifiedCurve:
     u0: float
     x: float
     y: float
-    z_window: tuple[float, float]
     residual_x: float
     residual_y: float
     hausdorff_to_axis: float
@@ -105,10 +106,9 @@ def stratified_slide_curve(
     cs: CrossSystem,
     eps: float,
     eta: float,
-    z_window: tuple[float, float] = (0.0, 1.0),
 ) -> StratifiedCurve:
     """Locate the curve and measure its invariance defect at CURVE_SAMPLES
-    points of the z-window.
+    points of Z_WINDOW.
 
     Requires both transitions to have a unique zero; raises
     NonMonotoneTransitionError otherwise.
@@ -119,15 +119,12 @@ def stratified_slide_curve(
     u0 = transition_zero(cs.psi, "psi")
     x = eps * t0
     y = eta * u0
-    zs = np.linspace(z_window[0], z_window[1], CURVE_SAMPLES)
     res_x = 0.0
     res_y = 0.0
-    for z in zs:
+    for z in np.linspace(Z_WINDOW[0], Z_WINDOW[1], CURVE_SAMPLES):
         v = double_regularized_field(cs, eps, eta, (x, y, float(z)))
         res_x = max(res_x, abs(float(v[0])))
         res_y = max(res_y, abs(float(v[1])))
-    curve = np.column_stack([np.full_like(zs, x), np.full_like(zs, y), zs])
-    axis = np.column_stack([np.zeros_like(zs), np.zeros_like(zs), zs])
     return StratifiedCurve(
         eps=eps,
         eta=eta,
@@ -135,8 +132,7 @@ def stratified_slide_curve(
         u0=u0,
         x=x,
         y=y,
-        z_window=(float(z_window[0]), float(z_window[1])),
         residual_x=res_x,
         residual_y=res_y,
-        hausdorff_to_axis=hausdorff(curve, axis),
+        hausdorff_to_axis=math.sqrt(x * x + y * y),
     )

@@ -56,6 +56,7 @@ REL_TOL = 1e-7
 MIN_STEP = 1e-13
 EVENT_TIME_TOL = 1e-12
 MAX_EVENTS = 10_000
+MAX_STEPS = 1_000_000  # step attempts, accepted or rejected, per integrate call
 EQ_SAMPLES = 601  # x-grid on which equilibria_on_manifold samples g
 EQ_TOL = 1e-9  # a sample or critical point of g with |g| at or below this is a zero
 # |y| below this counts as sitting on the surface; crossings are only
@@ -95,12 +96,6 @@ class NoSlidingAtError(Exception):
         self.x = x
         self.reason = reason
         super().__init__(f"no certified sliding at x = {x}: {reason}")
-
-
-@dataclass
-class IntegratorOptions:
-    max_step: float = math.inf
-    max_steps: int = 1_000_000
 
 
 @dataclass
@@ -315,7 +310,6 @@ def integrate(
     fn: Callable[[float, np.ndarray], np.ndarray],
     x0: Sequence[float],
     t_span: tuple[float, float],
-    opts: IntegratorOptions | None = None,
     stop: Callable[[float, np.ndarray], bool] | None = None,
     jac: Callable[[float, np.ndarray], np.ndarray] | None = None,
 ) -> Trajectory:
@@ -324,13 +318,12 @@ def integrate(
     Steps with Dormand-Prince 5(4), or with RODAS4 when jac(t, x) gives
     the exact Jacobian d(fn)/dx of an autonomous fn.  Returns the accepted
     steps; a StepFailure event ends the trajectory early if the adaptive
-    controller underflows its minimum step or max_steps runs out before
+    controller underflows its minimum step or MAX_STEPS runs out before
     t_end.  The optional stop(t, x) ends the run at the first accepted node
     where it is true, which is then the last node of the trajectory; the
     initial node is not tested.  An UnresolvedSingularityError raised by fn
     or stop leaves with the nodes accepted before it as its trajectory.
     """
-    opts = opts or IntegratorOptions()
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end < t0:
         raise ValueError(f"t_span must be increasing, got {t_span}")
@@ -359,9 +352,9 @@ def integrate(
         # fold orbits a PI history term took 30-60% more steps
         accept_exp, history_exp, reject_exp = 0.25, 0.0, 0.25
     try:
-        h = min(_initial_step(rhs, t, y, fcur, t_end), opts.max_step)
+        h = _initial_step(rhs, t, y, fcur, t_end)
         err_prev = 1.0
-        for _ in range(opts.max_steps):
+        for _ in range(MAX_STEPS):
             if t >= t_end:
                 break
             h = min(h, t_end - t)
@@ -380,12 +373,12 @@ def integrate(
                     break
                 factor = 0.9 * (err + 1e-16) ** -accept_exp * (err_prev + 1e-16) ** history_exp
                 err_prev = err
-                h = min(h * min(5.0, max(0.2, factor)), opts.max_step)
+                h *= min(5.0, max(0.2, factor))
             else:
                 stats.rejected += 1
                 h *= max(0.2, 0.9 * err ** -reject_exp)
         else:
-            if t < t_end:  # max_steps ran out
+            if t < t_end:  # MAX_STEPS ran out
                 rec.event(t, y, EventKind.STEP_FAILURE)
     except UnresolvedSingularityError as exc:
         exc.trajectory = rec.build()
@@ -400,7 +393,6 @@ def integrate_filippov(
     system: PiecewiseSystem,
     x0: Sequence[float],
     t_span: tuple[float, float],
-    opts: IntegratorOptions | None = None,
 ) -> Trajectory:
     """Hybrid orbit of the piecewise system with event bookkeeping.
 
@@ -412,7 +404,6 @@ def integrate_filippov(
     Singular hits append a terminal event and raise
     UnresolvedSingularityError carrying the partial trajectory.
     """
-    opts = opts or IntegratorOptions()
     state = np.asarray(x0, dtype=float).copy()
     t, t_end = float(t_span[0]), float(t_span[1])
     if t_end < t:
@@ -431,7 +422,7 @@ def integrate_filippov(
             verdict = classify_point(system, state[:-1])
             if verdict == SigmaClass.SLIDING:
                 orbit.event(t, state, EventKind.SLIDE_ENTRY)
-                t, state, exit_side = _slide(system, orbit, t, state, t_end, opts)
+                t, state, exit_side = _slide(system, orbit, t, state, t_end)
                 if not exit_side:
                     break  # reached t_end (or failed) while sliding
                 continue
@@ -445,7 +436,7 @@ def integrate_filippov(
         field_def = system.plus if region > 0 else system.minus
         fn = lambda tt, s: field_def.evaluate(s)
         crossed = lambda tt, s: s[-1] * region < 0 and abs(s[-1]) > SURFACE_BAND
-        seg = integrate(fn, state, (t, t_end), opts, stop=crossed)
+        seg = integrate(fn, state, (t, t_end), stop=crossed)
         # the stop rule ended the segment iff it holds at its last node
         if not crossed(seg.final_time, seg.final_state):
             _append(orbit, seg)
@@ -471,7 +462,7 @@ def integrate_filippov(
     return _close(orbit, t, state)
 
 
-def _slide(system, orbit, t, state, t_end, opts):
+def _slide(system, orbit, t, state, t_end):
     """Integrate the sliding flow from a surface state that classifies Sliding.
 
     Returns (t, state, exit_side): exit_side is +1/-1 when the slide reached
@@ -494,7 +485,7 @@ def _slide(system, orbit, t, state, t_end, opts):
         return combo[1][:-1]
 
     try:
-        seg = integrate(fn, state[:-1], (t, t_end), opts, stop=lambda tt, x: margin(tt, x) <= 0.0)
+        seg = integrate(fn, state[:-1], (t, t_end), stop=lambda tt, x: margin(tt, x) <= 0.0)
     except UnresolvedSingularityError as exc:
         _append(orbit, exc.trajectory)  # the nodes integrate accepted before the pole
         _fail(orbit, exc.time, exc.state)

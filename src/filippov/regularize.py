@@ -158,11 +158,8 @@ class TransitionFunction:
         """The gradient of psi in the surface coordinates x."""
         return np.zeros(len(x))  # only a custom psi may depend on x
 
-    def level_set(self, r: float, x: Sequence[float] = (), cells: int = GRID_CELLS) -> list[float]:
-        """The sorted t in [-1, 1] with psi(x, t) = r.
-
-        ``cells`` sizes the t-grid of a custom psi; the built-in kinds need none.
-        """
+    def level_set(self, r: float, x: Sequence[float] = ()) -> list[float]:
+        """The sorted t in [-1, 1] with psi(x, t) = r."""
         raise NotImplementedError
 
     def _core(self, t: float, x: Sequence[float]) -> float:
@@ -182,7 +179,7 @@ class Smoothstep(TransitionFunction):
     def _core_d(self, t, x):
         return _cubic_d(t)
 
-    def level_set(self, r, x=(), cells=GRID_CELLS):
+    def level_set(self, r, x=()):
         return _cubic_level_set(r)
 
 
@@ -222,7 +219,7 @@ class Overshoot(TransitionFunction):
         s = 1.0 - t * t
         return _cubic_d(t) - 4.0 * self.c * t * s
 
-    def level_set(self, r, x=(), cells=GRID_CELLS):
+    def level_set(self, r, x=()):
         # psi is monotone on [-1, u] and on [u, 1], with exact values at the breaks
         return monotone_zeros(lambda t: self.value(t, x) - r, (-1.0, self.u, 1.0),
                               (-1.0 - r, self.m - r, 1.0 - r), 0.0)
@@ -268,7 +265,7 @@ class Biased(TransitionFunction):
         dw = (1.0 - self.t0 * self.t0) / (1.0 - self.t0 * t) ** 2
         return _cubic_d(w) * dw
 
-    def level_set(self, r, x=(), cells=GRID_CELLS):
+    def level_set(self, r, x=()):
         # the inverse of _w: w(t) is one of the cubic's level set
         return [(w + self.t0) / (1.0 + self.t0 * w) for w in _cubic_level_set(r)]
 
@@ -297,22 +294,30 @@ class Custom(TransitionFunction):
                 f"custom transition uses unknown variables {sorted(extra)}"
             )
         self._deriv = ex.differentiate(self.expression, "t")
-        # a psi that uses no tangential coordinate is sampled once per grid size
+        # a psi that uses no tangential coordinate is sampled once
         self._x_free = not ex.free_vars(self.expression) & set(self.x_names)
-        self._breaks: dict[int, tuple[list[float], list[float]]] = {}
+        self._breaks: tuple[list[float], list[float]] | None = None
+        for x in itertools.product(_VALIDATION_X, repeat=len(self.x_names)):
+            for t in _VALIDATION_T:
+                want = -1.0 if t < 0 else 1.0
+                got = self.value(t, x)
+                if abs(got - want) > 1e-12:
+                    raise ValidationFailure(
+                        f"boundary value violated: psi({t}) = {got} at x = {x}, expected {want}"
+                    )
 
-    def level_set(self, r, x=(), cells=GRID_CELLS):
+    def level_set(self, r, x=()):
         """Bisection on the pieces where psi is monotone, between the breaks
-        monotone_breaks puts on a grid of ``cells`` cells (the symbolic psi'
+        monotone_breaks puts on a grid of GRID_CELLS cells (the symbolic psi'
         locates the turns).  A break where |psi - r| <= ZERO_TOL is a preimage."""
-        if self._x_free and cells in self._breaks:
-            breaks, psis = self._breaks[cells]
+        if self._breaks is not None:
+            breaks, psis = self._breaks
         else:
             breaks, psis = monotone_breaks(
                 lambda t: self.value(t, x), lambda t: self._core_d(t, x),
-                np.linspace(-1.0, 1.0, cells + 1).tolist())
+                np.linspace(-1.0, 1.0, GRID_CELLS + 1).tolist())
             if self._x_free:
-                self._breaks[cells] = breaks, psis
+                self._breaks = breaks, psis
         return monotone_zeros(
             lambda t: self.value(t, x) - r, breaks, [p - r for p in psis], ZERO_TOL)
 
@@ -342,17 +347,6 @@ class Custom(TransitionFunction):
         return out
 
 
-def _validate(tf: TransitionFunction, x_names: Sequence[str] = ()) -> None:
-    for x in itertools.product(_VALIDATION_X, repeat=len(x_names)):
-        for t in _VALIDATION_T:
-            want = -1.0 if t < 0 else 1.0
-            got = tf.value(t, x)
-            if abs(got - want) > 1e-12:
-                raise ValidationFailure(
-                    f"boundary value violated: psi({t}) = {got} at x = {x}, expected {want}"
-                )
-
-
 def make_transition(kind: str, x_names: Sequence[str] = (), /, **params) -> TransitionFunction:
     """Build and validate a transition function.
 
@@ -380,7 +374,6 @@ def make_transition(kind: str, x_names: Sequence[str] = (), /, **params) -> Tran
         raise ValidationFailure(f"unknown transition kind {kind!r}")
     if params:
         raise ValidationFailure(f"unexpected parameters for {kind}: {sorted(params)}")
-    _validate(tf, tf.x_names if isinstance(tf, Custom) else ())
     return tf
 
 
@@ -467,15 +460,13 @@ def height_roots(
     system: PiecewiseSystem,
     transition: TransitionFunction,
     x: Sequence[float] | float,
-    cells: int = GRID_CELLS,
 ) -> list[HeightRoot | DegenerateInterval]:
     """Zeros of h(x, .) on [-1, 1].
 
     Where a_plus != a_minus they are the level set psi(x, .) = r with
-    r = -(a_plus + a_minus)/(a_plus - a_minus) = 2*lam - 1 (``cells`` sizes
-    the t-grid a custom psi is sampled on).  Where a_plus = a_minus, h is
-    the constant 2*a_plus: no zero, or a DegenerateInterval over the band
-    if it is 0.
+    r = -(a_plus + a_minus)/(a_plus - a_minus) = 2*lam - 1.  Where
+    a_plus = a_minus, h is the constant 2*a_plus: no zero, or a
+    DegenerateInterval over the band if it is 0.
     """
     xs = system.tangential(x)
     a_plus, a_minus = system.normal_components_on_sigma(xs)
@@ -485,7 +476,7 @@ def height_roots(
     if diff == 0.0:
         return [] if tot else [DegenerateInterval(-1.0, 1.0)]
     out: list[HeightRoot | DegenerateInterval] = []
-    for t in transition.level_set(-tot / diff, xs, cells):
+    for t in transition.level_set(-tot / diff, xs):
         slope = transition.deriv_t(t, xs)
         out.append(HeightRoot(t, slope * diff, slope))
     return out
@@ -524,15 +515,13 @@ def certify(
     system: PiecewiseSystem,
     transition: TransitionFunction,
     x: Sequence[float] | float,
-    cells: int = GRID_CELLS,
 ) -> SlidingCertificate:
     """The height-function test at x.
 
     SlidingCertified when h(x, .) has a transversal zero in the band,
     SewingCertified when it has no zero there, Indeterminate otherwise.
-    ``cells`` sizes the t-grid of a custom psi; the built-in kinds need none.
     """
-    found = height_roots(system, transition, x, cells)
+    found = height_roots(system, transition, x)
     roots = tuple(r for r in found if isinstance(r, HeightRoot))
     degenerate = tuple(r for r in found if isinstance(r, DegenerateInterval))
     witness = most_transversal(found)

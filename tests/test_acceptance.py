@@ -89,10 +89,10 @@ def test_overshoot_moves_the_certified_boundary(report):
 
     def boundary(tf, lo, hi):
         # certified sliding at lo, certified sewing at hi; the height curve
-        # crosses tangentially at the boundary, so use a fine root scan
+        # crosses tangentially at the boundary
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if certify(sys, tf, mid, cells=4096).verdict is Verdict.SLIDING_CERTIFIED:
+            if certify(sys, tf, mid).verdict is Verdict.SLIDING_CERTIFIED:
                 lo = mid
             else:
                 hi = mid

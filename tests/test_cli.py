@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -143,6 +144,22 @@ def test_manifold_report(tmp_path):
     assert t0["hausdorff_to_sigma"] > t1["hausdorff_to_sigma"] > 0
     assert {"x", "t", "y", "dh_dt"} == set(t0["points"][0])
     assert all(p["x"] <= 0.2 for p in t0["points"])
+
+
+def test_manifold_distance_takes_no_pairwise_matrix(tmp_path):
+    # hausdorff_to_sigma is max |y|; an n x n distance matrix over a
+    # 3001-point grid peaked near 100 MB
+    cfg = setup_cfg(tmp_path, FOLD)
+    tracemalloc.start()
+    try:
+        rc = run_command(["manifold", "--config", cfg, "--out", str(tmp_path), "--grid=-1:1:3001"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 32 * 2 ** 20
+    for track in json.loads((tmp_path / "manifold.json").read_text())["tracks"]:
+        assert track["hausdorff_to_sigma"] == max(abs(p["y"]) for p in track["points"])
 
 
 def test_manifold_no_sliding_exit1(tmp_path, capsys):

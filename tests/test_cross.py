@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from filippov.cross import (
+    Z_WINDOW,
     CrossSystem,
     NonMonotoneTransitionError,
     double_regularized_field,
@@ -162,7 +163,8 @@ def test_stratified_curve_residual_measures_defect():
 
 
 def test_stratified_curve_z_dependence():
-    # transverse defect varies along z; the maximum over the window counts
+    # transverse defect varies along z; the maximum over Z_WINDOW counts,
+    # which this field reaches at the window's far end
     fields = quadrant_fields(
         pp=("z", "-1", "1"),
         pm=("z", "1", "1"),
@@ -170,9 +172,8 @@ def test_stratified_curve_z_dependence():
         mm=("z", "1", "1"),
     )
     cs = CrossSystem(fields, Smoothstep(), Smoothstep())
-    curve = stratified_slide_curve(cs, 0.1, 0.1, z_window=(0.0, 2.0))
-    assert curve.residual_x == pytest.approx(2.0)
-    assert curve.z_window == (0.0, 2.0)
+    curve = stratified_slide_curve(cs, 0.1, 0.1)
+    assert curve.residual_x == pytest.approx(Z_WINDOW[1])
 
 
 def test_band_scaling_shrinks_distance():

@@ -8,7 +8,7 @@ from filippov.dynamics import (
     EVENT_TIME_TOL,
     Equilibrium,
     EventKind,
-    IntegratorOptions,
+    IntegratorStats,
     NoSlidingAtError,
     UnresolvedSingularityError,
     equilibria_on_manifold,
@@ -86,12 +86,14 @@ def test_step_failure_near_blowup():
     assert traj.final_time == pytest.approx(1.0, abs=1e-3)
 
 
-def test_step_failure_when_max_steps_runs_out():
-    traj = integrate(lambda t, y: -y, (1.0,), (0.0, 10.0), IntegratorOptions(max_steps=5))
+def test_step_failure_when_max_steps_runs_out(monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
+    traj = integrate(lambda t, y: -y, (1.0,), (0.0, 10.0))
     assert traj.final_time < 1.0
     assert [e.kind for e in traj.events] == [EventKind.STEP_FAILURE]
     assert traj.events[0].time == traj.final_time
     # a budget that suffices leaves no event
+    monkeypatch.undo()
     assert not integrate(lambda t, y: -y, (1.0,), (0.0, 10.0)).events
 
 
@@ -116,15 +118,16 @@ def test_stats_count_the_work():
 
 
 def test_stop_ends_at_first_accepted_node_where_true():
-    fn = lambda t, y: np.array([1.0])
-    full = integrate(fn, (0.0,), (0.0, 10.0), IntegratorOptions(max_step=0.25))
+    # the oscillating rate keeps the steps short, so y passes 2 between nodes
+    fn = lambda t, y: np.array([2.0 + math.cos(4.0 * t)])
+    full = integrate(fn, (0.0,), (0.0, 10.0))
     seen = []
 
     def stop(t, y):
         seen.append(t)
         return y[0] > 2.0
 
-    traj = integrate(fn, (0.0,), (0.0, 10.0), IntegratorOptions(max_step=0.25), stop=stop)
+    traj = integrate(fn, (0.0,), (0.0, 10.0), stop=stop)
     first = int(np.argmax(full.states[:, 0] > 2.0))
     assert np.array_equal(traj.times, full.times[: first + 1])
     assert traj.final_state[0] > 2.0 >= traj.states[-2, 0]
@@ -211,17 +214,20 @@ def test_stiff_step_count_does_not_grow_with_1_over_eps(name):
 def test_singular_stage_solve_rejects_the_step():
     # a repelling band: both fields point away from the surface, so the fast
     # eigenvalue psi'(0)/eps = 1.5/0.375 = 4 is positive.  On y = 0 the
-    # orbit stays put, the step grows to max_step = 1 and I/(h/4) - J is
-    # exactly singular there; each such step is rejected and retried shorter
+    # orbit stays put, and at h = 1 the stage matrix I/(h/4) - J is exactly
+    # singular; the step reports an infinite error, so it is rejected
     sys = system_from_strings(("x", "y"), ("1", "1"), ("1", "-1"))
     tf, eps = Smoothstep(), 0.375
-    traj = integrate(lambda t, s: regularized_field(sys, tf, eps, s), (0.0, 0.0), (0.0, 10.0),
-                     IntegratorOptions(max_step=1.0),
-                     jac=lambda t, s: regularized_jacobian(sys, tf, eps, s))
+    fn = lambda t, s: regularized_field(sys, tf, eps, s)
+    jac = lambda t, s: regularized_jacobian(sys, tf, eps, s)
+    origin = np.zeros(2)
+    step = dynamics._rodas(fn, jac, 2, IntegratorStats())
+    y_new, err, _ = step(0.0, origin, fn(0.0, origin), 1.0)
+    assert err == math.inf and np.array_equal(y_new, origin)
+    traj = integrate(fn, origin, (0.0, 10.0), jac=jac)
     assert traj.events == []
     assert traj.final_time == 10.0
     assert np.allclose(traj.final_state, [10.0, 0.0], rtol=0, atol=1e-12)
-    assert traj.stats.rejected > 0
 
 
 def test_non_finite_stage_solve_ends_in_step_failure():
@@ -281,8 +287,9 @@ def test_hybrid_slide_exit():
     ((-1.0, 0.5), [EventKind.STEP_FAILURE]),  # runs out before the hit
     ((-1.0, 0.0), [EventKind.SLIDE_ENTRY, EventKind.STEP_FAILURE]),  # out while sliding
 ])
-def test_hybrid_step_budget_ends_with_step_failure(x0, kinds):
-    traj = integrate_filippov(fold(), x0, (0.0, 2.0), IntegratorOptions(max_steps=3))
+def test_hybrid_step_budget_ends_with_step_failure(x0, kinds, monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 3)
+    traj = integrate_filippov(fold(), x0, (0.0, 2.0))
     assert [e.kind for e in traj.events] == kinds
     assert traj.final_time < 2.0
     assert traj.events[-1].time == traj.final_time
@@ -344,6 +351,12 @@ def _singular_partial(sys, x0, t_span):
     return err.value.trajectory
 
 
+def _with_step_budget(steps, sys, x0, t_span):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "MAX_STEPS", steps)
+        return integrate_filippov(sys, x0, t_span)
+
+
 HYBRID_ORBITS = {
     "crossing_then_slide": lambda: integrate_filippov(
         system_from_strings(("x", "y"), ("1", "-1"), ("1", "1")), (0.0, 1.0), (0.0, 2.0)),
@@ -351,10 +364,8 @@ HYBRID_ORBITS = {
         system_from_strings(("x", "y"), ("1", "1"), ("2", "1")), (0.0, -0.5), (0.0, 1.0)),
     "slide_exit": lambda: integrate_filippov(fold(), (-0.5, 0.0), (0.0, 1.0)),
     "hit_slide_exit": lambda: integrate_filippov(fold(), (-1.0, 0.5), (0.0, 1.5)),
-    "budget_before_hit": lambda: integrate_filippov(
-        fold(), (-1.0, 0.5), (0.0, 2.0), IntegratorOptions(max_steps=3)),
-    "budget_while_sliding": lambda: integrate_filippov(
-        fold(), (-1.0, 0.0), (0.0, 2.0), IntegratorOptions(max_steps=3)),
+    "budget_before_hit": lambda: _with_step_budget(3, fold(), (-1.0, 0.5), (0.0, 2.0)),
+    "budget_while_sliding": lambda: _with_step_budget(3, fold(), (-1.0, 0.0), (0.0, 2.0)),
     "starts_on_surface": lambda: integrate_filippov(
         system_from_strings(("x", "y"), ("1", "2"), ("1", "1")), (0.0, 0.0), (0.0, 1.0)),
     "three_dimensional_slide": lambda: integrate_filippov(
@@ -465,6 +476,12 @@ def test_hybrid_orbit_invariants(name):
     for e in traj.events:
         assert float(e.time) in node
         assert np.array_equal(e.state, traj.states[node[float(e.time)]])
+    # a StepFailure ends the orbit: at most one, the last event, at the last node
+    failures = [e for e in traj.events if e.kind == EventKind.STEP_FAILURE]
+    assert len(failures) <= 1
+    if failures:
+        assert traj.events[-1] is failures[0]
+        assert failures[0].time == traj.final_time
 
 
 # ---------------------------------------------------------------------------

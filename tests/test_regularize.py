@@ -157,6 +157,15 @@ def test_make_transition_validates():
         make_transition("custom", expr="t + q")
 
 
+def test_custom_checks_its_own_band_edges():
+    # built directly, psi = t^2 would jump at the lower band edge: psi(-1) = 1,
+    # while the clamp holds psi = -1 below it
+    with pytest.raises(ValidationFailure, match=r"psi\(-1.0\) = 1.0"):
+        Custom("t^2")
+    with pytest.raises(ValidationFailure, match=r"at x = \(-1.0,\)"):
+        Custom("(3*t - t^3)/2 + x", ("x",))
+
+
 def test_custom_transition_messages():
     # a coordinate named t would be overwritten by the stretched variable
     with pytest.raises(ValidationFailure, match="coordinate 't' clashes"):
