@@ -319,10 +319,12 @@ def integrate(
     the exact Jacobian d(fn)/dx of an autonomous fn.  Returns the accepted
     steps; a StepFailure event ends the trajectory early if the adaptive
     controller underflows its minimum step or MAX_STEPS runs out before
-    t_end.  The optional stop(t, x) ends the run at the first accepted node
-    where it is true, which is then the last node of the trajectory; the
-    initial node is not tested.  An UnresolvedSingularityError raised by fn
-    or stop leaves with the nodes accepted before it as its trajectory.
+    t_end.  The optional stop(t0, x0, f0, t1, x1, f1) sees each accepted
+    step as the two nodes and node derivatives of its cubic Hermite
+    interpolant, and ends the run after the first step where it is true,
+    whose end is then the last node of the trajectory.  An
+    UnresolvedSingularityError raised by fn or stop leaves with the nodes
+    accepted before it as its trajectory.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end < t0:
@@ -365,11 +367,12 @@ def integrate(
             if err <= 1.0:
                 stats.accepted += 1
                 stats.min_step = min(stats.min_step, h)
+                start = t, y, fcur
                 t = t + h
                 y = y_new
                 fcur = f_new if f_new is not None else np.asarray(rhs(t, y), dtype=float)
                 rec.push(t, y, fcur)
-                if stop is not None and stop(t, y):
+                if stop is not None and stop(*start, t, y, fcur):
                     break
                 factor = 0.9 * (err + 1e-16) ** -accept_exp * (err_prev + 1e-16) ** history_exp
                 err_prev = err
@@ -396,8 +399,10 @@ def integrate_filippov(
 ) -> Trajectory:
     """Hybrid orbit of the piecewise system with event bookkeeping.
 
-    Surface hits are located by bisection on the dense interpolant to 1e-12
-    in time and recorded as SigmaHit.  Sliding hits enter the Filippov
+    A segment ends at the first step whose dense interpolant leaves the
+    band on the far side of the surface, at its end node or in between
+    (see _far_side).  The hit is located by bisection on the interpolant to
+    1e-12 in time and recorded as SigmaHit.  Sliding hits enter the Filippov
     combination (SlideEntry) and leave it (SlideExit) where the class test
     stops saying Sliding, along the field whose normal component is the
     smaller there; orbits that merely sew continue on the other side.
@@ -435,10 +440,13 @@ def integrate_filippov(
 
         field_def = system.plus if region > 0 else system.minus
         fn = lambda tt, s: field_def.evaluate(s)
-        crossed = lambda tt, s: s[-1] * region < 0 and abs(s[-1]) > SURFACE_BAND
-        seg = integrate(fn, state, (t, t_end), stop=crossed)
-        # the stop rule ended the segment iff it holds at its last node
-        if not crossed(seg.final_time, seg.final_state):
+        seg = integrate(fn, state, (t, t_end),
+                        stop=lambda *step: _far_side(region, *step) is not None)
+        # the stop rule ended the segment iff it holds on its last step
+        t_far = None if len(seg.times) < 2 else _far_side(
+            region, seg.times[-2], seg.states[-2], seg.derivs[-2],
+            seg.times[-1], seg.states[-1], seg.derivs[-1])
+        if t_far is None:
             _append(orbit, seg)
             break  # reached t_end, or failed
 
@@ -446,7 +454,7 @@ def integrate_filippov(
         if abs(seg.states[-2][-1]) <= SURFACE_BAND:
             # launched from the surface; cut where the orbit clears the band
             target = -region * SURFACE_BAND / 2.0
-        t = _locate(seg, lambda tt, s: float(s[-1]) - target)
+        t = _locate(seg, lambda tt, s: float(s[-1]) - target, t_far)
         state = seg.sample(t)
         state[-1] = 0.0
         _append(orbit, seg, upto=-1)
@@ -485,7 +493,8 @@ def _slide(system, orbit, t, state, t_end):
         return combo[1][:-1]
 
     try:
-        seg = integrate(fn, state[:-1], (t, t_end), stop=lambda tt, x: margin(tt, x) <= 0.0)
+        seg = integrate(fn, state[:-1], (t, t_end),
+                        stop=lambda t0, x0, f0, t1, x1, f1: margin(t1, x1) <= 0.0)
     except UnresolvedSingularityError as exc:
         _append(orbit, exc.trajectory)  # the nodes integrate accepted before the pole
         _fail(orbit, exc.time, exc.state)
@@ -522,12 +531,52 @@ def _append(orbit: _Recorder, seg: Trajectory, upto: int | None = None) -> None:
     orbit.stats.add(seg.stats)
 
 
-def _locate(seg: Trajectory, g: Callable[[float, np.ndarray], float]) -> float:
-    """A time in the last step of seg where g(t, seg.sample(t)) changes sign."""
+def _locate(
+    seg: Trajectory, g: Callable[[float, np.ndarray], float], t_hi: float | None = None
+) -> float:
+    """A time where g(t, seg.sample(t)) changes sign, in the last step of
+    seg or, given t_hi, between its start and t_hi."""
     return bisect_sign_change(
-        lambda tt: g(tt, seg.sample(tt)), float(seg.times[-2]), float(seg.times[-1]),
-        EVENT_TIME_TOL,
+        lambda tt: g(tt, seg.sample(tt)), float(seg.times[-2]),
+        float(seg.times[-1] if t_hi is None else t_hi), EVENT_TIME_TOL,
     )
+
+
+def _far_side(region, t0, y0, f0, t1, y1, f1) -> float | None:
+    """Where the step's interpolant first lies beyond the band on the far
+    side of the surface from ``region``, or None if it stays on this side.
+
+    The step's end node is tested first, then the interior extrema of the
+    cubic Hermite y-interpolant in time order: the roots in (0, 1) of its
+    derivative, a quadratic in s = (t - t0)/(t1 - t0).  An explicit step
+    can be long enough for y to dip through the surface and come back
+    between two nodes, and the extremum then marks the far side.
+    """
+    beyond = lambda v: v * region < 0 and abs(v) > SURFACE_BAND
+    if beyond(y1[-1]):
+        return t1
+    h = t1 - t0
+    p0, p1, d0, d1 = float(y0[-1]), float(y1[-1]), h * float(f0[-1]), h * float(f1[-1])
+    # the derivative a s^2 + b s + c of the interpolant in s
+    a = 3.0 * (2.0 * (p0 - p1) + d0 + d1)
+    b = -2.0 * (3.0 * (p0 - p1) + 2.0 * d0 + d1)
+    c = d0
+    if a == 0.0:
+        roots = [-c / b] if b != 0.0 else []
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            return None
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        roots = [q / a, c / q] if q != 0.0 else []  # q = 0: a double root at s = 0
+    for s in sorted(roots):
+        if 0.0 < s < 1.0:
+            s2, s3 = s * s, s * s * s
+            v = ((2 * s3 - 3 * s2 + 1) * p0 + (s3 - 2 * s2 + s) * d0
+                 + (-2 * s3 + 3 * s2) * p1 + (s3 - s2) * d1)
+            if beyond(v):
+                return t0 + s * h
+    return None
 
 
 def _fail(orbit: _Recorder, t: float, state: np.ndarray):

@@ -14,12 +14,42 @@ Trees are immutable and compare structurally.  The only rewriting ever
 applied is constant folding (including the neutral-element cases 0 + e,
 1 * e, 0 * e, e^0, e^1), which keeps derivative output readable without
 turning this into a simplifier.
+
+Compilation
+-----------
+evaluate() walks a tree node by node.  The hot callers (field components,
+their Jacobians, the normal traces, a custom transition and its
+derivatives) instead call compile(exprs, names) once and then the function
+it returns, one straight-line Python function of positional floats that
+returns the tuple of evaluate(e, bindings) for every tree:
+
+- **Bit for bit.** It runs the same float operations in the same order:
+  the math module's sin, cos, exp, tanh and sqrt, abs, sgn, ** with the
+  integer exponent, and the four arithmetic operators, after float() of
+  each variable it reads.
+- **Errors unchanged.** Where a Python operation raises ArithmeticError or
+  ValueError (division by zero, 0^-2, sqrt(-1), overflow, sin(inf)), the
+  function evaluates the trees again with evaluate() on the same values,
+  which raises the DomainError, or lets the bare exception escape, exactly
+  as a tree walk does.
+- **Cached by shape.** No name or number from the trees enters the
+  generated source: variables are the positional slots v0, v1, ... in the
+  order of ``names``, constants and exponents are the keyword-only
+  arguments c0, c1, ... (so an extra positional argument is a TypeError,
+  not a constant overwritten), and functions come from a fixed namespace.
+  The source depends only on the shape of the trees, and its code object
+  is kept in a bounded LRU cache, so the same shape with other constants
+  costs no call of Python's compiler.
 """
 
 from __future__ import annotations
 
+import builtins
+import functools
 import math
+import types
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 Bindings = dict[str, float]
 
@@ -391,6 +421,94 @@ def evaluate(e: Expr, bindings: Bindings) -> float:
     if isinstance(e, Pow):
         return _pow_value(evaluate(e.base, bindings), e.exponent)
     raise TypeError(f"not an expression: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# compilation
+
+COMPILE_CACHE_SIZE = 256  # code objects kept, one per distinct tree shape
+
+# the functions generated code may call; nothing else is looked up by name
+_NAMESPACE = {
+    "f_sin": math.sin, "f_cos": math.cos, "f_exp": math.exp, "f_tanh": math.tanh,
+    "f_sqrt": math.sqrt, "f_abs": abs, "f_sgn": _sgn,
+}
+
+
+def compile(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[..., tuple[float, ...]]:
+    """A function f(*values) equal to tuple(evaluate(e, bindings) for e in exprs).
+
+    ``bindings`` maps names[i] to values[i]; every variable of ``exprs``
+    must be one of ``names`` (UnboundVariableError otherwise, raised here).
+    See the module docstring for what the function guarantees.
+    """
+    exprs = tuple(exprs)
+    names = tuple(names)
+    slots = {name: f"v{i}" for i, name in enumerate(names)}
+    consts: list[float | int] = []
+    body: list[str] = []
+    read: dict[str, None] = {}  # slots in order of first use
+
+    def const_slot(value) -> str:
+        consts.append(value)
+        return f"c{len(consts) - 1}"
+
+    def emit(e: Expr) -> str:
+        if isinstance(e, Const):
+            return const_slot(e.value)
+        if isinstance(e, Var):
+            if e.name not in slots:
+                raise UnboundVariableError(e.name)
+            read[slots[e.name]] = None
+            return slots[e.name]
+        if isinstance(e, Unary):
+            a = emit(e.arg)
+            if e.op == "neg":
+                rhs = f"-{a}"
+            elif e.op in FUNCTIONS:
+                rhs = f"f_{e.op}({a})"
+            else:
+                raise ValueError(f"unknown function {e.op!r}")
+        elif isinstance(e, Binary):
+            if e.op not in ("+", "-", "*", "/"):
+                raise ValueError(f"unknown operator {e.op!r}")
+            a = emit(e.left)
+            rhs = f"{a} {e.op} {emit(e.right)}"
+        elif isinstance(e, Pow):
+            rhs = f"{emit(e.base)} ** {const_slot(e.exponent)}"
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+        body.append(f"r{len(body)} = {rhs}")
+        return f"r{len(body) - 1}"
+
+    results = [emit(e) for e in exprs]
+    params = [f"v{i}" for i in range(len(names))]
+    keywords = [f"c{k}" for k in range(len(consts))] + ["walk"]
+    lines = [
+        f"def compiled({', '.join(params + ['*'] + keywords)}):",
+        "    try:",
+        *(f"        {v} = float({v})" for v in read),
+        *(f"        {line}" for line in body),
+        f"        return ({''.join(r + ', ' for r in results)})",
+        "    except (ArithmeticError, ValueError):",
+        f"        return walk({', '.join(params)})",
+    ]
+
+    def walk(*values):
+        bindings = dict(zip(names, values))
+        return tuple(evaluate(e, bindings) for e in exprs)
+
+    fn = types.FunctionType(_code("\n".join(lines)), _NAMESPACE, "compiled")
+    fn.__kwdefaults__ = dict(zip(keywords, consts + [walk]))
+    return fn
+
+
+@functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _code(source: str) -> types.CodeType:
+    """The code object of the one function that ``source`` defines."""
+    scope: dict[str, object] = {}
+    exec(builtins.compile(source, "<filippov.expr.compile>", "exec"), {}, scope)
+    return scope["compiled"].__code__
 
 
 # ---------------------------------------------------------------------------

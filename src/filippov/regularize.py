@@ -108,15 +108,13 @@ def monotone_breaks(
     the critical point that bisecting ``slope`` finds in its two cells.
     Only turns closer together than a cell are missed.
     """
-    fs = [f(t) for t in ts]
-    breaks, values = list(ts), list(fs)
-    for k in range(1, len(ts) - 1):
-        if (fs[k] - fs[k - 1]) * (fs[k + 1] - fs[k]) < 0.0:
-            da = slope(ts[k - 1])
-            if da * slope(ts[k + 1]) < 0.0:
-                breaks[k] = bisect_sign_change(
-                    slope, ts[k - 1], ts[k + 1], ROOT_BISECTION_TOL, fa=da)
-                values[k] = f(breaks[k])
+    breaks, values = list(ts), [f(t) for t in ts]
+    rise = np.diff(values)
+    for k in (np.flatnonzero(rise[:-1] * rise[1:] < 0.0) + 1).tolist():
+        da = slope(ts[k - 1])
+        if da * slope(ts[k + 1]) < 0.0:
+            breaks[k] = bisect_sign_change(slope, ts[k - 1], ts[k + 1], ROOT_BISECTION_TOL, fa=da)
+            values[k] = f(breaks[k])
     return breaks, values
 
 
@@ -130,13 +128,14 @@ def monotone_zeros(
     lie beyond tol with opposite signs holds one zero, which bisection
     finds.  A NaN value is no zero, and a piece with a NaN end holds none.
     """
-    out = []
-    for k, (b, v) in enumerate(zip(breaks, values)):
-        if abs(v) <= tol:
-            out.append(b)
-        elif k + 1 < len(breaks) and abs(values[k + 1]) > tol and v * values[k + 1] < 0.0:
-            out.append(bisect_sign_change(f, b, breaks[k + 1], ROOT_BISECTION_TOL, fa=v))
-    return out
+    vs = np.asarray(values, dtype=float)
+    size = np.abs(vs)
+    far = size > tol  # not the complement of the zero test: a NaN is neither
+    hit = size <= tol  # a zero at the break, or below, a zero in the piece it starts
+    hit[:-1] |= far[:-1] & far[1:] & (vs[:-1] * vs[1:] < 0.0)
+    return [breaks[k] if abs(values[k]) <= tol else bisect_sign_change(
+                f, breaks[k], breaks[k + 1], ROOT_BISECTION_TOL, fa=values[k])
+            for k in np.flatnonzero(hit).tolist()]
 
 
 class TransitionFunction:
@@ -293,7 +292,6 @@ class Custom(TransitionFunction):
             raise ValidationFailure(
                 f"custom transition uses unknown variables {sorted(extra)}"
             )
-        self._deriv = ex.differentiate(self.expression, "t")
         # a psi that uses no tangential coordinate is sampled once
         self._x_free = not ex.free_vars(self.expression) & set(self.x_names)
         self._breaks: tuple[list[float], list[float]] | None = None
@@ -310,40 +308,45 @@ class Custom(TransitionFunction):
         """Bisection on the pieces where psi is monotone, between the breaks
         monotone_breaks puts on a grid of GRID_CELLS cells (the symbolic psi'
         locates the turns).  A break where |psi - r| <= ZERO_TOL is a preimage."""
+        xs = tuple(x[:len(self.x_names)])
+        psi = lambda t: self._core(t, xs)  # every t here lies in the band
         if self._breaks is not None:
             breaks, psis = self._breaks
         else:
             breaks, psis = monotone_breaks(
-                lambda t: self.value(t, x), lambda t: self._core_d(t, x),
+                psi, lambda t: self._core_d(t, xs),
                 np.linspace(-1.0, 1.0, GRID_CELLS + 1).tolist())
             if self._x_free:
                 self._breaks = breaks, psis
-        return monotone_zeros(
-            lambda t: self.value(t, x) - r, breaks, [p - r for p in psis], ZERO_TOL)
+        return monotone_zeros(lambda t: psi(t) - r, breaks, np.subtract(psis, r), ZERO_TOL)
 
-    def _bindings(self, t: float, x: Sequence[float]) -> ex.Bindings:
-        b: ex.Bindings = {"t": t}
-        for name, v in zip(self.x_names, x):
-            b[name] = float(v)
-        return b
-
-    def _core(self, t, x):
-        return ex.evaluate(self.expression, self._bindings(t, x))
-
-    def _core_d(self, t, x):
-        return ex.evaluate(self._deriv, self._bindings(t, x))
+    # psi and its derivatives are compiled on first use, in (t, x_1, ...);
+    # x beyond x_names is ignored
+    @cached_property
+    def _psi(self):
+        return ex.compile((self.expression,), ("t",) + self.x_names)
 
     @cached_property
-    def _deriv_x(self) -> tuple[ex.Expr, ...]:
-        # built on first use: only the stiff integrator needs them
-        return tuple(ex.differentiate(self.expression, name) for name in self.x_names)
+    def _dpsi_dt(self):
+        return ex.compile((ex.differentiate(self.expression, "t"),), ("t",) + self.x_names)
+
+    @cached_property
+    def _dpsi_dx(self):
+        # only the stiff integrator needs it
+        return ex.compile([ex.differentiate(self.expression, name) for name in self.x_names],
+                          ("t",) + self.x_names)
+
+    def _core(self, t, x):
+        return self._psi(t, *x[:len(self.x_names)])[0]
+
+    def _core_d(self, t, x):
+        return self._dpsi_dt(t, *x[:len(self.x_names)])[0]
 
     def deriv_x(self, t, x=()):
         out = np.zeros(len(x))
         if -1.0 < t < 1.0:  # psi is constant outside the band
-            b = self._bindings(t, x)
-            for i, d in enumerate(self._deriv_x[:len(x)]):
-                out[i] = ex.evaluate(d, b)
+            grad = self._dpsi_dx(t, *x[:len(self.x_names)])
+            out[:len(grad)] = grad
         return out
 
 

@@ -66,26 +66,29 @@ class VectorFieldDef:
     def dim(self) -> int:
         return len(self.coords)
 
-    def bindings(self, point: Sequence[float]) -> ex.Bindings:
+    def _point(self, point: Sequence[float]) -> list[float]:
         pt = np.asarray(point, dtype=float)
         if pt.shape != (self.dim,):
             raise ValueError(f"expected point of dimension {self.dim}, got shape {pt.shape}")
-        return dict(zip(self.coords, pt.tolist()))
-
-    def evaluate(self, point: Sequence[float]) -> np.ndarray:
-        b = self.bindings(point)
-        return np.array([ex.evaluate(c, b) for c in self.components], dtype=float)
+        return pt.tolist()
 
     @cached_property
-    def _partials(self) -> tuple[tuple[ex.Expr, ...], ...]:
+    def _components(self):
+        return ex.compile(self.components, self.coords)
+
+    def evaluate(self, point: Sequence[float]) -> np.ndarray:
+        return np.array(self._components(*self._point(point)), dtype=float)
+
+    @cached_property
+    def _partials(self):
         # built on first use: only the stiff integrator needs them
-        return tuple(tuple(ex.differentiate(c, name) for name in self.coords)
-                     for c in self.components)
+        return ex.compile([ex.differentiate(c, name) for c in self.components
+                           for name in self.coords], self.coords)
 
     def jacobian(self, point: Sequence[float]) -> np.ndarray:
         """The matrix d(components[i])/d(coords[j]) at a chart point."""
-        b = self.bindings(point)
-        return np.array([[ex.evaluate(d, b) for d in row] for row in self._partials], dtype=float)
+        partials = self._partials(*self._point(point))
+        return np.array(partials, dtype=float).reshape(self.dim, self.dim)
 
 
 def field_from_strings(coords: Sequence[str], components: Sequence[str]) -> VectorFieldDef:
@@ -139,11 +142,13 @@ class PiecewiseSystem:
             raise ValueError(f"expected {self.dim - 1} tangential coordinates, got {len(xs)}")
         return xs
 
+    @cached_property
+    def _normal_traces(self):
+        return ex.compile(self.normal_traces, self.x_names)
+
     def normal_components_on_sigma(self, x: Sequence[float] | float) -> tuple[float, float]:
         """(a_plus, a_minus) evaluated at (x, 0)."""
-        b = dict(zip(self.x_names, self.tangential(x)))
-        b[self.y_name] = 0.0
-        return ex.evaluate(self.normal_traces[0], b), ex.evaluate(self.normal_traces[1], b)
+        return self._normal_traces(*self.tangential(x))
 
 
 def system_from_strings(

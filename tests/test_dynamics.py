@@ -123,8 +123,8 @@ def test_stop_ends_at_first_accepted_node_where_true():
     full = integrate(fn, (0.0,), (0.0, 10.0))
     seen = []
 
-    def stop(t, y):
-        seen.append(t)
+    def stop(t0, y0, f0, t, y, f):
+        seen.append((t0, y0[0], f0[0], t, y[0], f[0]))
         return y[0] > 2.0
 
     traj = integrate(fn, (0.0,), (0.0, 10.0), stop=stop)
@@ -132,8 +132,9 @@ def test_stop_ends_at_first_accepted_node_where_true():
     assert np.array_equal(traj.times, full.times[: first + 1])
     assert traj.final_state[0] > 2.0 >= traj.states[-2, 0]
     assert traj.events == []
-    # asked once per accepted node, never for the initial one
-    assert seen == traj.times[1:].tolist()
+    # asked once per accepted step, with the nodes and derivatives at its two ends
+    nodes = list(zip(traj.times.tolist(), traj.states[:, 0].tolist(), traj.derivs[:, 0].tolist()))
+    assert seen == [a + b for a, b in zip(nodes, nodes[1:])]
 
 
 def test_bisection_stops_when_floats_run_out():
@@ -381,6 +382,8 @@ HYBRID_ORBITS = {
         pole_beyond_fold(), (-0.730693, 0.37356), (0.0, 16972.055779620172)),
     "slide_past_the_fold": lambda: integrate_filippov(
         steep_fold(), (-1.257586, 0.693241), (0.0, 62.75512313868072)),
+    "dip_between_nodes": lambda: integrate_filippov(
+        shallow_fold(), (-1.248522, 1.152954), (0.0, 767.467)),
 }
 
 
@@ -406,6 +409,17 @@ def steep_fold():
         ("x", "y"),
         ("0.0256337*1", "0.0256337*2.666149*(x + 0.257586)"),
         ("0.0256337*1", "0.0256337*0.60001"),
+    )
+
+
+def shallow_fold():
+    # polynomial fields: the step grows fivefold per step, and one step
+    # from y = 0.204 to y = 0.110 passes over the dip of the exact orbit
+    # to y = -0.317
+    return system_from_strings(
+        ("x", "y"),
+        ("0.00200522*1", "0.00200522*2.94085*(x + 0.248522)"),
+        ("0.00200522*1", "0.00200522*0.925704"),
     )
 
 
@@ -438,6 +452,18 @@ def test_slide_exit_is_not_bisected_onto_the_weight_pole():
     # after the exit the orbit follows X_plus: y = k/2 (x - fold)^2
     x, y = traj.final_state
     assert y == pytest.approx(0.5 * 2.666149 * (x + 0.257586) ** 2, rel=1e-6)
+
+
+def test_crossing_between_two_nodes_is_found():
+    # no node of the step lay beyond the surface, so the orbit recorded no
+    # event and ended at y = 0.1096 on X_plus, the wrong side of its slide
+    t_end = 767.467
+    traj = integrate_filippov(shallow_fold(), (-1.248522, 1.152954), (0.0, t_end))
+    _assert_exits_at_fold(traj, -0.248522, t_end)
+    # x moves at 0.00200522 on both fields; after the fold exit y = k/2 (x - fold)^2
+    x_end = -1.248522 + 0.00200522 * t_end
+    assert traj.final_state[0] == pytest.approx(x_end, abs=1e-6)
+    assert traj.final_state[1] == pytest.approx(0.5 * 2.94085 * (x_end + 0.248522) ** 2, abs=1e-6)
 
 
 def test_integrate_error_carries_its_accepted_nodes():
