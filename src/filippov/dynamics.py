@@ -1,20 +1,17 @@
 """Numerical integration of smooth, regularized and hybrid dynamics.
 
-integrate() has two adaptive steppers behind one loop, one error norm and
-one step budget:
+integrate() steps an autonomous field with RODAS4, a linearly implicit
+Rosenbrock pair (Hairer & Wanner, Solving ODEs II, section IV.7) that
+solves one linear system per stage with the caller's exact Jacobian.  The
+regularized field is stiff: inside the band its fast rate is about
+psi'(a_plus - a_minus)/(2 eps), and an explicit pair's stability caps the
+step near eps, so its step count grows like 1/eps.  RODAS4 is L-stable,
+and its step count does not depend on eps.  The smooth segments and slides
+of the hybrid integrator are not stiff, and RODAS4 steps them too: on the
+benchmark's hybrid orbits it takes fewer steps and right-hand-side
+evaluations than an explicit Dormand-Prince 5(4) pair.
 
-- Dormand-Prince 5(4) with PI step control, for fields that are not stiff:
-  the smooth segments and slides of the hybrid integrator.
-- RODAS4, a linearly implicit Rosenbrock pair (Hairer & Wanner, Solving
-  ODEs II, section IV.7), taken when the caller passes the exact Jacobian.
-  The regularized field is stiff: inside the band its fast rate is about
-  psi'(a_plus - a_minus)/(2 eps), and an explicit pair's stability caps
-  the step near eps, so its step count grows like 1/eps.  RODAS4 is
-  L-stable, and its step count does not depend on eps.  On fields that
-  are not stiff it takes more and dearer steps, so the hybrid integrator
-  keeps Dormand-Prince.
-
-Both record node derivatives, so trajectories interpolate with cubic
+Node derivatives are recorded, so trajectories interpolate with cubic
 Hermite polynomials between accepted steps; event location bisects on that
 interpolant.
 
@@ -33,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import expr as ex
 from .regularize import (
     HeightRoot,
     TransitionFunction,
@@ -48,6 +46,7 @@ from .system import (
     SigmaClass,
     classify_point,
     filippov_combination,
+    filippov_jacobian,
     sliding_margin,
 )
 
@@ -166,21 +165,6 @@ def _hermite(t0, y0, f0, t1, y1, f1, t):
     )
 
 
-# Dormand-Prince 5(4) tableau; the fifth-order solution is propagated and
-# the embedded fourth-order result drives the error estimate
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-
 # RODAS4 in the form of Hairer & Wanner's rodas.f: stage i solves
 #   (I/(h gamma) - J) k_i = f(t + c_i h, y + sum_j a_ij k_j) + sum_j (c_ij/h) k_j
 # for the increment k_i.  The method is stiffly accurate: the last two
@@ -254,28 +238,14 @@ def _initial_step(f, t0, y0, f0, t_end):
 
 def _error_norm(delta, y, y_new) -> float:
     """RMS of delta, each component scaled by ABS_TOL + REL_TOL*|y|."""
-    scale = ABS_TOL + REL_TOL * np.maximum(np.abs(y), np.abs(y_new))
-    return float(np.sqrt(np.mean((delta / scale) ** 2)))
-
-
-def _dormand_prince(fn, dim: int):
-    """One Dormand-Prince 5(4) step: (y_new, error, f(y_new)) from (t, y, f(y), h)."""
-    ks = np.empty((7, dim))
-
-    def step(t, y, f0, h):
-        ks[0] = f0
-        for i in range(1, 7):
-            yi = y + h * (ks[:i].T @ _DP_A[i])
-            ks[i] = fn(t + _DP_C[i] * h, yi)
-        y5 = y + h * (ks.T @ _DP_B5)
-        y4 = y + h * (ks.T @ _DP_B4)
-        return y5, _error_norm(y5 - y4, y, y5), ks[6].copy()  # FSAL
-
-    return step
+    # math on the reduced sum gives the bits of np.sqrt(np.mean(q ** 2)) at
+    # half the cost of the two numpy calls
+    q = delta / (ABS_TOL + REL_TOL * np.maximum(np.abs(y), np.abs(y_new)))
+    return math.sqrt(float((q * q).sum()) / q.size)
 
 
 def _rodas(fn, jac, dim: int, stats: IntegratorStats):
-    """One RODAS4 step: (y_new, error, None) from (t, y, f(y), h).
+    """One RODAS4 step: (y_new, error) from (t, y, f(y), h).
 
     The Jacobian is evaluated once per node and kept through rejections.
     A singular or non-finite stage solve reports an infinite error, so the
@@ -293,15 +263,16 @@ def _rodas(fn, jac, dim: int, stats: IntegratorStats):
         try:
             w = np.linalg.inv(eye / (h * _RO_GAMMA) - jmat)
         except np.linalg.LinAlgError:
-            return y, math.inf, None
+            return y, math.inf
         ks[0] = w @ f0
         for i in range(1, 6):
-            if not np.isfinite(ks[i - 1]).all():
-                return y, math.inf, None
+            # np.isfinite(...).all() gives the same answer at seven times the cost
+            if not all(map(math.isfinite, ks[i - 1].tolist())):
+                return y, math.inf
             yi = y + ks[:i].T @ _RO_A[i]
             ks[i] = w @ (fn(t + _RO_C[i] * h, yi) + (ks[:i].T @ _RO_CC[i]) / h)
         y_new = yi + ks[5]
-        return y_new, _error_norm(ks[5], y, y_new), None
+        return y_new, _error_norm(ks[5], y, y_new)
 
     return step
 
@@ -310,21 +281,24 @@ def integrate(
     fn: Callable[[float, np.ndarray], np.ndarray],
     x0: Sequence[float],
     t_span: tuple[float, float],
-    stop: Callable[[float, np.ndarray], bool] | None = None,
-    jac: Callable[[float, np.ndarray], np.ndarray] | None = None,
+    stop: Callable[..., bool] | None = None,
+    *,
+    jac: Callable[[float, np.ndarray], np.ndarray],
 ) -> Trajectory:
     """Integrate x' = fn(t, x) over t_span, forward in time.
 
-    Steps with Dormand-Prince 5(4), or with RODAS4 when jac(t, x) gives
-    the exact Jacobian d(fn)/dx of an autonomous fn.  Returns the accepted
-    steps; a StepFailure event ends the trajectory early if the adaptive
-    controller underflows its minimum step or MAX_STEPS runs out before
-    t_end.  The optional stop(t0, x0, f0, t1, x1, f1) sees each accepted
-    step as the two nodes and node derivatives of its cubic Hermite
-    interpolant, and ends the run after the first step where it is true,
-    whose end is then the last node of the trajectory.  An
-    UnresolvedSingularityError raised by fn or stop leaves with the nodes
-    accepted before it as its trajectory.
+    Steps with RODAS4.  fn must be autonomous: the stages leave out the
+    d(fn)/dt terms.  jac(t, x) gives the exact Jacobian d(fn)/dx of the
+    stage solves; it is evaluated once per node a step starts from.
+    Returns the accepted steps; a StepFailure event ends the trajectory
+    early if the adaptive controller underflows its minimum step or
+    MAX_STEPS runs out before t_end.  The optional stop(t0, x0, f0, t1,
+    x1, f1) sees each accepted step as the two nodes and node derivatives
+    of its cubic Hermite interpolant, and ends the run after the first
+    step where it is true, whose end is then the last node of the
+    trajectory.  An UnresolvedSingularityError or DomainError raised by
+    fn, jac or stop leaves with the nodes accepted before it as its
+    trajectory.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end < t0:
@@ -343,19 +317,9 @@ def integrate(
     if t_end == t0:
         return rec.build()
 
-    if jac is None:
-        step = _dormand_prince(rhs, y.size)
-        # PI controller, conservative enough that the propagated
-        # fifth-order solution stays well inside the tolerances
-        accept_exp, history_exp, reject_exp = 0.14, 0.08, 0.2
-    else:
-        step = _rodas(rhs, jac, y.size, stats)
-        # the elementary rule for an order-4 error estimate; on the stiff
-        # fold orbits a PI history term took 30-60% more steps
-        accept_exp, history_exp, reject_exp = 0.25, 0.0, 0.25
+    step = _rodas(rhs, jac, y.size, stats)
     try:
         h = _initial_step(rhs, t, y, fcur, t_end)
-        err_prev = 1.0
         for _ in range(MAX_STEPS):
             if t >= t_end:
                 break
@@ -363,27 +327,29 @@ def integrate(
             if h < MIN_STEP:
                 rec.event(t, y, EventKind.STEP_FAILURE)
                 break
-            y_new, err, f_new = step(t, y, fcur, h)
+            y_new, err = step(t, y, fcur, h)
             if err <= 1.0:
                 stats.accepted += 1
                 stats.min_step = min(stats.min_step, h)
                 start = t, y, fcur
-                t = t + h
+                # a step cut at the end lands on t_end: t + (t_end - t) can
+                # miss it by an ulp, leaving a gap below MIN_STEP
+                t = t_end if h >= t_end - t else t + h
                 y = y_new
-                fcur = f_new if f_new is not None else np.asarray(rhs(t, y), dtype=float)
+                fcur = np.asarray(rhs(t, y), dtype=float)
                 rec.push(t, y, fcur)
                 if stop is not None and stop(*start, t, y, fcur):
                     break
-                factor = 0.9 * (err + 1e-16) ** -accept_exp * (err_prev + 1e-16) ** history_exp
-                err_prev = err
-                h *= min(5.0, max(0.2, factor))
             else:
                 stats.rejected += 1
-                h *= max(0.2, 0.9 * err ** -reject_exp)
+            # the elementary rule for an order-4 error estimate, on accepted
+            # and rejected steps alike; on the stiff fold orbits a PI history
+            # term took 30-60% more steps
+            h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.25))
         else:
             if t < t_end:  # MAX_STEPS ran out
                 rec.event(t, y, EventKind.STEP_FAILURE)
-    except UnresolvedSingularityError as exc:
+    except (UnresolvedSingularityError, ex.DomainError) as exc:
         exc.trajectory = rec.build()
         raise
     return rec.build()
@@ -406,8 +372,9 @@ def integrate_filippov(
     combination (SlideEntry) and leave it (SlideExit) where the class test
     stops saying Sliding, along the field whose normal component is the
     smaller there; orbits that merely sew continue on the other side.
-    Singular hits append a terminal event and raise
-    UnresolvedSingularityError carrying the partial trajectory.
+    A singular hit raises UnresolvedSingularityError, and a field outside
+    its domain DomainError; either leaves with the orbit up to its last
+    node, ended by a StepFailure event, as its trajectory.
     """
     state = np.asarray(x0, dtype=float).copy()
     t, t_end = float(t_span[0]), float(t_span[1])
@@ -419,54 +386,65 @@ def integrate_filippov(
         )
     orbit = _Recorder(system.dim)
     exit_side = 0  # the field a slide exit leaves along, for the next segment
-    for _ in range(MAX_EVENTS):
-        if t >= t_end - EVENT_TIME_TOL:
-            break
-        region, exit_side = exit_side, 0
-        if not region and abs(state[-1]) <= SURFACE_BAND:
-            verdict = classify_point(system, state[:-1])
-            if verdict == SigmaClass.SLIDING:
-                orbit.event(t, state, EventKind.SLIDE_ENTRY)
-                t, state, exit_side = _slide(system, orbit, t, state, t_end)
-                if not exit_side:
-                    break  # reached t_end (or failed) while sliding
-                continue
-            if verdict == SigmaClass.SIGMA_SINGULAR:
-                _fail(orbit, t, state)
-            a_plus, _ = system.normal_components_on_sigma(state[:-1])
-            region = 1 if a_plus > 0 else -1
-        elif not region:
-            region = 1 if state[-1] > 0 else -1
+    try:
+        for _ in range(MAX_EVENTS):
+            if t >= t_end - EVENT_TIME_TOL:
+                break
+            region, exit_side = exit_side, 0
+            if not region and abs(state[-1]) <= SURFACE_BAND:
+                verdict = classify_point(system, state[:-1])
+                if verdict == SigmaClass.SLIDING:
+                    orbit.event(t, state, EventKind.SLIDE_ENTRY)
+                    t, state, exit_side = _slide(system, orbit, t, state, t_end)
+                    if not exit_side:
+                        break  # reached t_end (or failed) while sliding
+                    continue
+                if verdict == SigmaClass.SIGMA_SINGULAR:
+                    raise UnresolvedSingularityError(t, state, None)
+                a_plus, _ = system.normal_components_on_sigma(state[:-1])
+                region = 1 if a_plus > 0 else -1
+            elif not region:
+                region = 1 if state[-1] > 0 else -1
 
-        field_def = system.plus if region > 0 else system.minus
-        fn = lambda tt, s: field_def.evaluate(s)
-        seg = integrate(fn, state, (t, t_end),
-                        stop=lambda *step: _far_side(region, *step) is not None)
-        # the stop rule ended the segment iff it holds on its last step
-        t_far = None if len(seg.times) < 2 else _far_side(
-            region, seg.times[-2], seg.states[-2], seg.derivs[-2],
-            seg.times[-1], seg.states[-1], seg.derivs[-1])
-        if t_far is None:
-            _append(orbit, seg)
-            break  # reached t_end, or failed
+            field_def = system.plus if region > 0 else system.minus
+            fn = lambda tt, s: field_def.evaluate(s)
+            seg = integrate(fn, state, (t, t_end),
+                            stop=lambda *step: _far_side(region, *step) is not None,
+                            jac=lambda tt, s: field_def.jacobian(s))
+            # the stop rule ended the segment iff it holds on its last step
+            t_far = None if len(seg.times) < 2 else _far_side(
+                region, seg.times[-2], seg.states[-2], seg.derivs[-2],
+                seg.times[-1], seg.states[-1], seg.derivs[-1])
+            if t_far is None:
+                _append(orbit, seg)
+                break  # reached t_end, or failed
 
-        target = 0.0
-        if abs(seg.states[-2][-1]) <= SURFACE_BAND:
-            # launched from the surface; cut where the orbit clears the band
-            target = -region * SURFACE_BAND / 2.0
-        t = _locate(seg, lambda tt, s: float(s[-1]) - target, t_far)
-        state = seg.sample(t)
-        state[-1] = 0.0
-        _append(orbit, seg, upto=-1)
-        orbit.push(t, state, fn(t, state))
-        orbit.event(t, state, EventKind.SIGMA_HIT)
-        if classify_point(system, state[:-1]) == SigmaClass.SIGMA_SINGULAR:
-            _fail(orbit, t, state)
-        # Sliding: the loop re-enters through the surface branch above.
-        # Sewing: the surface branch picks the receiving side from a_plus.
-    else:
-        if t < t_end - EVENT_TIME_TOL:  # max_events ran out
-            orbit.event(t, state, EventKind.STEP_FAILURE)
+            target = 0.0
+            if abs(seg.states[-2][-1]) <= SURFACE_BAND:
+                # launched from the surface; cut where the orbit clears the band
+                target = -region * SURFACE_BAND / 2.0
+            t = _locate(seg, lambda tt, s: float(s[-1]) - target, t_far)
+            state = seg.sample(t)
+            state[-1] = 0.0
+            _append(orbit, seg, upto=-1)
+            orbit.push(t, state, fn(t, state))
+            orbit.event(t, state, EventKind.SIGMA_HIT)
+            if classify_point(system, state[:-1]) == SigmaClass.SIGMA_SINGULAR:
+                raise UnresolvedSingularityError(t, state, None)
+            # Sliding: the loop re-enters through the surface branch above.
+            # Sewing: the surface branch picks the receiving side from a_plus.
+        else:
+            if t < t_end - EVENT_TIME_TOL:  # max_events ran out
+                orbit.event(t, state, EventKind.STEP_FAILURE)
+    except (UnresolvedSingularityError, ex.DomainError) as exc:
+        # end the orbit at its last node with a StepFailure, and leave with it
+        if exc.trajectory is not None:  # the nodes integrate accepted before the error
+            _append(orbit, exc.trajectory)
+        if orbit.times:
+            t, state = orbit.times[-1], orbit.states[-1]
+        orbit.event(t, state, EventKind.STEP_FAILURE)
+        exc.trajectory = _close(orbit, t, state)
+        raise
     return _close(orbit, t, state)
 
 
@@ -479,8 +457,8 @@ def _slide(system, orbit, t, state, t_end):
     X_plus when |a_plus| <= |a_minus| there, and along X_minus otherwise.
     The margin has no pole, so the exit is never bisected onto the pole
     a_plus = a_minus of the Filippov weight; a right-hand side evaluated on
-    that pole fails the orbit, after the slide's nodes up to it have joined
-    the orbit.
+    that pole raises UnresolvedSingularityError with the slide's nodes up
+    to it.
     """
     margin = lambda tt, x: sliding_margin(system, x)
 
@@ -492,12 +470,10 @@ def _slide(system, orbit, t, state, t_end):
             raise UnresolvedSingularityError(tt, np.append(x, 0.0), None)
         return combo[1][:-1]
 
-    try:
-        seg = integrate(fn, state[:-1], (t, t_end),
-                        stop=lambda t0, x0, f0, t1, x1, f1: margin(t1, x1) <= 0.0)
-    except UnresolvedSingularityError as exc:
-        _append(orbit, exc.trajectory)  # the nodes integrate accepted before the pole
-        _fail(orbit, exc.time, exc.state)
+    # fn has been evaluated at every node jac sees, so jac never meets the pole
+    seg = integrate(fn, state[:-1], (t, t_end),
+                    stop=lambda t0, x0, f0, t1, x1, f1: margin(t1, x1) <= 0.0,
+                    jac=lambda tt, x: filippov_jacobian(system, x))
     if margin(seg.final_time, seg.final_state) > 0.0:
         _append(orbit, seg)
         return seg.final_time, np.append(seg.final_state, 0.0), 0
@@ -548,9 +524,9 @@ def _far_side(region, t0, y0, f0, t1, y1, f1) -> float | None:
 
     The step's end node is tested first, then the interior extrema of the
     cubic Hermite y-interpolant in time order: the roots in (0, 1) of its
-    derivative, a quadratic in s = (t - t0)/(t1 - t0).  An explicit step
-    can be long enough for y to dip through the surface and come back
-    between two nodes, and the extremum then marks the far side.
+    derivative, a quadratic in s = (t - t0)/(t1 - t0).  A step can be
+    long enough for y to dip through the surface and come back between
+    two nodes, and the extremum then marks the far side.
     """
     beyond = lambda v: v * region < 0 and abs(v) > SURFACE_BAND
     if beyond(y1[-1]):
@@ -577,12 +553,6 @@ def _far_side(region, t0, y0, f0, t1, y1, f1) -> float | None:
             if beyond(v):
                 return t0 + s * h
     return None
-
-
-def _fail(orbit: _Recorder, t: float, state: np.ndarray):
-    """End the orbit with a StepFailure and raise with what was computed."""
-    orbit.event(t, state, EventKind.STEP_FAILURE)
-    raise UnresolvedSingularityError(t, state, _close(orbit, t, state))
 
 
 def _close(orbit: _Recorder, t: float, state: np.ndarray) -> Trajectory:

@@ -77,7 +77,8 @@ class UnboundVariableError(ExprError):
 
 
 class DomainError(ExprError):
-    pass
+    # an integrator that meets the error attaches the nodes it computed
+    trajectory = None
 
 
 @dataclass(frozen=True)

@@ -439,7 +439,7 @@ def height(
 ) -> tuple[float, float]:
     """(h, dh/dt) at surface point x and stretched coordinate t."""
     xs = system.tangential(x)
-    a_plus, a_minus = system.normal_components_on_sigma(xs)
+    a_plus, a_minus = system._normal_traces(*xs)
     diff = a_plus - a_minus
     return transition.value(t, xs) * diff + (a_plus + a_minus), transition.deriv_t(t, xs) * diff
 
@@ -472,7 +472,7 @@ def height_roots(
     DegenerateInterval over the band if it is 0.
     """
     xs = system.tangential(x)
-    a_plus, a_minus = system.normal_components_on_sigma(xs)
+    a_plus, a_minus = system._normal_traces(*xs)
     if not (math.isfinite(a_plus) and math.isfinite(a_minus)):
         raise ex.DomainError(f"normal components {a_plus}, {a_minus} at x = {xs} are not finite")
     diff, tot = a_plus - a_minus, a_plus + a_minus

@@ -19,6 +19,7 @@ from filippov.dynamics import (
 )
 from filippov.cli import run_command
 from filippov.config import load_config
+from filippov.expr import DomainError
 from filippov.regularize import (
     Biased,
     Smoothstep,
@@ -38,23 +39,28 @@ def fold():
 # smooth integration
 
 
+def oscillator():
+    """x'' = -x as a first-order field and its Jacobian."""
+    return (lambda t, y: np.array([y[1], -y[0]]),
+            lambda t, y: np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
 def test_harmonic_oscillator_energy():
-    fn = lambda t, y: np.array([y[1], -y[0]])
-    traj = integrate(fn, (1.0, 0.0), (0.0, 2 * math.pi))
+    fn, jac = oscillator()
+    traj = integrate(fn, (1.0, 0.0), (0.0, 2 * math.pi), jac=jac)
     energy = 0.5 * (traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2)
     assert np.max(np.abs(energy - 0.5)) < 1e-7
     assert np.linalg.norm(traj.final_state - [1.0, 0.0]) < 1e-7
 
 
 def test_exponential_accuracy():
-    fn = lambda t, y: y
-    traj = integrate(fn, (1.0,), (0.0, 1.0))
+    traj = integrate(lambda t, y: y, (1.0,), (0.0, 1.0), jac=lambda t, y: [[1.0]])
     assert traj.final_state[0] == pytest.approx(math.e, rel=1e-8)
 
 
 def test_dense_output():
-    fn = lambda t, y: np.array([y[1], -y[0]])
-    traj = integrate(fn, (1.0, 0.0), (0.0, math.pi))
+    fn, jac = oscillator()
+    traj = integrate(fn, (1.0, 0.0), (0.0, math.pi), jac=jac)
     for t in np.linspace(0, math.pi, 37):
         got = traj.sample(float(t))
         assert got[0] == pytest.approx(math.cos(t), abs=1e-6)
@@ -67,19 +73,18 @@ def test_dense_output():
 
 
 def test_span_validation():
-    fn = lambda t, y: y
+    fn, jac = (lambda t, y: y), (lambda t, y: [[1.0]])
     with pytest.raises(ValueError):
-        integrate(fn, (1.0,), (1.0, 0.0))
+        integrate(fn, (1.0,), (1.0, 0.0), jac=jac)
     # degenerate span returns the single initial node
-    traj = integrate(fn, (1.0,), (0.5, 0.5))
+    traj = integrate(fn, (1.0,), (0.5, 0.5), jac=jac)
     assert len(traj.times) == 1
     assert traj.final_time == 0.5
 
 
 def test_step_failure_near_blowup():
     # y' = y^2 from 1 explodes at t = 1; the controller gives up cleanly
-    fn = lambda t, y: y * y
-    traj = integrate(fn, (1.0,), (0.0, 2.0))
+    traj = integrate(lambda t, y: y * y, (1.0,), (0.0, 2.0), jac=lambda t, y: [[2.0 * y[0]]])
     assert traj.events
     assert traj.events[-1].kind == EventKind.STEP_FAILURE
     assert traj.final_time < 2.0
@@ -87,47 +92,56 @@ def test_step_failure_near_blowup():
 
 
 def test_step_failure_when_max_steps_runs_out(monkeypatch):
+    fn, jac = (lambda t, y: -y), (lambda t, y: [[-1.0]])
     monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
-    traj = integrate(lambda t, y: -y, (1.0,), (0.0, 10.0))
+    traj = integrate(fn, (1.0,), (0.0, 10.0), jac=jac)
     assert traj.final_time < 1.0
     assert [e.kind for e in traj.events] == [EventKind.STEP_FAILURE]
     assert traj.events[0].time == traj.final_time
     # a budget that suffices leaves no event
     monkeypatch.undo()
-    assert not integrate(lambda t, y: -y, (1.0,), (0.0, 10.0)).events
+    assert not integrate(fn, (1.0,), (0.0, 10.0), jac=jac).events
+
+
+@pytest.mark.parametrize("t_span", [
+    (0.587851162064913, 6.630109559562878),  # t + (t_end - t) falls an ulp short
+    (0.8814913579141315, 7.194978862342071),  # and here an ulp past
+])
+def test_last_step_lands_on_t_end(t_span):
+    # the last node must be t_end itself: an ulp short, the gap left is
+    # below MIN_STEP and would end the run with a StepFailure
+    traj = integrate(lambda t, y: np.ones(1), (0.0,), t_span, jac=lambda t, y: [[0.0]])
+    assert traj.events == []
+    assert traj.final_time == t_span[1]
+    assert traj.final_state[0] == pytest.approx(t_span[1] - t_span[0], rel=1e-12)
 
 
 def test_stats_count_the_work():
-    fn = lambda t, y: np.array([y[1], -y[0]])
-    jac = lambda t, y: np.array([[0.0, 1.0], [-1.0, 0.0]])
-    explicit = integrate(fn, (1.0, 0.0), (0.0, 2 * math.pi))
-    rosenbrock = integrate(fn, (1.0, 0.0), (0.0, 2 * math.pi), jac=jac)
-    for traj in (explicit, rosenbrock):
-        st = traj.stats
-        assert st.accepted == len(traj.times) - 1
-        assert st.min_step == pytest.approx(np.diff(traj.times).min(), rel=1e-12)
-    # one start evaluation and one initial-step probe, then per attempt six
-    # new stages (Dormand-Prince, whose last one is the next node's
-    # derivative) or five stages plus the node derivative once accepted
-    st = explicit.stats
-    assert (st.rhs_evals, st.jac_evals) == (2 + 6 * (st.accepted + st.rejected), 0)
-    st = rosenbrock.stats
+    fn, jac = oscillator()
+    traj = integrate(fn, (1.0, 0.0), (0.0, 2 * math.pi), jac=jac)
+    st = traj.stats
+    assert st.accepted == len(traj.times) - 1
+    assert st.min_step == pytest.approx(np.diff(traj.times).min(), rel=1e-12)
+    # one start evaluation and one initial-step probe, then per attempt
+    # five stages, plus the node derivative once accepted
     assert st.rhs_evals == 2 + 5 * (st.accepted + st.rejected) + st.accepted
     assert st.jac_evals == st.accepted  # one per node a step starts from
-    assert np.linalg.norm(rosenbrock.final_state - [1.0, 0.0]) < 1e-6
+    assert np.linalg.norm(traj.final_state - [1.0, 0.0]) < 1e-6
 
 
 def test_stop_ends_at_first_accepted_node_where_true():
-    # the oscillating rate keeps the steps short, so y passes 2 between nodes
-    fn = lambda t, y: np.array([2.0 + math.cos(4.0 * t)])
-    full = integrate(fn, (0.0,), (0.0, 10.0))
+    # y' = 2 + cos(4 s) with the clock s' = 1: the oscillating rate keeps
+    # the steps short, so y passes 2 between nodes
+    fn = lambda t, y: np.array([2.0 + math.cos(4.0 * y[1]), 1.0])
+    jac = lambda t, y: np.array([[0.0, -4.0 * math.sin(4.0 * y[1])], [0.0, 0.0]])
+    full = integrate(fn, (0.0, 0.0), (0.0, 10.0), jac=jac)
     seen = []
 
     def stop(t0, y0, f0, t, y, f):
         seen.append((t0, y0[0], f0[0], t, y[0], f[0]))
         return y[0] > 2.0
 
-    traj = integrate(fn, (0.0,), (0.0, 10.0), stop=stop)
+    traj = integrate(fn, (0.0, 0.0), (0.0, 10.0), stop=stop, jac=jac)
     first = int(np.argmax(full.states[:, 0] > 2.0))
     assert np.array_equal(traj.times, full.times[: first + 1])
     assert traj.final_state[0] > 2.0 >= traj.states[-2, 0]
@@ -208,7 +222,7 @@ def test_stiff_step_count_does_not_grow_with_1_over_eps(name):
                          jac=lambda t, s: regularized_jacobian(sys, tf, eps, s))
         assert traj.final_time == 1.5 and not traj.events
         steps[eps] = traj.stats.accepted
-    # Dormand-Prince takes 85 and 3715 steps on the smoothstep orbit
+    # an explicit Dormand-Prince 5(4) pair took 85 and 3715 steps on the smoothstep orbit
     assert steps[1e-4] <= 3 * steps[1e-1]
 
 
@@ -223,7 +237,7 @@ def test_singular_stage_solve_rejects_the_step():
     jac = lambda t, s: regularized_jacobian(sys, tf, eps, s)
     origin = np.zeros(2)
     step = dynamics._rodas(fn, jac, 2, IntegratorStats())
-    y_new, err, _ = step(0.0, origin, fn(0.0, origin), 1.0)
+    y_new, err = step(0.0, origin, fn(0.0, origin), 1.0)
     assert err == math.inf and np.array_equal(y_new, origin)
     traj = integrate(fn, origin, (0.0, 10.0), jac=jac)
     assert traj.events == []
@@ -289,12 +303,23 @@ def test_hybrid_slide_exit():
     ((-1.0, 0.0), [EventKind.SLIDE_ENTRY, EventKind.STEP_FAILURE]),  # out while sliding
 ])
 def test_hybrid_step_budget_ends_with_step_failure(x0, kinds, monkeypatch):
-    monkeypatch.setattr(dynamics, "MAX_STEPS", 3)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 2)
     traj = integrate_filippov(fold(), x0, (0.0, 2.0))
     assert [e.kind for e in traj.events] == kinds
     assert traj.final_time < 2.0
     assert traj.events[-1].time == traj.final_time
     assert np.array_equal(traj.events[-1].state, traj.final_state)
+
+
+def test_slide_ends_on_t_end():
+    # a bench capture orbit whose one long sliding step fell two ulps short
+    # of t_end and ended in a StepFailure
+    t_end = 15.901125650404408
+    traj = integrate_filippov(capture(), (-0.763908, 0.355908), (0.0, t_end))
+    assert [e.kind for e in traj.events] == [EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY]
+    assert traj.final_time == t_end
+    assert traj.final_state == pytest.approx([-0.763908 + 0.077644 * 0.958932 * t_end, 0.0],
+                                             abs=1e-12)
 
 
 def test_hybrid_starts_on_surface_sewing():
@@ -346,10 +371,14 @@ def test_hybrid_three_dimensional_slide():
     assert np.all(traj.states[:, 2] == 0.0)
 
 
-def _singular_partial(sys, x0, t_span):
-    with pytest.raises(UnresolvedSingularityError) as err:
+def _failed_partial(error, sys, x0, t_span):
+    with pytest.raises(error) as err:
         integrate_filippov(sys, x0, t_span)
     return err.value.trajectory
+
+
+def _singular_partial(sys, x0, t_span):
+    return _failed_partial(UnresolvedSingularityError, sys, x0, t_span)
 
 
 def _with_step_budget(steps, sys, x0, t_span):
@@ -365,7 +394,7 @@ HYBRID_ORBITS = {
         system_from_strings(("x", "y"), ("1", "1"), ("2", "1")), (0.0, -0.5), (0.0, 1.0)),
     "slide_exit": lambda: integrate_filippov(fold(), (-0.5, 0.0), (0.0, 1.0)),
     "hit_slide_exit": lambda: integrate_filippov(fold(), (-1.0, 0.5), (0.0, 1.5)),
-    "budget_before_hit": lambda: _with_step_budget(3, fold(), (-1.0, 0.5), (0.0, 2.0)),
+    "budget_before_hit": lambda: _with_step_budget(2, fold(), (-1.0, 0.5), (0.0, 2.0)),
     "budget_while_sliding": lambda: _with_step_budget(3, fold(), (-1.0, 0.0), (0.0, 2.0)),
     "starts_on_surface": lambda: integrate_filippov(
         system_from_strings(("x", "y"), ("1", "2"), ("1", "1")), (0.0, 0.0), (0.0, 1.0)),
@@ -382,9 +411,23 @@ HYBRID_ORBITS = {
         pole_beyond_fold(), (-0.730693, 0.37356), (0.0, 16972.055779620172)),
     "slide_past_the_fold": lambda: integrate_filippov(
         steep_fold(), (-1.257586, 0.693241), (0.0, 62.75512313868072)),
+    "slide_to_t_end": lambda: integrate_filippov(
+        capture(), (-0.763908, 0.355908), (0.0, 15.901125650404408)),
     "dip_between_nodes": lambda: integrate_filippov(
         shallow_fold(), (-1.248522, 1.152954), (0.0, 767.467)),
+    "domain_error": lambda: _failed_partial(
+        DomainError, system_from_strings(("x", "y"), ("1", "sqrt(1 - x)"), ("1", "1")),
+        (0.0, 1.0), (0.0, 2.0)),
 }
+
+
+def capture():
+    # constant fields pressing onto the surface: the orbit falls onto it and slides
+    return system_from_strings(
+        ("x", "y"),
+        ("0.077644*0.958932", "0.077644*(-1.149512)"),
+        ("0.077644*0.958932", "0.077644*1.548051"),
+    )
 
 
 def saturated_weight():
@@ -431,7 +474,8 @@ def _assert_exits_at_fold(traj, fold_x, t_end):
     assert exit_.state[1] == 0.0
     assert np.all(traj.states[(traj.times >= entry.time) & (traj.times <= exit_.time), 1] == 0.0)
     assert traj.final_time == t_end
-    assert traj.stats.accepted > 0 and traj.stats.jac_evals == 0  # hybrid segments stay explicit
+    # one Jacobian per node a step starts from, on segments and slides alike
+    assert traj.stats.accepted > 0 and traj.stats.jac_evals == traj.stats.accepted
 
 
 def test_slide_toward_the_weight_pole_exits_at_its_fold():
@@ -473,11 +517,32 @@ def test_integrate_error_carries_its_accepted_nodes():
         return -y
 
     with pytest.raises(UnresolvedSingularityError) as err:
-        integrate(fn, [1.0], (0.0, 5.0))
+        integrate(fn, [1.0], (0.0, 5.0), jac=lambda t, y: [[-1.0]])
     traj = err.value.trajectory
     assert traj.times[0] == 0.0 and 0.0 < traj.final_time <= 1.0 < err.value.time
     assert len(traj.times) > 2 and np.all(np.diff(traj.times) > 0)
     assert traj.final_state[0] == pytest.approx(math.exp(-traj.final_time), rel=1e-6)
+
+
+def test_domain_error_keeps_the_orbit_before_it(tmp_path):
+    # y' = sqrt(1 - x) leaves its domain at x = 1, i.e. at t = 1: the error
+    # used to leave with no nodes
+    sys = system_from_strings(("x", "y"), ("1", "sqrt(1 - x)"), ("1", "1"))
+    with pytest.raises(DomainError, match="sqrt of negative value") as err:
+        integrate_filippov(sys, (0.0, 1.0), (0.0, 2.0))
+    traj = err.value.trajectory
+    assert [e.kind for e in traj.events] == [EventKind.STEP_FAILURE]
+    assert traj.events[0].time == traj.final_time
+    assert np.array_equal(traj.events[0].state, traj.final_state)
+    assert len(traj.times) > 2 and 0.5 < traj.final_time <= 1.0
+    x, y = traj.states.T
+    assert np.allclose(x, traj.times, rtol=0, atol=1e-12)
+    assert np.allclose(y, 1.0 + (1.0 - (1.0 - x) ** 1.5) / 1.5, rtol=0, atol=1e-6)
+    # the command still fails with exit code 1
+    cfg = tmp_path / "sqrt.cfg"
+    cfg.write_text("[system]\ncoords = x, y\nx_plus = 1, sqrt(1 - x)\nx_minus = 1, 1\n"
+                   "\n[run]\nx0 = 0, 1\nt_span = 0, 2\n")
+    assert run_command(["integrate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
 
 
 def test_saturated_slide_entry_fails():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from filippov.expr import Const, evaluate, parse
+from filippov.regularize import Smoothstep, height_roots
 from filippov.system import (
     NotSlidingError,
     PiecewiseSystem,
@@ -9,7 +10,10 @@ from filippov.system import (
     VectorFieldDef,
     classify_point,
     field_from_strings,
+    filippov_combination,
+    filippov_jacobian,
     filippov_sliding_field,
+    sliding_margin,
     system_from_strings,
 )
 
@@ -172,3 +176,56 @@ def test_three_dimensional_chart():
     # a_plus = -1, a_minus = 1 so lam = 1/2
     assert lam == pytest.approx(0.5)
     assert np.allclose(v, [1.5, 0.0, 0.0])
+
+
+# systems for the slide Jacobian: an x-dependent fold, the rotation of the
+# 3-D golden case, whose weight is constant, and a 3-D chart whose weight
+# depends on x1
+JACOBIAN_CASES = {
+    "fold_x": (system_from_strings(("x", "y"), ("1", "-1 + x^2*sin(x)"), ("1.5", "2*cos(x)")),
+               [(-1.0,), (-0.3,), (0.4,), (1.0,)]),
+    "rotation_3d": (system_from_strings(("x1", "x2", "y"), ("-x2", "x1", "-1"), ("-x2", "x1", "1")),
+                    [(1.0, 0.0), (-0.6, 0.8), (0.3, -2.0)]),
+    "chart_3d": (system_from_strings(("x1", "x2", "y"), ("x2", "-x1", "x1 - 1"),
+                                     ("0", "x1*x2", "1 + x2^2")),
+                 [(0.0, 5.0), (0.5, -1.0), (-2.0, 0.3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIAN_CASES))
+def test_filippov_jacobian_matches_central_differences(name):
+    sys, points = JACOBIAN_CASES[name]
+    step = 1e-6
+    for x in points:
+        jac = filippov_jacobian(sys, x)
+        assert jac.shape == (len(x), len(x))
+        for j in range(len(x)):
+            hi, lo = list(x), list(x)
+            hi[j] += step
+            lo[j] -= step
+            column = filippov_combination(sys, hi)[1] - filippov_combination(sys, lo)[1]
+            assert jac[:, j] == pytest.approx(column[:-1] / (2 * step), rel=1e-6, abs=1e-9)
+
+
+def test_filippov_jacobian_is_none_on_the_pole():
+    sys = system_from_strings(("x", "y"), ("1", "x"), ("2", "-x"))
+    assert filippov_combination(sys, 0.0) is None
+    assert filippov_jacobian(sys, 0.0) is None
+
+
+def test_surface_coordinate_is_parsed_once_per_call(monkeypatch):
+    calls = 0
+    tangential = PiecewiseSystem.tangential
+
+    def counting(self, x):
+        nonlocal calls
+        calls += 1
+        return tangential(self, x)
+
+    monkeypatch.setattr(PiecewiseSystem, "tangential", counting)
+    sys = fold()
+    for fn in (lambda: filippov_combination(sys, -0.5), lambda: filippov_jacobian(sys, -0.5),
+               lambda: height_roots(sys, Smoothstep(), -0.5), lambda: sliding_margin(sys, -0.5)):
+        calls = 0
+        fn()
+        assert calls == 1
