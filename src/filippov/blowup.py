@@ -70,7 +70,7 @@ def _e_blend(
 ) -> np.ndarray:
     """The regularized field at the ambient point of (x, ybar, epsbar) in E."""
     xs = system.tangential(x)
-    return blend(system, transition.value(ybar, xs), np.array(xs + (epsbar * ybar,)))
+    return np.array(blend(system, transition.value(ybar, xs), xs + (epsbar * ybar,)))
 
 
 def e_chart_field(

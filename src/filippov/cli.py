@@ -22,6 +22,7 @@ Grid points are evaluated one after another in a single thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -245,6 +246,7 @@ def _cmd_cross(cfg: SystemConfig, out: Path) -> int:
     return 0
 
 
+@functools.cache  # built on the first command, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filippov",

@@ -11,9 +11,17 @@ of the hybrid integrator are not stiff, and RODAS4 steps them too: on the
 benchmark's hybrid orbits it takes fewer steps and right-hand-side
 evaluations than an explicit Dormand-Prince 5(4) pair.
 
+The stage algebra runs on Python lists of floats, one code path for every
+dimension: the systems are 2- or 3-dimensional, and numpy's per-call
+overhead on such arrays cost more than the arithmetic.  Each attempt
+factors I/(h gamma) - J once by an in-place LU with partial pivoting and
+solves its six stages by forward and back substitution; a zero or
+non-finite pivot rejects the step.  Trajectories are numpy arrays, built
+once when the integration ends.
+
 Node derivatives are recorded, so trajectories interpolate with cubic
 Hermite polynomials between accepted steps; event location bisects on that
-interpolant.
+interpolant, evaluated on the floats of the step's two nodes.
 
 The hybrid integrator follows one smooth field until the orbit reaches the
 switching surface, classifies the hit, and either sews through, enters a
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -45,8 +54,8 @@ from .system import (
     PiecewiseSystem,
     SigmaClass,
     classify_point,
-    filippov_combination,
     filippov_jacobian,
+    filippov_tangent,
     sliding_margin,
 )
 
@@ -145,24 +154,19 @@ class Trajectory:
         k = int(np.searchsorted(ts, t, side="right") - 1)
         if k >= len(ts) - 1:
             return self.states[-1].copy()
-        return _hermite(
-            float(ts[k]), self.states[k], self.derivs[k],
-            float(ts[k + 1]), self.states[k + 1], self.derivs[k + 1], t,
-        )
+        t0, h = float(ts[k]), float(ts[k + 1] - ts[k])
+        if h == 0.0:
+            return self.states[k].copy()
+        w0, w1, w2, w3 = _hermite_weights((t - t0) / h, h)
+        return (w0 * self.states[k] + w1 * self.derivs[k]
+                + w2 * self.states[k + 1] + w3 * self.derivs[k + 1])
 
 
-def _hermite(t0, y0, f0, t1, y1, f1, t):
-    h = t1 - t0
-    if h == 0.0:
-        return y0.copy()
-    s = (t - t0) / h
+def _hermite_weights(s: float, h: float) -> tuple[float, float, float, float]:
+    """The weights of y0, f0, y1 and f1 in the cubic Hermite interpolant of
+    a step of length h through (y0, f0) and (y1, f1), at s = (t - t0)/h."""
     s2, s3 = s * s, s * s * s
-    return (
-        (2 * s3 - 3 * s2 + 1) * y0
-        + (s3 - 2 * s2 + s) * h * f0
-        + (-2 * s3 + 3 * s2) * y1
-        + (s3 - s2) * h * f1
-    )
+    return 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h, -2 * s3 + 3 * s2, (s3 - s2) * h
 
 
 # RODAS4 in the form of Hairer & Wanner's rodas.f: stage i solves
@@ -170,65 +174,71 @@ def _hermite(t0, y0, f0, t1, y1, f1, t):
 # for the increment k_i.  The method is stiffly accurate: the last two
 # stage points are the order-3 and order-4 solutions, and k_6 is their
 # difference, the error estimate.  The fields are autonomous, so the
-# h d_i df/dt terms of the tableau are left out.
+# h d_i df/dt terms of the tableau are left out.  Stages 2 to 6, one
+# (c_i, a_i, c_i.) row each.
 _RO_GAMMA = 0.25
-_RO_C = np.array([0.0, 0.386, 0.21, 0.63, 1.0, 1.0])
-_RO_A = [
-    np.array([]),
-    np.array([1.544]),
-    np.array([0.9466785280815826, 0.2557011698983284]),
-    np.array([3.314825187068521, 2.896124015972201, 0.9986419139977817]),
-    np.array([1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950]),
-    np.array([1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950, 1.0]),
-]
-_RO_CC = [
-    np.array([]),
-    np.array([-5.6688]),
-    np.array([-2.430093356833875, -0.2063599157091915]),
-    np.array([-0.1073529058151375, -9.594562251023355, -20.47028614809616]),
-    np.array([7.496443313967647, -10.24680431464352, -33.99990352819905, 11.70890893206160]),
-    np.array([8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
-              -6.058818238834054]),
-]
+_RO_STAGES = (
+    (0.386, (1.544,), (-5.6688,)),
+    (0.21, (0.9466785280815826, 0.2557011698983284),
+     (-2.430093356833875, -0.2063599157091915)),
+    (0.63, (3.314825187068521, 2.896124015972201, 0.9986419139977817),
+     (-0.1073529058151375, -9.594562251023355, -20.47028614809616)),
+    (1.0, (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950),
+     (7.496443313967647, -10.24680431464352, -33.99990352819905, 11.70890893206160)),
+    (1.0, (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950, 1.0),
+     (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
+      -6.058818238834054)),
+)
 
 
 class _Recorder:
-    """Nodes and events of a trajectory under construction."""
+    """Nodes and events of a trajectory under construction.
+
+    push keeps the sequences it is given, which nothing changes afterwards;
+    build turns them into the arrays of a Trajectory.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.times: list[float] = []
-        self.states: list[np.ndarray] = []
-        self.derivs: list[np.ndarray] = []
+        self.states: list[Sequence[float]] = []
+        self.derivs: list[Sequence[float]] = []
         self.events: list[Event] = []
         self.stats = IntegratorStats()
 
     def push(self, t, y, f):
         self.times.append(t)
-        self.states.append(y.copy())
-        self.derivs.append(f.copy())
+        self.states.append(y)
+        self.derivs.append(f)
 
     def event(self, t, y, kind: EventKind):
-        self.events.append(Event(t, y.copy(), kind))
+        self.events.append(Event(t, np.array(y, dtype=float), kind))
 
     def build(self) -> Trajectory:
         return Trajectory(
-            np.array(self.times), np.array(self.states), np.array(self.derivs), self.events,
-            self.stats,
+            np.array(self.times, dtype=float), np.array(self.states, dtype=float),
+            np.array(self.derivs, dtype=float), self.events, self.stats,
         )
 
 
+def _rms(values, scales) -> float:
+    """The root mean square of values[i] / scales[i]."""
+    total = 0.0
+    for v, s in zip(values, scales):
+        q = v / s
+        total += q * q
+    return math.sqrt(total / len(scales))
+
+
 def _initial_step(f, t0, y0, f0, t_end):
-    scale = ABS_TOL + REL_TOL * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    scale = [ABS_TOL + REL_TOL * abs(v) for v in y0]
+    d0, d1 = _rms(y0, scale), _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, abs(t_end - t0))
     if h0 == 0.0:
         return 0.0
-    y1 = y0 + h0 * f0
-    f1 = np.asarray(f(t0 + h0, y1), dtype=float)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    f1 = f(t0 + h0, [v + h0 * d for v, d in zip(y0, f0)])
+    d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -238,86 +248,142 @@ def _initial_step(f, t0, y0, f0, t_end):
 
 def _error_norm(delta, y, y_new) -> float:
     """RMS of delta, each component scaled by ABS_TOL + REL_TOL*|y|."""
-    # math on the reduced sum gives the bits of np.sqrt(np.mean(q ** 2)) at
-    # half the cost of the two numpy calls
-    q = delta / (ABS_TOL + REL_TOL * np.maximum(np.abs(y), np.abs(y_new)))
-    return math.sqrt(float((q * q).sum()) / q.size)
+    return _rms(delta, [ABS_TOL + REL_TOL * max(abs(a), abs(b)) for a, b in zip(y, y_new)])
+
+
+def _lu(m: list[list[float]]) -> list[int] | None:
+    """Factor the square matrix m in place by Gaussian elimination with
+    partial pivoting.
+
+    Afterwards m holds U on and above its diagonal and the multipliers of
+    the unit lower triangle L below it.  The returned order names, for each
+    row of the factors, the row of the original matrix it came from: L U is
+    the original matrix with its rows taken in that order.  None where a
+    pivot is 0 or not finite: the matrix is singular, or holds an inf or
+    NaN.
+    """
+    n = len(m)
+    order = list(range(n))
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(m[i][k]) > abs(m[p][k]):
+                p = i
+        pivot = m[p][k]
+        if pivot == 0.0 or not math.isfinite(pivot):
+            return None
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            order[k], order[p] = order[p], order[k]
+        top = m[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            factor = row[k] = row[k] / pivot
+            for j in range(k + 1, n):
+                row[j] -= factor * top[j]
+    return order
+
+
+def _lu_solve(lu: list[list[float]], order: list[int], b: Sequence[float]) -> list[float]:
+    """The x with A x = b, from the factors and the row order _lu left of A."""
+    x = [b[i] for i in order]
+    n = len(x)
+    for i in range(1, n):  # L has a unit diagonal
+        row, v = lu[i], x[i]
+        for j in range(i):
+            v -= row[j] * x[j]
+        x[i] = v
+    for i in range(n - 1, -1, -1):
+        row, v = lu[i], x[i]
+        for j in range(i + 1, n):
+            v -= row[j] * x[j]
+        x[i] = v / row[i]
+    return x
 
 
 def _rodas(fn, jac, dim: int, stats: IntegratorStats):
-    """One RODAS4 step: (y_new, error) from (t, y, f(y), h).
+    """One RODAS4 step: (y_new, error) from (t, y, f(y), h), on floats.
 
-    The Jacobian is evaluated once per node and kept through rejections.
-    A singular or non-finite stage solve reports an infinite error, so the
-    step is rejected and h shrinks.
+    The Jacobian is evaluated once per node and kept through rejections;
+    each attempt factors I/(h gamma) - J once and solves its six stages
+    with the factors.  A zero or non-finite pivot, or a non-finite stage,
+    reports an infinite error, so the step is rejected and h shrinks.
     """
-    ks = np.empty((6, dim))
-    eye = np.eye(dim)
-    t_jac, jmat = None, None
+    t_jac, jrows = None, None
 
     def step(t, y, f0, h):
-        nonlocal t_jac, jmat
+        nonlocal t_jac, jrows
         if t_jac != t:
-            t_jac, jmat = t, np.asarray(jac(t, y), dtype=float)
+            t_jac, jrows = t, jac(t, y)
             stats.jac_evals += 1
-        try:
-            w = np.linalg.inv(eye / (h * _RO_GAMMA) - jmat)
-        except np.linalg.LinAlgError:
+        diag = 1.0 / (h * _RO_GAMMA)
+        lu = [[-v for v in row] for row in jrows]
+        for i in range(dim):
+            lu[i][i] += diag
+        order = _lu(lu)
+        if order is None:
             return y, math.inf
-        ks[0] = w @ f0
-        for i in range(1, 6):
-            # np.isfinite(...).all() gives the same answer at seven times the cost
-            if not all(map(math.isfinite, ks[i - 1].tolist())):
+        k = _lu_solve(lu, order, f0)
+        ks = [k]
+        for c, a, cc in _RO_STAGES:
+            # a non-finite increment would reach fn in the next stage point
+            if not all(map(math.isfinite, k)):
                 return y, math.inf
-            yi = y + ks[:i].T @ _RO_A[i]
-            ks[i] = w @ (fn(t + _RO_C[i] * h, yi) + (ks[:i].T @ _RO_CC[i]) / h)
-        y_new = yi + ks[5]
-        return y_new, _error_norm(ks[5], y, y_new)
+            cols = list(zip(*ks))  # the increments so far, one tuple per component
+            yi = [v + sum(map(operator.mul, a, col)) for v, col in zip(y, cols)]
+            fi = fn(t + c * h, yi)
+            k = _lu_solve(lu, order, [v + sum(map(operator.mul, cc, col)) / h
+                                      for v, col in zip(fi, cols)])
+            ks.append(k)
+        y_new = [v + d for v, d in zip(yi, k)]
+        return y_new, _error_norm(k, y, y_new)
 
     return step
 
 
 def integrate(
-    fn: Callable[[float, np.ndarray], np.ndarray],
+    fn: Callable[[float, list[float]], Sequence[float]],
     x0: Sequence[float],
     t_span: tuple[float, float],
     stop: Callable[..., bool] | None = None,
     *,
-    jac: Callable[[float, np.ndarray], np.ndarray],
+    jac: Callable[[float, list[float]], Sequence[Sequence[float]]],
 ) -> Trajectory:
     """Integrate x' = fn(t, x) over t_span, forward in time.
 
-    Steps with RODAS4.  fn must be autonomous: the stages leave out the
-    d(fn)/dt terms.  jac(t, x) gives the exact Jacobian d(fn)/dx of the
-    stage solves; it is evaluated once per node a step starts from.
-    Returns the accepted steps; a StepFailure event ends the trajectory
-    early if the adaptive controller underflows its minimum step or
-    MAX_STEPS runs out before t_end.  The optional stop(t0, x0, f0, t1,
-    x1, f1) sees each accepted step as the two nodes and node derivatives
-    of its cubic Hermite interpolant, and ends the run after the first
-    step where it is true, whose end is then the last node of the
-    trajectory.  An UnresolvedSingularityError or DomainError raised by
-    fn, jac or stop leaves with the nodes accepted before it as its
+    Steps with RODAS4.  fn(t, x) gets the state as a list of floats and
+    returns x' as a new sequence of floats, which the trajectory keeps as
+    the node derivative; it must be autonomous: the stages
+    leave out the d(fn)/dt terms.  jac(t, x) gives the exact Jacobian
+    d(fn)/dx of the stage solves as its rows; it is evaluated once per
+    node a step starts from.  Returns the accepted steps; a StepFailure
+    event ends the trajectory early if the adaptive controller underflows
+    its minimum step or MAX_STEPS runs out before t_end.  The optional
+    stop(t0, x0, f0, t1, x1, f1) sees each accepted step as the two nodes
+    and node derivatives of its cubic Hermite interpolant, and ends the run
+    after the first step where it is true, whose end is then the last node
+    of the trajectory.  An UnresolvedSingularityError or DomainError raised
+    by fn, jac or stop leaves with the nodes accepted before it as its
     trajectory.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end < t0:
         raise ValueError(f"t_span must be increasing, got {t_span}")
-    y = np.asarray(x0, dtype=float).copy()
+    y = [float(v) for v in x0]
     t = t0
-    rec = _Recorder(y.size)
+    rec = _Recorder(len(y))
     stats = rec.stats
 
     def rhs(tt, yy):
         stats.rhs_evals += 1
         return fn(tt, yy)
 
-    fcur = np.asarray(rhs(t, y), dtype=float)
+    fcur = rhs(t, y)
     rec.push(t, y, fcur)
     if t_end == t0:
         return rec.build()
 
-    step = _rodas(rhs, jac, y.size, stats)
+    step = _rodas(rhs, jac, len(y), stats)
     try:
         h = _initial_step(rhs, t, y, fcur, t_end)
         for _ in range(MAX_STEPS):
@@ -336,7 +402,7 @@ def integrate(
                 # miss it by an ulp, leaving a gap below MIN_STEP
                 t = t_end if h >= t_end - t else t + h
                 y = y_new
-                fcur = np.asarray(rhs(t, y), dtype=float)
+                fcur = rhs(t, y)
                 rec.push(t, y, fcur)
                 if stop is not None and stop(*start, t, y, fcur):
                     break
@@ -407,10 +473,10 @@ def integrate_filippov(
                 region = 1 if state[-1] > 0 else -1
 
             field_def = system.plus if region > 0 else system.minus
-            fn = lambda tt, s: field_def.evaluate(s)
+            fn = lambda tt, s: field_def.values(s)
             seg = integrate(fn, state, (t, t_end),
                             stop=lambda *step: _far_side(region, *step) is not None,
-                            jac=lambda tt, s: field_def.jacobian(s))
+                            jac=lambda tt, s: field_def.jacobian_rows(s))
             # the stop rule ended the segment iff it holds on its last step
             t_far = None if len(seg.times) < 2 else _far_side(
                 region, seg.times[-2], seg.states[-2], seg.derivs[-2],
@@ -462,13 +528,13 @@ def _slide(system, orbit, t, state, t_end):
     """
     margin = lambda tt, x: sliding_margin(system, x)
 
-    def fn(tt: float, x: np.ndarray) -> np.ndarray:
+    def fn(tt: float, x: list[float]) -> list[float]:
         # the Filippov combination without the class gate: a step may end
         # past the band edge, which the stop rule then locates
-        combo = filippov_combination(system, x)
+        combo = filippov_tangent(system, x)
         if combo is None:
             raise UnresolvedSingularityError(tt, np.append(x, 0.0), None)
-        return combo[1][:-1]
+        return combo[1]
 
     # fn has been evaluated at every node jac sees, so jac never meets the pole
     seg = integrate(fn, state[:-1], (t, t_end),
@@ -511,11 +577,21 @@ def _locate(
     seg: Trajectory, g: Callable[[float, np.ndarray], float], t_hi: float | None = None
 ) -> float:
     """A time where g(t, seg.sample(t)) changes sign, in the last step of
-    seg or, given t_hi, between its start and t_hi."""
-    return bisect_sign_change(
-        lambda tt: g(tt, seg.sample(tt)), float(seg.times[-2]),
-        float(seg.times[-1] if t_hi is None else t_hi), EVENT_TIME_TOL,
-    )
+    seg or, given t_hi, between its start and t_hi.
+
+    The probes evaluate the last step's interpolant on its four nodes as
+    floats, with the weights and sums of Trajectory.sample.
+    """
+    t0, t1 = float(seg.times[-2]), float(seg.times[-1])
+    h = t1 - t0
+    nodes = list(zip(*(a.tolist() for a in (
+        seg.states[-2], seg.derivs[-2], seg.states[-1], seg.derivs[-1]))))
+
+    def probe(tt: float) -> float:
+        w0, w1, w2, w3 = _hermite_weights((tt - t0) / h, h)
+        return g(tt, [w0 * y0 + w1 * f0 + w2 * y1 + w3 * f1 for y0, f0, y1, f1 in nodes])
+
+    return bisect_sign_change(probe, t0, t1 if t_hi is None else float(t_hi), EVENT_TIME_TOL)
 
 
 def _far_side(region, t0, y0, f0, t1, y1, f1) -> float | None:
@@ -547,10 +623,8 @@ def _far_side(region, t0, y0, f0, t1, y1, f1) -> float | None:
         roots = [q / a, c / q] if q != 0.0 else []  # q = 0: a double root at s = 0
     for s in sorted(roots):
         if 0.0 < s < 1.0:
-            s2, s3 = s * s, s * s * s
-            v = ((2 * s3 - 3 * s2 + 1) * p0 + (s3 - 2 * s2 + s) * d0
-                 + (-2 * s3 + 3 * s2) * p1 + (s3 - s2) * d1)
-            if beyond(v):
+            w0, w1, w2, w3 = _hermite_weights(s, h)
+            if beyond(w0 * p0 + w1 * float(f0[-1]) + w2 * p1 + w3 * float(f1[-1])):
                 return t0 + s * h
     return None
 
@@ -669,8 +743,7 @@ def equilibria_on_manifold(
         root = most_transversal(height_roots(system, transition, x))
         if root is None:
             return math.nan
-        tx = root.t
-        return float(blend(system, transition.value(tx, (x,)), np.array([x, eps * tx]))[0])
+        return blend(system, transition.value(root.t, (x,)), (x, eps * root.t))[0]
 
     delta = (hi - lo) / (EQ_SAMPLES - 1) / 2.0
 

@@ -153,9 +153,9 @@ class TransitionFunction:
             return 0.0
         return self._core_d(t, x)
 
-    def deriv_x(self, t: float, x: Sequence[float] = ()) -> np.ndarray:
+    def deriv_x(self, t: float, x: Sequence[float] = ()) -> list[float]:
         """The gradient of psi in the surface coordinates x."""
-        return np.zeros(len(x))  # only a custom psi may depend on x
+        return [0.0] * len(x)  # only a custom psi may depend on x
 
     def level_set(self, r: float, x: Sequence[float] = ()) -> list[float]:
         """The sorted t in [-1, 1] with psi(x, t) = r."""
@@ -343,11 +343,10 @@ class Custom(TransitionFunction):
         return self._dpsi_dt(t, *x[:len(self.x_names)])[0]
 
     def deriv_x(self, t, x=()):
-        out = np.zeros(len(x))
-        if -1.0 < t < 1.0:  # psi is constant outside the band
-            grad = self._dpsi_dx(t, *x[:len(self.x_names)])
-            out[:len(grad)] = grad
-        return out
+        if not -1.0 < t < 1.0:  # psi is constant outside the band
+            return [0.0] * len(x)
+        grad = list(self._dpsi_dx(t, *x[:len(self.x_names)]))
+        return grad + [0.0] * (len(x) - len(grad))
 
 
 def make_transition(kind: str, x_names: Sequence[str] = (), /, **params) -> TransitionFunction:
@@ -383,12 +382,17 @@ def make_transition(kind: str, x_names: Sequence[str] = (), /, **params) -> Tran
 # ---------------------------------------------------------------------------
 # regularized field
 
-def blend(system: PiecewiseSystem, psi: float, point: Sequence[float]) -> np.ndarray:
-    """(1 + psi)/2 * X_plus + (1 - psi)/2 * X_minus at a full chart point."""
-    # halving the scalar weights costs one array operation less than
-    # halving the sum, and gives the same bits
-    return (0.5 * (1.0 + psi) * system.plus.evaluate(point)
-            + 0.5 * (1.0 - psi) * system.minus.evaluate(point))
+def _mix(psi: float, plus: Sequence[float], minus: Sequence[float]) -> list[float]:
+    """(1 + psi)/2 * plus + (1 - psi)/2 * minus, componentwise on floats: the
+    one formula of the psi-blend, for the fields and for their Jacobian rows."""
+    wp, wm = 0.5 * (1.0 + psi), 0.5 * (1.0 - psi)
+    return [wp * p + wm * m for p, m in zip(plus, minus)]
+
+
+def blend(system: PiecewiseSystem, psi: float, point: Sequence[float]) -> list[float]:
+    """(1 + psi)/2 * X_plus + (1 - psi)/2 * X_minus at a full chart point of
+    floats (unchecked), as a list."""
+    return _mix(psi, system.plus.values(point), system.minus.values(point))
 
 
 def regularized_field(
@@ -396,12 +400,14 @@ def regularized_field(
     transition: TransitionFunction,
     eps: float,
     point: Sequence[float],
-) -> np.ndarray:
-    """Evaluate the blended field at a full chart point (x..., y)."""
+) -> list[float]:
+    """The blended field at a full chart point (x..., y) of floats, as a list.
+
+    It takes and returns what integrate's right-hand side does.
+    """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    pt = np.asarray(point, dtype=float)
-    return blend(system, transition.value(pt[-1] / eps, pt[:-1]), pt)
+    return blend(system, transition.value(point[-1] / eps, point[:-1]), point)
 
 
 def regularized_jacobian(
@@ -409,8 +415,9 @@ def regularized_jacobian(
     transition: TransitionFunction,
     eps: float,
     point: Sequence[float],
-) -> np.ndarray:
-    """The Jacobian of regularized_field at a full chart point (x..., y).
+) -> list[list[float]]:
+    """The Jacobian of regularized_field at a full chart point (x..., y) of
+    floats, as a list of rows.
 
     The psi-blend of the two field Jacobians plus (X_plus - X_minus)/2 times
     the gradient of psi(x, y/eps): psi'(y/eps)/eps in the y column and, for a
@@ -418,14 +425,16 @@ def regularized_jacobian(
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    pt = np.asarray(point, dtype=float)
-    t, xs = pt[-1] / eps, pt[:-1]
+    t, xs = point[-1] / eps, point[:-1]
     psi = transition.value(t, xs)
-    jac = 0.5 * (1.0 + psi) * system.plus.jacobian(pt) + 0.5 * (1.0 - psi) * system.minus.jacobian(pt)
-    grad = np.append(transition.deriv_x(t, xs), transition.deriv_t(t, xs) / eps)
-    if grad.any():  # inside the band
-        jac += np.outer(0.5 * (system.plus.evaluate(pt) - system.minus.evaluate(pt)), grad)
-    return jac
+    plus, minus = system.plus, system.minus
+    rows = [_mix(psi, rp, rm)
+            for rp, rm in zip(plus.jacobian_rows(point), minus.jacobian_rows(point))]
+    grad = transition.deriv_x(t, xs) + [transition.deriv_t(t, xs) / eps]
+    if not any(grad):  # outside the band
+        return rows
+    half_jump = [0.5 * (p - m) for p, m in zip(plus.values(point), minus.values(point))]
+    return [[v + d * g for v, g in zip(row, grad)] for row, d in zip(rows, half_jump)]
 
 
 # ---------------------------------------------------------------------------

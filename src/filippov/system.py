@@ -80,6 +80,11 @@ class VectorFieldDef:
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
         return np.array(self._components(*self._point(point)), dtype=float)
 
+    def values(self, point: Sequence[float]) -> tuple[float, ...]:
+        """evaluate(point) as a tuple of floats, at a chart point of dim
+        floats (unchecked)."""
+        return self._components(*point)
+
     @cached_property
     def _partials(self):
         # built on first use: the integrators need them, the grid commands do not
@@ -88,8 +93,13 @@ class VectorFieldDef:
 
     def jacobian(self, point: Sequence[float]) -> np.ndarray:
         """The matrix d(components[i])/d(coords[j]) at a chart point."""
-        partials = self._partials(*self._point(point))
-        return np.array(partials, dtype=float).reshape(self.dim, self.dim)
+        return np.array(self.jacobian_rows(self._point(point)), dtype=float)
+
+    def jacobian_rows(self, point: Sequence[float]) -> list[tuple[float, ...]]:
+        """The rows of jacobian(point) as tuples of floats, at a chart point
+        of dim floats (unchecked)."""
+        partials, n = self._partials(*point), self.dim
+        return [partials[i:i + n] for i in range(0, n * n, n)]
 
 
 def field_from_strings(coords: Sequence[str], components: Sequence[str]) -> VectorFieldDef:
@@ -203,40 +213,59 @@ def _filippov_weight(system: PiecewiseSystem, x: Sequence[float] | float):
     return None if denom == 0.0 else (xs + (0.0,), a_minus / denom, denom)
 
 
-def filippov_combination(
-    system: PiecewiseSystem, x: Sequence[float] | float
-) -> tuple[float, np.ndarray] | None:
-    """(lam, lam * X_plus + (1 - lam) * X_minus) at (x, 0), with no class gate.
+def _combine(lam: float, plus: Sequence[float], minus: Sequence[float]) -> list[float]:
+    """lam * plus + (1 - lam) * minus, componentwise on floats."""
+    return [lam * p + (1.0 - lam) * m for p, m in zip(plus, minus)]
 
-    lam is the Filippov weight.  The y-component of the field is set to 0:
-    lam * a_plus + (1 - lam) * a_minus cancels exactly.  None where
-    a_plus = a_minus, the pole of the weight.
+
+def filippov_tangent(
+    system: PiecewiseSystem, x: Sequence[float] | float
+) -> tuple[float, list[float]] | None:
+    """(lam, the tangential components of lam * X_plus + (1 - lam) * X_minus)
+    at (x, 0), on floats and with no class gate: the right-hand side of a
+    slide.  lam is the Filippov weight.  None where a_plus = a_minus, the
+    pole of the weight.
     """
     weight = _filippov_weight(system, x)
     if weight is None:
         return None
     point, lam, _ = weight
-    # on floats, as numpy would on the two evaluated fields, at a third of the cost
-    pairs = zip(system.plus._components(*point)[:-1], system.minus._components(*point)[:-1])
-    return lam, np.array([lam * p + (1.0 - lam) * m for p, m in pairs] + [0.0])
+    return lam, _combine(lam, system.plus._components(*point)[:-1],
+                         system.minus._components(*point)[:-1])
 
 
-def filippov_jacobian(system: PiecewiseSystem, x: Sequence[float] | float) -> np.ndarray | None:
-    """d/dx of the tangential components of filippov_combination at (x, 0).
+def filippov_combination(
+    system: PiecewiseSystem, x: Sequence[float] | float
+) -> tuple[float, np.ndarray] | None:
+    """(lam, lam * X_plus + (1 - lam) * X_minus) at (x, 0), with no class gate.
+
+    The tangential components are those of filippov_tangent; the
+    y-component is set to 0, since lam * a_plus + (1 - lam) * a_minus
+    cancels exactly.  None where a_plus = a_minus, the pole of the weight.
+    """
+    combo = filippov_tangent(system, x)
+    return None if combo is None else (combo[0], np.array(combo[1] + [0.0]))
+
+
+def filippov_jacobian(system: PiecewiseSystem, x: Sequence[float] | float) -> list[list[float]] | None:
+    """d/dx of filippov_tangent at (x, 0), as rows of floats.
 
     With J the lam-combination of the field Jacobians at (x, 0), it is
     J + (X_plus - X_minus) (x) grad(lam) on the tangential rows and
     columns.  grad(lam) = (a_minus grad(a_plus) - a_plus grad(a_minus))
     / (a_minus - a_plus)^2 is the tangential part of J's last row over
-    a_minus - a_plus.  None where filippov_combination is None.
+    a_minus - a_plus.  None where filippov_tangent is None.
     """
     weight = _filippov_weight(system, x)
     if weight is None:
         return None
     point, lam, denom = weight
-    jac = lam * system.plus.jacobian(point) + (1.0 - lam) * system.minus.jacobian(point)
-    jump = system.plus.evaluate(point) - system.minus.evaluate(point)
-    return jac[:-1, :-1] + np.outer(jump[:-1], jac[-1, :-1] / denom)
+    plus, minus = system.plus, system.minus
+    jac = [_combine(lam, rp, rm)
+           for rp, rm in zip(plus.jacobian_rows(point), minus.jacobian_rows(point))]
+    jump = [p - m for p, m in zip(plus._components(*point), minus._components(*point))]
+    grad = [v / denom for v in jac[-1][:-1]]
+    return [[v + d * g for v, g in zip(row, grad)] for row, d in zip(jac[:-1], jump)]
 
 
 def filippov_sliding_field(

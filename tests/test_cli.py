@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from filippov import __version__
+from filippov import __version__, cli
 from filippov.cli import run_command
 
 FOLD = """\
@@ -231,6 +231,22 @@ def test_missing_config_exit2(tmp_path, capsys):
 
 def test_usage_error_passthrough(tmp_path, capsys):
     assert run_command(["frobnicate"]) == 2
+    capsys.readouterr()
+
+
+def test_parser_is_built_once_across_commands(tmp_path, capsys):
+    # every call used to build the seven-subcommand parser again
+    cfg = setup_cfg(tmp_path, EX21)
+    out = str(tmp_path / "out")
+    cli._build_parser.cache_clear()
+    assert run_command(["classify", "--config", cfg, "--out", out]) == 0
+    assert run_command(["integrate", "--config", cfg, "--out", out, "--bogus"]) == 2
+    assert run_command(["integrate", "--config", cfg, "--out", out]) == 0
+    assert (tmp_path / "out" / "trajectory.csv").exists()
+    assert run_command(["cross", "--config", cfg, "--out", out]) == 2  # no [cross] section
+    assert run_command(["certify", "--config", cfg, "--out", out, "--grid=-1:1:5"]) == 0
+    assert run_command(["frobnicate"]) == 2
+    assert cli._build_parser.cache_info().misses == 1
     capsys.readouterr()
 
 

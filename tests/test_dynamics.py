@@ -84,7 +84,8 @@ def test_span_validation():
 
 def test_step_failure_near_blowup():
     # y' = y^2 from 1 explodes at t = 1; the controller gives up cleanly
-    traj = integrate(lambda t, y: y * y, (1.0,), (0.0, 2.0), jac=lambda t, y: [[2.0 * y[0]]])
+    traj = integrate(lambda t, y: np.asarray(y) ** 2, (1.0,), (0.0, 2.0),
+                     jac=lambda t, y: [[2.0 * y[0]]])
     assert traj.events
     assert traj.events[-1].kind == EventKind.STEP_FAILURE
     assert traj.final_time < 2.0
@@ -92,7 +93,7 @@ def test_step_failure_near_blowup():
 
 
 def test_step_failure_when_max_steps_runs_out(monkeypatch):
-    fn, jac = (lambda t, y: -y), (lambda t, y: [[-1.0]])
+    fn, jac = (lambda t, y: -np.asarray(y)), (lambda t, y: [[-1.0]])
     monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
     traj = integrate(fn, (1.0,), (0.0, 10.0), jac=jac)
     assert traj.final_time < 1.0
@@ -246,10 +247,77 @@ def test_singular_stage_solve_rejects_the_step():
 
 
 def test_non_finite_stage_solve_ends_in_step_failure():
-    traj = integrate(lambda t, y: -y, (1.0,), (0.0, 1.0), jac=lambda t, y: [[math.nan]])
+    traj = integrate(lambda t, y: -np.asarray(y), (1.0,), (0.0, 1.0), jac=lambda t, y: [[math.nan]])
     assert [e.kind for e in traj.events] == [EventKind.STEP_FAILURE]
     assert traj.final_time == 0.0
     assert traj.stats.accepted == 0 and traj.stats.rejected > 0
+
+
+# ---------------------------------------------------------------------------
+# the stage solves: LU with partial pivoting, against numpy.linalg.solve
+
+
+def _lu_solve(matrix, b):
+    lu = [[float(v) for v in row] for row in matrix]
+    order = dynamics._lu(lu)
+    return None if order is None else dynamics._lu_solve(lu, order, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lu_solve_matches_numpy_solve(n):
+    rng = np.random.default_rng(40 + n)
+    solved = 0
+    while solved < 200:
+        a = rng.uniform(-2.0, 2.0, (n, n))
+        if np.linalg.cond(a) > 100.0:  # well-conditioned systems only
+            continue
+        b = rng.uniform(-2.0, 2.0, n)
+        got = _lu_solve(a.tolist(), b.tolist())
+        assert all(type(v) is float for v in got)
+        want = np.linalg.solve(a, b)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (a, b, got, want)
+        solved += 1
+
+
+def test_lu_exchanges_rows():
+    # a zero leading entry: elimination without row exchange divides by 0
+    assert _lu_solve([[0.0, 1.0], [1.0, 0.0]], [2.0, 3.0]) == [3.0, 2.0]
+    # a tiny leading entry: without row exchange the multiplier 1e20 swamps
+    # the second row and x[0] comes out 0
+    got = _lu_solve([[1e-20, 1.0], [1.0, 1.0]], [1.0, 2.0])
+    assert got == pytest.approx(np.linalg.solve([[1e-20, 1.0], [1.0, 1.0]], [1.0, 2.0]), rel=1e-15)
+    assert got == pytest.approx([1.0, 1.0], rel=1e-15)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.0]],
+    [[1.0, 2.0], [2.0, 4.0]],
+    [[2.0, 1.0, 0.0], [4.0, 2.0, 0.0], [1.0, 1.0, 1.0]],
+    [[1.0, math.nan], [0.0, 1.0]],
+    [[math.inf, 0.0], [0.0, 1.0]],
+], ids=["singular_1x1", "singular_2x2", "singular_3x3", "nan", "inf"])
+def test_lu_refuses_singular_and_non_finite_matrices(matrix):
+    assert dynamics._lu([row[:] for row in matrix]) is None
+
+
+@pytest.mark.parametrize("jac_rows", [
+    [[4.0]],  # I/(h gamma) - J = 0 at h = 1
+    [[3.0, -2.0], [-2.0, 0.0]],  # I/(h gamma) - J = [[1, 2], [2, 4]]
+    [[math.nan, 0.0], [0.0, 0.0]],
+], ids=["singular_1x1", "singular_2x2", "nan"])
+def test_unsolvable_stage_matrix_rejects_the_step(jac_rows):
+    n = len(jac_rows)
+    calls = []
+
+    def fn(t, y):
+        calls.append(t)
+        return [0.0] * n
+
+    step = dynamics._rodas(fn, lambda t, y: jac_rows, n, IntegratorStats())
+    y = [1.0] * n
+    y_new, err = step(0.0, y, [0.5] * n, 1.0)
+    assert err == math.inf and y_new == y
+    assert calls == []  # no stage was evaluated
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +582,7 @@ def test_integrate_error_carries_its_accepted_nodes():
     def fn(t, y):
         if t > 1.0:
             raise UnresolvedSingularityError(t, y, None)
-        return -y
+        return -np.asarray(y)
 
     with pytest.raises(UnresolvedSingularityError) as err:
         integrate(fn, [1.0], (0.0, 5.0), jac=lambda t, y: [[-1.0]])

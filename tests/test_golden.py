@@ -99,50 +99,50 @@ GOLDEN = {
         "classification.json": "141f426a9bbd1a9473b1b8a5ae4d81d32715ad1415df7b9adedb37f6afb4203c",
         "manifold.json": "e22f5a8221aff52626f787c34ea8426bc634ff9a0eb01cff477b8e5d6e424c0b",
         "slowfast.csv": "4760e11f6085107b446f3a1287f3db48972105edfedc7b91581ed41719ab5566",
-        "trajectory.csv": "17c642a2e6b6b841fe1af99966e8eb1b3d44cb61e5439a58f65e00d0140bc2de",
+        "trajectory.csv": "5e0d6a99965870fb1b396a435a884e6a158c6e79928d7fc09ac96e677d0f2ba2",
     },
     "fold_biased": {
         "certificates.json": "6aa8301aec635c47fb7978915426a9d9239deb82b64eec3ff4de0a0855d1b4d6",
         "classification.json": "16f9106b637905dce83179d1dcedd55adea46194040475dfc4234af52e2e4766",
         "manifold.json": "b923294a2139f5ee5677a70e2bed70ab34829a5d9ddef1065c49f8d692bbd3d6",
         "slowfast.csv": "4e44b526e75615292b0adf844e23ce6db1725718d291b90e5fcfea6fd394805c",
-        "trajectory.csv": "5d359cc2184fb0cdf243c898b9966eabda5b90af9487d94920fcf19c8495a2fa",
+        "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
     },
     "fold_custom": {
         "certificates.json": "7c039e6c8b907d76adf1c9d54b8d5258c3fa064a7db2b973f270fa998f549d16",
         "classification.json": "24c3f2752111edf4e9d8b1bb53804342cff57497a5d03999d00378a89773e870",
         "manifold.json": "c183d6eb1195f5bd50b62986b2709c7b2a6583758af3e43c92afee4d4a126864",
         "slowfast.csv": "ba00c4d8d579414481a50665f8c134f05aeb70dbc3fff84b6b54016df8fd3010",
-        "trajectory.csv": "5d359cc2184fb0cdf243c898b9966eabda5b90af9487d94920fcf19c8495a2fa",
+        "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
     },
     "fold_overshoot": {
         "certificates.json": "c3df20ff363481cfabf56b007f4bf79c4f8de4ac53453293f620f5519faab592",
         "classification.json": "609a2a231e749bfa2533c2aff618a63bba80f970501b7f10904d308c20b23b19",
         "manifold.json": "f5e9bf4712bf488f873f9b7c688b76687589b7a29b8656e170961a8d34424cef",
         "slowfast.csv": "cf3eb47d52514757aca5242872fff0c1448b8167b7d9900f5eef3e0ae994e896",
-        "trajectory.csv": "5d359cc2184fb0cdf243c898b9966eabda5b90af9487d94920fcf19c8495a2fa",
+        "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
     },
     "fold_slide_exit": {
-        "trajectory.csv": "d1a43272c65ce97171edc521446f7d2bfe1a2a09cf6c3604da9d7640e19ab88b",
+        "trajectory.csv": "b060ce5286050e5a5912310404ccae0959ea3a7b815b8d0e6786864bcac53d8d",
     },
     "fold_smoothstep": {
         "certificates.json": "de89f6385e5ccc3dfdeab3638af9654e38e0786d9071792f8a273fe34abd37d7",
         "classification.json": "b0842f588e2e81117b5d51bd1c54db149e57f61a4d7b5a821d998b4936b15055",
         "manifold.json": "666ba8eeb72bb7aa1a95c89d2431bbfc6f8527f61c402a9104e216612356d092",
         "slowfast.csv": "2ebab8c8894e68f53a8d17976415f670286d797cd63181187236e17850679380",
-        "trajectory.csv": "5d359cc2184fb0cdf243c898b9966eabda5b90af9487d94920fcf19c8495a2fa",
+        "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
     },
     "regularized": {
-        "trajectory.csv": "dbb9bd846f0d62e2b8145d44ae8bd3e47f958c545289317d6dfed3a0ba2237ca",
+        "trajectory.csv": "1c42648d26bbc2e63a51596de7ac7036891a1898de68b6db64cf719fa86306e6",
     },
     "rotation_3d": {
-        "trajectory.csv": "8de49929ee96c70ebc10c12438ec76a1439c2f94248ee4c557560efa5c725ede",
+        "trajectory.csv": "0c51309663bfb1984154111c002d9dafdb3fc40ba7a00559a8c70026e24a3488",
     },
     "rotation_3d_all": {
-        "trajectory.csv": "8de49929ee96c70ebc10c12438ec76a1439c2f94248ee4c557560efa5c725ede",
+        "trajectory.csv": "0c51309663bfb1984154111c002d9dafdb3fc40ba7a00559a8c70026e24a3488",
     },
     "sewing": {
-        "trajectory.csv": "863554be68d9664796d26a6aee86a8fee17060e51ea09e2c70677ccc7c3a8811",
+        "trajectory.csv": "cbd2119b312d0423f7c063a179f155ec3a95899e07d95e75f3a499df164eb444",
     },
 }
 

@@ -223,17 +223,70 @@ def test_regularized_jacobian_matches_central_differences(transition, t):
     eps = 1e-3
     for x in (-0.8, 0.3, 0.9):
         point = np.array([x, eps * t])
-        jac = regularized_jacobian(JACOBIAN_FIELDS, transition, eps, point)
+        jac = np.array(regularized_jacobian(JACOBIAN_FIELDS, transition, eps, point))
         for j in range(2):
             # steps well inside the band: psi is only C1 at its edges
             step = 1e-6 * (eps if j == 1 else 1.0)
             e = np.zeros(2)
             e[j] = step
-            fd = (regularized_field(JACOBIAN_FIELDS, transition, eps, point + e)
-                  - regularized_field(JACOBIAN_FIELDS, transition, eps, point - e)) / (2 * step)
+            fd = (np.array(regularized_field(JACOBIAN_FIELDS, transition, eps, point + e))
+                  - np.array(regularized_field(JACOBIAN_FIELDS, transition, eps, point - e))) / (2 * step)
             assert np.allclose(jac[:, j], fd, rtol=1e-6, atol=1e-6), (x, j, jac[:, j], fd)
     with pytest.raises(ValueError):
         regularized_jacobian(JACOBIAN_FIELDS, transition, 0.0, (0.0, 0.0))
+
+
+FIELDS_3D = system_from_strings(
+    ("x1", "x2", "y"),
+    ("x2*y - sin(x1)", "x1 + y^2", "cos(x2) - 1.5"),
+    ("1 + x1*x2", "exp(-y)*x1", "2 + tanh(x1 - y)"),
+)
+FLOAT_PATH_CASES = {
+    "2d-smoothstep": (JACOBIAN_FIELDS, Smoothstep()),
+    "2d-overshoot": (JACOBIAN_FIELDS, Overshoot(2.0)),
+    "2d-custom_x": (JACOBIAN_FIELDS, Custom("(3*t - t^3)/2 + x*(1 - t^2)^2/4", ("x",))),
+    "3d-smoothstep": (FIELDS_3D, Smoothstep()),
+    "3d-overshoot": (FIELDS_3D, Overshoot(2.0)),
+    "3d-custom_x": (FIELDS_3D, Custom("(3*t - t^3)/2 + x1*x2*(1 - t^2)^2/4", ("x1", "x2"))),
+}
+
+
+def _array_field(system, transition, eps, point):
+    # the blend on numpy arrays, as the field was computed before it ran on floats
+    pt = np.asarray(point, dtype=float)
+    psi = transition.value(pt[-1] / eps, pt[:-1])
+    return (0.5 * (1.0 + psi) * system.plus.evaluate(pt)
+            + 0.5 * (1.0 - psi) * system.minus.evaluate(pt))
+
+
+def _array_jacobian(system, transition, eps, point):
+    pt = np.asarray(point, dtype=float)
+    t, xs = pt[-1] / eps, pt[:-1]
+    psi = transition.value(t, xs)
+    jac = (0.5 * (1.0 + psi) * system.plus.jacobian(pt)
+           + 0.5 * (1.0 - psi) * system.minus.jacobian(pt))
+    grad = np.append(transition.deriv_x(t, xs), transition.deriv_t(t, xs) / eps)
+    if grad.any():
+        jac += np.outer(0.5 * (system.plus.evaluate(pt) - system.minus.evaluate(pt)), grad)
+    return jac
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_PATH_CASES))
+def test_float_field_and_jacobian_match_the_array_blend_bit_for_bit(name):
+    system, transition = FLOAT_PATH_CASES[name]
+    eps = 1e-3
+    for t in (-3.0, -1.0, -0.6, 0.05, 0.45, 0.93, 2.5):  # y/eps, in and out of the band
+        for x in (-0.8, 0.3, 0.9):
+            point = [x] + [0.7 - x] * (system.dim - 2) + [eps * t]
+            want = _array_field(system, transition, eps, point)
+            got = regularized_field(system, transition, eps, point)
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == want.tobytes(), (point, got, want)
+            want = _array_jacobian(system, transition, eps, point)
+            rows = regularized_jacobian(system, transition, eps, point)
+            assert len(rows) == system.dim
+            assert all(type(v) is float for row in rows for v in row)
+            assert np.array(rows).tobytes() == want.tobytes(), (point, rows, want)
 
 
 # ---------------------------------------------------------------------------

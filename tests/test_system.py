@@ -197,7 +197,7 @@ def test_filippov_jacobian_matches_central_differences(name):
     sys, points = JACOBIAN_CASES[name]
     step = 1e-6
     for x in points:
-        jac = filippov_jacobian(sys, x)
+        jac = np.array(filippov_jacobian(sys, x))
         assert jac.shape == (len(x), len(x))
         for j in range(len(x)):
             hi, lo = list(x), list(x)
