@@ -88,69 +88,54 @@ def _require_planar(cfg: SystemConfig):
     return system
 
 
-def _boundaries(xs: np.ndarray, labels: list[str], sliding: str, sewing: str,
-                predicate: Callable[[float], bool]) -> list[float]:
-    """Refined boundary locations between sliding and sewing runs.
+def _write_verdict_report(cfg: SystemConfig, path: Path, grid,
+                          judge: Callable[[float], tuple[str, list[dict]]],
+                          sliding: str, sewing: str) -> None:
+    """Grid rows {x, verdict, roots} from ``judge(x) -> (verdict, roots)``,
+    plus the refined boundaries between sliding and sewing runs.
 
-    Runs of either certified label may be separated by up to two
-    indeterminate or singular grid points; the flip inside the gap is then
-    refined by bisection on ``predicate`` (True on the sliding side).
+    Runs of the two decided labels may be separated by up to two undecided
+    grid points; the flip inside the gap is then refined by bisection on
+    judge(x)[0] == sliding.
     """
-    def side(x: float) -> float:
-        return 1.0 if predicate(x) else -1.0
-
-    out: list[float] = []
-    decided = [(i, lab) for i, lab in enumerate(labels) if lab in (sliding, sewing)]
-    for (i, la), (j, lb) in zip(decided, decided[1:]):
-        if la == lb or j - i > 3:
-            continue
-        fa = 1.0 if la == sliding else -1.0
-        out.append(bisect_sign_change(side, float(xs[i]), float(xs[j]), 1e-12, fa=fa))
-    return out
+    rows = [(float(x), *judge(float(x))) for x in grid_points(grid)]
+    report = _report_skeleton(cfg)
+    report["grid"] = [{"x": x, "verdict": v, "roots": roots} for x, v, roots in rows]
+    side = lambda x: 1.0 if judge(x)[0] == sliding else -1.0
+    decided = [(i, x, v) for i, (x, v, _) in enumerate(rows) if v in (sliding, sewing)]
+    report["boundary_estimates"] = [
+        bisect_sign_change(side, xa, xb, 1e-12, fa=1.0 if va == sliding else -1.0)
+        for (i, xa, va), (j, xb, vb) in zip(decided, decided[1:])
+        if va != vb and j - i <= 3
+    ]
+    _write_json(path, report)
 
 
 def _cmd_classify(cfg: SystemConfig, out: Path, grid) -> int:
     system = _require_planar(cfg)
-    xs = grid_points(grid)
-
-    labels = [classify_point(system, float(x)).value for x in xs]
-    predicate = lambda x: classify_point(system, x) == SigmaClass.SLIDING
-    report = _report_skeleton(cfg)
-    report["grid"] = [
-        {"x": float(x), "verdict": lab, "roots": []} for x, lab in zip(xs, labels)
-    ]
-    report["boundary_estimates"] = _boundaries(
-        xs, labels, SigmaClass.SLIDING.value, SigmaClass.SEWING.value, predicate
-    )
-    _write_json(out / "classification.json", report)
+    judge = lambda x: (classify_point(system, x).value, [])
+    _write_verdict_report(cfg, out / "classification.json", grid, judge,
+                          SigmaClass.SLIDING.value, SigmaClass.SEWING.value)
     return 0
-
-
-def _certificate_payload(cert) -> tuple[str, list[dict]]:
-    roots = [{"t": r.t, "dh_dt": r.dh_dt} for r in cert.roots]
-    return cert.verdict.value, roots
 
 
 def _cmd_certify(cfg: SystemConfig, out: Path, grid) -> int:
     system = _require_planar(cfg)
-    xs = grid_points(grid)
 
-    certs = [certify(system, cfg.transition, float(x)) for x in xs]
-    labels = [c.verdict.value for c in certs]
+    def judge(x: float) -> tuple[str, list[dict]]:
+        cert = certify(system, cfg.transition, x)
+        return cert.verdict.value, [{"t": r.t, "dh_dt": r.dh_dt} for r in cert.roots]
 
-    def predicate(x: float) -> bool:
-        return certify(system, cfg.transition, x).verdict == Verdict.SLIDING_CERTIFIED
-
-    report = _report_skeleton(cfg)
-    report["grid"] = []
-    for x, cert in zip(xs, certs):
-        verdict, roots = _certificate_payload(cert)
-        report["grid"].append({"x": float(x), "verdict": verdict, "roots": roots})
-    report["boundary_estimates"] = _boundaries(
-        xs, labels, Verdict.SLIDING_CERTIFIED.value, Verdict.SEWING_CERTIFIED.value, predicate
-    )
-    _write_json(out / "certificates.json", report)
+    _write_verdict_report(cfg, out / "certificates.json", grid, judge,
+                          Verdict.SLIDING_CERTIFIED.value, Verdict.SEWING_CERTIFIED.value)
     return 0
+
+
+def _finite(flag: str, values: list[float]) -> tuple[float, ...]:
+    """The numbers given to a command line flag; NaN and inf are refused."""
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{flag} needs finite numbers, got {values}")
+    return tuple(values)
 
 
 def _trajectory_csv(path: Path, coords: Sequence[str], traj: Trajectory) -> None:
@@ -170,6 +155,8 @@ def _cmd_integrate(cfg: SystemConfig, out: Path, x0, t_span, mode: str, eps: flo
     system = _require_system(cfg)
     if x0 is None:
         raise ConfigError("integrate needs an initial state: set x0 in [run] or pass --from")
+    if len(x0) != system.dim:
+        raise ConfigError(f"the initial state needs {system.dim} components, got {len(x0)}")
     if mode == "filippov":
         traj = integrate_filippov(system, x0, t_span)
     else:
@@ -206,10 +193,9 @@ def _cmd_manifold(cfg: SystemConfig, out: Path, grid) -> int:
     xs = grid_points(grid)
     report = _report_skeleton(cfg)
     report["tracks"] = []
-    for eps in cfg.run.epsilons:
-        track = track_manifold(system, cfg.transition, eps, xs)
+    for track in track_manifold(system, cfg.transition, cfg.run.epsilons, xs):
         report["tracks"].append({
-            "epsilon": eps,
+            "epsilon": track.eps,
             "hausdorff_to_sigma": max(abs(p.y) for p in track.points),
             "points": [
                 {"x": p.x, "t": p.t, "y": p.y, "dh_dt": p.dh_dt} for p in track.points
@@ -306,13 +292,15 @@ def run_command(argv: Sequence[str]) -> int:
         if args.command == "integrate":
             x0 = cfg.run.x0
             if args.x0:
-                x0 = tuple(float(v) for v in args.x0.split(","))
+                x0 = _finite("--from", [float(v) for v in args.x0.split(",")])
             t_span = cfg.run.t_span
             if args.tspan:
-                parts = [float(v) for v in args.tspan.split(",")]
+                parts = _finite("--tspan", [float(v) for v in args.tspan.split(",")])
                 if len(parts) != 2:
                     raise ConfigError("--tspan needs 'start,end'")
                 t_span = (parts[0], parts[1])
+            if args.epsilon is not None:
+                _finite("--epsilon", [args.epsilon])
             mode = args.mode or cfg.run.mode
             return _cmd_integrate(cfg, out, x0, t_span, mode, args.epsilon)
         if args.command == "all":

@@ -30,6 +30,7 @@ the drift of g, so downstream code only ever sees the flat surface.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,6 +100,8 @@ def _floats(value: str, lineno: int) -> tuple[float, ...]:
         raise ConfigError(f"expected comma-separated numbers, got {value!r}", lineno) from exc
     if not vals:
         raise ConfigError("expected at least one number, got an empty list", lineno)
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"expected finite numbers, got {value!r}", lineno)
     return vals
 
 
@@ -111,6 +114,8 @@ def parse_grid(value: str, lineno: int | None = None) -> tuple[float, float, int
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"expected grid as lo:hi:count, got {value!r}", lineno) from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid bounds must be finite, got {value!r}", lineno)
     if count < 2 or hi <= lo:
         raise ConfigError(f"grid needs hi > lo and count >= 2, got {value!r}", lineno)
     return lo, hi, count

@@ -45,6 +45,7 @@ from .regularize import (
     TransitionFunction,
     bisect_sign_change,
     blend,
+    certify,
     height_roots,
     monotone_breaks,
     monotone_zeros,
@@ -661,38 +662,40 @@ class ManifoldTrack:
 def track_manifold(
     system: PiecewiseSystem,
     transition: TransitionFunction,
-    eps: float,
+    epsilons: Sequence[float],
     x_grid: Sequence[float],
-) -> ManifoldTrack:
-    """Locate the sliding manifold over a grid of surface points.
+) -> tuple[ManifoldTrack, ...]:
+    """Sampled sliding manifold over a grid of surface points, one track per
+    band width in ``epsilons``.
 
-    For each x the transversal root t_x of the height function places the
-    manifold point (x, eps * t_x); with several transversal roots the most
-    transversal one is tracked.  Grid points without a transversal root are
-    excluded with a reason; if the whole grid fails, NoSlidingAtError is
-    raised for the first point.
+    The witness of certify at x, the most transversal root t_x of the
+    height function, places the manifold point (x, eps * t_x).  t_x does
+    not depend on eps, so each x is certified once for all tracks.  Grid
+    points without a witness are excluded with a reason; if the whole grid
+    fails, NoSlidingAtError is raised for the first point.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    points: list[ManifoldPoint] = []
+    if not all(eps > 0 for eps in epsilons):
+        raise ValueError(f"epsilons must be positive, got {list(epsilons)}")
+    witnesses: list[tuple[float, HeightRoot]] = []
     excluded: list[tuple[float, str]] = []
     for x in x_grid:
         x = float(x)
-        found = height_roots(system, transition, x)
-        best = most_transversal(found)
-        if best is None:
-            if any(not isinstance(r, HeightRoot) for r in found):
-                excluded.append((x, "height function degenerates"))
-            elif found:
-                excluded.append((x, "only tangential roots"))
-            else:
-                excluded.append((x, "no root: not a sliding point"))
-            continue
-        points.append(ManifoldPoint(x, best.t, eps * best.t, best.dh_dt))
-    if not points:
-        x0, reason = excluded[0]
-        raise NoSlidingAtError(x0, reason)
-    return ManifoldTrack(eps, tuple(points), tuple(excluded))
+        cert = certify(system, transition, x)
+        if cert.witness is not None:
+            witnesses.append((x, cert.witness))
+        elif cert.degenerate:
+            excluded.append((x, "height function degenerates"))
+        elif cert.roots:
+            excluded.append((x, "only tangential roots"))
+        else:
+            excluded.append((x, "no root: not a sliding point"))
+    if not witnesses:
+        raise NoSlidingAtError(*excluded[0])
+    return tuple(
+        ManifoldTrack(eps, tuple(ManifoldPoint(x, w.t, eps * w.t, w.dh_dt) for x, w in witnesses),
+                      tuple(excluded))
+        for eps in epsilons
+    )
 
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:

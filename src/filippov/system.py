@@ -234,19 +234,6 @@ def filippov_tangent(
                          system.minus._components(*point)[:-1])
 
 
-def filippov_combination(
-    system: PiecewiseSystem, x: Sequence[float] | float
-) -> tuple[float, np.ndarray] | None:
-    """(lam, lam * X_plus + (1 - lam) * X_minus) at (x, 0), with no class gate.
-
-    The tangential components are those of filippov_tangent; the
-    y-component is set to 0, since lam * a_plus + (1 - lam) * a_minus
-    cancels exactly.  None where a_plus = a_minus, the pole of the weight.
-    """
-    combo = filippov_tangent(system, x)
-    return None if combo is None else (combo[0], np.array(combo[1] + [0.0]))
-
-
 def filippov_jacobian(system: PiecewiseSystem, x: Sequence[float] | float) -> list[list[float]] | None:
     """d/dx of filippov_tangent at (x, 0), as rows of floats.
 
@@ -273,10 +260,13 @@ def filippov_sliding_field(
 ) -> tuple[float, np.ndarray]:
     """Convex combination of the two fields tangent to Sigma at (x, 0).
 
-    Returns filippov_combination(system, x) at points that classify as
-    Sliding and raises NotSlidingError everywhere else.
+    Returns (lam, lam * X_plus + (1 - lam) * X_minus) at points that
+    classify as Sliding and raises NotSlidingError everywhere else.  The
+    tangential components are those of filippov_tangent; the y-component
+    is 0, since lam * a_plus + (1 - lam) * a_minus cancels exactly.
     """
     verdict = classify_point(system, x)
     if verdict != SigmaClass.SLIDING:
         raise NotSlidingError(system.tangential(x), verdict)
-    return filippov_combination(system, x)
+    lam, tangent = filippov_tangent(system, x)  # Sliding has a_plus != a_minus
+    return lam, np.array(tangent + [0.0])

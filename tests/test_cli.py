@@ -4,8 +4,10 @@ import tracemalloc
 
 import pytest
 
-from filippov import __version__, cli
+from filippov import __version__, cli, dynamics, regularize
 from filippov.cli import run_command
+from filippov.config import load_config
+from filippov.regularize import certify
 
 FOLD = """\
 [system]
@@ -88,6 +90,62 @@ def test_grid_override_validates(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("grid", ["-1:nan:5", "nan:1:5", "-inf:1:5", "-1:inf:5"])
+def test_grid_override_refuses_non_finite_bounds(tmp_path, capsys, grid):
+    # a NaN bound passed hi > lo and failed later as a computation (exit 1)
+    cfg = setup_cfg(tmp_path, FOLD)
+    rc = run_command(["classify", "--config", cfg, "--out", str(tmp_path), f"--grid={grid}"])
+    assert rc == 2
+    assert "grid bounds must be finite" in capsys.readouterr().err
+
+
+def banded(lo: float, hi: float) -> str:
+    """A fold whose a_plus vanishes exactly on [lo, hi]: Sliding left of lo
+    (a_plus < 0 < a_minus = 1), Sewing right of hi."""
+    return (
+        "[system]\ncoords = x, y\nx_plus = 1, "
+        f"(x - {hi} + abs(x - {hi}))/2 + (x - {lo} - abs(x - {lo}))/2\nx_minus = 1, 1\n"
+    )
+
+
+@pytest.mark.parametrize("command, report, undecided", [
+    ("classify", "classification.json", "SigmaSingular"),
+    ("certify", "certificates.json", "Indeterminate"),
+])
+@pytest.mark.parametrize("lo, hi, gap", [
+    (0.05, 0.05, 0),  # the flip lies between two grid nodes
+    (-0.05, 0.05, 1),  # x = 0 is undecided
+    (-0.05, 0.15, 2),  # x = 0 and x = 0.1
+    (-0.15, 0.15, 3),  # x = -0.1, 0 and 0.1: too wide to refine
+])
+def test_boundaries_refine_across_at_most_two_undecided_points(
+        tmp_path, command, report, undecided, lo, hi, gap):
+    cfg = setup_cfg(tmp_path, banded(lo, hi))
+    assert run_command([command, "--config", cfg, "--out", str(tmp_path), "--grid=-1:1:21"]) == 0
+    out = json.loads((tmp_path / report).read_text())
+    verdicts = [row["verdict"] for row in out["grid"]]
+    assert verdicts.count(undecided) == gap
+    if gap > 2:
+        assert out["boundary_estimates"] == []
+    else:
+        [estimate] = out["boundary_estimates"]
+        # classify flips where |a_plus| = CLASS_TOL * a_minus, certify where
+        # the witness turns tangential: both just left of lo
+        assert estimate == pytest.approx(lo, abs=2e-9 if command == "classify" else 1e-3)
+
+
+@pytest.mark.parametrize("command, report", [
+    ("classify", "classification.json"), ("certify", "certificates.json"),
+])
+def test_two_flips_give_two_boundaries(tmp_path, command, report):
+    # Sliding exactly on |x| < 0.5
+    text = "[system]\ncoords = x, y\nx_plus = 1, x^2 - 0.25\nx_minus = 1, 1\n"
+    cfg = setup_cfg(tmp_path, text)
+    assert run_command([command, "--config", cfg, "--out", str(tmp_path), "--grid=-1:1:20"]) == 0
+    estimates = json.loads((tmp_path / report).read_text())["boundary_estimates"]
+    assert estimates == [pytest.approx(-0.5, abs=1e-3), pytest.approx(0.5, abs=1e-3)]
+
+
 def test_integrate_filippov(tmp_path, capsys):
     cfg = setup_cfg(tmp_path, EX21)
     rc = run_command(["integrate", "--config", cfg, "--out", str(tmp_path)])
@@ -127,6 +185,35 @@ def test_integrate_rejects_decreasing_tspan(tmp_path, capsys, mode):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["filippov", "regularized"])
+@pytest.mark.parametrize("state", ["1", "1,2,3"])
+def test_integrate_checks_the_state_dimension(tmp_path, capsys, mode, state):
+    # the regularized mode used to escape with a TypeError from the field
+    cfg = setup_cfg(tmp_path, FOLD)
+    rc = run_command([
+        "integrate", "--config", cfg, "--out", str(tmp_path), f"--from={state}", "--mode", mode,
+    ])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--from=nan,0.5", "--tspan=0,nan", "--tspan=0,inf",
+                                  "--epsilon=nan"])
+def test_integrate_refuses_non_finite_flags(tmp_path, capsys, monkeypatch, flag):
+    # NaN passed every comparison: a NaN t_end was never reached, and the
+    # orbit ran until its state overflowed
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 2000)
+    cfg = setup_cfg(tmp_path, FOLD)
+    rc = run_command([
+        "integrate", "--config", cfg, "--out", str(tmp_path), "--from=-1,0.5",
+        "--mode", "regularized", flag,
+    ])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_integrate_needs_x0(tmp_path, capsys):
     cfg = setup_cfg(tmp_path, FOLD)
     rc = run_command(["integrate", "--config", cfg, "--out", str(tmp_path)])
@@ -144,6 +231,41 @@ def test_manifold_report(tmp_path):
     assert t0["hausdorff_to_sigma"] > t1["hausdorff_to_sigma"] > 0
     assert {"x", "t", "y", "dh_dt"} == set(t0["points"][0])
     assert all(p["x"] <= 0.2 for p in t0["points"])
+
+
+def test_manifold_certifies_each_point_once_for_all_epsilons(tmp_path, monkeypatch):
+    calls = 0
+    height_roots = regularize.height_roots
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return height_roots(*args)
+
+    for owner in (regularize, dynamics):  # the names a caller can look it up under
+        monkeypatch.setattr(owner, "height_roots", counting)
+    cfg = setup_cfg(tmp_path, FOLD_OVERSHOOT + "\n[run]\nepsilons = 0.1, 0.05, 0.025\n")
+    assert run_command(["manifold", "--config", cfg, "--out", str(tmp_path), "--grid=-1:1:41"]) == 0
+    assert calls == 41
+    tracks = json.loads((tmp_path / "manifold.json").read_text())["tracks"]
+    assert [t["epsilon"] for t in tracks] == [0.1, 0.05, 0.025]
+    loaded = load_config(cfg)
+    for track in tracks:
+        assert track["points"]
+        for p in track["points"]:
+            witness = certify(loaded.system, loaded.transition, p["x"]).witness
+            assert (p["t"], p["dh_dt"]) == (witness.t, witness.dh_dt)
+            assert p["y"] == track["epsilon"] * witness.t
+        assert track["excluded"] == tracks[0]["excluded"]
+
+
+def test_manifold_refuses_nan_epsilon(tmp_path, capsys):
+    # manifold.json used to be written with bare NaN tokens, which is not JSON
+    cfg = setup_cfg(tmp_path, FOLD + "\n[run]\nepsilons = nan\n")
+    rc = run_command(["manifold", "--config", cfg, "--out", str(tmp_path), "--grid=-1:1:5"])
+    assert rc == 2
+    assert "line 7: expected finite numbers" in capsys.readouterr().err
+    assert not (tmp_path / "manifold.json").exists()
 
 
 def test_manifold_distance_takes_no_pairwise_matrix(tmp_path):

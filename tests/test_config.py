@@ -114,6 +114,23 @@ def test_line_numbered_errors(tmp_path):
         assert err.value.line == line
 
 
+def test_non_finite_numbers_are_refused(tmp_path):
+    # NaN fails every comparison, so each of these used to load: a NaN
+    # t_end was never reached and a NaN epsilon reached manifold.json
+    sys3 = "[system]\ncoords = x, y\nx_plus = 1, 1\nx_minus = 1, -1\n[run]\n"
+    for line in ("t_span = 0, nan", "t_span = 0, inf", "epsilons = 0.1, nan", "etas = inf",
+                 "x0 = nan, 0.5"):
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, sys3 + line + "\n"))
+        assert "expected finite numbers" in str(err.value)
+        assert err.value.line == 6
+    for line in ("grid = -1:nan:5", "grid = nan:1:5", "grid = -inf:1:5"):
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, sys3 + line + "\n"))
+        assert "grid bounds must be finite" in str(err.value)
+        assert err.value.line == 6
+
+
 def test_structural_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, "[transition]\nkind = smoothstep\n"))

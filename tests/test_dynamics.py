@@ -649,7 +649,7 @@ def test_hybrid_orbit_invariants(name):
 
 def test_track_manifold_fold():
     xs = np.linspace(-1.0, -0.1, 10)
-    track = track_manifold(fold(), Smoothstep(), 0.1, xs)
+    track = track_manifold(fold(), Smoothstep(), (0.1,), xs)[0]
     assert len(track.points) == 10
     assert track.excluded == ()
     for p in track.points:
@@ -661,8 +661,8 @@ def test_track_manifold_fold():
 
 def test_track_manifold_t_independent_of_eps():
     xs = np.linspace(-1.0, -0.1, 7)
-    a = track_manifold(fold(), Smoothstep(), 0.1, xs)
-    b = track_manifold(fold(), Smoothstep(), 0.05, xs)
+    a = track_manifold(fold(), Smoothstep(), (0.1,), xs)[0]
+    b = track_manifold(fold(), Smoothstep(), (0.05,), xs)[0]
     for pa, pb in zip(a.points, b.points):
         assert pa.t == pb.t
         assert pa.y == pytest.approx(2.0 * pb.y)
@@ -670,24 +670,24 @@ def test_track_manifold_t_independent_of_eps():
 
 def test_track_manifold_exclusions():
     xs = [-0.5, 0.0, 0.5]
-    track = track_manifold(fold(), Smoothstep(), 0.1, xs)
+    track = track_manifold(fold(), Smoothstep(), (0.1,), xs)[0]
     assert [p.x for p in track.points] == [-0.5]
     reasons = dict(track.excluded)
     assert reasons[0.0] == "only tangential roots"
     assert reasons[0.5] == "no root: not a sliding point"
 
     with pytest.raises(NoSlidingAtError) as err:
-        track_manifold(fold(), Smoothstep(), 0.1, [0.4, 0.6])
+        track_manifold(fold(), Smoothstep(), (0.1,), [0.4, 0.6])
     assert err.value.x == 0.4
 
     with pytest.raises(ValueError):
-        track_manifold(fold(), Smoothstep(), 0.0, xs)
+        track_manifold(fold(), Smoothstep(), (0.0,), xs)
 
 
 def test_track_manifold_degenerate_reason():
     # both normal components vanish at x = 0 but the system slides elsewhere
     sys = system_from_strings(("x", "y"), ("1", "-x^2"), ("1", "x^2"))
-    track = track_manifold(sys, Smoothstep(), 0.1, [-0.5, 0.0])
+    track = track_manifold(sys, Smoothstep(), (0.1,), [-0.5, 0.0])[0]
     assert [p.x for p in track.points] == [-0.5]
     assert dict(track.excluded)[0.0] == "height function degenerates"
 

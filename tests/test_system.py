@@ -10,9 +10,9 @@ from filippov.system import (
     VectorFieldDef,
     classify_point,
     field_from_strings,
-    filippov_combination,
     filippov_jacobian,
     filippov_sliding_field,
+    filippov_tangent,
     sliding_margin,
     system_from_strings,
 )
@@ -203,13 +203,13 @@ def test_filippov_jacobian_matches_central_differences(name):
             hi, lo = list(x), list(x)
             hi[j] += step
             lo[j] -= step
-            column = filippov_combination(sys, hi)[1] - filippov_combination(sys, lo)[1]
-            assert jac[:, j] == pytest.approx(column[:-1] / (2 * step), rel=1e-6, abs=1e-9)
+            column = np.array(filippov_tangent(sys, hi)[1]) - np.array(filippov_tangent(sys, lo)[1])
+            assert jac[:, j] == pytest.approx(column / (2 * step), rel=1e-6, abs=1e-9)
 
 
 def test_filippov_jacobian_is_none_on_the_pole():
     sys = system_from_strings(("x", "y"), ("1", "x"), ("2", "-x"))
-    assert filippov_combination(sys, 0.0) is None
+    assert filippov_tangent(sys, 0.0) is None
     assert filippov_jacobian(sys, 0.0) is None
 
 
@@ -224,7 +224,7 @@ def test_surface_coordinate_is_parsed_once_per_call(monkeypatch):
 
     monkeypatch.setattr(PiecewiseSystem, "tangential", counting)
     sys = fold()
-    for fn in (lambda: filippov_combination(sys, -0.5), lambda: filippov_jacobian(sys, -0.5),
+    for fn in (lambda: filippov_tangent(sys, -0.5), lambda: filippov_jacobian(sys, -0.5),
                lambda: height_roots(sys, Smoothstep(), -0.5), lambda: sliding_margin(sys, -0.5)):
         calls = 0
         fn()
