@@ -1,9 +1,13 @@
 """Command line front end.
 
-Subcommands: classify, certify, slow-fast, integrate, manifold, cross, all.
-Each takes --config and --out and writes its artifacts under the output
-directory.  Exit codes: 0 success, 1 computation failed, 2 bad
-configuration or usage.
+Subcommands: classify, certify, slow-fast, manifold, integrate, cross, all,
+one entry each in COMMANDS, which builds the parser and dispatches.  Each
+takes --config and --out and writes its artifacts under the output
+directory.  Every other flag is the [run] key of the same meaning (--grid
+is grid, --from x0, --tspan t_span, --epsilon epsilons, --mode mode): its
+text goes to load_config, which checks it as it checks the file's value
+and lets it replace that value.  Exit codes: 0 success, 1 computation
+failed, 2 bad configuration or usage.
 
 Artifacts are deterministic: floats are rendered with shortest round-trip
 precision and no timestamps or machine identifiers are embedded, so a rerun
@@ -33,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .blowup import SlowFastSystem
-from .config import ConfigError, SystemConfig, grid_points, load_config, parse_grid
+from .config import ConfigError, SystemConfig, grid_points, load_config
 from .cross import NonMonotoneTransitionError, stratified_slide_curve
 from .expr import DomainError
 from .dynamics import (
@@ -88,7 +92,7 @@ def _require_planar(cfg: SystemConfig):
     return system
 
 
-def _write_verdict_report(cfg: SystemConfig, path: Path, grid,
+def _write_verdict_report(cfg: SystemConfig, path: Path,
                           judge: Callable[[float], tuple[str, list[dict]]],
                           sliding: str, sewing: str) -> None:
     """Grid rows {x, verdict, roots} from ``judge(x) -> (verdict, roots)``,
@@ -98,7 +102,7 @@ def _write_verdict_report(cfg: SystemConfig, path: Path, grid,
     grid points; the flip inside the gap is then refined by bisection on
     judge(x)[0] == sliding.
     """
-    rows = [(float(x), *judge(float(x))) for x in grid_points(grid)]
+    rows = [(float(x), *judge(float(x))) for x in grid_points(cfg.run.grid)]
     report = _report_skeleton(cfg)
     report["grid"] = [{"x": x, "verdict": v, "roots": roots} for x, v, roots in rows]
     side = lambda x: 1.0 if judge(x)[0] == sliding else -1.0
@@ -111,31 +115,22 @@ def _write_verdict_report(cfg: SystemConfig, path: Path, grid,
     _write_json(path, report)
 
 
-def _cmd_classify(cfg: SystemConfig, out: Path, grid) -> int:
+def _cmd_classify(cfg: SystemConfig, out: Path) -> None:
     system = _require_planar(cfg)
     judge = lambda x: (classify_point(system, x).value, [])
-    _write_verdict_report(cfg, out / "classification.json", grid, judge,
+    _write_verdict_report(cfg, out / "classification.json", judge,
                           SigmaClass.SLIDING.value, SigmaClass.SEWING.value)
-    return 0
 
 
-def _cmd_certify(cfg: SystemConfig, out: Path, grid) -> int:
+def _cmd_certify(cfg: SystemConfig, out: Path) -> None:
     system = _require_planar(cfg)
 
     def judge(x: float) -> tuple[str, list[dict]]:
         cert = certify(system, cfg.transition, x)
         return cert.verdict.value, [{"t": r.t, "dh_dt": r.dh_dt} for r in cert.roots]
 
-    _write_verdict_report(cfg, out / "certificates.json", grid, judge,
+    _write_verdict_report(cfg, out / "certificates.json", judge,
                           Verdict.SLIDING_CERTIFIED.value, Verdict.SEWING_CERTIFIED.value)
-    return 0
-
-
-def _finite(flag: str, values: list[float]) -> tuple[float, ...]:
-    """The numbers given to a command line flag; NaN and inf are refused."""
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"{flag} needs finite numbers, got {values}")
-    return tuple(values)
 
 
 def _trajectory_csv(path: Path, coords: Sequence[str], traj: Trajectory) -> None:
@@ -151,29 +146,27 @@ def _trajectory_csv(path: Path, coords: Sequence[str], traj: Trajectory) -> None
     path.write_text("\n".join(lines) + "\n")
 
 
-def _cmd_integrate(cfg: SystemConfig, out: Path, x0, t_span, mode: str, eps: float | None) -> int:
+def _cmd_integrate(cfg: SystemConfig, out: Path) -> None:
     system = _require_system(cfg)
-    if x0 is None:
+    run = cfg.run
+    if run.x0 is None:
         raise ConfigError("integrate needs an initial state: set x0 in [run] or pass --from")
-    if len(x0) != system.dim:
-        raise ConfigError(f"the initial state needs {system.dim} components, got {len(x0)}")
-    if mode == "filippov":
-        traj = integrate_filippov(system, x0, t_span)
+    if run.mode == "filippov":
+        traj = integrate_filippov(system, run.x0, run.t_span)
     else:
-        e = eps if eps is not None else cfg.run.epsilons[0]
+        e = run.epsilons[0]
         fn = lambda t, s: regularized_field(system, cfg.transition, e, s)
         jac = lambda t, s: regularized_jacobian(system, cfg.transition, e, s)
-        traj = integrate(fn, x0, t_span, jac=jac)
+        traj = integrate(fn, run.x0, run.t_span, jac=jac)
     _trajectory_csv(out / "trajectory.csv", system.coords, traj)
-    return 0
 
 
-def _cmd_slowfast(cfg: SystemConfig, out: Path, grid) -> int:
+def _cmd_slowfast(cfg: SystemConfig, out: Path) -> None:
     """Polar-cylinder plot data: the slow manifold on the divisor from the
     central chart, plus the saturation arcs from the side charts."""
     system = _require_planar(cfg)
     sf = SlowFastSystem(system, cfg.transition)
-    xs = grid_points(grid)
+    xs = grid_points(cfg.run.grid)
     lines = ["x,theta,r,chart"]
     for x in xs:
         for root in sf.manifold_slice(float(x)):
@@ -185,12 +178,11 @@ def _cmd_slowfast(cfg: SystemConfig, out: Path, grid) -> int:
             lines.append(f"{repr(x)},{repr(math.atan2(float(epstil), 1.0))},0.0,F+")
             lines.append(f"{repr(x)},{repr(math.atan2(float(epstil), -1.0))},0.0,F-")
     (out / "slowfast.csv").write_text("\n".join(lines) + "\n")
-    return 0
 
 
-def _cmd_manifold(cfg: SystemConfig, out: Path, grid) -> int:
+def _cmd_manifold(cfg: SystemConfig, out: Path) -> None:
     system = _require_planar(cfg)
-    xs = grid_points(grid)
+    xs = grid_points(cfg.run.grid)
     report = _report_skeleton(cfg)
     report["tracks"] = []
     for track in track_manifold(system, cfg.transition, cfg.run.epsilons, xs):
@@ -203,10 +195,9 @@ def _cmd_manifold(cfg: SystemConfig, out: Path, grid) -> int:
             "excluded": [{"x": x, "reason": reason} for x, reason in track.excluded],
         })
     _write_json(out / "manifold.json", report)
-    return 0
 
 
-def _cmd_cross(cfg: SystemConfig, out: Path) -> int:
+def _cmd_cross(cfg: SystemConfig, out: Path) -> None:
     if cfg.cross is None:
         raise ConfigError("this command needs a [cross] section")
     epsilons = cfg.run.epsilons
@@ -229,7 +220,33 @@ def _cmd_cross(cfg: SystemConfig, out: Path) -> int:
             "hausdorff_to_axis": curve.hausdorff_to_axis,
         })
     _write_json(out / "cross.json", report)
-    return 0
+
+
+def _cmd_all(cfg: SystemConfig, out: Path) -> None:
+    if cfg.system is not None and cfg.system.dim == 2:
+        _cmd_classify(cfg, out)
+        _cmd_certify(cfg, out)
+        _cmd_slowfast(cfg, out)
+        try:
+            _cmd_manifold(cfg, out)
+        except NoSlidingAtError:
+            pass  # nothing to track is fine for the combined run
+    if cfg.system is not None and cfg.run.x0 is not None:
+        _cmd_integrate(cfg, out)
+    if cfg.cross is not None:
+        _cmd_cross(cfg, out)
+
+
+# name: (help, command, takes --grid)
+COMMANDS: dict[str, tuple[str, Callable[[SystemConfig, Path], None], bool]] = {
+    "classify": ("classify surface points", _cmd_classify, True),
+    "certify": ("sliding/sewing certificates over a grid", _cmd_certify, True),
+    "slow-fast": ("blow-up plot data", _cmd_slowfast, True),
+    "manifold": ("track the sliding manifold", _cmd_manifold, True),
+    "integrate": ("integrate an orbit", _cmd_integrate, False),
+    "cross": ("stratified curve for a double switching", _cmd_cross, False),
+    "all": ("all artifacts the config supports", _cmd_all, True),
+}
 
 
 @functools.cache  # built on the first command, not at import
@@ -239,88 +256,33 @@ def _build_parser() -> argparse.ArgumentParser:
         description="piecewise-smooth vector field analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    # the dest of every flag past --out is its [run] key
+    for name, (help_text, _, takes_grid) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-
-    def with_grid(p):
-        common(p)
-        p.add_argument("--grid", help="surface grid lo:hi:count (overrides [run] grid)")
-
-    with_grid(sub.add_parser("classify", help="classify surface points"))
-    with_grid(sub.add_parser("certify", help="sliding/sewing certificates over a grid"))
-    with_grid(sub.add_parser("slow-fast", help="blow-up plot data"))
-    with_grid(sub.add_parser("manifold", help="track the sliding manifold"))
-    p_int = sub.add_parser("integrate", help="integrate an orbit")
-    common(p_int)
-    p_int.add_argument("--from", dest="x0", help="initial state, comma separated")
-    p_int.add_argument("--tspan", help="time window 'start,end'")
-    p_int.add_argument("--mode", choices=("filippov", "regularized"))
-    p_int.add_argument("--epsilon", type=float, help="band width for regularized mode")
-    common(sub.add_parser("cross", help="stratified curve for a double switching"))
-    with_grid(sub.add_parser("all", help="all artifacts the config supports"))
+        if takes_grid:
+            p.add_argument("--grid", help="surface grid lo:hi:count (overrides [run] grid)")
+        if name == "integrate":
+            p.add_argument("--from", dest="x0", help="initial state, comma separated")
+            p.add_argument("--tspan", dest="t_span", help="time window 'start,end'")
+            p.add_argument("--mode", help="filippov or regularized")
+            p.add_argument("--epsilon", dest="epsilons", help="band width for regularized mode")
     return parser
 
 
 def run_command(argv: Sequence[str]) -> int:
     """Entry point used by tests and by main(); returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        flags = vars(_build_parser().parse_args(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
 
     try:
-        cfg = load_config(args.config)
-        out = Path(args.out)
+        command, config, out = flags.pop("command"), flags.pop("config"), Path(flags.pop("out"))
+        cfg = load_config(config, flags)
         out.mkdir(parents=True, exist_ok=True)
-        grid = cfg.run.grid
-        if getattr(args, "grid", None):
-            grid = parse_grid(args.grid)
-
-        if args.command == "classify":
-            return _cmd_classify(cfg, out, grid)
-        if args.command == "certify":
-            return _cmd_certify(cfg, out, grid)
-        if args.command == "slow-fast":
-            return _cmd_slowfast(cfg, out, grid)
-        if args.command == "manifold":
-            return _cmd_manifold(cfg, out, grid)
-        if args.command == "cross":
-            return _cmd_cross(cfg, out)
-        if args.command == "integrate":
-            x0 = cfg.run.x0
-            if args.x0:
-                x0 = _finite("--from", [float(v) for v in args.x0.split(",")])
-            t_span = cfg.run.t_span
-            if args.tspan:
-                parts = _finite("--tspan", [float(v) for v in args.tspan.split(",")])
-                if len(parts) != 2:
-                    raise ConfigError("--tspan needs 'start,end'")
-                t_span = (parts[0], parts[1])
-            if args.epsilon is not None:
-                _finite("--epsilon", [args.epsilon])
-            mode = args.mode or cfg.run.mode
-            return _cmd_integrate(cfg, out, x0, t_span, mode, args.epsilon)
-        if args.command == "all":
-            rc = 0
-            if cfg.system is not None and cfg.system.dim == 2:
-                rc = _cmd_classify(cfg, out, grid)
-                rc = rc or _cmd_certify(cfg, out, grid)
-                rc = rc or _cmd_slowfast(cfg, out, grid)
-                try:
-                    rc = rc or _cmd_manifold(cfg, out, grid)
-                except NoSlidingAtError:
-                    pass  # nothing to track is fine for the combined run
-            if cfg.system is not None and cfg.run.x0 is not None:
-                rc = rc or _cmd_integrate(
-                    cfg, out, cfg.run.x0, cfg.run.t_span, cfg.run.mode, None
-                )
-            if cfg.cross is not None:
-                rc = rc or _cmd_cross(cfg, out)
-            return rc
-        raise ConfigError(f"unknown command {args.command!r}")
+        COMMANDS[command][1](cfg, out)
     except (
         UnresolvedSingularityError,
         NoSlidingAtError,
@@ -333,6 +295,7 @@ def run_command(argv: Sequence[str]) -> int:
     except (ConfigError, ValidationFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

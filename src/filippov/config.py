@@ -93,20 +93,21 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-def _floats(value: str, lineno: int) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(v.strip()) for v in value.split(",") if v.strip())
+def _floats(value: str, lineno: int | None) -> tuple[float, ...]:
+    items = [v.strip() for v in value.split(",")]
+    if not any(items):
+        raise ConfigError("expected at least one number, got an empty list", lineno)
+    try:  # an empty item among numbers is refused here too
+        vals = tuple(map(float, items))
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated numbers, got {value!r}", lineno) from exc
-    if not vals:
-        raise ConfigError("expected at least one number, got an empty list", lineno)
     if not all(map(math.isfinite, vals)):
         raise ConfigError(f"expected finite numbers, got {value!r}", lineno)
     return vals
 
 
-def parse_grid(value: str, lineno: int | None = None) -> tuple[float, float, int]:
-    """Parse ``lo:hi:count``; ``lineno`` locates errors in a config file."""
+def _grid(value: str, lineno: int | None) -> tuple[float, float, int]:
+    """Parse ``lo:hi:count``."""
     parts = value.split(":")
     if len(parts) != 3:
         raise ConfigError(f"expected grid as lo:hi:count, got {value!r}", lineno)
@@ -250,11 +251,11 @@ def _build_cross(sec: dict[str, tuple[str, int]]) -> CrossSystem:
     )
 
 
-def _build_run(sec: dict[str, tuple[str, int]]) -> RunParams:
-    run = RunParams()
+def _build_run(sec: dict[str, tuple[str, int | None]], run: RunParams) -> RunParams:
+    """run with the values of sec set on it, each checked."""
     for key, (value, lineno) in sec.items():
         if key == "grid":
-            run.grid = parse_grid(value, lineno)
+            run.grid = _grid(value, lineno)
         elif key == "epsilons":
             run.epsilons = _floats(value, lineno)
             if any(e <= 0 for e in run.epsilons):
@@ -266,7 +267,8 @@ def _build_run(sec: dict[str, tuple[str, int]]) -> RunParams:
         elif key == "t_span":
             vals = _floats(value, lineno)
             if len(vals) != 2 or vals[1] <= vals[0]:
-                raise ConfigError(f"t_span needs 'start, end' with end > start, got {value!r}", lineno)
+                raise ConfigError("t_span must be increasing: 'start, end' with end > start, "
+                                  f"got {value!r}", lineno)
             run.t_span = (vals[0], vals[1])
         elif key == "x0":
             run.x0 = _floats(value, lineno)
@@ -279,10 +281,13 @@ def _build_run(sec: dict[str, tuple[str, int]]) -> RunParams:
     return run
 
 
-def load_config(path: str | Path) -> SystemConfig:
+def load_config(path: str | Path, flags: dict[str, str | None] | None = None) -> SystemConfig:
     """Parse and validate a configuration file.
 
-    Raises ConfigError with the offending line number on any problem.
+    ``flags`` maps [run] keys to command line text, None where a flag was
+    not given; each value is checked as the file's would be and replaces
+    it.  Raises ConfigError with the offending line number on any problem
+    in the file (a flag has none).
     """
     path = Path(path)
     try:
@@ -298,7 +303,8 @@ def load_config(path: str | Path) -> SystemConfig:
         raise ConfigError("config needs a [system] or [cross] section")
     x_names = system.x_names if system is not None else ()
     transition = _build_transition(sections.get("transition", {}), x_names=x_names)
-    run = _build_run(sections.get("run", {}))
+    run = _build_run(sections.get("run", {}), RunParams())
+    run = _build_run({k: (v, None) for k, v in (flags or {}).items() if v is not None}, run)
     if system is not None and run.x0 is not None and len(run.x0) != system.dim:
         raise ConfigError(f"x0 needs {system.dim} components, got {len(run.x0)}")
     return SystemConfig(

@@ -158,16 +158,18 @@ class Trajectory:
         t0, h = float(ts[k]), float(ts[k + 1] - ts[k])
         if h == 0.0:
             return self.states[k].copy()
-        w0, w1, w2, w3 = _hermite_weights((t - t0) / h, h)
-        return (w0 * self.states[k] + w1 * self.derivs[k]
-                + w2 * self.states[k + 1] + w3 * self.derivs[k + 1])
+        s = (t - t0) / h
+        nodes = zip(self.states[k].tolist(), self.derivs[k].tolist(),
+                    self.states[k + 1].tolist(), self.derivs[k + 1].tolist())
+        return np.array([_hermite(s, h, *node) for node in nodes])
 
 
-def _hermite_weights(s: float, h: float) -> tuple[float, float, float, float]:
-    """The weights of y0, f0, y1 and f1 in the cubic Hermite interpolant of
-    a step of length h through (y0, f0) and (y1, f1), at s = (t - t0)/h."""
+def _hermite(s: float, h: float, y0: float, f0: float, y1: float, f1: float) -> float:
+    """The cubic Hermite interpolant of a step of length h through (y0, f0)
+    and (y1, f1), at s = (t - t0)/h."""
     s2, s3 = s * s, s * s * s
-    return 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h, -2 * s3 + 3 * s2, (s3 - s2) * h
+    return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * f0
+            + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * f1)
 
 
 # RODAS4 in the form of Hairer & Wanner's rodas.f: stage i solves
@@ -443,7 +445,7 @@ def integrate_filippov(
     its domain DomainError; either leaves with the orbit up to its last
     node, ended by a StepFailure event, as its trajectory.
     """
-    state = np.asarray(x0, dtype=float).copy()
+    state = [float(v) for v in x0]
     t, t_end = float(t_span[0]), float(t_span[1])
     if t_end < t:
         raise ValueError(f"t_span must be increasing, got {t_span}")
@@ -479,19 +481,17 @@ def integrate_filippov(
                             stop=lambda *step: _far_side(region, *step) is not None,
                             jac=lambda tt, s: field_def.jacobian_rows(s))
             # the stop rule ended the segment iff it holds on its last step
-            t_far = None if len(seg.times) < 2 else _far_side(
-                region, seg.times[-2], seg.states[-2], seg.derivs[-2],
-                seg.times[-1], seg.states[-1], seg.derivs[-1])
+            step = _last_step(seg) if len(seg.times) > 1 else None
+            t_far = None if step is None else _far_side(region, *step)
             if t_far is None:
                 _append(orbit, seg)
                 break  # reached t_end, or failed
 
             target = 0.0
-            if abs(seg.states[-2][-1]) <= SURFACE_BAND:
+            if abs(step[1][-1]) <= SURFACE_BAND:
                 # launched from the surface; cut where the orbit clears the band
                 target = -region * SURFACE_BAND / 2.0
-            t = _locate(seg, lambda tt, s: float(s[-1]) - target, t_far)
-            state = seg.sample(t)
+            t, state = _locate(lambda tt, s: s[-1] - target, *step, t_far)
             state[-1] = 0.0
             _append(orbit, seg, upto=-1)
             orbit.push(t, state, fn(t, state))
@@ -534,7 +534,7 @@ def _slide(system, orbit, t, state, t_end):
         # past the band edge, which the stop rule then locates
         combo = filippov_tangent(system, x)
         if combo is None:
-            raise UnresolvedSingularityError(tt, np.append(x, 0.0), None)
+            raise UnresolvedSingularityError(tt, x + [0.0], None)
         return combo[1]
 
     # fn has been evaluated at every node jac sees, so jac never meets the pole
@@ -543,13 +543,13 @@ def _slide(system, orbit, t, state, t_end):
                     jac=lambda tt, x: filippov_jacobian(system, x))
     if margin(seg.final_time, seg.final_state) > 0.0:
         _append(orbit, seg)
-        return seg.final_time, np.append(seg.final_state, 0.0), 0
-    t = _locate(seg, margin)
-    state = np.append(seg.sample(t), 0.0)
-    a_plus, a_minus = system.normal_components_on_sigma(state[:-1])
+        return seg.final_time, seg.final_state.tolist() + [0.0], 0
+    t, x = _locate(margin, *_last_step(seg))
+    state = x + [0.0]
+    a_plus, a_minus = system.normal_components_on_sigma(x)
     exit_side = 1 if abs(a_plus) <= abs(a_minus) else -1
     _append(orbit, seg, upto=-1)
-    orbit.push(t, state, (system.plus if exit_side > 0 else system.minus).evaluate(state))
+    orbit.push(t, state, (system.plus if exit_side > 0 else system.minus).values(state))
     orbit.event(t, state, EventKind.SLIDE_EXIT)
     return t, state, exit_side
 
@@ -561,38 +561,36 @@ def _append(orbit: _Recorder, seg: Trajectory, upto: int | None = None) -> None:
     segment, integrated in the tangential coordinates, is lifted onto y = 0.
     """
     start = 1 if orbit.times and seg.times[0] == orbit.times[-1] else 0
-    times, states, derivs = (a[start:upto] for a in (seg.times, seg.states, seg.derivs))
-    if states.shape[1] < orbit.dim:
-        states = np.hstack([states, np.zeros((len(times), 1))])
-        derivs = np.hstack([derivs, np.zeros((len(times), 1))])
+    times, states, derivs = (a[start:upto].tolist() for a in (seg.times, seg.states, seg.derivs))
+    if seg.states.shape[1] < orbit.dim:
+        states = [y + [0.0] for y in states]
+        derivs = [f + [0.0] for f in derivs]
     orbit.times.extend(times)
     orbit.states.extend(states)
     orbit.derivs.extend(derivs)
     for e in seg.events:
-        state = np.append(e.state, 0.0) if e.state.size < orbit.dim else e.state
+        state = e.state.tolist() + [0.0] if e.state.size < orbit.dim else e.state
         orbit.event(e.time, state, e.kind)
     orbit.stats.add(seg.stats)
 
 
+def _last_step(seg: Trajectory) -> tuple:
+    """The last step of seg as (t0, y0, f0, t1, y1, f1), in floats."""
+    return (float(seg.times[-2]), seg.states[-2].tolist(), seg.derivs[-2].tolist(),
+            float(seg.times[-1]), seg.states[-1].tolist(), seg.derivs[-1].tolist())
+
+
 def _locate(
-    seg: Trajectory, g: Callable[[float, np.ndarray], float], t_hi: float | None = None
-) -> float:
-    """A time where g(t, seg.sample(t)) changes sign, in the last step of
-    seg or, given t_hi, between its start and t_hi.
-
-    The probes evaluate the last step's interpolant on its four nodes as
-    floats, with the weights and sums of Trajectory.sample.
-    """
-    t0, t1 = float(seg.times[-2]), float(seg.times[-1])
+    g: Callable[[float, list[float]], float], t0, y0, f0, t1, y1, f1, t_hi: float | None = None
+) -> tuple[float, list[float]]:
+    """(t, x(t)) where g(t, x(t)) changes sign on the interpolant x of the
+    step (t0, y0, f0) -> (t1, y1, f1), between t0 and t_hi (default t1)."""
     h = t1 - t0
-    nodes = list(zip(*(a.tolist() for a in (
-        seg.states[-2], seg.derivs[-2], seg.states[-1], seg.derivs[-1]))))
-
-    def probe(tt: float) -> float:
-        w0, w1, w2, w3 = _hermite_weights((tt - t0) / h, h)
-        return g(tt, [w0 * y0 + w1 * f0 + w2 * y1 + w3 * f1 for y0, f0, y1, f1 in nodes])
-
-    return bisect_sign_change(probe, t0, t1 if t_hi is None else float(t_hi), EVENT_TIME_TOL)
+    nodes = list(zip(y0, f0, y1, f1))
+    at = lambda tt: [_hermite((tt - t0) / h, h, *node) for node in nodes]
+    t = bisect_sign_change(lambda tt: g(tt, at(tt)), t0, t1 if t_hi is None else t_hi,
+                           EVENT_TIME_TOL)
+    return t, at(t)
 
 
 def _far_side(region, t0, y0, f0, t1, y1, f1) -> float | None:
@@ -609,7 +607,7 @@ def _far_side(region, t0, y0, f0, t1, y1, f1) -> float | None:
     if beyond(y1[-1]):
         return t1
     h = t1 - t0
-    p0, p1, d0, d1 = float(y0[-1]), float(y1[-1]), h * float(f0[-1]), h * float(f1[-1])
+    p0, p1, d0, d1 = y0[-1], y1[-1], h * f0[-1], h * f1[-1]
     # the derivative a s^2 + b s + c of the interpolant in s
     a = 3.0 * (2.0 * (p0 - p1) + d0 + d1)
     b = -2.0 * (3.0 * (p0 - p1) + 2.0 * d0 + d1)
@@ -624,8 +622,7 @@ def _far_side(region, t0, y0, f0, t1, y1, f1) -> float | None:
         roots = [q / a, c / q] if q != 0.0 else []  # q = 0: a double root at s = 0
     for s in sorted(roots):
         if 0.0 < s < 1.0:
-            w0, w1, w2, w3 = _hermite_weights(s, h)
-            if beyond(w0 * p0 + w1 * float(f0[-1]) + w2 * p1 + w3 * float(f1[-1])):
+            if beyond(_hermite(s, h, p0, f0[-1], p1, f1[-1])):
                 return t0 + s * h
     return None
 

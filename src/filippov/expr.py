@@ -269,15 +269,21 @@ class _Parser:
             e = powi(e, self.parse_integer())
         return neg(e) if negate else e
 
+    def digits(self) -> int:
+        """Advance over ASCII digits and count them: str.isdigit also takes
+        superscripts and other scripts' digits, which int and float refuse
+        or read as numbers."""
+        start = self.pos
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+            self.pos += 1
+        return self.pos - start
+
     def parse_integer(self) -> int:
         self.skip_ws()
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
+        if not self.digits():
             self.pos = start
             raise self.error("integer exponent")
         return int(self.text[start:self.pos])
@@ -289,7 +295,7 @@ class _Parser:
             e = self.parse_expr()
             self.expect(")")
             return e
-        if c.isdigit() or c == ".":
+        if "0" <= c <= "9" or c == ".":
             return self.parse_number()
         if c.isalpha() or c == "_":
             name = self.parse_ident()
@@ -310,21 +316,16 @@ class _Parser:
 
     def parse_number(self) -> Const:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
+        self.digits()
         if self.pos < len(self.text) and self.text[self.pos] == ".":
             self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
+            self.digits()
         if self.pos < len(self.text) and self.text[self.pos] in "eE":
             mark = self.pos
             self.pos += 1
             if self.pos < len(self.text) and self.text[self.pos] in "+-":
                 self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-            else:
+            if not self.digits():
                 self.pos = mark  # 'e' belongs to a following identifier, not this literal
         text = self.text[start:self.pos]
         if text == "." or not text:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tracemalloc
 
 import pytest
@@ -211,6 +212,34 @@ def test_integrate_refuses_non_finite_flags(tmp_path, capsys, monkeypatch, flag)
     ])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command, flags, line", [
+    ("integrate", ["--tspan=0,0"], "t_span = 0,0"),
+    ("integrate", ["--epsilon=-1", "--mode", "filippov"], "epsilons = -1"),
+    ("integrate", ["--from=1,2,3"], "x0 = 1,2,3"),
+    ("classify", ["--grid=1:0:5"], "grid = 1:0:5"),
+    ("integrate", ["--epsilon=abc"], "epsilons = abc"),
+], ids=["tspan", "epsilon-filippov", "from", "grid", "epsilon-text"])
+def test_a_flag_is_checked_as_its_run_key(tmp_path, capsys, command, flags, line):
+    # --tspan=0,0 and --epsilon=-1 in filippov mode used to run with exit 0
+    out = tmp_path / "out"
+    key_cfg = setup_cfg(tmp_path, FOLD + "\n[run]\n" + line + "\n", "key.cfg")
+    assert run_command([command, "--config", key_cfg, "--out", str(out)]) == 2
+    from_key = capsys.readouterr().err
+    flag_cfg = setup_cfg(tmp_path, FOLD + "\n[run]\nx0 = -1, 0.5\n", "flag.cfg")
+    assert run_command([command, "--config", flag_cfg, "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == re.sub(r"line \d+: ", "", from_key)
+    assert not out.exists()
+
+
+def test_a_flag_does_not_hide_a_bad_key(tmp_path, capsys):
+    # the file is checked before the flag replaces its value
+    cfg = setup_cfg(tmp_path, EX21.replace("t_span = 0, 2", "t_span = 2, 1"))
+    rc = run_command(["integrate", "--config", cfg, "--out", str(tmp_path), "--tspan=0,1"])
+    assert rc == 2
+    assert "line 8: t_span must be increasing" in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
 
 

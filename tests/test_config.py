@@ -131,6 +131,25 @@ def test_non_finite_numbers_are_refused(tmp_path):
         assert err.value.line == 6
 
 
+def test_empty_item_in_a_number_list_is_refused(tmp_path):
+    # the empty item used to be dropped: x0 = -1,,1 loaded as (-1, 1)
+    sys3 = "[system]\ncoords = x, y\nx_plus = 1, 1\nx_minus = 1, -1\n[run]\n"
+    for line in ("x0 = -1,,1", "x0 = -1, 1,", "t_span = ,0, 1", "epsilons = 0.1, , 0.05"):
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, sys3 + line + "\n"))
+        assert "expected comma-separated numbers" in str(err.value)
+        assert err.value.line == 6
+
+
+def test_non_ascii_digits_are_syntax_errors(tmp_path):
+    # "2\u00b2" passed str.isdigit and escaped as a float() ValueError with no line
+    text = "[system]\ncoords = x, y\nx_plus = 1, 2\u00b2\nx_minus = 1, -1\n"
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert "x_plus: syntax error at offset 2" in str(err.value)
+    assert err.value.line == 3
+
+
 def test_structural_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, "[transition]\nkind = smoothstep\n"))

@@ -71,6 +71,19 @@ def test_parse_error_offsets():
     assert "sin" in err.value.expected
 
 
+@pytest.mark.parametrize("text, offset, expected, found", [
+    ("2\u00b2", 2, "end of input", "'\u00b2'"),  # superscript two after a number
+    ("x^\u00b2", 3, "integer exponent", "'\u00b2'"),
+    ("\u0661+1", 1, "number, identifier or '('", "'\u0661'"),  # Arabic-Indic one
+], ids=["superscript-after-number", "superscript-exponent", "arabic-indic-digit"])
+def test_numbers_are_ascii_digits(text, offset, expected, found):
+    # str.isdigit took these: the first escaped as a float() ValueError, the
+    # second as an int() ValueError, and the third parsed as 2
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.offset, err.value.expected, err.value.found) == (offset, expected, found)
+
+
 def test_evaluate_basics():
     e = parse("x^2 + 2*x*y - 1/z")
     assert evaluate(e, {"x": 2.0, "y": 3.0, "z": 4.0}) == pytest.approx(4 + 12 - 0.25)
