@@ -201,9 +201,7 @@ def _cmd_cross(cfg: SystemConfig, out: Path) -> None:
     if cfg.cross is None:
         raise ConfigError("this command needs a [cross] section")
     epsilons = cfg.run.epsilons
-    etas = cfg.run.etas or epsilons
-    if len(etas) != len(epsilons):
-        raise ConfigError("epsilons and etas must have the same length")
+    etas = cfg.run.etas or epsilons  # load_config checked the lengths
     report = _report_skeleton(cfg)
     report["pairs"] = []
     for eps, eta in zip(epsilons, etas):

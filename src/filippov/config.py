@@ -93,12 +93,20 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
+def _ascii(text: str, convert):
+    """convert(text), for text in ASCII without '_': float and int also
+    read other scripts' digits and '_' separators, so '١' would be 1.0."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return convert(text)
+
+
 def _floats(value: str, lineno: int | None) -> tuple[float, ...]:
     items = [v.strip() for v in value.split(",")]
     if not any(items):
         raise ConfigError("expected at least one number, got an empty list", lineno)
     try:  # an empty item among numbers is refused here too
-        vals = tuple(map(float, items))
+        vals = tuple(_ascii(v, float) for v in items)
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated numbers, got {value!r}", lineno) from exc
     if not all(map(math.isfinite, vals)):
@@ -112,7 +120,7 @@ def _grid(value: str, lineno: int | None) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ConfigError(f"expected grid as lo:hi:count, got {value!r}", lineno)
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = _ascii(parts[0], float), _ascii(parts[1], float), _ascii(parts[2], int)
     except ValueError as exc:
         raise ConfigError(f"expected grid as lo:hi:count, got {value!r}", lineno) from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -124,7 +132,7 @@ def _grid(value: str, lineno: int | None) -> tuple[float, float, int]:
 
 def _number(value: str, lineno: int, key: str) -> float:
     try:
-        return float(value)
+        return _ascii(value, float)
     except ValueError as exc:
         raise ConfigError(f"{key} must be a number, got {value!r}", lineno) from exc
 
@@ -303,10 +311,15 @@ def load_config(path: str | Path, flags: dict[str, str | None] | None = None) ->
         raise ConfigError("config needs a [system] or [cross] section")
     x_names = system.x_names if system is not None else ()
     transition = _build_transition(sections.get("transition", {}), x_names=x_names)
-    run = _build_run(sections.get("run", {}), RunParams())
-    run = _build_run({k: (v, None) for k, v in (flags or {}).items() if v is not None}, run)
+    in_file = sections.get("run", {})
+    in_flags = {k: (v, None) for k, v in (flags or {}).items() if v is not None}
+    run = _build_run(in_flags, _build_run(in_file, RunParams()))
+    line = {k: lineno for k, (_, lineno) in {**in_file, **in_flags}.items()}
     if system is not None and run.x0 is not None and len(run.x0) != system.dim:
-        raise ConfigError(f"x0 needs {system.dim} components, got {len(run.x0)}")
+        raise ConfigError(f"x0 needs {system.dim} components, got {len(run.x0)}", line["x0"])
+    if run.etas and len(run.etas) != len(run.epsilons):
+        raise ConfigError(f"epsilons and etas must have the same length, got {len(run.epsilons)} "
+                          f"and {len(run.etas)}", line["etas"])
     return SystemConfig(
         system=system,
         transition=transition,

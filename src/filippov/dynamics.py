@@ -11,13 +11,18 @@ of the hybrid integrator are not stiff, and RODAS4 steps them too: on the
 benchmark's hybrid orbits it takes fewer steps and right-hand-side
 evaluations than an explicit Dormand-Prince 5(4) pair.
 
-The stage algebra runs on Python lists of floats, one code path for every
-dimension: the systems are 2- or 3-dimensional, and numpy's per-call
+The stage algebra runs on Python floats: the states have 1 to 3
+components (slides step the tangential ones), and numpy's per-call
 overhead on such arrays cost more than the arithmetic.  Each attempt
 factors I/(h gamma) - J once by an in-place LU with partial pivoting and
 solves its six stages by forward and back substitution; a zero or
-non-finite pivot rejects the step.  Trajectories are numpy arrays, built
-once when the integration ends.
+non-finite pivot rejects the step.  The attempt is straight-line code,
+generated from the tableau once per dimension on first use: every stage
+sum, substitution and finite check is written out per component, so no
+list, zip or call is paid per stage.  Its stage sums add left to right,
+as sum() did on floats before Python 3.12 compensated its rounding, so
+the steps do not depend on the interpreter version.  Trajectories are
+numpy arrays, built once when the integration ends.
 
 Node derivatives are recorded, so trajectories interpolate with cubic
 Hermite polynomials between accepted steps; event location bisects on that
@@ -32,8 +37,9 @@ unresolvable singular hit.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-import operator
+import types
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -311,37 +317,86 @@ def _rodas(fn, jac, dim: int, stats: IntegratorStats):
     each attempt factors I/(h gamma) - J once and solves its six stages
     with the factors.  A zero or non-finite pivot, or a non-finite stage,
     reports an infinite error, so the step is rejected and h shrinks.
+    The step is straight-line code for dim, see _rodas_code.
     """
-    t_jac, jrows = None, None
+    return types.FunctionType(_rodas_code(dim), globals(), "rodas")(fn, jac, stats)
 
-    def step(t, y, f0, h):
-        nonlocal t_jac, jrows
-        if t_jac != t:
-            t_jac, jrows = t, jac(t, y)
-            stats.jac_evals += 1
-        diag = 1.0 / (h * _RO_GAMMA)
-        lu = [[-v for v in row] for row in jrows]
-        for i in range(dim):
-            lu[i][i] += diag
-        order = _lu(lu)
-        if order is None:
-            return y, math.inf
-        k = _lu_solve(lu, order, f0)
-        ks = [k]
-        for c, a, cc in _RO_STAGES:
+
+@functools.lru_cache(maxsize=None)  # one code object per state dimension in use
+def _rodas_code(dim: int) -> types.CodeType:
+    """The code of rodas(fn, jac, stats), which returns the step of _rodas
+    for states of dim components, written out per component and stage.
+
+    The substitutions do _lu_solve's operations in its order, and a stage
+    sum sum(a_j * k_j) is 0.0 + a_1*k_1 + a_2*k_2 + ..., left to right,
+    which is what sum() computes on floats before Python 3.12 (from 3.12 it
+    compensates the rounding).  The tableau enters as repr literals, which
+    read back as the same floats.
+    """
+    comps = range(dim)
+
+    def tup(names) -> str:
+        return "(" + "".join(f"{v}, " for v in names) + ")"
+
+    def solve(s: int, b: str) -> list[str]:
+        # k_s = (I/(h gamma) - J)^-1 b: permute, then L and U, as _lu_solve
+        k = [f"k{s}_{i}" for i in comps]
+        lines = [f"{tup(k)} = {tup(f'{b}[o{i}]' for i in comps)}"]
+        for i in comps[1:]:
+            lines.append(f"{k[i]} = {k[i]}" + "".join(f" - u{i}_{j} * {k[j]}" for j in range(i)))
+        for i in reversed(comps):
+            rest = "".join(f" - u{i}_{j} * {k[j]}" for j in range(i + 1, dim))
+            lines.append(f"{k[i]} = ({k[i]}{rest}) / u{i}_{i}")
+        return lines
+
+    def combo(coeffs, i: int) -> str:
+        return "(0.0" + "".join(f" + {a!r} * k{j}_{i}" for j, a in enumerate(coeffs, 1)) + ")"
+
+    body = [
+        "if t_jac != t:",
+        "    t_jac, jrows = t, jac(t, y)",
+        "    stats.jac_evals += 1",
+        f"diag = 1.0 / (h * {_RO_GAMMA!r})",
+        f"{tup(tup(f'j{i}_{j}' for j in comps) for i in comps)} = jrows",
+        "lu = [" + ", ".join(
+            "[" + ", ".join(f"-j{i}_{j}" + (" + diag" if i == j else "") for j in comps) + "]"
+            for i in comps) + "]",
+        "order = _lu(lu)",
+        "if order is None:",
+        "    return y, math.inf",
+        f"{tup(tup(f'u{i}_{j}' for j in comps) for i in comps)} = lu",
+        f"{tup(f'o{i}' for i in comps)} = order",
+        f"{tup(f'y{i}' for i in comps)} = y",
+        *solve(1, "f0"),
+    ]
+    for s, (c, a, cc) in enumerate(_RO_STAGES, 2):
+        prev = [f"k{s - 1}_{i}" for i in comps]
+        body += [
             # a non-finite increment would reach fn in the next stage point
-            if not all(map(math.isfinite, k)):
-                return y, math.inf
-            cols = list(zip(*ks))  # the increments so far, one tuple per component
-            yi = [v + sum(map(operator.mul, a, col)) for v, col in zip(y, cols)]
-            fi = fn(t + c * h, yi)
-            k = _lu_solve(lu, order, [v + sum(map(operator.mul, cc, col)) / h
-                                      for v, col in zip(fi, cols)])
-            ks.append(k)
-        y_new = [v + d for v, d in zip(yi, k)]
-        return y_new, _error_norm(k, y, y_new)
-
-    return step
+            "if not (" + " and ".join(f"isfinite({k})" for k in prev) + "):",
+            "    return y, math.inf",
+            *(f"p{i} = y{i} + {combo(a, i)}" for i in comps),
+            f"{tup(f'g{i}' for i in comps)} = fn(t + {c!r} * h, [{', '.join(f'p{i}' for i in comps)}])",
+            f"b = {tup(f'g{i} + {combo(cc, i)} / h' for i in comps)}",
+            *solve(s, "b"),
+        ]
+    last = len(_RO_STAGES) + 1
+    body += [
+        f"y_new = [{', '.join(f'p{i} + k{last}_{i}' for i in comps)}]",
+        f"return y_new, _error_norm([{', '.join(f'k{last}_{i}' for i in comps)}], y, y_new)",
+    ]
+    source = "\n".join([
+        "def rodas(fn, jac, stats):",
+        "    isfinite = math.isfinite",
+        "    t_jac = jrows = None",
+        "    def step(t, y, f0, h):",
+        "        nonlocal t_jac, jrows",
+        *(f"        {line}" for line in body),
+        "    return step",
+    ])
+    scope: dict[str, object] = {}
+    exec(compile(source, f"<filippov.dynamics._rodas_code({dim})>", "exec"), {}, scope)
+    return scope["rodas"].__code__
 
 
 def integrate(

@@ -150,6 +150,59 @@ def test_non_ascii_digits_are_syntax_errors(tmp_path):
     assert err.value.line == 3
 
 
+def test_run_and_transition_numbers_are_ascii_only(tmp_path):
+    # float() and int() read other scripts' digits and '_' separators:
+    # x0 = ١, 0.5 loaded as (1, 0.5) and t_span = 0, 1_0 as (0, 10)
+    sys3 = "[system]\ncoords = x, y\nx_plus = 1, 1\nx_minus = 1, -1\n"
+    cases = [
+        ("[run]\nx0 = ١, 0.5\n", 6, "expected comma-separated numbers"),
+        ("[run]\nt_span = 0, 1_0\n", 6, "expected comma-separated numbers"),
+        ("[run]\nepsilons = 0.1, ０.05\n", 6, "expected comma-separated numbers"),
+        ("[run]\ngrid = -1:1:2١\n", 6, "expected grid as lo:hi:count"),
+        ("[run]\ngrid = -1:1_0:21\n", 6, "expected grid as lo:hi:count"),
+        ("[run]\ngrid = ١:2:21\n", 6, "expected grid as lo:hi:count"),
+        ("[transition]\nkind = overshoot\nm = ٢\n", 7, "m must be a number"),
+        ("[transition]\nkind = overshoot\nm = 2_0\n", 7, "m must be a number"),
+    ]
+    for text, line, needle in cases:
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, sys3 + text))
+        assert needle in str(err.value)
+        assert err.value.line == line
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, sys3), {"x0": "١, 0.5"})
+    assert "expected comma-separated numbers" in str(err.value)
+    assert err.value.line is None
+    cfg = load_config(write(tmp_path, sys3 + "[run]\nx0 = 1e-1, -.5\ngrid = -1:1:21\n"))
+    assert cfg.run.x0 == (0.1, -0.5) and cfg.run.grid == (-1.0, 1.0, 21)
+
+
+def test_run_sizes_are_checked_at_their_line(tmp_path):
+    sys3 = "[system]\ncoords = x, y\nx_plus = 1, 1\nx_minus = 1, -1\n[run]\n"
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, sys3 + "mode = filippov\nx0 = 1, 2, 3\n"))
+    assert "x0 needs 2 components, got 3" in str(err.value)
+    assert err.value.line == 7
+    # a flag has no line, and the final value is the one checked
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, sys3 + "x0 = 1, 2\n"), {"x0": "1, 2, 3"})
+    assert "x0 needs 2 components, got 3" in str(err.value)
+    assert err.value.line is None
+    assert load_config(write(tmp_path, sys3 + "x0 = 1, 2, 3\n"), {"x0": "1, 2"}).run.x0 == (1.0, 2.0)
+
+    cross = ("[cross]\nx_pp = 1, 1, 1\nx_pm = 1, 1, 1\nx_mp = 1, 1, 1\nx_mm = 1, 1, 1\n"
+             "[run]\netas = 0.2\nepsilons = 0.1, 0.05\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, cross))
+    assert "epsilons and etas must have the same length, got 2 and 1" in str(err.value)
+    assert err.value.line == 7
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, cross), {"epsilons": "0.1, 0.05, 0.025"})
+    assert "got 3 and 1" in str(err.value) and err.value.line == 7
+    assert load_config(write(tmp_path, cross), {"epsilons": "0.1"}).run.etas == (0.2,)
+    assert load_config(write(tmp_path, cross.replace("etas = 0.2\n", ""))).run.etas == ()
+
+
 def test_structural_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, "[transition]\nkind = smoothstep\n"))

@@ -321,6 +321,110 @@ def test_unsolvable_stage_matrix_rejects_the_step(jac_rows):
 
 
 # ---------------------------------------------------------------------------
+# the generated step, against the RODAS4 attempt written with lists
+
+
+def _reference_step(fn, jrows, t, y, f0, h):
+    """One RODAS4 attempt from _lu, _lu_solve and the tableau, every stage
+    sum accumulated left to right from 0.0."""
+    n = len(y)
+    lu = [[-v for v in row] for row in jrows]
+    for i in range(n):
+        lu[i][i] += 1.0 / (h * dynamics._RO_GAMMA)
+    order = dynamics._lu(lu)
+    if order is None:
+        return y, math.inf
+    ks = [dynamics._lu_solve(lu, order, f0)]
+    for c, a, cc in dynamics._RO_STAGES:
+        if not all(math.isfinite(v) for v in ks[-1]):
+            return y, math.inf
+        point = []
+        for i in range(n):
+            acc = 0.0
+            for coef, k in zip(a, ks):
+                acc = acc + coef * k[i]
+            point.append(y[i] + acc)
+        fi = fn(t + c * h, point)
+        b = []
+        for i in range(n):
+            acc = 0.0
+            for coef, k in zip(cc, ks):
+                acc = acc + coef * k[i]
+            b.append(fi[i] + acc / h)
+        ks.append(dynamics._lu_solve(lu, order, b))
+    y_new = [p + d for p, d in zip(point, ks[-1])]
+    return y_new, dynamics._error_norm(ks[-1], y, y_new)
+
+
+def _random_field(rng, n):
+    """x' = b + M x + x*x per component, from seeded coefficients."""
+    b = rng.uniform(-1.0, 1.0, n).tolist()
+    m = rng.uniform(-3.0, 3.0, (n, n)).tolist()
+
+    def fn(t, y):
+        out = []
+        for i in range(n):
+            v = b[i] + y[i] * y[i]
+            for j in range(n):
+                v = v + m[i][j] * y[j]
+            out.append(v)
+        return out
+
+    return fn
+
+
+def _both_steps(fn, jrows, t, y, f0, h):
+    """(generated, reference) results, each with the times fn was called at."""
+    calls = ([], [])
+
+    def traced(i):
+        def f(tt, yy):
+            calls[i].append(tt)
+            return fn(tt, yy)
+        return f
+
+    step = dynamics._rodas(traced(0), lambda tt, yy: jrows, len(y), IntegratorStats())
+    got = step(t, y, f0, h)
+    want = _reference_step(traced(1), jrows, t, y, f0, h)
+    return (got, calls[0]), (want, calls[1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generated_step_is_bit_identical_to_the_list_step(n):
+    rng = np.random.default_rng(150 + n)
+    for _ in range(300):
+        fn = _random_field(rng, n)
+        t = float(rng.uniform(-5.0, 5.0))
+        y = rng.uniform(-2.0, 2.0, n).tolist()
+        h = float(10.0 ** rng.uniform(-6.0, 0.0))
+        jrows = (rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-2.0, 6.0)).tolist()
+        (got, got_calls), (want, want_calls) = _both_steps(fn, jrows, t, y, fn(t, y), h)
+        assert got == want, (t, y, h, jrows)
+        assert all(type(v) is float for v in got[0])
+        assert got_calls == want_calls and len(got_calls) == 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("case", ["singular", "nan_jacobian", "overflow"])
+def test_generated_step_rejects_as_the_list_step(n, case):
+    fn = _random_field(np.random.default_rng(160 + n), n)
+    y, h = [0.5] * n, 0.5
+    jrows = [[0.0] * n for _ in range(n)]
+    f0 = fn(0.0, y)
+    if case == "singular":  # I/(h gamma) - J = 0
+        for i in range(n):
+            jrows[i][i] = 1.0 / (h * dynamics._RO_GAMMA)
+    elif case == "nan_jacobian":
+        jrows[-1][0] = math.nan
+    else:  # the first stage point squares past the largest float
+        f0 = [1e200] * n
+    (got, got_calls), (want, want_calls) = _both_steps(fn, jrows, 0.0, y, f0, h)
+    assert got == want == (y, math.inf)
+    assert got_calls == want_calls
+    assert len(got_calls) == (1 if case == "overflow" else 0)
+
+
+# ---------------------------------------------------------------------------
 # hybrid integration
 
 
