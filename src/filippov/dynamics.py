@@ -18,10 +18,10 @@ factors I/(h gamma) - J once by an in-place LU with partial pivoting and
 solves its six stages by forward and back substitution; a zero or
 non-finite pivot rejects the step.  The attempt is straight-line code,
 generated from the tableau once per dimension on first use: every stage
-sum, substitution and finite check is written out per component, so no
-list, zip or call is paid per stage.  Its stage sums add left to right,
-as sum() did on floats before Python 3.12 compensated its rounding, so
-the steps do not depend on the interpreter version.  Trajectories are
+sum, substitution and finite check, and the error norm, is written out per
+component, so no list, zip or call is paid per stage.  Its stage sums add
+left to right, as sum() did on floats before Python 3.12 compensated its
+rounding, so the steps do not depend on the interpreter version.  Trajectories are
 numpy arrays, built once when the integration ends.
 
 Node derivatives are recorded, so trajectories interpolate with cubic
@@ -255,11 +255,6 @@ def _initial_step(f, t0, y0, f0, t_end):
     return min(100 * h0, h1, abs(t_end - t0))
 
 
-def _error_norm(delta, y, y_new) -> float:
-    """RMS of delta, each component scaled by ABS_TOL + REL_TOL*|y|."""
-    return _rms(delta, [ABS_TOL + REL_TOL * max(abs(a), abs(b)) for a, b in zip(y, y_new)])
-
-
 def _lu(m: list[list[float]]) -> list[int] | None:
     """Factor the square matrix m in place by Gaussian elimination with
     partial pivoting.
@@ -331,7 +326,8 @@ def _rodas_code(dim: int) -> types.CodeType:
     sum sum(a_j * k_j) is 0.0 + a_1*k_1 + a_2*k_2 + ..., left to right,
     which is what sum() computes on floats before Python 3.12 (from 3.12 it
     compensates the rounding).  The tableau enters as repr literals, which
-    read back as the same floats.
+    read back as the same floats.  The error norm is written out too, with
+    ABS_TOL and REL_TOL read as module globals when the step runs.
     """
     comps = range(dim)
 
@@ -381,9 +377,19 @@ def _rodas_code(dim: int) -> types.CodeType:
             *solve(s, "b"),
         ]
     last = len(_RO_STAGES) + 1
+    body += [f"n{i} = p{i} + k{last}_{i}" for i in comps]
+    for i in comps:
+        # the error norm: the RMS of k_6, each component scaled by
+        # ABS_TOL + REL_TOL*max(|y_i|, |y_new_i|); max keeps its first
+        # argument unless the second is larger, as the builtin does
+        body += [
+            f"a, b = abs(y{i}), abs(n{i})",
+            f"q{i} = k{last}_{i} / (ABS_TOL + REL_TOL * (b if b > a else a))",
+        ]
     body += [
-        f"y_new = [{', '.join(f'p{i} + k{last}_{i}' for i in comps)}]",
-        f"return y_new, _error_norm([{', '.join(f'k{last}_{i}' for i in comps)}], y, y_new)",
+        # summed as _rms does, from 0.0 and left to right
+        "total = 0.0" + "".join(f" + q{i} * q{i}" for i in comps),
+        f"return [{', '.join(f'n{i}' for i in comps)}], math.sqrt(total / {dim})",
     ]
     source = "\n".join([
         "def rodas(fn, jac, stats):",

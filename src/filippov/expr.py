@@ -40,6 +40,9 @@ returns the tuple of evaluate(e, bindings) for every tree:
   The source depends only on the shape of the trees, and its code object
   is kept in a bounded LRU cache, so the same shape with other constants
   costs no call of Python's compiler.
+
+The code comes from Emitter, which other generators share: the psi-blend
+of system.PiecewiseSystem inlines both fields and their partials with it.
 """
 
 from __future__ import annotations
@@ -437,34 +440,47 @@ _NAMESPACE = {
 }
 
 
-def compile(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[..., tuple[float, ...]]:
-    """A function f(*values) equal to tuple(evaluate(e, bindings) for e in exprs).
+class Emitter:
+    """Straight-line code for expression trees over the positional slots
+    v0, v1, ... of ``names``, for every generator that inlines trees.
 
-    ``bindings`` maps names[i] to values[i]; every variable of ``exprs``
-    must be one of ``names`` (UnboundVariableError otherwise, raised here).
-    See the module docstring for what the function guarantees.
+    emit(exprs) appends to ``body`` the lines that compute each tree and
+    returns the names that hold their values: r0, r1, ... for operations,
+    the slot of a bare variable, and c0, c1, ... for numbers and exponents,
+    whose values collect in ``consts``.  The line before a slot's first use
+    converts it with float().  Several emit() calls share slots and
+    constants, so one function can inline several sets of trees, and its
+    source depends only on their shapes.
     """
-    exprs = tuple(exprs)
-    names = tuple(names)
-    slots = {name: f"v{i}" for i, name in enumerate(names)}
-    consts: list[float | int] = []
-    body: list[str] = []
-    read: dict[str, None] = {}  # slots in order of first use
 
-    def const_slot(value) -> str:
-        consts.append(value)
-        return f"c{len(consts) - 1}"
+    def __init__(self, names: Sequence[str]):
+        self.params = [f"v{i}" for i in range(len(names))]
+        self.slots = dict(zip(names, self.params))
+        self.consts: list[float | int] = []
+        self.body: list[str] = []
+        self._converted: set[str] = set()
+        self._results = 0
 
-    def emit(e: Expr) -> str:
+    def emit(self, exprs: Sequence[Expr]) -> list[str]:
+        return [self._emit(e) for e in exprs]
+
+    def _const(self, value) -> str:
+        self.consts.append(value)
+        return f"c{len(self.consts) - 1}"
+
+    def _emit(self, e: Expr) -> str:
         if isinstance(e, Const):
-            return const_slot(e.value)
+            return self._const(e.value)
         if isinstance(e, Var):
-            if e.name not in slots:
+            if e.name not in self.slots:
                 raise UnboundVariableError(e.name)
-            read[slots[e.name]] = None
-            return slots[e.name]
+            slot = self.slots[e.name]
+            if slot not in self._converted:
+                self._converted.add(slot)
+                self.body.append(f"{slot} = float({slot})")
+            return slot
         if isinstance(e, Unary):
-            a = emit(e.arg)
+            a = self._emit(e.arg)
             if e.op == "neg":
                 rhs = f"-{a}"
             elif e.op in FUNCTIONS:
@@ -474,35 +490,55 @@ def compile(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[..., tuple[
         elif isinstance(e, Binary):
             if e.op not in ("+", "-", "*", "/"):
                 raise ValueError(f"unknown operator {e.op!r}")
-            a = emit(e.left)
-            rhs = f"{a} {e.op} {emit(e.right)}"
+            a = self._emit(e.left)
+            rhs = f"{a} {e.op} {self._emit(e.right)}"
         elif isinstance(e, Pow):
-            rhs = f"{emit(e.base)} ** {const_slot(e.exponent)}"
+            rhs = f"{self._emit(e.base)} ** {self._const(e.exponent)}"
         else:
             raise TypeError(f"not an expression: {e!r}")
-        body.append(f"r{len(body)} = {rhs}")
-        return f"r{len(body) - 1}"
+        name = f"r{self._results}"
+        self._results += 1
+        self.body.append(f"{name} = {rhs}")
+        return name
 
-    results = [emit(e) for e in exprs]
-    params = [f"v{i}" for i in range(len(names))]
-    keywords = [f"c{k}" for k in range(len(consts))] + ["walk"]
+    def function(self, params: Sequence[str], lines: Sequence[str], fallback: Callable) -> Callable:
+        """The function compiled(*params, *, c0, c1, ..., fallback) with body
+        ``lines``, its constants as the defaults of c0, c1, ... and
+        ``fallback`` as the default of fallback.  Its code object comes from
+        a cache keyed by the source text, so same-shaped trees share one."""
+        keywords = [f"c{k}" for k in range(len(self.consts))] + ["fallback"]
+        source = "\n".join([f"def compiled({', '.join([*params, '*', *keywords])}):",
+                            *(f"    {line}" for line in lines)])
+        fn = types.FunctionType(_code(source), _NAMESPACE, "compiled")
+        fn.__kwdefaults__ = dict(zip(keywords, self.consts + [fallback]))
+        return fn
+
+
+def compile(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[..., tuple[float, ...]]:
+    """A function f(*values) equal to tuple(evaluate(e, bindings) for e in exprs).
+
+    ``bindings`` maps names[i] to values[i]; every variable of ``exprs``
+    must be one of ``names`` (UnboundVariableError otherwise, raised here).
+    See the module docstring for what the function guarantees.
+    """
+    exprs = tuple(exprs)
+    names = tuple(names)
+    emitter = Emitter(names)
+    results = emitter.emit(exprs)
+    params = emitter.params
     lines = [
-        f"def compiled({', '.join(params + ['*'] + keywords)}):",
-        "    try:",
-        *(f"        {v} = float({v})" for v in read),
-        *(f"        {line}" for line in body),
-        f"        return ({''.join(r + ', ' for r in results)})",
-        "    except (ArithmeticError, ValueError):",
-        f"        return walk({', '.join(params)})",
+        "try:",
+        *(f"    {line}" for line in emitter.body),
+        f"    return ({''.join(r + ', ' for r in results)})",
+        "except (ArithmeticError, ValueError):",
+        f"    return fallback({', '.join(params)})",
     ]
 
     def walk(*values):
         bindings = dict(zip(names, values))
         return tuple(evaluate(e, bindings) for e in exprs)
 
-    fn = types.FunctionType(_code("\n".join(lines)), _NAMESPACE, "compiled")
-    fn.__kwdefaults__ = dict(zip(keywords, consts + [walk]))
-    return fn
+    return emitter.function(params, lines, walk)
 
 
 @functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)

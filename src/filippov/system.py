@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -86,10 +86,14 @@ class VectorFieldDef:
         return self._components(*point)
 
     @cached_property
+    def _partial_trees(self) -> tuple[ex.Expr, ...]:
+        """d(components[i])/d(coords[j]), row by row."""
+        return tuple(ex.differentiate(c, name) for c in self.components for name in self.coords)
+
+    @cached_property
     def _partials(self):
         # built on first use: the integrators need them, the grid commands do not
-        return ex.compile([ex.differentiate(c, name) for c in self.components
-                           for name in self.coords], self.coords)
+        return ex.compile(self._partial_trees, self.coords)
 
     def jacobian(self, point: Sequence[float]) -> np.ndarray:
         """The matrix d(components[i])/d(coords[j]) at a chart point."""
@@ -160,6 +164,87 @@ class PiecewiseSystem:
     def normal_components_on_sigma(self, x: Sequence[float] | float) -> tuple[float, float]:
         """(a_plus, a_minus) evaluated at (x, 0)."""
         return self._normal_traces(*self.tangential(x))
+
+    # the psi-blend of the two fields and its Jacobian, built on first use:
+    # only the regularized flow needs them, the grid commands do not
+    @cached_property
+    def _blend(self):
+        return _blend_function(self, jacobian=False)
+
+    @cached_property
+    def _blend_jacobian(self):
+        return _blend_function(self, jacobian=True)
+
+
+def _blend_function(system: PiecewiseSystem, jacobian: bool):
+    """The psi-blend (1 + psi)/2 * X_plus + (1 - psi)/2 * X_minus as one
+    straight-line function of floats, with the fields inlined by expr's
+    emitter:
+
+    - field(psi, *point) returns the blended components as a list;
+    - jacobian(psi, *grad, *point) returns the rows of the blended field
+      Jacobians, plus d_i * grad[j] in row i and column j with d the half
+      jump (X_plus - X_minus)/2, unless every entry of grad is 0 (a signed
+      zero entry then stays as the blend left it).
+
+    This is the one formula of the blend: every entry is wp*p + wm*m with
+    wp = 0.5*(1.0 + psi) and wm = 0.5*(1.0 - psi).  Where an operation
+    raises ArithmeticError or ValueError, the function repeats the per-field
+    calls it stands for (the Jacobian rows, then the values where grad has a
+    nonzero entry; plus before minus), so the error is the one they raise,
+    and otherwise raises its own.  The source depends only on the shapes of
+    the fields, so same-shaped systems share one code object.
+    """
+    n = system.dim
+    emitter = ex.Emitter(system.coords)
+    point = emitter.params
+
+    def listed(items) -> str:
+        return f"[{', '.join(items)}]"
+
+    def blended(plus_trees, minus_trees) -> list[str]:
+        plus, minus = emitter.emit(plus_trees), emitter.emit(minus_trees)
+        return [f"wp * {p} + wm * {m}" for p, m in zip(plus, minus)]
+
+    weights = ["wp = 0.5 * (1.0 + psi)", "wm = 0.5 * (1.0 - psi)"]
+    if not jacobian:
+        entries = blended(system.plus.components, system.minus.components)
+        params, replay = ["psi", *point], "False, True"
+        body = [*emitter.body, *weights, f"return {listed(entries)}"]
+    else:
+        grad = [f"g{j}" for j in range(n)]
+        nonzero = " or ".join(grad)
+        entries = blended(system.plus._partial_trees, system.minus._partial_trees)
+        rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+        params, replay = ["psi", *grad, *point], f"True, {nonzero}"
+        body = [*emitter.body, *weights,
+                f"if not ({nonzero}):", f"    return {listed(map(listed, rows))}"]
+        done = len(emitter.body)
+        plus, minus = emitter.emit(system.plus.components), emitter.emit(system.minus.components)
+        body += emitter.body[done:]
+        body += [f"d{i} = 0.5 * ({p} - {m})" for i, (p, m) in enumerate(zip(plus, minus))]
+        body.append("return " + listed(listed(f"{v} + d{i} * {g}" for v, g in zip(row, grad))
+                                       for i, row in enumerate(rows)))
+    lines = [
+        "try:",
+        *(f"    {line}" for line in body),
+        "except (ArithmeticError, ValueError):",
+        f"    fallback(({''.join(v + ', ' for v in point)}), {replay})",
+        "    raise",
+    ]
+    return emitter.function(params, lines, partial(_replay, system.plus, system.minus))
+
+
+def _replay(plus: VectorFieldDef, minus: VectorFieldDef, point: Sequence[float],
+            partials: bool, values: bool) -> None:
+    """The per-field calls of a blend function that failed, in their order:
+    the first that fails raises its own error."""
+    if partials:
+        plus.jacobian_rows(point)
+        minus.jacobian_rows(point)
+    if values:
+        plus.values(point)
+        minus.values(point)
 
 
 def system_from_strings(

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from filippov import __version__, cli, dynamics, regularize
+from filippov import system as system_module
 from filippov.cli import run_command
 from filippov.config import load_config
 from filippov.regularize import certify
@@ -319,6 +320,26 @@ def test_manifold_no_sliding_exit1(tmp_path, capsys):
     rc = run_command(["manifold", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     assert "computation failed:" in capsys.readouterr().err
+
+
+def test_only_the_regularized_orbit_generates_the_blend(tmp_path, monkeypatch):
+    # the generated psi-blend is built on first use: loading a config and the
+    # grid commands never pay for it, a regularized orbit builds its field
+    # and its Jacobian once each
+    built = []
+    real = system_module._blend_function
+    monkeypatch.setattr(system_module, "_blend_function",
+                        lambda system, jacobian: built.append(jacobian) or real(system, jacobian))
+    cfg = setup_cfg(tmp_path, FOLD_OVERSHOOT + "\n[run]\nx0 = -1, 0.5\nepsilons = 0.1\n")
+    system = load_config(cfg).system
+    assert not {"_blend", "_blend_jacobian"} & set(vars(system))
+    for command in ("classify", "certify", "slow-fast", "manifold"):
+        assert run_command([command, "--config", cfg, "--out", str(tmp_path / command),
+                            "--grid=-1:1:41"]) == 0
+    assert built == []
+    assert run_command(["integrate", "--config", cfg, "--out", str(tmp_path / "orbit"),
+                        "--mode", "regularized"]) == 0
+    assert built == [False, True]
 
 
 def test_slow_fast_csv(tmp_path):

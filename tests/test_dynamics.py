@@ -246,6 +246,31 @@ def test_singular_stage_solve_rejects_the_step():
     assert np.allclose(traj.final_state, [10.0, 0.0], rtol=0, atol=1e-12)
 
 
+def test_regularized_orbit_leaving_the_field_domain_keeps_message_and_nodes(tmp_path, capsys):
+    # sqrt(1 - x) leaves its domain as the orbit passes x = 1; a stage
+    # point there raises the message the per-field tree walk gives, and the
+    # 40 nodes accepted before it stay on the error
+    sys = system_from_strings(("x", "y"), ("1", "sqrt(1 - x)"), ("1", "1"))
+    tf, eps = Smoothstep(), 0.01
+    want = "sqrt of negative value -0.00014673594448111338"
+    with pytest.raises(DomainError) as err:
+        integrate(lambda t, s: regularized_field(sys, tf, eps, s), (0.0, 0.5), (0.0, 2.0),
+                  jac=lambda t, s: regularized_jacobian(sys, tf, eps, s))
+    assert str(err.value) == want
+    traj = err.value.trajectory
+    assert len(traj.times) == 40 and traj.stats.accepted == 39
+    assert traj.final_time == 0.99891217967064
+    assert traj.final_state.tolist() == [0.9989121796706389, 1.166642744719711]
+
+    cfg = tmp_path / "sqrt.cfg"
+    cfg.write_text("[system]\ncoords = x, y\nx_plus = 1, sqrt(1 - x)\nx_minus = 1, 1\n"
+                   "\n[transition]\nkind = smoothstep\n")
+    assert run_command(["integrate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                        "--mode", "regularized", "--epsilon", "0.01", "--from", "0,0.5",
+                        "--tspan", "0,2"]) == 1
+    assert capsys.readouterr().err == f"computation failed: {want}\n"
+
+
 def test_non_finite_stage_solve_ends_in_step_failure():
     traj = integrate(lambda t, y: -np.asarray(y), (1.0,), (0.0, 1.0), jac=lambda t, y: [[math.nan]])
     assert [e.kind for e in traj.events] == [EventKind.STEP_FAILURE]
@@ -353,7 +378,8 @@ def _reference_step(fn, jrows, t, y, f0, h):
             b.append(fi[i] + acc / h)
         ks.append(dynamics._lu_solve(lu, order, b))
     y_new = [p + d for p, d in zip(point, ks[-1])]
-    return y_new, dynamics._error_norm(ks[-1], y, y_new)
+    scales = [dynamics.ABS_TOL + dynamics.REL_TOL * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
+    return y_new, dynamics._rms(ks[-1], scales)
 
 
 def _random_field(rng, n):

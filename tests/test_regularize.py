@@ -14,6 +14,7 @@ from filippov.regularize import (
     TransitionFunction,
     ValidationFailure,
     Verdict,
+    blend,
     certify,
     height,
     height_roots,
@@ -275,7 +276,8 @@ def _array_jacobian(system, transition, eps, point):
 def test_float_field_and_jacobian_match_the_array_blend_bit_for_bit(name):
     system, transition = FLOAT_PATH_CASES[name]
     eps = 1e-3
-    for t in (-3.0, -1.0, -0.6, 0.05, 0.45, 0.93, 2.5):  # y/eps, in and out of the band
+    # y/eps, in and out of the band, on its edges and at y = +-0.0
+    for t in (-3.0, -1.0, -0.6, -0.0, 0.0, 0.05, 0.45, 0.93, 1.0, 2.5):
         for x in (-0.8, 0.3, 0.9):
             point = [x] + [0.7 - x] * (system.dim - 2) + [eps * t]
             want = _array_field(system, transition, eps, point)
@@ -287,6 +289,78 @@ def test_float_field_and_jacobian_match_the_array_blend_bit_for_bit(name):
             assert len(rows) == system.dim
             assert all(type(v) is float for row in rows for v in row)
             assert np.array(rows).tobytes() == want.tobytes(), (point, rows, want)
+
+
+def _first_error(*calls):
+    """The message of the DomainError that the first failing call raises."""
+    with pytest.raises(DomainError) as err:
+        for call in calls:
+            call()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("plus, minus, want", [
+    ("1", "sqrt(x)", "sqrt of negative value -1.0"),  # only the minus field fails
+    ("1/(x + 1)", "sqrt(x)", "division by zero"),  # both fail, plus first
+], ids=["minus_only", "plus_first"])
+def test_generated_field_raises_the_per_field_error(plus, minus, want):
+    system = system_from_strings(("x", "y"), ("1", plus), ("1", minus))
+    point = [-1.0, 0.001]
+    per_field = _first_error(lambda: system.plus.values(point), lambda: system.minus.values(point))
+    assert per_field == want
+    assert _first_error(lambda: regularized_field(system, Smoothstep(), 0.01, point)) == want
+    assert _first_error(lambda: blend(system, 0.25, point)) == want
+    assert _first_error(lambda: regularized_jacobian(system, Smoothstep(), 0.01, point)) == want
+
+
+def test_generated_jacobian_raises_the_partials_error_first():
+    # at x = 1e-200 on the surface the minus partial -x^-2 overflows while
+    # the plus value sgn(1/y) divides by zero; the partials come first
+    system = system_from_strings(("x", "y"), ("1", "sgn(1/y)"), ("1", "x^-1"))
+    point = [1e-200, 0.0]
+    want = "overflow in 1e-200^-2"
+    assert _first_error(lambda: system.plus.jacobian_rows(point),
+                        lambda: system.minus.jacobian_rows(point),
+                        lambda: system.plus.values(point)) == want
+    assert _first_error(lambda: regularized_jacobian(system, Smoothstep(), 0.01, point)) == want
+    field_error = _first_error(lambda: regularized_field(system, Smoothstep(), 0.01, point))
+    assert field_error == "division by zero"
+
+
+def test_generated_jacobian_skips_the_values_outside_the_band():
+    # above the band psi is constant, so the Jacobian needs no value, and
+    # the plus value that divides by zero at y = 0.5 is never computed
+    system = system_from_strings(("x", "y"), ("x*y", "sgn(1/(y - 0.5))"), ("1", "x^2"))
+    point = [0.3, 0.5]
+    assert regularized_jacobian(system, Smoothstep(), 0.01, point) == [
+        [1.0 * v + 0.0 * m for v, m in zip(rp, rm)]
+        for rp, rm in zip(system.plus.jacobian_rows(point), system.minus.jacobian_rows(point))]
+    field_error = _first_error(lambda: regularized_field(system, Smoothstep(), 0.01, point))
+    assert field_error == "division by zero"
+
+
+def test_generated_jacobian_keeps_the_partials_before_a_failing_psi_gradient():
+    # d(psi)/dx divides by zero at x = 0, and the plus partials fail there
+    # too; the field Jacobians come first, so their error is the one raised
+    psi = Custom("(3*t - t^3)/2 + (1 - t^2)^2*sqrt(abs(x))^3/8", ("x",))
+    system = system_from_strings(("x", "y"), ("1", "sqrt(x - 1)"), ("1", "1"))
+    point = [0.0, 0.001]
+    assert _first_error(lambda: psi.deriv_x(0.1, [0.0])) == "division by zero"
+    want = "sqrt of negative value -1.0"
+    assert _first_error(lambda: system.plus.jacobian_rows(point)) == want
+    assert _first_error(lambda: regularized_jacobian(system, psi, 0.01, point)) == want
+
+
+def test_same_shaped_systems_share_the_generated_code():
+    a = system_from_strings(("x", "y"), ("1.5", "2*x - y"), ("1", "exp(-3*y)"))
+    b = system_from_strings(("u", "v"), ("-4", "0.5*u - v"), ("7", "exp(-0.25*v)"))
+    assert b._blend.__code__ is a._blend.__code__
+    assert b._blend_jacobian.__code__ is a._blend_jacobian.__code__
+    point, psi = [0.3, -0.2], 0.25
+    for system in (a, b):
+        want = [0.5 * (1.0 + psi) * p + 0.5 * (1.0 - psi) * m
+                for p, m in zip(system.plus.values(point), system.minus.values(point))]
+        assert blend(system, psi, point) == want
 
 
 # ---------------------------------------------------------------------------
