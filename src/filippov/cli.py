@@ -139,10 +139,8 @@ def _trajectory_csv(path: Path, coords: Sequence[str], traj: Trajectory) -> None
     for e in traj.events:
         events.setdefault(float(e.time), []).append(e.kind.value)
     lines = [",".join(header)]
-    for t, state in zip(traj.times, traj.states):
-        row = [repr(float(t))] + [repr(float(v)) for v in state]
-        row.append(";".join(events.get(float(t), [])))
-        lines.append(",".join(row))
+    for t, state in zip(traj.times.tolist(), traj.states.tolist()):
+        lines.append(",".join([repr(t), *map(repr, state), ";".join(events.get(t, []))]))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -31,7 +31,9 @@ interpolant, evaluated on the floats of the step's two nodes.
 The hybrid integrator follows one smooth field until the orbit reaches the
 switching surface, classifies the hit, and either sews through, enters a
 sliding segment driven by the Filippov combination, or stops on an
-unresolvable singular hit.
+unresolvable singular hit.  Segments and slides step straight into the
+orbit's one recorder, which lifts a slide's nodes onto y = 0; the end node
+of the step that reaches an event gives way to the located event node.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ REL_TOL = 1e-7
 MIN_STEP = 1e-13
 EVENT_TIME_TOL = 1e-12
 MAX_EVENTS = 10_000
-MAX_STEPS = 1_000_000  # step attempts, accepted or rejected, per integrate call
+MAX_STEPS = 1_000_000  # step attempts, accepted or rejected, per integrate call or hybrid run
 EQ_SAMPLES = 601  # x-grid on which equilibria_on_manifold samples g
 EQ_TOL = 1e-9  # a sample or critical point of g with |g| at or below this is a zero
 # |y| below this counts as sitting on the surface; crossings are only
@@ -122,13 +124,6 @@ class IntegratorStats:
     rhs_evals: int = 0
     jac_evals: int = 0
     min_step: float = math.inf  # smallest accepted step
-
-    def add(self, other: "IntegratorStats") -> None:
-        self.accepted += other.accepted
-        self.rejected += other.rejected
-        self.rhs_evals += other.rhs_evals
-        self.jac_evals += other.jac_evals
-        self.min_step = min(self.min_step, other.min_step)
 
 
 @dataclass
@@ -201,10 +196,10 @@ _RO_STAGES = (
 
 
 class _Recorder:
-    """Nodes and events of a trajectory under construction.
+    """Nodes, events and counters of a trajectory under construction.
 
-    push keeps the sequences it is given, which nothing changes afterwards;
-    build turns them into the arrays of a Trajectory.
+    push keeps the sequences it is given, which nothing changes afterwards.
+    A node or event one component short, a slide's, is lifted onto y = 0.
     """
 
     def __init__(self, dim: int):
@@ -216,11 +211,18 @@ class _Recorder:
         self.stats = IntegratorStats()
 
     def push(self, t, y, f):
+        if len(y) < self.dim:
+            y, f = [*y, 0.0], [*f, 0.0]
         self.times.append(t)
         self.states.append(y)
         self.derivs.append(f)
 
+    def pop(self):
+        del self.times[-1], self.states[-1], self.derivs[-1]
+
     def event(self, t, y, kind: EventKind):
+        if len(y) < self.dim:
+            y = [*y, 0.0]
         self.events.append(Event(t, np.array(y, dtype=float), kind))
 
     def build(self) -> Trajectory:
@@ -428,14 +430,29 @@ def integrate(
     after the first step where it is true, whose end is then the last node
     of the trajectory.  An UnresolvedSingularityError or DomainError raised
     by fn, jac or stop leaves with the nodes accepted before it as its
-    trajectory.
+    trajectory, or with None if fn raised it at the first node.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end < t0:
         raise ValueError(f"t_span must be increasing, got {t_span}")
     y = [float(v) for v in x0]
-    t = t0
     rec = _Recorder(len(y))
+    try:
+        _run(rec, fn, y, t0, t_end, stop, jac)
+    except (UnresolvedSingularityError, ex.DomainError) as exc:
+        if rec.times:  # an error at the first node leaves no trajectory
+            exc.trajectory = rec.build()
+        raise
+    return rec.build()
+
+
+def _run(rec: _Recorder, fn, y: list[float], t: float, t_end: float, stop, jac) -> tuple | None:
+    """Step x' = fn(t, x) from (t, y) towards t_end into rec, as integrate
+    describes; the step (t0, y0, f0, t1, y1, f1) on which stop fired, or None.
+
+    The first node is skipped when rec's last node already lies at t, where
+    a run continues an orbit; the counters add up in rec.stats.
+    """
     stats = rec.stats
 
     def rhs(tt, yy):
@@ -443,46 +460,41 @@ def integrate(
         return fn(tt, yy)
 
     fcur = rhs(t, y)
-    rec.push(t, y, fcur)
-    if t_end == t0:
-        return rec.build()
-
+    if not rec.times or rec.times[-1] != t:
+        rec.push(t, y, fcur)
+    if t_end == t:
+        return None
     step = _rodas(rhs, jac, len(y), stats)
-    try:
-        h = _initial_step(rhs, t, y, fcur, t_end)
-        for _ in range(MAX_STEPS):
-            if t >= t_end:
-                break
-            h = min(h, t_end - t)
-            if h < MIN_STEP:
-                rec.event(t, y, EventKind.STEP_FAILURE)
-                break
-            y_new, err = step(t, y, fcur, h)
-            if err <= 1.0:
-                stats.accepted += 1
-                stats.min_step = min(stats.min_step, h)
-                start = t, y, fcur
-                # a step cut at the end lands on t_end: t + (t_end - t) can
-                # miss it by an ulp, leaving a gap below MIN_STEP
-                t = t_end if h >= t_end - t else t + h
-                y = y_new
-                fcur = rhs(t, y)
-                rec.push(t, y, fcur)
-                if stop is not None and stop(*start, t, y, fcur):
-                    break
-            else:
-                stats.rejected += 1
-            # the elementary rule for an order-4 error estimate, on accepted
-            # and rejected steps alike; on the stiff fold orbits a PI history
-            # term took 30-60% more steps
-            h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.25))
+    h = _initial_step(rhs, t, y, fcur, t_end)
+    for _ in range(MAX_STEPS):
+        if t >= t_end:
+            return None
+        h = min(h, t_end - t)
+        if h < MIN_STEP:
+            rec.event(t, y, EventKind.STEP_FAILURE)
+            return None
+        y_new, err = step(t, y, fcur, h)
+        if err <= 1.0:
+            stats.accepted += 1
+            stats.min_step = min(stats.min_step, h)
+            start = t, y, fcur
+            # a step cut at the end lands on t_end: t + (t_end - t) can
+            # miss it by an ulp, leaving a gap below MIN_STEP
+            t = t_end if h >= t_end - t else t + h
+            y = y_new
+            fcur = rhs(t, y)
+            rec.push(t, y, fcur)
+            if stop is not None and stop(*start, t, y, fcur):
+                return (*start, t, y, fcur)
         else:
-            if t < t_end:  # MAX_STEPS ran out
-                rec.event(t, y, EventKind.STEP_FAILURE)
-    except (UnresolvedSingularityError, ex.DomainError) as exc:
-        exc.trajectory = rec.build()
-        raise
-    return rec.build()
+            stats.rejected += 1
+        # the elementary rule for an order-4 error estimate, on accepted
+        # and rejected steps alike; on the stiff fold orbits a PI history
+        # term took 30-60% more steps
+        h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.25))
+    if t < t_end:  # MAX_STEPS ran out
+        rec.event(t, y, EventKind.STEP_FAILURE)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +537,10 @@ def integrate_filippov(
                 verdict = classify_point(system, state[:-1])
                 if verdict == SigmaClass.SLIDING:
                     orbit.event(t, state, EventKind.SLIDE_ENTRY)
-                    t, state, exit_side = _slide(system, orbit, t, state, t_end)
-                    if not exit_side:
+                    exit_ = _slide(system, orbit, t, state, t_end)
+                    if exit_ is None:
                         break  # reached t_end (or failed) while sliding
+                    t, state, exit_side = exit_
                     continue
                 if verdict == SigmaClass.SIGMA_SINGULAR:
                     raise UnresolvedSingularityError(t, state, None)
@@ -538,23 +551,19 @@ def integrate_filippov(
 
             field_def = system.plus if region > 0 else system.minus
             fn = lambda tt, s: field_def.values(s)
-            seg = integrate(fn, state, (t, t_end),
-                            stop=lambda *step: _far_side(region, *step) is not None,
-                            jac=lambda tt, s: field_def.jacobian_rows(s))
-            # the stop rule ended the segment iff it holds on its last step
-            step = _last_step(seg) if len(seg.times) > 1 else None
-            t_far = None if step is None else _far_side(region, *step)
-            if t_far is None:
-                _append(orbit, seg)
+            step = _run(orbit, fn, state, t, t_end,
+                        lambda *step: _far_side(region, *step) is not None,
+                        lambda tt, s: field_def.jacobian_rows(s))
+            if step is None:
                 break  # reached t_end, or failed
 
             target = 0.0
             if abs(step[1][-1]) <= SURFACE_BAND:
                 # launched from the surface; cut where the orbit clears the band
                 target = -region * SURFACE_BAND / 2.0
-            t, state = _locate(lambda tt, s: s[-1] - target, *step, t_far)
+            t, state = _locate(lambda tt, s: s[-1] - target, *step, _far_side(region, *step))
             state[-1] = 0.0
-            _append(orbit, seg, upto=-1)
+            orbit.pop()  # the hit replaces the end node of the step
             orbit.push(t, state, fn(t, state))
             orbit.event(t, state, EventKind.SIGMA_HIT)
             if classify_point(system, state[:-1]) == SigmaClass.SIGMA_SINGULAR:
@@ -566,8 +575,6 @@ def integrate_filippov(
                 orbit.event(t, state, EventKind.STEP_FAILURE)
     except (UnresolvedSingularityError, ex.DomainError) as exc:
         # end the orbit at its last node with a StepFailure, and leave with it
-        if exc.trajectory is not None:  # the nodes integrate accepted before the error
-            _append(orbit, exc.trajectory)
         if orbit.times:
             t, state = orbit.times[-1], orbit.states[-1]
         orbit.event(t, state, EventKind.STEP_FAILURE)
@@ -577,16 +584,15 @@ def integrate_filippov(
 
 
 def _slide(system, orbit, t, state, t_end):
-    """Integrate the sliding flow from a surface state that classifies Sliding.
+    """Integrate the sliding flow into the orbit from a Sliding surface state.
 
-    Returns (t, state, exit_side): exit_side is +1/-1 when the slide reached
-    the edge of the class band, where sliding_margin falls to 0 and
-    classify_point stops saying Sliding, else 0.  The orbit leaves along
-    X_plus when |a_plus| <= |a_minus| there, and along X_minus otherwise.
+    Returns (t, state, exit_side) at the edge of the class band, where
+    sliding_margin falls to 0 and classify_point stops saying Sliding, or
+    None if the slide reaches t_end or fails first.  The orbit leaves along
+    X_plus (+1) when |a_plus| <= |a_minus| there, else along X_minus (-1).
     The margin has no pole, so the exit is never bisected onto the pole
     a_plus = a_minus of the Filippov weight; a right-hand side evaluated on
-    that pole raises UnresolvedSingularityError with the slide's nodes up
-    to it.
+    that pole raises UnresolvedSingularityError.
     """
     margin = lambda tt, x: sliding_margin(system, x)
 
@@ -599,46 +605,19 @@ def _slide(system, orbit, t, state, t_end):
         return combo[1]
 
     # fn has been evaluated at every node jac sees, so jac never meets the pole
-    seg = integrate(fn, state[:-1], (t, t_end),
-                    stop=lambda t0, x0, f0, t1, x1, f1: margin(t1, x1) <= 0.0,
-                    jac=lambda tt, x: filippov_jacobian(system, x))
-    if margin(seg.final_time, seg.final_state) > 0.0:
-        _append(orbit, seg)
-        return seg.final_time, seg.final_state.tolist() + [0.0], 0
-    t, x = _locate(margin, *_last_step(seg))
+    step = _run(orbit, fn, state[:-1], t, t_end,
+                lambda t0, x0, f0, t1, x1, f1: margin(t1, x1) <= 0.0,
+                lambda tt, x: filippov_jacobian(system, x))
+    if step is None:
+        return None
+    t, x = _locate(margin, *step)
     state = x + [0.0]
     a_plus, a_minus = system.normal_components_on_sigma(x)
     exit_side = 1 if abs(a_plus) <= abs(a_minus) else -1
-    _append(orbit, seg, upto=-1)
+    orbit.pop()  # the exit replaces the end node of the step
     orbit.push(t, state, (system.plus if exit_side > 0 else system.minus).values(state))
     orbit.event(t, state, EventKind.SLIDE_EXIT)
     return t, state, exit_side
-
-
-def _append(orbit: _Recorder, seg: Trajectory, upto: int | None = None) -> None:
-    """Join the nodes seg[:upto], the events and the counters of seg to the orbit.
-
-    A first node repeating the orbit's last one is dropped; a sliding
-    segment, integrated in the tangential coordinates, is lifted onto y = 0.
-    """
-    start = 1 if orbit.times and seg.times[0] == orbit.times[-1] else 0
-    times, states, derivs = (a[start:upto].tolist() for a in (seg.times, seg.states, seg.derivs))
-    if seg.states.shape[1] < orbit.dim:
-        states = [y + [0.0] for y in states]
-        derivs = [f + [0.0] for f in derivs]
-    orbit.times.extend(times)
-    orbit.states.extend(states)
-    orbit.derivs.extend(derivs)
-    for e in seg.events:
-        state = e.state.tolist() + [0.0] if e.state.size < orbit.dim else e.state
-        orbit.event(e.time, state, e.kind)
-    orbit.stats.add(seg.stats)
-
-
-def _last_step(seg: Trajectory) -> tuple:
-    """The last step of seg as (t0, y0, f0, t1, y1, f1), in floats."""
-    return (float(seg.times[-2]), seg.states[-2].tolist(), seg.derivs[-2].tolist(),
-            float(seg.times[-1]), seg.states[-1].tolist(), seg.derivs[-1].tolist())
 
 
 def _locate(

@@ -126,10 +126,6 @@ def const(v: float) -> Const:
     return Const(float(v))
 
 
-def var(name: str) -> Var:
-    return Var(name)
-
-
 def neg(e: Expr) -> Expr:
     if isinstance(e, Const):
         return Const(-e.value)

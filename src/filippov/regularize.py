@@ -10,11 +10,7 @@ which agrees with X_plus above the band |y| < eps and with X_minus below it.
 The blend and its Jacobian are generated once per system, on first use, as
 straight-line code that inlines both fields, their partials and the blend
 weights (PiecewiseSystem._blend and _blend_jacobian); regularized_field and
-regularized_jacobian only add psi and its gradient.  On the fold (smoothstep
-and overshoot(2), eps = 1e-1 and 1e-4, best of 7 x 20,000 calls on a
-shared 2-core VM with Python 3.11.7) a field call costs 0.58-0.63 us
-against 1.09-1.14 us through the per-field calls, and a Jacobian 1.17-1.27
-us against 5.18-5.39 us.
+regularized_jacobian only add psi and its gradient.
 
 Whether the band traps orbits is decided by the height function
 
@@ -306,8 +302,11 @@ class Custom(TransitionFunction):
         for x in itertools.product(_VALIDATION_X, repeat=len(self.x_names)):
             for t in _VALIDATION_T:
                 want = -1.0 if t < 0 else 1.0
-                got = self.value(t, x)
-                if abs(got - want) > 1e-12:
+                try:
+                    got = self.value(t, x)
+                except ex.DomainError as exc:
+                    raise ValidationFailure(f"psi({t}) undefined at x = {x}: {exc}") from exc
+                if not abs(got - want) <= 1e-12:  # a NaN psi fails too
                     raise ValidationFailure(
                         f"boundary value violated: psi({t}) = {got} at x = {x}, expected {want}"
                     )

@@ -86,6 +86,22 @@ def test_certify_report_boundary(tmp_path):
     assert report["boundary_estimates"][0] == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("command", ["classify", "certify"])
+@pytest.mark.parametrize("expr, needle", [
+    ("(3*t - t^3)/2 + 1e200*t*1e200 - 1e200*t*1e200", "psi(-1.0) = nan"),
+    ("sqrt(t)", "psi(-1.0) undefined at x = (-1.0,): sqrt of negative value -1.0"),
+], ids=["nan", "sqrt"])
+def test_a_custom_psi_that_fails_its_checks_is_a_config_error(tmp_path, capsys, command, expr, needle):
+    # the NaN psi used to pass and certify wrote NaN into certificates.json;
+    # sqrt(t) failed every command with exit 1, classify included
+    cfg = setup_cfg(tmp_path, FOLD + f"\n[transition]\nkind = custom\nexpr = {expr}\n")
+    out = tmp_path / "out"
+    assert run_command([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 7: transition: ") and needle in err
+    assert not out.exists()
+
+
 def test_grid_override_validates(tmp_path):
     cfg = setup_cfg(tmp_path, FOLD)
     rc = run_command(["classify", "--config", cfg, "--out", str(tmp_path), "--grid=1:0:5"])

@@ -721,6 +721,14 @@ def test_integrate_error_carries_its_accepted_nodes():
     assert len(traj.times) > 2 and np.all(np.diff(traj.times) > 0)
     assert traj.final_state[0] == pytest.approx(math.exp(-traj.final_time), rel=1e-6)
 
+    # an error at the first node leaves no trajectory
+    def fails(t, y):
+        raise DomainError("no value at the start")
+
+    with pytest.raises(DomainError) as err:
+        integrate(fails, [1.0], (0.0, 5.0), jac=lambda t, y: [[-1.0]])
+    assert err.value.trajectory is None
+
 
 def test_domain_error_keeps_the_orbit_before_it(tmp_path):
     # y' = sqrt(1 - x) leaves its domain at x = 1, i.e. at t = 1: the error
@@ -771,6 +779,35 @@ def test_hybrid_orbit_invariants(name):
     if failures:
         assert traj.events[-1] is failures[0]
         assert failures[0].time == traj.final_time
+
+
+@pytest.mark.parametrize("name", sorted(set(HYBRID_ORBITS) - {"domain_error"}))
+def test_hybrid_orbit_counts_each_run_once(name):
+    # one IntegratorStats counts the whole orbit.  A run, a segment or a
+    # slide, starts at the orbit's start and after each SigmaHit and
+    # SlideExit the orbit goes on from; it costs 2 right-hand sides (its
+    # first node and the initial step's probe), 6 per accepted step and 5
+    # per rejected one, and a Jacobian per node a step starts from.  The
+    # DomainError orbit fails inside an attempt, which counts up to the
+    # failing evaluation.
+    traj = HYBRID_ORBITS[name]()
+    starts = [traj.times[0]] + [
+        e.time for e in traj.events if e.kind in (EventKind.SIGMA_HIT, EventKind.SLIDE_EXIT)]
+    runs = sum(t < traj.final_time for t in starts)
+    stats = traj.stats
+    assert stats.jac_evals == stats.accepted
+    assert stats.rhs_evals == 2 * runs + 6 * stats.accepted + 5 * stats.rejected
+
+
+@pytest.mark.parametrize("orbit", ["hit_slide_exit", "domain_error"])
+def test_hybrid_orbit_builds_one_trajectory(monkeypatch, orbit):
+    # segments and slides step into the orbit's recorder: each used to build
+    # a Trajectory of its own, which the orbit read back into lists
+    built = []
+    build = dynamics._Recorder.build
+    monkeypatch.setattr(dynamics._Recorder, "build", lambda rec: built.append(rec) or build(rec))
+    traj = HYBRID_ORBITS[orbit]()
+    assert traj.events and len(built) == 1
 
 
 # ---------------------------------------------------------------------------

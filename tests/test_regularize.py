@@ -165,6 +165,13 @@ def test_custom_checks_its_own_band_edges():
         Custom("t^2")
     with pytest.raises(ValidationFailure, match=r"at x = \(-1.0,\)"):
         Custom("(3*t - t^3)/2 + x", ("x",))
+    # NaN fails every comparison, so a psi that is NaN everywhere passed the
+    # check; sqrt(t) raised DomainError out of the constructor
+    with pytest.raises(ValidationFailure, match=r"psi\(-1.0\) = nan"):
+        Custom("(3*t - t^3)/2 + 1e200*t*1e200 - 1e200*t*1e200")
+    with pytest.raises(ValidationFailure,
+                       match=r"psi\(-1.0\) undefined at x = \(-1.0,\): sqrt of negative value -1.0"):
+        Custom("sqrt(t)", ("x",))
 
 
 def test_custom_transition_messages():
