@@ -75,7 +75,7 @@ EVENT_TIME_TOL = 1e-12
 MAX_EVENTS = 10_000
 MAX_STEPS = 1_000_000  # step attempts, accepted or rejected, per integrate call or hybrid run
 EQ_SAMPLES = 601  # x-grid on which equilibria_on_manifold samples g
-EQ_TOL = 1e-9  # a sample or critical point of g with |g| at or below this is a zero
+EQ_TOL = 1e-9  # a break of g (see monotone_breaks) with |g| at or below this is a zero
 # |y| below this counts as sitting on the surface; crossings are only
 # recognized once the orbit clears the band, which keeps tangential exits
 # from retriggering
@@ -411,7 +411,6 @@ def integrate(
     fn: Callable[[float, list[float]], Sequence[float]],
     x0: Sequence[float],
     t_span: tuple[float, float],
-    stop: Callable[..., bool] | None = None,
     *,
     jac: Callable[[float, list[float]], Sequence[Sequence[float]]],
 ) -> Trajectory:
@@ -424,13 +423,10 @@ def integrate(
     d(fn)/dx of the stage solves as its rows; it is evaluated once per
     node a step starts from.  Returns the accepted steps; a StepFailure
     event ends the trajectory early if the adaptive controller underflows
-    its minimum step or MAX_STEPS runs out before t_end.  The optional
-    stop(t0, x0, f0, t1, x1, f1) sees each accepted step as the two nodes
-    and node derivatives of its cubic Hermite interpolant, and ends the run
-    after the first step where it is true, whose end is then the last node
-    of the trajectory.  An UnresolvedSingularityError or DomainError raised
-    by fn, jac or stop leaves with the nodes accepted before it as its
-    trajectory, or with None if fn raised it at the first node.
+    its minimum step or MAX_STEPS runs out before t_end.  An
+    UnresolvedSingularityError or DomainError raised by fn or jac leaves
+    with the nodes accepted before it as its trajectory, or with None if fn
+    raised it at the first node.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end < t0:
@@ -438,7 +434,7 @@ def integrate(
     y = [float(v) for v in x0]
     rec = _Recorder(len(y))
     try:
-        _run(rec, fn, y, t0, t_end, stop, jac)
+        _run(rec, fn, y, t0, t_end, None, jac)
     except (UnresolvedSingularityError, ex.DomainError) as exc:
         if rec.times:  # an error at the first node leaves no trajectory
             exc.trajectory = rec.build()
@@ -448,7 +444,13 @@ def integrate(
 
 def _run(rec: _Recorder, fn, y: list[float], t: float, t_end: float, stop, jac) -> tuple | None:
     """Step x' = fn(t, x) from (t, y) towards t_end into rec, as integrate
-    describes; the step (t0, y0, f0, t1, y1, f1) on which stop fired, or None.
+    describes, and stop early when asked; the step (t0, y0, f0, t1, y1, f1)
+    on which stop fired, or None.
+
+    stop(t0, y0, f0, t1, y1, f1), unless None, sees each accepted step as
+    the two nodes and node derivatives of its cubic Hermite interpolant, and
+    ends the run after the first step where it is true, whose end is then
+    rec's last node.
 
     The first node is skipped when rec's last node already lies at t, where
     a run continues an orbit; the counters add up in rec.stats.
@@ -765,13 +767,15 @@ def equilibria_on_manifold(
 
     The restricted velocity g(x) is the tangential component of the
     regularized field evaluated on the manifold point (x, eps * t_x),
-    sampled at EQ_SAMPLES points of x_range.  Each sample where the sampled
-    values turn moves onto a critical point of g, found by bisecting a
-    secant slope, so that g is monotone between the samples: a sample with
-    |g| <= EQ_TOL is a zero, a tangential one included, and a piece whose
-    ends differ in sign holds one, found by bisection.  No zero is sought
-    across a point where g is undefined (no transversal root, so no
-    manifold).  Stability is the sign of g' at the zero.
+    sampled at EQ_SAMPLES points of x_range.  g is taken to be monotone
+    between the breaks of monotone_breaks: the ends of x_range, the
+    critical points of g (found by bisecting a secant slope from each
+    sample where the sampled values turn), and the samples on a flat or
+    beside a point where g is undefined (no transversal root, so no
+    manifold).  A break with |g| <= EQ_TOL is a zero, a tangential one
+    included; a piece whose ends differ in sign holds one, found by
+    bisection; and no zero is sought across an undefined point.  Stability
+    is the sign of g' at the zero.
     """
     if system.dim != 2:
         raise ValueError("equilibria tracking is implemented for planar systems only")

@@ -13,7 +13,10 @@ identifier is a variable.  Exponents are integer literals only.
 Trees are immutable and compare structurally.  The only rewriting ever
 applied is constant folding (including the neutral-element cases 0 + e,
 1 * e, 0 * e, e^0, e^1), which keeps derivative output readable without
-turning this into a simplifier.
+turning this into a simplifier.  The parser refuses a constant that is not
+finite or not defined (1e999, 1e200*1e200, exp(1000), sqrt(-1)), and
+parentheses, calls or operations nested more than MAX_DEPTH deep, which
+the recursive tree walks below could not follow.
 
 Compilation
 -----------
@@ -57,6 +60,7 @@ from typing import Callable, Sequence
 Bindings = dict[str, float]
 
 FUNCTIONS = ("sin", "cos", "exp", "tanh", "sqrt", "abs", "sgn")
+MAX_DEPTH = 100  # nested parentheses and calls, and operations in a parsed tree
 
 
 class ExprError(Exception):
@@ -201,6 +205,10 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0  # 0-based index into text
+        self.nesting = 0  # parentheses and calls open at pos
+        # the operations below each node, keyed by id; the node is kept so
+        # that its id is not reused
+        self.depths: dict[int, tuple[Expr, int]] = {}
 
     def error(self, expected: str) -> ParseError:
         if self.pos >= len(self.text):
@@ -235,38 +243,65 @@ class _Parser:
             raise self.error("end of input")
         return e
 
+    def node(self, offset: int, make: Callable[..., Expr], *args) -> Expr:
+        """make(*args), a smart constructor, refused at the 1-based offset
+        when folding its constants fails or gives a number that is not
+        finite, or when the tree grows more than MAX_DEPTH operations deep."""
+        try:
+            e = make(*args)
+        except DomainError as exc:
+            raise ParseError(offset, "a defined constant", str(exc)) from exc
+        if isinstance(e, Const):
+            return self.leaf(offset, e)
+        if id(e) not in self.depths:  # else make returned one of args
+            depth = 1 + max(self.depths[id(a)][1] for a in args if isinstance(a, Expr))
+            if depth > MAX_DEPTH:
+                raise ParseError(offset, f"at most {MAX_DEPTH} nested operations", str(depth))
+            self.depths[id(e)] = e, depth
+        return e
+
+    def leaf(self, offset: int, e: Const | Var) -> Expr:
+        if isinstance(e, Const) and not math.isfinite(e.value):
+            raise ParseError(offset, "a finite constant", repr(e.value))
+        self.depths[id(e)] = e, 0
+        return e
+
     def parse_expr(self) -> Expr:
         e = self.parse_term()
         while True:
             c = self.peek()
-            if c == "+":
-                self.pos += 1
-                e = add(e, self.parse_term())
-            elif c == "-":
-                self.pos += 1
-                e = sub(e, self.parse_term())
-            else:
+            if c not in ("+", "-"):
                 return e
+            self.pos += 1  # now the operator's 1-based offset
+            e = self.node(self.pos, add if c == "+" else sub, e, self.parse_term())
 
     def parse_term(self) -> Expr:
         e = self.parse_factor()
         while True:
             c = self.peek()
-            if c == "*":
-                self.pos += 1
-                e = mul(e, self.parse_factor())
-            elif c == "/":
-                self.pos += 1
-                e = div(e, self.parse_factor())
-            else:
+            if c not in ("*", "/"):
                 return e
+            self.pos += 1  # now the operator's 1-based offset
+            e = self.node(self.pos, mul if c == "*" else div, e, self.parse_factor())
 
     def parse_factor(self) -> Expr:
         negate = self.take("-")
+        start = self.pos
         e = self.parse_atom()
         if self.take("^"):
-            e = powi(e, self.parse_integer())
-        return neg(e) if negate else e
+            e = self.node(self.pos, powi, e, self.parse_integer())
+        return self.node(start, neg, e) if negate else e
+
+    def parse_nested(self) -> Expr:
+        """The expression after an opening parenthesis, and its ')'."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(self.pos, f"at most {MAX_DEPTH} nested parentheses and calls",
+                             str(self.nesting))
+        e = self.parse_expr()
+        self.expect(")")
+        self.nesting -= 1
+        return e
 
     def digits(self) -> int:
         """Advance over ASCII digits and count them: str.isdigit also takes
@@ -291,20 +326,17 @@ class _Parser:
         c = self.peek()
         if c == "(":
             self.pos += 1
-            e = self.parse_expr()
-            self.expect(")")
-            return e
+            return self.parse_nested()
         if "0" <= c <= "9" or c == ".":
             return self.parse_number()
         if c.isalpha() or c == "_":
+            start = self.pos + 1
             name = self.parse_ident()
             if self.take("("):
                 if name not in FUNCTIONS:
                     raise ParseError(self.pos, f"one of {', '.join(FUNCTIONS)}", repr(name))
-                arg = self.parse_expr()
-                self.expect(")")
-                return call(name, arg)
-            return Var(name)
+                return self.node(start, call, name, self.parse_nested())
+            return self.leaf(start, Var(name))
         raise self.error("number, identifier or '('")
 
     def parse_ident(self) -> str:
@@ -330,7 +362,7 @@ class _Parser:
         if text == "." or not text:
             self.pos = start
             raise self.error("number")
-        return Const(float(text))
+        return self.leaf(start + 1, Const(float(text)))
 
 
 def parse(text: str) -> Expr:

@@ -23,12 +23,12 @@ a_plus != a_minus, h vanishes exactly where psi(x, t) = r with
 
 lam being the Filippov weight.  So the zeros of h are a level set of psi,
 which TransitionFunction.level_set returns: in closed form for smoothstep
-and biased, and otherwise with monotone_zeros, one bisection per piece
-where psi is monotone.  Those pieces are the two branches of overshoot,
-and for a custom psi the cells of a t-grid whose samples where psi turns
-have moved onto its critical points.  A preimage where psi' != 0
-certifies a sliding band, no preimage certifies sewing, and everything else
-(tangential preimages, or h = 0 identically) stays indeterminate.
+and biased, else by monotone_zeros, one bisection per monotone piece of
+_pieces(x): overshoot's two branches, or for a custom psi the band ends and
+the critical points found on a grid of GRID_CELLS cells (once if psi uses
+no x).  A preimage within a tolerance lies only at a break.  One where
+psi' != 0 certifies a sliding band, no preimage certifies sewing, and
+everything else (tangential preimages, h = 0 identically) is indeterminate.
 """
 
 from __future__ import annotations
@@ -107,19 +107,26 @@ def monotone_breaks(
 ) -> tuple[list[float], list[float]]:
     """Breaks between which f is taken to be monotone, and f at them.
 
-    These are the samples ts of f, except that a sample where the sampled
-    values turn (stop rising and start falling, or the reverse) moves onto
-    the critical point that bisecting ``slope`` finds in its two cells.
-    Only turns closer together than a cell are missed.
+    These are the ends of the samples ts and each sample where the sampled
+    values of f stop strictly rising or falling: a turn, which moves onto
+    the critical point that bisecting ``slope`` finds in its two cells, a
+    flat, or a NaN.  Only turns closer together than a cell are missed.
     """
-    breaks, values = list(ts), [f(t) for t in ts]
-    rise = np.diff(values)
-    for k in (np.flatnonzero(rise[:-1] * rise[1:] < 0.0) + 1).tolist():
-        da = slope(ts[k - 1])
-        if da * slope(ts[k + 1]) < 0.0:
-            breaks[k] = bisect_sign_change(slope, ts[k - 1], ts[k + 1], ROOT_BISECTION_TOL, fa=da)
-            values[k] = f(breaks[k])
-    return breaks, values
+    values = [f(t) for t in ts]
+    breaks, out = [ts[0]], [values[0]]
+    for k in range(1, len(ts) - 1):
+        rises = (values[k] - values[k - 1]) * (values[k + 1] - values[k])
+        if rises > 0.0:
+            continue
+        t, v = ts[k], values[k]
+        if rises < 0.0:
+            da = slope(ts[k - 1])
+            if da * slope(ts[k + 1]) < 0.0:
+                t = bisect_sign_change(slope, ts[k - 1], ts[k + 1], ROOT_BISECTION_TOL, fa=da)
+                v = f(t)
+        breaks.append(t)
+        out.append(v)
+    return breaks + [ts[-1]], out + [values[-1]]
 
 
 def monotone_zeros(
@@ -132,14 +139,13 @@ def monotone_zeros(
     lie beyond tol with opposite signs holds one zero, which bisection
     finds.  A NaN value is no zero, and a piece with a NaN end holds none.
     """
-    vs = np.asarray(values, dtype=float)
-    size = np.abs(vs)
-    far = size > tol  # not the complement of the zero test: a NaN is neither
-    hit = size <= tol  # a zero at the break, or below, a zero in the piece it starts
-    hit[:-1] |= far[:-1] & far[1:] & (vs[:-1] * vs[1:] < 0.0)
-    return [breaks[k] if abs(values[k]) <= tol else bisect_sign_change(
-                f, breaks[k], breaks[k + 1], ROOT_BISECTION_TOL, fa=values[k])
-            for k in np.flatnonzero(hit).tolist()]
+    out = []
+    for k, v in enumerate(values):
+        if abs(v) <= tol:
+            out.append(breaks[k])
+        elif k + 1 < len(values) and abs(values[k + 1]) > tol and v * values[k + 1] < 0.0:
+            out.append(bisect_sign_change(f, breaks[k], breaks[k + 1], ROOT_BISECTION_TOL, fa=v))
+    return out
 
 
 class TransitionFunction:
@@ -161,8 +167,17 @@ class TransitionFunction:
         """The gradient of psi in the surface coordinates x."""
         return [0.0] * len(x)  # only a custom psi may depend on x
 
+    _zero_tol = 0.0  # |psi - r| at or below this is a preimage at a break
+
     def level_set(self, r: float, x: Sequence[float] = ()) -> list[float]:
-        """The sorted t in [-1, 1] with psi(x, t) = r."""
+        """The sorted t in [-1, 1] with psi(x, t) = r, by monotone_zeros on
+        the pieces of _pieces(x)."""
+        breaks, values = self._pieces(x)
+        return monotone_zeros(lambda t: self._core(t, x) - r, breaks,
+                              [v - r for v in values], self._zero_tol)
+
+    def _pieces(self, x: Sequence[float]) -> tuple[Sequence[float], Sequence[float]]:
+        """Breaks from -1 to 1 with psi(x, .) monotone between, and psi there."""
         raise NotImplementedError
 
     def _core(self, t: float, x: Sequence[float]) -> float:
@@ -222,10 +237,9 @@ class Overshoot(TransitionFunction):
         s = 1.0 - t * t
         return _cubic_d(t) - 4.0 * self.c * t * s
 
-    def level_set(self, r, x=()):
+    def _pieces(self, x):
         # psi is monotone on [-1, u] and on [u, 1], with exact values at the breaks
-        return monotone_zeros(lambda t: self.value(t, x) - r, (-1.0, self.u, 1.0),
-                              (-1.0 - r, self.m - r, 1.0 - r), 0.0)
+        return (-1.0, self.u, 1.0), (-1.0, self.m, 1.0)
 
 
 def _overshoot_peak(m: float) -> float:
@@ -285,6 +299,7 @@ class Custom(TransitionFunction):
 
     expression: ex.Expr
     x_names: tuple[str, ...] = ()
+    _zero_tol = ZERO_TOL
 
     def __post_init__(self):
         if isinstance(self.expression, str):
@@ -293,12 +308,10 @@ class Custom(TransitionFunction):
             raise ValidationFailure("custom transition: coordinate 't' clashes with the variable t")
         extra = ex.free_vars(self.expression) - set(self.x_names) - {"t"}
         if extra:
-            raise ValidationFailure(
-                f"custom transition uses unknown variables {sorted(extra)}"
-            )
+            raise ValidationFailure(f"custom transition uses unknown variables {sorted(extra)}")
         # a psi that uses no tangential coordinate is sampled once
         self._x_free = not ex.free_vars(self.expression) & set(self.x_names)
-        self._breaks: tuple[list[float], list[float]] | None = None
+        self._x_free_pieces: tuple[list[float], list[float]] | None = None
         for x in itertools.product(_VALIDATION_X, repeat=len(self.x_names)):
             for t in _VALIDATION_T:
                 want = -1.0 if t < 0 else 1.0
@@ -311,21 +324,14 @@ class Custom(TransitionFunction):
                         f"boundary value violated: psi({t}) = {got} at x = {x}, expected {want}"
                     )
 
-    def level_set(self, r, x=()):
-        """Bisection on the pieces where psi is monotone, between the breaks
-        monotone_breaks puts on a grid of GRID_CELLS cells (the symbolic psi'
-        locates the turns).  A break where |psi - r| <= ZERO_TOL is a preimage."""
-        xs = tuple(x[:len(self.x_names)])
-        psi = lambda t: self._core(t, xs)  # every t here lies in the band
-        if self._breaks is not None:
-            breaks, psis = self._breaks
-        else:
-            breaks, psis = monotone_breaks(
-                psi, lambda t: self._core_d(t, xs),
-                np.linspace(-1.0, 1.0, GRID_CELLS + 1).tolist())
-            if self._x_free:
-                self._breaks = breaks, psis
-        return monotone_zeros(lambda t: psi(t) - r, breaks, np.subtract(psis, r), ZERO_TOL)
+    def _pieces(self, x):
+        if self._x_free_pieces is not None:
+            return self._x_free_pieces
+        pieces = monotone_breaks(lambda t: self._core(t, x), lambda t: self._core_d(t, x),
+                                 np.linspace(-1.0, 1.0, GRID_CELLS + 1).tolist())
+        if self._x_free:
+            self._x_free_pieces = pieces
+        return pieces
 
     # psi and its derivatives are compiled on first use, in (t, x_1, ...);
     # x beyond x_names is ignored

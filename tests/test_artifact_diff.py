@@ -1,0 +1,43 @@
+"""tools/artifact_diff.py: the field tally and an end-to-end run."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import artifact_diff  # noqa: E402
+
+
+def test_json_numbers_are_tallied_per_key_and_the_rest_is_flagged():
+    tally = artifact_diff.Tally()
+    old = {"grid": [{"x": 1.0, "verdict": "Sliding", "roots": [{"t": 0.5}]},
+                    {"x": 2.0, "verdict": "Sewing", "roots": []}]}
+    new = {"grid": [{"x": 1.0, "verdict": "Sliding", "roots": [{"t": 0.5 + 1e-15}]},
+                    {"x": 2.0, "verdict": "Sliding", "roots": [{"t": 0.1}]}]}
+    artifact_diff.compare_json(old, new, "a.json:", tally)
+    assert dict(tally.changed) == {"a.json:grid[].roots[].t": 1}
+    assert tally.compared["a.json:grid[].x"] == 2
+    assert tally.largest["a.json:grid[].roots[].t"] == (0.5 + 1e-15) - 0.5
+    assert set(tally.flags) == {"a.json:grid[].verdict: string", "a.json:grid[].roots: list length"}
+
+
+def test_csv_columns_are_tallied_and_row_counts_flagged():
+    tally = artifact_diff.Tally()
+    artifact_diff.compare_csv("x,theta,chart\n0,1.5,E\n1,2.5,E\n", "x,theta,chart\n0,1.25,E\n",
+                              "s.csv", tally)
+    assert dict(tally.changed) == {"s.csv:theta": 1}
+    assert tally.largest["s.csv:theta"] == 0.25
+    assert set(tally.flags) == {"s.csv: row count"}
+
+
+def test_a_tree_against_itself_is_identical():
+    # one grid_sweep round: 17 jobs, one artifact each, every exit code alike
+    src = str(ROOT / "src")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "artifact_diff.py"), src, src,
+         "--workload", "grid_sweep", "--seeds", "3"],
+        capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout == "identical: 17 of 17 artifacts\n"

@@ -9,6 +9,7 @@ from filippov import __version__, cli, dynamics, regularize
 from filippov import system as system_module
 from filippov.cli import run_command
 from filippov.config import load_config
+from filippov.expr import MAX_DEPTH, ParseError, parse
 from filippov.regularize import certify
 
 FOLD = """\
@@ -99,6 +100,68 @@ def test_a_custom_psi_that_fails_its_checks_is_a_config_error(tmp_path, capsys, 
     assert run_command([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 7: transition: ") and needle in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("expr", ["1e999*x", "1e200*1e200*x", "0*1e999 + x", "exp(1000)*x", "sqrt(-1)*x"])
+def test_a_constant_that_is_not_finite_or_defined_is_a_config_error(tmp_path, capsys, expr):
+    # the first three loaded as inf or NaN, so that classify wrote
+    # SigmaSingular on every row and certify failed (exit 1); the last two
+    # failed every command as a computation (exit 1)
+    cfg = setup_cfg(tmp_path, FOLD.replace("x_plus = 1, 2*x", f"x_plus = 1, {expr}"))
+    out = tmp_path / "out"
+    for command in ("classify", "certify"):
+        assert run_command([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 3: x_plus: syntax error at offset ")
+    assert not out.exists()
+
+
+def deep_field(leaf: str = "x") -> str:
+    """leaf + x - x + ...: MAX_DEPTH operations in MAX_DEPTH parentheses."""
+    return "(" * MAX_DEPTH + leaf + " + x - x" * (MAX_DEPTH // 2) + ")" * MAX_DEPTH
+
+
+def deep_psi() -> str:
+    """The smoothstep cubic, MAX_DEPTH operations deep."""
+    return "(3*t - t^3)/2" + " + t - t" * ((MAX_DEPTH - 4) // 2) + " - (t - t)"
+
+
+def test_an_expression_at_the_depth_limit_runs_every_command(tmp_path):
+    # both are at the limit: one more operation or pair of parentheses is refused
+    for text in (deep_field(), deep_psi()):
+        with pytest.raises(ParseError, match="nested operations"):
+            parse(f"{text} + 1")
+    with pytest.raises(ParseError, match="nested parentheses"):
+        parse(f"({deep_field()})")
+    text = (FOLD.replace("2*x", deep_field())
+            + f"\n[transition]\nkind = custom\nexpr = {deep_psi()}\n"
+            + "\n[run]\ngrid = -1:1:11\nepsilons = 0.1\nx0 = -1, 0.5\nt_span = 0, 0.5\n"
+            + CROSS.split("\n[run]")[0].replace("x_pp = -1,", f"x_pp = {deep_field('-1')},"))
+    cfg = setup_cfg(tmp_path, text)
+    runs = [[name] for name in cli.COMMANDS] + [["integrate", "--mode", "regularized"]]
+    for argv in runs:
+        out = tmp_path / "-".join(argv)
+        assert run_command([argv[0], "--config", cfg, "--out", str(out), *argv[1:]]) == 0, argv
+        assert any(out.iterdir())
+
+
+@pytest.mark.parametrize("key, line, expr", [
+    ("x_plus", 3, "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1)),
+    ("x_plus", 3, "x" + " + x - x" * (MAX_DEPTH // 2) + " + x"),
+    # these escaped run_command as a RecursionError
+    ("x_plus", 3, "(" * 250 + "x" + ")" * 250),
+    ("x_plus", 3, "+".join(["x"] * 1000)),
+    ("expr", 8, "(3*t - t^3)/2" + " + t - t" * (MAX_DEPTH // 2)),
+], ids=["parentheses", "operations", "parentheses-250", "sum-1000", "psi"])
+def test_an_expression_over_the_depth_limit_is_a_config_error(tmp_path, capsys, key, line, expr):
+    text = FOLD + "\n[transition]\nkind = custom\nexpr = (3*t - t^3)/2\n"
+    text = text.replace("2*x", expr) if key == "x_plus" else text.replace("(3*t - t^3)/2", expr)
+    cfg = setup_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert run_command(["all", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: {key}: syntax error at offset ")
+    assert f"expected at most {MAX_DEPTH} nested" in err
     assert not out.exists()
 
 

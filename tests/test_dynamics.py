@@ -142,7 +142,9 @@ def test_stop_ends_at_first_accepted_node_where_true():
         seen.append((t0, y0[0], f0[0], t, y[0], f[0]))
         return y[0] > 2.0
 
-    traj = integrate(fn, (0.0, 0.0), (0.0, 10.0), stop=stop, jac=jac)
+    rec = dynamics._Recorder(2)
+    dynamics._run(rec, fn, [0.0, 0.0], 0.0, 10.0, stop, jac)
+    traj = rec.build()
     first = int(np.argmax(full.states[:, 0] > 2.0))
     assert np.array_equal(traj.times, full.times[: first + 1])
     assert traj.final_state[0] > 2.0 >= traj.states[-2, 0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from filippov.expr import (
+    MAX_DEPTH,
     Binary,
     Const,
     DomainError,
@@ -82,6 +83,53 @@ def test_numbers_are_ascii_digits(text, offset, expected, found):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.offset, err.value.expected, err.value.found) == (offset, expected, found)
+
+
+@pytest.mark.parametrize("text, offset, expected, found", [
+    ("1e999*x", 1, "a finite constant", "inf"),
+    ("1e200*1e200*x", 6, "a finite constant", "inf"),
+    ("0*1e999 + x", 3, "a finite constant", "inf"),
+    ("exp(1000)*x", 1, "a defined constant", "overflow in exp(1000.0)"),
+    ("sqrt(-1)*x", 1, "a defined constant", "sqrt of negative value -1.0"),
+    ("x + 1e300/1e-300", 10, "a finite constant", "inf"),
+    ("-(1e200)^2", 9, "a defined constant", "overflow in 1e+200^2"),
+], ids=["literal", "product", "nan", "exp", "sqrt", "quotient", "power"])
+def test_constants_that_are_not_finite_or_defined_are_syntax_errors(text, offset, expected, found):
+    # the first three loaded as an inf or NaN constant, and the DomainError
+    # of the next two escaped the parser
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.offset, err.value.expected, err.value.found) == (offset, expected, found)
+
+
+def nested(depth: int) -> str:
+    """sin applied depth times to x: depth calls and depth operations deep."""
+    return "sin(" * depth + "x" + ")" * depth
+
+
+def chain(depth: int) -> str:
+    """x + x - x ...: depth operations deep, in no parentheses."""
+    return "x" + "".join(" + x" if k % 2 == 0 else " - x" for k in range(depth))
+
+
+def test_depth_limit():
+    for text in (nested(MAX_DEPTH), chain(MAX_DEPTH), "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH):
+        parse(text)
+    for text, offset, expected in [
+        (nested(MAX_DEPTH + 1), 4 * MAX_DEPTH + 4, "nested parentheses and calls"),
+        ("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), MAX_DEPTH + 1,
+         "nested parentheses and calls"),
+        (chain(MAX_DEPTH + 1), 4 * MAX_DEPTH + 3, "nested operations"),
+        # the unary minus is an operation too
+        ("-(" + chain(MAX_DEPTH) + ")", 1, "nested operations"),
+        # these escaped as a RecursionError, from the parser and from free_vars
+        ("(" * 250 + "x" + ")" * 250, MAX_DEPTH + 1, "nested parentheses and calls"),
+        (chain(999), 4 * MAX_DEPTH + 3, "nested operations"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset
+        assert err.value.expected == f"at most {MAX_DEPTH} {expected}"
 
 
 def test_evaluate_basics():

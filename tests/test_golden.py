@@ -64,6 +64,13 @@ CASES = {
         + RUN.replace("-1:1:41", "-1:1:21"),
         ["all"],
     ),
+    # psi = cubic + (0.5 + 0.3x)(1 - t^2)^2 is monotone for x < -5/12 and
+    # peaks inside the band above it
+    "fold_custom_bump": (
+        FOLD + "\n[transition]\nkind = custom\n"
+        "expr = (3*t - t^3)/2 + (0.5 + 0.3*x)*(1 - t^2)^2\n" + RUN.replace("-1:1:41", "-1:1:21"),
+        ["all"],
+    ),
     "curved": (
         "[system]\ncoords = x, y\nsigma = y - x^2\nx_plus = 1, 1\nx_minus = 1, 3\n"
         + RUN.replace("x0 = -1, 0.5", "x0 = 0, -0.5"),
@@ -113,6 +120,13 @@ GOLDEN = {
         "classification.json": "24c3f2752111edf4e9d8b1bb53804342cff57497a5d03999d00378a89773e870",
         "manifold.json": "c183d6eb1195f5bd50b62986b2709c7b2a6583758af3e43c92afee4d4a126864",
         "slowfast.csv": "ba00c4d8d579414481a50665f8c134f05aeb70dbc3fff84b6b54016df8fd3010",
+        "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
+    },
+    "fold_custom_bump": {
+        "certificates.json": "56855c8d49c0e110d6b58cb15e2bbb6fc0ee6761ae7d70765b3f479de056a8ac",
+        "classification.json": "014c1899eacdcf797fc9f1b8e9097037e88ff619f214d59e749a445201551ac1",
+        "manifold.json": "d753641ac84f56c2c1dc05aeba2c84edd42c360fae31d11942070be395c60021",
+        "slowfast.csv": "19012c661b143157730ee769eeffa69b09c0d38b852775f38a5da33ecb19d6aa",
         "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
     },
     "fold_overshoot": {

@@ -5,6 +5,7 @@ import pytest
 
 from filippov.expr import DomainError
 from filippov.regularize import (
+    GRID_CELLS,
     Biased,
     Custom,
     DegenerateInterval,
@@ -19,6 +20,8 @@ from filippov.regularize import (
     height,
     height_roots,
     make_transition,
+    monotone_breaks,
+    monotone_zeros,
     regularized_field,
     regularized_jacobian,
 )
@@ -620,6 +623,50 @@ def test_custom_level_set_finds_two_preimages_in_one_cell():
         assert got.t == pytest.approx(exact.t, abs=1e-12)
 
 
+def test_a_sample_near_the_level_is_no_preimage():
+    # t^7 lies within ZERO_TOL of 0 on |t| < 0.037, and 19 samples of the
+    # grid there each counted as a preimage, transversal ones among them:
+    # SlidingCertified at t = -0.0352.  Its only zero, t = 0, is tangential
+    tf = Custom("t^7")
+    assert tf.level_set(0.0) == [0.0]
+    sys = system_from_strings(("x", "y"), ("1", "1"), ("1", "-1"))  # r = 0
+    cert = certify(sys, tf, 0.0)
+    assert cert.verdict == Verdict.INDETERMINATE
+    assert [r.t for r in cert.roots] == [0.0]
+
+
+def test_breaks_of_a_custom_psi_are_its_ends_and_critical_points():
+    ov = Overshoot(2.0)
+    tf = overshoot_as_custom(ov)
+    breaks, values = monotone_breaks(
+        lambda t: tf._core(t, (0.0,)), lambda t: tf._core_d(t, (0.0,)),
+        np.linspace(-1.0, 1.0, GRID_CELLS + 1).tolist())
+    assert len(breaks) == 3
+    assert breaks[0] == -1.0 and breaks[2] == 1.0
+    assert breaks[1] == pytest.approx(ov.u, abs=1e-12)
+    assert values == pytest.approx([-1.0, 2.0, 1.0], abs=1e-12)
+
+
+def test_flats_and_nans_are_breaks():
+    ts = [float(k) for k in range(10)]
+    table = [-3.0, -2.0, -1.0, -1.0, -1.0, 0.5, math.nan, 2.0, 3.0, 4.0]
+    f = lambda t: float(np.interp(t, ts, table))
+
+    def slope(t):
+        raise AssertionError("no turn to locate")
+
+    breaks, values = monotone_breaks(f, slope, ts)
+    # the flat run 2..4, the NaN at 6 and the samples beside it, and the ends
+    assert breaks == [0.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0]
+    assert values[:5] == [-3.0, -1.0, -1.0, -1.0, 0.5] and math.isnan(values[5])
+    level = lambda r: monotone_zeros(lambda t: f(t) - r, breaks, [v - r for v in values], 0.0)
+    assert level(-1.0) == [2.0, 3.0, 4.0]
+    assert level(-2.5) == [0.5]
+    # 1 lies between f(5) and f(7), across the NaN: no zero is sought there
+    assert level(1.0) == []
+    assert level(3.5) == [8.5]
+
+
 def test_level_with_equal_normal_components():
     # a_plus = a_minus: h is the constant a_plus + a_minus, however small
     tiny = system_from_strings(("x", "y"), ("1", "1e-11"), ("1", "1e-11"))
@@ -688,7 +735,9 @@ def test_an_x_free_custom_transition_is_sampled_once(monkeypatch):
 
 
 def test_level_of_non_finite_components_is_an_error():
-    # r = nan lies in no range, which must not read as a sewing certificate
-    sys = system_from_strings(("x", "y"), ("1", "1e308*10*x"), ("1", "1e308*10"))
+    # r = nan lies in no range, which must not read as a sewing certificate;
+    # both normal components overflow at x = 0.5 (the parser refuses the
+    # constant 1e308*10)
+    sys = system_from_strings(("x", "y"), ("1", "x*1e308*10"), ("1", "x*1e308*20"))
     with pytest.raises(DomainError, match="not finite"):
         certify(sys, Smoothstep(), 0.5)
