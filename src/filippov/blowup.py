@@ -87,7 +87,7 @@ def e_chart_field(
     psi(x, ybar).  The chart has no eps-motion: epsbar is frozen, which is
     the fibration condition.
     """
-    if epsbar < 0:
+    if not epsbar >= 0:
         raise ValueError(f"epsbar must be nonnegative, got {epsbar}")
     blended = _e_blend(system, transition, x, ybar, epsbar)
     return np.concatenate(([blended[-1]], epsbar * blended[:-1]))
@@ -115,7 +115,7 @@ def f_chart_field(
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if ytil < 0:
+    if not ytil >= 0:
         raise ValueError(f"ytil must be nonnegative, got {ytil}")
     if not 0.0 <= epstil <= 1.0:
         raise ValueError(f"epstil must lie in [0, 1], got {epstil}")

@@ -57,7 +57,7 @@ def double_regularized_field(
     cs: CrossSystem, eps: float, eta: float, point: Sequence[float]
 ) -> np.ndarray:
     """Blend of the four quadrant fields at a point of (x, y, z)."""
-    if eps <= 0 or eta <= 0:
+    if not eps > 0 or not eta > 0:
         raise ValueError(f"band widths must be positive, got eps={eps}, eta={eta}")
     pt = np.asarray(point, dtype=float)
     phi = cs.phi.value(pt[0] / eps)
@@ -113,7 +113,7 @@ def stratified_slide_curve(
     Requires both transitions to have a unique zero; raises
     NonMonotoneTransitionError otherwise.
     """
-    if eps <= 0 or eta <= 0:
+    if not eps > 0 or not eta > 0:
         raise ValueError(f"band widths must be positive, got eps={eps}, eta={eta}")
     t0 = transition_zero(cs.phi, "phi")
     u0 = transition_zero(cs.psi, "psi")

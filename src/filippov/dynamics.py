@@ -779,7 +779,7 @@ def equilibria_on_manifold(
     """
     if system.dim != 2:
         raise ValueError("equilibria tracking is implemented for planar systems only")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     lo, hi = float(x_range[0]), float(x_range[1])
 

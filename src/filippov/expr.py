@@ -14,9 +14,10 @@ Trees are immutable and compare structurally.  The only rewriting ever
 applied is constant folding (including the neutral-element cases 0 + e,
 1 * e, 0 * e, e^0, e^1), which keeps derivative output readable without
 turning this into a simplifier.  The parser refuses a constant that is not
-finite or not defined (1e999, 1e200*1e200, exp(1000), sqrt(-1)), and
-parentheses, calls or operations nested more than MAX_DEPTH deep, which
-the recursive tree walks below could not follow.
+finite or not defined (1e999, 1e200*1e200, exp(1000), sqrt(-1)), a
+divisor that folds to zero (1/0, x/(1 - 1)), and parentheses, calls or
+operations nested more than MAX_DEPTH deep, which the recursive tree walks
+below could not follow.
 
 Compilation
 -----------
@@ -30,11 +31,12 @@ returns the tuple of evaluate(e, bindings) for every tree:
   the math module's sin, cos, exp, tanh and sqrt, abs, sgn, ** with the
   integer exponent, and the four arithmetic operators, after float() of
   each variable it reads.
-- **Errors unchanged.** Where a Python operation raises ArithmeticError or
-  ValueError (division by zero, 0^-2, sqrt(-1), overflow, sin(inf)), the
-  function evaluates the trees again with evaluate() on the same values,
-  which raises the DomainError, or lets the bare exception escape, exactly
-  as a tree walk does.
+- **Errors unchanged.** Emitter.function gives every generated function
+  one fallback: where an operation raises ArithmeticError or ValueError
+  (division by zero, 0^-2, sqrt(-1), overflow, sin(inf)), it walks every
+  tree it inlines with evaluate(), in emission order, on the same values.
+  evaluate() raises wherever the generated code does (a DomainError, or
+  the bare ValueError of sin(inf)), so the error is the tree walk's.
 - **Cached by shape.** No name or number from the trees enters the
   generated source: variables are the positional slots v0, v1, ... in the
   order of ``names``, constants and exponents are the keyword-only
@@ -46,6 +48,10 @@ returns the tuple of evaluate(e, bindings) for every tree:
 
 The code comes from Emitter, which other generators share: the psi-blend
 of system.PiecewiseSystem inlines both fields and their partials with it.
+
+Each function and operator is defined once, in a row of _FUNCTIONS or
+_OPERATORS that evaluate, differentiate, substitute, the parser and the
+generated code's namespace all read.
 """
 
 from __future__ import annotations
@@ -53,13 +59,13 @@ from __future__ import annotations
 import builtins
 import functools
 import math
+import operator
 import types
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 Bindings = dict[str, float]
 
-FUNCTIONS = ("sin", "cos", "exp", "tanh", "sqrt", "abs", "sgn")
 MAX_DEPTH = 100  # nested parentheses and calls, and operations in a parsed tree
 
 
@@ -191,11 +197,62 @@ def powi(base: Expr, exponent: int) -> Expr:
 
 
 def call(fn: str, arg: Expr) -> Expr:
-    if fn not in FUNCTIONS:
-        raise ValueError(f"unknown function {fn!r}")
+    _FUNCTIONS[fn]  # an unknown name is an error even on a variable
     if isinstance(arg, Const):
         return Const(_apply_function(fn, arg.value))
     return Unary(fn, arg)
+
+
+# ---------------------------------------------------------------------------
+# the functions and operators of the language, one row each
+
+def _sgn(v: float) -> float:
+    if v > 0.0:
+        return 1.0
+    if v < 0.0:
+        return -1.0
+    return 0.0
+
+
+def _divide(a: float, b: float) -> float:
+    if b == 0.0:
+        raise DomainError("division by zero")
+    return a / b
+
+
+class _Table(dict):
+    """Rows of the language by name; a name it lacks is a ValueError."""
+
+    def __init__(self, kind: str, rows: dict):
+        super().__init__(rows)
+        self.kind = kind
+
+    def __missing__(self, name: str):
+        raise ValueError(f"unknown {self.kind} {name!r}")
+
+
+# name -> (float function, derivative rule (arg, d arg) -> tree); abs
+# differentiates to sgn and sgn to 0, both taken as 0 at the kink
+_FUNCTIONS = _Table("function", {
+    "sin": (math.sin, lambda a, da: mul(call("cos", a), da)),
+    "cos": (math.cos, lambda a, da: neg(mul(call("sin", a), da))),
+    "exp": (math.exp, lambda a, da: mul(call("exp", a), da)),
+    "tanh": (math.tanh, lambda a, da: mul(sub(Const(1.0), powi(call("tanh", a), 2)), da)),
+    "sqrt": (math.sqrt, lambda a, da: div(da, mul(Const(2.0), call("sqrt", a)))),
+    "abs": (abs, lambda a, da: mul(call("sgn", a), da)),
+    "sgn": (_sgn, lambda a, da: Const(0.0)),
+})
+FUNCTIONS = tuple(_FUNCTIONS)
+
+# symbol -> (folding constructor, float operation,
+#            derivative rule (left, d left, right, d right) -> tree)
+_OPERATORS = _Table("operator", {
+    "+": (add, operator.add, lambda a, da, b, db: add(da, db)),
+    "-": (sub, operator.sub, lambda a, da, b, db: sub(da, db)),
+    "*": (mul, operator.mul, lambda a, da, b, db: add(mul(da, b), mul(a, db))),
+    "/": (div, _divide, lambda a, da, b, db: div(sub(mul(da, b), mul(a, db)), powi(b, 2))),
+})
+_PRECEDENCE = (("+", "-"), ("*", "/"))  # the binary operators, loosest first
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +303,10 @@ class _Parser:
     def node(self, offset: int, make: Callable[..., Expr], *args) -> Expr:
         """make(*args), a smart constructor, refused at the 1-based offset
         when folding its constants fails or gives a number that is not
-        finite, or when the tree grows more than MAX_DEPTH operations deep."""
+        finite, when it divides by a constant zero, or when the tree grows
+        more than MAX_DEPTH operations deep."""
+        if make is div and isinstance(args[1], Const) and args[1].value == 0.0:
+            raise ParseError(offset, "a nonzero divisor", repr(args[1].value))
         try:
             e = make(*args)
         except DomainError as exc:
@@ -266,23 +326,16 @@ class _Parser:
         self.depths[id(e)] = e, 0
         return e
 
-    def parse_expr(self) -> Expr:
-        e = self.parse_term()
-        while True:
-            c = self.peek()
-            if c not in ("+", "-"):
-                return e
+    def parse_expr(self, level: int = 0) -> Expr:
+        """Operands joined left to right by the operators of
+        _PRECEDENCE[level]; an operand binds tighter: a term, or a factor."""
+        if level == len(_PRECEDENCE):
+            return self.parse_factor()
+        e = self.parse_expr(level + 1)
+        while (c := self.peek()) in _PRECEDENCE[level]:
             self.pos += 1  # now the operator's 1-based offset
-            e = self.node(self.pos, add if c == "+" else sub, e, self.parse_term())
-
-    def parse_term(self) -> Expr:
-        e = self.parse_factor()
-        while True:
-            c = self.peek()
-            if c not in ("*", "/"):
-                return e
-            self.pos += 1  # now the operator's 1-based offset
-            e = self.node(self.pos, mul if c == "*" else div, e, self.parse_factor())
+            e = self.node(self.pos, _OPERATORS[c][0], e, self.parse_expr(level + 1))
+        return e
 
     def parse_factor(self) -> Expr:
         negate = self.take("-")
@@ -377,35 +430,14 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _sgn(v: float) -> float:
-    if v > 0.0:
-        return 1.0
-    if v < 0.0:
-        return -1.0
-    return 0.0
-
-
 def _apply_function(fn: str, v: float) -> float:
+    function = _FUNCTIONS[fn][0]
+    if fn == "sqrt" and v < 0.0:
+        raise DomainError(f"sqrt of negative value {v}")
     try:
-        if fn == "sin":
-            return math.sin(v)
-        if fn == "cos":
-            return math.cos(v)
-        if fn == "exp":
-            return math.exp(v)
-        if fn == "tanh":
-            return math.tanh(v)
-        if fn == "sqrt":
-            if v < 0.0:
-                raise DomainError(f"sqrt of negative value {v}")
-            return math.sqrt(v)
-        if fn == "abs":
-            return abs(v)
-        if fn == "sgn":
-            return _sgn(v)
+        return function(v)
     except OverflowError as exc:
         raise DomainError(f"overflow in {fn}({v})") from exc
-    raise ValueError(f"unknown function {fn!r}")
 
 
 def _pow_value(base: float, exponent: int) -> float:
@@ -434,23 +466,11 @@ def evaluate(e: Expr, bindings: Bindings) -> float:
             raise UnboundVariableError(e.name) from None
     if isinstance(e, Unary):
         v = evaluate(e.arg, bindings)
-        if e.op == "neg":
-            return -v
-        return _apply_function(e.op, v)
+        return -v if e.op == "neg" else _apply_function(e.op, v)
     if isinstance(e, Binary):
         a = evaluate(e.left, bindings)
         b = evaluate(e.right, bindings)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
-            return a / b
-        raise ValueError(f"unknown operator {e.op!r}")
+        return _OPERATORS[e.op][1](a, b)
     if isinstance(e, Pow):
         return _pow_value(evaluate(e.base, bindings), e.exponent)
     raise TypeError(f"not an expression: {e!r}")
@@ -462,10 +482,7 @@ def evaluate(e: Expr, bindings: Bindings) -> float:
 COMPILE_CACHE_SIZE = 256  # code objects kept, one per distinct tree shape
 
 # the functions generated code may call; nothing else is looked up by name
-_NAMESPACE = {
-    "f_sin": math.sin, "f_cos": math.cos, "f_exp": math.exp, "f_tanh": math.tanh,
-    "f_sqrt": math.sqrt, "f_abs": abs, "f_sgn": _sgn,
-}
+_NAMESPACE = {f"f_{name}": function for name, (function, _) in _FUNCTIONS.items()}
 
 
 class Emitter:
@@ -478,18 +495,23 @@ class Emitter:
     whose values collect in ``consts``.  The line before a slot's first use
     converts it with float().  Several emit() calls share slots and
     constants, so one function can inline several sets of trees, and its
-    source depends only on their shapes.
+    source depends only on their shapes.  The trees are kept in the order
+    they were emitted, for the fallback of function().
     """
 
     def __init__(self, names: Sequence[str]):
+        self._names = tuple(names)
         self.params = [f"v{i}" for i in range(len(names))]
         self.slots = dict(zip(names, self.params))
         self.consts: list[float | int] = []
         self.body: list[str] = []
+        self._trees: list[Expr] = []
         self._converted: set[str] = set()
         self._results = 0
 
     def emit(self, exprs: Sequence[Expr]) -> list[str]:
+        exprs = tuple(exprs)
+        self._trees += exprs
         return [self._emit(e) for e in exprs]
 
     def _const(self, value) -> str:
@@ -511,13 +533,11 @@ class Emitter:
             a = self._emit(e.arg)
             if e.op == "neg":
                 rhs = f"-{a}"
-            elif e.op in FUNCTIONS:
-                rhs = f"f_{e.op}({a})"
             else:
-                raise ValueError(f"unknown function {e.op!r}")
+                _FUNCTIONS[e.op]  # refuses an unknown name
+                rhs = f"f_{e.op}({a})"
         elif isinstance(e, Binary):
-            if e.op not in ("+", "-", "*", "/"):
-                raise ValueError(f"unknown operator {e.op!r}")
+            _OPERATORS[e.op]  # refuses an unknown symbol
             a = self._emit(e.left)
             rhs = f"{a} {e.op} {self._emit(e.right)}"
         elif isinstance(e, Pow):
@@ -529,16 +549,30 @@ class Emitter:
         self.body.append(f"{name} = {rhs}")
         return name
 
-    def function(self, params: Sequence[str], lines: Sequence[str], fallback: Callable) -> Callable:
+    def function(self, params: Sequence[str], lines: Sequence[str]) -> Callable:
         """The function compiled(*params, *, c0, c1, ..., fallback) with body
-        ``lines``, its constants as the defaults of c0, c1, ... and
-        ``fallback`` as the default of fallback.  Its code object comes from
-        a cache keyed by the source text, so same-shaped trees share one."""
+        ``lines``; ``params`` hold the slots v0, v1, ..., and c0, c1, ...
+        default to the constants.  Where the body raises ArithmeticError or
+        ValueError, fallback walks every emitted tree with evaluate, in
+        emission order, on the slots, so that the tree walk's error is
+        raised (the body's own, should the walk pass).  The code object
+        comes from a cache keyed by the source, so same shapes share one."""
+        names, trees = self._names, tuple(self._trees)
+
+        def walk(*values):
+            bindings = dict(zip(names, values))
+            for e in trees:
+                evaluate(e, bindings)
+
         keywords = [f"c{k}" for k in range(len(self.consts))] + ["fallback"]
         source = "\n".join([f"def compiled({', '.join([*params, '*', *keywords])}):",
-                            *(f"    {line}" for line in lines)])
+                            "    try:",
+                            *(f"        {line}" for line in lines),
+                            "    except (ArithmeticError, ValueError):",
+                            f"        fallback({', '.join(self.params)})",
+                            "        raise"])
         fn = types.FunctionType(_code(source), _NAMESPACE, "compiled")
-        fn.__kwdefaults__ = dict(zip(keywords, self.consts + [fallback]))
+        fn.__kwdefaults__ = dict(zip(keywords, self.consts + [walk]))
         return fn
 
 
@@ -549,24 +583,10 @@ def compile(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[..., tuple[
     must be one of ``names`` (UnboundVariableError otherwise, raised here).
     See the module docstring for what the function guarantees.
     """
-    exprs = tuple(exprs)
-    names = tuple(names)
     emitter = Emitter(names)
     results = emitter.emit(exprs)
-    params = emitter.params
-    lines = [
-        "try:",
-        *(f"    {line}" for line in emitter.body),
-        f"    return ({''.join(r + ', ' for r in results)})",
-        "except (ArithmeticError, ValueError):",
-        f"    return fallback({', '.join(params)})",
-    ]
-
-    def walk(*values):
-        bindings = dict(zip(names, values))
-        return tuple(evaluate(e, bindings) for e in exprs)
-
-    return emitter.function(params, lines, walk)
+    return emitter.function(emitter.params,
+                            [*emitter.body, f"return ({''.join(r + ', ' for r in results)})"])
 
 
 @functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
@@ -581,7 +601,8 @@ def _code(source: str) -> types.CodeType:
 # differentiation
 
 def differentiate(e: Expr, name: str) -> Expr:
-    """Symbolic partial derivative of ``e`` with respect to ``name``.
+    """Symbolic partial derivative of ``e`` with respect to ``name``, by the
+    rules of _FUNCTIONS and _OPERATORS.
 
     sgn differentiates to 0 and abs to sgn (both taken as 0 at the kink);
     results feed numerical classification, where the convention is harmless
@@ -593,35 +614,11 @@ def differentiate(e: Expr, name: str) -> Expr:
         return Const(1.0) if e.name == name else Const(0.0)
     if isinstance(e, Unary):
         d = differentiate(e.arg, name)
-        if e.op == "neg":
-            return neg(d)
-        if e.op == "sin":
-            return mul(call("cos", e.arg), d)
-        if e.op == "cos":
-            return neg(mul(call("sin", e.arg), d))
-        if e.op == "exp":
-            return mul(call("exp", e.arg), d)
-        if e.op == "tanh":
-            return mul(sub(Const(1.0), powi(call("tanh", e.arg), 2)), d)
-        if e.op == "sqrt":
-            return div(d, mul(Const(2.0), call("sqrt", e.arg)))
-        if e.op == "abs":
-            return mul(call("sgn", e.arg), d)
-        if e.op == "sgn":
-            return Const(0.0)
-        raise ValueError(f"unknown function {e.op!r}")
+        return neg(d) if e.op == "neg" else _FUNCTIONS[e.op][1](e.arg, d)
     if isinstance(e, Binary):
         da = differentiate(e.left, name)
         db = differentiate(e.right, name)
-        if e.op == "+":
-            return add(da, db)
-        if e.op == "-":
-            return sub(da, db)
-        if e.op == "*":
-            return add(mul(da, e.right), mul(e.left, db))
-        if e.op == "/":
-            return div(sub(mul(da, e.right), mul(e.left, db)), powi(e.right, 2))
-        raise ValueError(f"unknown operator {e.op!r}")
+        return _OPERATORS[e.op][2](e.left, da, e.right, db)
     if isinstance(e, Pow):
         inner = differentiate(e.base, name)
         return mul(mul(Const(float(e.exponent)), powi(e.base, e.exponent - 1)), inner)
@@ -646,7 +643,7 @@ def substitute(e: Expr, mapping: dict[str, Expr | float]) -> Expr:
     if isinstance(e, Binary):
         a = substitute(e.left, mapping)
         b = substitute(e.right, mapping)
-        return {"+": add, "-": sub, "*": mul, "/": div}[e.op](a, b)
+        return _OPERATORS[e.op][0](a, b)
     if isinstance(e, Pow):
         return powi(substitute(e.base, mapping), e.exponent)
     raise TypeError(f"not an expression: {e!r}")

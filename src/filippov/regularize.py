@@ -411,7 +411,7 @@ def regularized_field(
 
     It takes and returns what integrate's right-hand side does.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     return system._blend(transition.value(point[-1] / eps, point[:-1]), *point)
 
@@ -429,7 +429,7 @@ def regularized_jacobian(
     the gradient of psi(x, y/eps): psi'(y/eps)/eps in the y column and, for a
     custom psi that uses x, d(psi)/dx in the x columns.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     t, xs = point[-1] / eps, point[:-1]
     psi = transition.value(t, xs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -189,11 +189,13 @@ def _blend_function(system: PiecewiseSystem, jacobian: bool):
 
     This is the one formula of the blend: every entry is wp*p + wm*m with
     wp = 0.5*(1.0 + psi) and wm = 0.5*(1.0 - psi).  Where an operation
-    raises ArithmeticError or ValueError, the function repeats the per-field
-    calls it stands for (the Jacobian rows, then the values where grad has a
-    nonzero entry; plus before minus), so the error is the one they raise,
-    and otherwise raises its own.  The source depends only on the shapes of
-    the fields, so same-shaped systems share one code object.
+    raises, the error comes from the emitter's fallback, which walks the
+    trees in the order they were emitted: the Jacobian's partials, then its
+    values, plus before minus each time, which is the order of the
+    per-field calls the function stands for.  A value can fail only where
+    grad has a nonzero entry, since otherwise it is never computed.  So the
+    error is the one those calls raise.  The source depends only on the
+    shapes of the fields, so same-shaped systems share one code object.
     """
     n = system.dim
     emitter = ex.Emitter(system.coords)
@@ -209,42 +211,20 @@ def _blend_function(system: PiecewiseSystem, jacobian: bool):
     weights = ["wp = 0.5 * (1.0 + psi)", "wm = 0.5 * (1.0 - psi)"]
     if not jacobian:
         entries = blended(system.plus.components, system.minus.components)
-        params, replay = ["psi", *point], "False, True"
-        body = [*emitter.body, *weights, f"return {listed(entries)}"]
-    else:
-        grad = [f"g{j}" for j in range(n)]
-        nonzero = " or ".join(grad)
-        entries = blended(system.plus._partial_trees, system.minus._partial_trees)
-        rows = [entries[i * n:(i + 1) * n] for i in range(n)]
-        params, replay = ["psi", *grad, *point], f"True, {nonzero}"
-        body = [*emitter.body, *weights,
-                f"if not ({nonzero}):", f"    return {listed(map(listed, rows))}"]
-        done = len(emitter.body)
-        plus, minus = emitter.emit(system.plus.components), emitter.emit(system.minus.components)
-        body += emitter.body[done:]
-        body += [f"d{i} = 0.5 * ({p} - {m})" for i, (p, m) in enumerate(zip(plus, minus))]
-        body.append("return " + listed(listed(f"{v} + d{i} * {g}" for v, g in zip(row, grad))
-                                       for i, row in enumerate(rows)))
-    lines = [
-        "try:",
-        *(f"    {line}" for line in body),
-        "except (ArithmeticError, ValueError):",
-        f"    fallback(({''.join(v + ', ' for v in point)}), {replay})",
-        "    raise",
-    ]
-    return emitter.function(params, lines, partial(_replay, system.plus, system.minus))
-
-
-def _replay(plus: VectorFieldDef, minus: VectorFieldDef, point: Sequence[float],
-            partials: bool, values: bool) -> None:
-    """The per-field calls of a blend function that failed, in their order:
-    the first that fails raises its own error."""
-    if partials:
-        plus.jacobian_rows(point)
-        minus.jacobian_rows(point)
-    if values:
-        plus.values(point)
-        minus.values(point)
+        return emitter.function(["psi", *point],
+                                [*emitter.body, *weights, f"return {listed(entries)}"])
+    grad = [f"g{j}" for j in range(n)]
+    entries = blended(system.plus._partial_trees, system.minus._partial_trees)
+    rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+    body = [*emitter.body, *weights,
+            f"if not ({' or '.join(grad)}):", f"    return {listed(map(listed, rows))}"]
+    done = len(emitter.body)
+    plus, minus = emitter.emit(system.plus.components), emitter.emit(system.minus.components)
+    body += emitter.body[done:]
+    body += [f"d{i} = 0.5 * ({p} - {m})" for i, (p, m) in enumerate(zip(plus, minus))]
+    body.append("return " + listed(listed(f"{v} + d{i} * {g}" for v, g in zip(row, grad))
+                                   for i, row in enumerate(rows)))
+    return emitter.function(["psi", *grad, *point], body)
 
 
 def system_from_strings(

@@ -32,6 +32,26 @@ def test_csv_columns_are_tallied_and_row_counts_flagged():
     assert set(tally.flags) == {"s.csv: row count"}
 
 
+def test_exit_codes_and_stderr_are_compared_per_job(tmp_path):
+    # same exit code and artifacts, another error message: the job is flagged
+    for side in ("old", "new"):
+        (tmp_path / side / "job").mkdir(parents=True)
+        (tmp_path / side / "job" / "a.json").write_text("{}")
+    old = {"job": {"exit": 1, "stderr": "computation failed: division by zero\n"},
+           "same": {"exit": 0, "stderr": ""}}
+    new = {"job": {"exit": 1, "stderr": "computation failed: sqrt of negative value -1.0\n"},
+           "same": {"exit": 0, "stderr": ""}}
+    identical, differing, tally = artifact_diff.compare(tmp_path / "old", tmp_path / "new",
+                                                        old, new)
+    assert (identical, differing) == (1, [])
+    assert list(tally.flags) == ["stderr of job: 'computation failed: division by zero\\n' -> "
+                                 "'computation failed: sqrt of negative value -1.0\\n'"]
+    new["job"]["exit"] = 2
+    tally = artifact_diff.compare(tmp_path / "old", tmp_path / "new", old, new)[2]
+    assert sorted(tally.flags)[0] == "exit code of job: 1 -> 2"
+    assert len(tally.flags) == 2
+
+
 def test_a_tree_against_itself_is_identical():
     # one grid_sweep round: 17 jobs, one artifact each, every exit code alike
     src = str(ROOT / "src")

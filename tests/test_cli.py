@@ -116,6 +116,19 @@ def test_a_constant_that_is_not_finite_or_defined_is_a_config_error(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("expr", ["1/0 + x", "x/0", "x/(1 - 1)", "x/(0*y)", "x/-0"])
+def test_a_constant_zero_divisor_is_a_config_error(tmp_path, capsys, expr):
+    # these loaded, and classify and certify exited 1 with "computation
+    # failed: division by zero", leaving an empty output directory
+    cfg = setup_cfg(tmp_path, FOLD.replace("x_plus = 1, 2*x", f"x_plus = 1, {expr}"))
+    out = tmp_path / "out"
+    for command in ("classify", "certify"):
+        assert run_command([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: line 3: x_plus: syntax error at offset 2: expected a nonzero divisor")
+    assert not out.exists()
+
+
 def deep_field(leaf: str = "x") -> str:
     """leaf + x - x + ...: MAX_DEPTH operations in MAX_DEPTH parentheses."""
     return "(" * MAX_DEPTH + leaf + " + x - x" * (MAX_DEPTH // 2) + ")" * MAX_DEPTH

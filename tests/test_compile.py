@@ -92,6 +92,21 @@ def test_compile_raises_what_evaluate_raises(text, value, error):
     assert str(compiled_error.value) == str(walk_error.value)
 
 
+@pytest.mark.parametrize("first, second", [("sqrt(x - 1)", "1/x"), ("1/x", "sqrt(x - 1)")])
+def test_a_generated_function_raises_the_error_of_the_first_emitted_tree(first, second):
+    # both trees fail at x = 0, each with its own message; the fallback
+    # walks them in the order they were emitted, one emit() call each
+    emitter = ex.Emitter(["x"])
+    (a,), (b,) = emitter.emit([parse(first)]), emitter.emit([parse(second)])
+    fn = emitter.function(emitter.params, [*emitter.body, f"return ({a}, {b})"])
+    with pytest.raises(DomainError) as walk_error:
+        ex.evaluate(parse(first), {"x": 0.0})
+    with pytest.raises(DomainError) as compiled_error:
+        fn(0.0)
+    assert str(compiled_error.value) == str(walk_error.value)
+    assert fn(2.0) == walked([parse(first), parse(second)], ["x"], [2.0])
+
+
 def test_coordinates_named_like_generated_slots():
     names = ("v1", "v0", "c0", "walk", "f_sin")
     trees = [parse("v1 - 2*v0"), parse("c0/walk + f_sin^2"), parse("sin(f_sin)*v0")]

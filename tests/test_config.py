@@ -78,6 +78,9 @@ def test_line_numbered_errors(tmp_path):
         ("[system]\ncoords = x, y\ncoords = x, y\n", 3, "duplicate"),
         ("[system]\ncoords = x, y\nx_plus = 1, 2*x\nx_minus = 1\n", 4, "components"),
         ("[system]\ncoords = x, y\nx_plus = 1, 2*\nx_minus = 1, 1\n", 3, "syntax error"),
+        # a constant zero divisor used to load, and every command failed on it
+        ("[system]\ncoords = x, y\nx_plus = 1, 1/0 + x\nx_minus = 1, 1\n", 3,
+         "x_plus: syntax error at offset 2: expected a nonzero divisor, found 0.0"),
         ("[system]\ncoords = x\n", 2, "two coordinates"),
         (sys3 + "[run]\ngrid = 1:0:11\n", 6, "grid"),
         (sys3 + "[run]\nmode = wild\n", 6, "mode"),

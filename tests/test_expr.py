@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import filippov.expr as ex
 from filippov.expr import (
     MAX_DEPTH,
     Binary,
@@ -93,13 +94,28 @@ def test_numbers_are_ascii_digits(text, offset, expected, found):
     ("sqrt(-1)*x", 1, "a defined constant", "sqrt of negative value -1.0"),
     ("x + 1e300/1e-300", 10, "a finite constant", "inf"),
     ("-(1e200)^2", 9, "a defined constant", "overflow in 1e+200^2"),
-], ids=["literal", "product", "nan", "exp", "sqrt", "quotient", "power"])
+    ("1/0 + x", 2, "a nonzero divisor", "0.0"),
+    ("x/0", 2, "a nonzero divisor", "0.0"),
+    ("x/(1 - 1)", 2, "a nonzero divisor", "0.0"),
+    ("x/(0*y)", 2, "a nonzero divisor", "0.0"),
+    ("x/-0", 2, "a nonzero divisor", "-0.0"),
+], ids=["literal", "product", "nan", "exp", "sqrt", "quotient", "power",
+        "zero_quotient", "zero_divisor", "zero_difference", "zero_product", "negative_zero"])
 def test_constants_that_are_not_finite_or_defined_are_syntax_errors(text, offset, expected, found):
     # the first three loaded as an inf or NaN constant, and the DomainError
     # of the next two escaped the parser
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.offset, err.value.expected, err.value.found) == (offset, expected, found)
+
+
+def test_a_zero_divisor_built_by_substitution_stays_a_tree():
+    # the normal trace of a field 1/y puts y = 0: the config loads, and the
+    # division fails only when the trace is evaluated
+    trace = substitute(parse("1/y"), {"y": 0.0})
+    assert trace == Binary("/", Const(1.0), Const(0.0))
+    with pytest.raises(DomainError, match="division by zero"):
+        evaluate(trace, {})
 
 
 def nested(depth: int) -> str:
@@ -184,6 +200,36 @@ def test_differentiate_numerically():
                 evaluate(e, {"x": x + h, "y": y}) - evaluate(e, {"x": x - h, "y": y})
             ) / (2 * h)
             assert evaluate(dx, {"x": x, "y": y}) == pytest.approx(fd, abs=1e-5)
+
+
+def central_difference(e, name, point, h=1e-6):
+    up, down = dict(point), dict(point)
+    up[name] += h
+    down[name] -= h
+    return (evaluate(e, up) - evaluate(e, down)) / (2 * h)
+
+
+# every table row, applied to operands that stay off kinks and poles for
+# x, y in [0.5, 1.5]: sqrt and the divisor keep a positive argument, abs
+# and sgn see both signs away from 0
+ROW_TREES = [(f"function {name}", tree)
+             for name in ex._FUNCTIONS
+             for tree in [Unary(name, parse("x*y + x"))]
+             + ([Unary(name, parse("-x*y - x"))] if name != "sqrt" else [])] + [
+    (f"operator {symbol}", Binary(symbol, parse("sin(x) + 2*y"), parse("x*y + 1")))
+    for symbol in ex._OPERATORS]
+
+
+@pytest.mark.parametrize("row, tree", ROW_TREES, ids=[f"{row} {tree}" for row, tree in ROW_TREES])
+def test_each_derivative_rule_agrees_with_central_differences(row, tree):
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        x, y = rng.uniform(0.5, 1.5, size=2)
+        point = {"x": float(x), "y": float(y)}
+        for name in ("x", "y"):
+            want = central_difference(tree, name, point)
+            got = evaluate(differentiate(tree, name), point)
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-6), (row, name, point)
 
 
 def test_substitute():

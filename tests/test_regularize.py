@@ -27,6 +27,11 @@ from filippov.regularize import (
 )
 from filippov.system import SigmaClass, classify_point, system_from_strings
 
+from filippov.blowup import e_chart_field, f_chart_field
+from filippov.cross import double_regularized_field, stratified_slide_curve
+from filippov.dynamics import equilibria_on_manifold
+from test_cross import attracting_cross
+
 
 def fold():
     return system_from_strings(("x", "y"), ("1", "2*x"), ("1", "2"))
@@ -741,3 +746,21 @@ def test_level_of_non_finite_components_is_an_error():
     sys = system_from_strings(("x", "y"), ("1", "x*1e308*10"), ("1", "x*1e308*20"))
     with pytest.raises(DomainError, match="not finite"):
         certify(sys, Smoothstep(), 0.5)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda s: regularized_field(s, Smoothstep(), math.nan, [0.1, 0.0]),
+    lambda s: regularized_jacobian(s, Smoothstep(), math.nan, [0.1, 0.0]),
+    lambda s: equilibria_on_manifold(s, Smoothstep(), math.nan, (-1.0, 1.0)),
+    lambda s: e_chart_field(s, Smoothstep(), -0.5, 0.0, math.nan),
+    lambda s: f_chart_field(s, Smoothstep(), 1, -0.5, math.nan, 0.5),
+    lambda s: double_regularized_field(attracting_cross(), math.nan, 0.1, (0.0, 0.0, 0.0)),
+    lambda s: stratified_slide_curve(attracting_cross(), 0.1, math.nan),
+], ids=["regularized_field", "regularized_jacobian", "equilibria_on_manifold", "e_chart_field",
+        "f_chart_field", "double_regularized_field", "stratified_slide_curve"])
+def test_a_nan_band_width_is_refused(entry):
+    # NaN fails every comparison, so each of these passed an "eps <= 0"
+    # check: the fields came back NaN, equilibria_on_manifold found none,
+    # and stratified_slide_curve reported residual_y = max(0.0, nan) = 0.0
+    with pytest.raises(ValueError, match="must be (positive|nonnegative), got"):
+        entry(fold())

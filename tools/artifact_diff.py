@@ -15,7 +15,8 @@ report then lists:
   column, how many numbers changed among those the differing artifacts
   hold, and the largest |change|;
 - flags for every other difference: a changed string, list length, key
-  set, type, CSV header or row count, a missing artifact, an exit code.
+  set, type, CSV header or row count, a missing artifact, an exit code,
+  the text a job wrote to stderr (its error message, say).
 
 The exit status is 0 when everything is identical, 1 otherwise.
 """
@@ -54,7 +55,7 @@ def _on_alarm(signum, frame):
 
 def emit(src: Path, out: Path, workload: str, seeds: list[int], rounds: list[int]) -> None:
     """Run every job with the library in src; artifacts land in
-    out/<job>/ and the exit codes in out/manifest.json."""
+    out/<job>/, and each job's exit code and stderr in out/manifest.json."""
     sys.path[:0] = [str(src), str(BENCH)]
     import workloads
     from filippov.cli import run_command
@@ -67,16 +68,17 @@ def emit(src: Path, out: Path, workload: str, seeds: list[int], rounds: list[int
                 name = f"{seed}-{round_no}-{index:02d}-{job.label}"
                 cfg = out / f"{name}.cfg"
                 cfg.write_text(job.config)
+                err = io.StringIO()
                 signal.setitimer(signal.ITIMER_REAL, JOB_LIMIT_S)
                 try:
-                    with contextlib.redirect_stderr(io.StringIO()):
+                    with contextlib.redirect_stderr(err):
                         rc = run_command(job.argv(cfg, out / name))
                 except _JobTimeout:
                     rc = "timeout"
                 finally:
                     signal.setitimer(signal.ITIMER_REAL, 0)
                 cfg.unlink()
-                manifest[name] = rc
+                manifest[name] = {"exit": rc, "stderr": err.getvalue()}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
 
@@ -169,13 +171,15 @@ def _artifacts(directory: Path) -> set[str]:
     return {p.name for p in directory.iterdir()} if directory.is_dir() else set()
 
 
-def compare(old: Path, new: Path, old_rc: dict, new_rc: dict) -> tuple[int, list[str], Tally]:
+def compare(old: Path, new: Path, old_jobs: dict, new_jobs: dict) -> tuple[int, list[str], Tally]:
     """The identical artifact count, the differing artifacts, and the tally
-    over them."""
+    over them; old_jobs and new_jobs are the two manifests."""
     tally, differing, identical = Tally(), [], 0
-    for job in sorted(old_rc.keys() | new_rc.keys()):
-        if old_rc.get(job) != new_rc.get(job):
-            tally.flag(f"exit code of {job}: {old_rc.get(job)} -> {new_rc.get(job)}")
+    for job in sorted(old_jobs.keys() | new_jobs.keys()):
+        a, b = old_jobs.get(job, {}), new_jobs.get(job, {})
+        for key, what in (("exit", "exit code"), ("stderr", "stderr")):
+            if a.get(key) != b.get(key):
+                tally.flag(f"{what} of {job}: {a.get(key)!r} -> {b.get(key)!r}")
         names_a, names_b = _artifacts(old / job), _artifacts(new / job)
         for name in sorted(names_a ^ names_b):
             tally.flag(f"{job}/{name}: only in {'old' if name in names_a else 'new'}")
@@ -221,9 +225,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        old_rc = run_side(args.old.resolve(), work / "old", args)
-        new_rc = run_side(args.new.resolve(), work / "new", args)
-        identical, differing, tally = compare(work / "old", work / "new", old_rc, new_rc)
+        old_jobs = run_side(args.old.resolve(), work / "old", args)
+        new_jobs = run_side(args.new.resolve(), work / "new", args)
+        identical, differing, tally = compare(work / "old", work / "new", old_jobs, new_jobs)
     print(report(identical, differing, tally))
     return 0 if not differing and not tally.flags else 1
 
