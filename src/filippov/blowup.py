@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .regularize import TransitionFunction, blend, height
+from .regularize import TransitionFunction, height
 from .system import PiecewiseSystem
 
 
@@ -70,7 +70,7 @@ def _e_blend(
 ) -> np.ndarray:
     """The regularized field at the ambient point of (x, ybar, epsbar) in E."""
     xs = system.tangential(x)
-    return np.array(blend(system, transition.value(ybar, xs), xs + (epsbar * ybar,)))
+    return np.array(system._blend(transition.value(ybar, xs), *xs, epsbar * ybar))
 
 
 def e_chart_field(

@@ -61,6 +61,8 @@ from .regularize import (
 )
 from .system import CLASS_TOL, NotSlidingError, SigmaClass, classify_point
 
+BOUNDARY_BISECTION_TOL = 1e-12  # width at which a refined verdict boundary stops bisecting
+
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -108,7 +110,7 @@ def _write_verdict_report(cfg: SystemConfig, path: Path,
     side = lambda x: 1.0 if judge(x)[0] == sliding else -1.0
     decided = [(i, x, v) for i, (x, v, _) in enumerate(rows) if v in (sliding, sewing)]
     report["boundary_estimates"] = [
-        bisect_sign_change(side, xa, xb, 1e-12, fa=1.0 if va == sliding else -1.0)
+        bisect_sign_change(side, xa, xb, BOUNDARY_BISECTION_TOL, fa=1.0 if va == sliding else -1.0)
         for (i, xa, va), (j, xb, vb) in zip(decided, decided[1:])
         if va != vb and j - i <= 3
     ]

@@ -30,10 +30,12 @@ interpolant, evaluated on the floats of the step's two nodes.
 
 The hybrid integrator follows one smooth field until the orbit reaches the
 switching surface, classifies the hit, and either sews through, enters a
-sliding segment driven by the Filippov combination, or stops on an
-unresolvable singular hit.  Segments and slides step straight into the
-orbit's one recorder, which lifts a slide's nodes onto y = 0; the end node
-of the step that reaches an event gives way to the located event node.
+sliding segment, or stops on an unresolvable singular hit.  A slide steps
+the generated psi-blend on the surface at psi = r = 2*lam - 1, where it is
+tangent to the surface, with the blend's Jacobian.  Segments and slides
+step straight into the orbit's one recorder, which lifts a slide's nodes
+onto y = 0; the end node of the step that reaches an event gives way to
+the located event node.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .regularize import (
     HeightRoot,
     TransitionFunction,
     bisect_sign_change,
-    blend,
     certify,
     height_roots,
     monotone_breaks,
@@ -429,8 +430,8 @@ def integrate(
     raised it at the first node.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
-    if t_end < t0:
-        raise ValueError(f"t_span must be increasing, got {t_span}")
+    if not -math.inf < t0 <= t_end < math.inf:  # NaN fails it too
+        raise ValueError(f"t_span must be finite and increasing, got {t_span}")
     y = [float(v) for v in x0]
     rec = _Recorder(len(y))
     try:
@@ -522,8 +523,8 @@ def integrate_filippov(
     """
     state = [float(v) for v in x0]
     t, t_end = float(t_span[0]), float(t_span[1])
-    if t_end < t:
-        raise ValueError(f"t_span must be increasing, got {t_span}")
+    if not -math.inf < t <= t_end < math.inf:  # NaN fails it too
+        raise ValueError(f"t_span must be finite and increasing, got {t_span}")
     if len(state) != system.dim:
         raise ValueError(
             f"state dimension {len(state)} does not match system dimension {system.dim}"
@@ -599,8 +600,8 @@ def _slide(system, orbit, t, state, t_end):
     margin = lambda tt, x: sliding_margin(system, x)
 
     def fn(tt: float, x: list[float]) -> list[float]:
-        # the Filippov combination without the class gate: a step may end
-        # past the band edge, which the stop rule then locates
+        # the blend at psi = r without the class gate: a step may end past
+        # the band edge, which the stop rule then locates
         combo = filippov_tangent(system, x)
         if combo is None:
             raise UnresolvedSingularityError(tt, x + [0.0], None)
@@ -782,12 +783,14 @@ def equilibria_on_manifold(
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     lo, hi = float(x_range[0]), float(x_range[1])
+    if not -math.inf < lo < hi < math.inf:  # NaN fails it too
+        raise ValueError(f"x_range must be finite and increasing, got {x_range}")
 
     def g(x: float) -> float:
         root = most_transversal(height_roots(system, transition, x))
         if root is None:
             return math.nan
-        return blend(system, transition.value(root.t, (x,)), (x, eps * root.t))[0]
+        return system._blend(transition.value(root.t, (x,)), x, eps * root.t)[0]
 
     delta = (hi - lo) / (EQ_SAMPLES - 1) / 2.0
 

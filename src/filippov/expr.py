@@ -57,6 +57,7 @@ generated code's namespace all read.
 from __future__ import annotations
 
 import builtins
+import contextlib
 import functools
 import math
 import operator
@@ -130,7 +131,9 @@ class Pow(Expr):
 
 
 # ---------------------------------------------------------------------------
-# smart constructors (constant folding only)
+# smart constructors (constant folding only); div, powi and call keep a
+# constant they cannot fold (1/0, 0^-1, sqrt(-1), exp(1000)) as a tree,
+# which raises where it is evaluated
 
 def const(v: float) -> Const:
     return Const(float(v))
@@ -192,14 +195,16 @@ def powi(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Const):
-        return Const(_pow_value(base.value, exponent))
+        with contextlib.suppress(DomainError):
+            return Const(_pow_value(base.value, exponent))
     return Pow(base, exponent)
 
 
 def call(fn: str, arg: Expr) -> Expr:
     _FUNCTIONS[fn]  # an unknown name is an error even on a variable
     if isinstance(arg, Const):
-        return Const(_apply_function(fn, arg.value))
+        with contextlib.suppress(DomainError, ValueError):  # sin(inf) is a bare ValueError
+            return Const(_apply_function(fn, arg.value))
     return Unary(fn, arg)
 
 
@@ -302,17 +307,19 @@ class _Parser:
 
     def node(self, offset: int, make: Callable[..., Expr], *args) -> Expr:
         """make(*args), a smart constructor, refused at the 1-based offset
-        when folding its constants fails or gives a number that is not
-        finite, when it divides by a constant zero, or when the tree grows
-        more than MAX_DEPTH operations deep."""
+        when it divides by a constant zero, when its constants do not fold
+        (make keeps them as a tree) or fold to a number that is not finite,
+        or when the tree grows more than MAX_DEPTH operations deep."""
         if make is div and isinstance(args[1], Const) and args[1].value == 0.0:
             raise ParseError(offset, "a nonzero divisor", repr(args[1].value))
-        try:
-            e = make(*args)
-        except DomainError as exc:
-            raise ParseError(offset, "a defined constant", str(exc)) from exc
+        e = make(*args)
         if isinstance(e, Const):
             return self.leaf(offset, e)
+        if all(isinstance(a, Const) for a in args if isinstance(a, Expr)):
+            try:
+                evaluate(e, {})
+            except DomainError as exc:
+                raise ParseError(offset, "a defined constant", str(exc)) from exc
         if id(e) not in self.depths:  # else make returned one of args
             depth = 1 + max(self.depths[id(a)][1] for a in args if isinstance(a, Expr))
             if depth > MAX_DEPTH:

@@ -21,7 +21,8 @@ a_plus != a_minus, h vanishes exactly where psi(x, t) = r with
 
     r = -(a_plus + a_minus)/(a_plus - a_minus) = 2*lam - 1,
 
-lam being the Filippov weight.  So the zeros of h are a level set of psi,
+lam being the Filippov weight; on the surface the blend at psi = r is the
+sliding field a slide steps.  So the zeros of h are a level set of psi,
 which TransitionFunction.level_set returns: in closed form for smoothstep
 and biased, else by monotone_zeros, one bisection per monotone piece of
 _pieces(x): overshoot's two branches, or for a custom psi the band ends and
@@ -394,12 +395,6 @@ def make_transition(kind: str, x_names: Sequence[str] = (), /, **params) -> Tran
 
 # ---------------------------------------------------------------------------
 # regularized field
-
-def blend(system: PiecewiseSystem, psi: float, point: Sequence[float]) -> list[float]:
-    """(1 + psi)/2 * X_plus + (1 - psi)/2 * X_minus at a full chart point of
-    floats (unchecked), as a list."""
-    return system._blend(psi, *point)
-
 
 def regularized_field(
     system: PiecewiseSystem,

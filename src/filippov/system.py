@@ -166,7 +166,7 @@ class PiecewiseSystem:
         return self._normal_traces(*self.tangential(x))
 
     # the psi-blend of the two fields and its Jacobian, built on first use:
-    # only the regularized flow needs them, the grid commands do not
+    # the regularized flow and slides need them, the grid commands do not
     @cached_property
     def _blend(self):
         return _blend_function(self, jacobian=False)
@@ -188,8 +188,10 @@ def _blend_function(system: PiecewiseSystem, jacobian: bool):
       zero entry then stays as the blend left it).
 
     This is the one formula of the blend: every entry is wp*p + wm*m with
-    wp = 0.5*(1.0 + psi) and wm = 0.5*(1.0 - psi).  Where an operation
-    raises, the error comes from the emitter's fallback, which walks the
+    wp = 0.5*(1.0 + psi) and wm = 0.5*(1.0 - psi).  The regularized flow
+    evaluates it at psi(x, y/eps), and a slide at psi = r on Sigma (see
+    filippov_tangent).  Where an operation raises, the error comes from the
+    emitter's fallback, which walks the
     trees in the order they were emitted: the Jacobian's partials, then its
     values, plus before minus each time, which is the order of the
     per-field calls the function stands for.  A value can fail only where
@@ -268,56 +270,46 @@ def classify_point(system: PiecewiseSystem, x: Sequence[float] | float) -> Sigma
     return SigmaClass.SIGMA_SINGULAR
 
 
-def _filippov_weight(system: PiecewiseSystem, x: Sequence[float] | float):
-    """((x, 0), lam, a_minus - a_plus) for the Filippov weight
-    lam = a_minus / (a_minus - a_plus), from one parse of x; None where
-    a_plus = a_minus, the pole of the weight."""
+def _sliding_level(system: PiecewiseSystem, x: Sequence[float] | float):
+    """((x, 0), r, a_minus - a_plus) with r = (a_plus + a_minus)/(a_minus -
+    a_plus), from one parse of x; None where a_plus = a_minus, the pole of r."""
     xs = system.tangential(x)
     a_plus, a_minus = system._normal_traces(*xs)
     denom = a_minus - a_plus
-    return None if denom == 0.0 else (xs + (0.0,), a_minus / denom, denom)
-
-
-def _combine(lam: float, plus: Sequence[float], minus: Sequence[float]) -> list[float]:
-    """lam * plus + (1 - lam) * minus, componentwise on floats."""
-    return [lam * p + (1.0 - lam) * m for p, m in zip(plus, minus)]
+    return None if denom == 0.0 else (xs + (0.0,), (a_plus + a_minus) / denom, denom)
 
 
 def filippov_tangent(
     system: PiecewiseSystem, x: Sequence[float] | float
 ) -> tuple[float, list[float]] | None:
-    """(lam, the tangential components of lam * X_plus + (1 - lam) * X_minus)
-    at (x, 0), on floats and with no class gate: the right-hand side of a
-    slide.  lam is the Filippov weight.  None where a_plus = a_minus, the
-    pole of the weight.
+    """(lam, the tangential components of the psi-blend at psi = r) at
+    (x, 0), on floats and with no class gate: the right-hand side of a
+    slide.  At r = 2*lam - 1, the level height_roots solves psi = r for,
+    the blend is tangent to Sigma, and lam = (1 + r)/2 is the Filippov
+    weight it gives X_plus.  None where a_plus = a_minus, the pole of r.
     """
-    weight = _filippov_weight(system, x)
-    if weight is None:
+    level = _sliding_level(system, x)
+    if level is None:
         return None
-    point, lam, _ = weight
-    return lam, _combine(lam, system.plus._components(*point)[:-1],
-                         system.minus._components(*point)[:-1])
+    point, r, _ = level
+    return 0.5 * (1.0 + r), system._blend(r, *point)[:-1]
 
 
 def filippov_jacobian(system: PiecewiseSystem, x: Sequence[float] | float) -> list[list[float]] | None:
     """d/dx of filippov_tangent at (x, 0), as rows of floats.
 
-    With J the lam-combination of the field Jacobians at (x, 0), it is
-    J + (X_plus - X_minus) (x) grad(lam) on the tangential rows and
-    columns.  grad(lam) = (a_minus grad(a_plus) - a_plus grad(a_minus))
-    / (a_minus - a_plus)^2 is the tangential part of J's last row over
-    a_minus - a_plus.  None where filippov_tangent is None.
+    The tangential rows and columns of the blend Jacobian at psi = r with
+    the gradient of r = 2*lam - 1.  That is 2 grad(lam), and grad(lam) is
+    the tangential part of the last row of the blended field Jacobians
+    over a_minus - a_plus.  None where filippov_tangent is None.
     """
-    weight = _filippov_weight(system, x)
-    if weight is None:
+    level = _sliding_level(system, x)
+    if level is None:
         return None
-    point, lam, denom = weight
-    plus, minus = system.plus, system.minus
-    jac = [_combine(lam, rp, rm)
-           for rp, rm in zip(plus.jacobian_rows(point), minus.jacobian_rows(point))]
-    jump = [p - m for p, m in zip(plus._components(*point), minus._components(*point))]
-    grad = [v / denom for v in jac[-1][:-1]]
-    return [[v + d * g for v, g in zip(row, grad)] for row, d in zip(jac[:-1], jump)]
+    point, r, denom = level
+    normal = system._blend_jacobian(r, *[0.0] * system.dim, *point)[-1]
+    grad = [2.0 * v / denom for v in normal[:-1]]
+    return [row[:-1] for row in system._blend_jacobian(r, *grad, 0.0, *point)[:-1]]
 
 
 def filippov_sliding_field(
@@ -326,8 +318,8 @@ def filippov_sliding_field(
     """Convex combination of the two fields tangent to Sigma at (x, 0).
 
     Returns (lam, lam * X_plus + (1 - lam) * X_minus) at points that
-    classify as Sliding and raises NotSlidingError everywhere else.  The
-    tangential components are those of filippov_tangent; the y-component
+    classify as Sliding and raises NotSlidingError everywhere else.  lam
+    and the tangential components are filippov_tangent's; the y-component
     is 0, since lam * a_plus + (1 - lam) * a_minus cancels exactly.
     """
     verdict = classify_point(system, x)

@@ -104,6 +104,19 @@ def test_step_failure_when_max_steps_runs_out(monkeypatch):
     assert not integrate(fn, (1.0,), (0.0, 10.0), jac=jac).events
 
 
+@pytest.mark.parametrize("t_span", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
+                                    (-math.inf, 1.0), (1.0, 0.0)],
+                         ids=["nan_end", "inf_end", "nan_start", "inf_start", "reversed"])
+def test_integrators_refuse_a_span_that_is_not_finite_and_increasing(t_span, monkeypatch):
+    # t_end = NaN passed `t_end < t0`, and both integrators spent their whole
+    # step budget on it, with no StepFailure at the end
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 200)
+    with pytest.raises(ValueError, match="t_span must be finite and increasing"):
+        integrate(lambda t, y: [-y[0]], (1.0,), t_span, jac=lambda t, y: [[-1.0]])
+    with pytest.raises(ValueError, match="t_span must be finite and increasing"):
+        integrate_filippov(fold(), (-1.0, 0.5), t_span)
+
+
 @pytest.mark.parametrize("t_span", [
     (0.587851162064913, 6.630109559562878),  # t + (t_end - t) falls an ulp short
     (0.8814913579141315, 7.194978862342071),  # and here an ulp past
@@ -944,3 +957,13 @@ def test_equilibria_validation():
         equilibria_on_manifold(sys3, Smoothstep(), 0.1, (-1.0, 1.0))
     with pytest.raises(ValueError):
         equilibria_on_manifold(trichotomy_system(), Smoothstep(), -0.1, (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("x_range", [(1.0, -1.0), (0.5, 0.5), (math.nan, 1.0),
+                                     (-1.0, math.inf)],
+                         ids=["reversed", "empty", "nan_start", "inf_end"])
+def test_equilibria_refuse_a_range_that_is_not_finite_and_increasing(x_range):
+    # the reversed range (1, -1) returned x = 0.5 and x = -0.5, both with
+    # stability 0, where the equilibria lie at -0.1 and 0.1
+    with pytest.raises(ValueError, match="x_range must be finite and increasing"):
+        equilibria_on_manifold(trichotomy_system(), Biased(-0.5), 0.02, x_range)

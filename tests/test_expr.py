@@ -118,6 +118,22 @@ def test_a_zero_divisor_built_by_substitution_stays_a_tree():
         evaluate(trace, {})
 
 
+@pytest.mark.parametrize("text, tree, error", [
+    ("y^-1", Pow(Const(0.0), -1), "zero raised to negative power -1"),
+    ("sqrt(y - 1)", Unary("sqrt", Const(-1.0)), "sqrt of negative value -1.0"),
+    ("exp(1000 + y)", Unary("exp", Const(1000.0)), "overflow in exp(1000.0)"),
+], ids=["power", "sqrt", "exp"])
+def test_an_undefined_constant_built_by_substitution_stays_a_tree(text, tree, error):
+    # as for 1/y: folding raised DomainError inside substitute, and a config
+    # with such a normal trace failed to load
+    trace = substitute(parse(text), {"y": 0.0})
+    assert trace == tree
+    for evaluated in (lambda: evaluate(trace, {}), ex.compile([trace], ())):
+        with pytest.raises(DomainError) as err:
+            evaluated()
+        assert str(err.value) == error
+
+
 def nested(depth: int) -> str:
     """sin applied depth times to x: depth calls and depth operations deep."""
     return "sin(" * depth + "x" + ")" * depth

@@ -15,7 +15,6 @@ from filippov.regularize import (
     TransitionFunction,
     ValidationFailure,
     Verdict,
-    blend,
     certify,
     height,
     height_roots,
@@ -324,7 +323,7 @@ def test_generated_field_raises_the_per_field_error(plus, minus, want):
     per_field = _first_error(lambda: system.plus.values(point), lambda: system.minus.values(point))
     assert per_field == want
     assert _first_error(lambda: regularized_field(system, Smoothstep(), 0.01, point)) == want
-    assert _first_error(lambda: blend(system, 0.25, point)) == want
+    assert _first_error(lambda: system._blend(0.25, *point)) == want
     assert _first_error(lambda: regularized_jacobian(system, Smoothstep(), 0.01, point)) == want
 
 
@@ -375,7 +374,7 @@ def test_same_shaped_systems_share_the_generated_code():
     for system in (a, b):
         want = [0.5 * (1.0 + psi) * p + 0.5 * (1.0 - psi) * m
                 for p, m in zip(system.plus.values(point), system.minus.values(point))]
-        assert blend(system, psi, point) == want
+        assert system._blend(psi, *point) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from filippov.expr import Const, evaluate, parse
+from filippov.expr import Const, DomainError, evaluate, parse
 from filippov.regularize import Smoothstep, height_roots
 from filippov.system import (
     NotSlidingError,
@@ -207,10 +207,46 @@ def test_filippov_jacobian_matches_central_differences(name):
             assert jac[:, j] == pytest.approx(column / (2 * step), rel=1e-6, abs=1e-9)
 
 
+def test_slide_field_is_the_blend_at_the_height_level():
+    # a slide steps the generated blend at psi = r, the level whose preimage
+    # height_roots looks for; at x = -0.93 on fold_x the old
+    # lam-combination rounds the field differently
+    levels = []
+
+    class Recording(Smoothstep):
+        def level_set(self, r, x=()):
+            levels.append(r)
+            return super().level_set(r, x)
+
+    for name, (sys, points) in sorted(JACOBIAN_CASES.items()):
+        for x in points + ([(-0.93,)] if name == "fold_x" else []):
+            levels.clear()
+            height_roots(sys, Recording(), x)
+            [r] = levels
+            lam, tangent = filippov_tangent(sys, x)
+            assert tangent == sys._blend(r, *x, 0.0)[:-1], (name, x)
+            assert lam == 0.5 * (1.0 + r)
+
+
 def test_filippov_jacobian_is_none_on_the_pole():
     sys = system_from_strings(("x", "y"), ("1", "x"), ("2", "-x"))
     assert filippov_tangent(sys, 0.0) is None
     assert filippov_jacobian(sys, 0.0) is None
+
+
+@pytest.mark.parametrize("trace, error", [
+    ("y^-1 + x", "zero raised to negative power -1"),
+    ("sqrt(y - 1) + x", "sqrt of negative value -1.0"),
+    ("exp(1000 + y) + x", "overflow in exp(1000.0)"),
+    ("1/y + x", "division by zero"),
+])
+def test_an_undefined_constant_in_a_normal_trace_fails_per_point(trace, error):
+    # y = 0 folds the trace to a constant that is not defined; it is kept as
+    # a tree, so the system builds and each evaluation raises, as for 1/y
+    sys = system_from_strings(("x", "y"), ("1", trace), ("1", "2"))
+    with pytest.raises(DomainError) as err:
+        classify_point(sys, 0.5)
+    assert str(err.value) == error
 
 
 def test_surface_coordinate_is_parsed_once_per_call(monkeypatch):
