@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .regularize import TransitionFunction, height
 from .system import PiecewiseSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Chart(enum.Enum):
@@ -67,10 +68,10 @@ def _e_blend(
     x: Sequence[float] | float,
     ybar: float,
     epsbar: float,
-) -> np.ndarray:
+) -> list[float]:
     """The regularized field at the ambient point of (x, ybar, epsbar) in E."""
     xs = system.tangential(x)
-    return np.array(system._blend(transition.value(ybar, xs), *xs, epsbar * ybar))
+    return system._blend(transition.value(ybar, xs), *xs, epsbar * ybar)
 
 
 def e_chart_field(
@@ -87,9 +88,10 @@ def e_chart_field(
     psi(x, ybar).  The chart has no eps-motion: epsbar is frozen, which is
     the fibration condition.
     """
+    import numpy as np
     if not epsbar >= 0:
         raise ValueError(f"epsbar must be nonnegative, got {epsbar}")
-    blended = _e_blend(system, transition, x, ybar, epsbar)
+    blended = np.array(_e_blend(system, transition, x, ybar, epsbar))
     return np.concatenate(([blended[-1]], epsbar * blended[:-1]))
 
 
@@ -113,6 +115,7 @@ def f_chart_field(
     the normal pair.  Valid for 0 <= epstil <= 1; beyond 1 the point leaves
     the saturated zone and the chart no longer represents X_eps.
     """
+    import numpy as np
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if not ytil >= 0:
@@ -145,9 +148,10 @@ class SlowFastSystem:
 
     def slow_flow(self, x: Sequence[float] | float, ybar: float) -> np.ndarray:
         """Slow velocities beta on the divisor; meaningful on the residual's zero set."""
-        return _e_blend(self.system, self.transition, x, ybar, 0.0)[:-1]
+        import numpy as np
+        return np.array(_e_blend(self.system, self.transition, x, ybar, 0.0)[:-1])
 
     def fast_flow(self, x: Sequence[float] | float, ybar: float) -> float:
         """ybar' = alpha at frozen x on the divisor (equals half the height)."""
-        return float(e_chart_field(self.system, self.transition, x, ybar, 0.0)[0])
+        return _e_blend(self.system, self.transition, x, ybar, 0.0)[-1]
 

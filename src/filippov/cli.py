@@ -33,8 +33,6 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import __version__
 from .blowup import SlowFastSystem
 from .config import ConfigError, SystemConfig, grid_points, load_config
@@ -56,6 +54,7 @@ from .regularize import (
     Verdict,
     bisect_sign_change,
     certify,
+    linspace,
     regularized_field,
     regularized_jacobian,
 )
@@ -104,7 +103,7 @@ def _write_verdict_report(cfg: SystemConfig, path: Path,
     grid points; the flip inside the gap is then refined by bisection on
     judge(x)[0] == sliding.
     """
-    rows = [(float(x), *judge(float(x))) for x in grid_points(cfg.run.grid)]
+    rows = [(x, *judge(x)) for x in grid_points(cfg.run.grid)]
     report = _report_skeleton(cfg)
     report["grid"] = [{"x": x, "verdict": v, "roots": roots} for x, v, roots in rows]
     side = lambda x: 1.0 if judge(x)[0] == sliding else -1.0
@@ -141,8 +140,9 @@ def _trajectory_csv(path: Path, coords: Sequence[str], traj: Trajectory) -> None
     for e in traj.events:
         events.setdefault(float(e.time), []).append(e.kind.value)
     lines = [",".join(header)]
-    for t, state in zip(traj.times.tolist(), traj.states.tolist()):
-        lines.append(",".join([repr(t), *map(repr, state), ";".join(events.get(t, []))]))
+    for t, state in zip(traj.node_times, traj.node_states):
+        lines.append(",".join([repr(float(t)), *(repr(float(v)) for v in state),
+                               ";".join(events.get(t, []))]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -169,14 +169,14 @@ def _cmd_slowfast(cfg: SystemConfig, out: Path) -> None:
     xs = grid_points(cfg.run.grid)
     lines = ["x,theta,r,chart"]
     for x in xs:
-        for root in sf.manifold_slice(float(x)):
+        for root in sf.manifold_slice(x):
             if isinstance(root, HeightRoot):
                 theta = math.atan2(1.0, root.t)
-                lines.append(f"{repr(float(x))},{repr(theta)},0.0,E")
-    for x in (float(xs[0]), float(xs[-1])):
-        for epstil in np.linspace(0.0, 1.0, 11):
-            lines.append(f"{repr(x)},{repr(math.atan2(float(epstil), 1.0))},0.0,F+")
-            lines.append(f"{repr(x)},{repr(math.atan2(float(epstil), -1.0))},0.0,F-")
+                lines.append(f"{repr(x)},{repr(theta)},0.0,E")
+    for x in (xs[0], xs[-1]):
+        for epstil in linspace(0.0, 1.0, 11):
+            lines.append(f"{repr(x)},{repr(math.atan2(epstil, 1.0))},0.0,F+")
+            lines.append(f"{repr(x)},{repr(math.atan2(epstil, -1.0))},0.0,F-")
     (out / "slowfast.csv").write_text("\n".join(lines) + "\n")
 
 

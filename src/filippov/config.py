@@ -34,11 +34,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import expr as ex
 from .cross import CROSS_COORDS, CrossSystem
-from .regularize import TransitionFunction, ValidationFailure, make_transition
+from .regularize import TransitionFunction, ValidationFailure, linspace, make_transition
 from .system import PiecewiseSystem, VectorFieldDef
 
 
@@ -123,8 +121,8 @@ def _grid(value: str, lineno: int | None) -> tuple[float, float, int]:
         lo, hi, count = _ascii(parts[0], float), _ascii(parts[1], float), _ascii(parts[2], int)
     except ValueError as exc:
         raise ConfigError(f"expected grid as lo:hi:count, got {value!r}", lineno) from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"grid bounds must be finite, got {value!r}", lineno)
+    if not math.isfinite(hi - lo):  # an infinite span would put inf and NaN on the grid
+        raise ConfigError(f"grid bounds must be finite, as must hi - lo, got {value!r}", lineno)
     if count < 2 or hi <= lo:
         raise ConfigError(f"grid needs hi > lo and count >= 2, got {value!r}", lineno)
     return lo, hi, count
@@ -329,6 +327,5 @@ def load_config(path: str | Path, flags: dict[str, str | None] | None = None) ->
     )
 
 
-def grid_points(grid: tuple[float, float, int]) -> np.ndarray:
-    lo, hi, count = grid
-    return np.linspace(lo, hi, count)
+def grid_points(grid: tuple[float, float, int]) -> list[float]:
+    return linspace(*grid)

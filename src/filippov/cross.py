@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .regularize import TransitionFunction
+from .regularize import TransitionFunction, linspace
 from .system import VectorFieldDef
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CROSS_COORDS = ("x", "y", "z")
 Z_WINDOW = (0.0, 1.0)  # the z-range over which the curve is measured
@@ -57,16 +58,21 @@ def double_regularized_field(
     cs: CrossSystem, eps: float, eta: float, point: Sequence[float]
 ) -> np.ndarray:
     """Blend of the four quadrant fields at a point of (x, y, z)."""
+    import numpy as np
     if not eps > 0 or not eta > 0:
         raise ValueError(f"band widths must be positive, got eps={eps}, eta={eta}")
-    pt = np.asarray(point, dtype=float)
-    phi = cs.phi.value(pt[0] / eps)
-    psi = cs.psi.value(pt[1] / eta)
-    out = np.zeros(3)
+    return np.array(_blend(cs, eps, eta, cs.fields[1, 1]._point(point)))
+
+
+def _blend(cs: CrossSystem, eps: float, eta: float, point: Sequence[float]) -> list[float]:
+    """double_regularized_field on floats, at a point of three floats."""
+    phi = cs.phi.value(point[0] / eps)
+    psi = cs.psi.value(point[1] / eta)
+    out = [0.0, 0.0, 0.0]
     for (sa, sb), fd in cs.fields.items():
         weight = 0.25 * (1.0 + sa * phi) * (1.0 + sb * psi)
         if weight != 0.0:
-            out += weight * fd.evaluate(pt)
+            out = [o + weight * v for o, v in zip(out, fd.values(point))]
     return out
 
 
@@ -121,10 +127,10 @@ def stratified_slide_curve(
     y = eta * u0
     res_x = 0.0
     res_y = 0.0
-    for z in np.linspace(Z_WINDOW[0], Z_WINDOW[1], CURVE_SAMPLES):
-        v = double_regularized_field(cs, eps, eta, (x, y, float(z)))
-        res_x = max(res_x, abs(float(v[0])))
-        res_y = max(res_y, abs(float(v[1])))
+    for z in linspace(Z_WINDOW[0], Z_WINDOW[1], CURVE_SAMPLES):
+        v = _blend(cs, eps, eta, (x, y, z))
+        res_x = max(res_x, abs(v[0]))
+        res_y = max(res_y, abs(v[1]))
     return StratifiedCurve(
         eps=eps,
         eta=eta,

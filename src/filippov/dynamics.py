@@ -21,8 +21,8 @@ generated from the tableau once per dimension on first use: every stage
 sum, substitution and finite check, and the error norm, is written out per
 component, so no list, zip or call is paid per stage.  Its stage sums add
 left to right, as sum() did on floats before Python 3.12 compensated its
-rounding, so the steps do not depend on the interpreter version.  Trajectories are
-numpy arrays, built once when the integration ends.
+rounding, so the steps do not depend on the interpreter version.  A
+trajectory keeps the float lists it recorded and builds arrays on first use.
 
 Node derivatives are recorded, so trajectories interpolate with cubic
 Hermite polynomials between accepted steps; event location bisects on that
@@ -40,14 +40,13 @@ the located event node.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
 import types
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import expr as ex
 from .regularize import (
@@ -56,6 +55,7 @@ from .regularize import (
     bisect_sign_change,
     certify,
     height_roots,
+    linspace,
     monotone_breaks,
     monotone_zeros,
     most_transversal,
@@ -68,6 +68,9 @@ from .system import (
     filippov_tangent,
     sliding_margin,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ABS_TOL = 1e-9  # step control scales each error component by ABS_TOL + REL_TOL*|y|
 REL_TOL = 1e-7
@@ -93,20 +96,18 @@ class EventKind(enum.Enum):
 @dataclass(frozen=True)
 class Event:
     time: float
-    state: np.ndarray
+    state: tuple[float, ...]
     kind: EventKind
 
 
 class UnresolvedSingularityError(Exception):
     """The orbit reached a singular surface point with no exit rule."""
 
-    def __init__(self, time: float, state: np.ndarray, trajectory: "Trajectory | None"):
+    def __init__(self, time: float, state: Sequence[float], trajectory: "Trajectory | None"):
         self.time = time
-        self.state = np.asarray(state, dtype=float)
+        self.state = tuple(map(float, state))
         self.trajectory = trajectory
-        super().__init__(
-            f"singular surface point at t = {time}: state {self.state.tolist()}"
-        )
+        super().__init__(f"singular surface point at t = {time}: state {list(self.state)}")
 
 
 class NoSlidingAtError(Exception):
@@ -129,17 +130,22 @@ class IntegratorStats:
 
 @dataclass
 class Trajectory:
-    """Accepted integration nodes plus node derivatives and events."""
+    """Accepted integration nodes plus node derivatives and events, in the
+    float lists they were recorded in."""
 
-    times: np.ndarray
-    states: np.ndarray
-    derivs: np.ndarray
+    node_times: list[float]
+    node_states: list[Sequence[float]]
+    node_derivs: list[Sequence[float]]
     events: list[Event] = field(default_factory=list)
     stats: IntegratorStats = field(default_factory=IntegratorStats)
+    # the nodes as float arrays, built on first use
+    times = functools.cached_property(lambda self: _floats(self.node_times))
+    states = functools.cached_property(lambda self: _floats(self.node_states))
+    derivs = functools.cached_property(lambda self: _floats(self.node_derivs))
 
     @property
     def final_time(self) -> float:
-        return float(self.times[-1])
+        return float(self.node_times[-1])
 
     @property
     def final_state(self) -> np.ndarray:
@@ -151,19 +157,25 @@ class Trajectory:
         At event corners the stored node derivative is the left limit, so
         samples taken just past a corner smooth the kink over one interval.
         """
-        ts = self.times
+        ts = self.node_times
         if not ts[0] <= t <= ts[-1]:
             raise ValueError(f"t = {t} outside [{ts[0]}, {ts[-1]}]")
-        k = int(np.searchsorted(ts, t, side="right") - 1)
+        k = bisect.bisect_right(ts, t) - 1
         if k >= len(ts) - 1:
             return self.states[-1].copy()
-        t0, h = float(ts[k]), float(ts[k + 1] - ts[k])
+        t0, h = ts[k], ts[k + 1] - ts[k]
         if h == 0.0:
             return self.states[k].copy()
         s = (t - t0) / h
-        nodes = zip(self.states[k].tolist(), self.derivs[k].tolist(),
-                    self.states[k + 1].tolist(), self.derivs[k + 1].tolist())
-        return np.array([_hermite(s, h, *node) for node in nodes])
+        nodes = zip(self.node_states[k], self.node_derivs[k],
+                    self.node_states[k + 1], self.node_derivs[k + 1])
+        return _floats([_hermite(s, h, *node) for node in nodes])
+
+
+def _floats(rows: Sequence) -> np.ndarray:
+    """rows as a float array; numpy is imported here, on first use."""
+    import numpy as np
+    return np.array(rows, dtype=float)
 
 
 def _hermite(s: float, h: float, y0: float, f0: float, y1: float, f1: float) -> float:
@@ -224,13 +236,10 @@ class _Recorder:
     def event(self, t, y, kind: EventKind):
         if len(y) < self.dim:
             y = [*y, 0.0]
-        self.events.append(Event(t, np.array(y, dtype=float), kind))
+        self.events.append(Event(t, tuple(y), kind))
 
     def build(self) -> Trajectory:
-        return Trajectory(
-            np.array(self.times, dtype=float), np.array(self.states, dtype=float),
-            np.array(self.derivs, dtype=float), self.events, self.stats,
-        )
+        return Trajectory(self.times, self.states, self.derivs, self.events, self.stats)
 
 
 def _rms(values, scales) -> float:
@@ -670,9 +679,9 @@ def _far_side(region, t0, y0, f0, t1, y1, f1) -> float | None:
     return None
 
 
-def _close(orbit: _Recorder, t: float, state: np.ndarray) -> Trajectory:
+def _close(orbit: _Recorder, t: float, state: Sequence[float]) -> Trajectory:
     if not orbit.times:  # nothing was integrated: the orbit is its start
-        orbit.push(t, state, np.zeros(orbit.dim))
+        orbit.push(t, state, [0.0] * orbit.dim)
     return orbit.build()
 
 
@@ -696,7 +705,7 @@ class ManifoldTrack:
     excluded: tuple[tuple[float, str], ...]
 
     def as_array(self) -> np.ndarray:
-        return np.array([[p.x, p.y] for p in self.points])
+        return _floats([[p.x, p.y] for p in self.points])
 
 
 def track_manifold(
@@ -740,6 +749,7 @@ def track_manifold(
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     """Hausdorff distance between finite point sets (rows are points)."""
+    import numpy as np
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim == 1:
@@ -803,5 +813,5 @@ def equilibria_on_manifold(
             return 0
         return 1 if d > 0 else -1
 
-    xs, gs = monotone_breaks(g, secant_slope, np.linspace(lo, hi, EQ_SAMPLES).tolist())
+    xs, gs = monotone_breaks(g, secant_slope, linspace(lo, hi, EQ_SAMPLES))
     return [Equilibrium(x, stability_of(x)) for x in monotone_zeros(g, xs, gs, EQ_TOL)]

@@ -41,8 +41,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import expr as ex
 from .system import PiecewiseSystem
 
@@ -76,6 +74,15 @@ def _cubic_level_set(r: float) -> list[float]:
     if not -1.0 <= r <= 1.0:
         return []
     return [r if abs(r) == 1.0 else 2.0 * math.sin(math.asin(r) / 3.0)]
+
+
+def linspace(a: float, b: float, n: int) -> list[float]:
+    """n >= 2 floats from a to b, bit for bit numpy.linspace(a, b, n).tolist():
+    i*step + a with step = (b - a)/(n - 1), or i/(n - 1)*(b - a) + a if step is 0."""
+    span, div = b - a, n - 1
+    step = span / div
+    out = [i * step + a for i in range(n)] if step else [i / div * span + a for i in range(n)]
+    return out[:-1] + [b]
 
 
 def bisect_sign_change(
@@ -313,6 +320,7 @@ class Custom(TransitionFunction):
         # a psi that uses no tangential coordinate is sampled once
         self._x_free = not ex.free_vars(self.expression) & set(self.x_names)
         self._x_free_pieces: tuple[list[float], list[float]] | None = None
+        self._nodes = linspace(-1.0, 1.0, GRID_CELLS + 1)  # the t-grid psi is sampled on
         for x in itertools.product(_VALIDATION_X, repeat=len(self.x_names)):
             for t in _VALIDATION_T:
                 want = -1.0 if t < 0 else 1.0
@@ -329,7 +337,7 @@ class Custom(TransitionFunction):
         if self._x_free_pieces is not None:
             return self._x_free_pieces
         pieces = monotone_breaks(lambda t: self._core(t, x), lambda t: self._core_d(t, x),
-                                 np.linspace(-1.0, 1.0, GRID_CELLS + 1).tolist())
+                                 self._nodes)
         if self._x_free:
             self._x_free_pieces = pieces
         return pieces

@@ -12,11 +12,12 @@ import enum
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import expr as ex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CLASS_TOL = 1e-9  # min(|a_plus|, |a_minus|) at or below CLASS_TOL * max(...) is SigmaSingular
 
@@ -68,6 +69,7 @@ class VectorFieldDef:
         return len(self.coords)
 
     def _point(self, point: Sequence[float]) -> list[float]:
+        import numpy as np  # the array API's; the command line runs on floats
         pt = np.asarray(point, dtype=float)
         if pt.shape != (self.dim,):
             raise ValueError(f"expected point of dimension {self.dim}, got shape {pt.shape}")
@@ -78,6 +80,7 @@ class VectorFieldDef:
         return ex.compile(self.components, self.coords)
 
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
+        import numpy as np
         return np.array(self._components(*self._point(point)), dtype=float)
 
     def values(self, point: Sequence[float]) -> tuple[float, ...]:
@@ -97,6 +100,7 @@ class VectorFieldDef:
 
     def jacobian(self, point: Sequence[float]) -> np.ndarray:
         """The matrix d(components[i])/d(coords[j]) at a chart point."""
+        import numpy as np
         return np.array(self.jacobian_rows(self._point(point)), dtype=float)
 
     def jacobian_rows(self, point: Sequence[float]) -> list[tuple[float, ...]]:
@@ -325,5 +329,6 @@ def filippov_sliding_field(
     verdict = classify_point(system, x)
     if verdict != SigmaClass.SLIDING:
         raise NotSlidingError(system.tangential(x), verdict)
+    import numpy as np
     lam, tangent = filippov_tangent(system, x)  # Sliding has a_plus != a_minus
     return lam, np.array(tangent + [0.0])

@@ -1,5 +1,6 @@
 """tools/artifact_diff.py: the field tally and an end-to-end run."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import artifact_diff  # noqa: E402
+from filippov.cli import COMMANDS  # noqa: E402
 
 
 def test_json_numbers_are_tallied_per_key_and_the_rest_is_flagged():
@@ -61,3 +63,21 @@ def test_a_tree_against_itself_is_identical():
         capture_output=True, text=True)
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout == "identical: 17 of 17 artifacts\n"
+
+
+def test_the_error_jobs_fail_as_built_and_compare_identical(tmp_path):
+    # every command has a job that exits 1 and one that exits 2, each with its
+    # message on stderr; no bench job fails, so only these compare error paths
+    assert {(argv[0], code) for _, code, argv, _ in artifact_diff.ERROR_JOBS} == {
+        (name, code) for name in COMMANDS for code in (1, 2)}
+    tool, src = str(ROOT / "tools" / "artifact_diff.py"), str(ROOT / "src")
+    subprocess.run([sys.executable, tool, "--emit", src, str(tmp_path), "--workload", "errors"],
+                   check=True, cwd=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for label, code, _, _ in artifact_diff.ERROR_JOBS:
+        prefix = "computation failed: " if code == 1 else "error: "
+        assert manifest[label]["exit"] == code and manifest[label]["stderr"].startswith(prefix)
+    run = subprocess.run([sys.executable, tool, src, src, "--workload", "errors"],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout == "identical: 0 of 0 artifacts\n"

@@ -1,7 +1,10 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +194,23 @@ def test_grid_override_refuses_non_finite_bounds(tmp_path, capsys, grid):
     rc = run_command(["classify", "--config", cfg, "--out", str(tmp_path), f"--grid={grid}"])
     assert rc == 2
     assert "grid bounds must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_a_grid_whose_span_overflows_is_a_config_error(tmp_path, capsys, where):
+    # -1e308:1e308 has finite bounds, but hi - lo is inf: classify exited 0
+    # and wrote NaN, Infinity and 1e+308 as the grid's x values
+    grid = "-1e308:1e308:3"
+    if where == "file":
+        cfg, flags = setup_cfg(tmp_path, FOLD + f"\n[run]\ngrid = {grid}\n"), []
+    else:
+        cfg, flags = setup_cfg(tmp_path, FOLD), [f"--grid={grid}"]
+    out = tmp_path / "out"
+    assert run_command(["classify", "--config", cfg, "--out", str(out), *flags]) == 2
+    line = "line 7: " if where == "file" else ""
+    assert capsys.readouterr().err == (
+        f"error: {line}grid bounds must be finite, as must hi - lo, got {grid!r}\n")
+    assert not out.exists()
 
 
 def banded(lo: float, hi: float) -> str:
@@ -485,6 +505,30 @@ def test_all_command_artifacts(tmp_path):
                  "manifold.json", "trajectory.csv"):
         assert (out / name).exists()
     assert not (out / "cross.json").exists()
+
+
+def test_no_command_imports_numpy(tmp_path):
+    # numpy's import was about half of every short command's wall time; the
+    # commands run on floats, and only the array-returning API imports it
+    text = (FOLD + "\n[transition]\nkind = custom\nexpr = tanh(3*t)/tanh(3) + 0.2*x*(1 - t^2)\n"
+            + "\n[run]\ngrid = -1:1:21\nepsilons = 0.1\nx0 = -1, 0.5\nt_span = 0, 1\n"
+            + CROSS.split("\n[run]")[0])
+    cfg = setup_cfg(tmp_path, text)
+    singular = setup_cfg(tmp_path, "[system]\ncoords = x, y\nx_plus = 1, -1\nx_minus = 1, x\n"
+                         "\n[run]\nx0 = -0.5, 0.5\nt_span = 0, 2\n", "singular.cfg")
+    bad = setup_cfg(tmp_path, FOLD.replace("2*x", "1e999*x"), "bad.cfg")
+    runs = [[name, cfg] for name in cli.COMMANDS] + [["integrate", cfg, "--mode", "regularized"],
+                                                    ["integrate", singular], ["classify", bad]]
+    argvs = [[name, "--config", path, "--out", str(tmp_path / str(k)), *rest]
+             for k, (name, path, *rest) in enumerate(runs)]
+    code = ("import json, sys\n"
+            "from filippov.cli import run_command\n"
+            "codes = [run_command(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == [[0] * (len(runs) - 2) + [1, 2], False]
 
 
 def test_missing_config_exit2(tmp_path, capsys):

@@ -65,7 +65,7 @@ def test_sha_tracks_content(tmp_path):
 
 def test_grid_points():
     xs = grid_points((-1.0, 1.0, 11))
-    assert np.allclose(xs, np.linspace(-1, 1, 11))
+    assert xs == np.linspace(-1, 1, 11).tolist()
 
 
 def test_line_numbered_errors(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from filippov.regularize import (
     certify,
     height,
     height_roots,
+    linspace,
     make_transition,
     monotone_breaks,
     monotone_zeros,
@@ -637,6 +639,29 @@ def test_a_sample_near_the_level_is_no_preimage():
     cert = certify(sys, tf, 0.0)
     assert cert.verdict == Verdict.INDETERMINATE
     assert [r.t for r in cert.roots] == [0.0]
+
+
+def linspace_cases():
+    """(a, b, n) with a < b: fixed and random counts over random finite ends
+    of every scale, and spans of a few subnormals, whose step is 0."""
+    rng = random.Random(21)
+    ends = [(-1.0, 1.0), (0.0, 1.0)]
+    for _ in range(40):
+        scale = 10.0 ** rng.randint(-300, 300)
+        a, b = sorted(rng.uniform(-scale, scale) for _ in range(2))
+        ends.append((a, b) if a < b else (a, math.nextafter(a, math.inf)))
+    cases = [(a, b, n) for a, b in ends for n in (2, 3, 11, 21, 201, 513)]
+    cases += [(a, b, rng.randint(2, 10 ** 4)) for a, b in ends]
+    tiny = 5e-324
+    cases += [(k * tiny, (k + m) * tiny, n) for k in (-3, 0, 7) for m in (1, 2, 5) for n in (11, 201)]
+    return cases
+
+
+def test_linspace_is_numpys_bit_for_bit():
+    cases = linspace_cases()
+    assert sum((b - a) / (n - 1) == 0.0 for a, b, n in cases) == 18  # the underflow branch
+    for a, b, n in cases:
+        assert [*map(float.hex, linspace(a, b, n))] == [*map(float.hex, np.linspace(a, b, n))]
 
 
 def test_breaks_of_a_custom_psi_are_its_ends_and_critical_points():

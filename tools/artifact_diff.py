@@ -6,7 +6,13 @@ Usage, from the root of a checkout:
         --seeds 911 912 913 --rounds 0 1 2 3
 
 The jobs are the ones bench/workloads.py generates for each seed and
-round.  Each tree runs all of them in its own Python subprocess, with that
+round.  No bench job fails, so ``--workload errors`` runs this tool's own
+list instead, ERROR_JOBS, whose jobs fail on purpose and write their error
+messages to stderr (it takes no seeds or rounds):
+
+    python3 tools/artifact_diff.py OLD_SRC NEW_SRC --workload errors
+
+Each tree runs all of the jobs in its own Python subprocess, with that
 tree's ``src`` first on the path, through filippov.cli.run_command.  The
 report then lists:
 
@@ -41,6 +47,42 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 JOB_LIMIT_S = 60.0  # a job still running after this is stopped, its exit code "timeout"
 
+FOLD = "[system]\ncoords = x, y\nx_plus = 1, 2*x\nx_minus = 1, 2\n"
+# y = 0 leaves 1/0 in the normal trace, which fails at every surface point
+TRACE_POLE = FOLD.replace("2*x", "1/y + x")
+NAN_PSI = "[transition]\nkind = custom\nexpr = (3*t - t^3)/2 + 1e200*t*1e200 - 1e200*t*1e200\n"
+CROSS = ("[cross]\nx_pp = -1, -1, 1\nx_pm = -1, 1, 1\nx_mp = 1, -1, 1\nx_mm = 1, 1, 1\n"
+         "phi_kind = biased\nphi_t0 = 0.25\npsi_kind = biased\npsi_t0 = -0.5\n")
+# sqrt(1 - x) is undefined once the orbit passes x = 1
+SQRT_ORBIT = ("[system]\ncoords = x, y\nx_plus = 1, sqrt(1 - x)\nx_minus = 1, 1\n"
+              "[run]\nx0 = 0, 1\nt_span = 0, 2\n")
+# (label, the exit code it is built to reach, command and flags, config):
+# for each command one job that fails in the computation (exit 1) and one
+# that is refused as configured (exit 2)
+ERROR_JOBS = [
+    ("classify-trace-pole", 1, ["classify"], TRACE_POLE),
+    ("classify-bad-constant", 2, ["classify"], FOLD.replace("2*x", "1e999*x")),
+    ("certify-trace-pole", 1, ["certify"], TRACE_POLE),
+    ("certify-nan-psi", 2, ["certify"], FOLD + NAN_PSI),
+    ("slow-fast-trace-pole", 1, ["slow-fast"], TRACE_POLE),
+    ("slow-fast-not-planar", 2, ["slow-fast"],
+     "[system]\ncoords = x1, x2, y\nx_plus = -x2, x1, -1\nx_minus = -x2, x1, 1\n"),
+    ("manifold-no-sliding", 1, ["manifold"], FOLD.replace("2*x", "1")),
+    ("manifold-nan-epsilon", 2, ["manifold"], FOLD + "[run]\nepsilons = nan\n"),
+    # the orbit hits the surface where a_minus = x vanishes
+    ("integrate-singular-hit", 1, ["integrate"], "[system]\ncoords = x, y\nx_plus = 1, -1\n"
+     "x_minus = 1, x\n[run]\nx0 = -0.5, 0.5\nt_span = 0, 2\n"),
+    ("integrate-no-x0", 2, ["integrate"], FOLD),
+    ("integrate-regularized-sqrt", 1, ["integrate", "--mode", "regularized"], SQRT_ORBIT),
+    ("integrate-regularized-zero-epsilon", 2, ["integrate", "--mode", "regularized",
+                                               "--epsilon", "0"], SQRT_ORBIT),
+    ("cross-three-zeros", 1, ["cross"], CROSS.replace(
+        "phi_kind = biased\nphi_t0 = 0.25", "phi_kind = custom\nphi_expr = (5*t^3 - 3*t)/2")),
+    ("cross-no-section", 2, ["cross"], FOLD),
+    ("all-trace-pole", 1, ["all"], TRACE_POLE),
+    ("all-zero-divisor", 2, ["all"], FOLD.replace("2*x", "x/0")),
+]
+
 
 # ---------------------------------------------------------------------------
 # running the jobs (in a subprocess per tree)
@@ -60,33 +102,38 @@ def emit(src: Path, out: Path, workload: str, seeds: list[int], rounds: list[int
     import workloads
     from filippov.cli import run_command
 
+    if workload == "errors":
+        jobs = [(label, workloads.Job(label, argv[0], config, extra_argv=argv[1:]))
+                for label, _, argv, config in ERROR_JOBS]
+    else:
+        jobs = [(f"{seed}-{round_no}-{index:02d}-{job.label}", job)
+                for seed in seeds for round_no in rounds
+                for index, job in enumerate(workloads.ROUNDS[workload](seed, round_no))]
     manifest = {}
     signal.signal(signal.SIGALRM, _on_alarm)
-    for seed in seeds:
-        for round_no in rounds:
-            for index, job in enumerate(workloads.ROUNDS[workload](seed, round_no)):
-                name = f"{seed}-{round_no}-{index:02d}-{job.label}"
-                cfg = out / f"{name}.cfg"
-                cfg.write_text(job.config)
-                err = io.StringIO()
-                signal.setitimer(signal.ITIMER_REAL, JOB_LIMIT_S)
-                try:
-                    with contextlib.redirect_stderr(err):
-                        rc = run_command(job.argv(cfg, out / name))
-                except _JobTimeout:
-                    rc = "timeout"
-                finally:
-                    signal.setitimer(signal.ITIMER_REAL, 0)
-                cfg.unlink()
-                manifest[name] = {"exit": rc, "stderr": err.getvalue()}
+    for name, job in jobs:
+        cfg = out / f"{name}.cfg"
+        cfg.write_text(job.config)
+        err = io.StringIO()
+        signal.setitimer(signal.ITIMER_REAL, JOB_LIMIT_S)
+        try:
+            with contextlib.redirect_stderr(err):
+                rc = run_command(job.argv(cfg, out / name))
+        except _JobTimeout:
+            rc = "timeout"
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        cfg.unlink()
+        manifest[name] = {"exit": rc, "stderr": err.getvalue()}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
 
 def run_side(src: Path, out: Path, args: argparse.Namespace) -> dict:
     out.mkdir(parents=True)
     cmd = [sys.executable, str(Path(__file__).resolve()), "--emit", str(src), str(out),
-           "--workload", args.workload,
-           "--seeds", *map(str, args.seeds), "--rounds", *map(str, args.rounds)]
+           "--workload", args.workload, "--rounds", *map(str, args.rounds)]
+    if args.seeds:
+        cmd += ["--seeds", *map(str, args.seeds)]
     # no bytecode is written into either tree
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     subprocess.run(cmd, check=True, env=env, cwd=out)
@@ -215,11 +262,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="the src directory of the old tree")
     parser.add_argument("new", type=Path, help="the src directory of the new tree")
-    parser.add_argument("--workload", required=True, choices=("grid_sweep", "orbit_sweep"))
-    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--workload", required=True,
+                        choices=("grid_sweep", "orbit_sweep", "errors"))
+    parser.add_argument("--seeds", type=int, nargs="+", default=[])
     parser.add_argument("--rounds", type=int, nargs="+", default=[0])
     parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if not args.seeds and args.workload != "errors":
+        parser.error(f"--seeds is required for --workload {args.workload}")
     if args.emit:  # the subprocess for one tree: old is its src, new its output
         emit(args.old.resolve(), args.new.resolve(), args.workload, args.seeds, args.rounds)
         return 0
