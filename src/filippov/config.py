@@ -121,7 +121,7 @@ def _grid(value: str, lineno: int | None) -> tuple[float, float, int]:
         lo, hi, count = _ascii(parts[0], float), _ascii(parts[1], float), _ascii(parts[2], int)
     except ValueError as exc:
         raise ConfigError(f"expected grid as lo:hi:count, got {value!r}", lineno) from exc
-    if not math.isfinite(hi - lo):  # an infinite span would put inf and NaN on the grid
+    if not math.isfinite(hi - lo):  # a bound or the span that is not finite: inf and NaN points
         raise ConfigError(f"grid bounds must be finite, as must hi - lo, got {value!r}", lineno)
     if count < 2 or hi <= lo:
         raise ConfigError(f"grid needs hi > lo and count >= 2, got {value!r}", lineno)
