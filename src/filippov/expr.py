@@ -22,32 +22,36 @@ below could not follow.
 Compilation
 -----------
 evaluate() walks a tree node by node.  The hot callers (field components,
-their Jacobians, the normal traces, a custom transition and its
-derivatives) instead call compile(exprs, names) once and then the function
-it returns, one straight-line Python function of positional floats that
-returns the tuple of evaluate(e, bindings) for every tree:
+their Jacobians, the normal traces) instead call compile(exprs, names)
+once and then the function it returns, one straight-line Python function
+of positional floats that returns the tuple of evaluate(e, bindings) for
+every tree:
 
 - **Bit for bit.** It runs the same float operations in the same order:
   the math module's sin, cos, exp, tanh and sqrt, abs, sgn, ** with the
   integer exponent, and the four arithmetic operators, after float() of
-  each variable it reads.
+  each variable it reads.  An operation whose tree object recurs in the
+  trees, as differentiation and substitution share subtrees, is computed
+  once: the same operations on the same values.
 - **Errors unchanged.** Emitter.function gives every generated function
   one fallback: where an operation raises ArithmeticError or ValueError
-  (division by zero, 0^-2, sqrt(-1), overflow, sin(inf)), it walks every
-  tree it inlines with evaluate(), in emission order, on the same values.
+  (division by zero, 0^-2, sqrt(-1), overflow, sin(inf)), it walks the
+  trees it inlines with evaluate(), in emission order, on the same values,
+  all but those of a branch that did not run.
   evaluate() raises wherever the generated code does (a DomainError, or
   the bare ValueError of sin(inf)), so the error is the tree walk's.
 - **Cached by shape.** No name or number from the trees enters the
   generated source: variables are the positional slots v0, v1, ... in the
-  order of ``names``, constants and exponents are the keyword-only
-  arguments c0, c1, ... (so an extra positional argument is a TypeError,
-  not a constant overwritten), and functions come from a fixed namespace.
-  The source depends only on the shape of the trees, and its code object
-  is kept in a bounded LRU cache, so the same shape with other constants
+  order of ``names``, constants and exponents are the variables c0, c1,
+  ... of the function's closure (so no argument can overwrite one), and
+  functions come from a fixed namespace.  The source depends only on the
+  shape of the trees and the subtrees they share, and its code object is
+  kept in a bounded LRU cache, so the same shape with other constants
   costs no call of Python's compiler.
 
-The code comes from Emitter, which other generators share: the psi-blend
-of system.PiecewiseSystem inlines both fields and their partials with it.
+The code comes from Emitter, which other generators share: a transition's
+psi and derivatives, and the regularized field, which inlines psi, both
+fields and their partials (system._blend_function).
 
 Each function and operator is defined once, in a row of _FUNCTIONS or
 _OPERATORS that evaluate, differentiate, substitute, the parser and the
@@ -496,48 +500,57 @@ class Emitter:
     """Straight-line code for expression trees over the positional slots
     v0, v1, ... of ``names``, for every generator that inlines trees.
 
-    emit(exprs) appends to ``body`` the lines that compute each tree and
-    returns the names that hold their values: r0, r1, ... for operations,
-    the slot of a bare variable, and c0, c1, ... for numbers and exponents,
-    whose values collect in ``consts``.  The line before a slot's first use
-    converts it with float().  Several emit() calls share slots and
-    constants, so one function can inline several sets of trees, and its
-    source depends only on their shapes.  The trees are kept in the order
-    they were emitted, for the fallback of function().
+    emit(exprs) appends to ``body`` the lines that compute each tree, each
+    operation object once, and returns the names that hold their values:
+    r0, r1, ... for operations, the slot of a bare variable, and c0, c1, ...
+    for numbers and exponents, whose values collect in ``consts``.  The
+    line before a slot's first use converts it with float().  Several
+    emit() calls share slots and constants, so one function can inline
+    several sets of trees, each read from the slots or from the code names
+    of its own ``slots``.  The trees are kept in the order they were
+    emitted, for the fallback of function().
     """
 
     def __init__(self, names: Sequence[str]):
-        self._names = tuple(names)
         self.params = [f"v{i}" for i in range(len(names))]
         self.slots = dict(zip(names, self.params))
         self.consts: list[float | int] = []
         self.body: list[str] = []
-        self._trees: list[Expr] = []
-        self._converted: set[str] = set()
+        self._groups: list[tuple[tuple[Expr, ...], dict[str, str]]] = []
+        self._unconverted = set(self.params)
         self._results = 0
 
-    def emit(self, exprs: Sequence[Expr]) -> list[str]:
-        exprs = tuple(exprs)
-        self._trees += exprs
-        return [self._emit(e) for e in exprs]
+    def emit(self, exprs: Sequence[Expr], slots: dict[str, str] | None = None) -> list[str]:
+        exprs, slots = tuple(exprs), self.slots if slots is None else slots
+        self._groups.append((exprs, slots))
+        self._shared: dict[int, str] = {}  # the name of each operation object emitted
+        return [self._emit(e, slots) for e in exprs]
 
-    def _const(self, value) -> str:
+    def unpack(self, sequence: str) -> list[str]:
+        """Lines that unpack ``sequence`` into the slots as floats."""
+        self._unconverted.clear()
+        return [f"{''.join(v + ', ' for v in self.params)}= {sequence}",
+                *(f"{v} = float({v})" for v in self.params)]
+
+    def constant(self, value) -> str:
         self.consts.append(value)
         return f"c{len(self.consts) - 1}"
 
-    def _emit(self, e: Expr) -> str:
+    def _emit(self, e: Expr, slots: dict[str, str]) -> str:
         if isinstance(e, Const):
-            return self._const(e.value)
+            return self.constant(e.value)
         if isinstance(e, Var):
-            if e.name not in self.slots:
+            if e.name not in slots:
                 raise UnboundVariableError(e.name)
-            slot = self.slots[e.name]
-            if slot not in self._converted:
-                self._converted.add(slot)
+            slot = slots[e.name]
+            if slot in self._unconverted:
+                self._unconverted.remove(slot)
                 self.body.append(f"{slot} = float({slot})")
             return slot
+        if id(e) in self._shared:
+            return self._shared[id(e)]
         if isinstance(e, Unary):
-            a = self._emit(e.arg)
+            a = self._emit(e.arg, slots)
             if e.op == "neg":
                 rhs = f"-{a}"
             else:
@@ -545,42 +558,45 @@ class Emitter:
                 rhs = f"f_{e.op}({a})"
         elif isinstance(e, Binary):
             _OPERATORS[e.op]  # refuses an unknown symbol
-            a = self._emit(e.left)
-            rhs = f"{a} {e.op} {self._emit(e.right)}"
+            a = self._emit(e.left, slots)
+            rhs = f"{a} {e.op} {self._emit(e.right, slots)}"
         elif isinstance(e, Pow):
-            rhs = f"{self._emit(e.base)} ** {self._const(e.exponent)}"
+            rhs = f"{self._emit(e.base, slots)} ** {self.constant(e.exponent)}"
         else:
             raise TypeError(f"not an expression: {e!r}")
         name = f"r{self._results}"
         self._results += 1
         self.body.append(f"{name} = {rhs}")
+        self._shared[id(e)] = name
         return name
 
     def function(self, params: Sequence[str], lines: Sequence[str]) -> Callable:
-        """The function compiled(*params, *, c0, c1, ..., fallback) with body
-        ``lines``; ``params`` hold the slots v0, v1, ..., and c0, c1, ...
-        default to the constants.  Where the body raises ArithmeticError or
-        ValueError, fallback walks every emitted tree with evaluate, in
-        emission order, on the slots, so that the tree walk's error is
-        raised (the body's own, should the walk pass).  The code object
+        """The function compiled(*params) with body ``lines``, in which c0,
+        c1, ... are the constants, read from its closure.  Where the body
+        raises ArithmeticError or ValueError, fallback walks the emitted
+        trees with evaluate, in emission order, on the values their code
+        names hold, so that the tree walk's error is raised (the body's own,
+        should the walk pass).  It skips a set of trees one of whose code
+        names is unbound, as in a branch that did not run.  The code object
         comes from a cache keyed by the source, so same shapes share one."""
-        names, trees = self._names, tuple(self._trees)
+        groups = tuple(self._groups)
 
-        def walk(*values):
-            bindings = dict(zip(names, values))
-            for e in trees:
-                evaluate(e, bindings)
+        def walk(scope: dict):
+            for trees, slots in groups:
+                if all(code in scope for code in slots.values()):  # else not run
+                    for e in trees:
+                        evaluate(e, {name: scope[code] for name, code in slots.items()})
 
-        keywords = [f"c{k}" for k in range(len(self.consts))] + ["fallback"]
-        source = "\n".join([f"def compiled({', '.join([*params, '*', *keywords])}):",
-                            "    try:",
-                            *(f"        {line}" for line in lines),
-                            "    except (ArithmeticError, ValueError):",
-                            f"        fallback({', '.join(self.params)})",
-                            "        raise"])
-        fn = types.FunctionType(_code(source), _NAMESPACE, "compiled")
-        fn.__kwdefaults__ = dict(zip(keywords, self.consts + [walk]))
-        return fn
+        closure = [f"c{k}" for k in range(len(self.consts))] + ["fallback"]
+        source = "\n".join([f"def bind({', '.join(closure)}):",
+                            f"    def compiled({', '.join(params)}):",
+                            "        try:",
+                            *(f"            {line}" for line in lines),
+                            "        except (ArithmeticError, ValueError):",
+                            "            fallback(locals())",
+                            "            raise",
+                            "    return compiled"])
+        return types.FunctionType(_code(source), _NAMESPACE, "bind")(*self.consts, walk)
 
 
 def compile(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[..., tuple[float, ...]]:
@@ -598,10 +614,10 @@ def compile(exprs: Sequence[Expr], names: Sequence[str]) -> Callable[..., tuple[
 
 @functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def _code(source: str) -> types.CodeType:
-    """The code object of the one function that ``source`` defines."""
+    """The code object of the one function, bind, that ``source`` defines."""
     scope: dict[str, object] = {}
     exec(builtins.compile(source, "<filippov.expr.compile>", "exec"), {}, scope)
-    return scope["compiled"].__code__
+    return scope["bind"].__code__
 
 
 # ---------------------------------------------------------------------------

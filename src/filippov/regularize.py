@@ -7,10 +7,9 @@ smooth field
     X_eps = (1 + psi)/2 * X_plus + (1 - psi)/2 * X_minus,
 
 which agrees with X_plus above the band |y| < eps and with X_minus below it.
-The blend and its Jacobian are generated once per system, on first use, as
-straight-line code that inlines both fields, their partials and the blend
-weights (PiecewiseSystem._blend and _blend_jacobian); regularized_field and
-regularized_jacobian only add psi and its gradient.
+It and its Jacobian are generated per system, transition and eps as one
+straight-line function each, which inlines psi's trees, both fields, their
+partials and the blend (see regularized).
 
 Whether the band traps orbits is decided by the height function
 
@@ -38,10 +37,11 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 from . import expr as ex
+from . import system as system_module
 from .system import PiecewiseSystem
 
 TRANSVERSALITY_TOL = 1e-8  # a root with |psi'| above this is transversal
@@ -57,12 +57,8 @@ class ValidationFailure(Exception):
     """A transition function violates one of its defining constraints."""
 
 
-def _cubic(t: float) -> float:
-    return (3.0 * t - t ** 3) / 2.0
-
-
-def _cubic_d(t: float) -> float:
-    return (3.0 - 3.0 * t * t) / 2.0
+_tree = cache(ex.parse)  # the trees the built-in kinds are spelled with
+_CUBIC = "(3*t - t^3)/2", "(3 - 3*t*t)/2"  # smoothstep's psi and psi'; the other kinds build on it
 
 
 def _cubic_level_set(r: float) -> list[float]:
@@ -157,23 +153,58 @@ def monotone_zeros(
 
 
 class TransitionFunction:
-    """Base class; concrete kinds implement value/deriv on the core interval."""
+    """Base class.  A kind spells psi and psi' = d(psi)/dt on the band as
+    the trees ``expression`` and ``derivative`` in t and ``x_names``, which
+    the base class compiles with x bound by position (and any x beyond
+    x_names ignored) and holds at -1/+1 and 0 outside the band."""
+
+    x_names: tuple[str, ...] = ()
+    _regularized = None, None, None  # (system, eps, (field, jacobian)) of regularized()
+
+    @cached_property
+    def gradient(self) -> tuple[ex.Expr, ...]:
+        """The trees of d(psi)/dx_j on the band, one for each of x_names."""
+        return tuple(ex.differentiate(self.expression, name) for name in self.x_names)
+
+    @cached_property
+    def _psi(self):
+        return self._compiled([self.expression], "{}")
+
+    @cached_property
+    def _dpsi_dt(self):
+        return self._compiled([self.derivative], "{}")
+
+    @cached_property
+    def _dpsi_dx(self):
+        return self._compiled(self.gradient, "[{}]")
+
+    def _compiled(self, trees, returned: str):
+        """The trees as a function of a float t and x=() (x binding x_names by
+        position) that returns their values in the format ``returned``."""
+        emitter = ex.Emitter(self.x_names)
+        head = emitter.unpack(f"x[:{len(self.x_names)}]") if self.x_names else []
+        values = emitter.emit(trees, {"t": "t", **emitter.slots})
+        return emitter.function(["t", "x=()"], [*head, *emitter.body,
+                                                f"return {returned.format(', '.join(values))}"])
 
     def value(self, t: float, x: Sequence[float] = ()) -> float:
         if t < -1.0:
             return -1.0
         if t > 1.0:
             return 1.0
-        return self._core(t, x)  # cores reach -1/+1 at the band edge
+        return self._psi(float(t), x)  # psi reaches -1/+1 at the band edge
 
     def deriv_t(self, t: float, x: Sequence[float] = ()) -> float:
         if t <= -1.0 or t >= 1.0:
             return 0.0
-        return self._core_d(t, x)
+        return self._dpsi_dt(float(t), x)
 
     def deriv_x(self, t: float, x: Sequence[float] = ()) -> list[float]:
         """The gradient of psi in the surface coordinates x."""
-        return [0.0] * len(x)  # only a custom psi may depend on x
+        if not -1.0 < t < 1.0:  # psi is constant outside the band
+            return [0.0] * len(x)
+        grad = self._dpsi_dx(float(t), x)
+        return grad + [0.0] * (len(x) - len(grad))
 
     _zero_tol = 0.0  # |psi - r| at or below this is a preimage at a break
 
@@ -181,17 +212,12 @@ class TransitionFunction:
         """The sorted t in [-1, 1] with psi(x, t) = r, by monotone_zeros on
         the pieces of _pieces(x)."""
         breaks, values = self._pieces(x)
-        return monotone_zeros(lambda t: self._core(t, x) - r, breaks,
-                              [v - r for v in values], self._zero_tol)
+        psi = self._psi
+        return monotone_zeros(lambda t: psi(t, x) - r, breaks, [v - r for v in values],
+                              self._zero_tol)
 
     def _pieces(self, x: Sequence[float]) -> tuple[Sequence[float], Sequence[float]]:
         """Breaks from -1 to 1 with psi(x, .) monotone between, and psi there."""
-        raise NotImplementedError
-
-    def _core(self, t: float, x: Sequence[float]) -> float:
-        raise NotImplementedError
-
-    def _core_d(self, t: float, x: Sequence[float]) -> float:
         raise NotImplementedError
 
 
@@ -199,11 +225,8 @@ class TransitionFunction:
 class Smoothstep(TransitionFunction):
     """Clamped cubic (3t - t^3)/2; odd, strictly increasing, zero at 0."""
 
-    def _core(self, t, x):
-        return _cubic(t)
-
-    def _core_d(self, t, x):
-        return _cubic_d(t)
+    def __post_init__(self):
+        self.expression, self.derivative = map(_tree, _CUBIC)
 
     def level_set(self, r, x=()):
         return _cubic_level_set(r)
@@ -230,20 +253,16 @@ class Overshoot(TransitionFunction):
             raise ValidationFailure(f"overshoot max must exceed 1, got {self.m}")
         self.c = 3.0 / (8.0 * _overshoot_peak(self.m))
         self.u = 3.0 / (8.0 * self.c)
+        cubic, slope = map(_tree, _CUBIC)
+        bump, bump_slope = (ex.substitute(_tree(text), {"c": self.c, "s": _tree("1 - t*t")})
+                            for text in ("c*s*s", "4*c*t*s"))
+        self.expression, self.derivative = ex.add(cubic, bump), ex.sub(slope, bump_slope)
         # relative: one ulp of m exceeds any absolute bound once m is large;
         # written with `not` so that it also rejects the NaN peak the closed
         # form gives once (m - 1)(m + 1) overflows (m near 1.3e154)
         peak = self.value(self.u)
         if not abs(peak - self.m) <= 1e-12 * self.m:
             raise ValidationFailure(f"interior max {peak} differs from target {self.m}")
-
-    def _core(self, t, x):
-        s = 1.0 - t * t
-        return _cubic(t) + self.c * s * s
-
-    def _core_d(self, t, x):
-        s = 1.0 - t * t
-        return _cubic_d(t) - 4.0 * self.c * t * s
 
     def _pieces(self, x):
         # psi is monotone on [-1, u] and on [u, 1], with exact values at the breaks
@@ -270,7 +289,8 @@ class Biased(TransitionFunction):
 
     Composes the cubic with the Moebius reparametrization
     w(t) = (t - t0)/(1 - t0*t), which fixes the endpoints, maps t0 to 0 and
-    is strictly increasing on the interval.
+    is strictly increasing on the interval; psi' is the cubic's slope at w
+    times w'(t) = (1 - t0^2)/(1 - t0*t)^2.
     """
 
     t0: float
@@ -278,32 +298,21 @@ class Biased(TransitionFunction):
     def __post_init__(self):
         if not -1.0 < self.t0 < 1.0:
             raise ValidationFailure(f"bias point must lie in (-1, 1), got {self.t0}")
-
-    def _w(self, t: float) -> float:
-        return (t - self.t0) / (1.0 - self.t0 * t)
-
-    def _core(self, t, x):
-        return _cubic(self._w(t))
-
-    def _core_d(self, t, x):
-        w = self._w(t)
-        dw = (1.0 - self.t0 * self.t0) / (1.0 - self.t0 * t) ** 2
-        return _cubic_d(w) * dw
+        w, dw = (ex.substitute(_tree(text), {"t0": self.t0})
+                 for text in ("(t - t0)/(1 - t0*t)", "(1 - t0*t0)/(1 - t0*t)^2"))
+        cubic, slope = (ex.substitute(_tree(text), {"t": w}) for text in _CUBIC)
+        self.expression, self.derivative = cubic, ex.mul(slope, dw)
 
     def level_set(self, r, x=()):
-        # the inverse of _w: w(t) is one of the cubic's level set
+        # the inverse of w: w(t) is one of the cubic's level set
         return [(w + self.t0) / (1.0 + self.t0 * w) for w in _cubic_level_set(r)]
 
 
 @dataclass
 class Custom(TransitionFunction):
-    """Transition given by an expression in (x_1, ..., x_{n-1}, t).
-
-    The expression is only evaluated for t in [-1, 1]: outside the band
-    the base class holds the value at -1/+1, and the boundary values are
-    checked at construction.  The t-derivative is the symbolic derivative
-    inside the band and 0 outside.
-    """
+    """Transition given by an expression in (x_1, ..., x_{n-1}, t), whose
+    boundary values are checked at construction; psi' is its symbolic
+    t-derivative."""
 
     expression: ex.Expr
     x_names: tuple[str, ...] = ()
@@ -312,6 +321,7 @@ class Custom(TransitionFunction):
     def __post_init__(self):
         if isinstance(self.expression, str):
             self.expression = ex.parse(self.expression)
+        self.derivative = ex.differentiate(self.expression, "t")
         if "t" in self.x_names:
             raise ValidationFailure("custom transition: coordinate 't' clashes with the variable t")
         extra = ex.free_vars(self.expression) - set(self.x_names) - {"t"}
@@ -336,39 +346,11 @@ class Custom(TransitionFunction):
     def _pieces(self, x):
         if self._x_free_pieces is not None:
             return self._x_free_pieces
-        pieces = monotone_breaks(lambda t: self._core(t, x), lambda t: self._core_d(t, x),
-                                 self._nodes)
+        psi, dpsi = self._psi, self._dpsi_dt
+        pieces = monotone_breaks(lambda t: psi(t, x), lambda t: dpsi(t, x), self._nodes)
         if self._x_free:
             self._x_free_pieces = pieces
         return pieces
-
-    # psi and its derivatives are compiled on first use, in (t, x_1, ...);
-    # x beyond x_names is ignored
-    @cached_property
-    def _psi(self):
-        return ex.compile((self.expression,), ("t",) + self.x_names)
-
-    @cached_property
-    def _dpsi_dt(self):
-        return ex.compile((ex.differentiate(self.expression, "t"),), ("t",) + self.x_names)
-
-    @cached_property
-    def _dpsi_dx(self):
-        # only the stiff integrator needs it
-        return ex.compile([ex.differentiate(self.expression, name) for name in self.x_names],
-                          ("t",) + self.x_names)
-
-    def _core(self, t, x):
-        return self._psi(t, *x[:len(self.x_names)])[0]
-
-    def _core_d(self, t, x):
-        return self._dpsi_dt(t, *x[:len(self.x_names)])[0]
-
-    def deriv_x(self, t, x=()):
-        if not -1.0 < t < 1.0:  # psi is constant outside the band
-            return [0.0] * len(x)
-        grad = list(self._dpsi_dx(t, *x[:len(self.x_names)]))
-        return grad + [0.0] * (len(x) - len(grad))
 
 
 def make_transition(kind: str, x_names: Sequence[str] = (), /, **params) -> TransitionFunction:
@@ -404,6 +386,20 @@ def make_transition(kind: str, x_names: Sequence[str] = (), /, **params) -> Tran
 # ---------------------------------------------------------------------------
 # regularized field
 
+def regularized(system: PiecewiseSystem, transition: TransitionFunction, eps: float):
+    """The regularized field and its Jacobian at band width eps: generated
+    functions of (time, state), state a full chart point (x..., y) of
+    floats, as integrate takes them.  The transition keeps the last pair."""
+    kept = transition._regularized
+    if kept[0] is not system or kept[1] != eps:  # a NaN eps too
+        if not eps > 0:
+            raise ValueError(f"eps must be positive, got {eps}")
+        kept = transition._regularized = system, eps, tuple(
+            system_module._blend_function(system, jacobian, transition, eps)
+            for jacobian in (False, True))
+    return kept[2]
+
+
 def regularized_field(
     system: PiecewiseSystem,
     transition: TransitionFunction,
@@ -414,9 +410,7 @@ def regularized_field(
 
     It takes and returns what integrate's right-hand side does.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return system._blend(transition.value(point[-1] / eps, point[:-1]), *point)
+    return regularized(system, transition, eps)[0](0.0, point)
 
 
 def regularized_jacobian(
@@ -432,18 +426,7 @@ def regularized_jacobian(
     the gradient of psi(x, y/eps): psi'(y/eps)/eps in the y column and, for a
     custom psi that uses x, d(psi)/dx in the x columns.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    t, xs = point[-1] / eps, point[:-1]
-    psi = transition.value(t, xs)
-    try:
-        grad = transition.deriv_x(t, xs) + [transition.deriv_t(t, xs) / eps]
-    except (ex.DomainError, ArithmeticError, ValueError):
-        # the field Jacobians come before the gradient of psi, and fail first
-        system.plus.jacobian_rows(point)
-        system.minus.jacobian_rows(point)
-        raise
-    return system._blend_jacobian(psi, *grad, *point)
+    return regularized(system, transition, eps)[1](0.0, point)
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,7 @@ class PiecewiseSystem:
         """(a_plus, a_minus) evaluated at (x, 0)."""
         return self._normal_traces(*self.tangential(x))
 
-    # the psi-blend of the two fields and its Jacobian, built on first use:
-    # the regularized flow and slides need them, the grid commands do not
+    # the psi-blend at a given psi and its Jacobian, built on first use
     @cached_property
     def _blend(self):
         return _blend_function(self, jacobian=False)
@@ -180,7 +179,8 @@ class PiecewiseSystem:
         return _blend_function(self, jacobian=True)
 
 
-def _blend_function(system: PiecewiseSystem, jacobian: bool):
+def _blend_function(system: PiecewiseSystem, jacobian: bool, transition=None,
+                    eps: float | None = None):
     """The psi-blend (1 + psi)/2 * X_plus + (1 - psi)/2 * X_minus as one
     straight-line function of floats, with the fields inlined by expr's
     emitter:
@@ -191,21 +191,24 @@ def _blend_function(system: PiecewiseSystem, jacobian: bool):
       jump (X_plus - X_minus)/2, unless every entry of grad is 0 (a signed
       zero entry then stays as the blend left it).
 
-    This is the one formula of the blend: every entry is wp*p + wm*m with
-    wp = 0.5*(1.0 + psi) and wm = 0.5*(1.0 - psi).  The regularized flow
-    evaluates it at psi(x, y/eps), and a slide at psi = r on Sigma (see
-    filippov_tangent).  Where an operation raises, the error comes from the
-    emitter's fallback, which walks the
-    trees in the order they were emitted: the Jacobian's partials, then its
-    values, plus before minus each time, which is the order of the
-    per-field calls the function stands for.  A value can fail only where
-    grad has a nonzero entry, since otherwise it is never computed.  So the
-    error is the one those calls raise.  The source depends only on the
-    shapes of the fields, so same-shaped systems share one code object.
+    Given a transition and a band width eps, either takes (time, state)
+    and inlines psi and grad at t = y/eps from the transition's trees, as
+    its value, deriv_x and deriv_t/eps give them.  This one formula of the
+    blend, every entry wp*p + wm*m with wp = 0.5*(1.0 + psi) and
+    wm = 0.5*(1.0 - psi), is also a slide's at psi = r (filippov_tangent).
+
+    Where an operation raises, the emitter's fallback walks the trees in
+    emission order (psi's only where their band branch ran): psi, the
+    partials, psi's gradient, the values, plus before minus each time: the
+    order of the calls the function stands for.  A value can fail only
+    where grad is nonzero, since otherwise it is never computed.  The
+    source depends only on the trees' shapes (eps and a kind's parameters
+    are constants), so same-shaped systems share one code object.
     """
     n = system.dim
     emitter = ex.Emitter(system.coords)
     point = emitter.params
+    grad = [f"g{j}" for j in range(n)]
 
     def listed(items) -> str:
         return f"[{', '.join(items)}]"
@@ -214,23 +217,44 @@ def _blend_function(system: PiecewiseSystem, jacobian: bool):
         plus, minus = emitter.emit(plus_trees), emitter.emit(minus_trees)
         return [f"wp * {p} + wm * {m}" for p, m in zip(plus, minus)]
 
+    def band(inside: str, t: str, trees, names: Sequence[str], outside: str) -> list[str]:
+        # if inside: bind t, the name the trees read t from in this branch,
+        # and assign their values to names; else assign them outside
+        done = len(emitter.body)
+        values = emitter.emit(trees, {"t": t, **dict(zip(transition.x_names, point[:-1]))})
+        lines = [f"{t} = t", *emitter.body[done:], *map("{} = {}".format, names, values)]
+        del emitter.body[done:]
+        return [f"if {inside}:", *(f"    {line}" for line in lines),
+                "else:", *(f"    {name} = {outside}" for name in names)]
+
+    if transition is None:
+        params, body = ["psi", *grad, *point] if jacobian else ["psi", *point], []
+    else:  # the band tests of value, then of deriv_x and deriv_t
+        params, c_eps = ["time", "state"], emitter.constant(float(eps))
+        body = [*emitter.unpack("state"), f"t = {point[-1]} / {c_eps}",
+                *band("not (t < -1.0 or t > 1.0)", "tv", [transition.expression], ["psi"],
+                      "-1.0 if t < -1.0 else 1.0")]
     weights = ["wp = 0.5 * (1.0 + psi)", "wm = 0.5 * (1.0 - psi)"]
     if not jacobian:
         entries = blended(system.plus.components, system.minus.components)
-        return emitter.function(["psi", *point],
-                                [*emitter.body, *weights, f"return {listed(entries)}"])
-    grad = [f"g{j}" for j in range(n)]
+        return emitter.function(params, [*body, *emitter.body, *weights,
+                                         f"return {listed(entries)}"])
     entries = blended(system.plus._partial_trees, system.minus._partial_trees)
     rows = [entries[i * n:(i + 1) * n] for i in range(n)]
-    body = [*emitter.body, *weights,
-            f"if not ({' or '.join(grad)}):", f"    return {listed(map(listed, rows))}"]
+    body += [*emitter.body, *weights]
+    if transition is not None:
+        gradient = [*transition.gradient, *[ex.Const(0.0)] * n][:n - 1]  # 0 past x_names
+        body += [*band("-1.0 < t < 1.0", "tx", gradient, grad[:-1], "0.0"),
+                 *band("not (t <= -1.0 or t >= 1.0)", "tt", [transition.derivative],
+                       grad[-1:], "0.0"), f"{grad[-1]} = {grad[-1]} / {c_eps}"]
     done = len(emitter.body)
+    body += [f"if not ({' or '.join(grad)}):", f"    return {listed(map(listed, rows))}"]
     plus, minus = emitter.emit(system.plus.components), emitter.emit(system.minus.components)
     body += emitter.body[done:]
     body += [f"d{i} = 0.5 * ({p} - {m})" for i, (p, m) in enumerate(zip(plus, minus))]
     body.append("return " + listed(listed(f"{v} + d{i} * {g}" for v, g in zip(row, grad))
                                    for i, row in enumerate(rows)))
-    return emitter.function(["psi", *grad, *point], body)
+    return emitter.function(params, body)
 
 
 def system_from_strings(

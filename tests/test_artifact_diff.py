@@ -62,7 +62,8 @@ def test_a_tree_against_itself_is_identical():
          "--workload", "grid_sweep", "--seeds", "3"],
         capture_output=True, text=True)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert run.stdout == "identical: 17 of 17 artifacts\n"
+    assert run.stdout == ("identical: 17 of 17 artifacts\n"
+                          "jobs: 17, exit code and stderr identical in 17\n")
 
 
 def test_the_error_jobs_fail_as_built_and_compare_identical(tmp_path):
@@ -80,4 +81,5 @@ def test_the_error_jobs_fail_as_built_and_compare_identical(tmp_path):
     run = subprocess.run([sys.executable, tool, src, src, "--workload", "errors"],
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert run.stdout == "identical: 0 of 0 artifacts\n"
+    assert run.stdout == ("identical: 0 of 0 artifacts\n"
+                          "jobs: 17, exit code and stderr identical in 17\n")

@@ -441,7 +441,8 @@ def test_only_the_regularized_orbit_generates_the_blend(tmp_path, monkeypatch):
     built = []
     real = system_module._blend_function
     monkeypatch.setattr(system_module, "_blend_function",
-                        lambda system, jacobian: built.append(jacobian) or real(system, jacobian))
+                        lambda system, jacobian, *regularized:
+                        built.append(jacobian) or real(system, jacobian, *regularized))
     cfg = setup_cfg(tmp_path, FOLD_OVERSHOOT + "\n[run]\nx0 = -1, 0.5\nepsilons = 0.1\n")
     system = load_config(cfg).system
     assert not {"_blend", "_blend_jacobian"} & set(vars(system))

@@ -115,6 +115,17 @@ def test_coordinates_named_like_generated_slots():
     assert got == walked(trees, names, values) == (-3.0, 3.0 / 5.0 + 49.0, math.sin(7.0) * 2.0)
 
 
+def test_a_shared_subtree_is_computed_once(monkeypatch):
+    # differentiation and substitution reuse subtree objects; an equal tree
+    # that is a separate object is computed again
+    calls = []
+    monkeypatch.setitem(ex._NAMESPACE, "f_sqrt", lambda v: calls.append(v) or math.sqrt(v))
+    s = parse("sqrt(x) + 1")
+    fn = ex.compile([ex.mul(s, s), parse("sqrt(x) + 1")], ["x"])
+    assert fn(4.0) == (9.0, 3.0)
+    assert calls == [4.0, 4.0]
+
+
 def test_extra_positional_argument_overwrites_no_constant():
     fn = ex.compile([parse("3*x")], ["x"])
     assert fn(2.0) == (6.0,)

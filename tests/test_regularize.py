@@ -367,6 +367,35 @@ def test_generated_jacobian_keeps_the_partials_before_a_failing_psi_gradient():
     assert _first_error(lambda: regularized_jacobian(system, psi, 0.01, point)) == want
 
 
+# sqrt(1 - x) is undefined past x = 1; the first psi is undefined outside
+# the band, the second past x = 2, and its x-derivative divides by zero there
+SQRT_FOLD = system_from_strings(("x", "y"), ("1", "sqrt(1 - x)"), ("1", "1"))
+PSI_SQRT_T = "(3*t - t^3)/2 + 0.1*(1 - t^2)*sqrt(1 - t^2)"
+PSI_SQRT_X = "(3*t - t^3)/2 + 0.1*(1 - t^2)*sqrt(2 - x)"
+
+
+@pytest.mark.parametrize("psi, x, ts, want", [
+    # psi is not evaluated outside the band, not even by the error path
+    # (at t = 5 it would fail with -24.0): the field's error, everywhere
+    (PSI_SQRT_T, 1.5, (5.0, -5.0, 0.5, -0.5, 1.0, -1.0), "-0.5"),
+    # psi's error in the band and at its edges, the field's outside it
+    (PSI_SQRT_X, 2.5, (0.5, -0.5, 1.0, -1.0), "-0.5"),
+    (PSI_SQRT_X, 2.5, (5.0, -5.0), "-1.5"),
+    # psi is defined at x = 2: the field's error, and in the Jacobian the
+    # field Jacobian's, which comes before psi_x divides by zero
+    (PSI_SQRT_X, 2.0, (0.5, -0.5, 1.0, -1.0, 5.0), "-1.0"),
+], ids=["psi_undefined_outside_band", "psi_fails_in_band", "field_fails_outside_band",
+        "field_jacobian_before_psi_gradient"])
+def test_errors_come_in_the_order_of_the_calls(psi, x, ts, want):
+    transition = Custom(psi, ("x",))
+    for t in ts:
+        for entry in (regularized_field, regularized_jacobian):
+            with pytest.raises(DomainError) as err:
+                entry(SQRT_FOLD, transition, 0.1, [x, 0.1 * t])  # y/eps is t exactly
+            assert type(err.value) is DomainError
+            assert str(err.value) == f"sqrt of negative value {want}", (entry.__name__, t)
+
+
 def test_same_shaped_systems_share_the_generated_code():
     a = system_from_strings(("x", "y"), ("1.5", "2*x - y"), ("1", "exp(-3*y)"))
     b = system_from_strings(("u", "v"), ("-4", "0.5*u - v"), ("7", "exp(-0.25*v)"))
@@ -668,7 +697,7 @@ def test_breaks_of_a_custom_psi_are_its_ends_and_critical_points():
     ov = Overshoot(2.0)
     tf = overshoot_as_custom(ov)
     breaks, values = monotone_breaks(
-        lambda t: tf._core(t, (0.0,)), lambda t: tf._core_d(t, (0.0,)),
+        lambda t: tf.value(t, (0.0,)), lambda t: tf.deriv_t(t, (0.0,)),
         np.linspace(-1.0, 1.0, GRID_CELLS + 1).tolist())
     assert len(breaks) == 3
     assert breaks[0] == -1.0 and breaks[2] == 1.0
@@ -719,8 +748,8 @@ def test_verdicts_survive_rescaling_the_fields(scale, tf):
 
 
 def _psi_evaluations(monkeypatch, tf, run) -> int:
-    """Evaluations of psi while run() goes: value calls and direct _core
-    calls, a _core call made from inside value counting once."""
+    """Evaluations of psi while run() goes: value calls and direct calls of
+    the compiled psi, a call made from inside value counting once."""
     count = depth = 0
 
     def counting(method):
@@ -735,7 +764,7 @@ def _psi_evaluations(monkeypatch, tf, run) -> int:
         return wrapper
 
     monkeypatch.setattr(TransitionFunction, "value", counting(TransitionFunction.value))
-    monkeypatch.setattr(type(tf), "_core", counting(type(tf)._core))
+    monkeypatch.setattr(tf, "_psi", counting(tf._psi))
     run()
     return count
 

@@ -17,6 +17,7 @@ tree's ``src`` first on the path, through filippov.cli.run_command.  The
 report then lists:
 
 - how many artifacts are byte-identical, and each one that is not;
+- how many jobs ran, and in how many the exit code and stderr are alike;
 - per JSON key (list positions dropped, so ``grid[].roots[].t``) or CSV
   column, how many numbers changed among those the differing artifacts
   hold, and the largest |change|;
@@ -76,6 +77,11 @@ ERROR_JOBS = [
     ("integrate-regularized-sqrt", 1, ["integrate", "--mode", "regularized"], SQRT_ORBIT),
     ("integrate-regularized-zero-epsilon", 2, ["integrate", "--mode", "regularized",
                                                "--epsilon", "0"], SQRT_ORBIT),
+    # psi is undefined for |t| > 1, where it is never evaluated: the field fails first
+    ("integrate-regularized-psi-undefined-outside-band", 1,
+     ["integrate", "--mode", "regularized", "--epsilon", "0.1"],
+     SQRT_ORBIT + "[transition]\nkind = custom\n"
+     "expr = (3*t - t^3)/2 + 0.1*(1 - t^2)*sqrt(1 - t^2)\n"),
     ("cross-three-zeros", 1, ["cross"], CROSS.replace(
         "phi_kind = biased\nphi_t0 = 0.25", "phi_kind = custom\nphi_expr = (5*t^3 - 3*t)/2")),
     ("cross-no-section", 2, ["cross"], FOLD),
@@ -245,8 +251,12 @@ def compare(old: Path, new: Path, old_jobs: dict, new_jobs: dict) -> tuple[int, 
     return identical, differing, tally
 
 
-def report(identical: int, differing: list[str], tally: Tally) -> str:
-    lines = [f"identical: {identical} of {identical + len(differing)} artifacts"]
+def report(identical: int, differing: list[str], tally: Tally, old_jobs: dict,
+           new_jobs: dict) -> str:
+    jobs = old_jobs.keys() | new_jobs.keys()
+    alike = sum(old_jobs.get(job) == new_jobs.get(job) for job in jobs)
+    lines = [f"identical: {identical} of {identical + len(differing)} artifacts",
+             f"jobs: {len(jobs)}, exit code and stderr identical in {alike}"]
     lines += [f"differs: {name}" for name in differing]
     if tally.changed:
         width = max(map(len, tally.changed))
@@ -278,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         old_jobs = run_side(args.old.resolve(), work / "old", args)
         new_jobs = run_side(args.new.resolve(), work / "new", args)
         identical, differing, tally = compare(work / "old", work / "new", old_jobs, new_jobs)
-    print(report(identical, differing, tally))
+    print(report(identical, differing, tally, old_jobs, new_jobs))
     return 0 if not differing and not tally.flags else 1
 
 
