@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -63,8 +63,34 @@ from .system import CLASS_TOL, NotSlidingError, SigmaClass, classify_point
 BOUNDARY_BISECTION_TOL = 1e-12  # width at which a refined verdict boundary stops bisecting
 
 
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for the dicts with str
+    keys, lists, tuples, str, float, int, bool and None of a report, without
+    the pure-Python encoder that indent selects in json; ``indent`` is the
+    line break and indent of the value's line."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [inner + _json(v, inner) for v in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return f"{brackets[0]}{','.join(items)}{indent}{brackets[1]}" if items else brackets
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(_json(payload) + "\n")
 
 
 def _report_skeleton(cfg: SystemConfig) -> dict:

@@ -29,11 +29,13 @@ CURVE_SAMPLES = 21  # points of Z_WINDOW where the curve is measured
 
 
 class NonMonotoneTransitionError(Exception):
-    def __init__(self, which: str, count: int):
+    def __init__(self, which: str, count: int, unresolved: int = 0):
         self.which = which
         self.count = count
+        self.unresolved = unresolved
         super().__init__(
             f"transition {which} must have exactly one zero on [-1, 1], found {count}"
+            + (f" plus {unresolved} interval(s) where it is not proven monotone" if unresolved else "")
         )
 
 
@@ -79,11 +81,12 @@ def _blend(cs: CrossSystem, eps: float, eta: float, point: Sequence[float]) -> l
 def transition_zero(tf: TransitionFunction, which: str) -> float:
     """The unique zero of a transition on [-1, 1], its level set at 0.
 
-    Raises NonMonotoneTransitionError unless there is exactly one.
+    Raises NonMonotoneTransitionError unless there is exactly one and no
+    cell where psi is not proven monotone may hold another.
     """
-    zeros = tf.level_set(0.0)
-    if len(zeros) != 1:
-        raise NonMonotoneTransitionError(which, len(zeros))
+    zeros, unresolved = tf.level_set(0.0), tf.unresolved(0.0)
+    if len(zeros) != 1 or unresolved:
+        raise NonMonotoneTransitionError(which, len(zeros), len(unresolved))
     return zeros[0]
 
 

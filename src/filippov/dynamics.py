@@ -734,6 +734,8 @@ def track_manifold(
             witnesses.append((x, cert.witness))
         elif cert.degenerate:
             excluded.append((x, "height function degenerates"))
+        elif cert.unresolved:
+            excluded.append((x, "psi not proven monotone"))
         elif cert.roots:
             excluded.append((x, "only tangential roots"))
         else:

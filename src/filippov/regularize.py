@@ -24,11 +24,13 @@ lam being the Filippov weight; on the surface the blend at psi = r is the
 sliding field a slide steps.  So the zeros of h are a level set of psi,
 which TransitionFunction.level_set returns: in closed form for smoothstep
 and biased, else by monotone_zeros, one bisection per monotone piece of
-_pieces(x): overshoot's two branches, or for a custom psi the band ends and
-the critical points found on a grid of GRID_CELLS cells (once if psi uses
-no x).  A preimage within a tolerance lies only at a break.  One where
+_pieces(x): overshoot's two branches, or for a custom psi the pieces that
+interval enclosures of psi' and psi'' prove monotone on cells of the band,
+each halved at most MAX_CELL_DEPTH times (once if psi uses no x; see
+Custom).  A preimage within a tolerance lies only at a break.  One where
 psi' != 0 certifies a sliding band, no preimage certifies sewing, and
-everything else (tangential preimages, h = 0 identically) is indeterminate.
+everything else (tangential preimages, h = 0 identically, a cell not proven
+monotone where psi may take r) is indeterminate.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Sequence
+from typing import Callable, Container, NamedTuple, Sequence
 
 from . import expr as ex
 from . import system as system_module
@@ -46,10 +48,9 @@ from .system import PiecewiseSystem
 
 TRANSVERSALITY_TOL = 1e-8  # a root with |psi'| above this is transversal
 ZERO_TOL = 1e-10  # |psi - r| at or below this is a preimage at a custom psi's break
-GRID_CELLS = 512  # cells of the t-grid on [-1, 1] that a custom psi is sampled on
-ROOT_BISECTION_TOL = 1e-14  # width at which monotone_breaks and monotone_zeros stop bisecting
+MAX_CELL_DEPTH = 20  # halvings of [-1, 1] after which a cell of a custom psi is unproven
+ROOT_BISECTION_TOL = 1e-14  # width at which bisect_sign_change stops for breaks and zeros
 
-_VALIDATION_T = (-1.0, -1.5, -10.0, 1.0, 1.5, 10.0)
 _VALIDATION_X = (-1.0, -0.37, 0.0, 0.58, 1.0)
 
 
@@ -134,20 +135,23 @@ def monotone_breaks(
 
 
 def monotone_zeros(
-    f: Callable[[float], float], breaks: Sequence[float], values: Sequence[float], tol: float
+    f: Callable[[float], float], breaks: Sequence[float], values: Sequence[float], tol: float,
+    skip: Container[int] = (),
 ) -> list[float]:
     """The sorted zeros of f on [breaks[0], breaks[-1]].
 
     f is monotone between consecutive breaks, and values[k] = f(breaks[k]).
     A break whose value is within tol of 0 is a zero; a piece whose two ends
     lie beyond tol with opposite signs holds one zero, which bisection
-    finds.  A NaN value is no zero, and a piece with a NaN end holds none.
+    finds.  A NaN value is no zero, and a piece with a NaN end holds none,
+    nor does the piece from breaks[k] for each k in ``skip``.
     """
     out = []
     for k, v in enumerate(values):
         if abs(v) <= tol:
             out.append(breaks[k])
-        elif k + 1 < len(values) and abs(values[k + 1]) > tol and v * values[k + 1] < 0.0:
+        elif (k + 1 < len(values) and abs(values[k + 1]) > tol and v * values[k + 1] < 0.0
+              and k not in skip):
             out.append(bisect_sign_change(f, breaks[k], breaks[k + 1], ROOT_BISECTION_TOL, fa=v))
     return out
 
@@ -178,14 +182,21 @@ class TransitionFunction:
     def _dpsi_dx(self):
         return self._compiled(self.gradient, "[{}]")
 
-    def _compiled(self, trees, returned: str):
+    def _compiled(self, trees, returned: str, bounds: bool = False):
         """The trees as a function of a float t and x=() (x binding x_names by
-        position) that returns their values in the format ``returned``."""
+        position) that returns their values in the format ``returned``; with
+        ``bounds``, of the ends lo, hi of a t-cell and x=(), returning the
+        bounds lo, hi of each tree over the cell (expr.Emitter.enclose)."""
         emitter = ex.Emitter(self.x_names)
         head = emitter.unpack(f"x[:{len(self.x_names)}]") if self.x_names else []
-        values = emitter.emit(trees, {"t": "t", **emitter.slots})
-        return emitter.function(["t", "x=()"], [*head, *emitter.body,
-                                                f"return {returned.format(', '.join(values))}"])
+        if bounds:
+            params = ["lo", "hi", "x=()"]
+            points = {name: (slot, slot) for name, slot in emitter.slots.items()}
+            values = [*itertools.chain(*emitter.enclose(trees, {"t": ("lo", "hi"), **points}))]
+        else:
+            params, values = ["t", "x=()"], emitter.emit(trees, {"t": "t", **emitter.slots})
+        return emitter.function(params, [*head, *emitter.body,
+                                         f"return {returned.format(', '.join(values))}"])
 
     def value(self, t: float, x: Sequence[float] = ()) -> float:
         if t < -1.0:
@@ -210,14 +221,22 @@ class TransitionFunction:
 
     def level_set(self, r: float, x: Sequence[float] = ()) -> list[float]:
         """The sorted t in [-1, 1] with psi(x, t) = r, by monotone_zeros on
-        the pieces of _pieces(x)."""
-        breaks, values = self._pieces(x)
+        the pieces of _pieces(x); none is sought inside an unproven piece."""
+        breaks, values, unproven = self._pieces(x)
         psi = self._psi
         return monotone_zeros(lambda t: psi(t, x) - r, breaks, [v - r for v in values],
-                              self._zero_tol)
+                              self._zero_tol, unproven)
 
-    def _pieces(self, x: Sequence[float]) -> tuple[Sequence[float], Sequence[float]]:
-        """Breaks from -1 to 1 with psi(x, .) monotone between, and psi there."""
+    def unresolved(self, r: float, x: Sequence[float] = ()) -> list[tuple[float, float]]:
+        """The cells (t_lo, t_hi) of the band where psi(x, .) is not proven
+        monotone and may take the value r, which level_set does not search."""
+        return []
+
+    def _pieces(self, x: Sequence[float]) -> tuple[Sequence[float], Sequence[float],
+                                                   dict[int, tuple[float, float]]]:
+        """Breaks from -1 to 1, psi at them, and the unproven pieces: psi(x, .)
+        is monotone between consecutive breaks, but for the piece from
+        breaks[k] for each key k, whose value is bounds of psi on it."""
         raise NotImplementedError
 
 
@@ -266,7 +285,7 @@ class Overshoot(TransitionFunction):
 
     def _pieces(self, x):
         # psi is monotone on [-1, u] and on [u, 1], with exact values at the breaks
-        return (-1.0, self.u, 1.0), (-1.0, self.m, 1.0)
+        return (-1.0, self.u, 1.0), (-1.0, self.m, 1.0), {}
 
 
 def _overshoot_peak(m: float) -> float:
@@ -311,8 +330,20 @@ class Biased(TransitionFunction):
 @dataclass
 class Custom(TransitionFunction):
     """Transition given by an expression in (x_1, ..., x_{n-1}, t), whose
-    boundary values are checked at construction; psi' is its symbolic
-    t-derivative."""
+    boundary values psi(-1) = -1 and psi(1) = 1 are checked at construction;
+    psi' is its symbolic t-derivative.
+
+    Its pieces are proven monotone by interval enclosures of psi' and psi''
+    (expr.Emitter.enclose) over cells of the band, from [-1, 1] on.  A cell
+    where psi' >= 0 or psi' <= 0 throughout is monotone: non-strict, as a C1
+    psi has psi' = 0 at the band ends.  A cell where psi'' excludes 0 holds
+    one turn at most, where psi' changes sign between the cell's ends, which
+    bisecting psi' finds.  Any other cell is halved, and one left after
+    MAX_CELL_DEPTH halvings is unproven.  Adjacent cells of one direction
+    merge, so the breaks are the band ends, the turns and the ends of
+    unproven cells.  The pieces of a psi that uses no x are found once, and
+    otherwise kept for the last x.
+    """
 
     expression: ex.Expr
     x_names: tuple[str, ...] = ()
@@ -327,30 +358,79 @@ class Custom(TransitionFunction):
         extra = ex.free_vars(self.expression) - set(self.x_names) - {"t"}
         if extra:
             raise ValidationFailure(f"custom transition uses unknown variables {sorted(extra)}")
-        # a psi that uses no tangential coordinate is sampled once
         self._x_free = not ex.free_vars(self.expression) & set(self.x_names)
-        self._x_free_pieces: tuple[list[float], list[float]] | None = None
-        self._nodes = linspace(-1.0, 1.0, GRID_CELLS + 1)  # the t-grid psi is sampled on
+        self._last_pieces = None, None  # (x, or () for an x-free psi; its pieces)
         for x in itertools.product(_VALIDATION_X, repeat=len(self.x_names)):
-            for t in _VALIDATION_T:
-                want = -1.0 if t < 0 else 1.0
+            for t in (-1.0, 1.0):  # value holds these beyond the band
                 try:
                     got = self.value(t, x)
                 except ex.DomainError as exc:
                     raise ValidationFailure(f"psi({t}) undefined at x = {x}: {exc}") from exc
-                if not abs(got - want) <= 1e-12:  # a NaN psi fails too
+                if not abs(got - t) <= 1e-12:  # a NaN psi fails too
                     raise ValidationFailure(
-                        f"boundary value violated: psi({t}) = {got} at x = {x}, expected {want}"
+                        f"boundary value violated: psi({t}) = {got} at x = {x}, expected {t}"
                     )
 
+    @cached_property
+    def _slope_bounds(self):
+        return self._compiled([self.derivative, ex.differentiate(self.derivative, "t")], "{}",
+                              bounds=True)
+
+    @cached_property
+    def _psi_bounds(self):
+        return self._compiled([self.expression], "{}", bounds=True)
+
+    def unresolved(self, r, x=()):
+        breaks, _, unproven = self._pieces(x)
+        return [(breaks[k], breaks[k + 1]) for k, (lo, hi) in unproven.items()
+                if not (lo > r or hi < r)]  # NaN bounds hold r too
+
     def _pieces(self, x):
-        if self._x_free_pieces is not None:
-            return self._x_free_pieces
-        psi, dpsi = self._psi, self._dpsi_dt
-        pieces = monotone_breaks(lambda t: psi(t, x), lambda t: dpsi(t, x), self._nodes)
-        if self._x_free:
-            self._x_free_pieces = pieces
-        return pieces
+        key = () if self._x_free else tuple(x)
+        if self._last_pieces[0] == key:
+            return self._last_pieces[1]
+        psi, dpsi, slopes = self._psi, self._dpsi_dt, self._slope_bounds
+        breaks, values, unproven = [-1.0], [psi(-1.0, x)], {}
+        way = 0  # the sign of psi' on the piece open at breaks[-1], 0 while it is flat
+        sign = lambda v: (v > 0.0) - (v < 0.0)
+
+        def close(t):
+            breaks.append(t)
+            values.append(psi(t, x))
+
+        cells = [(-1.0, 1.0, MAX_CELL_DEPTH)]  # a stack, leftmost last, with halvings left
+        while cells:
+            lo, hi, left = cells.pop()
+            d1_lo, d1_hi, d2_lo, d2_hi = slopes(lo, hi, x)
+            runs = None  # (end, sign of psi') of the cell's monotone runs
+            if d1_lo >= 0.0 or d1_hi <= 0.0:  # 0 if psi' = 0 throughout
+                runs = [(hi, sign(d1_hi) if d1_lo >= 0.0 else sign(d1_lo))]
+            elif d2_lo > 0.0 or d2_hi < 0.0:  # psi' is monotone
+                s_lo, s_hi = dpsi(lo, x), dpsi(hi, x)
+                if s_lo * s_hi < 0.0:
+                    turn = bisect_sign_change(lambda t: dpsi(t, x), lo, hi, ROOT_BISECTION_TOL,
+                                              fa=s_lo)
+                    runs = [(turn, sign(s_lo)), (hi, sign(s_hi))]
+                elif not math.isnan(s_lo + s_hi):
+                    runs = [(hi, sign(s_lo + s_hi))]
+            if runs is None and left:
+                mid = 0.5 * (lo + hi)
+                cells += [(mid, hi, left - 1), (lo, mid, left - 1)]
+            elif runs is None:
+                if breaks[-1] != lo:
+                    close(lo)
+                close(hi)
+                unproven[len(breaks) - 2] = self._psi_bounds(lo, hi, x)
+                way = 0
+            else:
+                for end, run in runs:
+                    if run and way and run != way:
+                        close(lo)
+                    way, lo = run or way, end
+        if breaks[-1] != 1.0:
+            close(1.0)
+        self._last_pieces = key, (breaks, values, unproven)
+        return breaks, values, unproven
 
 
 def make_transition(kind: str, x_names: Sequence[str] = (), /, **params) -> TransitionFunction:
@@ -460,17 +540,29 @@ class DegenerateInterval:
     t_hi: float
 
 
+class UnresolvedInterval(NamedTuple):  # cheaper to build at import than a frozen dataclass
+    """psi is not proven monotone between t_lo and t_hi and may take the
+    level there, so h may vanish in it (see Custom)."""
+
+    t_lo: float
+    t_hi: float
+
+
+Found = HeightRoot | DegenerateInterval | UnresolvedInterval
+
+
 def height_roots(
     system: PiecewiseSystem,
     transition: TransitionFunction,
     x: Sequence[float] | float,
-) -> list[HeightRoot | DegenerateInterval]:
+) -> list[Found]:
     """Zeros of h(x, .) on [-1, 1].
 
     Where a_plus != a_minus they are the level set psi(x, .) = r with
-    r = -(a_plus + a_minus)/(a_plus - a_minus) = 2*lam - 1.  Where
-    a_plus = a_minus, h is the constant 2*a_plus: no zero, or a
-    DegenerateInterval over the band if it is 0.
+    r = -(a_plus + a_minus)/(a_plus - a_minus) = 2*lam - 1, followed by an
+    UnresolvedInterval for each cell where psi is not proven monotone and
+    may take the level.  Where a_plus = a_minus, h is the constant
+    2*a_plus: no zero, or a DegenerateInterval over the band if it is 0.
     """
     xs = system.tangential(x)
     a_plus, a_minus = system._normal_traces(*xs)
@@ -479,14 +571,15 @@ def height_roots(
     diff, tot = a_plus - a_minus, a_plus + a_minus
     if diff == 0.0:
         return [] if tot else [DegenerateInterval(-1.0, 1.0)]
-    out: list[HeightRoot | DegenerateInterval] = []
-    for t in transition.level_set(-tot / diff, xs):
+    r = -tot / diff
+    out: list[Found] = []
+    for t in transition.level_set(r, xs):
         slope = transition.deriv_t(t, xs)
         out.append(HeightRoot(t, slope * diff, slope))
-    return out
+    return out + [UnresolvedInterval(*cell) for cell in transition.unresolved(r, xs)]
 
 
-def most_transversal(found: Sequence[HeightRoot | DegenerateInterval]) -> HeightRoot | None:
+def most_transversal(found: Sequence[Found]) -> HeightRoot | None:
     """The transversal root of ``found`` with the largest |psi'|, if any."""
     transversal = [
         r for r in found if isinstance(r, HeightRoot) and abs(r.dpsi_dt) > TRANSVERSALITY_TOL
@@ -505,14 +598,16 @@ class SlidingCertificate:
     """Outcome of the height-function test at one surface point.
 
     ``witness`` is the most transversal root when sliding is certified.
-    Indeterminate is a first-class outcome: tangential roots or a
-    degenerate interval land here and are never coerced into a verdict.
+    Indeterminate is a first-class outcome: tangential roots, a degenerate
+    interval or an unresolved one land here and are never coerced into a
+    verdict.
     """
 
     verdict: Verdict
     roots: tuple[HeightRoot, ...]
     degenerate: tuple[DegenerateInterval, ...]
     witness: HeightRoot | None
+    unresolved: tuple[UnresolvedInterval, ...] = ()
 
 
 def certify(
@@ -523,11 +618,13 @@ def certify(
     """The height-function test at x.
 
     SlidingCertified when h(x, .) has a transversal zero in the band,
-    SewingCertified when it has no zero there, Indeterminate otherwise.
+    SewingCertified when it has no zero there and no unresolved interval,
+    Indeterminate otherwise.
     """
     found = height_roots(system, transition, x)
     roots = tuple(r for r in found if isinstance(r, HeightRoot))
     degenerate = tuple(r for r in found if isinstance(r, DegenerateInterval))
+    unresolved = tuple(r for r in found if isinstance(r, UnresolvedInterval))
     witness = most_transversal(found)
     if witness is not None:
         verdict = Verdict.SLIDING_CERTIFIED
@@ -535,4 +632,4 @@ def certify(
         verdict = Verdict.SEWING_CERTIFIED
     else:
         verdict = Verdict.INDETERMINATE
-    return SlidingCertificate(verdict, roots, degenerate, witness)
+    return SlidingCertificate(verdict, roots, degenerate, witness, unresolved)

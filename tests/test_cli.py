@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -565,3 +566,28 @@ def test_deterministic_reruns(tmp_path):
     for out in (a, b):
         assert run_command(["certify", "--config", cfg, "--out", str(out), "--grid=-1:1:101"]) == 0
     assert (a / "certificates.json").read_bytes() == (b / "certificates.json").read_bytes()
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+import numpy as np
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.floats().map(np.float64) | st.sampled_from([-0.0, 1e300, 5e-324, math.inf, math.nan]),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(value=JSON_VALUES)
+def test_reports_are_written_as_json_dumps_writes_them(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_a_value_json_cannot_write_is_refused():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        cli._json({"a": [1, {2}]})

@@ -8,6 +8,7 @@ coordinates are called, and share one code object per tree shape.
 import builtins
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,6 +64,92 @@ def test_compile_agrees_with_evaluate(trees, names, data):
     values = data.draw(st.tuples(*[VALUES] * len(names)))
     fn = ex.compile(trees, names)
     assert outcome(lambda: fn(*values)) == outcome(lambda: walked(trees, names, values))
+
+
+def enclosure(trees, names):
+    """Emitter.enclose's function of the bounds a0, b0, a1, b1, ... of names,
+    returning the bounds of each tree, flat."""
+    emitter = ex.Emitter(names)
+    slots = {name: (f"a{i}", f"b{i}") for i, name in enumerate(names)}
+    bounds = emitter.enclose(trees, slots)
+    params = [code for pair in slots.values() for code in pair]
+    return emitter.function(params, [*emitter.body, f"return ({', '.join(sum(bounds, ()))},)"])
+
+
+ENDS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e200, -1e200]))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(trees=st.lists(TREES, min_size=1, max_size=2), data=st.data())
+def test_an_enclosure_holds_every_value_its_box_gives(trees, data):
+    # every value evaluate computes at a point of the box, and so every
+    # value of a node, lies within the node's enclosure, by induction over
+    # the operations, and so does the exact value where it is rational; the
+    # enclosure itself never raises
+    box = [sorted(data.draw(st.tuples(ENDS, ENDS))) for _ in NAMES]
+    bounds = enclosure(trees, NAMES)(*[end for lo_hi in box for end in lo_hi])
+    for _ in range(4):
+        point = [data.draw(st.floats(lo, hi) if lo < hi else st.just(lo)) for lo, hi in box]
+        for k, tree in enumerate(trees):
+            try:
+                value = ex.evaluate(tree, dict(zip(NAMES, point)))
+            except (DomainError, ValueError):
+                continue
+            if not math.isnan(value):
+                assert bounds[2 * k] <= value <= bounds[2 * k + 1], (str(tree), box, point)
+            real = exact(tree, dict(zip(NAMES, map(Fraction, point))))
+            if real is not None and math.isfinite(bounds[2 * k]) and math.isfinite(bounds[2 * k + 1]):
+                assert Fraction(bounds[2 * k]) <= real <= Fraction(bounds[2 * k + 1]), str(tree)
+
+
+def exact(e, point):
+    """The value of a tree of + - * /, powers, neg, abs and sgn in rational
+    arithmetic, or None where it is undefined or uses another function."""
+    if isinstance(e, Const):
+        return Fraction(e.value)
+    if isinstance(e, Var):
+        return point[e.name]
+    if isinstance(e, Pow):
+        base = exact(e.base, point)
+        if base is None or base == 0 and e.exponent < 0:
+            return None
+        return base ** e.exponent
+    if isinstance(e, Unary):
+        v = exact(e.arg, point)
+        if v is None or e.op not in ("neg", "abs", "sgn"):
+            return None
+        return -v if e.op == "neg" else abs(v) if e.op == "abs" else Fraction((v > 0) - (v < 0))
+    a, b = exact(e.left, point), exact(e.right, point)
+    if a is None or b is None or e.op == "/" and b == 0:
+        return None
+    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else None}[e.op]
+
+
+@pytest.mark.parametrize("text, box, want", [
+    ("1/x", (-1.0, 2.0), (-math.inf, math.inf)),  # a divisor that holds 0
+    ("sqrt(x)", (-1e-300, 4.0), (-math.inf, math.inf)),  # an argument below 0
+    ("exp(x)", (0.0, 1000.0), (1.0, math.inf)),  # an overflow
+    ("x^3", (-1e200, 0.0), (-math.inf, 0.0)),
+    ("sin(x)", (-1.0, math.inf), (-1.0, 1.0)),
+    ("3*x^2 - 3*x^2", (0.0, 0.0), (0.0, 0.0)),  # exact zeros stay
+    ("x*x", (-2.0, 3.0), (-6.0, 9.0)),  # the same variable, bounded twice
+])
+def test_enclosures_of_edge_cases(text, box, want):
+    lo, hi = enclosure([parse(text)], ["x"])(*box)
+    assert lo <= want[0] and hi >= want[1]
+    assert lo == pytest.approx(want[0], rel=1e-12) and hi == pytest.approx(want[1], rel=1e-12)
+
+
+def test_an_enclosure_of_a_known_shape_compiles_nothing(monkeypatch):
+    compiled = []
+    real = builtins.compile
+    monkeypatch.setattr(builtins, "compile", lambda *a, **k: compiled.append(a) or real(*a, **k))
+    shape = "tanh({}*(1 + 0.5*x^2)*t)/tanh({}*(1 + 0.5*x^2))"
+    Custom(shape.format(1.25, 1.25), ("x",)).level_set(0.5, (0.3,))
+    calls = len(compiled)
+    tf = Custom(shape.format(2.5, 2.5), ("x",))
+    assert tf.level_set(0.5, (0.3,)) == pytest.approx([math.atanh(0.5 * math.tanh(2.6125)) / 2.6125])
+    assert len(compiled) == calls
 
 
 @pytest.mark.parametrize("op", ("neg",) + FUNCTIONS)

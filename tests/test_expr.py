@@ -308,3 +308,64 @@ def test_print_parse_round_trip_random_trees():
     for _ in range(300):
         e = build(4)
         assert parse(to_text(e)) == e
+
+
+# every interval rule against the exact operation at the ends of its
+# operands and between them: rational arithmetic for + - * /, powers, neg,
+# abs and sgn, squares for sqrt, and mpmath at 50 digits for the libm
+# functions (test-only oracles)
+mpmath = pytest.importorskip("mpmath")
+hypothesis = pytest.importorskip("hypothesis")
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+ENDS = st.one_of(st.floats(-10.0, 10.0), st.floats(-800.0, 800.0),
+                 st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, -1e300]))
+BOXES = st.tuples(ENDS, ENDS).map(sorted)
+EXACT = {
+    "+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b if b else None,
+    "neg": lambda a: -a, "abs": abs, "sgn": lambda a: Fraction((a > 0) - (a < 0)),
+}
+
+
+def points(box, data):
+    lo, hi = box
+    return [lo, hi] + ([data.draw(st.floats(lo, hi))] if lo < hi else [])
+
+
+def holds(bounds, value) -> bool:
+    """Whether (lo, hi) bounds an exact Fraction or mpf value."""
+    lo, hi = bounds
+    return (lo == -math.inf or lo <= value) and (hi == math.inf or value <= hi)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(a=BOXES, b=BOXES, n=st.integers(-4, 5), data=st.data())
+def test_each_interval_rule_bounds_the_exact_operation(a, b, n, data):
+    pa, pb = points(a, data), points(b, data)
+    for symbol, row in ex._OPERATORS.items():
+        bounds = row[3](*a, *b)
+        for u in pa:
+            for v in pb:
+                value = EXACT[symbol](Fraction(u), Fraction(v))
+                assert value is None or holds(bounds, value), (symbol, a, b, bounds, u, v)
+    pow_bounds = ex._NAMESPACE["i_pow"](*a, n)
+    neg_bounds = ex._NAMESPACE["i_neg"](*a)
+    for u in pa:
+        exact = Fraction(u)
+        assert exact == 0 and n < 0 or holds(pow_bounds, exact ** n), (a, n, pow_bounds, u)
+        assert holds(neg_bounds, -exact)
+        for name, row in ex._FUNCTIONS.items():
+            bounds = row[2](*a)
+            assert not (math.isnan(bounds[0]) or math.isnan(bounds[1]))
+            if name in EXACT:
+                assert holds(bounds, EXACT[name](exact)), (name, a, bounds, u)
+            elif name == "sqrt":
+                assert u < 0 or ((bounds[0] <= 0 or Fraction(bounds[0]) ** 2 <= exact)
+                                 and (bounds[1] == math.inf or Fraction(bounds[1]) ** 2 >= exact))
+            else:
+                with mpmath.workdps(50):
+                    value = getattr(mpmath, name)(mpmath.mpf(u))
+                    assert holds(bounds, value), (name, a, bounds, u)

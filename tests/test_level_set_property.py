@@ -1,21 +1,23 @@
 """Property tests: the closed-form level sets of the built-in transitions
 against a dense sign scan refined by scipy's brentq (a test-only oracle),
-and a custom psi's level sets against the built-in transition it spells."""
+a custom psi's level sets against the built-in transition it spells, and a
+custom psi's level sets and certificates against the scan."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 brentq = pytest.importorskip("scipy.optimize").brentq
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
-from filippov.regularize import Biased, Custom, Overshoot, Smoothstep
+from filippov.regularize import Biased, Custom, Overshoot, Smoothstep, Verdict, certify
+from filippov.system import system_from_strings
 
 SCAN_NODES = 4001
 
 
-def scanned_level_set(tf, r):
-    f = lambda t: tf.value(t) - r
+def scanned_level_set(psi, r):
+    f = lambda t: psi(t) - r
     ts = np.linspace(-1.0, 1.0, SCAN_NODES)
     fs = [f(float(t)) for t in ts]
     out = []
@@ -29,7 +31,7 @@ def scanned_level_set(tf, r):
 
 def check(tf, r):
     got = tf.level_set(r)
-    want = scanned_level_set(tf, r)
+    want = scanned_level_set(tf.value, r)
     assert len(got) == len(want), (got, want)
     assert got == sorted(got)
     # near a band edge or the overshoot's peak psi' is small and a preimage
@@ -83,3 +85,46 @@ def test_custom_overshoot_level_set(m, s, near_peak, e):
     want = ov.level_set(r)
     assert len(got) == len(want), (got, want)
     assert got == pytest.approx(want, abs=1e-10)
+
+
+# custom psi against the scan: families that keep psi(-1) = -1 and
+# psi(1) = 1, with and without the tangential coordinate x
+FAMILIES = {
+    "polynomial": "(3*t - t^3)/2 + ({a} + {b}*t{x})*(1 - t^2)^2",
+    "exp": "(3*t - t^3)/2 + ({a}{x})*(1 - t^2)*exp({b}*t)",
+    "tanh": "tanh({k}*t)/tanh({k}) + ({a} + {b}*t{x})*(1 - t^2)",
+}
+
+
+def level_system(r):
+    # a_plus = r - 1 and a_minus = r + 1 put the level of psi at r
+    return system_from_strings(("x", "y"), ("1", repr(r - 1.0)), ("1", repr(r + 1.0)))
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(family=st.sampled_from(sorted(FAMILIES)), a=st.floats(-1.5, 1.5), b=st.floats(-3.0, 3.0),
+       k=st.floats(0.3, 4.0), c=st.sampled_from([0.0, 0.5, -1.2]), x=st.floats(-1.0, 1.0),
+       u=st.floats(-1.0, 1.0), d=st.floats(-0.2, 0.2))
+def test_custom_certificates_agree_with_the_scan(family, a, b, k, c, x, u, d):
+    text = FAMILIES[family].format(a=repr(a), b=repr(b), k=repr(k), x=f" + {c!r}*x" if c else "")
+    tf = Custom(text, ("x",))
+    at = (x,)
+    psi = lambda t: tf.value(t, at)
+    values = [psi(float(t)) for t in np.linspace(-1.0, 1.0, SCAN_NODES)]
+    r = psi(u) + d
+    # the scan resolves every preimage of a level 1e-3 away from each value
+    # psi takes where the samples turn, the band ends included
+    turns = [values[0], values[-1]] + [
+        values[j] for j in range(1, SCAN_NODES - 1)
+        if (values[j] - values[j - 1]) * (values[j + 1] - values[j]) <= 0.0]
+    assume(min(abs(r - v) for v in turns) > 1e-3)
+    want = scanned_level_set(psi, r)
+    got = tf.level_set(r, at)
+    assert got == pytest.approx(want, abs=1e-9)
+    cert = certify(level_system(r), tf, x)
+    event(f"{cert.verdict.value}, {len(want)} preimages")
+    assert cert.unresolved == ()
+    if cert.verdict == Verdict.SLIDING_CERTIFIED:
+        assert any(abs(t - cert.witness.t) <= 1e-9 for t in want)
+    elif cert.verdict == Verdict.SEWING_CERTIFIED:
+        assert want == []

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from filippov.expr import DomainError
+from filippov import regularize
 from filippov.regularize import (
-    GRID_CELLS,
     Biased,
     Custom,
     DegenerateInterval,
@@ -14,6 +14,7 @@ from filippov.regularize import (
     Overshoot,
     Smoothstep,
     TransitionFunction,
+    UnresolvedInterval,
     ValidationFailure,
     Verdict,
     certify,
@@ -29,8 +30,13 @@ from filippov.regularize import (
 from filippov.system import SigmaClass, classify_point, system_from_strings
 
 from filippov.blowup import e_chart_field, f_chart_field
-from filippov.cross import double_regularized_field, stratified_slide_curve
-from filippov.dynamics import equilibria_on_manifold
+from filippov.cross import (
+    NonMonotoneTransitionError,
+    double_regularized_field,
+    stratified_slide_curve,
+    transition_zero,
+)
+from filippov.dynamics import NoSlidingAtError, equilibria_on_manifold, track_manifold
 from test_cross import attracting_cross
 
 
@@ -633,7 +639,7 @@ def test_overshoot_just_below_its_boundary_slides():
 
 
 def test_custom_level_set_scans_like_the_closed_form():
-    # the same cubic as a custom expression goes through the t-scan
+    # the same cubic as a custom expression goes through its proven pieces
     cubic = Custom("(3*t - t^3)/2")
     for r in (-1.0, -0.6, 0.0, 1.0 / 3.0, 0.95, 1.0, 1.2):
         got, want = cubic.level_set(r), Smoothstep().level_set(r)
@@ -698,7 +704,7 @@ def test_breaks_of_a_custom_psi_are_its_ends_and_critical_points():
     tf = overshoot_as_custom(ov)
     breaks, values = monotone_breaks(
         lambda t: tf.value(t, (0.0,)), lambda t: tf.deriv_t(t, (0.0,)),
-        np.linspace(-1.0, 1.0, GRID_CELLS + 1).tolist())
+        np.linspace(-1.0, 1.0, 513).tolist())
     assert len(breaks) == 3
     assert breaks[0] == -1.0 and breaks[2] == 1.0
     assert breaks[1] == pytest.approx(ov.u, abs=1e-12)
@@ -749,7 +755,8 @@ def test_verdicts_survive_rescaling_the_fields(scale, tf):
 
 def _psi_evaluations(monkeypatch, tf, run) -> int:
     """Evaluations of psi while run() goes: value calls and direct calls of
-    the compiled psi, a call made from inside value counting once."""
+    the compiled psi, a call made from inside value counting once, and for
+    a custom psi the calls of its enclosures too."""
     count = depth = 0
 
     def counting(method):
@@ -764,7 +771,9 @@ def _psi_evaluations(monkeypatch, tf, run) -> int:
         return wrapper
 
     monkeypatch.setattr(TransitionFunction, "value", counting(TransitionFunction.value))
-    monkeypatch.setattr(tf, "_psi", counting(tf._psi))
+    names = ["_psi", "_slope_bounds", "_psi_bounds"] if isinstance(tf, Custom) else ["_psi"]
+    for name in names:
+        monkeypatch.setattr(tf, name, counting(getattr(tf, name)))
     run()
     return count
 
@@ -778,18 +787,78 @@ def test_certify_does_not_scan_built_in_transitions(monkeypatch, tf):
         assert _psi_evaluations(monkeypatch, tf, lambda: certify(fold(), tf, x)) <= 100
 
 
-def test_certify_scans_a_custom_transition(monkeypatch):
-    # the counter above does see a scan
-    tf = Custom("(3*t - t^3)/2")
-    assert _psi_evaluations(monkeypatch, tf, lambda: certify(fold(), tf, -0.5)) >= 513
-
-
-def test_an_x_free_custom_transition_is_sampled_once(monkeypatch):
-    # the samples do not depend on r or x: a second certify only bisects
-    tf = Custom("(3*t - t^3)/2 + 0.8*(1 - t^2)^2")
-    assert _psi_evaluations(monkeypatch, tf, lambda: certify(fold(), tf, -0.5)) >= 513
-    for x in (-0.9, -0.5, 0.2, 0.45, 0.5):
+def test_certify_of_an_x_dependent_custom_transition_is_cheap(monkeypatch):
+    # a 513-node scan of psi per point is gone: a few enclosures prove the
+    # pieces, and one bisection finds the root
+    tf = Custom("tanh(3*t)/tanh(3) + 0.2*x*(1 - t^2)", ("x",))
+    verdicts = set()
+    for x in (-1.0, -0.9, -0.5, 0.0, 0.2, 0.5, 1.0):
         assert _psi_evaluations(monkeypatch, tf, lambda: certify(fold(), tf, x)) <= 100
+        verdicts.add(certify(fold(), tf, x).verdict)
+    assert Verdict.SLIDING_CERTIFIED in verdicts and Verdict.SEWING_CERTIFIED in verdicts
+
+
+def test_an_x_free_custom_transition_is_pieced_once(monkeypatch):
+    # the pieces do not depend on r or x: a second certify only bisects
+    tf = Custom("(3*t - t^3)/2 + 0.8*(1 - t^2)^2", ("x",))
+    calls, bounds = [], tf._slope_bounds
+    monkeypatch.setattr(tf, "_slope_bounds", lambda *a: calls.append(a) or bounds(*a))
+    assert certify(fold(), tf, -0.5).verdict == Verdict.SLIDING_CERTIFIED
+    first = len(calls)
+    assert first > 0
+    pieces = tf._pieces((-0.5,))
+    for x in (-0.9, -0.5, 0.2, 0.45, 0.5):
+        certify(fold(), tf, x)
+        assert tf._pieces((x,)) is pieces
+        assert _psi_evaluations(monkeypatch, tf, lambda: certify(fold(), tf, x)) <= 100
+    assert len(calls) == first
+
+
+def level_system(r: float):
+    # a_plus = r - 1 and a_minus = r + 1 put the level of psi at r
+    return system_from_strings(("x", "y"), ("1", repr(r - 1.0)), ("1", repr(r + 1.0)))
+
+
+SPIKE = "(3*t - t^3)/2 + 0.8*exp(-((t - 0.3)*10000)^2)"
+
+
+def test_a_spike_between_grid_nodes_slides():
+    # psi peaks at 1.2365 within 1e-4 of t = 0.3, between two nodes of a
+    # 513-node scan, which saw no turn and certified sewing at r = 1.1
+    tf = Custom(SPIKE)
+    cert = certify(level_system(1.1), tf, 0.0)
+    assert cert.verdict == Verdict.SLIDING_CERTIFIED
+    assert [round(r.t, 5) for r in cert.roots] == [0.29996, 0.30004]
+    assert cert.roots[0].dpsi_dt > 0 > cert.roots[1].dpsi_dt
+    for root in cert.roots:  # bisected to 1e-14 where psi' is near 5740
+        assert tf.value(root.t) == pytest.approx(1.1, abs=1e-10)
+    assert cert.unresolved == ()
+
+
+def test_an_unproven_cell_never_yields_a_verdict(monkeypatch):
+    # three halvings leave the spike's cell [0.25, 0.5] unproven
+    monkeypatch.setattr(regularize, "MAX_CELL_DEPTH", 3)
+    tf = Custom(SPIKE)
+    cert = certify(level_system(1.1), tf, 0.0)
+    assert cert.verdict == Verdict.INDETERMINATE
+    assert cert.roots == () and cert.unresolved == (UnresolvedInterval(0.25, 0.5),)
+    # a transversal root in a proven piece still certifies sliding
+    cert = certify(level_system(0.35), tf, 0.0)
+    assert cert.verdict == Verdict.SLIDING_CERTIFIED
+    assert cert.witness.t == pytest.approx(cubic_inverse(0.35), abs=1e-12)
+    assert cert.unresolved == (UnresolvedInterval(0.25, 0.5),)
+    # a level psi cannot take in the cell leaves it out
+    assert certify(level_system(-0.5), tf, 0.0).unresolved == ()
+    with pytest.raises(NoSlidingAtError, match="psi not proven monotone"):
+        track_manifold(level_system(1.1), tf, [0.1], [0.0])
+    # two halvings leave [0, 0.5], which may hold a second zero
+    monkeypatch.setattr(regularize, "MAX_CELL_DEPTH", 2)
+    tf = Custom(SPIKE)
+    with pytest.raises(NonMonotoneTransitionError) as err:
+        transition_zero(tf, "psi")
+    assert (err.value.count, err.value.unresolved) == (1, 1)
+    monkeypatch.undo()
+    assert transition_zero(Custom(SPIKE), "psi") == pytest.approx(0.0, abs=1e-14)
 
 
 def test_level_of_non_finite_components_is_an_error():
