@@ -53,9 +53,8 @@ The code comes from Emitter, which other generators share: a transition's
 psi and derivatives, and the regularized field, which inlines psi, both
 fields and their partials (system._blend_function).  Emitter.enclose emits
 interval code instead, cached the same way: bounds of each tree over a box
-of its variables, by rules that round every bound outward (Moore, Kearfott
-& Cloud, Introduction to Interval Analysis, SIAM 2009), which a custom
-transition proves its monotone pieces with.
+of its variables, by the rules of the interval module, which round every
+bound outward; a custom transition proves its monotone pieces with them.
 
 Each function and operator is defined once, in a row of _FUNCTIONS or
 _OPERATORS that evaluate, differentiate, substitute, the parser, the
@@ -72,6 +71,8 @@ import operator
 import types
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+from . import interval
 
 Bindings = dict[str, float]
 
@@ -244,143 +245,17 @@ class _Table(dict):
         raise ValueError(f"unknown {self.kind} {name!r}")
 
 
-# Interval rules: each maps the bounds of its operands to bounds (lo, hi) of
-# every value the operation takes over them, for the enclosures of
-# Emitter.enclose.  A bound is rounded outward: one float for the correctly
-# rounded + - * / and sqrt, LIBM_ULPS ulps for libm's exp, tanh, sin, cos and
-# integer powers.  No rule raises: a divisor that holds 0 or a sqrt argument
-# below 0 gives (-inf, inf), and an overflow an infinite bound.
-
-LIBM_ULPS = 4  # twice the largest error glibc documents for exp, tanh, sin, cos and pow
-_INF = math.inf
-_MAX = 1.7976931348623157e308
-_next = math.nextafter
-
-
-def _outward(lo: float, hi: float) -> tuple[float, float]:
-    """Nonzero bounds moved one float outward.  A sum or difference that
-    rounds to 0 is exact, and so is sqrt's."""
-    return (_next(lo, -_INF) if lo else lo), (_next(hi, _INF) if hi else hi)
-
-
-def _libm(lo: float, hi: float) -> tuple[float, float]:
-    """Bounds moved LIBM_ULPS ulps outward, and finite where an overflow
-    made them infinite on the wrong side."""
-    lo, hi = min(lo, _MAX), max(hi, -_MAX)
-    return lo - LIBM_ULPS * math.ulp(lo), hi + LIBM_ULPS * math.ulp(hi)
-
-
-def _add_bounds(al, ah, bl, bh):
-    return _outward(al + bl, ah + bh)
-
-
-def _mul_bounds(al, ah, bl, bh):
-    """The extreme products of the ends, picked by the operands' signs."""
-    if al >= 0.0:
-        lo, hi = (al * bl, ah * bh) if bl >= 0.0 else (ah * bl, al * bh) if bh <= 0.0 else (
-            ah * bl, ah * bh)
-    elif ah <= 0.0:
-        lo, hi = (al * bh, ah * bl) if bl >= 0.0 else (ah * bh, al * bl) if bh <= 0.0 else (
-            al * bh, al * bl)
-    elif bl >= 0.0:
-        lo, hi = al * bh, ah * bh
-    elif bh <= 0.0:
-        lo, hi = ah * bl, al * bl
-    else:
-        lo, hi = min(al * bh, ah * bl), max(al * bl, ah * bh)
-    # 0 * inf, where inf bounds finite values, is 0.  A product that rounds
-    # to 0 is exact but for an underflow, which the signs rule out unless a
-    # product of the other sign exists
-    if lo or al < 0.0 < bh or bl < 0.0 < ah:
-        lo = _next(lo, -_INF) if lo == lo else 0.0
-    if hi or al < 0.0 and bl < 0.0 or ah > 0.0 and bh > 0.0:
-        hi = _next(hi, _INF) if hi == hi else 0.0
-    return lo, hi
-
-
-def _div_bounds(al, ah, bl, bh):
-    if not (bl > 0.0 or bh < 0.0):  # NaN too
-        return -_INF, _INF
-    return _mul_bounds(al, ah, *_outward(1.0 / bh, 1.0 / bl))
-
-
-def _power(v: float, n: int) -> float:
-    try:
-        return v ** n
-    except OverflowError:
-        return -_INF if v < 0.0 and n % 2 else _INF
-
-
-def _pow_bounds(al, ah, n):
-    """[al, ah]^n for an integer n: monotone for odd n, in |v| for even n."""
-    if n == 0:
-        return 1.0, 1.0
-    if n < 0:
-        return _div_bounds(1.0, 1.0, *_pow_bounds(al, ah, -n))
-    if n % 2 == 0:
-        al, ah = (0.0 if al <= 0.0 <= ah else min(abs(al), abs(ah))), max(abs(al), abs(ah))
-        if n == 2:
-            return _mul_bounds(al, ah, al, ah)
-    lo, hi = _libm(_power(al, n), _power(ah, n))
-    # 0^n is exact; an even power is never negative
-    return (0.0 if al == 0.0 or n % 2 == 0 and lo < 0.0 else lo), (0.0 if ah == 0.0 else hi)
-
-
-def _monotone_bounds(f, floor: float, ceiling: float):
-    """The rule of a rising libm function f with values in [floor, ceiling]."""
-
-    def bounds(al, ah):
-        lo, hi = _libm(f(al), f(ah))
-        return max(lo, floor), min(hi, ceiling)
-    return bounds
-
-
-def _exp(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return _INF
-
-
-def _wave_bounds(f, crest: float):
-    """The rule of sin or cos, f, whose maxima lie at crest + 2k*pi and
-    minima half a turn on: f at the ends, and +-1 where an extremum may lie
-    within a slack that covers the rounding of locating it."""
-
-    def bounds(al, ah):
-        if not (-1e8 < al and ah < 1e8 and ah - al < 2.0 * math.pi):  # NaN too
-            return -1.0, 1.0
-        lo, hi = _libm(*sorted((f(al), f(ah))))
-        slack = 1e-12 * (1.0 + abs(al) + abs(ah))
-        for phase, extreme in ((crest, 1.0), (crest + math.pi, -1.0)):
-            k = math.ceil((al - slack - phase) / (2.0 * math.pi))
-            if phase + k * (2.0 * math.pi) <= ah + slack:
-                lo, hi = min(lo, extreme), max(hi, extreme)
-        return max(lo, -1.0), min(hi, 1.0)
-    return bounds
-
-
-def _sqrt_bounds(al, ah):
-    return (-_INF, _INF) if al < 0.0 else _outward(math.sqrt(al), math.sqrt(ah))
-
-
-def _abs_bounds(al, ah):
-    if al >= 0.0:
-        return al, ah
-    return (-ah, -al) if ah <= 0.0 else (0.0, max(-al, ah))
-
-
 # name -> (float function, derivative rule (arg, d arg) -> tree, interval
 # rule); abs differentiates to sgn and sgn to 0, both taken as 0 at the kink
 _FUNCTIONS = _Table("function", {
-    "sin": (math.sin, lambda a, da: mul(call("cos", a), da), _wave_bounds(math.sin, math.pi / 2)),
-    "cos": (math.cos, lambda a, da: neg(mul(call("sin", a), da)), _wave_bounds(math.cos, 0.0)),
-    "exp": (math.exp, lambda a, da: mul(call("exp", a), da), _monotone_bounds(_exp, 0.0, _INF)),
+    "sin": (math.sin, lambda a, da: mul(call("cos", a), da), interval.sin),
+    "cos": (math.cos, lambda a, da: neg(mul(call("sin", a), da)), interval.cos),
+    "exp": (math.exp, lambda a, da: mul(call("exp", a), da), interval.exp),
     "tanh": (math.tanh, lambda a, da: mul(sub(Const(1.0), powi(call("tanh", a), 2)), da),
-             _monotone_bounds(math.tanh, -1.0, 1.0)),
-    "sqrt": (math.sqrt, lambda a, da: div(da, mul(Const(2.0), call("sqrt", a))), _sqrt_bounds),
-    "abs": (abs, lambda a, da: mul(call("sgn", a), da), _abs_bounds),
-    "sgn": (_sgn, lambda a, da: Const(0.0), lambda al, ah: (_sgn(al), _sgn(ah))),
+             interval.tanh),
+    "sqrt": (math.sqrt, lambda a, da: div(da, mul(Const(2.0), call("sqrt", a))), interval.sqrt),
+    "abs": (abs, lambda a, da: mul(call("sgn", a), da), interval.absolute),
+    "sgn": (_sgn, lambda a, da: Const(0.0), interval.sgn),
 })
 FUNCTIONS = tuple(_FUNCTIONS)
 
@@ -388,12 +263,11 @@ FUNCTIONS = tuple(_FUNCTIONS)
 #            derivative rule (left, d left, right, d right) -> tree,
 #            interval rule)
 _OPERATORS = _Table("operator", {
-    "+": (add, operator.add, lambda a, da, b, db: add(da, db), _add_bounds),
-    "-": (sub, operator.sub, lambda a, da, b, db: sub(da, db),
-          lambda al, ah, bl, bh: _add_bounds(al, ah, -bh, -bl)),
-    "*": (mul, operator.mul, lambda a, da, b, db: add(mul(da, b), mul(a, db)), _mul_bounds),
+    "+": (add, operator.add, lambda a, da, b, db: add(da, db), interval.add),
+    "-": (sub, operator.sub, lambda a, da, b, db: sub(da, db), interval.sub),
+    "*": (mul, operator.mul, lambda a, da, b, db: add(mul(da, b), mul(a, db)), interval.mul),
     "/": (div, _divide, lambda a, da, b, db: div(sub(mul(da, b), mul(a, db)), powi(b, 2)),
-          _div_bounds),
+          interval.div),
 })
 _PRECEDENCE = (("+", "-"), ("*", "/"))  # the binary operators, loosest first
 
@@ -633,8 +507,8 @@ _NAMESPACE = {
     **{f"f_{name}": row[0] for name, row in _FUNCTIONS.items()},
     **{f"i_{name}": row[2] for name, row in _FUNCTIONS.items()},
     **{f"i_{row[0].__name__}": row[3] for row in _OPERATORS.values()},
-    "i_neg": lambda al, ah: (-ah, -al),
-    "i_pow": _pow_bounds,
+    "i_neg": interval.neg,
+    "i_pow": interval.power,
 }
 
 

@@ -26,11 +26,11 @@ which TransitionFunction.level_set returns: in closed form for smoothstep
 and biased, else by monotone_zeros, one bisection per monotone piece of
 _pieces(x): overshoot's two branches, or for a custom psi the pieces that
 interval enclosures of psi' and psi'' prove monotone on cells of the band,
-each halved at most MAX_CELL_DEPTH times (once if psi uses no x; see
-Custom).  A preimage within a tolerance lies only at a break.  One where
-psi' != 0 certifies a sliding band, no preimage certifies sewing, and
-everything else (tangential preimages, h = 0 identically, a cell not proven
-monotone where psi may take r) is indeterminate.
+each halved at most MAX_CELL_DEPTH times, MAX_CELLS cells at most (once if
+psi uses no x; see Custom).  A preimage within a tolerance lies only at a
+break.  One where psi' != 0 certifies a sliding band, no preimage certifies
+sewing, and everything else (tangential preimages, h = 0 identically, a
+cell not proven monotone where psi may take r) is indeterminate.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Callable, Container, NamedTuple, Sequence
 
 from . import expr as ex
@@ -49,6 +49,7 @@ from .system import PiecewiseSystem
 TRANSVERSALITY_TOL = 1e-8  # a root with |psi'| above this is transversal
 ZERO_TOL = 1e-10  # |psi - r| at or below this is a preimage at a custom psi's break
 MAX_CELL_DEPTH = 20  # halvings of [-1, 1] after which a cell of a custom psi is unproven
+MAX_CELLS = 256  # cells a custom psi's pieces test at one x; the rest of the band is unproven
 ROOT_BISECTION_TOL = 1e-14  # width at which bisect_sign_change stops for breaks and zeros
 
 _VALIDATION_X = (-1.0, -0.37, 0.0, 0.58, 1.0)
@@ -338,11 +339,15 @@ class Custom(TransitionFunction):
     where psi' >= 0 or psi' <= 0 throughout is monotone: non-strict, as a C1
     psi has psi' = 0 at the band ends.  A cell where psi'' excludes 0 holds
     one turn at most, where psi' changes sign between the cell's ends, which
-    bisecting psi' finds.  Any other cell is halved, and one left after
-    MAX_CELL_DEPTH halvings is unproven.  Adjacent cells of one direction
-    merge, so the breaks are the band ends, the turns and the ends of
-    unproven cells.  The pieces of a psi that uses no x are found once, and
-    otherwise kept for the last x.
+    bisecting psi' finds.  Both tests read the trees' derivatives, in which
+    sgn's is 0, so a jump of psi or psi' at a zero of a sgn argument (abs
+    differentiates to sgn) is kept out by a guard (_guarded).  Any other
+    cell is halved, and one left after MAX_CELL_DEPTH halvings is unproven,
+    as is the rest of the band once MAX_CELLS cells are tested.  Adjacent
+    cells of one direction merge, and adjacent unproven ones, so the breaks
+    are the band ends, the turns and the ends of unproven pieces.  The
+    pieces of a psi that uses no x are found once, and otherwise kept for
+    the last x.
     """
 
     expression: ex.Expr
@@ -373,7 +378,12 @@ class Custom(TransitionFunction):
 
     @cached_property
     def _slope_bounds(self):
-        return self._compiled([self.derivative, ex.differentiate(self.derivative, "t")], "{}",
+        # psi' jumps where psi does and psi'' where psi' does, which their
+        # trees miss, as sgn differentiates to 0: guards keep both tests off
+        # a cell that may hold such a jump
+        curvature = ex.differentiate(self.derivative, "t")
+        return self._compiled([_guarded(self.derivative, self.expression),
+                               _guarded(curvature, self.expression, self.derivative)], "{}",
                               bounds=True)
 
     @cached_property
@@ -385,42 +395,53 @@ class Custom(TransitionFunction):
         return [(breaks[k], breaks[k + 1]) for k, (lo, hi) in unproven.items()
                 if not (lo > r or hi < r)]  # NaN bounds hold r too
 
+    def _runs(self, lo, hi, x):
+        """The ends and signs of psi' (0 if flat) of the runs in which the
+        enclosures prove psi(x, .) monotone on [lo, hi], or None."""
+        d1_lo, d1_hi, d2_lo, d2_hi = self._slope_bounds(lo, hi, x)
+        if d1_lo >= 0.0 or d1_hi <= 0.0:  # 0 if psi' = 0 throughout
+            return [(hi, _sign(d1_hi) if d1_lo >= 0.0 else _sign(d1_lo))]
+        if not (d2_lo > 0.0 or d2_hi < 0.0):  # psi' may not be monotone
+            return None
+        dpsi = self._dpsi_dt
+        s_lo, s_hi = dpsi(lo, x), dpsi(hi, x)
+        if s_lo * s_hi < 0.0:
+            turn = bisect_sign_change(lambda t: dpsi(t, x), lo, hi, ROOT_BISECTION_TOL, fa=s_lo)
+            return [(turn, _sign(s_lo)), (hi, _sign(s_hi))]
+        return None if math.isnan(s_lo + s_hi) else [(hi, _sign(s_lo + s_hi))]
+
     def _pieces(self, x):
         key = () if self._x_free else tuple(x)
         if self._last_pieces[0] == key:
             return self._last_pieces[1]
-        psi, dpsi, slopes = self._psi, self._dpsi_dt, self._slope_bounds
+        psi = self._psi
         breaks, values, unproven = [-1.0], [psi(-1.0, x)], {}
         way = 0  # the sign of psi' on the piece open at breaks[-1], 0 while it is flat
-        sign = lambda v: (v > 0.0) - (v < 0.0)
 
         def close(t):
             breaks.append(t)
             values.append(psi(t, x))
 
         cells = [(-1.0, 1.0, MAX_CELL_DEPTH)]  # a stack, leftmost last, with halvings left
+        budget = MAX_CELLS
         while cells:
             lo, hi, left = cells.pop()
-            d1_lo, d1_hi, d2_lo, d2_hi = slopes(lo, hi, x)
-            runs = None  # (end, sign of psi') of the cell's monotone runs
-            if d1_lo >= 0.0 or d1_hi <= 0.0:  # 0 if psi' = 0 throughout
-                runs = [(hi, sign(d1_hi) if d1_lo >= 0.0 else sign(d1_lo))]
-            elif d2_lo > 0.0 or d2_hi < 0.0:  # psi' is monotone
-                s_lo, s_hi = dpsi(lo, x), dpsi(hi, x)
-                if s_lo * s_hi < 0.0:
-                    turn = bisect_sign_change(lambda t: dpsi(t, x), lo, hi, ROOT_BISECTION_TOL,
-                                              fa=s_lo)
-                    runs = [(turn, sign(s_lo)), (hi, sign(s_hi))]
-                elif not math.isnan(s_lo + s_hi):
-                    runs = [(hi, sign(s_lo + s_hi))]
+            if budget:
+                budget, runs = budget - 1, self._runs(lo, hi, x)
+            else:  # the rest of the band is left unproven
+                runs, hi, left = None, 1.0, 0
+                cells.clear()
             if runs is None and left:
                 mid = 0.5 * (lo + hi)
                 cells += [(mid, hi, left - 1), (lo, mid, left - 1)]
             elif runs is None:
-                if breaks[-1] != lo:
+                if len(breaks) - 2 in unproven and breaks[-1] == lo:  # extend that piece
+                    breaks.pop()
+                    values.pop()
+                elif breaks[-1] != lo:
                     close(lo)
                 close(hi)
-                unproven[len(breaks) - 2] = self._psi_bounds(lo, hi, x)
+                unproven[len(breaks) - 2] = None
                 way = 0
             else:
                 for end, run in runs:
@@ -429,8 +450,33 @@ class Custom(TransitionFunction):
                     way, lo = run or way, end
         if breaks[-1] != 1.0:
             close(1.0)
+        for k in unproven:
+            unproven[k] = self._psi_bounds(breaks[k], breaks[k + 1], x)
         self._last_pieces = key, (breaks, values, unproven)
         return breaks, values, unproven
+
+
+def _sign(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
+
+
+def _guarded(e: ex.Expr, *sources: ex.Expr) -> ex.Expr:
+    """e plus 0/u for each argument u of a sgn in ``sources`` that depends
+    on t, where the sgn jumps.  Over a cell where every such u keeps one
+    sign the enclosure of 0/u is 0, and elsewhere (-inf, inf)."""
+    def arguments(e):
+        if isinstance(e, ex.Unary):
+            yield from arguments(e.arg)
+            if e.op == "sgn" and "t" in ex.free_vars(e.arg):
+                yield e.arg
+        elif isinstance(e, ex.Binary):
+            yield from arguments(e.left)
+            yield from arguments(e.right)
+        elif isinstance(e, ex.Pow):
+            yield from arguments(e.base)
+
+    jumps = dict.fromkeys(u for source in sources for u in arguments(source))
+    return reduce(lambda acc, u: ex.add(acc, ex.div(ex.Const(0.0), u)), jumps, e)
 
 
 def make_transition(kind: str, x_names: Sequence[str] = (), /, **params) -> TransitionFunction:

@@ -3,6 +3,8 @@ against a dense sign scan refined by scipy's brentq (a test-only oracle),
 a custom psi's level sets against the built-in transition it spells, and a
 custom psi's level sets and certificates against the scan."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -118,8 +120,12 @@ def test_custom_certificates_agree_with_the_scan(family, a, b, k, c, x, u, d):
         values[j] for j in range(1, SCAN_NODES - 1)
         if (values[j] - values[j - 1]) * (values[j + 1] - values[j]) <= 0.0]
     assume(min(abs(r - v) for v in turns) > 1e-3)
-    want = scanned_level_set(psi, r)
-    got = tf.level_set(r, at)
+    agrees_with_the_scan(tf, x, r)
+
+
+def agrees_with_the_scan(tf, x, r):
+    want = scanned_level_set(lambda t: tf.value(t, (x,)), r)
+    got = tf.level_set(r, (x,))
     assert got == pytest.approx(want, abs=1e-9)
     cert = certify(level_system(r), tf, x)
     event(f"{cert.verdict.value}, {len(want)} preimages")
@@ -128,3 +134,67 @@ def test_custom_certificates_agree_with_the_scan(family, a, b, k, c, x, u, d):
         assert any(abs(t - cert.witness.t) <= 1e-9 for t in want)
     elif cert.verdict == Verdict.SEWING_CERTIFIED:
         assert want == []
+
+
+# psi' = (3 - 3t^2)/2 + A*(sgn(t - s) + s) with A = a + c*x jumps by 2A at
+# the kink s, which psi'' does not see: abs differentiates to sgn and sgn to
+# 0.  A is set so that psi' is e just left or right of s, so that for e < 0
+# psi dips or peaks beside the kink.  On each side psi' vanishes where
+# t^2 = 1 + 2A(s -+ 1)/3, so these, s and the band ends break psi into
+# monotone pieces, and brentq finds each preimage exactly.
+KINK = "(3*t - t^3)/2 + ({a}{x})*(abs(t - {s}) + {s}*t - 1)"
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(s=st.floats(-0.8, 0.8), e=st.floats(-0.1, 0.1), left=st.booleans(),
+       c=st.sampled_from([0.0, 0.5]), x=st.floats(-1.0, 1.0), f=st.floats(-0.5, 1.5))
+def test_custom_certificates_agree_with_exact_preimages_at_a_kink(s, e, left, c, x, f):
+    slope = (3.0 - 3.0 * s * s) / 2.0
+    big_a = (e - slope) / (s - 1.0) if left else (e - slope) / (s + 1.0)
+    tf = Custom(KINK.format(a=repr(big_a - c * x), s=repr(s), x=f" + {c!r}*x" if c else ""),
+                ("x",))
+    psi = lambda t: tf.value(t, (x,))
+    breaks = [-1.0, s, 1.0]
+    for side, lo, hi in ((-1.0, -1.0, s), (1.0, s, 1.0)):
+        q = 1.0 + 2.0 * big_a * (s + side) / 3.0
+        breaks += [t for t in (-math.sqrt(max(q, 0.0)), math.sqrt(max(q, 0.0))) if lo < t < hi]
+    breaks.sort()
+    # levels from psi at the kink to psi at the break next to it, and beyond
+    k = breaks.index(s)
+    near = min(breaks[k - 1], breaks[k + 1], key=lambda t: abs(t - s))
+    r = psi(s) + f * (psi(near) - psi(s))
+    assume(min(abs(r - psi(t)) for t in breaks) > 1e-9)
+    want = [brentq(lambda t: psi(t) - r, lo, hi, xtol=1e-15)
+            for lo, hi in zip(breaks, breaks[1:]) if (psi(lo) - r) * (psi(hi) - r) < 0.0]
+    # only a cell holding the kink may stay unproven, and no preimage in it is sought
+    cells = tf.unresolved(r, (x,))
+    assert all(lo <= s <= hi and hi - lo < 1e-5 for lo, hi in cells)
+    kept = [t for t in want if not any(lo < t < hi for lo, hi in cells)]
+    assert tf.level_set(r, (x,)) == pytest.approx(kept, abs=1e-6)
+    cert = certify(level_system(r), tf, x)
+    event(f"{cert.verdict.value}, {len(want)} preimages, {len(cells)} unproven")
+    if cert.verdict == Verdict.SLIDING_CERTIFIED:
+        assert any(abs(t - cert.witness.t) <= 1e-6 for t in want)
+    elif cert.verdict == Verdict.SEWING_CERTIFIED:
+        assert want == [] and cells == []
+
+
+@pytest.mark.parametrize("text, kink", [
+    ("(3*t - t^3)/2 + 2*(abs(t - 0.3) + 0.3*t - 1)", 0.3),
+    ("(3*t - t^3)/2 - 2*(abs(t + 0.3) - 0.3*t - 1)", -0.3),  # -psi(-t): a hidden maximum
+])
+def test_a_kink_hides_no_turn(text, kink):
+    # psi' is +0.006 and +3.7 at the ends of the cell [0.25, 0.5] and psi''
+    # is about [-1.5, -0.75] on it, but psi' jumps at the kink 0.3 and is
+    # negative on (0.258, 0.3), where psi dips by 7e-4: a cell holding the
+    # kink is never taken as monotone (the mirror image likewise)
+    tf = Custom(text)
+    turn = brentq(tf.deriv_t, *sorted((0.2 * kink / 0.3, 0.29 * kink / 0.3)))
+    ends = sorted((tf.value(kink), tf.value(turn)))
+    assert ends[1] - ends[0] == pytest.approx(7.1e-4, abs=1e-5)
+    for f in (0.1, 0.5, 0.9):
+        r = ends[0] + f * (ends[1] - ends[0])
+        want = scanned_level_set(tf.value, r)
+        assert len(want) == 4
+        assert tf.level_set(r) == pytest.approx(want, abs=1e-9)
+        assert certify(level_system(r), tf, 0.0).verdict == Verdict.SLIDING_CERTIFIED

@@ -861,6 +861,41 @@ def test_an_unproven_cell_never_yields_a_verdict(monkeypatch):
     assert transition_zero(Custom(SPIKE), "psi") == pytest.approx(0.0, abs=1e-14)
 
 
+def test_a_jump_of_psi_is_no_root():
+    # psi jumps from 0.2545 to 0.6185 at t = 0.3 and never takes 0.45.  sgn
+    # differentiates to 0, so no enclosure of psi' saw the jump, and
+    # bisection returned it as a transversal root
+    tf = Custom("(3*t - t^3)/2 + 0.2*(1 - t^2)*sgn(t - 0.3)")
+    cert = certify(level_system(0.45), tf, 0.0)
+    assert cert.verdict == Verdict.INDETERMINATE and cert.roots == ()
+    (cell,) = cert.unresolved
+    assert cell.t_lo < 0.3 < cell.t_hi and cell.t_hi - cell.t_lo < 1e-5
+    # away from the jump psi is proven monotone
+    cert = certify(level_system(0.0), tf, 0.0)
+    assert cert.verdict == Verdict.SLIDING_CERTIFIED and cert.unresolved == ()
+    assert tf.value(cert.witness.t) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("text", [
+    "(3*t - t^3)/2 + 0.1*(1 - t^2)/(t - t + 1e-9)",  # t - t encloses to 0 until a cell is 1e-9 wide
+    "(3*t - t^3)/2 + 0.01*(1 - t^2)*sin(1000000*t)",
+])
+def test_the_cells_tested_at_one_x_are_bounded(monkeypatch, text):
+    # enclosures that never narrow would halve every cell MAX_CELL_DEPTH
+    # times, about 2^20 cells at one x; past MAX_CELLS the rest of the band
+    # is one unproven piece
+    tf = Custom(text)
+    calls = []
+    for name in ("_slope_bounds", "_psi_bounds"):
+        bounds = getattr(tf, name)
+        monkeypatch.setattr(tf, name, lambda *a, bounds=bounds: calls.append(a) or bounds(*a))
+    cert = certify(level_system(0.3), tf, 0.0)
+    assert cert.verdict == Verdict.INDETERMINATE
+    assert cert.unresolved[-1].t_hi == 1.0
+    # one enclosure of psi' and psi'' per cell, one of psi per unproven piece
+    assert len(calls) <= regularize.MAX_CELLS + len(tf._pieces(())[2])
+
+
 def test_level_of_non_finite_components_is_an_error():
     # r = nan lies in no range, which must not read as a sewing certificate;
     # both normal components overflow at x = 0.5 (the parser refuses the
