@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .regularize import TransitionFunction, height
-from .system import PiecewiseSystem
+from .system import PiecewiseSystem, _floats
 
 if TYPE_CHECKING:
     import numpy as np
@@ -88,11 +88,10 @@ def e_chart_field(
     psi(x, ybar).  The chart has no eps-motion: epsbar is frozen, which is
     the fibration condition.
     """
-    import numpy as np
     if not epsbar >= 0:
         raise ValueError(f"epsbar must be nonnegative, got {epsbar}")
-    blended = np.array(_e_blend(system, transition, x, ybar, epsbar))
-    return np.concatenate(([blended[-1]], epsbar * blended[:-1]))
+    blended = _e_blend(system, transition, x, ybar, epsbar)
+    return _floats([blended[-1], *(epsbar * b for b in blended[:-1])])
 
 
 def f_chart_field(
@@ -115,7 +114,6 @@ def f_chart_field(
     the normal pair.  Valid for 0 <= epstil <= 1; beyond 1 the point leaves
     the saturated zone and the chart no longer represents X_eps.
     """
-    import numpy as np
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if not ytil >= 0:
@@ -123,9 +121,9 @@ def f_chart_field(
     if not 0.0 <= epstil <= 1.0:
         raise ValueError(f"epstil must lie in [0, 1], got {epstil}")
     field_def = system.plus if sign > 0 else system.minus
-    v = field_def.evaluate(np.array(system.tangential(x) + (sign * ytil,)))
+    v = field_def.values((*system.tangential(x), sign * ytil))
     a = sign * v[-1]  # F- flips the normal pair; the negation is exact
-    return np.concatenate(([ytil * a, -epstil * a], ytil * v[:-1]))
+    return _floats([ytil * a, -epstil * a, *(ytil * b for b in v[:-1])])
 
 
 @dataclass(frozen=True)
@@ -148,8 +146,7 @@ class SlowFastSystem:
 
     def slow_flow(self, x: Sequence[float] | float, ybar: float) -> np.ndarray:
         """Slow velocities beta on the divisor; meaningful on the residual's zero set."""
-        import numpy as np
-        return np.array(_e_blend(self.system, self.transition, x, ybar, 0.0)[:-1])
+        return _floats(_e_blend(self.system, self.transition, x, ybar, 0.0)[:-1])
 
     def fast_flow(self, x: Sequence[float] | float, ybar: float) -> float:
         """ybar' = alpha at frozen x on the divisor (equals half the height)."""

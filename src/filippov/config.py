@@ -70,8 +70,8 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     sections: dict[str, dict[str, tuple[str, int]]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()  # no value can hold a '#'
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
@@ -149,20 +149,16 @@ def _components(value: str, lineno: int, what: str, count: int) -> tuple[ex.Expr
     return tuple(_parse_expr(p, lineno, what) for p in parts)
 
 
-def _normalize_surface(
-    coords: tuple[str, ...], sigma_text: str, lineno: int,
-    components: tuple[ex.Expr, ...],
-) -> tuple[ex.Expr, ...]:
-    """Rewrite components into the chart where the surface is {y = 0}.
+def _surface_chart(coords: tuple[str, ...], sigma_text: str, lineno: int):
+    """The change into the chart where the surface is {y = 0}, as the shift
+    y <- y + g(x) and the slopes dg/dx_i, or None where sigma is y itself.
 
     Accepts the bare normal coordinate or ``y - g(x)`` with g free of y.
-    The new normal velocity is a - sum_i dg/dx_i * b_i, everything
-    expressed through the shifted y.
     """
     y = coords[-1]
     sigma = _parse_expr(sigma_text, lineno, "sigma")
     if sigma == ex.Var(y):
-        return components
+        return None
     if not (isinstance(sigma, ex.Binary) and sigma.op == "-" and sigma.left == ex.Var(y)):
         raise ConfigError(
             f"sigma must be {y!r} or '{y} - g(...)' in the tangential coordinates", lineno
@@ -171,15 +167,13 @@ def _normalize_surface(
     extra = ex.free_vars(g) - set(coords[:-1])
     if extra:
         raise ConfigError(f"sigma offset may not involve {sorted(extra)}", lineno)
-    shift = {y: ex.add(ex.Var(y), g)}
-    shifted = tuple(ex.substitute(c, shift) for c in components)
-    normal = shifted[-1]
-    for name, comp in zip(coords[:-1], shifted[:-1]):
-        normal = ex.sub(normal, ex.mul(ex.differentiate(g, name), comp))
-    return shifted[:-1] + (normal,)
+    return {y: ex.add(ex.Var(y), g)}, [ex.differentiate(g, name) for name in coords[:-1]]
 
 
 def _build_system(sec: dict[str, tuple[str, int]]) -> PiecewiseSystem:
+    """The two fields in the chart of sigma, which is parsed once for both:
+    each component is shifted, and the new normal velocity is
+    a - sum_i dg/dx_i * b_i, everything expressed through the shifted y."""
     for key, (_, lineno) in sec.items():
         if key not in ("coords", "sigma", "x_plus", "x_minus"):
             raise ConfigError(f"unknown [system] key {key!r}", lineno)
@@ -189,22 +183,24 @@ def _build_system(sec: dict[str, tuple[str, int]]) -> PiecewiseSystem:
     coords = tuple(c.strip() for c in coords_text.split(",") if c.strip())
     if len(coords) < 2:
         raise ConfigError("need at least two coordinates", lineno)
-    fields = {}
+    chart = _surface_chart(coords, *sec.get("sigma", (coords[-1], 0)))
+    fields = []
     for key in ("x_plus", "x_minus"):
         if key not in sec:
             raise ConfigError(f"[system] is missing {key!r}")
         value, vline = sec[key]
         comps = _components(value, vline, key, len(coords))
-        sigma_text, sline = sec.get("sigma", (coords[-1], 0))
-        comps = _normalize_surface(coords, sigma_text, sline, comps)
+        if chart is not None:
+            shift, slopes = chart
+            *tangent, normal = (ex.substitute(c, shift) for c in comps)
+            for slope, comp in zip(slopes, tangent):
+                normal = ex.sub(normal, ex.mul(slope, comp))
+            comps = (*tangent, normal)
         try:
-            fields[key] = VectorFieldDef(coords, comps)
+            fields.append(VectorFieldDef(coords, comps))
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}", vline) from exc
-    try:
-        return PiecewiseSystem(fields["x_plus"], fields["x_minus"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return PiecewiseSystem(*fields)  # both fields share coords
 
 
 def _build_transition(

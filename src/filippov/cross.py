@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .regularize import TransitionFunction, linspace
-from .system import VectorFieldDef
+from .system import VectorFieldDef, _floats
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,10 +60,9 @@ def double_regularized_field(
     cs: CrossSystem, eps: float, eta: float, point: Sequence[float]
 ) -> np.ndarray:
     """Blend of the four quadrant fields at a point of (x, y, z)."""
-    import numpy as np
     if not eps > 0 or not eta > 0:
         raise ValueError(f"band widths must be positive, got eps={eps}, eta={eta}")
-    return np.array(_blend(cs, eps, eta, cs.fields[1, 1]._point(point)))
+    return _floats(_blend(cs, eps, eta, cs.fields[1, 1]._point(point)))
 
 
 def _blend(cs: CrossSystem, eps: float, eta: float, point: Sequence[float]) -> list[float]:

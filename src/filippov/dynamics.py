@@ -63,6 +63,7 @@ from .regularize import (
 from .system import (
     PiecewiseSystem,
     SigmaClass,
+    _floats,
     classify_point,
     filippov_jacobian,
     filippov_tangent,
@@ -77,7 +78,7 @@ REL_TOL = 1e-7
 MIN_STEP = 1e-13
 EVENT_TIME_TOL = 1e-12
 MAX_EVENTS = 10_000
-MAX_STEPS = 1_000_000  # step attempts, accepted or rejected, per integrate call or hybrid run
+MAX_STEPS = 1_000_000  # step attempts, accepted or rejected, per integrate call, segment or slide
 EQ_SAMPLES = 601  # x-grid on which equilibria_on_manifold samples g
 EQ_TOL = 1e-9  # a break of g (see monotone_breaks) with |g| at or below this is a zero
 # |y| below this counts as sitting on the surface; crossings are only
@@ -172,12 +173,6 @@ class Trajectory:
         return _floats([_hermite(s, h, *node) for node in nodes])
 
 
-def _floats(rows: Sequence) -> np.ndarray:
-    """rows as a float array; numpy is imported here, on first use."""
-    import numpy as np
-    return np.array(rows, dtype=float)
-
-
 def _hermite(s: float, h: float, y0: float, f0: float, y1: float, f1: float) -> float:
     """The cubic Hermite interpolant of a step of length h through (y0, f0)
     and (y1, f1), at s = (t - t0)/h."""
@@ -213,6 +208,7 @@ class _Recorder:
 
     push keeps the sequences it is given, which nothing changes afterwards.
     A node or event one component short, a slide's, is lifted onto y = 0.
+    An orbit ends in close, or in fail where an error stops it.
     """
 
     def __init__(self, dim: int):
@@ -230,16 +226,33 @@ class _Recorder:
         self.states.append(y)
         self.derivs.append(f)
 
-    def pop(self):
-        del self.times[-1], self.states[-1], self.derivs[-1]
-
-    def event(self, t, y, kind: EventKind):
+    def event(self, t, y, kind: EventKind, f=None):
+        """Record an event at (t, y).  With the derivative f, the node
+        (t, y, f) first replaces the last node, the end of the step that
+        reached the event."""
         if len(y) < self.dim:
             y = [*y, 0.0]
+        if f is not None:
+            self.times[-1], self.states[-1], self.derivs[-1] = t, y, f
         self.events.append(Event(t, tuple(y), kind))
 
     def build(self) -> Trajectory:
         return Trajectory(self.times, self.states, self.derivs, self.events, self.stats)
+
+    def close(self, t, y) -> Trajectory:
+        """The trajectory; the start (t, y) is its one node if nothing was
+        recorded."""
+        if not self.times:
+            self.push(t, y, [0.0] * self.dim)
+        return self.build()
+
+    def fail(self, exc: Exception, t, y) -> None:
+        """End the orbit with a StepFailure at its last node, or at the start
+        (t, y) if it has none, and attach it to exc as its trajectory."""
+        if self.times:
+            t, y = self.times[-1], self.states[-1]
+        self.event(t, y, EventKind.STEP_FAILURE)
+        exc.trajectory = self.close(t, y)
 
 
 def _rms(values, scales) -> float:
@@ -435,8 +448,8 @@ def integrate(
     event ends the trajectory early if the adaptive controller underflows
     its minimum step or MAX_STEPS runs out before t_end.  An
     UnresolvedSingularityError or DomainError raised by fn or jac leaves
-    with the nodes accepted before it as its trajectory, or with None if fn
-    raised it at the first node.
+    with the nodes accepted before it, ended by a StepFailure event, as its
+    trajectory: the start x0 alone if fn raised it at the first node.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not -math.inf < t0 <= t_end < math.inf:  # NaN fails it too
@@ -446,10 +459,9 @@ def integrate(
     try:
         _run(rec, fn, y, t0, t_end, None, jac)
     except (UnresolvedSingularityError, ex.DomainError) as exc:
-        if rec.times:  # an error at the first node leaves no trajectory
-            exc.trajectory = rec.build()
+        rec.fail(exc, t0, y)
         raise
-    return rec.build()
+    return rec.close(t0, y)
 
 
 def _run(rec: _Recorder, fn, y: list[float], t: float, t_end: float, stop, jac) -> tuple | None:
@@ -575,9 +587,7 @@ def integrate_filippov(
                 target = -region * SURFACE_BAND / 2.0
             t, state = _locate(lambda tt, s: s[-1] - target, *step, _far_side(region, *step))
             state[-1] = 0.0
-            orbit.pop()  # the hit replaces the end node of the step
-            orbit.push(t, state, fn(t, state))
-            orbit.event(t, state, EventKind.SIGMA_HIT)
+            orbit.event(t, state, EventKind.SIGMA_HIT, fn(t, state))
             if classify_point(system, state[:-1]) == SigmaClass.SIGMA_SINGULAR:
                 raise UnresolvedSingularityError(t, state, None)
             # Sliding: the loop re-enters through the surface branch above.
@@ -586,13 +596,9 @@ def integrate_filippov(
             if t < t_end - EVENT_TIME_TOL:  # max_events ran out
                 orbit.event(t, state, EventKind.STEP_FAILURE)
     except (UnresolvedSingularityError, ex.DomainError) as exc:
-        # end the orbit at its last node with a StepFailure, and leave with it
-        if orbit.times:
-            t, state = orbit.times[-1], orbit.states[-1]
-        orbit.event(t, state, EventKind.STEP_FAILURE)
-        exc.trajectory = _close(orbit, t, state)
+        orbit.fail(exc, t, state)
         raise
-    return _close(orbit, t, state)
+    return orbit.close(t, state)
 
 
 def _slide(system, orbit, t, state, t_end):
@@ -626,9 +632,8 @@ def _slide(system, orbit, t, state, t_end):
     state = x + [0.0]
     a_plus, a_minus = system.normal_components_on_sigma(x)
     exit_side = 1 if abs(a_plus) <= abs(a_minus) else -1
-    orbit.pop()  # the exit replaces the end node of the step
-    orbit.push(t, state, (system.plus if exit_side > 0 else system.minus).values(state))
-    orbit.event(t, state, EventKind.SLIDE_EXIT)
+    exit_field = system.plus if exit_side > 0 else system.minus
+    orbit.event(t, state, EventKind.SLIDE_EXIT, exit_field.values(state))
     return t, state, exit_side
 
 
@@ -677,12 +682,6 @@ def _far_side(region, t0, y0, f0, t1, y1, f1) -> float | None:
             if beyond(_hermite(s, h, p0, f0[-1], p1, f1[-1])):
                 return t0 + s * h
     return None
-
-
-def _close(orbit: _Recorder, t: float, state: Sequence[float]) -> Trajectory:
-    if not orbit.times:  # nothing was integrated: the orbit is its start
-        orbit.push(t, state, [0.0] * orbit.dim)
-    return orbit.build()
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ every tree:
   (division by zero, 0^-2, sqrt(-1), overflow, sin(inf)), it walks the
   trees it inlines with evaluate(), in emission order, on the same values,
   all but those of a branch that did not run.
-  evaluate() raises wherever the generated code does (a DomainError, or
-  the bare ValueError of sin(inf)), so the error is the tree walk's.
+  evaluate() raises a DomainError wherever the generated code raises, so
+  the error is the tree walk's.
 - **Cached by shape.** No name or number from the trees enters the
   generated source: variables are the positional slots v0, v1, ... in the
   order of ``names``, constants and exponents are the variables c0, c1,
@@ -212,21 +212,13 @@ def powi(base: Expr, exponent: int) -> Expr:
 def call(fn: str, arg: Expr) -> Expr:
     _FUNCTIONS[fn]  # an unknown name is an error even on a variable
     if isinstance(arg, Const):
-        with contextlib.suppress(DomainError, ValueError):  # sin(inf) is a bare ValueError
+        with contextlib.suppress(DomainError):
             return Const(_apply_function(fn, arg.value))
     return Unary(fn, arg)
 
 
 # ---------------------------------------------------------------------------
 # the functions and operators of the language, one row each
-
-def _sgn(v: float) -> float:
-    if v > 0.0:
-        return 1.0
-    if v < 0.0:
-        return -1.0
-    return 0.0
-
 
 def _divide(a: float, b: float) -> float:
     if b == 0.0:
@@ -255,7 +247,7 @@ _FUNCTIONS = _Table("function", {
              interval.tanh),
     "sqrt": (math.sqrt, lambda a, da: div(da, mul(Const(2.0), call("sqrt", a))), interval.sqrt),
     "abs": (abs, lambda a, da: mul(call("sgn", a), da), interval.absolute),
-    "sgn": (_sgn, lambda a, da: Const(0.0), interval.sgn),
+    "sgn": (interval.sign, lambda a, da: Const(0.0), interval.sgn),
 })
 FUNCTIONS = tuple(_FUNCTIONS)
 
@@ -457,6 +449,8 @@ def _apply_function(fn: str, v: float) -> float:
         return function(v)
     except OverflowError as exc:
         raise DomainError(f"overflow in {fn}({v})") from exc
+    except ValueError as exc:  # libm's domain error, as of sin(inf)
+        raise DomainError(f"{fn} undefined at {v}") from exc
 
 
 def _pow_value(base: float, exponent: int) -> float:
@@ -473,8 +467,9 @@ def _pow_value(base: float, exponent: int) -> float:
 def evaluate(e: Expr, bindings: Bindings) -> float:
     """Evaluate ``e`` at the given variable values.
 
-    Division by zero and sqrt of a negative raise DomainError rather than
-    producing NaN or infinity.
+    Division by zero, sqrt of a negative, an overflow and a function
+    outside its domain (sin(inf)) raise DomainError rather than producing
+    NaN or infinity.
     """
     if isinstance(e, Const):
         return e.value

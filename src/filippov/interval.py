@@ -134,12 +134,14 @@ def sqrt(al, ah):
     return (-_INF, _INF) if al < 0.0 else _outward(math.sqrt(al), math.sqrt(ah))
 
 
-def _sign(v: float) -> float:
+def sign(v: float) -> float:
+    """The float sign function, sgn's in the language: 1.0, -1.0, or 0.0 at
+    0 and NaN.  Rising, so sgn's rule is sign at the ends."""
     return 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0
 
 
 def sgn(al, ah):
-    return _sign(al), _sign(ah)
+    return sign(al), sign(ah)
 
 
 def absolute(al, ah):

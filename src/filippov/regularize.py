@@ -21,9 +21,10 @@ a_plus != a_minus, h vanishes exactly where psi(x, t) = r with
     r = -(a_plus + a_minus)/(a_plus - a_minus) = 2*lam - 1,
 
 lam being the Filippov weight; on the surface the blend at psi = r is the
-sliding field a slide steps.  So the zeros of h are a level set of psi,
-which TransitionFunction.level_set returns: in closed form for smoothstep
-and biased, else by monotone_zeros, one bisection per monotone piece of
+sliding field a slide steps, and both read r from system._sliding_level.
+So the zeros of h are a level set of psi, which TransitionFunction.level_set
+returns: in closed form for smoothstep and biased, else by
+monotone_zeros, one bisection per monotone piece of
 _pieces(x): overshoot's two branches, or for a custom psi the pieces that
 interval enclosures of psi' and psi'' prove monotone on cells of the band,
 each halved at most MAX_CELL_DEPTH times, MAX_CELLS cells at most (once if
@@ -44,6 +45,7 @@ from typing import Callable, Container, NamedTuple, Sequence
 
 from . import expr as ex
 from . import system as system_module
+from .interval import sign
 from .system import PiecewiseSystem
 
 TRANSVERSALITY_TOL = 1e-8  # a root with |psi'| above this is transversal
@@ -400,15 +402,15 @@ class Custom(TransitionFunction):
         enclosures prove psi(x, .) monotone on [lo, hi], or None."""
         d1_lo, d1_hi, d2_lo, d2_hi = self._slope_bounds(lo, hi, x)
         if d1_lo >= 0.0 or d1_hi <= 0.0:  # 0 if psi' = 0 throughout
-            return [(hi, _sign(d1_hi) if d1_lo >= 0.0 else _sign(d1_lo))]
+            return [(hi, sign(d1_hi) if d1_lo >= 0.0 else sign(d1_lo))]
         if not (d2_lo > 0.0 or d2_hi < 0.0):  # psi' may not be monotone
             return None
         dpsi = self._dpsi_dt
         s_lo, s_hi = dpsi(lo, x), dpsi(hi, x)
         if s_lo * s_hi < 0.0:
             turn = bisect_sign_change(lambda t: dpsi(t, x), lo, hi, ROOT_BISECTION_TOL, fa=s_lo)
-            return [(turn, _sign(s_lo)), (hi, _sign(s_hi))]
-        return None if math.isnan(s_lo + s_hi) else [(hi, _sign(s_lo + s_hi))]
+            return [(turn, sign(s_lo)), (hi, sign(s_hi))]
+        return None if math.isnan(s_lo + s_hi) else [(hi, sign(s_lo + s_hi))]
 
     def _pieces(self, x):
         key = () if self._x_free else tuple(x)
@@ -454,10 +456,6 @@ class Custom(TransitionFunction):
             unproven[k] = self._psi_bounds(breaks[k], breaks[k + 1], x)
         self._last_pieces = key, (breaks, values, unproven)
         return breaks, values, unproven
-
-
-def _sign(v: float) -> int:
-    return (v > 0.0) - (v < 0.0)
 
 
 def _guarded(e: ex.Expr, *sources: ex.Expr) -> ex.Expr:
@@ -604,20 +602,19 @@ def height_roots(
 ) -> list[Found]:
     """Zeros of h(x, .) on [-1, 1].
 
-    Where a_plus != a_minus they are the level set psi(x, .) = r with
-    r = -(a_plus + a_minus)/(a_plus - a_minus) = 2*lam - 1, followed by an
-    UnresolvedInterval for each cell where psi is not proven monotone and
-    may take the level.  Where a_plus = a_minus, h is the constant
-    2*a_plus: no zero, or a DegenerateInterval over the band if it is 0.
+    Where a_plus != a_minus they are the level set psi(x, .) = r, r the
+    level of system._sliding_level, which a slide steps the blend at,
+    followed by an UnresolvedInterval for each cell where psi is not proven
+    monotone and may take the level.  Where a_plus = a_minus, h is the
+    constant 2*a_plus: no zero, or a DegenerateInterval over the band if it
+    is 0.
     """
-    xs = system.tangential(x)
-    a_plus, a_minus = system._normal_traces(*xs)
+    xs, a_plus, a_minus, r = system_module._sliding_level(system, x)
     if not (math.isfinite(a_plus) and math.isfinite(a_minus)):
         raise ex.DomainError(f"normal components {a_plus}, {a_minus} at x = {xs} are not finite")
-    diff, tot = a_plus - a_minus, a_plus + a_minus
-    if diff == 0.0:
-        return [] if tot else [DegenerateInterval(-1.0, 1.0)]
-    r = -tot / diff
+    if r is None:
+        return [DegenerateInterval(-1.0, 1.0)] if a_plus == 0.0 else []
+    diff = a_plus - a_minus
     out: list[Found] = []
     for t in transition.level_set(r, xs):
         slope = transition.deriv_t(t, xs)

@@ -35,6 +35,13 @@ class NotSlidingError(Exception):
         super().__init__(f"point {self.point} classifies as {verdict.value}, not Sliding")
 
 
+def _floats(rows: Sequence) -> np.ndarray:
+    """rows as a float array, the one form the library returns arrays in;
+    numpy is imported here, on first use: the command line runs on floats."""
+    import numpy as np
+    return np.array(rows, dtype=float)
+
+
 @dataclass(frozen=True)
 class VectorFieldDef:
     """A smooth vector field given componentwise by expressions.
@@ -69,7 +76,7 @@ class VectorFieldDef:
         return len(self.coords)
 
     def _point(self, point: Sequence[float]) -> list[float]:
-        import numpy as np  # the array API's; the command line runs on floats
+        import numpy as np  # the array API's, as _floats
         pt = np.asarray(point, dtype=float)
         if pt.shape != (self.dim,):
             raise ValueError(f"expected point of dimension {self.dim}, got shape {pt.shape}")
@@ -80,8 +87,7 @@ class VectorFieldDef:
         return ex.compile(self.components, self.coords)
 
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
-        import numpy as np
-        return np.array(self._components(*self._point(point)), dtype=float)
+        return _floats(self._components(*self._point(point)))
 
     def values(self, point: Sequence[float]) -> tuple[float, ...]:
         """evaluate(point) as a tuple of floats, at a chart point of dim
@@ -100,8 +106,7 @@ class VectorFieldDef:
 
     def jacobian(self, point: Sequence[float]) -> np.ndarray:
         """The matrix d(components[i])/d(coords[j]) at a chart point."""
-        import numpy as np
-        return np.array(self.jacobian_rows(self._point(point)), dtype=float)
+        return _floats(self.jacobian_rows(self._point(point)))
 
     def jacobian_rows(self, point: Sequence[float]) -> list[tuple[float, ...]]:
         """The rows of jacobian(point) as tuples of floats, at a chart point
@@ -299,12 +304,15 @@ def classify_point(system: PiecewiseSystem, x: Sequence[float] | float) -> Sigma
 
 
 def _sliding_level(system: PiecewiseSystem, x: Sequence[float] | float):
-    """((x, 0), r, a_minus - a_plus) with r = (a_plus + a_minus)/(a_minus -
-    a_plus), from one parse of x; None where a_plus = a_minus, the pole of r."""
+    """(x, a_plus, a_minus, r) from one parse of x, with x the checked tuple
+    of floats, a_pm the normal components at (x, 0) and r the level
+    -(a_plus + a_minus)/(a_plus - a_minus) = 2*lam - 1 of psi that the
+    certificate, a slide's field and its Jacobian share; r is None where
+    a_plus = a_minus, its pole."""
     xs = system.tangential(x)
     a_plus, a_minus = system._normal_traces(*xs)
-    denom = a_minus - a_plus
-    return None if denom == 0.0 else (xs + (0.0,), (a_plus + a_minus) / denom, denom)
+    diff = a_plus - a_minus
+    return xs, a_plus, a_minus, None if diff == 0.0 else -(a_plus + a_minus) / diff
 
 
 def filippov_tangent(
@@ -316,11 +324,10 @@ def filippov_tangent(
     the blend is tangent to Sigma, and lam = (1 + r)/2 is the Filippov
     weight it gives X_plus.  None where a_plus = a_minus, the pole of r.
     """
-    level = _sliding_level(system, x)
-    if level is None:
+    xs, _, _, r = _sliding_level(system, x)
+    if r is None:
         return None
-    point, r, _ = level
-    return 0.5 * (1.0 + r), system._blend(r, *point)[:-1]
+    return 0.5 * (1.0 + r), system._blend(r, *xs, 0.0)[:-1]
 
 
 def filippov_jacobian(system: PiecewiseSystem, x: Sequence[float] | float) -> list[list[float]] | None:
@@ -331,10 +338,10 @@ def filippov_jacobian(system: PiecewiseSystem, x: Sequence[float] | float) -> li
     the tangential part of the last row of the blended field Jacobians
     over a_minus - a_plus.  None where filippov_tangent is None.
     """
-    level = _sliding_level(system, x)
-    if level is None:
+    xs, a_plus, a_minus, r = _sliding_level(system, x)
+    if r is None:
         return None
-    point, r, denom = level
+    point, denom = (*xs, 0.0), a_minus - a_plus
     normal = system._blend_jacobian(r, *[0.0] * system.dim, *point)[-1]
     grad = [2.0 * v / denom for v in normal[:-1]]
     return [row[:-1] for row in system._blend_jacobian(r, *grad, 0.0, *point)[:-1]]
@@ -353,6 +360,5 @@ def filippov_sliding_field(
     verdict = classify_point(system, x)
     if verdict != SigmaClass.SLIDING:
         raise NotSlidingError(system.tangential(x), verdict)
-    import numpy as np
     lam, tangent = filippov_tangent(system, x)  # Sliding has a_plus != a_minus
-    return lam, np.array(tangent + [0.0])
+    return lam, _floats(tangent + [0.0])

@@ -509,6 +509,34 @@ def test_all_command_artifacts(tmp_path):
     assert not (out / "cross.json").exists()
 
 
+def test_all_on_a_sewing_config_writes_no_manifold(tmp_path):
+    # no point slides, so there is no manifold to track: all writes the
+    # other grid artifacts and succeeds
+    cfg = setup_cfg(tmp_path, "[system]\ncoords = x, y\nx_plus = 1, 1\nx_minus = 1, 2\n")
+    out = tmp_path / "out"
+    assert run_command(["all", "--config", cfg, "--out", str(out), "--grid=-1:1:21"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "certificates.json", "classification.json", "slowfast.csv"]
+
+
+def test_a_grid_command_needs_a_system_section(tmp_path, capsys):
+    cfg = setup_cfg(tmp_path, CROSS)
+    assert run_command(["classify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "error: this command needs a [system] section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "certify"])
+@pytest.mark.parametrize("term, message", [
+    ("sin(1e308*x*x*10)", "sin undefined at inf"),  # libm's ValueError used to exit 2
+    ("sqrt(x)", "sqrt of negative value -1.0"),
+])
+def test_a_function_outside_its_domain_fails_the_computation(tmp_path, capsys, command, term,
+                                                             message):
+    cfg = setup_cfg(tmp_path, FOLD.replace("2*x", f"2*x + {term}") + "[run]\ngrid = -1:1:5\n")
+    assert run_command([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"computation failed: {message}\n"
+
+
 def test_no_command_imports_numpy(tmp_path):
     # numpy's import was about half of every short command's wall time; the
     # commands run on floats, and only the array-returning API imports it

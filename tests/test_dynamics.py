@@ -7,6 +7,7 @@ from filippov import dynamics
 from filippov.dynamics import (
     EVENT_TIME_TOL,
     Equilibrium,
+    Event,
     EventKind,
     IntegratorStats,
     NoSlidingAtError,
@@ -524,6 +525,18 @@ def test_hybrid_step_budget_ends_with_step_failure(x0, kinds, monkeypatch):
     assert np.array_equal(traj.events[-1].state, traj.final_state)
 
 
+def test_hybrid_event_budget_ends_with_step_failure(monkeypatch):
+    # the orbit hits the surface, then slides and leaves: two passes of the
+    # event loop, which spend its budget well before t_end
+    monkeypatch.setattr(dynamics, "MAX_EVENTS", 2)
+    traj = integrate_filippov(fold(), (-1.0, 0.5), (0.0, 1.5))
+    assert [e.kind for e in traj.events] == [EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY,
+                                             EventKind.SLIDE_EXIT, EventKind.STEP_FAILURE]
+    exit_, failure = traj.events[-2:]
+    assert failure.time == exit_.time == traj.final_time < 1.5
+    assert failure.state == exit_.state == tuple(traj.final_state)
+
+
 def test_slide_ends_on_t_end():
     # a bench capture orbit whose one long sliding step fell two ulps short
     # of t_end and ended in a StepFailure
@@ -735,14 +748,18 @@ def test_integrate_error_carries_its_accepted_nodes():
     assert traj.times[0] == 0.0 and 0.0 < traj.final_time <= 1.0 < err.value.time
     assert len(traj.times) > 2 and np.all(np.diff(traj.times) > 0)
     assert traj.final_state[0] == pytest.approx(math.exp(-traj.final_time), rel=1e-6)
+    # it stops short of t_end, so a StepFailure at its last node ends it
+    assert [(e.time, e.kind) for e in traj.events] == [(traj.final_time, EventKind.STEP_FAILURE)]
 
-    # an error at the first node leaves no trajectory
+    # an error at the first node leaves the start alone, ended the same way
     def fails(t, y):
         raise DomainError("no value at the start")
 
     with pytest.raises(DomainError) as err:
         integrate(fails, [1.0], (0.0, 5.0), jac=lambda t, y: [[-1.0]])
-    assert err.value.trajectory is None
+    traj = err.value.trajectory
+    assert traj.node_times == [0.0] and traj.node_states == [[1.0]]
+    assert traj.events == [Event(0.0, (1.0,), EventKind.STEP_FAILURE)]
 
 
 def test_domain_error_keeps_the_orbit_before_it(tmp_path):

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 
 from filippov import SigmaClass, Verdict
+from filippov.cli import run_command
+from filippov.config import load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,3 +43,23 @@ def test_library_quick_start_shows_what_it_says():
     assert (wide.eps, narrow.eps) == (0.1, 0.05)
     assert manifold_points == [(p.x, p.y) for p in narrow.points] != []
     assert all(p.y == narrow.eps * p.t for p in narrow.points)
+
+
+def config_example() -> str:
+    section = README.read_text().split("### Config format", 1)[1]
+    return re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+
+
+def test_config_example_runs_every_command_it_supports(tmp_path):
+    # its values carry trailing '#' comments, which used to be read as
+    # part of the value
+    path = tmp_path / "example.cfg"
+    path.write_text(config_example())
+    cfg = load_config(path)
+    assert cfg.system.coords == ("x", "y") and cfg.run.mode == "filippov"
+    assert cfg.run.grid == (-1.0, 1.0, 201) and cfg.run.x0 == (0.0, 1.0)
+    out = tmp_path / "out"
+    assert run_command(["all", "--config", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "certificates.json", "classification.json", "manifold.json", "slowfast.csv",
+        "trajectory.csv"]

@@ -62,6 +62,9 @@ SQRT_ORBIT = ("[system]\ncoords = x, y\nx_plus = 1, sqrt(1 - x)\nx_minus = 1, 1\
 # that is refused as configured (exit 2)
 ERROR_JOBS = [
     ("classify-trace-pole", 1, ["classify"], TRACE_POLE),
+    # sin(inf) at x = -1 and 1: libm's domain error, a DomainError like sqrt(-1)'s
+    ("classify-sin-of-infinity", 1, ["classify"],
+     FOLD.replace("2*x", "2*x + sin(1e308*x*x*10)") + "[run]\ngrid = -1:1:5\n"),
     ("classify-bad-constant", 2, ["classify"], FOLD.replace("2*x", "1e999*x")),
     ("certify-trace-pole", 1, ["certify"], TRACE_POLE),
     ("certify-nan-psi", 2, ["certify"], FOLD + NAN_PSI),
