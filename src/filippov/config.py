@@ -149,7 +149,8 @@ def _components(value: str, lineno: int, what: str, count: int) -> tuple[ex.Expr
     return tuple(_parse_expr(p, lineno, what) for p in parts)
 
 
-def _surface_chart(coords: tuple[str, ...], sigma_text: str, lineno: int):
+def _surface_chart(coords: tuple[str, ...], sigma_text: str,
+                   lineno: int) -> tuple[dict[str, ex.Expr], list[ex.Expr]] | None:
     """The change into the chart where the surface is {y = 0}, as the shift
     y <- y + g(x) and the slopes dg/dx_i, or None where sigma is y itself.
 
