@@ -20,7 +20,9 @@ The reported distances are closed forms: a manifold point (x, eps*t) lies
 over the surface point (x, 0), so hausdorff_to_sigma is max |y|, and the
 cross curve runs parallel to the z-axis, so hausdorff_to_axis is
 sqrt(x^2 + y^2).
-Grid points are evaluated one after another in a single thread.
+Grid points are evaluated one after another in a single thread, and each is
+certified once per run: certificates.json, slowfast.csv (the roots) and
+manifold.json (the witnesses) read one list of (x, certificate) pairs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .blowup import SlowFastSystem
 from .config import ConfigError, SystemConfig, grid_points, load_config
 from .cross import NonMonotoneTransitionError, stratified_slide_curve
 from .expr import DomainError
@@ -49,7 +50,7 @@ from .dynamics import (
 from .regularize import (
     TRANSVERSALITY_TOL,
     ZERO_TOL,
-    HeightRoot,
+    SlidingCertificate,
     ValidationFailure,
     Verdict,
     bisect_sign_change,
@@ -61,6 +62,7 @@ from .regularize import (
 from .system import CLASS_TOL, NotSlidingError, SigmaClass, classify_point
 
 BOUNDARY_BISECTION_TOL = 1e-12  # width at which a refined verdict boundary stops bisecting
+Certified = list[tuple[float, SlidingCertificate]]  # grid points with their certificates
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -119,20 +121,18 @@ def _require_planar(cfg: SystemConfig):
     return system
 
 
-def _write_verdict_report(cfg: SystemConfig, path: Path,
-                          judge: Callable[[float], tuple[str, list[dict]]],
-                          sliding: str, sewing: str) -> None:
-    """Grid rows {x, verdict, roots} from ``judge(x) -> (verdict, roots)``,
+def _write_verdict_report(cfg: SystemConfig, path: Path, rows: list[tuple[float, str, list[dict]]],
+                          judge: Callable[[float], str], sliding: str, sewing: str) -> None:
+    """Grid rows {x, verdict, roots} from ``rows`` of (x, verdict, roots),
     plus the refined boundaries between sliding and sewing runs.
 
     Runs of the two decided labels may be separated by up to two undecided
     grid points; the flip inside the gap is then refined by bisection on
-    judge(x)[0] == sliding.
+    judge(x) == sliding, the verdict at a point off the grid.
     """
-    rows = [(x, *judge(x)) for x in grid_points(cfg.run.grid)]
     report = _report_skeleton(cfg)
     report["grid"] = [{"x": x, "verdict": v, "roots": roots} for x, v, roots in rows]
-    side = lambda x: 1.0 if judge(x)[0] == sliding else -1.0
+    side = lambda x: 1.0 if judge(x) == sliding else -1.0
     decided = [(i, x, v) for i, (x, v, _) in enumerate(rows) if v in (sliding, sewing)]
     report["boundary_estimates"] = [
         bisect_sign_change(side, xa, xb, BOUNDARY_BISECTION_TOL, fa=1.0 if va == sliding else -1.0)
@@ -144,31 +144,33 @@ def _write_verdict_report(cfg: SystemConfig, path: Path,
 
 def _cmd_classify(cfg: SystemConfig, out: Path) -> None:
     system = _require_planar(cfg)
-    judge = lambda x: (classify_point(system, x).value, [])
-    _write_verdict_report(cfg, out / "classification.json", judge,
+    judge = lambda x: classify_point(system, x).value
+    rows = [(x, judge(x), []) for x in grid_points(cfg.run.grid)]
+    _write_verdict_report(cfg, out / "classification.json", rows, judge,
                           SigmaClass.SLIDING.value, SigmaClass.SEWING.value)
 
 
-def _cmd_certify(cfg: SystemConfig, out: Path) -> None:
+def _certify_grid(cfg: SystemConfig) -> Certified:
+    """Each grid point with its certificate, the one the grid artifacts read."""
     system = _require_planar(cfg)
+    return [(x, certify(system, cfg.transition, x)) for x in grid_points(cfg.run.grid)]
 
-    def judge(x: float) -> tuple[str, list[dict]]:
-        cert = certify(system, cfg.transition, x)
-        return cert.verdict.value, [{"t": r.t, "dh_dt": r.dh_dt} for r in cert.roots]
 
-    _write_verdict_report(cfg, out / "certificates.json", judge,
+def _write_certificates(cfg: SystemConfig, out: Path, certified: Certified) -> None:
+    rows = [(x, cert.verdict.value, [{"t": r.t, "dh_dt": r.dh_dt} for r in cert.roots])
+            for x, cert in certified]
+    judge = lambda x: certify(cfg.system, cfg.transition, x).verdict.value
+    _write_verdict_report(cfg, out / "certificates.json", rows, judge,
                           Verdict.SLIDING_CERTIFIED.value, Verdict.SEWING_CERTIFIED.value)
 
 
 def _trajectory_csv(path: Path, coords: Sequence[str], traj: Trajectory) -> None:
-    header = ["t", *coords, "event"]
     events: dict[float, list[str]] = {}
     for e in traj.events:
-        events.setdefault(float(e.time), []).append(e.kind.value)
-    lines = [",".join(header)]
+        events.setdefault(e.time, []).append(e.kind.value)
+    lines = [",".join(["t", *coords, "event"])]
     for t, state in zip(traj.node_times, traj.node_states):
-        lines.append(",".join([repr(float(t)), *(repr(float(v)) for v in state),
-                               ";".join(events.get(t, []))]))
+        lines.append(",".join([repr(t), *map(repr, state), ";".join(events.get(t, []))]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -185,31 +187,24 @@ def _cmd_integrate(cfg: SystemConfig, out: Path) -> None:
     _trajectory_csv(out / "trajectory.csv", system.coords, traj)
 
 
-def _cmd_slowfast(cfg: SystemConfig, out: Path) -> None:
-    """Polar-cylinder plot data: the slow manifold on the divisor from the
-    central chart, plus the saturation arcs from the side charts."""
-    system = _require_planar(cfg)
-    sf = SlowFastSystem(system, cfg.transition)
-    xs = grid_points(cfg.run.grid)
+def _write_slowfast(cfg: SystemConfig, out: Path, certified: Certified) -> None:
+    """Polar-cylinder plot data: the slow manifold on the divisor at the
+    certificates' roots, plus the saturation arcs from the side charts."""
     lines = ["x,theta,r,chart"]
-    for x in xs:
-        for root in sf.manifold_slice(x):
-            if isinstance(root, HeightRoot):
-                theta = math.atan2(1.0, root.t)
-                lines.append(f"{repr(x)},{repr(theta)},0.0,E")
-    for x in (xs[0], xs[-1]):
+    for x, cert in certified:
+        for root in cert.roots:
+            lines.append(f"{repr(x)},{repr(math.atan2(1.0, root.t))},0.0,E")
+    for x in (certified[0][0], certified[-1][0]):
         for epstil in linspace(0.0, 1.0, 11):
             lines.append(f"{repr(x)},{repr(math.atan2(epstil, 1.0))},0.0,F+")
             lines.append(f"{repr(x)},{repr(math.atan2(epstil, -1.0))},0.0,F-")
     (out / "slowfast.csv").write_text("\n".join(lines) + "\n")
 
 
-def _cmd_manifold(cfg: SystemConfig, out: Path) -> None:
-    system = _require_planar(cfg)
-    xs = grid_points(cfg.run.grid)
+def _write_manifold(cfg: SystemConfig, out: Path, certified: Certified) -> None:
     report = _report_skeleton(cfg)
     report["tracks"] = []
-    for track in track_manifold(system, cfg.transition, cfg.run.epsilons, xs):
+    for track in track_manifold(cfg.run.epsilons, certified):
         report["tracks"].append({
             "epsilon": track.eps,
             "hausdorff_to_sigma": max(abs(p.y) for p in track.points),
@@ -247,10 +242,11 @@ def _cmd_cross(cfg: SystemConfig, out: Path) -> None:
 def _cmd_all(cfg: SystemConfig, out: Path) -> None:
     if cfg.system is not None and cfg.system.dim == 2:
         _cmd_classify(cfg, out)
-        _cmd_certify(cfg, out)
-        _cmd_slowfast(cfg, out)
+        certified = _certify_grid(cfg)
+        _write_certificates(cfg, out, certified)
+        _write_slowfast(cfg, out, certified)
         try:
-            _cmd_manifold(cfg, out)
+            _write_manifold(cfg, out, certified)
         except NoSlidingAtError:
             pass  # nothing to track is fine for the combined run
     if cfg.system is not None and cfg.run.x0 is not None:
@@ -259,12 +255,17 @@ def _cmd_all(cfg: SystemConfig, out: Path) -> None:
         _cmd_cross(cfg, out)
 
 
+def _on_certified(write: Callable[[SystemConfig, Path, Certified], None]):
+    """The command that certifies the grid and writes one artifact from it."""
+    return lambda cfg, out: write(cfg, out, _certify_grid(cfg))
+
+
 # name: (help, command, takes --grid)
 COMMANDS: dict[str, tuple[str, Callable[[SystemConfig, Path], None], bool]] = {
     "classify": ("classify surface points", _cmd_classify, True),
-    "certify": ("sliding/sewing certificates over a grid", _cmd_certify, True),
-    "slow-fast": ("blow-up plot data", _cmd_slowfast, True),
-    "manifold": ("track the sliding manifold", _cmd_manifold, True),
+    "certify": ("sliding/sewing certificates over a grid", _on_certified(_write_certificates), True),
+    "slow-fast": ("blow-up plot data", _on_certified(_write_slowfast), True),
+    "manifold": ("track the sliding manifold", _on_certified(_write_manifold), True),
     "integrate": ("integrate an orbit", _cmd_integrate, False),
     "cross": ("stratified curve for a double switching", _cmd_cross, False),
     "all": ("all artifacts the config supports", _cmd_all, True),

@@ -184,7 +184,10 @@ def _build_system(sec: dict[str, tuple[str, int]]) -> PiecewiseSystem:
     coords = tuple(c.strip() for c in coords_text.split(",") if c.strip())
     if len(coords) < 2:
         raise ConfigError("need at least two coordinates", lineno)
-    chart = _surface_chart(coords, *sec.get("sigma", (coords[-1], 0)))
+    for name in coords:  # a name is what the parser reads as one variable
+        if _parse_expr(name, lineno, f"coordinate {name!r}") != ex.Var(name):
+            raise ConfigError(f"coordinate {name!r} is not a variable name", lineno)
+    chart = _surface_chart(coords, *sec.get("sigma", (coords[-1], lineno)))
     fields = []
     for key in ("x_plus", "x_minus"):
         if key not in sec:

@@ -51,9 +51,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from . import expr as ex
 from .regularize import (
     HeightRoot,
+    SlidingCertificate,
     TransitionFunction,
     bisect_sign_change,
-    certify,
     height_roots,
     linspace,
     monotone_breaks,
@@ -708,27 +708,22 @@ class ManifoldTrack:
 
 
 def track_manifold(
-    system: PiecewiseSystem,
-    transition: TransitionFunction,
     epsilons: Sequence[float],
-    x_grid: Sequence[float],
+    certified: Sequence[tuple[float, SlidingCertificate]],
 ) -> tuple[ManifoldTrack, ...]:
-    """Sampled sliding manifold over a grid of surface points, one track per
-    band width in ``epsilons``.
+    """Sampled sliding manifold over the pairs (x, certify(system, transition,
+    x)) of ``certified``, one track per band width in ``epsilons``.
 
-    The witness of certify at x, the most transversal root t_x of the
-    height function, places the manifold point (x, eps * t_x).  t_x does
-    not depend on eps, so each x is certified once for all tracks.  Grid
-    points without a witness are excluded with a reason; if the whole grid
-    fails, NoSlidingAtError is raised for the first point.
+    The witness, the most transversal root t_x of the height function,
+    places the manifold point (x, eps * t_x); t_x does not depend on eps, so
+    one certificate serves every track.  Points without a witness are
+    excluded with a reason; if none has one, NoSlidingAtError names the first.
     """
     if not all(eps > 0 for eps in epsilons):
         raise ValueError(f"epsilons must be positive, got {list(epsilons)}")
     witnesses: list[tuple[float, HeightRoot]] = []
     excluded: list[tuple[float, str]] = []
-    for x in x_grid:
-        x = float(x)
-        cert = certify(system, transition, x)
+    for x, cert in certified:
         if cert.witness is not None:
             witnesses.append((x, cert.witness))
         elif cert.degenerate:

@@ -182,7 +182,7 @@ def test_manifold_distance_halves_with_epsilon(report):
     xs = np.linspace(-1.0, -0.2, 81)
     dists = []
     for eps in (0.1, 0.05, 0.025):
-        track = track_manifold(sys, tf, (eps,), xs)[0]
+        track = track_manifold((eps,), [(x, certify(sys, tf, x)) for x in xs])[0]
         pts = track.as_array()
         sigma = np.column_stack([pts[:, 0], np.zeros(len(pts))])
         dists.append(hausdorff(pts, sigma))

@@ -402,6 +402,49 @@ def test_manifold_certifies_each_point_once_for_all_epsilons(tmp_path, monkeypat
         assert track["excluded"] == tracks[0]["excluded"]
 
 
+BUMPX = FOLD + "\n[transition]\nkind = custom\nexpr = (3*t - t^3)/2 + 0.8*(1 + x^2)*(1 - t^2)^2\n"
+
+
+@pytest.mark.parametrize("text", [FOLD_OVERSHOOT, BUMPX], ids=["overshoot", "bumpx"])
+def test_all_certifies_each_grid_point_once(tmp_path, monkeypatch, text):
+    # all used to certify each point three times: for certify, slow-fast and manifold
+    calls = 0
+    height_roots = regularize.height_roots
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return height_roots(*args)
+
+    for owner in (regularize, dynamics):  # the names a caller can look it up under
+        monkeypatch.setattr(owner, "height_roots", counting)
+    cfg = setup_cfg(tmp_path, text)
+    counts = {}
+    for command in ("certify", "all"):
+        calls = 0
+        out = str(tmp_path / command)
+        assert run_command([command, "--config", cfg, "--out", out, "--grid=-1:1:41"]) == 0
+        counts[command] = calls
+    assert counts["all"] == counts["certify"] >= 41
+
+
+@pytest.mark.parametrize("text", [
+    FOLD,
+    FOLD_OVERSHOOT,
+    FOLD.replace("x_plus", "sigma = y - 0.25*x^2\nx_plus"),
+    BUMPX,
+], ids=["smoothstep", "overshoot", "curved-sigma", "bumpx"])
+def test_all_writes_the_grid_artifacts_each_command_writes(tmp_path, text):
+    cfg = setup_cfg(tmp_path, text)
+    assert run_command(["all", "--config", cfg, "--out", str(tmp_path / "all"),
+                        "--grid=-1:1:41"]) == 0
+    for command, artifact in (("certify", "certificates.json"), ("slow-fast", "slowfast.csv"),
+                              ("manifold", "manifold.json")):
+        out = tmp_path / command
+        assert run_command([command, "--config", cfg, "--out", str(out), "--grid=-1:1:41"]) == 0
+        assert (tmp_path / "all" / artifact).read_bytes() == (out / artifact).read_bytes()
+
+
 def test_manifold_refuses_nan_epsilon(tmp_path, capsys):
     # manifold.json used to be written with bare NaN tokens, which is not JSON
     cfg = setup_cfg(tmp_path, FOLD + "\n[run]\nepsilons = nan\n")

@@ -82,6 +82,10 @@ def test_line_numbered_errors(tmp_path):
         ("[system]\ncoords = x, y\nx_plus = 1, 1/0 + x\nx_minus = 1, 1\n", 3,
          "x_plus: syntax error at offset 2: expected a nonzero divisor, found 0.0"),
         ("[system]\ncoords = x\n", 2, "two coordinates"),
+        # a coordinate that is not a variable name used to be found at line 0,
+        # by the parse of the default sigma
+        (sys3.replace("x, y", "x, 2"), 2, "coordinate '2' is not a variable name"),
+        (sys3.replace("x, y", "x, y z"), 2, "coordinate 'y z': syntax error"),
         (sys3 + "[run]\ngrid = 1:0:11\n", 6, "grid"),
         (sys3 + "[run]\nmode = wild\n", 6, "mode"),
         (sys3 + "[run]\nepsilons = -0.1\n", 6, "positive"),

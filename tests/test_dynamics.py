@@ -25,6 +25,7 @@ from filippov.regularize import (
     Biased,
     Smoothstep,
     bisect_sign_change,
+    certify,
     make_transition,
     regularized_field,
     regularized_jacobian,
@@ -848,7 +849,7 @@ def test_hybrid_orbit_builds_one_trajectory(monkeypatch, orbit):
 
 def test_track_manifold_fold():
     xs = np.linspace(-1.0, -0.1, 10)
-    track = track_manifold(fold(), Smoothstep(), (0.1,), xs)[0]
+    track = track_manifold((0.1,), [(x, certify(fold(), Smoothstep(), x)) for x in xs])[0]
     assert len(track.points) == 10
     assert track.excluded == ()
     for p in track.points:
@@ -860,8 +861,8 @@ def test_track_manifold_fold():
 
 def test_track_manifold_t_independent_of_eps():
     xs = np.linspace(-1.0, -0.1, 7)
-    a = track_manifold(fold(), Smoothstep(), (0.1,), xs)[0]
-    b = track_manifold(fold(), Smoothstep(), (0.05,), xs)[0]
+    a = track_manifold((0.1,), [(x, certify(fold(), Smoothstep(), x)) for x in xs])[0]
+    b = track_manifold((0.05,), [(x, certify(fold(), Smoothstep(), x)) for x in xs])[0]
     for pa, pb in zip(a.points, b.points):
         assert pa.t == pb.t
         assert pa.y == pytest.approx(2.0 * pb.y)
@@ -869,24 +870,24 @@ def test_track_manifold_t_independent_of_eps():
 
 def test_track_manifold_exclusions():
     xs = [-0.5, 0.0, 0.5]
-    track = track_manifold(fold(), Smoothstep(), (0.1,), xs)[0]
+    track = track_manifold((0.1,), [(x, certify(fold(), Smoothstep(), x)) for x in xs])[0]
     assert [p.x for p in track.points] == [-0.5]
     reasons = dict(track.excluded)
     assert reasons[0.0] == "only tangential roots"
     assert reasons[0.5] == "no root: not a sliding point"
 
     with pytest.raises(NoSlidingAtError) as err:
-        track_manifold(fold(), Smoothstep(), (0.1,), [0.4, 0.6])
+        track_manifold((0.1,), [(x, certify(fold(), Smoothstep(), x)) for x in [0.4, 0.6]])
     assert err.value.x == 0.4
 
     with pytest.raises(ValueError):
-        track_manifold(fold(), Smoothstep(), (0.0,), xs)
+        track_manifold((0.0,), [(x, certify(fold(), Smoothstep(), x)) for x in xs])
 
 
 def test_track_manifold_degenerate_reason():
     # both normal components vanish at x = 0 but the system slides elsewhere
     sys = system_from_strings(("x", "y"), ("1", "-x^2"), ("1", "x^2"))
-    track = track_manifold(sys, Smoothstep(), (0.1,), [-0.5, 0.0])[0]
+    track = track_manifold((0.1,), [(x, certify(sys, Smoothstep(), x)) for x in [-0.5, 0.0]])[0]
     assert [p.x for p in track.points] == [-0.5]
     assert dict(track.excluded)[0.0] == "height function degenerates"
 

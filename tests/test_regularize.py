@@ -850,7 +850,7 @@ def test_an_unproven_cell_never_yields_a_verdict(monkeypatch):
     # a level psi cannot take in the cell leaves it out
     assert certify(level_system(-0.5), tf, 0.0).unresolved == ()
     with pytest.raises(NoSlidingAtError, match="psi not proven monotone"):
-        track_manifold(level_system(1.1), tf, [0.1], [0.0])
+        track_manifold([0.1], [(x, certify(level_system(1.1), tf, x)) for x in [0.0]])
     # two halvings leave [0, 0.5], which may hold a second zero
     monkeypatch.setattr(regularize, "MAX_CELL_DEPTH", 2)
     tf = Custom(SPIKE)

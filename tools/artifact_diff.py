@@ -66,6 +66,8 @@ ERROR_JOBS = [
     ("classify-sin-of-infinity", 1, ["classify"],
      FOLD.replace("2*x", "2*x + sin(1e308*x*x*10)") + "[run]\ngrid = -1:1:5\n"),
     ("classify-bad-constant", 2, ["classify"], FOLD.replace("2*x", "1e999*x")),
+    ("classify-coordinate-not-a-name", 2, ["classify"], FOLD.replace("x, y", "x, 2")),
+    ("classify-coordinate-two-words", 2, ["classify"], FOLD.replace("x, y", "x, y z")),
     ("certify-trace-pole", 1, ["certify"], TRACE_POLE),
     ("certify-nan-psi", 2, ["certify"], FOLD + NAN_PSI),
     ("slow-fast-trace-pole", 1, ["slow-fast"], TRACE_POLE),
