@@ -29,7 +29,6 @@ the drift of g, so downstream code only ever sees the flat surface.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -318,6 +317,7 @@ def load_config(path: str | Path, flags: dict[str, str | None] | None = None) ->
     if run.etas and len(run.etas) != len(run.epsilons):
         raise ConfigError(f"epsilons and etas must have the same length, got {len(run.epsilons)} "
                           f"and {len(run.etas)}", line["etas"])
+    import hashlib  # here: loading OpenSSL costs filippov.cli more than the one digest
     return SystemConfig(
         system=system,
         transition=transition,

@@ -2,13 +2,19 @@
 
 Grammar (whitespace insignificant)::
 
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := ('-')? atom ('^' integer)?
-    atom   := number | ident | ident '(' expr ')' | '(' expr ')'
+    expr    := term (('+' | '-') term)*
+    term    := factor (('*' | '/') factor)*
+    factor  := ('-')? atom ('^' integer)?
+    atom    := number | ident | ident '(' expr ')' | '(' expr ')'
+    number  := ([0-9]+ ('.' [0-9]*)? | '.' [0-9]+) ([eE] [+-]? [0-9]+)?
+    integer := '-'? [0-9]+
+    ident   := (letter | '_') (letter | digit | '_')*
 
-Recognized functions: sin, cos, exp, tanh, sqrt, abs, sgn.  Any other
-identifier is a variable.  Exponents are integer literals only.
+Digits of numbers and exponents are ASCII; a name's letters and digits are
+those of str.isalnum(), in any script.  A number has no sign ('-' is the
+unary operator), and an exponent at most MAX_EXPONENT_DIGITS digits after
+its leading zeros.  Recognized functions: sin, cos, exp, tanh, sqrt, abs,
+sgn.  Any other identifier is a variable.
 
 Trees are immutable and compare structurally.  The only rewriting ever
 applied is constant folding (including the neutral-element cases 0 + e,
@@ -68,6 +74,7 @@ import contextlib
 import functools
 import math
 import operator
+import re
 import types
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -77,6 +84,7 @@ from . import interval
 Bindings = dict[str, float]
 
 MAX_DEPTH = 100  # nested parentheses and calls, and operations in a parsed tree
+MAX_EXPONENT_DIGITS = 15  # of an integer exponent: any 15-digit integer is a float exactly
 
 
 class ExprError(Exception):
@@ -263,6 +271,12 @@ _OPERATORS = _Table("operator", {
 })
 _PRECEDENCE = (("+", "-"), ("*", "/"))  # the binary operators, loosest first
 
+# the tokens the parser scans: [0-9], as str.isdigit and \d take digits of other
+# scripts that float() and int() refuse or read; \w is str.isalnum() or '_'
+_NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_EXPONENT = re.compile(r"-?[0-9]+")
+_NAME = re.compile(r"\w+")
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -284,13 +298,18 @@ class _Parser:
         # offsets are reported 1-based
         return ParseError(self.pos + 1, expected, found)
 
-    def skip_ws(self) -> None:
+    def peek(self) -> str:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def scan(self, pattern: re.Pattern, expected: str) -> str:
+        """The text pattern matches after any whitespace, consumed."""
+        self.peek()
+        if not (m := pattern.match(self.text, self.pos)):
+            raise self.error(expected)
+        self.pos = m.end()
+        return m.group()
 
     def take(self, ch: str) -> bool:
         if self.peek() == ch:
@@ -298,14 +317,9 @@ class _Parser:
             return True
         return False
 
-    def expect(self, ch: str) -> None:
-        if not self.take(ch):
-            raise self.error(f"'{ch}'")
-
     def parse(self) -> Expr:
         e = self.parse_expr()
-        self.skip_ws()
-        if self.pos < len(self.text):
+        if self.peek():
             raise self.error("end of input")
         return e
 
@@ -353,8 +367,15 @@ class _Parser:
         start = self.pos
         e = self.parse_atom()
         if self.take("^"):
-            e = self.node(self.pos, powi, e, self.parse_integer())
+            e = self.node(self.pos, powi, e, self.parse_exponent())
         return self.node(start, neg, e) if negate else e
+
+    def parse_exponent(self) -> int:
+        text = self.scan(_EXPONENT, "integer exponent")
+        if (digits := len(text.lstrip("-0"))) > MAX_EXPONENT_DIGITS:  # leading zeros do not count
+            raise ParseError(self.pos - len(text) + 1,
+                             f"at most {MAX_EXPONENT_DIGITS} exponent digits", str(digits))
+        return int(float(text))  # exact; int() refuses more than 4,300 digits, zeros included
 
     def parse_nested(self) -> Expr:
         """The expression after an opening parenthesis, and its ')'."""
@@ -363,70 +384,27 @@ class _Parser:
             raise ParseError(self.pos, f"at most {MAX_DEPTH} nested parentheses and calls",
                              str(self.nesting))
         e = self.parse_expr()
-        self.expect(")")
+        if not self.take(")"):
+            raise self.error("')'")
         self.nesting -= 1
         return e
 
-    def digits(self) -> int:
-        """Advance over ASCII digits and count them: str.isdigit also takes
-        superscripts and other scripts' digits, which int and float refuse
-        or read as numbers."""
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        return self.pos - start
-
-    def parse_integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        if not self.digits():
-            self.pos = start
-            raise self.error("integer exponent")
-        return int(self.text[start:self.pos])
-
     def parse_atom(self) -> Expr:
         c = self.peek()
+        start = self.pos + 1
         if c == "(":
             self.pos += 1
             return self.parse_nested()
         if "0" <= c <= "9" or c == ".":
-            return self.parse_number()
+            return self.leaf(start, Const(float(self.scan(_NUMBER, "number"))))
         if c.isalpha() or c == "_":
-            start = self.pos + 1
-            name = self.parse_ident()
+            name = self.scan(_NAME, "identifier")
             if self.take("("):
                 if name not in FUNCTIONS:
                     raise ParseError(self.pos, f"one of {', '.join(FUNCTIONS)}", repr(name))
                 return self.node(start, call, name, self.parse_nested())
             return self.leaf(start, Var(name))
         raise self.error("number, identifier or '('")
-
-    def parse_ident(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def parse_number(self) -> Const:
-        start = self.pos
-        self.digits()
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            self.digits()
-        if self.pos < len(self.text) and self.text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                self.pos += 1
-            if not self.digits():
-                self.pos = mark  # 'e' belongs to a following identifier, not this literal
-        text = self.text[start:self.pos]
-        if text == "." or not text:
-            self.pos = start
-            raise self.error("number")
-        return self.leaf(start + 1, Const(float(text)))
 
 
 def parse(text: str) -> Expr:

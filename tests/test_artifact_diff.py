@@ -82,4 +82,4 @@ def test_the_error_jobs_fail_as_built_and_compare_identical(tmp_path):
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout == ("identical: 0 of 0 artifacts\n"
-                          "jobs: 20, exit code and stderr identical in 20\n")
+                          "jobs: 22, exit code and stderr identical in 22\n")

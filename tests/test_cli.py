@@ -133,6 +133,26 @@ def test_a_constant_zero_divisor_is_a_config_error(tmp_path, capsys, expr):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, line, expr, message", [
+    ("x_plus", 3, ".e1", "offset 1: expected number, found '.'"),
+    ("x_plus", 3, "x^" + "9" * 5000, "offset 3: expected at most 15 exponent digits, found 5000"),
+    ("expr", 8, "(3*t - t^3)/2 + (1 - t^2)*t^" + "9" * 400,
+     "offset 29: expected at most 15 exponent digits, found 400"),
+], ids=["dot-exponent", "exponent-5000-digits", "psi-exponent-400-digits"])
+def test_a_literal_the_parser_cannot_convert_is_a_config_error(tmp_path, capsys, key, line, expr,
+                                                               message):
+    # the first two exited 2 with float()'s and int()'s message and no line
+    # number; the third loaded, and differentiating psi raised OverflowError
+    # out of run_command
+    text = FOLD + "\n[transition]\nkind = custom\nexpr = (3*t - t^3)/2\n"
+    text = text.replace("2*x", expr) if key == "x_plus" else text.replace("(3*t - t^3)/2", expr)
+    cfg = setup_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert run_command(["classify", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: {key}: syntax error at {message}\n"
+    assert not out.exists()
+
+
 def deep_field(leaf: str = "x") -> str:
     """leaf + x - x + ...: MAX_DEPTH operations in MAX_DEPTH parentheses."""
     return "(" * MAX_DEPTH + leaf + " + x - x" * (MAX_DEPTH // 2) + ")" * MAX_DEPTH

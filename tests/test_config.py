@@ -164,6 +164,15 @@ def test_non_ascii_digits_are_syntax_errors(tmp_path):
     assert err.value.line == 3
 
 
+def test_a_literal_float_cannot_read_is_a_syntax_error(tmp_path):
+    # ".e1" escaped as a float() ValueError with no line
+    text = "[system]\ncoords = x, y\nx_plus = 1, .e1\nx_minus = 1, -1\n"
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert str(err.value) == "line 3: x_plus: syntax error at offset 1: expected number, found '.'"
+    assert err.value.line == 3
+
+
 def test_run_and_transition_numbers_are_ascii_only(tmp_path):
     # float() and int() read other scripts' digits and '_' separators:
     # x0 = ١, 0.5 loaded as (1, 0.5) and t_span = 0, 1_0 as (0, 10)

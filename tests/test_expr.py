@@ -86,6 +86,46 @@ def test_numbers_are_ascii_digits(text, offset, expected, found):
     assert (err.value.offset, err.value.expected, err.value.found) == (offset, expected, found)
 
 
+@pytest.mark.parametrize("text, offset", [(".e1", 1), ("2*.E+5", 3), ("(.e3)", 2)])
+def test_a_literal_float_cannot_read_is_a_syntax_error(text, offset):
+    # a '.' with no digit, before an exponent: float() refused the literal
+    # and its ValueError escaped the parser
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.offset, err.value.expected, err.value.found) == (offset, "number", "'.'")
+
+
+@pytest.mark.parametrize("text, offset, digits", [
+    ("x^" + "9" * 5000, 3, 5000),  # int() refused it: a bare ValueError
+    ("x^" + "9" * 400, 3, 400),  # parsed, and float() of it overflowed in differentiate
+    ("2*x^ -1" + "0" * 15, 6, 16),
+], ids=["5000-digits", "400-digits", "16-digits"])
+def test_an_exponent_has_at_most_max_exponent_digits(text, offset, digits):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.offset, err.value.expected, err.value.found) == (
+        offset, f"at most {ex.MAX_EXPONENT_DIGITS} exponent digits", str(digits))
+
+
+def test_an_exponent_within_the_bound_is_exact():
+    # leading zeros are not digits of the bound, however many int() would refuse
+    largest = 10 ** ex.MAX_EXPONENT_DIGITS - 1
+    assert parse(f"x^{largest}") == Pow(Var("x"), largest)
+    assert parse("x^-" + "0" * 5000 + "3") == Pow(Var("x"), -3)
+    assert differentiate(parse(f"x^{largest}"), "x") == Binary(
+        "*", Const(float(largest)), Pow(Var("x"), largest - 1))
+
+
+def test_the_scan_patterns_take_the_characters_the_grammar_names():
+    # a name's characters are str.isalnum() or '_', and a number's digits
+    # are ASCII; the offsets of every syntax error rest on both
+    text = "".join(chr(cp) for cp in range(0x110000) if not 0xD800 <= cp <= 0xDFFF)
+    named = {c for run in ex._NAME.findall(text) for c in run}
+    assert named ^ {c for c in text if c.isalnum() or c == "_"} == set()
+    for c in (c for c in text if c.isdigit() and not "0" <= c <= "9"):
+        assert not ex._NUMBER.match(c) and not ex._EXPONENT.match(c), hex(ord(c))
+
+
 @pytest.mark.parametrize("text, offset, expected, found", [
     ("1e999*x", 1, "a finite constant", "inf"),
     ("1e200*1e200*x", 6, "a finite constant", "inf"),
