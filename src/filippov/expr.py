@@ -92,7 +92,7 @@ class ExprError(Exception):
 
 
 class ParseError(ExprError):
-    """Syntax error with a 1-based byte offset into the source text."""
+    """Syntax error with a 1-based offset, in characters, into the source text."""
 
     def __init__(self, offset: int, expected: str, found: str):
         self.offset = offset

@@ -68,8 +68,8 @@ ERROR_JOBS = [
     ("classify-bad-constant", 2, ["classify"], FOLD.replace("2*x", "1e999*x")),
     ("classify-coordinate-not-a-name", 2, ["classify"], FOLD.replace("x, y", "x, 2")),
     ("classify-coordinate-two-words", 2, ["classify"], FOLD.replace("x, y", "x, y z")),
-    # a literal float() cannot read, and an exponent int() cannot: each a
-    # ValueError where the parser did not bound what it scanned
+    # a literal float() cannot read and an exponent int() cannot: trees whose
+    # parser does not bound what it scans exit 2 on their ValueError
     ("classify-dot-exponent", 2, ["classify"], FOLD.replace("2*x", ".e1")),
     ("classify-exponent-5000-digits", 2, ["classify"], FOLD.replace("2*x", "x^" + "9" * 5000)),
     ("certify-trace-pole", 1, ["certify"], TRACE_POLE),
