@@ -78,14 +78,14 @@ def _blend(cs: CrossSystem, eps: float, eta: float, point: Sequence[float]) -> l
 
 
 def transition_zero(tf: TransitionFunction, which: str) -> float:
-    """The unique zero of a transition on [-1, 1], its level set at 0.
+    """The unique zero of a transition on [-1, 1], from its level set at 0.
 
-    Raises NonMonotoneTransitionError unless there is exactly one and no
-    cell where psi is not proven monotone may hold another.
+    Raises NonMonotoneTransitionError unless the level set holds exactly one
+    zero and no cell: a piece where psi is not proven monotone may hold another.
     """
-    zeros, unresolved = tf.level_set(0.0), tf.unresolved(0.0)
-    if len(zeros) != 1 or unresolved:
-        raise NonMonotoneTransitionError(which, len(zeros), len(unresolved))
+    zeros, cells = tf.level_set(0.0)
+    if len(zeros) != 1 or cells:
+        raise NonMonotoneTransitionError(which, len(zeros), len(cells))
     return zeros[0]
 
 

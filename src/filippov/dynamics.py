@@ -102,13 +102,18 @@ class Event:
 
 
 class UnresolvedSingularityError(Exception):
-    """The orbit reached a singular surface point with no exit rule."""
+    """At (time, state) the orbit hit a singular surface point with no exit
+    rule, or a slide's step from there tried x = ``pole``, where a_plus = a_minus."""
 
-    def __init__(self, time: float, state: Sequence[float], trajectory: "Trajectory | None"):
+    def __init__(self, time: float, state: Sequence[float], trajectory: "Trajectory | None",
+                 pole: Sequence[float] | None = None):
         self.time = time
         self.state = tuple(map(float, state))
         self.trajectory = trajectory
-        super().__init__(f"singular surface point at t = {time}: state {list(self.state)}")
+        where = f"at t = {time}: state {list(self.state)}"
+        super().__init__(f"singular surface point {where}" if pole is None else
+                         f"slide stopped {where}: the Filippov weight has a pole "
+                         f"(a_plus = a_minus) at the stage x = {list(pole)} it tried")
 
 
 class NoSlidingAtError(Exception):
@@ -165,8 +170,6 @@ class Trajectory:
         if k >= len(ts) - 1:
             return self.states[-1].copy()
         t0, h = ts[k], ts[k + 1] - ts[k]
-        if h == 0.0:
-            return self.states[k].copy()
         s = (t - t0) / h
         nodes = zip(self.node_states[k], self.node_derivs[k],
                     self.node_states[k + 1], self.node_derivs[k + 1])
@@ -593,7 +596,7 @@ def integrate_filippov(
             # Sliding: the loop re-enters through the surface branch above.
             # Sewing: the surface branch picks the receiving side from a_plus.
         else:
-            if t < t_end - EVENT_TIME_TOL:  # max_events ran out
+            if t < t_end - EVENT_TIME_TOL:  # MAX_EVENTS ran out
                 orbit.event(t, state, EventKind.STEP_FAILURE)
     except (UnresolvedSingularityError, ex.DomainError) as exc:
         orbit.fail(exc, t, state)
@@ -610,7 +613,7 @@ def _slide(system, orbit, t, state, t_end):
     X_plus (+1) when |a_plus| <= |a_minus| there, else along X_minus (-1).
     The margin has no pole, so the exit is never bisected onto the pole
     a_plus = a_minus of the Filippov weight; a right-hand side evaluated on
-    that pole raises UnresolvedSingularityError.
+    that pole raises UnresolvedSingularityError at the orbit's last node.
     """
     margin = lambda tt, x: sliding_margin(system, x)
 
@@ -618,8 +621,8 @@ def _slide(system, orbit, t, state, t_end):
         # the blend at psi = r without the class gate: a step may end past
         # the band edge, which the stop rule then locates
         combo = filippov_tangent(system, x)
-        if combo is None:
-            raise UnresolvedSingularityError(tt, x + [0.0], None)
+        if combo is None:  # the slide's first x is Sliding, so the orbit has a node by now
+            raise UnresolvedSingularityError(orbit.times[-1], orbit.states[-1], None, x)
         return combo[1]
 
     # fn has been evaluated at every node jac sees, so jac never meets the pole

@@ -22,16 +22,17 @@ a_plus != a_minus, h vanishes exactly where psi(x, t) = r with
 
 lam being the Filippov weight; on the surface the blend at psi = r is the
 sliding field a slide steps, and both read r from system._sliding_level.
-So the zeros of h are a level set of psi, which TransitionFunction.level_set
-returns: in closed form for smoothstep and biased, else by
-monotone_zeros, one bisection per monotone piece of
+So the zeros of h are a level set of psi, which one call of
+TransitionFunction.level_set returns: in closed form for smoothstep and
+biased, else by monotone_zeros, one bisection per monotone piece of
 _pieces(x): overshoot's two branches, or for a custom psi the pieces that
 interval enclosures of psi' and psi'' prove monotone on cells of the band,
 each halved at most MAX_CELL_DEPTH times, MAX_CELLS cells at most (once if
-psi uses no x; see Custom).  A preimage within a tolerance lies only at a
-break.  One where psi' != 0 certifies a sliding band, no preimage certifies
-sewing, and everything else (tangential preimages, h = 0 identically, a
-cell not proven monotone where psi may take r) is indeterminate.
+psi uses no x; see Custom).  The same call returns the unproven pieces
+where psi may take r, which it does not search.  A preimage within a
+tolerance lies only at a break.  One where psi' != 0 certifies a sliding
+band, no preimage certifies sewing, and everything else (tangential
+preimages, h = 0 identically, an unproven piece) is indeterminate.
 """
 
 from __future__ import annotations
@@ -163,7 +164,8 @@ class TransitionFunction:
     """Base class.  A kind spells psi and psi' = d(psi)/dt on the band as
     the trees ``expression`` and ``derivative`` in t and ``x_names``, which
     the base class compiles with x bound by position (and any x beyond
-    x_names ignored) and holds at -1/+1 and 0 outside the band."""
+    x_names ignored) and holds at -1/+1 and 0 outside the band.  One call
+    of level_set says where psi takes a level, unproven cells included."""
 
     x_names: tuple[str, ...] = ()
     _regularized = None, None, None  # (system, eps, (field, jacobian)) of regularized()
@@ -222,18 +224,17 @@ class TransitionFunction:
 
     _zero_tol = 0.0  # |psi - r| at or below this is a preimage at a break
 
-    def level_set(self, r: float, x: Sequence[float] = ()) -> list[float]:
+    def level_set(self, r: float, x: Sequence[float] = ()) -> tuple[list[float],
+                                                                    list[tuple[float, float]]]:
         """The sorted t in [-1, 1] with psi(x, t) = r, by monotone_zeros on
-        the pieces of _pieces(x); none is sought inside an unproven piece."""
+        the pieces of _pieces(x), and the cells (t_lo, t_hi): the unproven
+        pieces where psi may take r, in which none is sought."""
         breaks, values, unproven = self._pieces(x)
         psi = self._psi
-        return monotone_zeros(lambda t: psi(t, x) - r, breaks, [v - r for v in values],
-                              self._zero_tol, unproven)
-
-    def unresolved(self, r: float, x: Sequence[float] = ()) -> list[tuple[float, float]]:
-        """The cells (t_lo, t_hi) of the band where psi(x, .) is not proven
-        monotone and may take the value r, which level_set does not search."""
-        return []
+        zeros = monotone_zeros(lambda t: psi(t, x) - r, breaks, [v - r for v in values],
+                               self._zero_tol, unproven)
+        return zeros, [(breaks[k], breaks[k + 1]) for k, (lo, hi) in unproven.items()
+                       if not (lo > r or hi < r)]  # NaN bounds hold r too
 
     def _pieces(self, x: Sequence[float]) -> tuple[Sequence[float], Sequence[float],
                                                    dict[int, tuple[float, float]]]:
@@ -251,7 +252,7 @@ class Smoothstep(TransitionFunction):
         self.expression, self.derivative = map(_tree, _CUBIC)
 
     def level_set(self, r, x=()):
-        return _cubic_level_set(r)
+        return _cubic_level_set(r), []
 
 
 @dataclass
@@ -327,7 +328,7 @@ class Biased(TransitionFunction):
 
     def level_set(self, r, x=()):
         # the inverse of w: w(t) is one of the cubic's level set
-        return [(w + self.t0) / (1.0 + self.t0 * w) for w in _cubic_level_set(r)]
+        return [(w + self.t0) / (1.0 + self.t0 * w) for w in _cubic_level_set(r)], []
 
 
 @dataclass
@@ -348,8 +349,7 @@ class Custom(TransitionFunction):
     as is the rest of the band once MAX_CELLS cells are tested.  Adjacent
     cells of one direction merge, and adjacent unproven ones, so the breaks
     are the band ends, the turns and the ends of unproven pieces.  The
-    pieces of a psi that uses no x are found once, and otherwise kept for
-    the last x.
+    pieces of a psi that uses no x are found once.
     """
 
     expression: ex.Expr
@@ -366,7 +366,6 @@ class Custom(TransitionFunction):
         if extra:
             raise ValidationFailure(f"custom transition uses unknown variables {sorted(extra)}")
         self._x_free = not ex.free_vars(self.expression) & set(self.x_names)
-        self._last_pieces = None, None  # (x, or () for an x-free psi; its pieces)
         for x in itertools.product(_VALIDATION_X, repeat=len(self.x_names)):
             for t in (-1.0, 1.0):  # value holds these beyond the band
                 try:
@@ -392,11 +391,6 @@ class Custom(TransitionFunction):
     def _psi_bounds(self):
         return self._compiled([self.expression], "{}", bounds=True)
 
-    def unresolved(self, r, x=()):
-        breaks, _, unproven = self._pieces(x)
-        return [(breaks[k], breaks[k + 1]) for k, (lo, hi) in unproven.items()
-                if not (lo > r or hi < r)]  # NaN bounds hold r too
-
     def _runs(self, lo, hi, x):
         """The ends and signs of psi' (0 if flat) of the runs in which the
         enclosures prove psi(x, .) monotone on [lo, hi], or None."""
@@ -413,9 +407,13 @@ class Custom(TransitionFunction):
         return None if math.isnan(s_lo + s_hi) else [(hi, sign(s_lo + s_hi))]
 
     def _pieces(self, x):
-        key = () if self._x_free else tuple(x)
-        if self._last_pieces[0] == key:
-            return self._last_pieces[1]
+        return self._x_free_pieces if self._x_free else self._proven_pieces(x)
+
+    @cached_property
+    def _x_free_pieces(self):  # psi uses no x, so its pieces at any x serve every x
+        return self._proven_pieces((0.0,) * len(self.x_names))
+
+    def _proven_pieces(self, x):
         psi = self._psi
         breaks, values, unproven = [-1.0], [psi(-1.0, x)], {}
         way = 0  # the sign of psi' on the piece open at breaks[-1], 0 while it is flat
@@ -454,7 +452,6 @@ class Custom(TransitionFunction):
             close(1.0)
         for k in unproven:
             unproven[k] = self._psi_bounds(breaks[k], breaks[k + 1], x)
-        self._last_pieces = key, (breaks, values, unproven)
         return breaks, values, unproven
 
 
@@ -563,8 +560,7 @@ def height(
     t: float,
 ) -> tuple[float, float]:
     """(h, dh/dt) at surface point x and stretched coordinate t."""
-    xs = system.tangential(x)
-    a_plus, a_minus = system._normal_traces(*xs)
+    xs, a_plus, a_minus, _ = system_module._sliding_level(system, x)
     diff = a_plus - a_minus
     return transition.value(t, xs) * diff + (a_plus + a_minus), transition.deriv_t(t, xs) * diff
 
@@ -615,11 +611,12 @@ def height_roots(
     if r is None:
         return [DegenerateInterval(-1.0, 1.0)] if a_plus == 0.0 else []
     diff = a_plus - a_minus
+    zeros, cells = transition.level_set(r, xs)
     out: list[Found] = []
-    for t in transition.level_set(r, xs):
+    for t in zeros:
         slope = transition.deriv_t(t, xs)
         out.append(HeightRoot(t, slope * diff, slope))
-    return out + [UnresolvedInterval(*cell) for cell in transition.unresolved(r, xs)]
+    return out + [UnresolvedInterval(*cell) for cell in cells]
 
 
 def most_transversal(found: Sequence[Found]) -> HeightRoot | None:

@@ -13,8 +13,6 @@ import pytest
 
 from filippov import (
     Biased,
-    Chart,
-    ChartPoint,
     EventKind,
     Overshoot,
     SigmaClass,

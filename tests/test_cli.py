@@ -354,8 +354,9 @@ def test_integrate_refuses_non_finite_flags(tmp_path, capsys, monkeypatch, flag)
     ("integrate", ["--epsilon=-1", "--mode", "filippov"], "epsilons = -1"),
     ("integrate", ["--from=1,2,3"], "x0 = 1,2,3"),
     ("classify", ["--grid=1:0:5"], "grid = 1:0:5"),
+    ("classify", ["--grid=-1:1:x"], "grid = -1:1:x"),
     ("integrate", ["--epsilon=abc"], "epsilons = abc"),
-], ids=["tspan", "epsilon-filippov", "from", "grid", "epsilon-text"])
+], ids=["tspan", "epsilon-filippov", "from", "grid", "grid-not-a-number", "epsilon-text"])
 def test_a_flag_is_checked_as_its_run_key(tmp_path, capsys, command, flags, line):
     # --tspan=0,0 and --epsilon=-1 in filippov mode used to run with exit 0
     out = tmp_path / "out"

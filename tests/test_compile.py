@@ -148,7 +148,8 @@ def test_an_enclosure_of_a_known_shape_compiles_nothing(monkeypatch):
     Custom(shape.format(1.25, 1.25), ("x",)).level_set(0.5, (0.3,))
     calls = len(compiled)
     tf = Custom(shape.format(2.5, 2.5), ("x",))
-    assert tf.level_set(0.5, (0.3,)) == pytest.approx([math.atanh(0.5 * math.tanh(2.6125)) / 2.6125])
+    zeros, cells = tf.level_set(0.5, (0.3,))
+    assert zeros == pytest.approx([math.atanh(0.5 * math.tanh(2.6125)) / 2.6125]) and cells == []
     assert len(compiled) == calls
 
 

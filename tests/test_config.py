@@ -114,6 +114,8 @@ def test_line_numbered_errors(tmp_path):
         (sys3 + "dim = two\n", 5, "unknown [system] key 'dim'"),
         (cross + "eta = 5\n", 6, "unknown [cross] key 'eta'"),
         (sys3 + "[run]\ngrid = -1:one:11\n", 6, "expected grid as lo:hi:count, got '-1:one:11'"),
+        (sys3 + "[run]\ngrid = a:1:5\n", 6, "line 6: expected grid as lo:hi:count, got 'a:1:5'"),
+        (sys3 + "[run]\ngrid = -1:1\n", 6, "line 6: expected grid as lo:hi:count, got '-1:1'"),
         (sys3 + "[run]\netas = 0.1, 0\n", 6, "etas must be positive"),
         ("[system]\nx_plus = 1, 1\nx_minus = 1, -1\n", None, "[system] is missing 'coords'"),
         (sys3.replace("x, y", "x, x"), 3, "x_plus: duplicate coordinate names in ('x', 'x')"),

@@ -11,6 +11,7 @@ from filippov.dynamics import (
     EventKind,
     IntegratorStats,
     NoSlidingAtError,
+    Trajectory,
     UnresolvedSingularityError,
     equilibria_on_manifold,
     hausdorff,
@@ -30,7 +31,7 @@ from filippov.regularize import (
     regularized_field,
     regularized_jacobian,
 )
-from filippov.system import system_from_strings
+from filippov.system import SigmaClass, classify_point, system_from_strings
 
 
 def fold():
@@ -72,6 +73,14 @@ def test_dense_output():
         traj.sample(-0.1)
     with pytest.raises(ValueError):
         traj.sample(math.pi + 0.1)
+
+
+def test_sample_at_a_repeated_time_takes_the_later_node():
+    # an event node repeats its time; bisect_right puts t between the node
+    # at or before it and the one after it, so no step of length 0 is interpolated
+    traj = Trajectory([0.0, 1.0, 1.0, 2.0], [[0.0], [1.0], [5.0], [6.0]], [[1.0]] * 4)
+    assert traj.sample(1.0).tolist() == [5.0]
+    assert traj.sample(2.0).tolist() == [6.0]
 
 
 def test_span_validation():
@@ -567,6 +576,56 @@ def test_hybrid_singular_hit():
     assert partial.final_time == pytest.approx(0.5, abs=1e-9)
     kinds = [e.kind for e in partial.events]
     assert kinds == [EventKind.SIGMA_HIT, EventKind.STEP_FAILURE]
+
+
+def test_a_slide_onto_the_pole_of_the_weight_stops_at_its_last_node():
+    # a_plus = a_minus at x = 0.5, where sgn(0.5 - x) flips to -1: a RODAS
+    # stage of the slide tried x = 0.5727, which classifies Sewing, and the
+    # error reported that stage as a singular point the orbit reached, while
+    # the trajectory ended at t = 0.3752
+    sys = system_from_strings(("x", "y"), ("1", "-1"), ("1", "sgn(0.5 - x)"))
+    with pytest.raises(UnresolvedSingularityError) as err:
+        integrate_filippov(sys, (0.0, 0.3), (0.0, 2.0))
+    traj = err.value.trajectory
+    assert [e.kind for e in traj.events] == [
+        EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY, EventKind.STEP_FAILURE]
+    assert err.value.time == traj.final_time == traj.events[-1].time
+    assert err.value.state == tuple(traj.final_state) == traj.events[-1].state
+    assert 0.3 < err.value.time < 0.5
+    assert classify_point(sys, err.value.state[:-1]) == SigmaClass.SLIDING
+    message = str(err.value)
+    assert message.startswith(f"slide stopped at t = {err.value.time}: ")
+    assert "the Filippov weight has a pole (a_plus = a_minus) at the stage x = [0.5727" in message
+    # with a continuous a_minus the slide leaves at x = 0.5, where a_minus = 0
+    sys = system_from_strings(("x", "y"), ("1", "-1"), ("1", "0.5 - x"))
+    traj = integrate_filippov(sys, (0.0, 0.3), (0.0, 2.0))
+    assert [e.kind for e in traj.events] == [
+        EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY, EventKind.SLIDE_EXIT]
+    assert traj.events[-1].state[0] == pytest.approx(0.5, abs=1e-8)
+
+
+def test_a_segment_launched_from_the_surface_is_cut_beyond_the_band():
+    # the orbit sews through x = -1e-7, where a_plus = -x > 0, and X_plus
+    # turns it back at x = 0: y = (x0^2 - x^2)/2 from the first hit's x0,
+    # back at 0 near x = 1e-7.  The segment launched from the surface ends
+    # where y clears the band, -SURFACE_BAND/2, so the re-hit comes later
+    # than that, at x = 1.005e-6, and the orbit slides from there
+    sys = system_from_strings(("x", "y"), ("1", "-x"), ("1", "1"))
+    traj = integrate_filippov(sys, (-0.5000001, -0.5), (0.0, 0.6))
+    first, second, entry = traj.events
+    assert [e.kind for e in traj.events] == [
+        EventKind.SIGMA_HIT, EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY]
+    assert first.time == pytest.approx(0.5, abs=1e-9)
+    assert first.time < second.time == entry.time < first.time + 1e-5
+    assert 0.0 < second.state[0] < 2e-6
+    assert traj.final_state.tolist() == pytest.approx([0.0999999, 0.0], abs=1e-9)
+
+
+def test_a_zero_length_span_is_the_start_alone():
+    sys = system_from_strings(("x", "y"), ("1", "-x"), ("1", "1"))
+    traj = integrate_filippov(sys, (-0.5000001, -0.5), (1.0, 1.0))
+    assert traj.node_times == [1.0] and traj.node_states == [[-0.5000001, -0.5]]
+    assert traj.events == []
 
 
 def test_hybrid_singular_start():

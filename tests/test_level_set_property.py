@@ -32,9 +32,10 @@ def scanned_level_set(psi, r):
 
 
 def check(tf, r):
-    got = tf.level_set(r)
+    got, cells = tf.level_set(r)
     want = scanned_level_set(tf.value, r)
     assert len(got) == len(want), (got, want)
+    assert cells == []
     assert got == sorted(got)
     # near a band edge or the overshoot's peak psi' is small and a preimage
     # is only defined to about the square root of the rounding error: for
@@ -83,9 +84,10 @@ def test_custom_overshoot_level_set(m, s, near_peak, e):
     r = m - 10.0 ** e if near_peak else -1.5 + s * (m + 2.0)
     assume(min(abs(r - m), abs(r - 1.0), abs(r + 1.0)) > 1e-9)
     ov = Overshoot(m)
-    got = Custom(f"(3*t - t^3)/2 + {ov.c!r}*(1 - t^2)^2").level_set(r)
-    want = ov.level_set(r)
+    got, cells = Custom(f"(3*t - t^3)/2 + {ov.c!r}*(1 - t^2)^2").level_set(r)
+    want, _ = ov.level_set(r)
     assert len(got) == len(want), (got, want)
+    assert cells == []
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -125,8 +127,8 @@ def test_custom_certificates_agree_with_the_scan(family, a, b, k, c, x, u, d):
 
 def agrees_with_the_scan(tf, x, r):
     want = scanned_level_set(lambda t: tf.value(t, (x,)), r)
-    got = tf.level_set(r, (x,))
-    assert got == pytest.approx(want, abs=1e-9)
+    got, cells = tf.level_set(r, (x,))
+    assert got == pytest.approx(want, abs=1e-9) and cells == []
     cert = certify(level_system(r), tf, x)
     event(f"{cert.verdict.value}, {len(want)} preimages")
     assert cert.unresolved == ()
@@ -167,10 +169,10 @@ def test_custom_certificates_agree_with_exact_preimages_at_a_kink(s, e, left, c,
     want = [brentq(lambda t: psi(t) - r, lo, hi, xtol=1e-15)
             for lo, hi in zip(breaks, breaks[1:]) if (psi(lo) - r) * (psi(hi) - r) < 0.0]
     # only a cell holding the kink may stay unproven, and no preimage in it is sought
-    cells = tf.unresolved(r, (x,))
+    got, cells = tf.level_set(r, (x,))
     assert all(lo <= s <= hi and hi - lo < 1e-5 for lo, hi in cells)
     kept = [t for t in want if not any(lo < t < hi for lo, hi in cells)]
-    assert tf.level_set(r, (x,)) == pytest.approx(kept, abs=1e-6)
+    assert got == pytest.approx(kept, abs=1e-6)
     cert = certify(level_system(r), tf, x)
     event(f"{cert.verdict.value}, {len(want)} preimages, {len(cells)} unproven")
     if cert.verdict == Verdict.SLIDING_CERTIFIED:
@@ -196,5 +198,6 @@ def test_a_kink_hides_no_turn(text, kink):
         r = ends[0] + f * (ends[1] - ends[0])
         want = scanned_level_set(tf.value, r)
         assert len(want) == 4
-        assert tf.level_set(r) == pytest.approx(want, abs=1e-9)
+        got, cells = tf.level_set(r)
+        assert got == pytest.approx(want, abs=1e-9) and cells == []
         assert certify(level_system(r), tf, 0.0).verdict == Verdict.SLIDING_CERTIFIED

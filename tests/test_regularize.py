@@ -502,7 +502,7 @@ def test_certify_fold():
     assert cert.verdict == Verdict.SEWING_CERTIFIED
     assert cert.roots == ()
     # the level r = (x + 1)/(1 - x) = 3 lies above the range [-1, 1] of psi
-    assert tf.level_set(3.0) == []
+    assert tf.level_set(3.0) == ([], [])
 
     cert = certify(sys, tf, 0.0)
     assert cert.verdict == Verdict.INDETERMINATE
@@ -599,27 +599,28 @@ def test_custom_transition_shifts_roots_with_x():
 
 
 def test_level_set_exact_values():
-    assert Smoothstep().level_set(0.0) == [0.0]
+    # a kind proven monotone in closed form has no unproven cell
+    assert Smoothstep().level_set(0.0) == ([0.0], [])
     for t0 in (-0.5, 0.25, 0.3, 0.7):
         # cross.transition_zero hands this value on as the invariant line
-        assert Biased(t0).level_set(0.0) == [t0]
+        assert Biased(t0).level_set(0.0) == ([t0], [])
     # the band edges come back as they are: the closed form misses 1 by an ulp
     for tf in (Smoothstep(), Biased(0.3), Biased(-0.8)):
-        assert tf.level_set(1.0) == [1.0]
-        assert tf.level_set(-1.0) == [-1.0]
-        assert tf.level_set(1.0 + 1e-15) == [] == tf.level_set(-1.0 - 1e-15)
+        assert tf.level_set(1.0) == ([1.0], [])
+        assert tf.level_set(-1.0) == ([-1.0], [])
+        assert tf.level_set(1.0 + 1e-15) == ([], []) == tf.level_set(-1.0 - 1e-15)
     ov = Overshoot(2.0)
-    assert ov.level_set(-1.0) == [-1.0]
-    rising, edge = ov.level_set(1.0)
-    assert -1.0 < rising < ov.u and edge == 1.0
+    assert ov.level_set(-1.0) == ([-1.0], [])
+    (rising, edge), cells = ov.level_set(1.0)
+    assert -1.0 < rising < ov.u and edge == 1.0 and cells == []
     assert ov.value(rising) == pytest.approx(1.0, abs=1e-12)
-    assert ov.level_set(2.0 + 1e-12) == []
+    assert ov.level_set(2.0 + 1e-12) == ([], [])
 
 
 @pytest.mark.parametrize("m", [1.5, 2.0, 4.0])
 def test_overshoot_peak_level_is_a_tangency(m):
     ov = Overshoot(m)
-    assert ov.level_set(m) == [ov.u]
+    assert ov.level_set(m) == ([ov.u], [])
     # a_plus = m - 1 and a_minus = m + 1 put the level r = -(a+ + a-)/(a+ - a-) at m
     sys = system_from_strings(("x", "y"), ("1", f"{m - 1.0!r}"), ("1", f"{m + 1.0!r}"))
     cert = certify(sys, ov, 0.0)
@@ -642,8 +643,8 @@ def test_custom_level_set_scans_like_the_closed_form():
     # the same cubic as a custom expression goes through its proven pieces
     cubic = Custom("(3*t - t^3)/2")
     for r in (-1.0, -0.6, 0.0, 1.0 / 3.0, 0.95, 1.0, 1.2):
-        got, want = cubic.level_set(r), Smoothstep().level_set(r)
-        assert len(got) == len(want)
+        (got, cells), (want, _) = cubic.level_set(r), Smoothstep().level_set(r)
+        assert len(got) == len(want) and cells == []
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -669,7 +670,7 @@ def test_a_sample_near_the_level_is_no_preimage():
     # grid there each counted as a preimage, transversal ones among them:
     # SlidingCertified at t = -0.0352.  Its only zero, t = 0, is tangential
     tf = Custom("t^7")
-    assert tf.level_set(0.0) == [0.0]
+    assert tf.level_set(0.0) == ([0.0], [])
     sys = system_from_strings(("x", "y"), ("1", "1"), ("1", "-1"))  # r = 0
     cert = certify(sys, tf, 0.0)
     assert cert.verdict == Verdict.INDETERMINATE

@@ -72,6 +72,7 @@ ERROR_JOBS = [
     # parser does not bound what it scans exit 2 on their ValueError
     ("classify-dot-exponent", 2, ["classify"], FOLD.replace("2*x", ".e1")),
     ("classify-exponent-5000-digits", 2, ["classify"], FOLD.replace("2*x", "x^" + "9" * 5000)),
+    ("classify-grid-not-a-number", 2, ["classify"], FOLD + "[run]\ngrid = a:1:5\n"),
     ("certify-trace-pole", 1, ["certify"], TRACE_POLE),
     ("certify-nan-psi", 2, ["certify"], FOLD + NAN_PSI),
     ("slow-fast-trace-pole", 1, ["slow-fast"], TRACE_POLE),
