@@ -48,7 +48,7 @@ import types
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import expr as ex
+from . import blowup, expr as ex
 from .regularize import (
     HeightRoot,
     SlidingCertificate,
@@ -799,7 +799,7 @@ def equilibria_on_manifold(
         root = most_transversal(height_roots(system, transition, x))
         if root is None:
             return math.nan
-        return system._blend(transition.value(root.t, (x,)), x, eps * root.t)[0]
+        return blowup._e_blend(system, transition, x, root.t, eps)[0]
 
     delta = (hi - lo) / (EQ_SAMPLES - 1) / 2.0
 

@@ -91,23 +91,23 @@ def bisect_sign_change(
 ) -> float:
     """A point where f changes sign between a < b, to within tol.
 
-    ``fa`` is f(a) when the caller already has it.  The search stops early
-    at an exact zero or at a NaN value, and also when no float lies strictly
-    between the ends, which ends it for any tol below the float spacing.
+    f(a), or ``fa`` if the caller has it, must be nonzero and not NaN; a
+    probe of the other sign becomes b, else a.  The search stops early at an
+    exact zero or a NaN value, and also when no float lies strictly between
+    the ends, which ends it for any tol below the float spacing.
     """
-    if fa is None:
-        fa = f(a)
+    below = (f(a) if fa is None else fa) < 0.0
     while b - a > tol:
         mid = 0.5 * (a + b)
         if not a < mid < b:
             break
         fm = f(mid)
-        if fm == 0.0 or math.isnan(fm):
+        if not (fm < 0.0 or fm > 0.0):  # 0 or NaN
             return mid
-        if fa * fm < 0.0:
+        if (fm < 0.0) != below:
             b = mid
         else:
-            a, fa = mid, fm
+            a = mid
     return 0.5 * (a + b)
 
 
@@ -124,13 +124,13 @@ def monotone_breaks(
     values = [f(t) for t in ts]
     breaks, out = [ts[0]], [values[0]]
     for k in range(1, len(ts) - 1):
-        rises = (values[k] - values[k - 1]) * (values[k + 1] - values[k])
+        rises = sign(values[k] - values[k - 1]) * sign(values[k + 1] - values[k])
         if rises > 0.0:
             continue
         t, v = ts[k], values[k]
         if rises < 0.0:
             da = slope(ts[k - 1])
-            if da * slope(ts[k + 1]) < 0.0:
+            if sign(da) * sign(slope(ts[k + 1])) < 0.0:
                 t = bisect_sign_change(slope, ts[k - 1], ts[k + 1], ROOT_BISECTION_TOL, fa=da)
                 v = f(t)
         breaks.append(t)
@@ -151,11 +151,10 @@ def monotone_zeros(
     nor does the piece from breaks[k] for each k in ``skip``.
     """
     out = []
-    for k, v in enumerate(values):
+    for k, (v, w) in enumerate(zip(values, [*values[1:], math.nan])):  # w: NaN past the end
         if abs(v) <= tol:
             out.append(breaks[k])
-        elif (k + 1 < len(values) and abs(values[k + 1]) > tol and v * values[k + 1] < 0.0
-              and k not in skip):
+        elif abs(w) > tol and sign(v) * sign(w) < 0.0 and k not in skip:
             out.append(bisect_sign_change(f, breaks[k], breaks[k + 1], ROOT_BISECTION_TOL, fa=v))
     return out
 
@@ -217,7 +216,7 @@ class TransitionFunction:
 
     def deriv_x(self, t: float, x: Sequence[float] = ()) -> list[float]:
         """The gradient of psi in the surface coordinates x."""
-        if not -1.0 < t < 1.0:  # psi is constant outside the band
+        if t <= -1.0 or t >= 1.0:  # psi is constant outside the band, as for deriv_t
             return [0.0] * len(x)
         grad = self._dpsi_dx(float(t), x)
         return grad + [0.0] * (len(x) - len(grad))
@@ -401,7 +400,7 @@ class Custom(TransitionFunction):
             return None
         dpsi = self._dpsi_dt
         s_lo, s_hi = dpsi(lo, x), dpsi(hi, x)
-        if s_lo * s_hi < 0.0:
+        if sign(s_lo) * sign(s_hi) < 0.0:
             turn = bisect_sign_change(lambda t: dpsi(t, x), lo, hi, ROOT_BISECTION_TOL, fa=s_lo)
             return [(turn, sign(s_lo)), (hi, sign(s_hi))]
         return None if math.isnan(s_lo + s_hi) else [(hi, sign(s_lo + s_hi))]
@@ -544,8 +543,9 @@ def regularized_jacobian(
     floats, as a list of rows.
 
     The psi-blend of the two field Jacobians plus (X_plus - X_minus)/2 times
-    the gradient of psi(x, y/eps): psi'(y/eps)/eps in the y column and, for a
-    custom psi that uses x, d(psi)/dx in the x columns.
+    the gradient of psi(x, y/eps), 0 outside the one band -1 < y/eps < 1 (a
+    NaN inside) of deriv_t and deriv_x: psi'(y/eps)/eps in the y column and,
+    for a custom psi that uses x, d(psi)/dx in the x columns.
     """
     return regularized(system, transition, eps)[1](0.0, point)
 

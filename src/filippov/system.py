@@ -198,9 +198,10 @@ def _blend_function(system: PiecewiseSystem, jacobian: bool, transition=None,
 
     Given a transition and a band width eps, either takes (time, state)
     and inlines psi and grad at t = y/eps from the transition's trees, as
-    its value, deriv_x and deriv_t/eps give them.  This one formula of the
-    blend, every entry wp*p + wm*m with wp = 0.5*(1.0 + psi) and
-    wm = 0.5*(1.0 - psi), is also a slide's at psi = r (filippov_tangent).
+    its value, deriv_x and deriv_t/eps give them, all of grad in their one
+    band (a NaN t inside).  This one formula of the blend, every entry
+    wp*p + wm*m with wp = 0.5*(1.0 + psi) and wm = 0.5*(1.0 - psi), is also
+    a slide's at psi = r (filippov_tangent).
 
     Where an operation raises, the emitter's fallback walks the trees in
     emission order (psi's only where their band branch ran): psi, the
@@ -234,7 +235,7 @@ def _blend_function(system: PiecewiseSystem, jacobian: bool, transition=None,
 
     if transition is None:
         params, body = ["psi", *grad, *point] if jacobian else ["psi", *point], []
-    else:  # the band tests of value, then of deriv_x and deriv_t
+    else:  # the band test of value; that of deriv_x and deriv_t follows
         params, c_eps = ["time", "state"], emitter.constant(float(eps))
         body = [*emitter.unpack("state"), f"t = {point[-1]} / {c_eps}",
                 *band("not (t < -1.0 or t > 1.0)", "tv", [transition.expression], ["psi"],
@@ -249,9 +250,8 @@ def _blend_function(system: PiecewiseSystem, jacobian: bool, transition=None,
     body += [*emitter.body, *weights]
     if transition is not None:
         gradient = [*transition.gradient, *[ex.Const(0.0)] * n][:n - 1]  # 0 past x_names
-        body += [*band("-1.0 < t < 1.0", "tx", gradient, grad[:-1], "0.0"),
-                 *band("not (t <= -1.0 or t >= 1.0)", "tt", [transition.derivative],
-                       grad[-1:], "0.0"), f"{grad[-1]} = {grad[-1]} / {c_eps}"]
+        body += [*band("not (t <= -1.0 or t >= 1.0)", "tg", [*gradient, transition.derivative],
+                       grad, "0.0"), f"{grad[-1]} = {grad[-1]} / {c_eps}"]
     done = len(emitter.body)
     body += [f"if not ({' or '.join(grad)}):", f"    return {listed(map(listed, rows))}"]
     plus, minus = emitter.emit(system.plus.components), emitter.emit(system.minus.components)

@@ -194,6 +194,27 @@ def test_bisection_stops_when_floats_run_out():
     assert abs(t - 10000.3) <= 2e-12
 
 
+def test_bisection_compares_signs_not_products():
+    # fa * fm underflowed to 0 below about 1e-162, which read as no sign
+    # change, and the search ran to b = 1
+    t = bisect_sign_change(lambda t: 1e-200 * (t - 0.3), 0.0, 1.0, 1e-14)
+    assert abs(t - 0.3) <= 1e-14
+
+
+@pytest.mark.parametrize("y0", [[1.0], [0.5, 1.0]], ids=["integrate", "integrate_filippov"])
+def test_an_infinite_start_derivative_fails_at_the_start(y0):
+    # d1 = inf makes the first trial step h0 = 0; the start is then all
+    # that is computed, and dividing the second difference by h0 is skipped
+    if len(y0) == 1:
+        traj = integrate(lambda t, y: [math.inf], y0, (0.0, 1.0), jac=lambda t, y: [[0.0]])
+    else:  # x*1e308*10 overflows to inf at x = 0.5
+        sys = system_from_strings(("x", "y"), ("x*1e308*10", "-1"), ("1", "1"))
+        traj = integrate_filippov(sys, y0, (0.0, 1.0))
+    assert traj.times.tolist() == [0.0]
+    assert traj.final_state.tolist() == y0
+    assert [(e.kind, e.time) for e in traj.events] == [(EventKind.STEP_FAILURE, 0.0)]
+
+
 # ---------------------------------------------------------------------------
 # the stiff regularized flow
 
@@ -520,6 +541,26 @@ def test_hybrid_slide_exit():
     # ballistic arc afterwards: x = t - 1/2, y = (t - 1/2)^2
     assert traj.final_state[0] == pytest.approx(0.5, abs=1e-6)
     assert traj.final_state[1] == pytest.approx(0.25, abs=1e-6)
+
+
+def test_a_slide_exit_does_not_move_under_a_rescaling_of_the_normal_components():
+    # a+ = s*2.627636*(x - 0.269307) and a- = s*1.074824: lambda, and so the
+    # slide and its exit at the fold x = 0.269307, do not depend on s > 0.
+    # The exit's bisection multiplied two sliding margins of order s, which
+    # underflowed to 0 at s = 1e-170 and 1e-300: the exit moved to t = 1
+    exits = []
+    for s in (1.0, 1e-100, 1e-170, 1e-300):
+        sys = system_from_strings(("x", "y"), ("1", f"{s!r}*2.627636*(x - 0.269307)"),
+                                  ("1", f"{s!r}*1.074824"))
+        traj = integrate_filippov(sys, (-0.5, 0.0), (0.0, 1.0))
+        assert [e.kind for e in traj.events] == [EventKind.SLIDE_ENTRY, EventKind.SLIDE_EXIT]
+        exit_ = traj.events[1]
+        assert exit_.state[0] == pytest.approx(0.269307, abs=1e-8)
+        exits.append(exit_.state[0])
+        # the ballistic arc after the exit: y = s*2.627636*(x - 0.269307)^2/2
+        assert traj.final_state[1] == pytest.approx(0.06992042206182 * s, rel=1e-12)
+        assert np.all(np.diff(traj.times) > 0.0)
+    assert max(exits) - min(exits) <= 1e-15
 
 
 @pytest.mark.parametrize("x0, kinds", [

@@ -68,7 +68,7 @@ class Reference:
         return self.core_d(t, x)
 
     def deriv_x(self, t, x):
-        if not self.x_names or not -1.0 < t < 1.0:
+        if not self.x_names or t <= -1.0 or t >= 1.0:
             return [0.0] * len(x)
         grad = list(self.dpsi_dx(t, *x[:len(self.x_names)]))
         return grad + [0.0] * (len(x) - len(grad))

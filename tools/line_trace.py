@@ -1,0 +1,119 @@
+"""Run pytest under a line tracer and list the library statements no test ran.
+
+Usage, from the root of a checkout (the arguments go to pytest as they are):
+
+    python3 tools/line_trace.py -q tests/
+    python3 tools/line_trace.py -q tests/test_expr.py -k parse
+
+While pytest runs, sys.settrace records every line executed in the files
+of src/filippov/ (the tree next to this script, put first on the path).
+The report then lists, per module, each statement that compiles to code
+and none of whose lines ran: a compound statement (if, for, def, ...) by
+its header, a simple one by all of its lines.  Docstrings and the body of
+``if TYPE_CHECKING:`` are left out, as they are never meant to run.  Only
+code run in this process and its main thread is seen: a subprocess a test
+starts is not traced.
+
+The exit status is pytest's.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import sys
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "filippov"
+
+
+def statements(source: str, filename: str) -> list[tuple[int, int]]:
+    """The (first, last) lines of each statement of a module that compiles
+    to code, in line order: a compound statement's header, from its first
+    decorator to the line before its body, or a simple statement whole."""
+    tree = ast.parse(source, filename)
+    coded, codes = set(), [compile(tree, filename, "exec", dont_inherit=True)]
+    while codes:
+        code = codes.pop()
+        coded.update(line for _, _, line in code.co_lines() if line is not None)
+        codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    skipped = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            skipped.add(id(body[0]))
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            skipped.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    spans = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.stmt) or id(node) in skipped:
+            continue
+        first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
+        body = getattr(node, "body", None)
+        last = max(node.lineno, body[0].lineno - 1) if body else node.end_lineno
+        if any(line in coded for line in range(first, last + 1)):
+            spans.append((first, last))
+    return sorted(spans)
+
+
+def run(args: list[str]) -> tuple[int, dict[Path, set[int]]]:
+    """pytest's exit status on ``args``, and the lines of each module of the
+    package that ran meanwhile."""
+    import pytest
+
+    ran = {path: set() for path in sorted(PACKAGE.glob("*.py"))}
+    by_name = {os.path.realpath(path): lines for path, lines in ran.items()}
+    tracers = {}
+
+    def local(lines):
+        def trace(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return trace
+        return trace
+
+    def on_call(frame, event, arg):
+        name = frame.f_code.co_filename
+        if name not in tracers:
+            lines = by_name.get(os.path.realpath(name))
+            tracers[name] = None if lines is None else local(lines)
+        return tracers[name]
+
+    sys.path.insert(0, str(PACKAGE.parent))
+    sys.settrace(on_call)
+    try:
+        status = pytest.main(args)
+    finally:
+        sys.settrace(None)
+    return int(status), ran
+
+
+def report(ran: dict[Path, set[int]]) -> list[str]:
+    """Per module, a count of its statements that did not run, then each as
+    'line: its first source line'."""
+    out, missed_total, total = [], 0, 0
+    for path, lines in ran.items():
+        source = path.read_text()
+        text = source.splitlines()
+        spans = statements(source, str(path))
+        missed = [first for first, last in spans
+                  if not any(line in lines for line in range(first, last + 1))]
+        out.append(f"{path.relative_to(ROOT)}: {len(missed)} of {len(spans)} statements not run")
+        out += [f"  {first}: {text[first - 1].strip()}" for first in missed]
+        missed_total, total = missed_total + len(missed), total + len(spans)
+    out.append(f"{missed_total} of {total} statements of {PACKAGE.relative_to(ROOT)}/ not run")
+    return out
+
+
+def main() -> int:
+    status, ran = run(sys.argv[1:])
+    print("\n".join(report(ran)))
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
