@@ -33,13 +33,14 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
 from .config import ConfigError, SystemConfig, grid_points, load_config
 from .cross import NonMonotoneTransitionError, stratified_slide_curve
 from .expr import DomainError
 from .dynamics import (
+    ManifoldPoint,
     NoSlidingAtError,
     Trajectory,
     UnresolvedSingularityError,
@@ -50,6 +51,7 @@ from .dynamics import (
 from .regularize import (
     TRANSVERSALITY_TOL,
     ZERO_TOL,
+    HeightRoot,
     SlidingCertificate,
     ValidationFailure,
     Verdict,
@@ -65,17 +67,50 @@ BOUNDARY_BISECTION_TOL = 1e-12  # width at which a refined verdict boundary stop
 Certified = list[tuple[float, SlidingCertificate]]  # grid points with their certificates
 
 
+def _float(value: float) -> str:
+    """A float as json.dumps writes it."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+class _Rows(NamedTuple):
+    """A list of rows of one shape, which _json writes a row at a time by
+    ``encode(row, inner)``, inner being the line break and indent of the
+    row's line."""
+
+    encode: Callable[[Any, str], str]
+    rows: Sequence
+
+
+def _grid_row(row: tuple[float, str, Sequence[HeightRoot]], inner: str) -> str:
+    """{x, verdict, roots: [{t, dh_dt}]} of a row (x, verdict, roots)."""
+    x, verdict, roots = row
+    key = inner + "  "
+    deep = key + "    "
+    listed = ",".join(f'{key}  {{{deep}"t": {_float(r.t)},{deep}"dh_dt": {_float(r.dh_dt)}{key}  }}'
+                      for r in roots)
+    return (f'{{{key}"x": {_float(x)},{key}"verdict": {encode_basestring_ascii(verdict)},'
+            f'{key}"roots": {f"[{listed}{key}]" if roots else "[]"}{inner}}}')
+
+
+def _point_row(p: ManifoldPoint, inner: str) -> str:
+    """{x, t, y, dh_dt} of a manifold point."""
+    key = inner + "  "
+    return (f'{{{key}"x": {_float(p.x)},{key}"t": {_float(p.t)},{key}"y": {_float(p.y)},'
+            f'{key}"dh_dt": {_float(p.dh_dt)}{inner}}}')
+
+
 def _json(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2), byte for byte, for the dicts with str
-    keys, lists, tuples, str, float, int, bool and None of a report, without
-    the pure-Python encoder that indent selects in json; ``indent`` is the
-    line break and indent of the value's line."""
+    keys, lists, tuples, str, float, int, bool and None of a report, and
+    for _Rows as the list of the dicts its rows stand for, without the
+    pure-Python encoder that indent selects in json; ``indent`` is the line
+    break and indent of the value's line."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+        return _float(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
@@ -83,6 +118,8 @@ def _json(value, indent: str = "\n") -> str:
     inner = indent + "  "
     if isinstance(value, dict):
         items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+    elif type(value) is _Rows:
+        items = [inner + value.encode(row, inner) for row in value.rows]
     elif isinstance(value, (list, tuple)):
         items = [inner + _json(v, inner) for v in value]
     else:
@@ -121,7 +158,8 @@ def _require_planar(cfg: SystemConfig):
     return system
 
 
-def _write_verdict_report(cfg: SystemConfig, path: Path, rows: list[tuple[float, str, list[dict]]],
+def _write_verdict_report(cfg: SystemConfig, path: Path,
+                          rows: list[tuple[float, str, Sequence[HeightRoot]]],
                           judge: Callable[[float], str], sliding: str, sewing: str) -> None:
     """Grid rows {x, verdict, roots} from ``rows`` of (x, verdict, roots),
     plus the refined boundaries between sliding and sewing runs.
@@ -131,7 +169,7 @@ def _write_verdict_report(cfg: SystemConfig, path: Path, rows: list[tuple[float,
     judge(x) == sliding, the verdict at a point off the grid.
     """
     report = _report_skeleton(cfg)
-    report["grid"] = [{"x": x, "verdict": v, "roots": roots} for x, v, roots in rows]
+    report["grid"] = _Rows(_grid_row, rows)
     side = lambda x: 1.0 if judge(x) == sliding else -1.0
     decided = [(i, x, v) for i, (x, v, _) in enumerate(rows) if v in (sliding, sewing)]
     report["boundary_estimates"] = [
@@ -157,8 +195,7 @@ def _certify_grid(cfg: SystemConfig) -> Certified:
 
 
 def _write_certificates(cfg: SystemConfig, out: Path, certified: Certified) -> None:
-    rows = [(x, cert.verdict.value, [{"t": r.t, "dh_dt": r.dh_dt} for r in cert.roots])
-            for x, cert in certified]
+    rows = [(x, cert.verdict.value, cert.roots) for x, cert in certified]
     judge = lambda x: certify(cfg.system, cfg.transition, x).verdict.value
     _write_verdict_report(cfg, out / "certificates.json", rows, judge,
                           Verdict.SLIDING_CERTIFIED.value, Verdict.SEWING_CERTIFIED.value)
@@ -208,9 +245,7 @@ def _write_manifold(cfg: SystemConfig, out: Path, certified: Certified) -> None:
         report["tracks"].append({
             "epsilon": track.eps,
             "hausdorff_to_sigma": max(abs(p.y) for p in track.points),
-            "points": [
-                {"x": p.x, "t": p.t, "y": p.y, "dh_dt": p.dh_dt} for p in track.points
-            ],
+            "points": _Rows(_point_row, track.points),
             "excluded": [{"x": x, "reason": reason} for x, reason in track.excluded],
         })
     _write_json(out / "manifold.json", report)

@@ -779,12 +779,12 @@ def equilibria_on_manifold(
     regularized field evaluated on the manifold point (x, eps * t_x),
     sampled at EQ_SAMPLES points of x_range.  g is taken to be monotone
     between the breaks of monotone_breaks: the ends of x_range, the
-    critical points of g (found by bisecting a secant slope from each
+    critical points of g (found by zeroin on a secant slope from each
     sample where the sampled values turn), and the samples on a flat or
     beside a point where g is undefined (no transversal root, so no
     manifold).  A break with |g| <= EQ_TOL is a zero, a tangential one
     included; a piece whose ends differ in sign holds one, found by
-    bisection; and no zero is sought across an undefined point.  Stability
+    zeroin; and no zero is sought across an undefined point.  Stability
     is the sign of g' at the zero.
     """
     if system.dim != 2:

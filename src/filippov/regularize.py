@@ -24,15 +24,23 @@ lam being the Filippov weight; on the surface the blend at psi = r is the
 sliding field a slide steps, and both read r from system._sliding_level.
 So the zeros of h are a level set of psi, which one call of
 TransitionFunction.level_set returns: in closed form for smoothstep and
-biased, else by monotone_zeros, one bisection per monotone piece of
-_pieces(x): overshoot's two branches, or for a custom psi the pieces that
-interval enclosures of psi' and psi'' prove monotone on cells of the band,
-each halved at most MAX_CELL_DEPTH times, MAX_CELLS cells at most (once if
-psi uses no x; see Custom).  The same call returns the unproven pieces
-where psi may take r, which it does not search.  A preimage within a
-tolerance lies only at a break.  One where psi' != 0 certifies a sliding
-band, no preimage certifies sewing, and everything else (tangential
-preimages, h = 0 identically, an unproven piece) is indeterminate.
+biased, else by monotone_zeros, one zeroin (Brent's method) per monotone
+piece of _pieces(x): overshoot's two branches, or for a custom psi the
+pieces that interval enclosures of psi' and psi'' prove monotone on cells
+of the band, each halved at most MAX_CELL_DEPTH times, MAX_CELLS cells at
+most (once if psi uses no x; see Custom).  The same call returns the
+unproven pieces where psi may take r, which it does not search.  A
+preimage within a tolerance lies only at a break.  One where psi' != 0
+certifies a sliding band, no preimage certifies sewing, and everything
+else (tangential preimages, h = 0 identically, an unproven piece) is
+indeterminate.
+
+zeroin serves the smooth functions: psi - r, psi' at a turn, and g and its
+slope in dynamics.equilibria_on_manifold.  bisect_sign_change serves the
+brackets interpolation cannot shorten, a verdict that steps between -1 and
+1 (cli), and the hybrid event times (dynamics), which it keeps in place
+under a positive rescaling of the fields, up to the rounding of the
+rescaled values.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ TRANSVERSALITY_TOL = 1e-8  # a root with |psi'| above this is transversal
 ZERO_TOL = 1e-10  # |psi - r| at or below this is a preimage at a custom psi's break
 MAX_CELL_DEPTH = 20  # halvings of [-1, 1] after which a cell of a custom psi is unproven
 MAX_CELLS = 256  # cells a custom psi's pieces test at one x; the rest of the band is unproven
-ROOT_BISECTION_TOL = 1e-14  # width at which bisect_sign_change stops for breaks and zeros
+ROOT_BISECTION_TOL = 1e-14  # bracket width at which zeroin stops for breaks and zeros
 
 _VALIDATION_X = (-1.0, -0.37, 0.0, 0.58, 1.0)
 
@@ -111,6 +119,70 @@ def bisect_sign_change(
     return 0.5 * (a + b)
 
 
+def zeroin(
+    f: Callable[[float], float], a: float, b: float, tol: float,
+    fa: float | None = None, fb: float | None = None,
+) -> float:
+    """A zero of f between a < b, to within tol, by Brent's zeroin (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4).
+
+    f(a) and f(b), or ``fa`` and ``fb`` if the caller has them, must be
+    nonzero, not NaN and of opposite signs.  The bracket's end b is the
+    one where |f| is least, c the other.  Each step is the secant or the
+    inverse quadratic through b and the last one or two probes, written in
+    ratios of f's values; it bisects instead where that point lies beyond
+    three quarters of the way to c or the step is not under half the step
+    before last.  So it is superlinear where f is smooth, and at worst
+    takes about the square of bisection's count of probes.  Signs are
+    compared, never multiplied.  As in bisect_sign_change, the search stops
+    early at an exact zero or a NaN value, and when no float lies strictly
+    between b and c.  The result lies strictly inside (a, b), but for a
+    bracket with no float inside.
+    """
+    lo, hi, half_tol = a, b, 0.5 * tol
+    fa = f(a) if fa is None else fa
+    fb = f(b) if fb is None else fb
+    c, fc, d = a, fa, b - a  # c: the other end of the bracket; d: the last step
+    e = d  # the step before it
+    while True:
+        if abs(fc) < abs(fb):  # b takes the end with the least |f|, a its last value
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        half = 0.5 * (c - b)
+        if abs(half) <= half_tol:
+            break
+        if abs(e) >= half_tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # two points: the secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # three: inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            if 2.0 * p < 3.0 * half * q - abs(half_tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                e = d = half
+        else:
+            e = d = half
+        a, fa = b, fb
+        b += d if abs(d) > half_tol else half_tol if half > 0.0 else -half_tol
+        if not min(a, c) < b < max(a, c):  # the step rounded onto an end: one float on
+            b = math.nextafter(a, c)
+            if b == c:  # no float between them
+                b = a
+                break
+        fb = f(b)
+        if not (fb < 0.0 or fb > 0.0):  # 0 or NaN
+            return b
+        if (fb < 0.0) == (fc < 0.0):
+            c, fc = a, fa
+            e = d = b - a
+    if lo < b < hi:
+        return b
+    return c if lo < c < hi else 0.5 * (lo + hi)  # c: a probe, unless there was none
+
+
 def monotone_breaks(
     f: Callable[[float], float], slope: Callable[[float], float], ts: Sequence[float]
 ) -> tuple[list[float], list[float]]:
@@ -118,7 +190,7 @@ def monotone_breaks(
 
     These are the ends of the samples ts and each sample where the sampled
     values of f stop strictly rising or falling: a turn, which moves onto
-    the critical point that bisecting ``slope`` finds in its two cells, a
+    the critical point that zeroin finds on ``slope`` in its two cells, a
     flat, or a NaN.  Only turns closer together than a cell are missed.
     """
     values = [f(t) for t in ts]
@@ -130,8 +202,9 @@ def monotone_breaks(
         t, v = ts[k], values[k]
         if rises < 0.0:
             da = slope(ts[k - 1])
-            if sign(da) * sign(slope(ts[k + 1])) < 0.0:
-                t = bisect_sign_change(slope, ts[k - 1], ts[k + 1], ROOT_BISECTION_TOL, fa=da)
+            db = slope(ts[k + 1])
+            if sign(da) * sign(db) < 0.0:
+                t = zeroin(slope, ts[k - 1], ts[k + 1], ROOT_BISECTION_TOL, fa=da, fb=db)
                 v = f(t)
         breaks.append(t)
         out.append(v)
@@ -146,16 +219,17 @@ def monotone_zeros(
 
     f is monotone between consecutive breaks, and values[k] = f(breaks[k]).
     A break whose value is within tol of 0 is a zero; a piece whose two ends
-    lie beyond tol with opposite signs holds one zero, which bisection
-    finds.  A NaN value is no zero, and a piece with a NaN end holds none,
-    nor does the piece from breaks[k] for each k in ``skip``.
+    lie beyond tol with opposite signs holds one zero, which zeroin finds
+    from the values at both ends.  A NaN value is no zero, and a piece with
+    a NaN end holds none, nor does the piece from breaks[k] for each k in
+    ``skip``.
     """
     out = []
     for k, (v, w) in enumerate(zip(values, [*values[1:], math.nan])):  # w: NaN past the end
         if abs(v) <= tol:
             out.append(breaks[k])
         elif abs(w) > tol and sign(v) * sign(w) < 0.0 and k not in skip:
-            out.append(bisect_sign_change(f, breaks[k], breaks[k + 1], ROOT_BISECTION_TOL, fa=v))
+            out.append(zeroin(f, breaks[k], breaks[k + 1], ROOT_BISECTION_TOL, fa=v, fb=w))
     return out
 
 
@@ -341,7 +415,7 @@ class Custom(TransitionFunction):
     where psi' >= 0 or psi' <= 0 throughout is monotone: non-strict, as a C1
     psi has psi' = 0 at the band ends.  A cell where psi'' excludes 0 holds
     one turn at most, where psi' changes sign between the cell's ends, which
-    bisecting psi' finds.  Both tests read the trees' derivatives, in which
+    zeroin finds on psi'.  Both tests read the trees' derivatives, in which
     sgn's is 0, so a jump of psi or psi' at a zero of a sgn argument (abs
     differentiates to sgn) is kept out by a guard (_guarded).  Any other
     cell is halved, and one left after MAX_CELL_DEPTH halvings is unproven,
@@ -401,7 +475,7 @@ class Custom(TransitionFunction):
         dpsi = self._dpsi_dt
         s_lo, s_hi = dpsi(lo, x), dpsi(hi, x)
         if sign(s_lo) * sign(s_hi) < 0.0:
-            turn = bisect_sign_change(lambda t: dpsi(t, x), lo, hi, ROOT_BISECTION_TOL, fa=s_lo)
+            turn = zeroin(lambda t: dpsi(t, x), lo, hi, ROOT_BISECTION_TOL, fa=s_lo, fb=s_hi)
             return [(turn, sign(s_lo)), (hi, sign(s_hi))]
         return None if math.isnan(s_lo + s_hi) else [(hi, sign(s_lo + s_hi))]
 
@@ -616,15 +690,17 @@ def height_roots(
     for t in zeros:
         slope = transition.deriv_t(t, xs)
         out.append(HeightRoot(t, slope * diff, slope))
-    return out + [UnresolvedInterval(*cell) for cell in cells]
+    return out + [UnresolvedInterval(*cell) for cell in cells] if cells else out
 
 
 def most_transversal(found: Sequence[Found]) -> HeightRoot | None:
-    """The transversal root of ``found`` with the largest |psi'|, if any."""
-    transversal = [
-        r for r in found if isinstance(r, HeightRoot) and abs(r.dpsi_dt) > TRANSVERSALITY_TOL
-    ]
-    return max(transversal, key=lambda r: abs(r.dpsi_dt), default=None)
+    """The transversal root of ``found`` with the largest |psi'|, if any
+    (the first of equals)."""
+    best, most = None, TRANSVERSALITY_TOL
+    for r in found:
+        if isinstance(r, HeightRoot) and abs(r.dpsi_dt) > most:
+            best, most = r, abs(r.dpsi_dt)
+    return best
 
 
 class Verdict(enum.Enum):
@@ -662,10 +738,11 @@ def certify(
     Indeterminate otherwise.
     """
     found = height_roots(system, transition, x)
-    roots = tuple(r for r in found if isinstance(r, HeightRoot))
-    degenerate = tuple(r for r in found if isinstance(r, DegenerateInterval))
-    unresolved = tuple(r for r in found if isinstance(r, UnresolvedInterval))
-    witness = most_transversal(found)
+    roots = tuple([r for r in found if isinstance(r, HeightRoot)])
+    rest = tuple(found[len(roots):])  # the unresolved cells, or one degenerate interval
+    degenerate = rest if rest and isinstance(rest[0], DegenerateInterval) else ()
+    unresolved = () if degenerate else rest
+    witness = most_transversal(roots)
     if witness is not None:
         verdict = Verdict.SLIDING_CERTIFIED
     elif not found:

@@ -161,7 +161,9 @@ class PiecewiseSystem:
 
     def tangential(self, x: Sequence[float] | float) -> tuple[float, ...]:
         """Sigma coordinates as a checked tuple of floats; a bare number is a planar x."""
-        xs = (float(x),) if isinstance(x, numbers.Real) else tuple(map(float, x))
+        # float and int first: numbers.Real is an ABC, whose check is slow
+        real = type(x) is float or type(x) is int or isinstance(x, numbers.Real)
+        xs = (float(x),) if real else tuple(map(float, x))
         if len(xs) != self.dim - 1:
             raise ValueError(f"expected {self.dim - 1} tangential coordinates, got {len(xs)}")
         return xs

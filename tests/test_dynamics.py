@@ -30,6 +30,7 @@ from filippov.regularize import (
     make_transition,
     regularized_field,
     regularized_jacobian,
+    zeroin,
 )
 from filippov.system import SigmaClass, classify_point, system_from_strings
 
@@ -182,16 +183,17 @@ def test_bisection_stops_when_floats_run_out():
     # near t = 1e4 adjacent floats are 1.8e-12 apart, wider than the 1e-12
     # event tolerance, and f vanishes at no float, so only the
     # no-float-between rule ends the search
-    calls = [0]
+    for search in (bisect_sign_change, zeroin):
+        calls = [0]
 
-    def f(t):
-        calls[0] += 1
-        if calls[0] > 200:
-            raise RuntimeError("bisection does not terminate")
-        return (t - 1e4) - 0.3
+        def f(t):
+            calls[0] += 1
+            if calls[0] > 200:
+                raise RuntimeError(f"{search.__name__} does not terminate")
+            return (t - 1e4) - 0.3
 
-    t = bisect_sign_change(f, 1e4, 1e4 + 1.0, EVENT_TIME_TOL)
-    assert abs(t - 10000.3) <= 2e-12
+        t = search(f, 1e4, 1e4 + 1.0, EVENT_TIME_TOL)
+        assert abs(t - 10000.3) <= 2e-12
 
 
 def test_bisection_compares_signs_not_products():
@@ -1052,8 +1054,9 @@ def test_equilibrium_beside_a_sewing_gap():
 
 
 def test_equilibria_search_cost(monkeypatch):
-    # one g sample per grid point, plus one bisection per turn and per zero;
-    # the three passes and the secant-slope scan of every sample took 1800
+    # one g sample per grid point, plus one zeroin per turn and per zero
+    # (640, 612 and 610 calls); the three passes and the secant-slope scan
+    # of every sample took 1800, and bisection for each zero 784
     calls = 0
     height_roots = dynamics.height_roots
 
@@ -1066,7 +1069,7 @@ def test_equilibria_search_cost(monkeypatch):
     for t0 in (-0.5, 0.0, 0.5):
         calls = 0
         equilibria_on_manifold(trichotomy_system(), Biased(t0), 0.02, (-1.0, 1.0))
-        assert calls <= 800
+        assert calls <= 700
 
 
 def test_equilibria_validation():

@@ -116,24 +116,24 @@ GOLDEN = {
         "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
     },
     "fold_custom": {
-        "certificates.json": "7c039e6c8b907d76adf1c9d54b8d5258c3fa064a7db2b973f270fa998f549d16",
+        "certificates.json": "c1483a1444b6d21e6361cdee4393b7084fb479a229a01c7b26180604df994b63",
         "classification.json": "24c3f2752111edf4e9d8b1bb53804342cff57497a5d03999d00378a89773e870",
-        "manifold.json": "c183d6eb1195f5bd50b62986b2709c7b2a6583758af3e43c92afee4d4a126864",
-        "slowfast.csv": "ba00c4d8d579414481a50665f8c134f05aeb70dbc3fff84b6b54016df8fd3010",
+        "manifold.json": "440c2e6dbbb6e062e18e5312af74b0edfefcff9a5a8bca232b908b2620344f38",
+        "slowfast.csv": "e20b01ae01118980dec62de289b3346537b3f5e9a192f31fb3cc60f58faf8dd3",
         "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
     },
     "fold_custom_bump": {
-        "certificates.json": "56855c8d49c0e110d6b58cb15e2bbb6fc0ee6761ae7d70765b3f479de056a8ac",
+        "certificates.json": "e435b6e14b7988cc37c30ae78eb487e008d1b87fb1935d0d876dda3e47d238c2",
         "classification.json": "014c1899eacdcf797fc9f1b8e9097037e88ff619f214d59e749a445201551ac1",
-        "manifold.json": "d753641ac84f56c2c1dc05aeba2c84edd42c360fae31d11942070be395c60021",
-        "slowfast.csv": "19012c661b143157730ee769eeffa69b09c0d38b852775f38a5da33ecb19d6aa",
+        "manifold.json": "585815762befdfa2c1a165dcb2e2d5b619ecf91099c9adb5cea4c3ef84751d6e",
+        "slowfast.csv": "27924e78b8faffdb40f000d7fab72b55c1cab7ebbded80961f04cd89a189b08a",
         "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
     },
     "fold_overshoot": {
-        "certificates.json": "c3df20ff363481cfabf56b007f4bf79c4f8de4ac53453293f620f5519faab592",
+        "certificates.json": "6f5352b9c4619dc5ae97230f49d43f7073d48d4f4f67db11e087648979a25c09",
         "classification.json": "609a2a231e749bfa2533c2aff618a63bba80f970501b7f10904d308c20b23b19",
-        "manifold.json": "f5e9bf4712bf488f873f9b7c688b76687589b7a29b8656e170961a8d34424cef",
-        "slowfast.csv": "cf3eb47d52514757aca5242872fff0c1448b8167b7d9900f5eef3e0ae994e896",
+        "manifold.json": "a2f58802d27e23720fe837d6677edb26409b1cf1f2277633995a8092ec75040c",
+        "slowfast.csv": "6e5d861a0b3deb0f532850c378aaed657b7bc863710c0ab3517b2ab7a7ed7fdf",
         "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
     },
     "fold_slide_exit": {

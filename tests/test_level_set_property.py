@@ -1,7 +1,8 @@
 """Property tests: the closed-form level sets of the built-in transitions
 against a dense sign scan refined by scipy's brentq (a test-only oracle),
-a custom psi's level sets against the built-in transition it spells, and a
-custom psi's level sets and certificates against the scan."""
+a custom psi's level sets against the built-in transition it spells, a
+custom psi's level sets and certificates against the scan, and the zeroin
+they are found by against brentq."""
 
 import math
 
@@ -12,7 +13,16 @@ pytest.importorskip("hypothesis")
 brentq = pytest.importorskip("scipy.optimize").brentq
 from hypothesis import assume, event, given, settings, strategies as st
 
-from filippov.regularize import Biased, Custom, Overshoot, Smoothstep, Verdict, certify
+from filippov.regularize import (
+    ROOT_BISECTION_TOL,
+    Biased,
+    Custom,
+    Overshoot,
+    Smoothstep,
+    Verdict,
+    certify,
+    zeroin,
+)
 from filippov.system import system_from_strings
 
 SCAN_NODES = 4001
@@ -201,3 +211,30 @@ def test_a_kink_hides_no_turn(text, kink):
         got, cells = tf.level_set(r)
         assert got == pytest.approx(want, abs=1e-9) and cells == []
         assert certify(level_system(r), tf, 0.0).verdict == Verdict.SLIDING_CERTIFIED
+
+
+# monotone brackets on which the slope stays within a factor of 14 of its
+# largest value.  A flatter stretch costs more: 13 to 16 evaluations for
+# tanh(s*t) with s near 20, a cubic with a slope of 0.1 at its root, or a
+# level next to a flat end of the bracket (about as many as brentq's)
+BRACKETS = {
+    "cubic": (lambda p, t: (0.5 + 1.5 * p) * t + 2.0 * (1.0 - p) * t ** 3, -1.0, 1.0),
+    "quartic": (lambda p, t: t + (0.05 + 0.95 * p) * t ** 4, -0.6, 0.6),
+    "tanh": (lambda p, t: math.tanh((0.5 + 1.5 * p) * t), -1.0, 1.0),
+}
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(BRACKETS)), p=st.floats(0.0, 1.0), u=st.floats(0.01, 0.99),
+       rising=st.booleans())
+def test_zeroin_agrees_with_brentq(kind, p, u, rising):
+    shape, a, b = BRACKETS[kind]
+    lo, hi = shape(p, a), shape(p, b)
+    r = lo + u * (hi - lo)  # a level strictly between the ends' values
+    f = (lambda t: shape(p, t) - r) if rising else (lambda t: r - shape(p, t))
+    calls = []
+    t = zeroin(lambda t: calls.append(t) or f(t), a, b, ROOT_BISECTION_TOL, fa=f(a), fb=f(b))
+    want = brentq(f, a, b, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    assert abs(t - want) <= ROOT_BISECTION_TOL
+    assert a < t < b or f(t) == 0.0
+    assert len(calls) <= 12

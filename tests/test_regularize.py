@@ -17,6 +17,7 @@ from filippov.regularize import (
     UnresolvedInterval,
     ValidationFailure,
     Verdict,
+    bisect_sign_change,
     certify,
     height,
     height_roots,
@@ -24,8 +25,10 @@ from filippov.regularize import (
     make_transition,
     monotone_breaks,
     monotone_zeros,
+    most_transversal,
     regularized_field,
     regularized_jacobian,
+    zeroin,
 )
 from filippov.system import SigmaClass, classify_point, system_from_strings
 
@@ -732,6 +735,31 @@ def test_flats_and_nans_are_breaks():
     assert level(3.5) == [8.5]
 
 
+def test_zeroin_stops_where_bisection_does():
+    # an exact zero: the first probe of either, the secant and the midpoint
+    for search in (zeroin, bisect_sign_change):
+        assert search(lambda t: t - 0.5, 0.0, 1.0, 1e-14) == 0.5
+    # a NaN probe is returned
+    f = lambda t: t - 0.3 if t < 0.5 else math.nan
+    t = zeroin(f, 0.0, 1.0, 1e-14, fa=-0.3, fb=0.01)
+    assert 0.5 <= t < 1.0 and math.isnan(f(t))
+    assert bisect_sign_change(lambda t: t - 0.3 if t < 0.75 else math.nan, 0.5, 1.0, 1e-14) == 0.75
+
+    def never(t):
+        raise AssertionError("a bracket narrower than tol needs no probe")
+
+    assert zeroin(never, 0.0, 1e-15, 1e-14, fa=-1.0, fb=1.0) == 5e-16  # its midpoint
+    # signs are compared, not multiplied: these products underflow to 0
+    assert abs(zeroin(lambda t: 1e-200 * (t - 0.3), 0.0, 1.0, 1e-14) - 0.3) <= 1e-14
+
+
+def test_zeroin_returns_a_probe_not_the_bracket_end():
+    # the zero 1e-15 is closer to a = 0 than tol: Brent's zeroin ends with
+    # the end a, where |f| is least, and the probe 5e-15 beside it
+    t = zeroin(lambda t: t + t * t - 1e-15, 0.0, 1.0, 1e-14)
+    assert t == 5e-15
+
+
 def test_level_with_equal_normal_components():
     # a_plus = a_minus: h is the constant a_plus + a_minus, however small
     tiny = system_from_strings(("x", "y"), ("1", "1e-11"), ("1", "1e-11"))
@@ -783,14 +811,38 @@ def _psi_evaluations(monkeypatch, tf, run) -> int:
                          ids=["smoothstep", "biased", "overshoot"])
 def test_certify_does_not_scan_built_in_transitions(monkeypatch, tf):
     # a t-grid scan costs 513 evaluations per point; the level set costs none
-    # in closed form and two bisections at most for the overshoot
+    # in closed form and two zeroin searches at most for the overshoot
     for x in (-0.9, -0.5, 0.0, 0.2, 1.0 / 3.0 - 1e-9, 0.5):
         assert _psi_evaluations(monkeypatch, tf, lambda: certify(fold(), tf, x)) <= 100
 
 
+def test_overshoot_certify_costs_at_most_ten_psi_evaluations_per_root(monkeypatch):
+    # zeroin on the two monotone branches; bisecting each to 1e-14 took 46.7
+    # evaluations per root on this fold (7849 for 168 roots), zeroin 7.2
+    tf, xs = Overshoot(2.0), linspace(-1.0, 1.0, 201)
+    evaluations = _psi_evaluations(monkeypatch, tf, lambda: [certify(fold(), tf, x) for x in xs])
+    roots = sum(len(certify(fold(), tf, x).roots) for x in xs)
+    assert roots == 168
+    assert evaluations <= 10 * roots
+
+
+def test_tangential_reads_every_real_number_type_alike():
+    # float and int skip the slow numbers.Real check; bool and numpy's
+    # numbers still pass it
+    system = fold()
+    for x in (1.0, 1, True, np.float64(1.0), np.int64(1), (1.0,), [1], np.array([1.0])):
+        got = system.tangential(x)
+        assert got == (1.0,) and type(got[0]) is float, x
+    for x in ((), (1.0, 2.0), np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="expected 1 tangential coordinates, got"):
+            system.tangential(x)
+    with pytest.raises(ValueError, match="expected 2 tangential coordinates, got 1"):
+        system_from_strings(("x1", "x2", "y"), ("1", "0", "x1"), ("1", "0", "x2")).tangential(1)
+
+
 def test_certify_of_an_x_dependent_custom_transition_is_cheap(monkeypatch):
     # a 513-node scan of psi per point is gone: a few enclosures prove the
-    # pieces, and one bisection finds the root
+    # pieces, and one zeroin search finds the root
     tf = Custom("tanh(3*t)/tanh(3) + 0.2*x*(1 - t^2)", ("x",))
     verdicts = set()
     for x in (-1.0, -0.9, -0.5, 0.0, 0.2, 0.5, 1.0):
@@ -800,7 +852,7 @@ def test_certify_of_an_x_dependent_custom_transition_is_cheap(monkeypatch):
 
 
 def test_an_x_free_custom_transition_is_pieced_once(monkeypatch):
-    # the pieces do not depend on r or x: a second certify only bisects
+    # the pieces do not depend on r or x: a second certify only runs zeroin
     tf = Custom("(3*t - t^3)/2 + 0.8*(1 - t^2)^2", ("x",))
     calls, bounds = [], tf._slope_bounds
     monkeypatch.setattr(tf, "_slope_bounds", lambda *a: calls.append(a) or bounds(*a))
@@ -831,7 +883,7 @@ def test_a_spike_between_grid_nodes_slides():
     assert cert.verdict == Verdict.SLIDING_CERTIFIED
     assert [round(r.t, 5) for r in cert.roots] == [0.29996, 0.30004]
     assert cert.roots[0].dpsi_dt > 0 > cert.roots[1].dpsi_dt
-    for root in cert.roots:  # bisected to 1e-14 where psi' is near 5740
+    for root in cert.roots:  # found to 1e-14 where psi' is near 5740
         assert tf.value(root.t) == pytest.approx(1.1, abs=1e-10)
     assert cert.unresolved == ()
 
@@ -860,6 +912,30 @@ def test_an_unproven_cell_never_yields_a_verdict(monkeypatch):
     assert (err.value.count, err.value.unresolved) == (1, 1)
     monkeypatch.undo()
     assert transition_zero(Custom(SPIKE), "psi") == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("psi, system, x, kinds", [
+    (lambda: Overshoot(2.0), fold, 0.2, (2, 0, 0)),
+    (lambda: Overshoot(2.0), fold, -0.5, (1, 0, 0)),
+    (lambda: Custom(SPIKE), lambda: level_system(1.1), 0.0, (0, 0, 1)),
+    (lambda: Custom(SPIKE), lambda: level_system(0.35), 0.0, (1, 0, 1)),
+    (Smoothstep, lambda: system_from_strings(("x", "y"), ("1", "x"), ("1", "x")), 0.0, (0, 1, 0)),
+    (Smoothstep, fold, 0.5, (0, 0, 0)),
+], ids=["overshoot-two-roots", "overshoot-one-root", "custom-unresolved",
+        "custom-root-and-unresolved", "degenerate", "sewing"])
+def test_certificate_is_height_roots_split_by_kind(monkeypatch, psi, system, x, kinds):
+    # certify splits height_roots' list by kind, (roots, degenerate,
+    # unresolved) counted in kinds, and the witness is most_transversal's
+    monkeypatch.setattr(regularize, "MAX_CELL_DEPTH", 3)  # leaves the spike's cell unproven
+    tf, system = psi(), system()
+    found = height_roots(system, tf, x)
+    cert = certify(system, tf, x)
+    assert cert.witness == most_transversal(found)
+    assert cert.roots == tuple(r for r in found if isinstance(r, HeightRoot))
+    assert cert.degenerate == tuple(r for r in found if isinstance(r, DegenerateInterval))
+    assert cert.unresolved == tuple(r for r in found if isinstance(r, UnresolvedInterval))
+    assert (len(cert.roots), len(cert.degenerate), len(cert.unresolved)) == kinds
+    assert sum(kinds) == len(found)
 
 
 def test_a_jump_of_psi_is_no_root():
