@@ -4,9 +4,10 @@ Each rule maps the bounds of its operands to bounds (lo, hi) of every value
 the operation takes over them (Moore, Kearfott & Cloud, Introduction to
 Interval Analysis, SIAM 2009).  A bound is rounded outward: one float for
 the correctly rounded + - * / and sqrt, LIBM_ULPS ulps for libm's exp,
-tanh, sin, cos and integer powers.  No rule raises: a divisor that holds 0
-or a sqrt argument below 0 gives (-inf, inf), and an overflow an infinite
-bound.  The rows of expr._FUNCTIONS and expr._OPERATORS name them.
+tanh, sin, cos and integer powers.  No rule raises: a divisor that holds 0,
+a factor with a NaN end or a sqrt argument below 0 gives (-inf, inf), and
+an overflow an infinite bound.  The rows of expr._FUNCTIONS and
+expr._OPERATORS name them.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ def neg(al, ah):
 
 def mul(al, ah, bl, bh):
     """The extreme products of the ends, picked by the operands' signs."""
+    if not (al <= ah and bl <= bh):  # a NaN end, which bounds nothing
+        return -_INF, _INF
     if al >= 0.0:
         lo, hi = (al * bl, ah * bh) if bl >= 0.0 else (ah * bl, al * bh) if bh <= 0.0 else (
             ah * bl, ah * bh)

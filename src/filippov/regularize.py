@@ -28,12 +28,12 @@ biased, else by monotone_zeros, one zeroin (Brent's method) per monotone
 piece of _pieces(x): overshoot's two branches, or for a custom psi the
 pieces that interval enclosures of psi' and psi'' prove monotone on cells
 of the band, each halved at most MAX_CELL_DEPTH times, MAX_CELLS cells at
-most (once if psi uses no x; see Custom).  The same call returns the
-unproven pieces where psi may take r, which it does not search.  A
-preimage within a tolerance lies only at a break.  One where psi' != 0
-certifies a sliding band, no preimage certifies sewing, and everything
-else (tangential preimages, h = 0 identically, an unproven piece) is
-indeterminate.
+most, over a dyadic box of x proven once for all its points (see
+Custom).  The same call returns the unproven pieces where psi may take r,
+which it does not search.  A preimage within a tolerance lies only at a
+break.  One where psi' != 0 certifies a sliding band, no preimage
+certifies sewing, and everything else (tangential preimages, h = 0
+identically, an unproven piece) is indeterminate.
 
 zeroin serves the smooth functions: psi - r, psi' at a turn, and g and its
 slope in dynamics.equilibria_on_manifold.  bisect_sign_change serves the
@@ -60,7 +60,9 @@ from .system import PiecewiseSystem
 TRANSVERSALITY_TOL = 1e-8  # a root with |psi'| above this is transversal
 ZERO_TOL = 1e-10  # |psi - r| at or below this is a preimage at a custom psi's break
 MAX_CELL_DEPTH = 20  # halvings of [-1, 1] after which a cell of a custom psi is unproven
-MAX_CELLS = 256  # cells a custom psi's pieces test at one x; the rest of the band is unproven
+MAX_CELLS = 256  # cells a custom psi's pieces test per box; the rest of the band is unproven
+BOX_WIDTH = 2.0  # of a custom psi's depth-0 x-boxes; a power of 2, so that x // w and k*w are exact
+MAX_BOX_DEPTH = 4  # halvings of an x-box, past which a custom psi's point is proven alone
 ROOT_BISECTION_TOL = 1e-14  # bracket width at which zeroin stops for breaks and zeros
 
 _VALIDATION_X = (-1.0, -0.37, 0.0, 0.58, 1.0)
@@ -263,15 +265,18 @@ class TransitionFunction:
     def _compiled(self, trees, returned: str, bounds: bool = False):
         """The trees as a function of a float t and x=() (x binding x_names by
         position) that returns their values in the format ``returned``; with
-        ``bounds``, of the ends lo, hi of a t-cell and x=(), returning the
-        bounds lo, hi of each tree over the cell (expr.Emitter.enclose)."""
-        emitter = ex.Emitter(self.x_names)
-        head = emitter.unpack(f"x[:{len(self.x_names)}]") if self.x_names else []
+        ``bounds``, of the ends lo, hi of a t-cell and x=() of (lo, hi) pairs,
+        an x-box, returning the bounds lo, hi of each tree over the cell times
+        the box (expr.Emitter.enclose)."""
+        emitter, n = ex.Emitter(self.x_names), len(self.x_names)
         if bounds:
             params = ["lo", "hi", "x=()"]
-            points = {name: (slot, slot) for name, slot in emitter.slots.items()}
-            values = [*itertools.chain(*emitter.enclose(trees, {"t": ("lo", "hi"), **points}))]
+            boxes = {name: (f"{slot}l", f"{slot}h") for name, slot in emitter.slots.items()}
+            pairs = "".join(f"({lo}, {hi}), " for lo, hi in boxes.values())
+            head = [f"{pairs}= x[:{n}]"] if n else []
+            values = [*itertools.chain(*emitter.enclose(trees, {"t": ("lo", "hi"), **boxes}))]
         else:
+            head = emitter.unpack(f"x[:{n}]") if n else []
             params, values = ["t", "x=()"], emitter.emit(trees, {"t": "t", **emitter.slots})
         return emitter.function(params, [*head, *emitter.body,
                                          f"return {returned.format(', '.join(values))}"])
@@ -411,18 +416,22 @@ class Custom(TransitionFunction):
     psi' is its symbolic t-derivative.
 
     Its pieces are proven monotone by interval enclosures of psi' and psi''
-    (expr.Emitter.enclose) over cells of the band, from [-1, 1] on.  A cell
-    where psi' >= 0 or psi' <= 0 throughout is monotone: non-strict, as a C1
-    psi has psi' = 0 at the band ends.  A cell where psi'' excludes 0 holds
-    one turn at most, where psi' changes sign between the cell's ends, which
-    zeroin finds on psi'.  Both tests read the trees' derivatives, in which
-    sgn's is 0, so a jump of psi or psi' at a zero of a sgn argument (abs
+    (expr.Emitter.enclose) over cells of the band times a box of x, from
+    [-1, 1] on.  A cell where psi' >= 0 or psi' <= 0 throughout is
+    monotone: non-strict, as a C1 psi has psi' = 0 at the band ends.  A cell
+    where psi'' excludes 0 holds one turn at most at each x of the box,
+    where psi'(x, .) changes sign between the cell's ends, which zeroin
+    finds on psi'.  Both tests read the trees' derivatives, in which sgn's
+    is 0, so a jump of psi or psi' at a zero of a sgn argument (abs
     differentiates to sgn) is kept out by a guard (_guarded).  Any other
     cell is halved, and one left after MAX_CELL_DEPTH halvings is unproven,
-    as is the rest of the band once MAX_CELLS cells are tested.  Adjacent
-    cells of one direction merge, and adjacent unproven ones, so the breaks
-    are the band ends, the turns and the ends of unproven pieces.  The
-    pieces of a psi that uses no x are found once.
+    as is the rest of the band once MAX_CELLS cells of the box are tested.
+    x takes the cells of the shallowest dyadic box about it that holds
+    (_box_cells), proven once for all its points, and else those of its own
+    point box, unproven ones included.  Adjacent cells of one direction
+    merge at x, and adjacent unproven ones, so the breaks are the band
+    ends, the turns and the ends of unproven pieces.  The pieces of a psi
+    that uses no x are found once.
     """
 
     expression: ex.Expr
@@ -439,6 +448,7 @@ class Custom(TransitionFunction):
         if extra:
             raise ValidationFailure(f"custom transition uses unknown variables {sorted(extra)}")
         self._x_free = not ex.free_vars(self.expression) & set(self.x_names)
+        self._boxes: dict[tuple, list | None] = {}  # by _box_cells' key
         for x in itertools.product(_VALIDATION_X, repeat=len(self.x_names)):
             for t in (-1.0, 1.0):  # value holds these beyond the band
                 try:
@@ -464,30 +474,86 @@ class Custom(TransitionFunction):
     def _psi_bounds(self):
         return self._compiled([self.expression], "{}", bounds=True)
 
-    def _runs(self, lo, hi, x):
-        """The ends and signs of psi' (0 if flat) of the runs in which the
-        enclosures prove psi(x, .) monotone on [lo, hi], or None."""
-        d1_lo, d1_hi, d2_lo, d2_hi = self._slope_bounds(lo, hi, x)
-        if d1_lo >= 0.0 or d1_hi <= 0.0:  # 0 if psi' = 0 throughout
-            return [(hi, sign(d1_hi) if d1_lo >= 0.0 else sign(d1_lo))]
-        if not (d2_lo > 0.0 or d2_hi < 0.0):  # psi' may not be monotone
-            return None
+    def _cells(self, box, x=None):
+        """The t-cells of [-1, 1] over ``box``, a (lo, hi) pair per
+        coordinate, in order, as (lo, hi, way): way is the sign of psi' on a
+        monotone cell (0 if flat), _TURN where psi' is monotone, or None on
+        an unproven cell, where the result is None instead unless box is
+        the point box of x.  At x, a _TURN cell also needs psi'(x, .) not
+        NaN at its ends, and the band past MAX_CELLS is one unproven cell."""
         dpsi = self._dpsi_dt
-        s_lo, s_hi = dpsi(lo, x), dpsi(hi, x)
-        if sign(s_lo) * sign(s_hi) < 0.0:
-            turn = zeroin(lambda t: dpsi(t, x), lo, hi, ROOT_BISECTION_TOL, fa=s_lo, fb=s_hi)
-            return [(turn, sign(s_lo)), (hi, sign(s_hi))]
-        return None if math.isnan(s_lo + s_hi) else [(hi, sign(s_lo + s_hi))]
+        out, cells, budget = [], [(-1.0, 1.0, MAX_CELL_DEPTH)], MAX_CELLS
+        while cells:
+            lo, hi, left = cells.pop()  # a stack, leftmost last, with halvings left
+            if not budget:
+                way, hi, left = None, 1.0, 0
+                cells.clear()
+            else:
+                budget -= 1
+                d1_lo, d1_hi, d2_lo, d2_hi = self._slope_bounds(lo, hi, box)
+                if d1_lo >= 0.0 or d1_hi <= 0.0:
+                    way = sign(d1_hi) if d1_lo >= 0.0 else sign(d1_lo)
+                elif (d2_lo > 0.0 or d2_hi < 0.0) and (
+                        x is None or not (math.isnan(dpsi(lo, x)) or math.isnan(dpsi(hi, x)))):
+                    way = _TURN
+                else:
+                    way = None
+            if way is None and left:
+                mid = 0.5 * (lo + hi)
+                cells += [(mid, hi, left - 1), (lo, mid, left - 1)]
+            elif way is None and x is None:
+                return None
+            else:
+                out.append((lo, hi, way))
+        return out
+
+    def _box_cells(self, x):
+        """The cells of the shallowest dyadic x-box about x that holds, or
+        None.  At depth 0 to MAX_BOX_DEPTH, with w = BOX_WIDTH/2^depth, the
+        box is the product of the [k*w, (k + 1)*w] with k = x_i // w, which
+        is proven once and kept by (depth, k...), failed or not, so the
+        cells depend on x alone.  The search ends at a box that leaves x
+        out: k is NaN at a NaN or infinite x_i, and inf where x_i/w
+        overflows."""
+        xs = x[:len(self.x_names)]
+        for depth in range(MAX_BOX_DEPTH + 1):
+            w = math.ldexp(BOX_WIDTH, -depth)
+            key = depth, *(v // w for v in xs)
+            box = [(k * w, k * w + w) for k in key[1:]]
+            if not all(lo <= v <= hi for v, (lo, hi) in zip(xs, box)):
+                return None
+            if key not in self._boxes:
+                self._boxes[key] = self._cells(box)
+            if self._boxes[key] is not None:
+                return self._boxes[key]
+        return None
 
     def _pieces(self, x):
-        return self._x_free_pieces if self._x_free else self._proven_pieces(x)
+        if self._x_free:
+            return self._x_free_pieces
+        cells = self._box_cells(x)
+        pieces = None if cells is None else self._assembled(cells, x)
+        return self._point_pieces(x) if pieces is None else pieces
 
     @cached_property
     def _x_free_pieces(self):  # psi uses no x, so its pieces at any x serve every x
-        return self._proven_pieces((0.0,) * len(self.x_names))
+        return self._point_pieces((0.0,) * len(self.x_names))
 
-    def _proven_pieces(self, x):
-        psi = self._psi
+    def _point_pieces(self, x):
+        """The pieces from the cells of x's own point box, with bounds of
+        psi on each unproven one."""
+        box = [(v, v) for v in map(float, x[:len(self.x_names)])]
+        breaks, values, unproven = self._assembled(self._cells(box, x), x)
+        for k in unproven:
+            unproven[k] = self._psi_bounds(breaks[k], breaks[k + 1], box)
+        return breaks, values, unproven
+
+    def _assembled(self, cells, x):
+        """The pieces of psi(x, .) on ``cells`` of a box that holds x, or
+        None where psi'(x, .) is NaN at an end of a turn cell.  The turns
+        are where zeroin finds psi' change sign in such a cell; adjacent
+        cells of one direction merge, as do adjacent unproven ones."""
+        psi, dpsi = self._psi, self._dpsi_dt
         breaks, values, unproven = [-1.0], [psi(-1.0, x)], {}
         way = 0  # the sign of psi' on the piece open at breaks[-1], 0 while it is flat
 
@@ -495,19 +561,8 @@ class Custom(TransitionFunction):
             breaks.append(t)
             values.append(psi(t, x))
 
-        cells = [(-1.0, 1.0, MAX_CELL_DEPTH)]  # a stack, leftmost last, with halvings left
-        budget = MAX_CELLS
-        while cells:
-            lo, hi, left = cells.pop()
-            if budget:
-                budget, runs = budget - 1, self._runs(lo, hi, x)
-            else:  # the rest of the band is left unproven
-                runs, hi, left = None, 1.0, 0
-                cells.clear()
-            if runs is None and left:
-                mid = 0.5 * (lo + hi)
-                cells += [(mid, hi, left - 1), (lo, mid, left - 1)]
-            elif runs is None:
+        for lo, hi, run in cells:
+            if run is None:
                 if len(breaks) - 2 in unproven and breaks[-1] == lo:  # extend that piece
                     breaks.pop()
                     values.pop()
@@ -516,16 +571,28 @@ class Custom(TransitionFunction):
                 close(hi)
                 unproven[len(breaks) - 2] = None
                 way = 0
-            else:
-                for end, run in runs:
-                    if run and way and run != way:
-                        close(lo)
-                    way, lo = run or way, end
+                continue
+            runs = [(hi, run)]
+            if run is _TURN:
+                s_lo, s_hi = dpsi(lo, x), dpsi(hi, x)
+                if sign(s_lo) * sign(s_hi) < 0.0:
+                    turn = zeroin(lambda t: dpsi(t, x), lo, hi, ROOT_BISECTION_TOL,
+                                  fa=s_lo, fb=s_hi)
+                    runs = [(turn, sign(s_lo)), (hi, sign(s_hi))]
+                elif math.isnan(s_lo + s_hi):
+                    return None
+                else:
+                    runs = [(hi, sign(s_lo + s_hi))]
+            for end, run in runs:
+                if run and way and run != way:
+                    close(lo)
+                way, lo = run or way, end
         if breaks[-1] != 1.0:
             close(1.0)
-        for k in unproven:
-            unproven[k] = self._psi_bounds(breaks[k], breaks[k + 1], x)
         return breaks, values, unproven
+
+
+_TURN = "turn"  # the way of a t-cell on which psi' is monotone, so psi has one turn at most
 
 
 def _guarded(e: ex.Expr, *sources: ex.Expr) -> ex.Expr:
@@ -680,6 +747,8 @@ def height_roots(
     is 0.
     """
     xs, a_plus, a_minus, r = system_module._sliding_level(system, x)
+    if not all(map(math.isfinite, xs)):
+        raise ex.DomainError(f"tangential coordinates {xs} are not finite")
     if not (math.isfinite(a_plus) and math.isfinite(a_minus)):
         raise ex.DomainError(f"normal components {a_plus}, {a_minus} at x = {xs} are not finite")
     if r is None:

@@ -350,6 +350,19 @@ def test_print_parse_round_trip_random_trees():
         assert parse(to_text(e)) == e
 
 
+def test_a_factor_with_a_nan_end_bounds_nothing():
+    # a NaN product was taken for 0 * inf and read as 0, so a product of
+    # NaN factors came back as the finite (0, 0)
+    nan, inf = math.nan, math.inf
+    mul = ex._NAMESPACE["i_mul"]
+    for a, b in (((nan, nan), (1.0, 1.0)), ((1.0, 1.0), (nan, nan)), ((nan, 1.0), (2.0, 3.0)),
+                 ((-1.0, nan), (-inf, inf)), ((0.0, 0.0), (nan, 2.0))):
+        assert mul(*a, *b) == (-inf, inf), (a, b)
+    # 0 * inf, where inf bounds finite values, is still 0
+    assert mul(0.0, 0.0, 1.0, inf) == (0.0, 0.0)
+    assert mul(-inf, 0.0, 0.0, 0.0) == (0.0, 0.0)
+
+
 # every interval rule against the exact operation at the ends of its
 # operands and between them: rational arithmetic for + - * /, powers, neg,
 # abs and sgn, squares for sqrt, and mpmath at 50 digits for the libm

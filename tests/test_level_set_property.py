@@ -2,7 +2,8 @@
 against a dense sign scan refined by scipy's brentq (a test-only oracle),
 a custom psi's level sets against the built-in transition it spells, a
 custom psi's level sets and certificates against the scan, and the zeroin
-they are found by against brentq."""
+they are found by against brentq, and an x-dependent custom psi's pieces
+from its x-boxes against those from each point alone."""
 
 import math
 
@@ -13,6 +14,7 @@ pytest.importorskip("hypothesis")
 brentq = pytest.importorskip("scipy.optimize").brentq
 from hypothesis import assume, event, given, settings, strategies as st
 
+from filippov import regularize
 from filippov.regularize import (
     ROOT_BISECTION_TOL,
     Biased,
@@ -146,6 +148,43 @@ def agrees_with_the_scan(tf, x, r):
         assert any(abs(t - cert.witness.t) <= 1e-9 for t in want)
     elif cert.verdict == Verdict.SEWING_CERTIFIED:
         assert want == []
+
+
+# the cubic plus a(x)(1 - t^2)^2, a a polynomial in one or two tangential
+# coordinates, whose turn t = 3/(8a) leaves the band as |a| falls below 3/8:
+# a box where a crosses +-3/8 or 0 fails, and its points fall back to a
+# deeper box or to their own point box
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(a=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3), two=st.booleans(),
+       points=st.lists(st.tuples(st.floats(-1.3, 1.3), st.floats(-1.3, 1.3)),
+                       min_size=1, max_size=12),
+       levels=st.lists(st.floats(-1.5, 2.5), min_size=1, max_size=3))
+def test_box_pieces_agree_with_point_pieces(a, two, points, levels):
+    names = ("x", "z") if two else ("x",)
+    text = f"(3*t - t^3)/2 + ({a[0]!r} + {a[1]!r}*x + {a[2]!r}*{names[-1]}^2)*(1 - t^2)^2"
+    points = [p[:len(names)] for p in points]
+    systems = [system_from_strings((*names, "y"), ("1",) * len(names) + (repr(r - 1.0),),
+                                   ("0",) * (len(names) - 1) + ("1", repr(r + 1.0)))
+               for r in levels]
+
+    def run(tf):
+        return [(tf._pieces(p)[0], tf.level_set(r, p), certify(system, tf, p).verdict)
+                for p in points for r, system in zip(levels, systems)]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regularize, "MAX_BOX_DEPTH", -1)  # no dyadic box is tried
+        alone = run(Custom(text, names))
+    tf = Custom(text, names)
+    boxed = run(tf)
+    assert all(len(key) == 1 + len(names) for key in tf._boxes)
+    event(f"{sum(v is None for v in tf._boxes.values())} of {len(tf._boxes)} boxes fail")
+    for (breaks, (zeros, cells), verdict), (turns, (want, unproven), expected) in zip(boxed, alone):
+        assert len(breaks) == len(turns)
+        assert all(abs(t - u) <= ROOT_BISECTION_TOL for t, u in zip(breaks, turns)), (breaks, turns)
+        assert verdict == expected
+        assert len(zeros) == len(want)
+        assert all(abs(t - u) <= ROOT_BISECTION_TOL for t, u in zip(zeros, want)), (zeros, want)
+        assert set(cells) <= set(unproven)
 
 
 # psi' = (3 - 3t^2)/2 + A*(sgn(t - s) + s) with A = a + c*x jumps by 2A at

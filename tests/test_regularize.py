@@ -973,6 +973,102 @@ def test_the_cells_tested_at_one_x_are_bounded(monkeypatch, text):
     assert len(calls) <= regularize.MAX_CELLS + len(tf._pieces(())[2])
 
 
+@pytest.mark.parametrize("text", [
+    "(3*t - t^3)/2 + 0.1*(1 + x^2)*(1 - t^2)/(t - t + 1e-9)",
+    "(3*t - t^3)/2 + 0.01*(1 + x^2)*(1 - t^2)*sin(1000000*t)",
+])
+def test_the_cells_tested_at_one_x_are_bounded_for_an_x_dependent_psi(monkeypatch, text):
+    # every dyadic box about x fails, at its first unproven cell or past
+    # MAX_CELLS, and is kept as failed; x's own point box tests MAX_CELLS
+    tf = Custom(text, ("x",))
+    calls = {"_slope_bounds": [], "_psi_bounds": []}
+    for name, kept in calls.items():
+        bounds = getattr(tf, name)
+        monkeypatch.setattr(tf, name, lambda *a, bounds=bounds, kept=kept: kept.append(a) or bounds(*a))
+    cert = certify(level_system(0.3), tf, 0.3)
+    assert cert.verdict == Verdict.INDETERMINATE
+    assert cert.unresolved[-1].t_hi == 1.0
+    assert list(tf._boxes.values()) == [None] * (regularize.MAX_BOX_DEPTH + 1)
+    assert len(calls["_slope_bounds"]) <= (regularize.MAX_BOX_DEPTH + 2) * regularize.MAX_CELLS
+    # one enclosure of psi per unproven piece
+    unproven = len(calls["_psi_bounds"])
+    assert unproven == len(tf._point_pieces((0.3,))[2])
+    # a second point in the same boxes tests only its own
+    del calls["_slope_bounds"][:]
+    certify(level_system(0.3), tf, 0.35)
+    assert len(calls["_slope_bounds"]) <= regularize.MAX_CELLS
+
+
+BUMPX = "(3*t - t^3)/2 + 0.8*(1 + x^2)*(1 - t^2)^2"
+
+
+def test_a_custom_psi_is_proven_once_per_x_box(monkeypatch):
+    # the pieces proven afresh at each point tested 2,626 cells on this
+    # fold, 13 a point; the boxes [-2, 0] and [0, 2] hold for every x
+    tf = Custom(BUMPX, ("x",))
+    calls, bounds = [], tf._slope_bounds
+    monkeypatch.setattr(tf, "_slope_bounds", lambda *a: calls.append(a) or bounds(*a))
+    certs = [certify(fold(), tf, x) for x in linspace(-1.0, 1.0, 201)]
+    assert len(calls) <= 2626 // 10
+    assert sorted(tf._boxes) == [(0, -1), (0, 0)]
+    verdicts = [c.verdict for c in certs]
+    assert verdicts.count(Verdict.SLIDING_CERTIFIED) == 107
+    assert verdicts.count(Verdict.SEWING_CERTIFIED) == 94
+
+
+@pytest.mark.parametrize("text", [BUMPX, "(3*t - t^3)/2 + (x - 0.3)*(1 - t^2)^2"],
+                         ids=["bumpx", "boxes-fail"])
+def test_a_custom_certificate_does_not_depend_on_the_order_of_the_points(text):
+    # the second psi's boxes fail at depths 0 to 4 about some x, whose
+    # points fall back to their own proof
+    xs = linspace(-1.3, 1.3, 201)
+    tf = Custom(text, ("x",))
+    forward = [certify(fold(), tf, x) for x in xs]
+    tf = Custom(text, ("x",))
+    backward = [certify(fold(), tf, x) for x in reversed(xs)]
+    assert forward == backward[::-1]
+
+
+@pytest.mark.parametrize("psi", [
+    lambda: Custom(BUMPX, ("x",)),
+    lambda: Custom("tanh(3*t)/tanh(3) + 0.2*x*(1 - t^2)", ("x",)),
+    Smoothstep,
+], ids=["bumpx", "tanhx", "smoothstep"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_tangential_point_is_refused(psi, x):
+    # interval.mul read a NaN end as 0, so the enclosures at x = NaN came
+    # back finite: certify said sewing there for both custom psi, and
+    # sliding for smoothstep
+    sewing = system_from_strings(("x", "y"), ("1", "-1"), ("1", "1"))
+    with pytest.raises(DomainError, match="tangential coordinates .* are not finite"):
+        certify(sewing, psi(), x)
+
+
+def test_a_nan_slope_at_x_in_a_turn_cell_leaves_the_box_for_x_alone():
+    # the enclosures take the product 0*inf for 0, but past |x| = 1.2
+    # x*1.5e307*10 overflows, and then psi and psi' are NaN at x: the box
+    # [0, 2] holds, with turn cells whose ends x = 1.25 cannot sign
+    tf = Custom("(3*t - t^3)/2 + 0.8*(1 - t^2)^2*(1 + (sgn(x*x + 1) - 1)*(x*1.5e307*10))",
+                ("x",))
+    x = (1.25,)
+    breaks, _, unproven = tf._pieces(x)
+    assert list(tf._boxes) == [(0, 0)]
+    assert any(way == regularize._TURN for lo, hi, way in tf._boxes[0, 0])
+    want, _, unproven_alone = tf._point_pieces(x)
+    assert breaks == want and unproven == unproven_alone and unproven
+    assert tf._pieces((0.5,))[2] == {}
+
+
+def test_the_level_set_at_a_non_finite_x_is_found_at_x_alone():
+    # no box is kept, and at a NaN x no enclosure bounds anything
+    tf = Custom(BUMPX, ("x",))
+    assert tf.level_set(0.0, (math.nan,)) == ([], [(-1.0, 1.0)])
+    for x in (math.inf, -math.inf):
+        breaks, _, unproven = tf._pieces((x,))
+        assert (breaks, unproven) == tf._point_pieces((x,))[::2]
+    assert tf._boxes == {}
+
+
 def test_level_of_non_finite_components_is_an_error():
     # r = nan lies in no range, which must not read as a sewing certificate;
     # both normal components overflow at x = 0.5 (the parser refuses the
