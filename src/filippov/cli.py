@@ -31,6 +31,7 @@ import argparse
 import functools
 import math
 import sys
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -259,18 +260,8 @@ def _cmd_cross(cfg: SystemConfig, out: Path) -> None:
     report = _report_skeleton(cfg)
     report["pairs"] = []
     for eps, eta in zip(epsilons, etas):
-        curve = stratified_slide_curve(cfg.cross, eps, eta)
-        report["pairs"].append({
-            "epsilon": eps,
-            "eta": eta,
-            "t0": curve.t0,
-            "u0": curve.u0,
-            "x": curve.x,
-            "y": curve.y,
-            "residual_x": curve.residual_x,
-            "residual_y": curve.residual_y,
-            "hausdorff_to_axis": curve.hausdorff_to_axis,
-        })
+        row = asdict(stratified_slide_curve(cfg.cross, eps, eta))
+        report["pairs"].append({"epsilon": row.pop("eps"), **row})
     _write_json(out / "cross.json", report)
 
 

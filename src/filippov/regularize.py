@@ -28,12 +28,13 @@ biased, else by monotone_zeros, one zeroin (Brent's method) per monotone
 piece of _pieces(x): overshoot's two branches, or for a custom psi the
 pieces that interval enclosures of psi' and psi'' prove monotone on cells
 of the band, each halved at most MAX_CELL_DEPTH times, MAX_CELLS cells at
-most, over a dyadic box of x proven once for all its points (see
-Custom).  The same call returns the unproven pieces where psi may take r,
-which it does not search.  A preimage within a tolerance lies only at a
-break.  One where psi' != 0 certifies a sliding band, no preimage
-certifies sewing, and everything else (tangential preimages, h = 0
-identically, an unproven piece) is indeterminate.
+most, over a dyadic box of x proven once for all its points, else over x's
+point box, the one box that keeps unproven cells (see Custom).  The same
+call returns the unproven pieces where psi may take r, which it does not
+search: the whole band where psi or psi' reads NaN at x.  A preimage within
+a tolerance lies only at a break.  One where psi' != 0 certifies a sliding
+band, no preimage certifies sewing, and everything else (tangential
+preimages, h = 0 identically, an unproven piece) is indeterminate.
 
 zeroin serves the smooth functions: psi - r, psi' at a turn, and g and its
 slope in dynamics.equilibria_on_manifold.  bisect_sign_change serves the
@@ -428,10 +429,12 @@ class Custom(TransitionFunction):
     as is the rest of the band once MAX_CELLS cells of the box are tested.
     x takes the cells of the shallowest dyadic box about it that holds
     (_box_cells), proven once for all its points, and else those of its own
-    point box, unproven ones included.  Adjacent cells of one direction
-    merge at x, and adjacent unproven ones, so the breaks are the band
-    ends, the turns and the ends of unproven pieces.  The pieces of a psi
-    that uses no x are found once.
+    point box: a dyadic box (lo < hi) fails at its first unproven cell, a
+    point box keeps them.  Adjacent cells of one direction merge at x, and
+    adjacent unproven ones, so the breaks are the band ends, the turns and
+    the ends of unproven pieces.  Where psi(x, .) is NaN at a break or
+    psi'(x, .) at an end of a turn cell, the band is one unproven piece at
+    x, whatever the box.  The pieces of a psi that uses no x are found once.
     """
 
     expression: ex.Expr
@@ -474,14 +477,15 @@ class Custom(TransitionFunction):
     def _psi_bounds(self):
         return self._compiled([self.expression], "{}", bounds=True)
 
-    def _cells(self, box, x=None):
+    def _cells(self, box):
         """The t-cells of [-1, 1] over ``box``, a (lo, hi) pair per
         coordinate, in order, as (lo, hi, way): way is the sign of psi' on a
         monotone cell (0 if flat), _TURN where psi' is monotone, or None on
-        an unproven cell, where the result is None instead unless box is
-        the point box of x.  At x, a _TURN cell also needs psi'(x, .) not
-        NaN at its ends, and the band past MAX_CELLS is one unproven cell."""
-        dpsi = self._dpsi_dt
+        an unproven cell.  A dyadic box (lo < hi) fails at its first
+        unproven cell, with the result None; a point box (not lo < hi, so
+        also at a NaN or infinite x) keeps them, adjacent ones merged, and
+        the band past MAX_CELLS is one of them."""
+        point = not any(lo < hi for lo, hi in box)
         out, cells, budget = [], [(-1.0, 1.0, MAX_CELL_DEPTH)], MAX_CELLS
         while cells:
             lo, hi, left = cells.pop()  # a stack, leftmost last, with halvings left
@@ -493,16 +497,15 @@ class Custom(TransitionFunction):
                 d1_lo, d1_hi, d2_lo, d2_hi = self._slope_bounds(lo, hi, box)
                 if d1_lo >= 0.0 or d1_hi <= 0.0:
                     way = sign(d1_hi) if d1_lo >= 0.0 else sign(d1_lo)
-                elif (d2_lo > 0.0 or d2_hi < 0.0) and (
-                        x is None or not (math.isnan(dpsi(lo, x)) or math.isnan(dpsi(hi, x)))):
-                    way = _TURN
                 else:
-                    way = None
+                    way = _TURN if d2_lo > 0.0 or d2_hi < 0.0 else None
             if way is None and left:
                 mid = 0.5 * (lo + hi)
                 cells += [(mid, hi, left - 1), (lo, mid, left - 1)]
-            elif way is None and x is None:
+            elif way is None and not point:
                 return None
+            elif way is None and out and out[-1][2] is None:  # extend that cell
+                out[-1] = out[-1][0], hi, None
             else:
                 out.append((lo, hi, way))
         return out
@@ -531,42 +534,35 @@ class Custom(TransitionFunction):
     def _pieces(self, x):
         if self._x_free:
             return self._x_free_pieces
-        cells = self._box_cells(x)
-        pieces = None if cells is None else self._assembled(cells, x)
-        return self._point_pieces(x) if pieces is None else pieces
+        return self._assembled(self._box_cells(x), x)
 
     @cached_property
     def _x_free_pieces(self):  # psi uses no x, so its pieces at any x serve every x
         return self._point_pieces((0.0,) * len(self.x_names))
 
     def _point_pieces(self, x):
-        """The pieces from the cells of x's own point box, with bounds of
-        psi on each unproven one."""
-        box = [(v, v) for v in map(float, x[:len(self.x_names)])]
-        breaks, values, unproven = self._assembled(self._cells(box, x), x)
-        for k in unproven:
-            unproven[k] = self._psi_bounds(breaks[k], breaks[k + 1], box)
-        return breaks, values, unproven
+        """The pieces of psi(x, .) from x's own point box."""
+        return self._assembled(None, x)
 
     def _assembled(self, cells, x):
-        """The pieces of psi(x, .) on ``cells`` of a box that holds x, or
-        None where psi'(x, .) is NaN at an end of a turn cell.  The turns
-        are where zeroin finds psi' change sign in such a cell; adjacent
-        cells of one direction merge, as do adjacent unproven ones."""
+        """The pieces of psi(x, .) on ``cells`` of a box that holds x, or on
+        those of x's point box if cells is None, with bounds of psi over the
+        point box on each unproven piece.  The turns are where zeroin finds
+        psi' change sign in a turn cell; adjacent cells of one direction
+        merge.  The NaN rule (see Custom) makes the band one piece."""
+        box = [(v, v) for v in map(float, x[:len(self.x_names)])]
         psi, dpsi = self._psi, self._dpsi_dt
         breaks, values, unproven = [-1.0], [psi(-1.0, x)], {}
         way = 0  # the sign of psi' on the piece open at breaks[-1], 0 while it is flat
+        nan = False  # a NaN psi' at x; a NaN psi at a break counts alike
 
         def close(t):
             breaks.append(t)
             values.append(psi(t, x))
 
-        for lo, hi, run in cells:
+        for lo, hi, run in self._cells(box) if cells is None else cells:
             if run is None:
-                if len(breaks) - 2 in unproven and breaks[-1] == lo:  # extend that piece
-                    breaks.pop()
-                    values.pop()
-                elif breaks[-1] != lo:
+                if breaks[-1] != lo:
                     close(lo)
                 close(hi)
                 unproven[len(breaks) - 2] = None
@@ -580,7 +576,8 @@ class Custom(TransitionFunction):
                                   fa=s_lo, fb=s_hi)
                     runs = [(turn, sign(s_lo)), (hi, sign(s_hi))]
                 elif math.isnan(s_lo + s_hi):
-                    return None
+                    nan = True
+                    break
                 else:
                     runs = [(hi, sign(s_lo + s_hi))]
             for end, run in runs:
@@ -589,6 +586,10 @@ class Custom(TransitionFunction):
                 way, lo = run or way, end
         if breaks[-1] != 1.0:
             close(1.0)
+        if nan or any(map(math.isnan, values)):
+            breaks, values, unproven = [-1.0, 1.0], [values[0], values[-1]], {0: None}
+        for k in unproven:
+            unproven[k] = self._psi_bounds(breaks[k], breaks[k + 1], box)
         return breaks, values, unproven
 
 

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +15,7 @@ from filippov import __version__, cli, dynamics, regularize
 from filippov import system as system_module
 from filippov.cli import run_command
 from filippov.config import load_config
+from filippov.cross import stratified_slide_curve
 from filippov.expr import MAX_DEPTH, ParseError, parse
 from filippov.regularize import certify
 
@@ -683,3 +686,35 @@ def test_reports_are_written_as_json_dumps_writes_them(value):
 def test_a_value_json_cannot_write_is_refused():
     with pytest.raises(TypeError, match="set is not JSON serializable"):
         cli._json({"a": [1, {2}]})
+
+
+@pytest.mark.parametrize("text, code, err", [
+    (CROSS, 0, ""),
+    (FOLD, 2, "error: this command needs a [cross] section\n"),
+], ids=["cross", "no-cross-section"])
+def test_the_module_run_as_a_script_exits_with_the_command_code(tmp_path, monkeypatch, capsys,
+                                                               text, code, err):
+    # python -m filippov.cli runs main, which exits with run_command's code;
+    # the module runs afresh, so the imported one leaves sys.modules meanwhile
+    cfg = setup_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["filippov", "cross", "--config", cfg, "--out", str(out)])
+    monkeypatch.delitem(sys.modules, "filippov.cli")
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("filippov.cli", run_name="__main__")
+    assert exit_.value.code == code
+    assert capsys.readouterr().err == err
+    assert (out / "cross.json").exists() == (code == 0)
+
+
+def test_a_cross_pair_row_is_the_curve_record(tmp_path):
+    # the row is {"epsilon": eps, ...} and then every other field of
+    # StratifiedCurve, in its order
+    cfg = setup_cfg(tmp_path, CROSS)
+    assert run_command(["cross", "--config", cfg, "--out", str(tmp_path)]) == 0
+    pairs = json.loads((tmp_path / "cross.json").read_text())["pairs"]
+    cross_system = load_config(cfg).cross
+    for pair, (eps, eta) in zip(pairs, [(0.1, 0.2), (0.05, 0.1)], strict=True):
+        curve = dataclasses.asdict(stratified_slide_curve(cross_system, eps, eta))
+        assert list(pair) == ["epsilon", *list(curve)[1:]]
+        assert list(pair.values()) == list(curve.values())

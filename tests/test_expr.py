@@ -363,6 +363,34 @@ def test_a_factor_with_a_nan_end_bounds_nothing():
     assert mul(-inf, 0.0, 0.0, 0.0) == (0.0, 0.0)
 
 
+
+def test_an_unknown_function_name_is_refused():
+    # even on a variable, where nothing is folded
+    with pytest.raises(ValueError, match="^unknown function 'nope'$"):
+        ex.call("nope", Var("x"))
+
+
+@pytest.mark.parametrize("walk", [
+    lambda e: evaluate(e, {}),
+    lambda e: differentiate(e, "x"),
+    lambda e: substitute(e, {}),
+    free_vars,
+    to_text,
+    lambda e: ex.compile([e], []),
+    lambda e: ex.Emitter([]).enclose([e], {}),
+], ids=["evaluate", "differentiate", "substitute", "free_vars", "to_text", "compile", "enclose"])
+def test_a_tree_walk_refuses_what_is_not_a_tree(walk):
+    # text is not a tree: it has to be parsed first
+    with pytest.raises(TypeError, match=r"^not an expression: 'x \+ 1'$"):
+        walk("x + 1")
+
+
+def test_an_enclosure_of_an_unbound_variable_is_refused():
+    emitter = ex.Emitter(["x"])
+    with pytest.raises(UnboundVariableError, match="^unbound variable 'q'$"):
+        emitter.enclose([parse("x + q")], {"x": ("xl", "xh")})
+
+
 # every interval rule against the exact operation at the ends of its
 # operands and between them: rational arithmetic for + - * /, powers, neg,
 # abs and sgn, squares for sqrt, and mpmath at 50 digits for the libm

@@ -1069,6 +1069,47 @@ def test_the_level_set_at_a_non_finite_x_is_found_at_x_alone():
     assert tf._boxes == {}
 
 
+
+NAN_BUMP = "(3*t - t^3)/2 + 0.8*(1 - t^2)^2*(1 + (sgn(x*x + 1) - 1)*(x*1.5e307*10))"
+
+
+def test_a_nan_psi_at_x_leaves_the_band_unproven():
+    # NAN_BUMP is the bump 0.8, which takes r = 0.3; past |x| = 1.2 the
+    # product x*1.5e307*10 overflows and psi(x, .) is NaN in floats, while
+    # the enclosures take 0*inf for 0 and prove the box [0, 2]: the NaN
+    # breaks held no zero, and certify said sewing at x = 1.25
+    system = system_from_strings(("x", "y"), ("1", "-0.7"), ("1", "1.3"))
+    tf = Custom(NAN_BUMP, ("x",))
+    cert = certify(system, tf, 1.25)
+    assert cert.verdict == Verdict.INDETERMINATE
+    assert cert.roots == () and cert.unresolved == (UnresolvedInterval(-1.0, 1.0),)
+    assert tf.level_set(0.3, (1.25,)) == ([], [(-1.0, 1.0)])
+    # where psi is read, the same box still proves the slide
+    cert = certify(system, tf, 1.0)
+    assert cert.verdict == Verdict.SLIDING_CERTIFIED and cert.unresolved == ()
+    assert tf.value(cert.witness.t, (1.0,)) == pytest.approx(0.3, abs=1e-12)
+    assert list(tf._boxes) == [(0, 0)] and tf._boxes[0, 0] is not None
+
+
+def test_the_box_alone_decides_whether_unproven_cells_are_kept():
+    # a dyadic box fails at its first unproven cell; a point box, at a
+    # finite x or not, keeps them, with adjacent ones merged
+    tf = Custom("(3*t - t^3)/2 + 0.1*(1 + x^2)*(1 - t^2)/(t - t + 1e-9)", ("x",))
+    assert tf._cells([(0.0, 2.0)]) is None
+    for x in (0.3, math.nan, math.inf):
+        cells = tf._cells([(x, x)])
+        assert [lo for lo, _, _ in cells[1:]] == [hi for _, hi, _ in cells[:-1]]
+        assert (cells[0][0], cells[-1][1]) == (-1.0, 1.0)
+        ways = [way for _, _, way in cells]
+        assert None in ways
+        assert not any(a is None and b is None for a, b in zip(ways, ways[1:]))
+
+
+def test_the_base_transition_has_no_pieces():
+    with pytest.raises(NotImplementedError):
+        TransitionFunction().level_set(0.0)
+
+
 def test_level_of_non_finite_components_is_an_error():
     # r = nan lies in no range, which must not read as a sewing certificate;
     # both normal components overflow at x = 0.5 (the parser refuses the
