@@ -56,11 +56,11 @@ from .regularize import (
     SlidingCertificate,
     ValidationFailure,
     Verdict,
-    bisect_sign_change,
     certify,
     linspace,
     regularized,
     regularized_field,  # not called here: bench/tracing.py counts calls under this name
+    zeroin,
 )
 from .system import CLASS_TOL, NotSlidingError, SigmaClass, classify_point
 
@@ -166,15 +166,17 @@ def _write_verdict_report(cfg: SystemConfig, path: Path,
     plus the refined boundaries between sliding and sewing runs.
 
     Runs of the two decided labels may be separated by up to two undecided
-    grid points; the flip inside the gap is then refined by bisection on
-    judge(x) == sliding, the verdict at a point off the grid.
+    grid points; the flip inside the gap is then refined by zeroin on +1
+    where judge(x), the verdict at a point off the grid, is sliding and -1
+    elsewhere.  The two values are alike in size at every probe, so zeroin
+    bisects, with one judge call per halving.
     """
     report = _report_skeleton(cfg)
     report["grid"] = _Rows(_grid_row, rows)
-    side = lambda x: 1.0 if judge(x) == sliding else -1.0
+    side = lambda verdict: 1.0 if verdict == sliding else -1.0
     decided = [(i, x, v) for i, (x, v, _) in enumerate(rows) if v in (sliding, sewing)]
     report["boundary_estimates"] = [
-        bisect_sign_change(side, xa, xb, BOUNDARY_BISECTION_TOL, fa=1.0 if va == sliding else -1.0)
+        zeroin(lambda x: side(judge(x)), xa, xb, BOUNDARY_BISECTION_TOL, fa=side(va), fb=side(vb))
         for (i, xa, va), (j, xb, vb) in zip(decided, decided[1:])
         if va != vb and j - i <= 3
     ]

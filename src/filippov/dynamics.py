@@ -25,8 +25,9 @@ rounding, so the steps do not depend on the interpreter version.  A
 trajectory keeps the float lists it recorded and builds arrays on first use.
 
 Node derivatives are recorded, so trajectories interpolate with cubic
-Hermite polynomials between accepted steps; event location bisects on that
-interpolant, evaluated on the floats of the step's two nodes.
+Hermite polynomials between accepted steps; an event is located by zeroin
+on that interpolant, evaluated on the floats of the step's two nodes, to
+the float where the event function's sign flips.
 
 The hybrid integrator follows one smooth field until the orbit reaches the
 switching surface, classifies the hit, and either sews through, enters a
@@ -53,12 +54,12 @@ from .regularize import (
     HeightRoot,
     SlidingCertificate,
     TransitionFunction,
-    bisect_sign_change,
     height_roots,
     linspace,
     monotone_breaks,
     monotone_zeros,
     most_transversal,
+    zeroin,
 )
 from .system import (
     PiecewiseSystem,
@@ -76,7 +77,7 @@ if TYPE_CHECKING:
 ABS_TOL = 1e-9  # step control scales each error component by ABS_TOL + REL_TOL*|y|
 REL_TOL = 1e-7
 MIN_STEP = 1e-13
-EVENT_TIME_TOL = 1e-12
+EVENT_TIME_TOL = 1e-12  # only ends a hybrid orbit: one this close to t_end has reached it
 MAX_EVENTS = 10_000
 MAX_STEPS = 1_000_000  # step attempts, accepted or rejected, per integrate call, segment or slide
 EQ_SAMPLES = 601  # x-grid on which equilibria_on_manifold samples g
@@ -536,11 +537,12 @@ def integrate_filippov(
 
     A segment ends at the first step whose dense interpolant leaves the
     band on the far side of the surface, at its end node or in between
-    (see _far_side).  The hit is located by bisection on the interpolant to
-    1e-12 in time and recorded as SigmaHit.  Sliding hits enter the Filippov
-    combination (SlideEntry) and leave it (SlideExit) where the class test
-    stops saying Sliding, along the field whose normal component is the
-    smaller there; orbits that merely sew continue on the other side.
+    (see _far_side).  The hit is located on the interpolant to the last
+    float (see _locate) and recorded as SigmaHit.
+    Sliding hits enter the Filippov combination (SlideEntry) and leave it
+    (SlideExit) where the class test stops saying Sliding, along the field
+    whose normal component is the smaller there; orbits that merely sew
+    continue on the other side.
     A singular hit raises UnresolvedSingularityError, and a field outside
     its domain DomainError; either leaves with the orbit up to its last
     node, ended by a StepFailure event, as its trajectory.
@@ -611,7 +613,7 @@ def _slide(system, orbit, t, state, t_end):
     sliding_margin falls to 0 and classify_point stops saying Sliding, or
     None if the slide reaches t_end or fails first.  The orbit leaves along
     X_plus (+1) when |a_plus| <= |a_minus| there, else along X_minus (-1).
-    The margin has no pole, so the exit is never bisected onto the pole
+    The margin has no pole, so the exit is never located on the pole
     a_plus = a_minus of the Filippov weight; a right-hand side evaluated on
     that pole raises UnresolvedSingularityError at the orbit's last node.
     """
@@ -644,12 +646,19 @@ def _locate(
     g: Callable[[float, list[float]], float], t0, y0, f0, t1, y1, f1, t_hi: float | None = None
 ) -> tuple[float, list[float]]:
     """(t, x(t)) where g(t, x(t)) changes sign on the interpolant x of the
-    step (t0, y0, f0) -> (t1, y1, f1), between t0 and t_hi (default t1)."""
+    step (t0, y0, f0) -> (t1, y1, f1), between t0 and t_hi (default t1).
+
+    g is nonzero at t0.  zeroin runs to the last float, so t is a float
+    beside the flip; where g is exactly 0 at t_hi (a stop rule on
+    ``<= 0.0``), t is t_hi.
+    """
     h = t1 - t0
     nodes = list(zip(y0, f0, y1, f1))
     at = lambda tt: [_hermite((tt - t0) / h, h, *node) for node in nodes]
-    t = bisect_sign_change(lambda tt: g(tt, at(tt)), t0, t1 if t_hi is None else t_hi,
-                           EVENT_TIME_TOL)
+    f = lambda tt: g(tt, at(tt))
+    t_hi = t1 if t_hi is None else t_hi
+    f_hi = f(t_hi)
+    t = t_hi if f_hi == 0.0 else zeroin(f, t0, t_hi, 0.0, fb=f_hi)
     return t, at(t)
 
 

@@ -36,12 +36,12 @@ a tolerance lies only at a break.  One where psi' != 0 certifies a sliding
 band, no preimage certifies sewing, and everything else (tangential
 preimages, h = 0 identically, an unproven piece) is indeterminate.
 
-zeroin serves the smooth functions: psi - r, psi' at a turn, and g and its
-slope in dynamics.equilibria_on_manifold.  bisect_sign_change serves the
-brackets interpolation cannot shorten, a verdict that steps between -1 and
-1 (cli), and the hybrid event times (dynamics), which it keeps in place
-under a positive rescaling of the fields, up to the rounding of the
-rescaled values.
+zeroin is the one search for a bracketed sign change: psi - r, psi' at a
+turn, g and its slope in dynamics.equilibria_on_manifold, the hybrid event
+times (dynamics), which it runs to the last float and, reading only ratios
+of values, keeps in place under a positive rescaling of the fields, up to
+the rounding of the rescaled values, and a verdict that steps between -1
+and 1 (cli), which it bisects.
 """
 
 from __future__ import annotations
@@ -97,31 +97,6 @@ def linspace(a: float, b: float, n: int) -> list[float]:
     return out[:-1] + [b]
 
 
-def bisect_sign_change(
-    f: Callable[[float], float], a: float, b: float, tol: float, fa: float | None = None
-) -> float:
-    """A point where f changes sign between a < b, to within tol.
-
-    f(a), or ``fa`` if the caller has it, must be nonzero and not NaN; a
-    probe of the other sign becomes b, else a.  The search stops early at an
-    exact zero or a NaN value, and also when no float lies strictly between
-    the ends, which ends it for any tol below the float spacing.
-    """
-    below = (f(a) if fa is None else fa) < 0.0
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break
-        fm = f(mid)
-        if not (fm < 0.0 or fm > 0.0):  # 0 or NaN
-            return mid
-        if (fm < 0.0) != below:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
-
-
 def zeroin(
     f: Callable[[float], float], a: float, b: float, tol: float,
     fa: float | None = None, fb: float | None = None,
@@ -136,11 +111,13 @@ def zeroin(
     ratios of f's values; it bisects instead where that point lies beyond
     three quarters of the way to c or the step is not under half the step
     before last.  So it is superlinear where f is smooth, and at worst
-    takes about the square of bisection's count of probes.  Signs are
-    compared, never multiplied.  As in bisect_sign_change, the search stops
-    early at an exact zero or a NaN value, and when no float lies strictly
-    between b and c.  The result lies strictly inside (a, b), but for a
-    bracket with no float inside.
+    takes about the square of bisection's count of probes.  Where |f| is
+    the same at every probe, as on a step between -1 and 1, it never
+    interpolates: it bisects.  Signs are compared, never multiplied.  The
+    search stops early at an exact zero or a NaN value, and when no float
+    lies strictly between b and c, which ends it for any tol below the
+    float spacing: tol 0 runs it to the last float.  The result lies
+    strictly inside (a, b), but for a bracket with no float inside.
     """
     lo, hi, half_tol = a, b, 0.5 * tol
     fa = f(a) if fa is None else fa

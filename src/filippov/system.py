@@ -282,7 +282,7 @@ def sliding_margin(system: PiecewiseSystem, x: Sequence[float] | float) -> float
     """Positive exactly where classify_point says Sliding.
 
     Unlike the Filippov weight it has no pole at a_plus = a_minus, so a
-    sliding orbit can bisect its exit on it.
+    sliding orbit can locate its exit on it.
     """
     return _margin(*system.normal_components_on_sigma(x))
 

@@ -452,6 +452,20 @@ def test_all_certifies_each_grid_point_once(tmp_path, monkeypatch, text):
     assert counts["all"] == counts["certify"] >= 41
 
 
+def test_a_refined_boundary_costs_one_certify_per_halving(tmp_path, monkeypatch):
+    # the golden fold grid: 41 points, and the gap from -0.05 to 0.05 around
+    # the undecided x = 0 halved 37 times, down to 1e-12; zeroin on the
+    # verdict's +-1 bisects, with as many certify calls as bisection made
+    calls = []
+    monkeypatch.setattr(cli, "certify", lambda *args: calls.append(args) or certify(*args))
+    out = tmp_path / "out"
+    assert run_command(["certify", "--config", setup_cfg(tmp_path, FOLD), "--out", str(out),
+                        "--grid=-1:1:41"]) == 0
+    assert len(calls) == 41 + math.ceil(math.log2(0.1 / 1e-12)) == 78
+    [boundary] = json.loads((out / "certificates.json").read_text())["boundary_estimates"]
+    assert abs(boundary) <= 1e-12
+
+
 @pytest.mark.parametrize("text", [
     FOLD,
     FOLD_OVERSHOOT,

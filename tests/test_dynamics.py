@@ -25,7 +25,6 @@ from filippov.expr import DomainError
 from filippov.regularize import (
     Biased,
     Smoothstep,
-    bisect_sign_change,
     certify,
     make_transition,
     regularized_field,
@@ -180,27 +179,28 @@ def test_stop_ends_at_first_accepted_node_where_true():
 
 
 def test_bisection_stops_when_floats_run_out():
-    # near t = 1e4 adjacent floats are 1.8e-12 apart, wider than the 1e-12
-    # event tolerance, and f vanishes at no float, so only the
-    # no-float-between rule ends the search
-    for search in (bisect_sign_change, zeroin):
+    # near t = 1e4 adjacent floats are 1.8e-12 apart, wider than a 1e-12
+    # tolerance, and f vanishes at no float, so only the no-float-between
+    # rule ends the search; events run zeroin with tol 0, which only it ends
+    for tol in (EVENT_TIME_TOL, 0.0):
         calls = [0]
 
         def f(t):
             calls[0] += 1
             if calls[0] > 200:
-                raise RuntimeError(f"{search.__name__} does not terminate")
+                raise RuntimeError(f"zeroin to {tol} does not terminate")
             return (t - 1e4) - 0.3
 
-        t = search(f, 1e4, 1e4 + 1.0, EVENT_TIME_TOL)
+        t = zeroin(f, 1e4, 1e4 + 1.0, tol)
         assert abs(t - 10000.3) <= 2e-12
 
 
 def test_bisection_compares_signs_not_products():
     # fa * fm underflowed to 0 below about 1e-162, which read as no sign
-    # change, and the search ran to b = 1
-    t = bisect_sign_change(lambda t: 1e-200 * (t - 0.3), 0.0, 1.0, 1e-14)
-    assert abs(t - 0.3) <= 1e-14
+    # change, and the search ran to b = 1; run to the last float, as events
+    # are, the search ends beside 0.3
+    t = zeroin(lambda t: 1e-200 * (t - 0.3), 0.0, 1.0, 0.0)
+    assert abs(t - 0.3) <= math.ulp(0.3)
 
 
 @pytest.mark.parametrize("y0", [[1.0], [0.5, 1.0]], ids=["integrate", "integrate_filippov"])
@@ -943,6 +943,30 @@ def test_hybrid_orbit_builds_one_trajectory(monkeypatch, orbit):
     monkeypatch.setattr(dynamics._Recorder, "build", lambda rec: built.append(rec) or build(rec))
     traj = HYBRID_ORBITS[orbit]()
     assert traj.events and len(built) == 1
+
+
+def test_hybrid_events_are_located_in_few_probes(monkeypatch):
+    # bisecting each event to 1e-12 took 81 probes of the event functions
+    # for this orbit's SigmaHit and SlideExit; zeroin on the step's cubic
+    # takes a few per event, though it runs to the last float
+    probes = []
+    locate = dynamics._locate
+    monkeypatch.setattr(dynamics, "_locate", lambda g, *step: locate(
+        lambda t, x: probes.append(t) or g(t, x), *step))
+    traj = HYBRID_ORBITS["hit_slide_exit"]()
+    assert [e.kind for e in traj.events] == [
+        EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY, EventKind.SLIDE_EXIT]
+    assert len(probes) <= 16
+
+
+def test_an_event_function_zero_at_the_step_end_locates_the_end():
+    # a slide's stop rule fires on margin <= 0, so the margin can be exactly
+    # 0 at the step's end, which is then the event; bisection stopped about
+    # 1e-12 short of it
+    step = 0.0, [1.0], [-1.0], 1.0, [0.0], [-1.0]  # x = 1 - t
+    assert dynamics._locate(lambda t, x: x[0], *step) == (1.0, [0.0])
+    # g is 0 at t_hi = 0.5 as well as beyond it
+    assert dynamics._locate(lambda t, x: max(x[0] - 0.5, 0.0), *step, 0.5) == (0.5, [0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -102,49 +102,49 @@ GOLDEN = {
         "cross.json": "dfd2adb66bbd0ca50da0b7bbcf3ef057e8df20a501f3899c2d1ace554fe3a5ee",
     },
     "curved": {
-        "certificates.json": "c36ddf39568cedea1d9dc6af49a902df8bb55edf640f643093d1633e82038d3d",
-        "classification.json": "141f426a9bbd1a9473b1b8a5ae4d81d32715ad1415df7b9adedb37f6afb4203c",
+        "certificates.json": "37fad446d64b656be15fd3711247937ec8a528b52c77bf8d4171ade83c393ede",
+        "classification.json": "0cee88670fc35f6064e8afd0b4b3188ed4edd9f14cf563d9316062ce19524925",
         "manifold.json": "e22f5a8221aff52626f787c34ea8426bc634ff9a0eb01cff477b8e5d6e424c0b",
         "slowfast.csv": "4760e11f6085107b446f3a1287f3db48972105edfedc7b91581ed41719ab5566",
-        "trajectory.csv": "5e0d6a99965870fb1b396a435a884e6a158c6e79928d7fc09ac96e677d0f2ba2",
+        "trajectory.csv": "68741d3f4a6128889dd2d007ff83e34a93443b6e73d2d43501c2f151d25db80c",
     },
     "fold_biased": {
-        "certificates.json": "6aa8301aec635c47fb7978915426a9d9239deb82b64eec3ff4de0a0855d1b4d6",
-        "classification.json": "16f9106b637905dce83179d1dcedd55adea46194040475dfc4234af52e2e4766",
+        "certificates.json": "32ac1d445e5352b2e3da281e088a431872fd3c13640eb14c2a9f248133403e81",
+        "classification.json": "c3279ede01fc86b93e5316464793ba91f926b5753a4e6637bbb0485df990c41b",
         "manifold.json": "b923294a2139f5ee5677a70e2bed70ab34829a5d9ddef1065c49f8d692bbd3d6",
         "slowfast.csv": "4e44b526e75615292b0adf844e23ce6db1725718d291b90e5fcfea6fd394805c",
-        "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
+        "trajectory.csv": "6118201f26757f23427ad4a93990e6b536a7e461eafd77c18f4199f453f067f6",
     },
     "fold_custom": {
-        "certificates.json": "c1483a1444b6d21e6361cdee4393b7084fb479a229a01c7b26180604df994b63",
-        "classification.json": "24c3f2752111edf4e9d8b1bb53804342cff57497a5d03999d00378a89773e870",
+        "certificates.json": "36c22aff4b446df5ecafd7da9342f75bc208a5e7b18e82f2bb0c5e9bb10ab333",
+        "classification.json": "64a8ab417cd676e8d42e4608cb8cef16a5fbcf2a41efc87e7cb1d504b6fed1f6",
         "manifold.json": "440c2e6dbbb6e062e18e5312af74b0edfefcff9a5a8bca232b908b2620344f38",
         "slowfast.csv": "e20b01ae01118980dec62de289b3346537b3f5e9a192f31fb3cc60f58faf8dd3",
-        "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
+        "trajectory.csv": "6118201f26757f23427ad4a93990e6b536a7e461eafd77c18f4199f453f067f6",
     },
     "fold_custom_bump": {
-        "certificates.json": "e435b6e14b7988cc37c30ae78eb487e008d1b87fb1935d0d876dda3e47d238c2",
-        "classification.json": "014c1899eacdcf797fc9f1b8e9097037e88ff619f214d59e749a445201551ac1",
+        "certificates.json": "ee0bb00caf7d9fc4d1588c2109df79e3372248674ddd1ca06b9c41f1146d469e",
+        "classification.json": "3f7fac2feb6ffc277f65b40be5bd89bd1b1031111abe5e718bdc6aa492490c08",
         "manifold.json": "585815762befdfa2c1a165dcb2e2d5b619ecf91099c9adb5cea4c3ef84751d6e",
         "slowfast.csv": "27924e78b8faffdb40f000d7fab72b55c1cab7ebbded80961f04cd89a189b08a",
-        "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
+        "trajectory.csv": "6118201f26757f23427ad4a93990e6b536a7e461eafd77c18f4199f453f067f6",
     },
     "fold_overshoot": {
-        "certificates.json": "6f5352b9c4619dc5ae97230f49d43f7073d48d4f4f67db11e087648979a25c09",
-        "classification.json": "609a2a231e749bfa2533c2aff618a63bba80f970501b7f10904d308c20b23b19",
+        "certificates.json": "5fdecd5b7d9e5f6a88756956bf236f34883de8f79baaa0ea6042773593040008",
+        "classification.json": "23abe5e8c3a355a4bba7f18bcc19748e079e8f6b3ea99b69f91b605b53554832",
         "manifold.json": "a2f58802d27e23720fe837d6677edb26409b1cf1f2277633995a8092ec75040c",
         "slowfast.csv": "6e5d861a0b3deb0f532850c378aaed657b7bc863710c0ab3517b2ab7a7ed7fdf",
-        "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
+        "trajectory.csv": "6118201f26757f23427ad4a93990e6b536a7e461eafd77c18f4199f453f067f6",
     },
     "fold_slide_exit": {
-        "trajectory.csv": "b060ce5286050e5a5912310404ccae0959ea3a7b815b8d0e6786864bcac53d8d",
+        "trajectory.csv": "86dd001cf28f43b50b817430724978d8e4eb9f52deb08378987fd4fa41bf9c13",
     },
     "fold_smoothstep": {
-        "certificates.json": "de89f6385e5ccc3dfdeab3638af9654e38e0786d9071792f8a273fe34abd37d7",
-        "classification.json": "b0842f588e2e81117b5d51bd1c54db149e57f61a4d7b5a821d998b4936b15055",
+        "certificates.json": "e3f558e942101ab64f51ab1b08caeafd0ad8fc3687fc9c36fa1360f436b2ca43",
+        "classification.json": "68d19a8dbc4123d01d475b53d82eb2321b331ab153009ecaa69fcccbd2c5fb75",
         "manifold.json": "666ba8eeb72bb7aa1a95c89d2431bbfc6f8527f61c402a9104e216612356d092",
         "slowfast.csv": "2ebab8c8894e68f53a8d17976415f670286d797cd63181187236e17850679380",
-        "trajectory.csv": "2434629676709a1218439fdef232264f07e4086244de60a8057226c6278788fd",
+        "trajectory.csv": "6118201f26757f23427ad4a93990e6b536a7e461eafd77c18f4199f453f067f6",
     },
     "regularized": {
         "trajectory.csv": "1c42648d26bbc2e63a51596de7ac7036891a1898de68b6db64cf719fa86306e6",
@@ -156,7 +156,7 @@ GOLDEN = {
         "trajectory.csv": "0c51309663bfb1984154111c002d9dafdb3fc40ba7a00559a8c70026e24a3488",
     },
     "sewing": {
-        "trajectory.csv": "cbd2119b312d0423f7c063a179f155ec3a95899e07d95e75f3a499df164eb444",
+        "trajectory.csv": "0e2be83f9674822096dc0a79d90171602323e7055ef09009c275cce1a733cc9e",
     },
 }
 

@@ -43,3 +43,19 @@ def test_a_small_test_file_reports_what_it_did_not_run(tmp_path):
     assert ran not in missed  # sign's body
     assert _line_of("interval.py", "return sign(al), sign(ah)") in missed  # sgn's
     assert report[-1].endswith("statements of src/filippov/ not run")
+
+
+def test_a_grid_sweep_round_reports_what_its_jobs_did_not_run():
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "line_trace.py"),
+                           "--workload", "grid_sweep", "--seeds", "7", "--rounds", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 10.0
+    assert done.returncode == 0, done.stderr  # every job exited 0
+    report = done.stdout.splitlines()
+    # the grid commands certify points, and no job integrates a hybrid orbit
+    certify = _line_of("regularize.py", "found = height_roots(system, transition, x)")
+    assert f"  {certify}: found = height_roots(system, transition, x)" not in report
+    hybrid = _line_of("dynamics.py", "orbit = _Recorder(system.dim)")
+    assert f"  {hybrid}: orbit = _Recorder(system.dim)" in report
+    assert report[-1].endswith("statements of src/filippov/ not run")

@@ -17,7 +17,6 @@ from filippov.regularize import (
     UnresolvedInterval,
     ValidationFailure,
     Verdict,
-    bisect_sign_change,
     certify,
     height,
     height_roots,
@@ -736,14 +735,14 @@ def test_flats_and_nans_are_breaks():
 
 
 def test_zeroin_stops_where_bisection_does():
-    # an exact zero: the first probe of either, the secant and the midpoint
-    for search in (zeroin, bisect_sign_change):
-        assert search(lambda t: t - 0.5, 0.0, 1.0, 1e-14) == 0.5
+    # an exact zero at the first probe, the secant, with a tolerance or
+    # run to the last float
+    for tol in (1e-14, 0.0):
+        assert zeroin(lambda t: t - 0.5, 0.0, 1.0, tol) == 0.5
     # a NaN probe is returned
     f = lambda t: t - 0.3 if t < 0.5 else math.nan
     t = zeroin(f, 0.0, 1.0, 1e-14, fa=-0.3, fb=0.01)
     assert 0.5 <= t < 1.0 and math.isnan(f(t))
-    assert bisect_sign_change(lambda t: t - 0.3 if t < 0.75 else math.nan, 0.5, 1.0, 1e-14) == 0.75
 
     def never(t):
         raise AssertionError("a bracket narrower than tol needs no probe")

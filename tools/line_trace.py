@@ -1,12 +1,22 @@
-"""Run pytest under a line tracer and list the library statements no test ran.
+"""Run pytest, or the benchmark's jobs, under a line tracer and list the
+library statements that did not run.
 
 Usage, from the root of a checkout (the arguments go to pytest as they are):
 
     python3 tools/line_trace.py -q tests/
     python3 tools/line_trace.py -q tests/test_expr.py -k parse
 
-While pytest runs, sys.settrace records every line executed in the files
-of src/filippov/ (the tree next to this script, put first on the path).
+or, for the jobs bench/workloads.py generates for each seed and round of
+one or more workloads, run in this process through filippov.cli.run_command
+as tools/artifact_diff.py runs them (their artifacts go to a temporary
+directory):
+
+    python3 tools/line_trace.py --workload grid_sweep orbit_sweep \
+        --seeds 7 8 --rounds 0 1 2 3
+
+While pytest or the jobs run, sys.settrace records every line executed in
+the files of src/filippov/ (the tree next to this script, put first on the
+path).
 The report then lists, per module, each statement that compiles to code
 and none of whose lines ran: a compound statement (if, for, def, ...) by
 its header, a simple one by all of its lines.  Docstrings and the body of
@@ -14,16 +24,21 @@ its header, a simple one by all of its lines.  Docstrings and the body of
 code run in this process and its main thread is seen: a subprocess a test
 starts is not traced.
 
-The exit status is pytest's.
+The exit status is pytest's; with --workload, 1 if a job exited nonzero,
+else 0.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import json
 import os
 import sys
+import tempfile
 import types
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "filippov"
@@ -60,11 +75,9 @@ def statements(source: str, filename: str) -> list[tuple[int, int]]:
     return sorted(spans)
 
 
-def run(args: list[str]) -> tuple[int, dict[Path, set[int]]]:
-    """pytest's exit status on ``args``, and the lines of each module of the
-    package that ran meanwhile."""
-    import pytest
-
+def traced(call: Callable[[], int]) -> tuple[int, dict[Path, set[int]]]:
+    """What ``call()`` returns, and the lines of each module of the package
+    that ran meanwhile."""
     ran = {path: set() for path in sorted(PACKAGE.glob("*.py"))}
     by_name = {os.path.realpath(path): lines for path, lines in ran.items()}
     tracers = {}
@@ -86,10 +99,35 @@ def run(args: list[str]) -> tuple[int, dict[Path, set[int]]]:
     sys.path.insert(0, str(PACKAGE.parent))
     sys.settrace(on_call)
     try:
-        status = pytest.main(args)
+        status = call()
     finally:
         sys.settrace(None)
-    return int(status), ran
+    return status, ran
+
+
+def run(args: list[str]) -> tuple[int, dict[Path, set[int]]]:
+    """pytest's exit status on ``args``, and the lines that ran (see traced)."""
+    import pytest
+
+    return traced(lambda: int(pytest.main(args)))
+
+
+def run_workloads(names: list[str], seeds: list[int], rounds: list[int]
+                  ) -> tuple[int, dict[Path, set[int]]]:
+    """1 if one of the workloads' jobs exited nonzero, else 0, and the lines
+    that ran (see traced)."""
+    import artifact_diff
+
+    def jobs() -> int:
+        failed = False
+        for name in names:
+            with tempfile.TemporaryDirectory() as tmp:
+                artifact_diff.emit(PACKAGE.parent, Path(tmp), name, seeds, rounds)
+                manifest = json.loads((Path(tmp) / "manifest.json").read_text())
+            failed |= any(job["exit"] != 0 for job in manifest.values())
+        return int(failed)
+
+    return traced(jobs)
 
 
 def report(ran: dict[Path, set[int]]) -> list[str]:
@@ -110,7 +148,17 @@ def report(ran: dict[Path, set[int]]) -> list[str]:
 
 
 def main() -> int:
-    status, ran = run(sys.argv[1:])
+    argv = sys.argv[1:]
+    if argv[:1] == ["--workload"]:
+        parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+        parser.add_argument("--workload", nargs="+", required=True,
+                            choices=("grid_sweep", "orbit_sweep"))
+        parser.add_argument("--seeds", type=int, nargs="+", required=True)
+        parser.add_argument("--rounds", type=int, nargs="+", default=[0])
+        args = parser.parse_args(argv)
+        status, ran = run_workloads(args.workload, args.seeds, args.rounds)
+    else:
+        status, ran = run(argv)
     print("\n".join(report(ran)))
     return status
 
