@@ -318,7 +318,10 @@ def _lu(m: list[list[float]]) -> list[int] | None:
 
 
 def _lu_solve(lu: list[list[float]], order: list[int], b: Sequence[float]) -> list[float]:
-    """The x with A x = b, from the factors and the row order _lu left of A."""
+    """The x with A x = b, from the factors and the row order _lu left of A.
+
+    No library code calls it: the generated step (_rodas_code) writes its
+    operations out, and it is the reference the tests check those against."""
     x = [b[i] for i in order]
     n = len(x)
     for i in range(1, n):  # L has a unit diagonal
@@ -471,12 +474,13 @@ def integrate(
 def _run(rec: _Recorder, fn, y: list[float], t: float, t_end: float, stop, jac) -> tuple | None:
     """Step x' = fn(t, x) from (t, y) towards t_end into rec, as integrate
     describes, and stop early when asked; the step (t0, y0, f0, t1, y1, f1)
-    on which stop fired, or None.
+    on which stop fired followed by the time stop returned, or None.
 
     stop(t0, y0, f0, t1, y1, f1), unless None, sees each accepted step as
     the two nodes and node derivatives of its cubic Hermite interpolant, and
-    ends the run after the first step where it is true, whose end is then
-    rec's last node.
+    returns a time in (t0, t1] by which the event function it watches has
+    changed sign, or None.  The run ends after the first step where it
+    returns a time, whose end is then rec's last node.
 
     The first node is skipped when rec's last node already lies at t, where
     a run continues an orbit; the counters add up in rec.stats.
@@ -512,8 +516,8 @@ def _run(rec: _Recorder, fn, y: list[float], t: float, t_end: float, stop, jac) 
             y = y_new
             fcur = rhs(t, y)
             rec.push(t, y, fcur)
-            if stop is not None and stop(*start, t, y, fcur):
-                return (*start, t, y, fcur)
+            if stop is not None and (t_hi := stop(*start, t, y, fcur)) is not None:
+                return (*start, t, y, fcur, t_hi)
         else:
             stats.rejected += 1
         # the elementary rule for an order-4 error estimate, on accepted
@@ -537,15 +541,17 @@ def integrate_filippov(
 
     A segment ends at the first step whose dense interpolant leaves the
     band on the far side of the surface, at its end node or in between
-    (see _far_side).  The hit is located on the interpolant to the last
-    float (see _locate) and recorded as SigmaHit.
-    Sliding hits enter the Filippov combination (SlideEntry) and leave it
-    (SlideExit) where the class test stops saying Sliding, along the field
-    whose normal component is the smaller there; orbits that merely sew
-    continue on the other side.
-    A singular hit raises UnresolvedSingularityError, and a field outside
-    its domain DomainError; either leaves with the orbit up to its last
-    node, ended by a StepFailure event, as its trajectory.
+    (see _far_side); the hit is located before that time on the
+    interpolant, to the last float (see _locate), and recorded as SigmaHit.
+    The start and each hit on the surface are classified once, at the top
+    of the loop: Sliding enters the Filippov combination (SlideEntry) and
+    leaves it (SlideExit) where the class test stops saying Sliding, along
+    the field whose normal component is the smaller there; Sewing goes on
+    along the field a_plus points into; SigmaSingular raises
+    UnresolvedSingularityError, and a field outside its domain DomainError;
+    either leaves with the orbit up to its last node, ended by a StepFailure
+    event, as its trajectory.  A hit within EVENT_TIME_TOL of t_end, or on
+    the last of MAX_EVENTS, ends the orbit unclassified.
     """
     state = [float(v) for v in x0]
     t, t_end = float(t_span[0]), float(t_span[1])
@@ -556,12 +562,11 @@ def integrate_filippov(
             f"state dimension {len(state)} does not match system dimension {system.dim}"
         )
     orbit = _Recorder(system.dim)
-    exit_side = 0  # the field a slide exit leaves along, for the next segment
+    region = 0  # the field the next segment follows; 0: the surface branch decides
     try:
         for _ in range(MAX_EVENTS):
             if t >= t_end - EVENT_TIME_TOL:
                 break
-            region, exit_side = exit_side, 0
             if not region and abs(state[-1]) <= SURFACE_BAND:
                 verdict = classify_point(system, state[:-1])
                 if verdict == SigmaClass.SLIDING:
@@ -569,7 +574,7 @@ def integrate_filippov(
                     exit_ = _slide(system, orbit, t, state, t_end)
                     if exit_ is None:
                         break  # reached t_end (or failed) while sliding
-                    t, state, exit_side = exit_
+                    t, state, region = exit_
                     continue
                 if verdict == SigmaClass.SIGMA_SINGULAR:
                     raise UnresolvedSingularityError(t, state, None)
@@ -580,8 +585,7 @@ def integrate_filippov(
 
             field_def = system.plus if region > 0 else system.minus
             fn = lambda tt, s: field_def.values(s)
-            step = _run(orbit, fn, state, t, t_end,
-                        lambda *step: _far_side(region, *step) is not None,
+            step = _run(orbit, fn, state, t, t_end, functools.partial(_far_side, region),
                         lambda tt, s: field_def.jacobian_rows(s))
             if step is None:
                 break  # reached t_end, or failed
@@ -590,13 +594,10 @@ def integrate_filippov(
             if abs(step[1][-1]) <= SURFACE_BAND:
                 # launched from the surface; cut where the orbit clears the band
                 target = -region * SURFACE_BAND / 2.0
-            t, state = _locate(lambda tt, s: s[-1] - target, *step, _far_side(region, *step))
+            t, state = _locate(lambda tt, s: s[-1] - target, *step)
             state[-1] = 0.0
             orbit.event(t, state, EventKind.SIGMA_HIT, fn(t, state))
-            if classify_point(system, state[:-1]) == SigmaClass.SIGMA_SINGULAR:
-                raise UnresolvedSingularityError(t, state, None)
-            # Sliding: the loop re-enters through the surface branch above.
-            # Sewing: the surface branch picks the receiving side from a_plus.
+            region = 0  # the surface branch classifies the hit
         else:
             if t < t_end - EVENT_TIME_TOL:  # MAX_EVENTS ran out
                 orbit.event(t, state, EventKind.STEP_FAILURE)
@@ -609,10 +610,10 @@ def integrate_filippov(
 def _slide(system, orbit, t, state, t_end):
     """Integrate the sliding flow into the orbit from a Sliding surface state.
 
-    Returns (t, state, exit_side) at the edge of the class band, where
+    Returns (t, state, side) at the edge of the class band, where
     sliding_margin falls to 0 and classify_point stops saying Sliding, or
     None if the slide reaches t_end or fails first.  The orbit leaves along
-    X_plus (+1) when |a_plus| <= |a_minus| there, else along X_minus (-1).
+    side: X_plus (+1) when |a_plus| <= |a_minus| there, else X_minus (-1).
     The margin has no pole, so the exit is never located on the pole
     a_plus = a_minus of the Filippov weight; a right-hand side evaluated on
     that pole raises UnresolvedSingularityError at the orbit's last node.
@@ -629,24 +630,24 @@ def _slide(system, orbit, t, state, t_end):
 
     # fn has been evaluated at every node jac sees, so jac never meets the pole
     step = _run(orbit, fn, state[:-1], t, t_end,
-                lambda t0, x0, f0, t1, x1, f1: margin(t1, x1) <= 0.0,
+                lambda t0, x0, f0, t1, x1, f1: t1 if margin(t1, x1) <= 0.0 else None,
                 lambda tt, x: filippov_jacobian(system, x))
     if step is None:
         return None
     t, x = _locate(margin, *step)
     state = x + [0.0]
     a_plus, a_minus = system.normal_components_on_sigma(x)
-    exit_side = 1 if abs(a_plus) <= abs(a_minus) else -1
-    exit_field = system.plus if exit_side > 0 else system.minus
+    side = 1 if abs(a_plus) <= abs(a_minus) else -1
+    exit_field = system.plus if side > 0 else system.minus
     orbit.event(t, state, EventKind.SLIDE_EXIT, exit_field.values(state))
-    return t, state, exit_side
+    return t, state, side
 
 
 def _locate(
-    g: Callable[[float, list[float]], float], t0, y0, f0, t1, y1, f1, t_hi: float | None = None
+    g: Callable[[float, list[float]], float], t0, y0, f0, t1, y1, f1, t_hi: float
 ) -> tuple[float, list[float]]:
     """(t, x(t)) where g(t, x(t)) changes sign on the interpolant x of the
-    step (t0, y0, f0) -> (t1, y1, f1), between t0 and t_hi (default t1).
+    step (t0, y0, f0) -> (t1, y1, f1), between t0 and the stop rule's t_hi.
 
     g is nonzero at t0.  zeroin runs to the last float, so t is a float
     beside the flip; where g is exactly 0 at t_hi (a stop rule on
@@ -656,7 +657,6 @@ def _locate(
     nodes = list(zip(y0, f0, y1, f1))
     at = lambda tt: [_hermite((tt - t0) / h, h, *node) for node in nodes]
     f = lambda tt: g(tt, at(tt))
-    t_hi = t1 if t_hi is None else t_hi
     f_hi = f(t_hi)
     t = t_hi if f_hi == 0.0 else zeroin(f, t0, t_hi, 0.0, fb=f_hi)
     return t, at(t)

@@ -22,19 +22,19 @@ a_plus != a_minus, h vanishes exactly where psi(x, t) = r with
 
 lam being the Filippov weight; on the surface the blend at psi = r is the
 sliding field a slide steps, and both read r from system._sliding_level.
-So the zeros of h are a level set of psi, which one call of
-TransitionFunction.level_set returns: in closed form for smoothstep and
-biased, else by monotone_zeros, one zeroin (Brent's method) per monotone
-piece of _pieces(x): overshoot's two branches, or for a custom psi the
-pieces that interval enclosures of psi' and psi'' prove monotone on cells
-of the band, each halved at most MAX_CELL_DEPTH times, MAX_CELLS cells at
-most, over a dyadic box of x proven once for all its points, else over x's
-point box, the one box that keeps unproven cells (see Custom).  The same
-call returns the unproven pieces where psi may take r, which it does not
-search: the whole band where psi or psi' reads NaN at x.  A preimage within
-a tolerance lies only at a break.  One where psi' != 0 certifies a sliding
-band, no preimage certifies sewing, and everything else (tangential
-preimages, h = 0 identically, an unproven piece) is indeterminate.
+So the zeros of h are a level set of psi, which each kind's level_set
+returns: in closed form for smoothstep and biased, else by monotone_zeros,
+one zeroin (Brent's method) per monotone piece: overshoot's two branches,
+or for a custom psi the pieces that interval enclosures of psi' and psi''
+prove monotone on cells of the band, each halved at most MAX_CELL_DEPTH
+times, MAX_CELLS cells at most, over a dyadic box of x proven once for all
+its points, else over x's point box, the one box that keeps unproven cells
+(see Custom).  A custom psi's call also returns the unproven pieces where
+psi may take r, which it does not search: the whole band where psi or psi'
+reads NaN at x.  A preimage within ZERO_TOL lies only at a custom psi's
+break.  One where psi' != 0 certifies a sliding band, no preimage
+certifies sewing, and everything else (tangential preimages, h = 0
+identically, an unproven piece) is indeterminate.
 
 zeroin is the one search for a bracketed sign change: psi - r, psi' at a
 turn, g and its slope in dynamics.equilibria_on_manifold, the hybrid event
@@ -217,8 +217,8 @@ class TransitionFunction:
     """Base class.  A kind spells psi and psi' = d(psi)/dt on the band as
     the trees ``expression`` and ``derivative`` in t and ``x_names``, which
     the base class compiles with x bound by position (and any x beyond
-    x_names ignored) and holds at -1/+1 and 0 outside the band.  One call
-    of level_set says where psi takes a level, unproven cells included."""
+    x_names ignored) and holds at -1/+1 and 0 outside the band.  Each
+    kind's level_set says where psi takes a level, unproven cells included."""
 
     x_names: tuple[str, ...] = ()
     _regularized = None, None, None  # (system, eps, (field, jacobian)) of regularized()
@@ -278,25 +278,11 @@ class TransitionFunction:
         grad = self._dpsi_dx(float(t), x)
         return grad + [0.0] * (len(x) - len(grad))
 
-    _zero_tol = 0.0  # |psi - r| at or below this is a preimage at a break
-
     def level_set(self, r: float, x: Sequence[float] = ()) -> tuple[list[float],
                                                                     list[tuple[float, float]]]:
-        """The sorted t in [-1, 1] with psi(x, t) = r, by monotone_zeros on
-        the pieces of _pieces(x), and the cells (t_lo, t_hi): the unproven
-        pieces where psi may take r, in which none is sought."""
-        breaks, values, unproven = self._pieces(x)
-        psi = self._psi
-        zeros = monotone_zeros(lambda t: psi(t, x) - r, breaks, [v - r for v in values],
-                               self._zero_tol, unproven)
-        return zeros, [(breaks[k], breaks[k + 1]) for k, (lo, hi) in unproven.items()
-                       if not (lo > r or hi < r)]  # NaN bounds hold r too
-
-    def _pieces(self, x: Sequence[float]) -> tuple[Sequence[float], Sequence[float],
-                                                   dict[int, tuple[float, float]]]:
-        """Breaks from -1 to 1, psi at them, and the unproven pieces: psi(x, .)
-        is monotone between consecutive breaks, but for the piece from
-        breaks[k] for each key k, whose value is bounds of psi on it."""
+        """The sorted t in [-1, 1] with psi(x, t) = r, and the cells
+        (t_lo, t_hi): the unproven pieces where psi may take r, in which none
+        is sought.  Each kind gives its own."""
         raise NotImplementedError
 
 
@@ -343,9 +329,10 @@ class Overshoot(TransitionFunction):
         if not abs(peak - self.m) <= 1e-12 * self.m:
             raise ValidationFailure(f"interior max {peak} differs from target {self.m}")
 
-    def _pieces(self, x):
+    def level_set(self, r, x=()):
         # psi is monotone on [-1, u] and on [u, 1], with exact values at the breaks
-        return (-1.0, self.u, 1.0), (-1.0, self.m, 1.0), {}
+        return monotone_zeros(lambda t: self._psi(t, x) - r, (-1.0, self.u, 1.0),
+                              (-1.0 - r, self.m - r, 1.0 - r), 0.0), []
 
 
 def _overshoot_peak(m: float) -> float:
@@ -416,7 +403,6 @@ class Custom(TransitionFunction):
 
     expression: ex.Expr
     x_names: tuple[str, ...] = ()
-    _zero_tol = ZERO_TOL
 
     def __post_init__(self):
         if isinstance(self.expression, str):
@@ -424,10 +410,11 @@ class Custom(TransitionFunction):
         self.derivative = ex.differentiate(self.expression, "t")
         if "t" in self.x_names:
             raise ValidationFailure("custom transition: coordinate 't' clashes with the variable t")
-        extra = ex.free_vars(self.expression) - set(self.x_names) - {"t"}
+        names = ex.free_vars(self.expression)
+        extra = names - set(self.x_names) - {"t"}
         if extra:
             raise ValidationFailure(f"custom transition uses unknown variables {sorted(extra)}")
-        self._x_free = not ex.free_vars(self.expression) & set(self.x_names)
+        self._x_free = not names & set(self.x_names)
         self._boxes: dict[tuple, list | None] = {}  # by _box_cells' key
         for x in itertools.product(_VALIDATION_X, repeat=len(self.x_names)):
             for t in (-1.0, 1.0):  # value holds these beyond the band
@@ -508,18 +495,26 @@ class Custom(TransitionFunction):
                 return self._boxes[key]
         return None
 
+    def level_set(self, r, x=()):
+        """By monotone_zeros on _pieces(x), a break within ZERO_TOL of r a zero."""
+        breaks, values, unproven = self._pieces(x)
+        psi = self._psi
+        zeros = monotone_zeros(lambda t: psi(t, x) - r, breaks, [v - r for v in values],
+                               ZERO_TOL, unproven)
+        return zeros, [(breaks[k], breaks[k + 1]) for k, (lo, hi) in unproven.items()
+                       if not (lo > r or hi < r)]  # NaN bounds hold r too
+
     def _pieces(self, x):
+        """Breaks from -1 to 1, psi at them, and the unproven pieces: psi(x, .)
+        is monotone between consecutive breaks, but for the piece from
+        breaks[k] for each key k, whose value is bounds of psi on it."""
         if self._x_free:
             return self._x_free_pieces
         return self._assembled(self._box_cells(x), x)
 
     @cached_property
     def _x_free_pieces(self):  # psi uses no x, so its pieces at any x serve every x
-        return self._point_pieces((0.0,) * len(self.x_names))
-
-    def _point_pieces(self, x):
-        """The pieces of psi(x, .) from x's own point box."""
-        return self._assembled(None, x)
+        return self._assembled(None, (0.0,) * len(self.x_names))
 
     def _assembled(self, cells, x):
         """The pieces of psi(x, .) on ``cells`` of a box that holds x, or on

@@ -164,7 +164,7 @@ def test_stop_ends_at_first_accepted_node_where_true():
 
     def stop(t0, y0, f0, t, y, f):
         seen.append((t0, y0[0], f0[0], t, y[0], f[0]))
-        return y[0] > 2.0
+        return t if y[0] > 2.0 else None
 
     rec = dynamics._Recorder(2)
     dynamics._run(rec, fn, [0.0, 0.0], 0.0, 10.0, stop, jac)
@@ -964,9 +964,53 @@ def test_an_event_function_zero_at_the_step_end_locates_the_end():
     # 0 at the step's end, which is then the event; bisection stopped about
     # 1e-12 short of it
     step = 0.0, [1.0], [-1.0], 1.0, [0.0], [-1.0]  # x = 1 - t
-    assert dynamics._locate(lambda t, x: x[0], *step) == (1.0, [0.0])
+    assert dynamics._locate(lambda t, x: x[0], *step, 1.0) == (1.0, [0.0])
     # g is 0 at t_hi = 0.5 as well as beyond it
     assert dynamics._locate(lambda t, x: max(x[0] - 0.5, 0.0), *step, 0.5) == (0.5, [0.5])
+
+
+def test_a_sigma_hit_is_classified_once(monkeypatch):
+    # the hit was classified right after it was recorded, for a singular
+    # verdict the loop's surface branch reaches again one pass later
+    calls = []
+    classify = dynamics.classify_point
+    monkeypatch.setattr(dynamics, "classify_point",
+                        lambda system, x: calls.append(list(x)) or classify(system, x))
+    traj = HYBRID_ORBITS["hit_slide_exit"]()
+    hit = traj.events[0]
+    assert hit.kind == EventKind.SIGMA_HIT
+    assert calls == [list(hit.state[:-1])]
+
+
+def test_the_far_side_is_found_once_per_segment_step(monkeypatch):
+    # the stop rule's time bounds the hit's bracket; the step that held the
+    # hit was asked for its far side a second time to find the bracket again
+    steps = []
+    far_side = dynamics._far_side
+    monkeypatch.setattr(dynamics, "_far_side",
+                        lambda region, t0, *rest: steps.append(t0) or far_side(region, t0, *rest))
+    traj = HYBRID_ORBITS["hit_slide_exit"]()
+    hit, _, exit_ = traj.events
+    # the located event node takes the place of its step's end node
+    segment_steps = (np.count_nonzero(traj.times <= hit.time) - 1
+                     + np.count_nonzero(traj.times >= exit_.time) - 1)
+    assert len(steps) == len(set(steps)) == segment_steps
+
+
+def test_a_singular_hit_at_t_end_ends_the_orbit():
+    # a- = 1000 x vanishes where the orbit lands, at t = 0.5: a hit within
+    # EVENT_TIME_TOL of t_end has reached it and is not classified, while
+    # one before t_end is singular
+    sys = system_from_strings(("x", "y"), ("1", "-1000"), ("1", "1000*x"))
+    traj = integrate_filippov(sys, (-0.5, 500.0), (0.0, 0.5 + 5e-13))
+    assert [e.kind for e in traj.events] == [EventKind.SIGMA_HIT]
+    assert traj.final_time == traj.events[0].time == pytest.approx(0.5, abs=1e-15)
+    assert classify_point(sys, traj.final_state[:-1]) == SigmaClass.SIGMA_SINGULAR
+    with pytest.raises(UnresolvedSingularityError) as err:
+        integrate_filippov(sys, (-0.5, 500.0), (0.0, 1.0))
+    assert [e.kind for e in err.value.trajectory.events] == [
+        EventKind.SIGMA_HIT, EventKind.STEP_FAILURE]
+    assert err.value.time == pytest.approx(0.5, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

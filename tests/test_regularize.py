@@ -991,7 +991,7 @@ def test_the_cells_tested_at_one_x_are_bounded_for_an_x_dependent_psi(monkeypatc
     assert len(calls["_slope_bounds"]) <= (regularize.MAX_BOX_DEPTH + 2) * regularize.MAX_CELLS
     # one enclosure of psi per unproven piece
     unproven = len(calls["_psi_bounds"])
-    assert unproven == len(tf._point_pieces((0.3,))[2])
+    assert unproven == len(tf._assembled(None, (0.3,))[2])
     # a second point in the same boxes tests only its own
     del calls["_slope_bounds"][:]
     certify(level_system(0.3), tf, 0.35)
@@ -1053,7 +1053,7 @@ def test_a_nan_slope_at_x_in_a_turn_cell_leaves_the_box_for_x_alone():
     breaks, _, unproven = tf._pieces(x)
     assert list(tf._boxes) == [(0, 0)]
     assert any(way == regularize._TURN for lo, hi, way in tf._boxes[0, 0])
-    want, _, unproven_alone = tf._point_pieces(x)
+    want, _, unproven_alone = tf._assembled(None, x)
     assert breaks == want and unproven == unproven_alone and unproven
     assert tf._pieces((0.5,))[2] == {}
 
@@ -1064,7 +1064,7 @@ def test_the_level_set_at_a_non_finite_x_is_found_at_x_alone():
     assert tf.level_set(0.0, (math.nan,)) == ([], [(-1.0, 1.0)])
     for x in (math.inf, -math.inf):
         breaks, _, unproven = tf._pieces((x,))
-        assert (breaks, unproven) == tf._point_pieces((x,))[::2]
+        assert (breaks, unproven) == tf._assembled(None, (x,))[::2]
     assert tf._boxes == {}
 
 
