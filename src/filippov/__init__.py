@@ -12,7 +12,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .blowup import Chart, ChartPoint, SlowFastSystem, e_chart_field, f_chart_field
+from .blowup import SlowFastSystem, e_chart_field, f_chart_field
 from .cross import (
     CrossSystem,
     NonMonotoneTransitionError,
@@ -32,7 +32,6 @@ from .dynamics import (
     Trajectory,
     UnresolvedSingularityError,
     equilibria_on_manifold,
-    hausdorff,
     integrate,
     integrate_filippov,
     track_manifold,
@@ -80,8 +79,6 @@ from .system import (
 __all__ = [
     "__version__",
     "Biased",
-    "Chart",
-    "ChartPoint",
     "CrossSystem",
     "Custom",
     "DegenerateInterval",
@@ -123,7 +120,6 @@ __all__ = [
     "f_chart_field",
     "field_from_strings",
     "filippov_sliding_field",
-    "hausdorff",
     "height_roots",
     "integrate",
     "integrate_filippov",

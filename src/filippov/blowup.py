@@ -24,7 +24,6 @@ respectively ytil, has been cancelled once).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -33,33 +32,6 @@ from .system import PiecewiseSystem, _floats
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class Chart(enum.Enum):
-    E = "E"
-    F_PLUS = "F+"
-    F_MINUS = "F-"
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point in one of the blow-up charts.
-
-    E carries (x, ybar, epsbar with epsbar >= 0); the F charts carry
-    (x, ytil >= 0, epstil in [0, 1]).
-    """
-
-    chart: Chart
-    x: tuple[float, ...]
-    u: float  # ybar or ytil
-    v: float  # epsbar or epstil
-
-    def ambient(self) -> tuple[tuple[float, ...], float, float]:
-        """(x, y, eps) under the chart map."""
-        if self.chart == Chart.E:
-            return self.x, self.v * self.u, self.v
-        sign = 1.0 if self.chart == Chart.F_PLUS else -1.0
-        return self.x, sign * self.u, self.u * self.v
 
 
 def _e_blend(
@@ -96,7 +68,6 @@ def e_chart_field(
 
 def f_chart_field(
     system: PiecewiseSystem,
-    transition: TransitionFunction,
     sign: int,
     x: Sequence[float] | float,
     ytil: float,
@@ -105,7 +76,9 @@ def f_chart_field(
     """Divided field in a side chart: components (ytil', epstil', x_1', ...).
 
     In F+ (sign=+1) the point sits at ambient y = ytil with eps = ytil*epstil,
-    deep enough in the saturated zone that only X_plus matters:
+    so t = y/eps = 1/epstil >= 1: psi is saturated there whatever the
+    transition, which the chart therefore does not take, and only X_plus
+    matters:
 
         ytil' = ytil * a_plus,  epstil' = -epstil * a_plus,  x_i' = ytil * b_i,
         everything evaluated at (x, ytil).

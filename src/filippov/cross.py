@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from .expr import DomainError
 from .regularize import TransitionFunction, linspace
 from .system import VectorFieldDef, _floats
 
@@ -119,7 +120,8 @@ def stratified_slide_curve(
     points of Z_WINDOW.
 
     Requires both transitions to have a unique zero; raises
-    NonMonotoneTransitionError otherwise.
+    NonMonotoneTransitionError otherwise.  A sample where the blended field
+    is not finite raises DomainError, as max() would drop a NaN residual.
     """
     if not eps > 0 or not eta > 0:
         raise ValueError(f"band widths must be positive, got eps={eps}, eta={eta}")
@@ -131,6 +133,8 @@ def stratified_slide_curve(
     res_y = 0.0
     for z in linspace(Z_WINDOW[0], Z_WINDOW[1], CURVE_SAMPLES):
         v = _blend(cs, eps, eta, (x, y, z))
+        if not all(map(math.isfinite, v)):
+            raise DomainError(f"blended field {v} at (x, y, z) = {(x, y, z)} is not finite")
         res_x = max(res_x, abs(v[0]))
         res_y = max(res_y, abs(v[1]))
     return StratifiedCurve(

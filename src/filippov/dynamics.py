@@ -41,13 +41,12 @@ the located event node.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import math
 import types
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from . import blowup, expr as ex
 from .regularize import (
@@ -70,9 +69,6 @@ from .system import (
     filippov_tangent,
     sliding_margin,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ABS_TOL = 1e-9  # step control scales each error component by ABS_TOL + REL_TOL*|y|
 REL_TOL = 1e-7
@@ -149,32 +145,6 @@ class Trajectory:
     times = functools.cached_property(lambda self: _floats(self.node_times))
     states = functools.cached_property(lambda self: _floats(self.node_states))
     derivs = functools.cached_property(lambda self: _floats(self.node_derivs))
-
-    @property
-    def final_time(self) -> float:
-        return float(self.node_times[-1])
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    def sample(self, t: float) -> np.ndarray:
-        """Cubic Hermite interpolation between the bracketing nodes.
-
-        At event corners the stored node derivative is the left limit, so
-        samples taken just past a corner smooth the kink over one interval.
-        """
-        ts = self.node_times
-        if not ts[0] <= t <= ts[-1]:
-            raise ValueError(f"t = {t} outside [{ts[0]}, {ts[-1]}]")
-        k = bisect.bisect_right(ts, t) - 1
-        if k >= len(ts) - 1:
-            return self.states[-1].copy()
-        t0, h = ts[k], ts[k + 1] - ts[k]
-        s = (t - t0) / h
-        nodes = zip(self.node_states[k], self.node_derivs[k],
-                    self.node_states[k + 1], self.node_derivs[k + 1])
-        return _floats([_hermite(s, h, *node) for node in nodes])
 
 
 def _hermite(s: float, h: float, y0: float, f0: float, y1: float, f1: float) -> float:
@@ -317,26 +287,6 @@ def _lu(m: list[list[float]]) -> list[int] | None:
     return order
 
 
-def _lu_solve(lu: list[list[float]], order: list[int], b: Sequence[float]) -> list[float]:
-    """The x with A x = b, from the factors and the row order _lu left of A.
-
-    No library code calls it: the generated step (_rodas_code) writes its
-    operations out, and it is the reference the tests check those against."""
-    x = [b[i] for i in order]
-    n = len(x)
-    for i in range(1, n):  # L has a unit diagonal
-        row, v = lu[i], x[i]
-        for j in range(i):
-            v -= row[j] * x[j]
-        x[i] = v
-    for i in range(n - 1, -1, -1):
-        row, v = lu[i], x[i]
-        for j in range(i + 1, n):
-            v -= row[j] * x[j]
-        x[i] = v / row[i]
-    return x
-
-
 def _rodas(fn, jac, dim: int, stats: IntegratorStats):
     """One RODAS4 step: (y_new, error) from (t, y, f(y), h), on floats.
 
@@ -354,12 +304,14 @@ def _rodas_code(dim: int) -> types.CodeType:
     """The code of rodas(fn, jac, stats), which returns the step of _rodas
     for states of dim components, written out per component and stage.
 
-    The substitutions do _lu_solve's operations in its order, and a stage
-    sum sum(a_j * k_j) is 0.0 + a_1*k_1 + a_2*k_2 + ..., left to right,
-    which is what sum() computes on floats before Python 3.12 (from 3.12 it
-    compensates the rounding).  The tableau enters as repr literals, which
-    read back as the same floats.  The error norm is written out too, with
-    ABS_TOL and REL_TOL read as module globals when the step runs.
+    Each stage solve takes b's entries in the row order _lu returns, then
+    substitutes forward through L and back through U, each row's products
+    subtracted in column order.  A stage sum sum(a_j * k_j) is
+    0.0 + a_1*k_1 + a_2*k_2 + ..., left to right, which is what sum()
+    computes on floats before Python 3.12 (from 3.12 it compensates the
+    rounding).  The tableau enters as repr literals, which read back as the
+    same floats.  The error norm is written out too, with ABS_TOL and
+    REL_TOL read as module globals when the step runs.
     """
     comps = range(dim)
 
@@ -367,7 +319,7 @@ def _rodas_code(dim: int) -> types.CodeType:
         return "(" + "".join(f"{v}, " for v in names) + ")"
 
     def solve(s: int, b: str) -> list[str]:
-        # k_s = (I/(h gamma) - J)^-1 b: permute, then L and U, as _lu_solve
+        # k_s = (I/(h gamma) - J)^-1 b: permute, then L and U
         k = [f"k{s}_{i}" for i in comps]
         lines = [f"{tup(k)} = {tup(f'{b}[o{i}]' for i in comps)}"]
         for i in comps[1:]:
@@ -697,7 +649,7 @@ def _far_side(region, t0, y0, f0, t1, y1, f1) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# invariant manifold tracking and measurements
+# invariant manifold tracking
 
 @dataclass(frozen=True)
 class ManifoldPoint:
@@ -714,9 +666,6 @@ class ManifoldTrack:
     eps: float
     points: tuple[ManifoldPoint, ...]
     excluded: tuple[tuple[float, str], ...]
-
-    def as_array(self) -> np.ndarray:
-        return _floats([[p.x, p.y] for p in self.points])
 
 
 def track_manifold(
@@ -753,21 +702,6 @@ def track_manifold(
                       tuple(excluded))
         for eps in epsilons
     )
-
-
-def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    """Hausdorff distance between finite point sets (rows are points)."""
-    import numpy as np
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
-    if a.size == 0 or b.size == 0:
-        raise ValueError("hausdorff distance of an empty set is undefined")
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 @dataclass(frozen=True)

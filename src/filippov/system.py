@@ -36,8 +36,10 @@ class NotSlidingError(Exception):
 
 
 def _floats(rows: Sequence) -> np.ndarray:
-    """rows as a float array, the one form the library returns arrays in;
-    numpy is imported here, on first use: the command line runs on floats."""
+    """rows as a float array, the one form the library returns arrays in and
+    checks array arguments by (VectorFieldDef._point).  This is the
+    library's one runtime import of numpy, on first use: the command line
+    runs on floats."""
     import numpy as np
     return np.array(rows, dtype=float)
 
@@ -76,8 +78,7 @@ class VectorFieldDef:
         return len(self.coords)
 
     def _point(self, point: Sequence[float]) -> list[float]:
-        import numpy as np  # the array API's, as _floats
-        pt = np.asarray(point, dtype=float)
+        pt = _floats(point)
         if pt.shape != (self.dim,):
             raise ValueError(f"expected point of dimension {self.dim}, got shape {pt.shape}")
         return pt.tolist()

@@ -82,4 +82,19 @@ def test_the_error_jobs_fail_as_built_and_compare_identical(tmp_path):
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout == ("identical: 0 of 0 artifacts\n"
-                          "jobs: 23, exit code and stderr identical in 23\n")
+                          "jobs: 24, exit code and stderr identical in 24\n")
+
+
+def test_the_golden_cases_are_a_workload():
+    # the configs tests/test_golden.py pins, one job per case, with its
+    # command and flags; every digest it records is one artifact here
+    cases = artifact_diff.golden_cases()
+    assert cases["regularized"][1] == ["integrate", "--mode", "regularized", "--epsilon", "0.1",
+                                       "--from=-1,1"]
+    src = str(ROOT / "src")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "artifact_diff.py"), src, src, "--workload", "golden"],
+        capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout == ("identical: 37 of 37 artifacts\n"
+                          "jobs: 13, exit code and stderr identical in 13\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from filippov.blowup import Chart, ChartPoint, SlowFastSystem, e_chart_field, f_chart_field
+from filippov.blowup import SlowFastSystem, e_chart_field, f_chart_field
 from filippov.regularize import HeightRoot, Smoothstep, height, regularized_field
 from filippov.system import SigmaClass, classify_point, filippov_sliding_field, system_from_strings
 
@@ -10,15 +10,6 @@ from test_system import random_system
 
 def fold():
     return system_from_strings(("x", "y"), ("1", "2*x"), ("1", "2"))
-
-
-def test_chart_point_ambient():
-    p = ChartPoint(Chart.E, (0.3,), u=-0.5, v=0.1)
-    assert p.ambient() == ((0.3,), -0.05, 0.1)
-    p = ChartPoint(Chart.F_PLUS, (0.3,), u=0.2, v=0.5)
-    assert p.ambient() == ((0.3,), 0.2, 0.1)
-    p = ChartPoint(Chart.F_MINUS, (0.3,), u=0.2, v=0.5)
-    assert p.ambient() == ((0.3,), -0.2, 0.1)
 
 
 def test_e_chart_domain():
@@ -32,22 +23,20 @@ def test_e_chart_domain():
 
 def test_f_chart_domain():
     sys = fold()
-    tf = Smoothstep()
     with pytest.raises(ValueError):
-        f_chart_field(sys, tf, 0, 0.0, 0.1, 0.5)
+        f_chart_field(sys, 0, 0.0, 0.1, 0.5)
     with pytest.raises(ValueError):
-        f_chart_field(sys, tf, 1, 0.0, -0.1, 0.5)
+        f_chart_field(sys, 1, 0.0, -0.1, 0.5)
     with pytest.raises(ValueError):
-        f_chart_field(sys, tf, 1, 0.0, 0.1, 1.5)
+        f_chart_field(sys, 1, 0.0, 0.1, 1.5)
 
 
 def test_f_chart_constant_normals():
     # fields (1, -1) above and (1, 1) below: both side charts reduce to
     # ytil' = -ytil, epstil' = epstil, x' = ytil
     sys = system_from_strings(("x", "y"), ("1", "-1"), ("1", "1"))
-    tf = Smoothstep()
     for sign in (1, -1):
-        v = f_chart_field(sys, tf, sign, 0.3, 0.2, 0.5)
+        v = f_chart_field(sys, sign, 0.3, 0.2, 0.5)
         assert np.allclose(v, [-0.2, 0.5, 0.2])
 
 
@@ -109,7 +98,7 @@ def test_f_charts_conjugate_to_regularized_field():
             amb = regularized_field(sys, tf, eps, (x, sign * ytil))
             one_sided = (sys.plus if sign == 1 else sys.minus).evaluate((x, sign * ytil))
             assert np.allclose(amb, one_sided)  # psi saturated
-            got = f_chart_field(sys, tf, sign, x, ytil, epstil)
+            got = f_chart_field(sys, sign, x, ytil, epstil)
             # ytil' = sign*y', epstil' = -epstil*ytil'/ytil, x' = amb_x;
             # divided by multiplying through with ytil
             ytil_rate = sign * amb[1]

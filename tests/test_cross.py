@@ -11,7 +11,7 @@ from filippov.cross import (
     stratified_slide_curve,
     transition_zero,
 )
-from filippov.expr import parse
+from filippov.expr import DomainError, parse
 from filippov.regularize import Biased, Custom, Overshoot, Smoothstep
 from filippov.system import VectorFieldDef
 
@@ -174,6 +174,20 @@ def test_stratified_curve_z_dependence():
     cs = CrossSystem(fields, Smoothstep(), Smoothstep())
     curve = stratified_slide_curve(cs, 0.1, 0.1)
     assert curve.residual_x == pytest.approx(Z_WINDOW[1])
+
+
+def test_a_blended_field_that_is_not_finite_is_refused():
+    # 1e200*z*1e200 overflows to inf for every z > 0, and inf - inf is NaN:
+    # max(0.0, nan) is 0.0, so the residual used to read 0.0 at 20 NaN samples
+    fields = quadrant_fields(
+        pp=("-1 + 1e200*z*1e200 - 1e200*z*1e200", "-1", "1"),
+        pm=("-1", "1", "1"),
+        mp=("1", "-1", "1"),
+        mm=("1", "1", "1"),
+    )
+    cs = CrossSystem(fields, Biased(0.25), Biased(-0.5))
+    with pytest.raises(DomainError, match=r"at \(x, y, z\) = \(0.025, -0.05, 0.05\) is not finite"):
+        stratified_slide_curve(cs, 0.1, 0.1)
 
 
 def test_band_scaling_shrinks_distance():

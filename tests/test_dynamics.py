@@ -11,10 +11,8 @@ from filippov.dynamics import (
     EventKind,
     IntegratorStats,
     NoSlidingAtError,
-    Trajectory,
     UnresolvedSingularityError,
     equilibria_on_manifold,
-    hausdorff,
     integrate,
     integrate_filippov,
     track_manifold,
@@ -53,34 +51,27 @@ def test_harmonic_oscillator_energy():
     traj = integrate(fn, (1.0, 0.0), (0.0, 2 * math.pi), jac=jac)
     energy = 0.5 * (traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2)
     assert np.max(np.abs(energy - 0.5)) < 1e-7
-    assert np.linalg.norm(traj.final_state - [1.0, 0.0]) < 1e-7
+    assert np.linalg.norm(traj.states[-1] - [1.0, 0.0]) < 1e-7
 
 
 def test_exponential_accuracy():
     traj = integrate(lambda t, y: y, (1.0,), (0.0, 1.0), jac=lambda t, y: [[1.0]])
-    assert traj.final_state[0] == pytest.approx(math.e, rel=1e-8)
+    assert traj.states[-1][0] == pytest.approx(math.e, rel=1e-8)
 
 
 def test_dense_output():
+    # events are located on the cubic Hermite interpolant of each step's nodes
     fn, jac = oscillator()
     traj = integrate(fn, (1.0, 0.0), (0.0, math.pi), jac=jac)
-    for t in np.linspace(0, math.pi, 37):
-        got = traj.sample(float(t))
-        assert got[0] == pytest.approx(math.cos(t), abs=1e-6)
-        assert got[1] == pytest.approx(-math.sin(t), abs=1e-6)
-    assert np.array_equal(traj.sample(traj.final_time), traj.final_state)
-    with pytest.raises(ValueError):
-        traj.sample(-0.1)
-    with pytest.raises(ValueError):
-        traj.sample(math.pi + 0.1)
-
-
-def test_sample_at_a_repeated_time_takes_the_later_node():
-    # an event node repeats its time; bisect_right puts t between the node
-    # at or before it and the one after it, so no step of length 0 is interpolated
-    traj = Trajectory([0.0, 1.0, 1.0, 2.0], [[0.0], [1.0], [5.0], [6.0]], [[1.0]] * 4)
-    assert traj.sample(1.0).tolist() == [5.0]
-    assert traj.sample(2.0).tolist() == [6.0]
+    ts = traj.node_times
+    for k in range(len(ts) - 1):
+        h = ts[k + 1] - ts[k]
+        nodes = list(zip(traj.node_states[k], traj.node_derivs[k],
+                         traj.node_states[k + 1], traj.node_derivs[k + 1]))
+        for s in (0.25, 0.5, 0.75):
+            got = [dynamics._hermite(s, h, *node) for node in nodes]
+            assert got[0] == pytest.approx(math.cos(ts[k] + s * h), abs=1e-6)
+            assert got[1] == pytest.approx(-math.sin(ts[k] + s * h), abs=1e-6)
 
 
 def test_span_validation():
@@ -90,7 +81,7 @@ def test_span_validation():
     # degenerate span returns the single initial node
     traj = integrate(fn, (1.0,), (0.5, 0.5), jac=jac)
     assert len(traj.times) == 1
-    assert traj.final_time == 0.5
+    assert traj.node_times[-1] == 0.5
 
 
 def test_step_failure_near_blowup():
@@ -99,17 +90,17 @@ def test_step_failure_near_blowup():
                      jac=lambda t, y: [[2.0 * y[0]]])
     assert traj.events
     assert traj.events[-1].kind == EventKind.STEP_FAILURE
-    assert traj.final_time < 2.0
-    assert traj.final_time == pytest.approx(1.0, abs=1e-3)
+    assert traj.node_times[-1] < 2.0
+    assert traj.node_times[-1] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_step_failure_when_max_steps_runs_out(monkeypatch):
     fn, jac = (lambda t, y: -np.asarray(y)), (lambda t, y: [[-1.0]])
     monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
     traj = integrate(fn, (1.0,), (0.0, 10.0), jac=jac)
-    assert traj.final_time < 1.0
+    assert traj.node_times[-1] < 1.0
     assert [e.kind for e in traj.events] == [EventKind.STEP_FAILURE]
-    assert traj.events[0].time == traj.final_time
+    assert traj.events[0].time == traj.node_times[-1]
     # a budget that suffices leaves no event
     monkeypatch.undo()
     assert not integrate(fn, (1.0,), (0.0, 10.0), jac=jac).events
@@ -137,8 +128,8 @@ def test_last_step_lands_on_t_end(t_span):
     # below MIN_STEP and would end the run with a StepFailure
     traj = integrate(lambda t, y: np.ones(1), (0.0,), t_span, jac=lambda t, y: [[0.0]])
     assert traj.events == []
-    assert traj.final_time == t_span[1]
-    assert traj.final_state[0] == pytest.approx(t_span[1] - t_span[0], rel=1e-12)
+    assert traj.node_times[-1] == t_span[1]
+    assert traj.states[-1][0] == pytest.approx(t_span[1] - t_span[0], rel=1e-12)
 
 
 def test_stats_count_the_work():
@@ -151,7 +142,7 @@ def test_stats_count_the_work():
     # five stages, plus the node derivative once accepted
     assert st.rhs_evals == 2 + 5 * (st.accepted + st.rejected) + st.accepted
     assert st.jac_evals == st.accepted  # one per node a step starts from
-    assert np.linalg.norm(traj.final_state - [1.0, 0.0]) < 1e-6
+    assert np.linalg.norm(traj.states[-1] - [1.0, 0.0]) < 1e-6
 
 
 def test_stop_ends_at_first_accepted_node_where_true():
@@ -171,7 +162,7 @@ def test_stop_ends_at_first_accepted_node_where_true():
     traj = rec.build()
     first = int(np.argmax(full.states[:, 0] > 2.0))
     assert np.array_equal(traj.times, full.times[: first + 1])
-    assert traj.final_state[0] > 2.0 >= traj.states[-2, 0]
+    assert traj.states[-1][0] > 2.0 >= traj.states[-2, 0]
     assert traj.events == []
     # asked once per accepted step, with the nodes and derivatives at its two ends
     nodes = list(zip(traj.times.tolist(), traj.states[:, 0].tolist(), traj.derivs[:, 0].tolist()))
@@ -213,7 +204,7 @@ def test_an_infinite_start_derivative_fails_at_the_start(y0):
         sys = system_from_strings(("x", "y"), ("x*1e308*10", "-1"), ("1", "1"))
         traj = integrate_filippov(sys, y0, (0.0, 1.0))
     assert traj.times.tolist() == [0.0]
-    assert traj.final_state.tolist() == y0
+    assert traj.states[-1].tolist() == y0
     assert [(e.kind, e.time) for e in traj.events] == [(EventKind.STEP_FAILURE, 0.0)]
 
 
@@ -270,7 +261,7 @@ def test_stiff_step_count_does_not_grow_with_1_over_eps(name):
     for eps in (1e-1, 1e-4):
         traj = integrate(lambda t, s: regularized_field(sys, tf, eps, s), (-1.0, 0.5), (0.0, 1.5),
                          jac=lambda t, s: regularized_jacobian(sys, tf, eps, s))
-        assert traj.final_time == 1.5 and not traj.events
+        assert traj.node_times[-1] == 1.5 and not traj.events
         steps[eps] = traj.stats.accepted
     # an explicit Dormand-Prince 5(4) pair took 85 and 3715 steps on the smoothstep orbit
     assert steps[1e-4] <= 3 * steps[1e-1]
@@ -291,8 +282,8 @@ def test_singular_stage_solve_rejects_the_step():
     assert err == math.inf and np.array_equal(y_new, origin)
     traj = integrate(fn, origin, (0.0, 10.0), jac=jac)
     assert traj.events == []
-    assert traj.final_time == 10.0
-    assert np.allclose(traj.final_state, [10.0, 0.0], rtol=0, atol=1e-12)
+    assert traj.node_times[-1] == 10.0
+    assert np.allclose(traj.states[-1], [10.0, 0.0], rtol=0, atol=1e-12)
 
 
 def test_regularized_orbit_leaving_the_field_domain_keeps_message_and_nodes(tmp_path, capsys):
@@ -308,8 +299,8 @@ def test_regularized_orbit_leaving_the_field_domain_keeps_message_and_nodes(tmp_
     assert str(err.value) == want
     traj = err.value.trajectory
     assert len(traj.times) == 40 and traj.stats.accepted == 39
-    assert traj.final_time == 0.99891217967064
-    assert traj.final_state.tolist() == [0.9989121796706389, 1.166642744719711]
+    assert traj.node_times[-1] == 0.99891217967064
+    assert traj.states[-1].tolist() == [0.9989121796706389, 1.166642744719711]
 
     cfg = tmp_path / "sqrt.cfg"
     cfg.write_text("[system]\ncoords = x, y\nx_plus = 1, sqrt(1 - x)\nx_minus = 1, 1\n"
@@ -323,7 +314,7 @@ def test_regularized_orbit_leaving_the_field_domain_keeps_message_and_nodes(tmp_
 def test_non_finite_stage_solve_ends_in_step_failure():
     traj = integrate(lambda t, y: -np.asarray(y), (1.0,), (0.0, 1.0), jac=lambda t, y: [[math.nan]])
     assert [e.kind for e in traj.events] == [EventKind.STEP_FAILURE]
-    assert traj.final_time == 0.0
+    assert traj.node_times[-1] == 0.0
     assert traj.stats.accepted == 0 and traj.stats.rejected > 0
 
 
@@ -331,10 +322,29 @@ def test_non_finite_stage_solve_ends_in_step_failure():
 # the stage solves: LU with partial pivoting, against numpy.linalg.solve
 
 
-def _lu_solve(matrix, b):
+def _lu_solve(lu: list[list[float]], order: list[int], b) -> list[float]:
+    """The x with A x = b, from the factors and the row order dynamics._lu
+    left of A: the reference the generated step's substitutions are
+    checked against."""
+    x = [b[i] for i in order]
+    n = len(x)
+    for i in range(1, n):  # L has a unit diagonal
+        row, v = lu[i], x[i]
+        for j in range(i):
+            v -= row[j] * x[j]
+        x[i] = v
+    for i in range(n - 1, -1, -1):
+        row, v = lu[i], x[i]
+        for j in range(i + 1, n):
+            v -= row[j] * x[j]
+        x[i] = v / row[i]
+    return x
+
+
+def _solve(matrix, b):
     lu = [[float(v) for v in row] for row in matrix]
     order = dynamics._lu(lu)
-    return None if order is None else dynamics._lu_solve(lu, order, b)
+    return None if order is None else _lu_solve(lu, order, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -346,7 +356,7 @@ def test_lu_solve_matches_numpy_solve(n):
         if np.linalg.cond(a) > 100.0:  # well-conditioned systems only
             continue
         b = rng.uniform(-2.0, 2.0, n)
-        got = _lu_solve(a.tolist(), b.tolist())
+        got = _solve(a.tolist(), b.tolist())
         assert all(type(v) is float for v in got)
         want = np.linalg.solve(a, b)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (a, b, got, want)
@@ -355,10 +365,10 @@ def test_lu_solve_matches_numpy_solve(n):
 
 def test_lu_exchanges_rows():
     # a zero leading entry: elimination without row exchange divides by 0
-    assert _lu_solve([[0.0, 1.0], [1.0, 0.0]], [2.0, 3.0]) == [3.0, 2.0]
+    assert _solve([[0.0, 1.0], [1.0, 0.0]], [2.0, 3.0]) == [3.0, 2.0]
     # a tiny leading entry: without row exchange the multiplier 1e20 swamps
     # the second row and x[0] comes out 0
-    got = _lu_solve([[1e-20, 1.0], [1.0, 1.0]], [1.0, 2.0])
+    got = _solve([[1e-20, 1.0], [1.0, 1.0]], [1.0, 2.0])
     assert got == pytest.approx(np.linalg.solve([[1e-20, 1.0], [1.0, 1.0]], [1.0, 2.0]), rel=1e-15)
     assert got == pytest.approx([1.0, 1.0], rel=1e-15)
 
@@ -408,7 +418,7 @@ def _reference_step(fn, jrows, t, y, f0, h):
     order = dynamics._lu(lu)
     if order is None:
         return y, math.inf
-    ks = [dynamics._lu_solve(lu, order, f0)]
+    ks = [_lu_solve(lu, order, f0)]
     for c, a, cc in dynamics._RO_STAGES:
         if not all(math.isfinite(v) for v in ks[-1]):
             return y, math.inf
@@ -425,7 +435,7 @@ def _reference_step(fn, jrows, t, y, f0, h):
             for coef, k in zip(cc, ks):
                 acc = acc + coef * k[i]
             b.append(fi[i] + acc / h)
-        ks.append(dynamics._lu_solve(lu, order, b))
+        ks.append(_lu_solve(lu, order, b))
     y_new = [p + d for p, d in zip(point, ks[-1])]
     scales = [dynamics.ABS_TOL + dynamics.REL_TOL * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
     return y_new, dynamics._rms(ks[-1], scales)
@@ -507,8 +517,8 @@ def test_hybrid_crossing_then_slide():
     # constant normals: fall onto the surface at t = 1, then slide to x = 2
     sys = system_from_strings(("x", "y"), ("1", "-1"), ("1", "1"))
     traj = integrate_filippov(sys, (0.0, 1.0), (0.0, 2.0))
-    assert np.allclose(traj.final_state, [2.0, 0.0], atol=1e-9)
-    assert traj.final_time == pytest.approx(2.0, abs=1e-12)
+    assert np.allclose(traj.states[-1], [2.0, 0.0], atol=1e-9)
+    assert traj.node_times[-1] == pytest.approx(2.0, abs=1e-12)
     kinds = [e.kind for e in traj.events]
     assert kinds == [EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY]
     for e in traj.events:
@@ -527,7 +537,7 @@ def test_hybrid_sewing_passes_through():
     hit = traj.events[0]
     assert hit.time == pytest.approx(0.5, abs=1e-9)
     assert np.allclose(hit.state, [1.0, 0.0], atol=1e-9)
-    assert np.allclose(traj.final_state, [1.5, 0.5], atol=1e-9)
+    assert np.allclose(traj.states[-1], [1.5, 0.5], atol=1e-9)
 
 
 def test_hybrid_slide_exit():
@@ -541,8 +551,8 @@ def test_hybrid_slide_exit():
     assert exit_.time == pytest.approx(0.5, abs=1e-6)
     assert exit_.state[0] == pytest.approx(0.0, abs=1e-6)
     # ballistic arc afterwards: x = t - 1/2, y = (t - 1/2)^2
-    assert traj.final_state[0] == pytest.approx(0.5, abs=1e-6)
-    assert traj.final_state[1] == pytest.approx(0.25, abs=1e-6)
+    assert traj.states[-1][0] == pytest.approx(0.5, abs=1e-6)
+    assert traj.states[-1][1] == pytest.approx(0.25, abs=1e-6)
 
 
 def test_a_slide_exit_does_not_move_under_a_rescaling_of_the_normal_components():
@@ -560,7 +570,7 @@ def test_a_slide_exit_does_not_move_under_a_rescaling_of_the_normal_components()
         assert exit_.state[0] == pytest.approx(0.269307, abs=1e-8)
         exits.append(exit_.state[0])
         # the ballistic arc after the exit: y = s*2.627636*(x - 0.269307)^2/2
-        assert traj.final_state[1] == pytest.approx(0.06992042206182 * s, rel=1e-12)
+        assert traj.states[-1][1] == pytest.approx(0.06992042206182 * s, rel=1e-12)
         assert np.all(np.diff(traj.times) > 0.0)
     assert max(exits) - min(exits) <= 1e-15
 
@@ -573,9 +583,9 @@ def test_hybrid_step_budget_ends_with_step_failure(x0, kinds, monkeypatch):
     monkeypatch.setattr(dynamics, "MAX_STEPS", 2)
     traj = integrate_filippov(fold(), x0, (0.0, 2.0))
     assert [e.kind for e in traj.events] == kinds
-    assert traj.final_time < 2.0
-    assert traj.events[-1].time == traj.final_time
-    assert np.array_equal(traj.events[-1].state, traj.final_state)
+    assert traj.node_times[-1] < 2.0
+    assert traj.events[-1].time == traj.node_times[-1]
+    assert np.array_equal(traj.events[-1].state, traj.states[-1])
 
 
 def test_hybrid_event_budget_ends_with_step_failure(monkeypatch):
@@ -586,8 +596,8 @@ def test_hybrid_event_budget_ends_with_step_failure(monkeypatch):
     assert [e.kind for e in traj.events] == [EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY,
                                              EventKind.SLIDE_EXIT, EventKind.STEP_FAILURE]
     exit_, failure = traj.events[-2:]
-    assert failure.time == exit_.time == traj.final_time < 1.5
-    assert failure.state == exit_.state == tuple(traj.final_state)
+    assert failure.time == exit_.time == traj.node_times[-1] < 1.5
+    assert failure.state == exit_.state == tuple(traj.states[-1])
 
 
 def test_slide_ends_on_t_end():
@@ -596,8 +606,8 @@ def test_slide_ends_on_t_end():
     t_end = 15.901125650404408
     traj = integrate_filippov(capture(), (-0.763908, 0.355908), (0.0, t_end))
     assert [e.kind for e in traj.events] == [EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY]
-    assert traj.final_time == t_end
-    assert traj.final_state == pytest.approx([-0.763908 + 0.077644 * 0.958932 * t_end, 0.0],
+    assert traj.node_times[-1] == t_end
+    assert traj.states[-1] == pytest.approx([-0.763908 + 0.077644 * 0.958932 * t_end, 0.0],
                                              abs=1e-12)
 
 
@@ -605,7 +615,7 @@ def test_hybrid_starts_on_surface_sewing():
     sys = system_from_strings(("x", "y"), ("1", "2"), ("1", "1"))
     traj = integrate_filippov(sys, (0.0, 0.0), (0.0, 1.0))
     assert traj.events == []
-    assert np.allclose(traj.final_state, [1.0, 2.0], atol=1e-9)
+    assert np.allclose(traj.states[-1], [1.0, 2.0], atol=1e-9)
 
 
 def test_hybrid_singular_hit():
@@ -616,7 +626,7 @@ def test_hybrid_singular_hit():
     assert err.value.time == pytest.approx(0.5, abs=1e-9)
     assert err.value.state[0] == pytest.approx(0.0, abs=1e-9)
     partial = err.value.trajectory
-    assert partial.final_time == pytest.approx(0.5, abs=1e-9)
+    assert partial.node_times[-1] == pytest.approx(0.5, abs=1e-9)
     kinds = [e.kind for e in partial.events]
     assert kinds == [EventKind.SIGMA_HIT, EventKind.STEP_FAILURE]
 
@@ -632,8 +642,8 @@ def test_a_slide_onto_the_pole_of_the_weight_stops_at_its_last_node():
     traj = err.value.trajectory
     assert [e.kind for e in traj.events] == [
         EventKind.SIGMA_HIT, EventKind.SLIDE_ENTRY, EventKind.STEP_FAILURE]
-    assert err.value.time == traj.final_time == traj.events[-1].time
-    assert err.value.state == tuple(traj.final_state) == traj.events[-1].state
+    assert err.value.time == traj.node_times[-1] == traj.events[-1].time
+    assert err.value.state == tuple(traj.states[-1]) == traj.events[-1].state
     assert 0.3 < err.value.time < 0.5
     assert classify_point(sys, err.value.state[:-1]) == SigmaClass.SLIDING
     message = str(err.value)
@@ -661,7 +671,7 @@ def test_a_segment_launched_from_the_surface_is_cut_beyond_the_band():
     assert first.time == pytest.approx(0.5, abs=1e-9)
     assert first.time < second.time == entry.time < first.time + 1e-5
     assert 0.0 < second.state[0] < 2e-6
-    assert traj.final_state.tolist() == pytest.approx([0.0999999, 0.0], abs=1e-9)
+    assert traj.states[-1].tolist() == pytest.approx([0.0999999, 0.0], abs=1e-9)
 
 
 def test_a_zero_length_span_is_the_start_alone():
@@ -696,7 +706,7 @@ def test_hybrid_three_dimensional_slide():
     )
     traj = integrate_filippov(sys, (1.0, 0.0, 0.0), (0.0, math.pi))
     assert [e.kind for e in traj.events] == [EventKind.SLIDE_ENTRY]
-    assert np.allclose(traj.final_state, [-1.0, 0.0, 0.0], atol=1e-6)
+    assert np.allclose(traj.states[-1], [-1.0, 0.0, 0.0], atol=1e-6)
     assert np.all(traj.states[:, 2] == 0.0)
 
 
@@ -802,7 +812,7 @@ def _assert_exits_at_fold(traj, fold_x, t_end):
     assert exit_.state[0] == pytest.approx(fold_x, abs=1e-8)
     assert exit_.state[1] == 0.0
     assert np.all(traj.states[(traj.times >= entry.time) & (traj.times <= exit_.time), 1] == 0.0)
-    assert traj.final_time == t_end
+    assert traj.node_times[-1] == t_end
     # one Jacobian per node a step starts from, on segments and slides alike
     assert traj.stats.accepted > 0 and traj.stats.jac_evals == traj.stats.accepted
 
@@ -823,7 +833,7 @@ def test_slide_exit_is_not_bisected_onto_the_weight_pole():
     traj = integrate_filippov(steep_fold(), (-1.257586, 0.693241), (0.0, t_end))
     _assert_exits_at_fold(traj, -0.257586, t_end)
     # after the exit the orbit follows X_plus: y = k/2 (x - fold)^2
-    x, y = traj.final_state
+    x, y = traj.states[-1]
     assert y == pytest.approx(0.5 * 2.666149 * (x + 0.257586) ** 2, rel=1e-6)
 
 
@@ -835,8 +845,8 @@ def test_crossing_between_two_nodes_is_found():
     _assert_exits_at_fold(traj, -0.248522, t_end)
     # x moves at 0.00200522 on both fields; after the fold exit y = k/2 (x - fold)^2
     x_end = -1.248522 + 0.00200522 * t_end
-    assert traj.final_state[0] == pytest.approx(x_end, abs=1e-6)
-    assert traj.final_state[1] == pytest.approx(0.5 * 2.94085 * (x_end + 0.248522) ** 2, abs=1e-6)
+    assert traj.states[-1][0] == pytest.approx(x_end, abs=1e-6)
+    assert traj.states[-1][1] == pytest.approx(0.5 * 2.94085 * (x_end + 0.248522) ** 2, abs=1e-6)
 
 
 def test_integrate_error_carries_its_accepted_nodes():
@@ -848,11 +858,11 @@ def test_integrate_error_carries_its_accepted_nodes():
     with pytest.raises(UnresolvedSingularityError) as err:
         integrate(fn, [1.0], (0.0, 5.0), jac=lambda t, y: [[-1.0]])
     traj = err.value.trajectory
-    assert traj.times[0] == 0.0 and 0.0 < traj.final_time <= 1.0 < err.value.time
+    assert traj.times[0] == 0.0 and 0.0 < traj.node_times[-1] <= 1.0 < err.value.time
     assert len(traj.times) > 2 and np.all(np.diff(traj.times) > 0)
-    assert traj.final_state[0] == pytest.approx(math.exp(-traj.final_time), rel=1e-6)
+    assert traj.states[-1][0] == pytest.approx(math.exp(-traj.node_times[-1]), rel=1e-6)
     # it stops short of t_end, so a StepFailure at its last node ends it
-    assert [(e.time, e.kind) for e in traj.events] == [(traj.final_time, EventKind.STEP_FAILURE)]
+    assert [(e.time, e.kind) for e in traj.events] == [(traj.node_times[-1], EventKind.STEP_FAILURE)]
 
     # an error at the first node leaves the start alone, ended the same way
     def fails(t, y):
@@ -873,9 +883,9 @@ def test_domain_error_keeps_the_orbit_before_it(tmp_path):
         integrate_filippov(sys, (0.0, 1.0), (0.0, 2.0))
     traj = err.value.trajectory
     assert [e.kind for e in traj.events] == [EventKind.STEP_FAILURE]
-    assert traj.events[0].time == traj.final_time
-    assert np.array_equal(traj.events[0].state, traj.final_state)
-    assert len(traj.times) > 2 and 0.5 < traj.final_time <= 1.0
+    assert traj.events[0].time == traj.node_times[-1]
+    assert np.array_equal(traj.events[0].state, traj.states[-1])
+    assert len(traj.times) > 2 and 0.5 < traj.node_times[-1] <= 1.0
     x, y = traj.states.T
     assert np.allclose(x, traj.times, rtol=0, atol=1e-12)
     assert np.allclose(y, 1.0 + (1.0 - (1.0 - x) ** 1.5) / 1.5, rtol=0, atol=1e-6)
@@ -893,8 +903,8 @@ def test_saturated_slide_entry_fails():
         integrate_filippov(saturated_weight(), (0.0, 1.0), (0.0, 1.0))
     traj = err.value.trajectory
     assert [e.kind for e in traj.events] == [EventKind.SIGMA_HIT, EventKind.STEP_FAILURE]
-    assert err.value.time == traj.final_time
-    assert traj.final_state[-1] == 0.0
+    assert err.value.time == traj.node_times[-1]
+    assert traj.states[-1][-1] == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(HYBRID_ORBITS))
@@ -913,7 +923,7 @@ def test_hybrid_orbit_invariants(name):
     assert len(failures) <= 1
     if failures:
         assert traj.events[-1] is failures[0]
-        assert failures[0].time == traj.final_time
+        assert failures[0].time == traj.node_times[-1]
 
 
 @pytest.mark.parametrize("name", sorted(set(HYBRID_ORBITS) - {"domain_error"}))
@@ -928,7 +938,7 @@ def test_hybrid_orbit_counts_each_run_once(name):
     traj = HYBRID_ORBITS[name]()
     starts = [traj.times[0]] + [
         e.time for e in traj.events if e.kind in (EventKind.SIGMA_HIT, EventKind.SLIDE_EXIT)]
-    runs = sum(t < traj.final_time for t in starts)
+    runs = sum(t < traj.node_times[-1] for t in starts)
     stats = traj.stats
     assert stats.jac_evals == stats.accepted
     assert stats.rhs_evals == 2 * runs + 6 * stats.accepted + 5 * stats.rejected
@@ -1004,8 +1014,8 @@ def test_a_singular_hit_at_t_end_ends_the_orbit():
     sys = system_from_strings(("x", "y"), ("1", "-1000"), ("1", "1000*x"))
     traj = integrate_filippov(sys, (-0.5, 500.0), (0.0, 0.5 + 5e-13))
     assert [e.kind for e in traj.events] == [EventKind.SIGMA_HIT]
-    assert traj.final_time == traj.events[0].time == pytest.approx(0.5, abs=1e-15)
-    assert classify_point(sys, traj.final_state[:-1]) == SigmaClass.SIGMA_SINGULAR
+    assert traj.node_times[-1] == traj.events[0].time == pytest.approx(0.5, abs=1e-15)
+    assert classify_point(sys, traj.states[-1][:-1]) == SigmaClass.SIGMA_SINGULAR
     with pytest.raises(UnresolvedSingularityError) as err:
         integrate_filippov(sys, (-0.5, 500.0), (0.0, 1.0))
     assert [e.kind for e in err.value.trajectory.events] == [
@@ -1060,18 +1070,6 @@ def test_track_manifold_degenerate_reason():
     track = track_manifold((0.1,), [(x, certify(sys, Smoothstep(), x)) for x in [-0.5, 0.0]])[0]
     assert [p.x for p in track.points] == [-0.5]
     assert dict(track.excluded)[0.0] == "height function degenerates"
-
-
-def test_hausdorff():
-    a = np.array([[0.0, 0.0], [1.0, 0.0]])
-    b = np.array([[0.0, 0.5]])
-    assert hausdorff(a, b) == pytest.approx(math.sqrt(1.25))
-    assert hausdorff(b, a) == hausdorff(a, b)
-    assert hausdorff(a, a) == 0.0
-    # 1-d inputs promote to single-coordinate points
-    assert hausdorff(np.array([0.0, 1.0]), np.array([0.0])) == 1.0
-    with pytest.raises(ValueError):
-        hausdorff(np.zeros((0, 2)), b)
 
 
 # ---------------------------------------------------------------------------

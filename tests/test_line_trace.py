@@ -59,3 +59,18 @@ def test_a_grid_sweep_round_reports_what_its_jobs_did_not_run():
     hybrid = _line_of("dynamics.py", "orbit = _Recorder(system.dim)")
     assert f"  {hybrid}: orbit = _Recorder(system.dim)" in report
     assert report[-1].endswith("statements of src/filippov/ not run")
+
+
+def test_the_golden_cases_run_the_combined_command():
+    # no bench job runs `all`; the GOLDEN cases of tests/test_golden.py do
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "line_trace.py"),
+                           "--workload", "golden"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 10.0
+    assert done.returncode == 0, done.stderr  # every case exited 0
+    report = done.stdout.splitlines()
+    for text in ("certified = _certify_grid(cfg)", "_write_certificates(cfg, out, certified)",
+                 "_cmd_cross(cfg, out)"):
+        assert f"  {_line_of('cli.py', text)}: {text}" not in report
+    assert report[-1].endswith("statements of src/filippov/ not run")

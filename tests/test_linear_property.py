@@ -23,6 +23,6 @@ def test_linear_systems_match_the_matrix_exponential(dim, entries, start, t_end)
     a = np.array(entries[: dim * dim]).reshape(dim, dim)
     x0 = np.array(start[:dim])
     traj = integrate(lambda t, x: a @ x, x0, (0.0, t_end), jac=lambda t, x: a)
-    assert traj.final_time == t_end and not traj.events
+    assert traj.node_times[-1] == t_end and not traj.events
     want = expm(a * t_end) @ x0
-    assert np.max(np.abs(traj.final_state - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(traj.states[-1] - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))

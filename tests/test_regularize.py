@@ -1123,7 +1123,7 @@ def test_level_of_non_finite_components_is_an_error():
     lambda s: regularized_jacobian(s, Smoothstep(), math.nan, [0.1, 0.0]),
     lambda s: equilibria_on_manifold(s, Smoothstep(), math.nan, (-1.0, 1.0)),
     lambda s: e_chart_field(s, Smoothstep(), -0.5, 0.0, math.nan),
-    lambda s: f_chart_field(s, Smoothstep(), 1, -0.5, math.nan, 0.5),
+    lambda s: f_chart_field(s, 1, -0.5, math.nan, 0.5),
     lambda s: double_regularized_field(attracting_cross(), math.nan, 0.1, (0.0, 0.0, 0.0)),
     lambda s: stratified_slide_curve(attracting_cross(), 0.1, math.nan),
 ], ids=["regularized_field", "regularized_jacobian", "equilibria_on_manifold", "e_chart_field",

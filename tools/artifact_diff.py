@@ -8,9 +8,12 @@ Usage, from the root of a checkout:
 The jobs are the ones bench/workloads.py generates for each seed and
 round.  No bench job fails, so ``--workload errors`` runs this tool's own
 list instead, ERROR_JOBS, whose jobs fail on purpose and write their error
-messages to stderr (it takes no seeds or rounds):
+messages to stderr, and ``--workload golden`` runs the CASES of
+tests/test_golden.py, the configs whose artifact digests that test pins
+(neither takes seeds or rounds):
 
     python3 tools/artifact_diff.py OLD_SRC NEW_SRC --workload errors
+    python3 tools/artifact_diff.py OLD_SRC NEW_SRC --workload golden
 
 Each tree runs all of the jobs in its own Python subprocess, with that
 tree's ``src`` first on the path, through filippov.cli.run_command.  The
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -46,6 +50,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
+GOLDEN = ROOT / "tests" / "test_golden.py"
+WORKLOADS = ("grid_sweep", "orbit_sweep", "errors", "golden")
 JOB_LIMIT_S = 60.0  # a job still running after this is stopped, its exit code "timeout"
 
 FOLD = "[system]\ncoords = x, y\nx_plus = 1, 2*x\nx_minus = 1, 2\n"
@@ -94,6 +100,9 @@ ERROR_JOBS = [
      "expr = (3*t - t^3)/2 + 0.1*(1 - t^2)*sqrt(1 - t^2)\n"),
     ("cross-three-zeros", 1, ["cross"], CROSS.replace(
         "phi_kind = biased\nphi_t0 = 0.25", "phi_kind = custom\nphi_expr = (5*t^3 - 3*t)/2")),
+    # the blended x-velocity is inf - inf = NaN at every sampled z > 0
+    ("cross-nan-field", 1, ["cross"],
+     CROSS.replace("x_pp = -1,", "x_pp = -1 + 1e200*z*1e200 - 1e200*z*1e200,")),
     ("cross-no-section", 2, ["cross"], FOLD),
     ("all-trace-pole", 1, ["all"], TRACE_POLE),
     ("all-zero-divisor", 2, ["all"], FOLD.replace("2*x", "x/0")),
@@ -111,6 +120,14 @@ def _on_alarm(signum, frame):
     raise _JobTimeout
 
 
+def golden_cases() -> dict[str, tuple[str, list[str]]]:
+    """tests/test_golden.py's CASES, loaded by path: label -> (config, argv)."""
+    spec = importlib.util.spec_from_file_location("test_golden", GOLDEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CASES
+
+
 def emit(src: Path, out: Path, workload: str, seeds: list[int], rounds: list[int]) -> None:
     """Run every job with the library in src; artifacts land in
     out/<job>/, and each job's exit code and stderr in out/manifest.json."""
@@ -121,6 +138,9 @@ def emit(src: Path, out: Path, workload: str, seeds: list[int], rounds: list[int
     if workload == "errors":
         jobs = [(label, workloads.Job(label, argv[0], config, extra_argv=argv[1:]))
                 for label, _, argv, config in ERROR_JOBS]
+    elif workload == "golden":
+        jobs = [(label, workloads.Job(label, argv[0], config, extra_argv=argv[1:]))
+                for label, (config, argv) in sorted(golden_cases().items())]
     else:
         jobs = [(f"{seed}-{round_no}-{index:02d}-{job.label}", job)
                 for seed in seeds for round_no in rounds
@@ -282,13 +302,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="the src directory of the old tree")
     parser.add_argument("new", type=Path, help="the src directory of the new tree")
-    parser.add_argument("--workload", required=True,
-                        choices=("grid_sweep", "orbit_sweep", "errors"))
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seeds", type=int, nargs="+", default=[])
     parser.add_argument("--rounds", type=int, nargs="+", default=[0])
     parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if not args.seeds and args.workload != "errors":
+    if not args.seeds and args.workload in ("grid_sweep", "orbit_sweep"):
         parser.error(f"--seeds is required for --workload {args.workload}")
     if args.emit:  # the subprocess for one tree: old is its src, new its output
         emit(args.old.resolve(), args.new.resolve(), args.workload, args.seeds, args.rounds)

@@ -6,12 +6,14 @@ Usage, from the root of a checkout (the arguments go to pytest as they are):
     python3 tools/line_trace.py -q tests/
     python3 tools/line_trace.py -q tests/test_expr.py -k parse
 
-or, for the jobs bench/workloads.py generates for each seed and round of
-one or more workloads, run in this process through filippov.cli.run_command
-as tools/artifact_diff.py runs them (their artifacts go to a temporary
-directory):
+or, for the jobs of one or more of tools/artifact_diff.py's workloads,
+run in this process through filippov.cli.run_command as that tool runs
+them (their artifacts go to a temporary directory): the jobs
+bench/workloads.py generates for each seed and round of grid_sweep and
+orbit_sweep, the GOLDEN cases of tests/test_golden.py (golden) and the
+ERROR_JOBS (errors), which take no seeds or rounds:
 
-    python3 tools/line_trace.py --workload grid_sweep orbit_sweep \
+    python3 tools/line_trace.py --workload grid_sweep orbit_sweep golden errors \
         --seeds 7 8 --rounds 0 1 2 3
 
 While pytest or the jobs run, sys.settrace records every line executed in
@@ -24,7 +26,8 @@ its header, a simple one by all of its lines.  Docstrings and the body of
 code run in this process and its main thread is seen: a subprocess a test
 starts is not traced.
 
-The exit status is pytest's; with --workload, 1 if a job exited nonzero,
+The exit status is pytest's; with --workload, 1 if a job exited with
+another code than it is built to (0, or the one ERROR_JOBS gives it),
 else 0.
 """
 
@@ -114,9 +117,11 @@ def run(args: list[str]) -> tuple[int, dict[Path, set[int]]]:
 
 def run_workloads(names: list[str], seeds: list[int], rounds: list[int]
                   ) -> tuple[int, dict[Path, set[int]]]:
-    """1 if one of the workloads' jobs exited nonzero, else 0, and the lines
-    that ran (see traced)."""
+    """1 if one of the workloads' jobs exited with another code than it is
+    built to, else 0, and the lines that ran (see traced)."""
     import artifact_diff
+
+    expected = {label: code for label, code, _, _ in artifact_diff.ERROR_JOBS}
 
     def jobs() -> int:
         failed = False
@@ -124,7 +129,8 @@ def run_workloads(names: list[str], seeds: list[int], rounds: list[int]
             with tempfile.TemporaryDirectory() as tmp:
                 artifact_diff.emit(PACKAGE.parent, Path(tmp), name, seeds, rounds)
                 manifest = json.loads((Path(tmp) / "manifest.json").read_text())
-            failed |= any(job["exit"] != 0 for job in manifest.values())
+            failed |= any(job["exit"] != (expected[label] if name == "errors" else 0)
+                          for label, job in manifest.items())
         return int(failed)
 
     return traced(jobs)
@@ -150,12 +156,17 @@ def report(ran: dict[Path, set[int]]) -> list[str]:
 def main() -> int:
     argv = sys.argv[1:]
     if argv[:1] == ["--workload"]:
+        import artifact_diff
+
         parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
         parser.add_argument("--workload", nargs="+", required=True,
-                            choices=("grid_sweep", "orbit_sweep"))
-        parser.add_argument("--seeds", type=int, nargs="+", required=True)
+                            choices=artifact_diff.WORKLOADS)
+        parser.add_argument("--seeds", type=int, nargs="+", default=[])
         parser.add_argument("--rounds", type=int, nargs="+", default=[0])
         args = parser.parse_args(argv)
+        seeded = [name for name in args.workload if name in ("grid_sweep", "orbit_sweep")]
+        if seeded and not args.seeds:
+            parser.error(f"--seeds is required for --workload {seeded[0]}")
         status, ran = run_workloads(args.workload, args.seeds, args.rounds)
     else:
         status, ran = run(argv)
