@@ -14,11 +14,11 @@ evaluations than an explicit Dormand-Prince 5(4) pair.
 The stage algebra runs on Python floats: the states have 1 to 3
 components (slides step the tangential ones), and numpy's per-call
 overhead on such arrays cost more than the arithmetic.  Each attempt
-factors I/(h gamma) - J once by an in-place LU with partial pivoting and
-solves its six stages by forward and back substitution; a zero or
-non-finite pivot rejects the step.  The attempt is straight-line code,
-generated from the tableau once per dimension on first use: every stage
-sum, substitution and finite check, and the error norm, is written out per
+factors I/(h gamma) - J once by an LU with partial pivoting and solves its
+six stages by forward and back substitution; a zero or non-finite pivot
+rejects the step.  The attempt is straight-line code, generated from the
+tableau once per dimension on first use: the LU, every stage sum,
+substitution and finite check, and the error norm, are written out per
 component, so no list, zip or call is paid per stage.  Its stage sums add
 left to right, as sum() did on floats before Python 3.12 compensated its
 rounding, so the steps do not depend on the interpreter version.  A
@@ -254,47 +254,14 @@ def _initial_step(f, t0, y0, f0, t_end):
     return min(100 * h0, h1, abs(t_end - t0))
 
 
-def _lu(m: list[list[float]]) -> list[int] | None:
-    """Factor the square matrix m in place by Gaussian elimination with
-    partial pivoting.
-
-    Afterwards m holds U on and above its diagonal and the multipliers of
-    the unit lower triangle L below it.  The returned order names, for each
-    row of the factors, the row of the original matrix it came from: L U is
-    the original matrix with its rows taken in that order.  None where a
-    pivot is 0 or not finite: the matrix is singular, or holds an inf or
-    NaN.
-    """
-    n = len(m)
-    order = list(range(n))
-    for k in range(n):
-        p = k
-        for i in range(k + 1, n):
-            if abs(m[i][k]) > abs(m[p][k]):
-                p = i
-        pivot = m[p][k]
-        if pivot == 0.0 or not math.isfinite(pivot):
-            return None
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            order[k], order[p] = order[p], order[k]
-        top = m[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            factor = row[k] = row[k] / pivot
-            for j in range(k + 1, n):
-                row[j] -= factor * top[j]
-    return order
-
-
 def _rodas(fn, jac, dim: int, stats: IntegratorStats):
     """One RODAS4 step: (y_new, error) from (t, y, f(y), h), on floats.
 
     The Jacobian is evaluated once per node and kept through rejections;
-    each attempt factors I/(h gamma) - J once and solves its six stages
-    with the factors.  A zero or non-finite pivot, or a non-finite stage,
-    reports an infinite error, so the step is rejected and h shrinks.
-    The step is straight-line code for dim, see _rodas_code.
+    each attempt factors I/(h gamma) - J once by LU with partial pivoting
+    and solves its six stages with the factors.  A zero or non-finite
+    pivot, or a non-finite stage, reports an infinite error, so the step is
+    rejected and h shrinks.  It is straight-line code for dim, see _rodas_code.
     """
     return types.FunctionType(_rodas_code(dim), globals(), "rodas")(fn, jac, stats)
 
@@ -304,9 +271,12 @@ def _rodas_code(dim: int) -> types.CodeType:
     """The code of rodas(fn, jac, stats), which returns the step of _rodas
     for states of dim components, written out per component and stage.
 
-    Each stage solve takes b's entries in the row order _lu returns, then
-    substitutes forward through L and back through U, each row's products
-    subtracted in column order.  A stage sum sum(a_j * k_j) is
+    The LU of I/(h gamma) - J is Gaussian elimination on u{i}_{j}: per
+    column the first row of largest |entry| pivots, its whole row and row
+    order o{i} swap into place, and the rows below are eliminated in row,
+    then column order.  Each stage solve takes b's entries in the order o,
+    then substitutes forward through L and back through U, each row's
+    products subtracted in column order.  A stage sum sum(a_j * k_j) is
     0.0 + a_1*k_1 + a_2*k_2 + ..., left to right, which is what sum()
     computes on floats before Python 3.12 (from 3.12 it compensates the
     rounding).  The tableau enters as repr literals, which read back as the
@@ -332,23 +302,27 @@ def _rodas_code(dim: int) -> types.CodeType:
     def combo(coeffs, i: int) -> str:
         return "(0.0" + "".join(f" + {a!r} * k{j}_{i}" for j, a in enumerate(coeffs, 1)) + ")"
 
+    row = lambda i: tup([*(f"u{i}_{j}" for j in comps), f"o{i}"])
     body = [
         "if t_jac != t:",
         "    t_jac, jrows = t, jac(t, y)",
         "    stats.jac_evals += 1",
         f"diag = 1.0 / (h * {_RO_GAMMA!r})",
         f"{tup(tup(f'j{i}_{j}' for j in comps) for i in comps)} = jrows",
-        "lu = [" + ", ".join(
-            "[" + ", ".join(f"-j{i}_{j}" + (" + diag" if i == j else "") for j in comps) + "]"
-            for i in comps) + "]",
-        "order = _lu(lu)",
-        "if order is None:",
-        "    return y, math.inf",
-        f"{tup(tup(f'u{i}_{j}' for j in comps) for i in comps)} = lu",
-        f"{tup(f'o{i}' for i in comps)} = order",
-        f"{tup(f'y{i}' for i in comps)} = y",
-        *solve(1, "f0"),
+        *(f"{row(i)} = {tup([*(f'-j{i}_{j}' + ' + diag' * (i == j) for j in comps), i])}"
+          for i in comps),
     ]
+    for k in comps:
+        below = range(k + 1, dim)
+        if below:  # the first row of largest |entry| pivots; a NaN is never larger
+            body.append(f"p, a = {k}, abs(u{k}_{k})")
+        body += [f"if abs(u{i}_{k}) > a: p, a = {i}, abs(u{i}_{k})" for i in below]
+        body += [f"if p == {i}: {row(k)}, {row(i)} = {row(i)}, {row(k)}" for i in below]
+        body.append(f"if u{k}_{k} == 0.0 or not isfinite(u{k}_{k}): return y, math.inf")
+        for i in below:
+            body += [f"u{i}_{k} = u{i}_{k} / u{k}_{k}",
+                     *(f"u{i}_{j} = u{i}_{j} - u{i}_{k} * u{k}_{j}" for j in below)]
+    body += [f"{tup(f'y{i}' for i in comps)} = y", *solve(1, "f0")]
     for s, (c, a, cc) in enumerate(_RO_STAGES, 2):
         prev = [f"k{s - 1}_{i}" for i in comps]
         body += [

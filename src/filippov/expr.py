@@ -445,9 +445,9 @@ def _pow_value(base: float, exponent: int) -> float:
 def evaluate(e: Expr, bindings: Bindings) -> float:
     """Evaluate ``e`` at the given variable values.
 
-    Division by zero, sqrt of a negative, an overflow and a function
-    outside its domain (sin(inf)) raise DomainError rather than producing
-    NaN or infinity.
+    Division by zero, sqrt of a negative, an overflow of ^ or a function
+    (10^2000, exp(1000)) and a function outside its domain (sin(inf)) raise
+    DomainError; + - * / follow IEEE 754 (1e200*z*1e200 is inf at z = 1e200).
     """
     if isinstance(e, Const):
         return e.value

@@ -96,5 +96,5 @@ def test_the_golden_cases_are_a_workload():
         [sys.executable, str(ROOT / "tools" / "artifact_diff.py"), src, src, "--workload", "golden"],
         capture_output=True, text=True)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert run.stdout == ("identical: 37 of 37 artifacts\n"
-                          "jobs: 13, exit code and stderr identical in 13\n")
+    assert run.stdout == ("identical: 39 of 39 artifacts\n"
+                          "jobs: 15, exit code and stderr identical in 15\n")

@@ -145,6 +145,56 @@ def test_stats_count_the_work():
     assert np.linalg.norm(traj.states[-1] - [1.0, 0.0]) < 1e-6
 
 
+def _singular_first_attempt(counted):
+    # y' = 1e-10 makes the first trial step the whole span, h = 1, where
+    # I/(h gamma) - J = 4 - 4 = 0: that attempt calls no stage
+    traj = integrate(counted(lambda t, y: [1e-10]), [1.0], (0.0, 1.0), jac=lambda t, y: [[4.0]])
+    st = traj.stats  # every other attempt calls all five stages
+    assert st.rhs_evals == 2 + 5 * (st.accepted + st.rejected - 1) + st.accepted
+    return traj
+
+
+def _non_finite_stage(counted):
+    # y' = 1 up to y = 0.3 and inf past it: the attempts whose later stage
+    # points pass 0.3 return at the first non-finite increment
+    traj = integrate(counted(lambda t, y: [1.0 if y[0] < 0.3 else math.inf]), [0.0],
+                     (0.0, 1.0), jac=lambda t, y: [[0.0]])
+    st = traj.stats
+    assert st.rhs_evals < 2 + 5 * (st.accepted + st.rejected) + st.accepted
+    return traj
+
+
+def _domain_error_mid_attempt(counted):
+    # y' = 1 with the field undefined past y = 0.5: a stage point gets there
+    # before a node does, so fn raises in the middle of an attempt
+    def field(t, y):
+        if y[0] > 0.5:
+            raise DomainError("past 0.5")
+        return [1.0]
+
+    with pytest.raises(DomainError) as err:
+        integrate(counted(field), [0.0], (0.0, 1.0), jac=lambda t, y: [[0.0]])
+    traj = err.value.trajectory
+    st = traj.stats
+    # the call that raised is the 1st to 5th stage of its attempt, not a node's
+    assert 1 <= st.rhs_evals - (2 + 5 * (st.accepted + st.rejected) + st.accepted) <= 5
+    return traj
+
+
+@pytest.mark.parametrize("run", [_singular_first_attempt, _non_finite_stage,
+                                 _domain_error_mid_attempt])
+def test_rhs_evals_is_the_number_of_calls_of_fn(run):
+    calls = []
+
+    def counted(field):
+        def fn(t, y):
+            calls.append(t)
+            return field(t, y)
+        return fn
+
+    assert run(counted).stats.rhs_evals == len(calls)
+
+
 def test_stop_ends_at_first_accepted_node_where_true():
     # y' = 2 + cos(4 s) with the clock s' = 1: the oscillating rate keeps
     # the steps short, so y passes 2 between nodes
@@ -319,13 +369,46 @@ def test_non_finite_stage_solve_ends_in_step_failure():
 
 
 # ---------------------------------------------------------------------------
-# the stage solves: LU with partial pivoting, against numpy.linalg.solve
+# the reference stage solves: LU with partial pivoting, against numpy.linalg.solve
+
+
+def _lu(m: list[list[float]]) -> list[int] | None:
+    """Factor the square matrix m in place by Gaussian elimination with
+    partial pivoting.
+
+    Afterwards m holds U on and above its diagonal and the multipliers of
+    the unit lower triangle L below it.  The returned order names, for each
+    row of the factors, the row of the original matrix it came from: L U is
+    the original matrix with its rows taken in that order.  None where a
+    pivot is 0 or not finite: the matrix is singular, or holds an inf or
+    NaN.
+    """
+    n = len(m)
+    order = list(range(n))
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(m[i][k]) > abs(m[p][k]):
+                p = i
+        pivot = m[p][k]
+        if pivot == 0.0 or not math.isfinite(pivot):
+            return None
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            order[k], order[p] = order[p], order[k]
+        top = m[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            factor = row[k] = row[k] / pivot
+            for j in range(k + 1, n):
+                row[j] -= factor * top[j]
+    return order
 
 
 def _lu_solve(lu: list[list[float]], order: list[int], b) -> list[float]:
-    """The x with A x = b, from the factors and the row order dynamics._lu
-    left of A: the reference the generated step's substitutions are
-    checked against."""
+    """The x with A x = b, from the factors and the row order _lu left of
+    A: the reference the generated step's LU and substitutions are checked
+    against."""
     x = [b[i] for i in order]
     n = len(x)
     for i in range(1, n):  # L has a unit diagonal
@@ -343,7 +426,7 @@ def _lu_solve(lu: list[list[float]], order: list[int], b) -> list[float]:
 
 def _solve(matrix, b):
     lu = [[float(v) for v in row] for row in matrix]
-    order = dynamics._lu(lu)
+    order = _lu(lu)
     return None if order is None else _lu_solve(lu, order, b)
 
 
@@ -381,7 +464,7 @@ def test_lu_exchanges_rows():
     [[math.inf, 0.0], [0.0, 1.0]],
 ], ids=["singular_1x1", "singular_2x2", "singular_3x3", "nan", "inf"])
 def test_lu_refuses_singular_and_non_finite_matrices(matrix):
-    assert dynamics._lu([row[:] for row in matrix]) is None
+    assert _lu([row[:] for row in matrix]) is None
 
 
 @pytest.mark.parametrize("jac_rows", [
@@ -408,14 +491,20 @@ def test_unsolvable_stage_matrix_rejects_the_step(jac_rows):
 # the generated step, against the RODAS4 attempt written with lists
 
 
+def _stage_lu(jrows, h):
+    """The stage matrix I/(h gamma) - J, factored in place by _lu, and the
+    order _lu returns."""
+    lu = [[-v for v in row] for row in jrows]
+    for i in range(len(lu)):
+        lu[i][i] += 1.0 / (h * dynamics._RO_GAMMA)
+    return lu, _lu(lu)
+
+
 def _reference_step(fn, jrows, t, y, f0, h):
     """One RODAS4 attempt from _lu, _lu_solve and the tableau, every stage
     sum accumulated left to right from 0.0."""
     n = len(y)
-    lu = [[-v for v in row] for row in jrows]
-    for i in range(n):
-        lu[i][i] += 1.0 / (h * dynamics._RO_GAMMA)
-    order = dynamics._lu(lu)
+    lu, order = _stage_lu(jrows, h)
     if order is None:
         return y, math.inf
     ks = [_lu_solve(lu, order, f0)]
@@ -507,6 +596,35 @@ def test_generated_step_rejects_as_the_list_step(n, case):
     assert got == want == (y, math.inf)
     assert got_calls == want_calls
     assert len(got_calls) == (1 if case == "overflow" else 0)
+
+
+# stage matrices I/(h gamma) - J at h = 4, where I/(h gamma) = I, and the
+# row order _lu leaves of them (None: it refuses the matrix)
+PIVOT_CASES = {
+    "exchange_in_column_0": ([[1.0, 2.0], [3.0, 4.0]], [1, 0]),
+    "exchange_in_column_1": ([[4.0, 1.0, 1.0], [1.0, 1.0, 2.0], [2.0, 3.0, 1.0]], [0, 2, 1]),
+    "tie_with_the_diagonal": ([[-2.0, 1.0], [2.0, 3.0]], [0, 1]),  # the diagonal row wins
+    # rows 1 and 2 tie in column 0; row 1, the first, pivots
+    "tie_below_the_diagonal": ([[1.0, 1.0, 0.0], [3.0, 1.0, 1.0], [-3.0, 2.0, 1.0]], [1, 2, 0]),
+    "nan_below_the_diagonal": ([[1.0, 0.0], [math.nan, 1.0]], None),  # never pivots
+    "inf_below_the_diagonal": ([[1.0, 0.0], [math.inf, 1.0]], None),  # pivots, and is refused
+}
+
+
+@pytest.mark.parametrize("name", PIVOT_CASES)
+def test_generated_step_pivots_as_the_list_step(name):
+    matrix, order = PIVOT_CASES[name]
+    n, h = len(matrix), 4.0
+    jrows = [[float(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(matrix)]
+    assert _stage_lu(jrows, h)[1] == order
+    fn = _random_field(np.random.default_rng(170 + n), n)
+    y = [0.25] * n
+    (got, got_calls), (want, want_calls) = _both_steps(fn, jrows, 0.0, y, fn(0.0, y), h)
+    assert got == want and got_calls == want_calls
+    if order is None:
+        assert got == (y, math.inf) and got_calls == []
+    else:
+        assert math.isfinite(got[1]) and len(got_calls) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,23 @@ def test_evaluate_domain_errors():
         evaluate(parse("x + q"), {"x": 1.0})
 
 
+@pytest.mark.parametrize("walk", ["evaluate", "compile"])
+def test_only_powers_and_functions_raise_on_overflow(walk):
+    def value(text, z):
+        e = parse(text)
+        return evaluate(e, {"z": z}) if walk == "evaluate" else ex.compile([e], ["z"])(z)[0]
+
+    # the four operators follow IEEE 754
+    assert value("1e200*z*1e200", 1e200) == math.inf
+    assert value("z + z", 1e308) == math.inf
+    assert value("z/1e-300", 1e300) == math.inf
+    assert value("-z - z", 1e308) == -math.inf
+    with pytest.raises(DomainError, match=r"^overflow in 10\.0\^2000$"):
+        value("z^2000", 10.0)
+    with pytest.raises(DomainError, match=r"^overflow in exp\(1000\.0\)$"):
+        value("exp(z)", 1000.0)
+
+
 def test_pow_conventions():
     assert evaluate(parse("x^-2"), {"x": 2.0}) == 0.25
     # 0^0 folds to 1 at parse time already

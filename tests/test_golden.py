@@ -55,6 +55,8 @@ epsilons = 0.1, 0.05
 etas = 0.2, 0.1
 """
 
+PIVOT = FOLD.replace("2*x", "1000*x") + "\n[run]\nx0 = -1, 0.5\nt_span = 0, 3\n"
+
 CASES = {
     "fold_smoothstep": (FOLD + RUN, ["all"]),
     "fold_biased": (FOLD + "\n[transition]\nkind = biased\nt0 = 0.3\n" + RUN, ["all"]),
@@ -89,6 +91,9 @@ CASES = {
     "fold_slide_exit": (FOLD + "\n[run]\nx0 = -0.5, 0\nt_span = 0, 1\n", ["integrate"]),
     "rotation_3d": (ROTATION_3D, ["integrate"]),
     "cross": (CROSS, ["cross"]),
+    # the stage LU exchanges rows on these orbits, in 5 of 324 attempts and 5 of 24
+    "pivot_regularized": (PIVOT, ["integrate", "--mode", "regularized", "--epsilon", "0.01"]),
+    "pivot_hybrid": (PIVOT, ["integrate"]),
     # all on a non-planar system and on a [cross]-only config: one artifact each
     "rotation_3d_all": (ROTATION_3D, ["all"]),
     "cross_all": (CROSS, ["all"]),
@@ -145,6 +150,12 @@ GOLDEN = {
         "manifold.json": "666ba8eeb72bb7aa1a95c89d2431bbfc6f8527f61c402a9104e216612356d092",
         "slowfast.csv": "2ebab8c8894e68f53a8d17976415f670286d797cd63181187236e17850679380",
         "trajectory.csv": "6118201f26757f23427ad4a93990e6b536a7e461eafd77c18f4199f453f067f6",
+    },
+    "pivot_hybrid": {
+        "trajectory.csv": "7f14d756dbd2a5f22ec600d8b5dec4349e496dc0b4b03ece52e4f3cae10d95dc",
+    },
+    "pivot_regularized": {
+        "trajectory.csv": "bde10003730a67d5c70ab643aa4c89964aae3147ffb086f538755ba1895b9f40",
     },
     "regularized": {
         "trajectory.csv": "1c42648d26bbc2e63a51596de7ac7036891a1898de68b6db64cf719fa86306e6",

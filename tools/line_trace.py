@@ -24,7 +24,9 @@ and none of whose lines ran: a compound statement (if, for, def, ...) by
 its header, a simple one by all of its lines.  Docstrings and the body of
 ``if TYPE_CHECKING:`` are left out, as they are never meant to run.  Only
 code run in this process and its main thread is seen: a subprocess a test
-starts is not traced.
+starts is not traced.  Nor is the code the library generates as it runs,
+such as the RODAS4 attempt of dynamics._rodas_code with its pivoting LU,
+whose row exchanges the pivot_* cases of tests/test_golden.py pin.
 
 The exit status is pytest's; with --workload, 1 if a job exited with
 another code than it is built to (0, or the one ERROR_JOBS gives it),
