@@ -24,7 +24,6 @@ respectively ytil, has been cancelled once).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .regularize import TransitionFunction, height
@@ -99,12 +98,12 @@ def f_chart_field(
     return _floats([ytil * a, -epstil * a, *(ytil * b for b in v[:-1])])
 
 
-@dataclass(frozen=True)
 class SlowFastSystem:
     """Slow-fast form of the regularized family in the central chart."""
 
-    system: PiecewiseSystem
-    transition: TransitionFunction
+    def __init__(self, system: PiecewiseSystem, transition: TransitionFunction):
+        self.system = system
+        self.transition = transition
 
     def slow_manifold_residual(self, x: Sequence[float] | float, ybar: float) -> float:
         """Height function value; its zero set is the slow manifold."""

@@ -31,7 +31,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -262,7 +261,7 @@ def _cmd_cross(cfg: SystemConfig, out: Path) -> None:
     report = _report_skeleton(cfg)
     report["pairs"] = []
     for eps, eta in zip(epsilons, etas):
-        row = asdict(stratified_slide_curve(cfg.cross, eps, eta))
+        row = stratified_slide_curve(cfg.cross, eps, eta)._asdict()
         report["pairs"].append({"epsilon": row.pop("eps"), **row})
     _write_json(out / "cross.json", report)
 

@@ -30,7 +30,6 @@ the drift of g, so downstream code only ever sees the flat surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import expr as ex
@@ -46,23 +45,27 @@ class ConfigError(Exception):
         super().__init__(f"{where}{message}")
 
 
-@dataclass
 class RunParams:
-    grid: tuple[float, float, int] = (-1.0, 1.0, 201)
-    epsilons: tuple[float, ...] = (0.1,)
-    etas: tuple[float, ...] = ()
-    t_span: tuple[float, float] = (0.0, 1.0)
-    x0: tuple[float, ...] | None = None
-    mode: str = "filippov"
+    def __init__(self, grid: tuple[float, float, int] = (-1.0, 1.0, 201),
+                 epsilons: tuple[float, ...] = (0.1,), etas: tuple[float, ...] = (),
+                 t_span: tuple[float, float] = (0.0, 1.0), x0: tuple[float, ...] | None = None,
+                 mode: str = "filippov"):
+        self.grid = grid
+        self.epsilons = epsilons
+        self.etas = etas
+        self.t_span = t_span
+        self.x0 = x0
+        self.mode = mode
 
 
-@dataclass
 class SystemConfig:
-    system: PiecewiseSystem | None
-    transition: TransitionFunction
-    cross: CrossSystem | None
-    run: RunParams
-    sha256: str
+    def __init__(self, system: PiecewiseSystem | None, transition: TransitionFunction,
+                 cross: CrossSystem | None, run: RunParams, sha256: str):
+        self.system = system
+        self.transition = transition
+        self.cross = cross
+        self.run = run
+        self.sha256 = sha256
 
 
 def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:

@@ -14,8 +14,7 @@ the role that the sliding manifold plays for a single surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .expr import DomainError
 from .regularize import TransitionFunction, linspace
@@ -40,21 +39,21 @@ class NonMonotoneTransitionError(Exception):
         )
 
 
-@dataclass(frozen=True)
 class CrossSystem:
-    """Quadrant fields keyed by (sgn x, sgn y) plus the two transitions."""
+    """Quadrant fields keyed by (sgn x, sgn y) plus the two transitions:
+    phi switches across {x = 0} and psi across {y = 0}."""
 
-    fields: dict[tuple[int, int], VectorFieldDef]
-    phi: TransitionFunction  # switches across {x = 0}
-    psi: TransitionFunction  # switches across {y = 0}
-
-    def __post_init__(self):
+    def __init__(self, fields: dict[tuple[int, int], VectorFieldDef],
+                 phi: TransitionFunction, psi: TransitionFunction):
         keys = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-        if set(self.fields) != keys:
-            raise ValueError(f"need the four quadrant fields {sorted(keys)}, got {sorted(self.fields)}")
-        for key, fd in self.fields.items():
+        if set(fields) != keys:
+            raise ValueError(f"need the four quadrant fields {sorted(keys)}, got {sorted(fields)}")
+        for key, fd in fields.items():
             if fd.coords != CROSS_COORDS:
                 raise ValueError(f"field {key} must use coordinates {CROSS_COORDS}, got {fd.coords}")
+        self.fields = fields
+        self.phi = phi
+        self.psi = psi
 
 
 def double_regularized_field(
@@ -90,8 +89,7 @@ def transition_zero(tf: TransitionFunction, which: str) -> float:
     return zeros[0]
 
 
-@dataclass(frozen=True)
-class StratifiedCurve:
+class StratifiedCurve(NamedTuple):
     """The distinguished line {x = eps*t0, y = eta*u0} and its diagnostics.
 
     residual_x/residual_y are the largest absolute transverse velocities of

@@ -45,8 +45,7 @@ import enum
 import functools
 import math
 import types
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import blowup, expr as ex
 from .regularize import (
@@ -91,8 +90,7 @@ class EventKind(enum.Enum):
     STEP_FAILURE = "StepFailure"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time: float
     state: tuple[float, ...]
     kind: EventKind
@@ -120,27 +118,32 @@ class NoSlidingAtError(Exception):
         super().__init__(f"no certified sliding at x = {x}: {reason}")
 
 
-@dataclass
 class IntegratorStats:
     """What an integration did.  Counters only: no artifact writes them."""
 
-    accepted: int = 0
-    rejected: int = 0
-    rhs_evals: int = 0
-    jac_evals: int = 0
-    min_step: float = math.inf  # smallest accepted step
+    def __init__(self, accepted: int = 0, rejected: int = 0, rhs_evals: int = 0,
+                 jac_evals: int = 0, min_step: float = math.inf):
+        self.accepted = accepted
+        self.rejected = rejected
+        self.rhs_evals = rhs_evals
+        self.jac_evals = jac_evals
+        self.min_step = min_step  # smallest accepted step
 
 
-@dataclass
 class Trajectory:
     """Accepted integration nodes plus node derivatives and events, in the
-    float lists they were recorded in."""
+    float lists they were recorded in; ``events`` and ``stats`` default to
+    a new empty list and IntegratorStats."""
 
-    node_times: list[float]
-    node_states: list[Sequence[float]]
-    node_derivs: list[Sequence[float]]
-    events: list[Event] = field(default_factory=list)
-    stats: IntegratorStats = field(default_factory=IntegratorStats)
+    def __init__(self, node_times: list[float], node_states: list[Sequence[float]],
+                 node_derivs: list[Sequence[float]], events: list[Event] | None = None,
+                 stats: IntegratorStats | None = None):
+        self.node_times = node_times
+        self.node_states = node_states
+        self.node_derivs = node_derivs
+        self.events = [] if events is None else events
+        self.stats = IntegratorStats() if stats is None else stats
+
     # the nodes as float arrays, built on first use
     times = functools.cached_property(lambda self: _floats(self.node_times))
     states = functools.cached_property(lambda self: _floats(self.node_states))
@@ -625,16 +628,14 @@ def _far_side(region, t0, y0, f0, t1, y1, f1) -> float | None:
 # ---------------------------------------------------------------------------
 # invariant manifold tracking
 
-@dataclass(frozen=True)
-class ManifoldPoint:
+class ManifoldPoint(NamedTuple):
     x: float
     t: float
     y: float
     dh_dt: float
 
 
-@dataclass(frozen=True)
-class ManifoldTrack:
+class ManifoldTrack(NamedTuple):
     """Sampled invariant manifold {(x, eps * t_x)} with exclusions."""
 
     eps: float
@@ -678,8 +679,7 @@ def track_manifold(
     )
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(NamedTuple):
     x: float
     stability: int  # -1 stable, +1 unstable, 0 degenerate
 

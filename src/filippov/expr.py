@@ -76,7 +76,6 @@ import math
 import operator
 import re
 import types
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import interval
@@ -112,39 +111,65 @@ class DomainError(ExprError):
     trajectory = None
 
 
-@dataclass(frozen=True)
 class Expr:
+    """A tree node.  Nodes are immutable and equal where their types and
+    fields are, so they hash by value."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: expression trees are immutable")
+
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
-    op: str  # 'neg' or a function name
-    arg: Expr
+    __slots__ = ("op", "arg")
+
+    def __init__(self, op: str, arg: Expr):  # op: 'neg' or a function name
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str  # '+', '-', '*', '/'
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):  # op: '+', '-', '*', '/'
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from typing import Callable, Container, NamedTuple, Sequence
 
@@ -286,18 +285,16 @@ class TransitionFunction:
         raise NotImplementedError
 
 
-@dataclass
 class Smoothstep(TransitionFunction):
     """Clamped cubic (3t - t^3)/2; odd, strictly increasing, zero at 0."""
 
-    def __post_init__(self):
+    def __init__(self):
         self.expression, self.derivative = map(_tree, _CUBIC)
 
     def level_set(self, r, x=()):
         return _cubic_level_set(r), []
 
 
-@dataclass
 class Overshoot(TransitionFunction):
     """Cubic plus a calibrated bump c*(1-t^2)^2 whose interior max is ``m``.
 
@@ -309,15 +306,12 @@ class Overshoot(TransitionFunction):
     from -1 to m on [-1, u] and falls from m to 1 on [u, 1].
     """
 
-    m: float
-    c: float = field(init=False)
-    u: float = field(init=False)  # the peak, the only interior critical point
-
-    def __post_init__(self):
-        if not self.m > 1.0:
-            raise ValidationFailure(f"overshoot max must exceed 1, got {self.m}")
-        self.c = 3.0 / (8.0 * _overshoot_peak(self.m))
-        self.u = 3.0 / (8.0 * self.c)
+    def __init__(self, m: float):
+        if not m > 1.0:
+            raise ValidationFailure(f"overshoot max must exceed 1, got {m}")
+        self.m = m
+        self.c = 3.0 / (8.0 * _overshoot_peak(m))
+        self.u = 3.0 / (8.0 * self.c)  # the peak, the only interior critical point
         cubic, slope = map(_tree, _CUBIC)
         bump, bump_slope = (ex.substitute(_tree(text), {"c": self.c, "s": _tree("1 - t*t")})
                             for text in ("c*s*s", "4*c*t*s"))
@@ -349,7 +343,6 @@ def _overshoot_peak(m: float) -> float:
     return 2.0 * q / (s + math.sqrt(s * s + 4.0 * q))
 
 
-@dataclass
 class Biased(TransitionFunction):
     """Monotone transition whose unique zero sits at t0 in (-1, 1).
 
@@ -359,12 +352,11 @@ class Biased(TransitionFunction):
     times w'(t) = (1 - t0^2)/(1 - t0*t)^2.
     """
 
-    t0: float
-
-    def __post_init__(self):
-        if not -1.0 < self.t0 < 1.0:
-            raise ValidationFailure(f"bias point must lie in (-1, 1), got {self.t0}")
-        w, dw = (ex.substitute(_tree(text), {"t0": self.t0})
+    def __init__(self, t0: float):
+        if not -1.0 < t0 < 1.0:
+            raise ValidationFailure(f"bias point must lie in (-1, 1), got {t0}")
+        self.t0 = t0
+        w, dw = (ex.substitute(_tree(text), {"t0": t0})
                  for text in ("(t - t0)/(1 - t0*t)", "(1 - t0*t0)/(1 - t0*t)^2"))
         cubic, slope = (ex.substitute(_tree(text), {"t": w}) for text in _CUBIC)
         self.expression, self.derivative = cubic, ex.mul(slope, dw)
@@ -374,7 +366,6 @@ class Biased(TransitionFunction):
         return [(w + self.t0) / (1.0 + self.t0 * w) for w in _cubic_level_set(r)], []
 
 
-@dataclass
 class Custom(TransitionFunction):
     """Transition given by an expression in (x_1, ..., x_{n-1}, t), whose
     boundary values psi(-1) = -1 and psi(1) = 1 are checked at construction;
@@ -401,12 +392,9 @@ class Custom(TransitionFunction):
     x, whatever the box.  The pieces of a psi that uses no x are found once.
     """
 
-    expression: ex.Expr
-    x_names: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if isinstance(self.expression, str):
-            self.expression = ex.parse(self.expression)
+    def __init__(self, expression: ex.Expr | str, x_names: tuple[str, ...] = ()):
+        self.expression = ex.parse(expression) if isinstance(expression, str) else expression
+        self.x_names = x_names
         self.derivative = ex.differentiate(self.expression, "t")
         if "t" in self.x_names:
             raise ValidationFailure("custom transition: coordinate 't' clashes with the variable t")
@@ -679,22 +667,20 @@ def height(
     return transition.value(t, xs) * diff + (a_plus + a_minus), transition.deriv_t(t, xs) * diff
 
 
-@dataclass(frozen=True)
-class HeightRoot:
+class HeightRoot(NamedTuple):
     t: float
     dh_dt: float  # psi'(t) * (a_plus - a_minus)
     dpsi_dt: float  # psi'(t): the root is transversal when |psi'| > TRANSVERSALITY_TOL
 
 
-@dataclass(frozen=True)
-class DegenerateInterval:
+class DegenerateInterval(NamedTuple):
     """h vanished identically between t_lo and t_hi (a_plus = a_minus = 0)."""
 
     t_lo: float
     t_hi: float
 
 
-class UnresolvedInterval(NamedTuple):  # cheaper to build at import than a frozen dataclass
+class UnresolvedInterval(NamedTuple):
     """psi is not proven monotone between t_lo and t_hi and may take the
     level there, so h may vanish in it (see Custom)."""
 
@@ -751,8 +737,7 @@ class Verdict(enum.Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class SlidingCertificate:
+class SlidingCertificate(NamedTuple):
     """Outcome of the height-function test at one surface point.
 
     ``witness`` is the most transversal root when sliding is certified.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -44,7 +43,6 @@ def _floats(rows: Sequence) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-@dataclass(frozen=True)
 class VectorFieldDef:
     """A smooth vector field given componentwise by expressions.
 
@@ -53,20 +51,17 @@ class VectorFieldDef:
     d/d(coords[i]).
     """
 
-    coords: tuple[str, ...]
-    components: tuple[ex.Expr, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != len(self.components):
-            raise ValueError(
-                f"{len(self.coords)} coordinates but {len(self.components)} components"
-            )
-        if len(self.coords) < 2:
+    def __init__(self, coords: tuple[str, ...], components: tuple[ex.Expr, ...]):
+        self.coords = coords
+        self.components = components
+        if len(coords) != len(components):
+            raise ValueError(f"{len(coords)} coordinates but {len(components)} components")
+        if len(coords) < 2:
             raise ValueError("need at least two coordinates (tangential + normal)")
-        if len(set(self.coords)) != len(self.coords):
-            raise ValueError(f"duplicate coordinate names in {self.coords}")
-        allowed = set(self.coords)
-        for name, comp in zip(self.coords, self.components):
+        if len(set(coords)) != len(coords):
+            raise ValueError(f"duplicate coordinate names in {coords}")
+        allowed = set(coords)
+        for name, comp in zip(coords, components):
             extra = ex.free_vars(comp) - allowed
             if extra:
                 raise ValueError(
@@ -120,29 +115,23 @@ def field_from_strings(coords: Sequence[str], components: Sequence[str]) -> Vect
     return VectorFieldDef(tuple(coords), tuple(ex.parse(c) for c in components))
 
 
-@dataclass(frozen=True)
 class PiecewiseSystem:
     """Two smooth fields glued along Sigma = {y = 0}.
 
     ``plus`` governs y > 0 and ``minus`` governs y < 0.  Both must share the
-    same coordinate chart.
+    same coordinate chart.  ``normal_traces`` are their y-components at y = 0.
     """
 
-    plus: VectorFieldDef
-    minus: VectorFieldDef
-    normal_traces: tuple[ex.Expr, ex.Expr] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.plus.coords != self.minus.coords:
-            raise ValueError(
-                f"field charts disagree: {self.plus.coords} vs {self.minus.coords}"
-            )
+    def __init__(self, plus: VectorFieldDef, minus: VectorFieldDef):
+        if plus.coords != minus.coords:
+            raise ValueError(f"field charts disagree: {plus.coords} vs {minus.coords}")
+        self.plus = plus
+        self.minus = minus
         y = self.y_name
-        traces = (
-            ex.substitute(self.plus.components[-1], {y: 0.0}),
-            ex.substitute(self.minus.components[-1], {y: 0.0}),
+        self.normal_traces = (
+            ex.substitute(plus.components[-1], {y: 0.0}),
+            ex.substitute(minus.components[-1], {y: 0.0}),
         )
-        object.__setattr__(self, "normal_traces", traces)
 
     @property
     def coords(self) -> tuple[str, ...]:

@@ -10,6 +10,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import artifact_diff  # noqa: E402
 from filippov.cli import COMMANDS  # noqa: E402
+from test_golden import GOLDEN  # noqa: E402
 
 
 def test_json_numbers_are_tallied_per_key_and_the_rest_is_flagged():
@@ -81,14 +82,17 @@ def test_the_error_jobs_fail_as_built_and_compare_identical(tmp_path):
     run = subprocess.run([sys.executable, tool, src, src, "--workload", "errors"],
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stdout + run.stderr
+    jobs = len(artifact_diff.ERROR_JOBS)
     assert run.stdout == ("identical: 0 of 0 artifacts\n"
-                          "jobs: 24, exit code and stderr identical in 24\n")
+                          f"jobs: {jobs}, exit code and stderr identical in {jobs}\n")
 
 
 def test_the_golden_cases_are_a_workload():
     # the configs tests/test_golden.py pins, one job per case, with its
     # command and flags; every digest it records is one artifact here
     cases = artifact_diff.golden_cases()
+    assert sorted(cases) == sorted(GOLDEN)
+    jobs, artifacts = len(cases), sum(map(len, GOLDEN.values()))
     assert cases["regularized"][1] == ["integrate", "--mode", "regularized", "--epsilon", "0.1",
                                        "--from=-1,1"]
     src = str(ROOT / "src")
@@ -96,5 +100,5 @@ def test_the_golden_cases_are_a_workload():
         [sys.executable, str(ROOT / "tools" / "artifact_diff.py"), src, src, "--workload", "golden"],
         capture_output=True, text=True)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert run.stdout == ("identical: 39 of 39 artifacts\n"
-                          "jobs: 15, exit code and stderr identical in 15\n")
+    assert run.stdout == (f"identical: {artifacts} of {artifacts} artifacts\n"
+                          f"jobs: {jobs}, exit code and stderr identical in {jobs}\n")

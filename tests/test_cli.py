@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -620,7 +619,10 @@ def test_a_function_outside_its_domain_fails_the_computation(tmp_path, capsys, c
 
 def test_no_command_imports_numpy(tmp_path):
     # numpy's import was about half of every short command's wall time; the
-    # commands run on floats, and only the array-returning API imports it
+    # commands run on floats, and only the array-returning API imports it.
+    # dataclasses (which imports inspect) cost about two thirds of importing
+    # filippov.cli from cached bytecode; the records are named tuples and
+    # plain classes
     text = (FOLD + "\n[transition]\nkind = custom\nexpr = tanh(3*t)/tanh(3) + 0.2*x*(1 - t^2)\n"
             + "\n[run]\ngrid = -1:1:21\nepsilons = 0.1\nx0 = -1, 0.5\nt_span = 0, 1\n"
             + CROSS.split("\n[run]")[0])
@@ -635,11 +637,12 @@ def test_no_command_imports_numpy(tmp_path):
     code = ("import json, sys\n"
             "from filippov.cli import run_command\n"
             "codes = [run_command(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+            "print(json.dumps([codes, *(name in sys.modules\n"
+            "                           for name in ('numpy', 'dataclasses', 'inspect'))]))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
                          capture_output=True, text=True, check=True)
-    assert json.loads(run.stdout) == [[0] * (len(runs) - 2) + [1, 2], False]
+    assert json.loads(run.stdout) == [[0] * (len(runs) - 2) + [1, 2], False, False, False]
 
 
 def test_missing_config_exit2(tmp_path, capsys):
@@ -729,6 +732,6 @@ def test_a_cross_pair_row_is_the_curve_record(tmp_path):
     pairs = json.loads((tmp_path / "cross.json").read_text())["pairs"]
     cross_system = load_config(cfg).cross
     for pair, (eps, eta) in zip(pairs, [(0.1, 0.2), (0.05, 0.1)], strict=True):
-        curve = dataclasses.asdict(stratified_slide_curve(cross_system, eps, eta))
+        curve = stratified_slide_curve(cross_system, eps, eta)._asdict()
         assert list(pair) == ["epsilon", *list(curve)[1:]]
         assert list(pair.values()) == list(curve.values())

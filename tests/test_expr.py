@@ -33,6 +33,19 @@ def test_parse_precedence():
     assert parse("2*x^3") == Binary("*", Const(2.0), Pow(Var("x"), 3))
 
 
+
+def test_trees_are_immutable_values():
+    # equal where type and fields are, so equal trees hash alike and one
+    # dict key serves both; a node of another type never equals one
+    a, b = parse("sin(x) + 2*y^3"), parse("sin(x) + 2*y^3")
+    assert a == b and a is not b and hash(a) == hash(b) and len({a: 1, b: 2}) == 1
+    assert parse("x - y") != parse("x + y") and parse("x^2") != parse("x^3")
+    assert Const(2.0) != Var(2.0) and Const(1.0) != 1.0 and Var("x") != ("x",)  # same fields
+    with pytest.raises(AttributeError, match="immutable"):
+        a.left = Const(0.0)
+    assert a == b
+
+
 def test_parse_numbers():
     assert parse("1.5") == Const(1.5)
     assert parse(".5") == Const(0.5)

@@ -473,7 +473,8 @@ def test_height_roots_degenerate():
     # both normal components vanish identically at x = 0
     sys = system_from_strings(("x", "y"), ("1", "x"), ("1", "x"))
     found = height_roots(sys, Smoothstep(), 0.0)
-    assert found == [DegenerateInterval(-1.0, 1.0)]
+    # records are named tuples, which compare equal across types: check the type too
+    assert found == [DegenerateInterval(-1.0, 1.0)] and type(found[0]) is DegenerateInterval
 
 
 def test_height_roots_overshoot_extra_zeros():
