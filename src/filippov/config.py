@@ -162,11 +162,11 @@ def _surface_chart(coords: tuple[str, ...], sigma_text: str,
     sigma = _parse_expr(sigma_text, lineno, "sigma")
     if sigma == ex.Var(y):
         return None
-    if not (isinstance(sigma, ex.Binary) and sigma.op == "-" and sigma.left == ex.Var(y)):
+    if not (isinstance(sigma, ex.Op) and sigma.op == "-" and sigma.args[0] == ex.Var(y)):
         raise ConfigError(
             f"sigma must be {y!r} or '{y} - g(...)' in the tangential coordinates", lineno
         )
-    g = sigma.right
+    g = sigma.args[1]
     extra = ex.free_vars(g) - set(coords[:-1])
     if extra:
         raise ConfigError(f"sigma offset may not involve {sorted(extra)}", lineno)

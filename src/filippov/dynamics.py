@@ -391,6 +391,8 @@ def integrate(
     if not -math.inf < t0 <= t_end < math.inf:  # NaN fails it too
         raise ValueError(f"t_span must be finite and increasing, got {t_span}")
     y = [float(v) for v in x0]
+    if not y:
+        raise ValueError("x0 is empty: there is no state to integrate")
     rec = _Recorder(len(y))
     try:
         _run(rec, fn, y, t0, t_end, None, jac)
@@ -657,6 +659,8 @@ def track_manifold(
     """
     if not all(eps > 0 for eps in epsilons):
         raise ValueError(f"epsilons must be positive, got {list(epsilons)}")
+    if not certified:
+        raise ValueError("certified is empty: there is no point to track")
     witnesses: list[tuple[float, HeightRoot]] = []
     excluded: list[tuple[float, str]] = []
     for x, cert in certified:

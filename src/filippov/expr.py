@@ -62,9 +62,10 @@ interval code instead, cached the same way: bounds of each tree over a box
 of its variables, by the rules of the interval module, which round every
 bound outward; a custom transition proves its monotone pieces with them.
 
-Each function and operator is defined once, in a row of _FUNCTIONS or
-_OPERATORS that evaluate, differentiate, substitute, the parser, the
-interval rules and the generated code's namespace all read.
+A tree's inner nodes are all Op(op, args), and each operation is defined
+once, in its row of _OPS: negation, + - * /, ^ and the seven functions.
+evaluate, differentiate, substitute, free_vars, the parser, the printer,
+the interval rules, the generated code and its namespace all read the row.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ import math
 import operator
 import re
 import types
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import interval
 
@@ -147,29 +148,15 @@ class Var(Expr):
         object.__setattr__(self, "name", name)
 
 
-class Unary(Expr):
-    __slots__ = ("op", "arg")
+class Op(Expr):
+    """The operation of the row _OPS[op] on the trees ``args``; the exponent
+    of '^' is a Const that holds an int."""
 
-    def __init__(self, op: str, arg: Expr):  # op: 'neg' or a function name
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str, args: tuple[Expr, ...]):
         object.__setattr__(self, "op", op)
-        object.__setattr__(self, "arg", arg)
-
-
-class Binary(Expr):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: Expr, right: Expr):  # op: '+', '-', '*', '/'
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-
-class Pow(Expr):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: Expr, exponent: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "args", args)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +171,7 @@ def const(v: float) -> Const:
 def neg(e: Expr) -> Expr:
     if isinstance(e, Const):
         return Const(-e.value)
-    return Unary("neg", e)
+    return Op("neg", (e,))
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -194,7 +181,7 @@ def add(a: Expr, b: Expr) -> Expr:
         return b
     if isinstance(b, Const) and b.value == 0.0:
         return a
-    return Binary("+", a, b)
+    return Op("+", (a, b))
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -204,7 +191,7 @@ def sub(a: Expr, b: Expr) -> Expr:
         return a
     if isinstance(a, Const) and a.value == 0.0:
         return neg(b)
-    return Binary("-", a, b)
+    return Op("-", (a, b))
 
 
 def mul(a: Expr, b: Expr) -> Expr:
@@ -220,7 +207,7 @@ def mul(a: Expr, b: Expr) -> Expr:
             return Const(0.0)
         if b.value == 1.0:
             return a
-    return Binary("*", a, b)
+    return Op("*", (a, b))
 
 
 def div(a: Expr, b: Expr) -> Expr:
@@ -228,30 +215,31 @@ def div(a: Expr, b: Expr) -> Expr:
         return Const(a.value / b.value)
     if isinstance(b, Const) and b.value == 1.0:
         return a
-    return Binary("/", a, b)
+    return Op("/", (a, b))
 
 
-def powi(base: Expr, exponent: int) -> Expr:
-    if exponent == 0:
+def powi(base: Expr, exponent: Const) -> Expr:  # the exponent holds an int
+    if exponent.value == 0:
         return Const(1.0)
-    if exponent == 1:
+    if exponent.value == 1:
         return base
     if isinstance(base, Const):
         with contextlib.suppress(DomainError):
-            return Const(_pow_value(base.value, exponent))
-    return Pow(base, exponent)
+            return Const(_pow_value(base.value, exponent.value))
+    return Op("^", (base, exponent))
 
 
 def call(fn: str, arg: Expr) -> Expr:
-    _FUNCTIONS[fn]  # an unknown name is an error even on a variable
+    if fn not in FUNCTIONS:  # an unknown name is an error even on a variable
+        raise ValueError(f"unknown function {fn!r}")
     if isinstance(arg, Const):
         with contextlib.suppress(DomainError):
-            return Const(_apply_function(fn, arg.value))
-    return Unary(fn, arg)
+            return Const(_OPS[fn].value(arg.value))
+    return Op(fn, (arg,))
 
 
 # ---------------------------------------------------------------------------
-# the functions and operators of the language, one row each
+# the operations of the language, one row each
 
 def _divide(a: float, b: float) -> float:
     if b == 0.0:
@@ -259,41 +247,89 @@ def _divide(a: float, b: float) -> float:
     return a / b
 
 
-class _Table(dict):
-    """Rows of the language by name; a name it lacks is a ValueError."""
-
-    def __init__(self, kind: str, rows: dict):
-        super().__init__(rows)
-        self.kind = kind
-
-    def __missing__(self, name: str):
-        raise ValueError(f"unknown {self.kind} {name!r}")
+def _pow_value(base: float, exponent: int) -> float:
+    if base == 0.0 and exponent < 0:
+        raise DomainError(f"zero raised to negative power {exponent}")
+    try:
+        return base ** exponent
+    except OverflowError as exc:
+        raise DomainError(f"overflow in {base}^{exponent}") from exc
 
 
-# name -> (float function, derivative rule (arg, d arg) -> tree, interval
-# rule); abs differentiates to sgn and sgn to 0, both taken as 0 at the kink
-_FUNCTIONS = _Table("function", {
-    "sin": (math.sin, lambda a, da: mul(call("cos", a), da), interval.sin),
-    "cos": (math.cos, lambda a, da: neg(mul(call("sin", a), da)), interval.cos),
-    "exp": (math.exp, lambda a, da: mul(call("exp", a), da), interval.exp),
-    "tanh": (math.tanh, lambda a, da: mul(sub(Const(1.0), powi(call("tanh", a), 2)), da),
-             interval.tanh),
-    "sqrt": (math.sqrt, lambda a, da: div(da, mul(Const(2.0), call("sqrt", a))), interval.sqrt),
-    "abs": (abs, lambda a, da: mul(call("sgn", a), da), interval.absolute),
-    "sgn": (interval.sign, lambda a, da: Const(0.0), interval.sgn),
-})
-FUNCTIONS = tuple(_FUNCTIONS)
+def _checked(fn: str, function: Callable[[float], float]) -> Callable[[float], float]:
+    """The value of the language's function ``fn``: function's, and a
+    DomainError where fn is undefined or overflows."""
 
-# symbol -> (folding constructor, float operation,
-#            derivative rule (left, d left, right, d right) -> tree,
-#            interval rule)
-_OPERATORS = _Table("operator", {
-    "+": (add, operator.add, lambda a, da, b, db: add(da, db), interval.add),
-    "-": (sub, operator.sub, lambda a, da, b, db: sub(da, db), interval.sub),
-    "*": (mul, operator.mul, lambda a, da, b, db: add(mul(da, b), mul(a, db)), interval.mul),
-    "/": (div, _divide, lambda a, da, b, db: div(sub(mul(da, b), mul(a, db)), powi(b, 2)),
-          interval.div),
-})
+    def value(v: float) -> float:
+        if fn == "sqrt" and v < 0.0:
+            raise DomainError(f"sqrt of negative value {v}")
+        try:
+            return function(v)
+        except OverflowError as exc:
+            raise DomainError(f"overflow in {fn}({v})") from exc
+        except ValueError as exc:  # libm's domain error, as of sin(inf)
+            raise DomainError(f"{fn} undefined at {v}") from exc
+    return value
+
+
+# precedence levels of the printer; parenthesization is chosen so that
+# parse(to_text(e)) == e for every tree
+_LEVEL_ADD = 1
+_LEVEL_MUL = 2
+_LEVEL_NEG = 1.5
+_LEVEL_POW = 3
+_LEVEL_ATOM = 4
+
+
+class _Row(NamedTuple):
+    """One operation.  Each field takes the operands in order: their trees,
+    values, bounds, code names or text."""
+
+    make: Callable[..., Expr]  # the folding constructor
+    value: Callable[..., float]  # a DomainError where undefined
+    deriv: Callable[..., Expr]  # of the operands, then of their derivatives
+    bounds: Callable[..., tuple[float, float]]  # the interval rule
+    rule: str  # generated code calls bounds as i_<rule>, and function as f_<rule>
+    code: str  # generated code
+    text: str  # source text
+    levels: tuple[float, ...]  # its precedence, then the least each operand is printed at bare
+    function: Callable[[float], float] | None = None  # a function's value, unchecked
+
+
+def _function(fn: str, function: Callable[[float], float], deriv, bounds) -> _Row:
+    """The row of the function fn, whose generated code calls function."""
+    return _Row(functools.partial(call, fn), _checked(fn, function), deriv, bounds, fn,
+                f"f_{fn}({{}})", f"{fn}({{}})", (_LEVEL_ATOM, 0), function)
+
+
+# the exponent of ^ is printed bare; abs differentiates to sgn and sgn to 0,
+# both taken as 0 at the kink
+_OPS = {
+    "neg": _Row(neg, operator.neg, lambda a, da: neg(da), interval.neg, "neg",
+                "-{}", "-{}", (_LEVEL_NEG, _LEVEL_POW)),
+    "+": _Row(add, operator.add, lambda a, b, da, db: add(da, db), interval.add, "add",
+              "{} + {}", "{} + {}", (_LEVEL_ADD, _LEVEL_ADD, _LEVEL_ADD + 0.25)),
+    "-": _Row(sub, operator.sub, lambda a, b, da, db: sub(da, db), interval.sub, "sub",
+              "{} - {}", "{} - {}", (_LEVEL_ADD, _LEVEL_ADD, _LEVEL_MUL)),
+    "*": _Row(mul, operator.mul, lambda a, b, da, db: add(mul(da, b), mul(a, db)),
+              interval.mul, "mul", "{} * {}", "{}*{}", (_LEVEL_MUL, _LEVEL_MUL, _LEVEL_MUL + 0.25)),
+    "/": _Row(div, _divide, lambda a, b, da, db: div(sub(mul(da, b), mul(a, db)), powi(b, Const(2))),
+              interval.div, "div", "{} / {}", "{}/{}", (_LEVEL_MUL, _LEVEL_MUL, _LEVEL_MUL + 0.25)),
+    "^": _Row(powi, _pow_value,
+              lambda a, n, da, dn: mul(mul(Const(float(n.value)), powi(a, Const(n.value - 1))), da),
+              interval.power, "pow", "{} ** {}", "{}^{}", (_LEVEL_POW, _LEVEL_ATOM, 0)),
+    "sin": _function("sin", math.sin, lambda a, da: mul(call("cos", a), da), interval.sin),
+    "cos": _function("cos", math.cos, lambda a, da: neg(mul(call("sin", a), da)), interval.cos),
+    "exp": _function("exp", math.exp, lambda a, da: mul(call("exp", a), da), interval.exp),
+    "tanh": _function("tanh", math.tanh,
+                      lambda a, da: mul(sub(Const(1.0), powi(call("tanh", a), Const(2))), da),
+                      interval.tanh),
+    "sqrt": _function("sqrt", math.sqrt, lambda a, da: div(da, mul(Const(2.0), call("sqrt", a))),
+                      interval.sqrt),
+    "abs": _function("abs", abs, lambda a, da: mul(call("sgn", a), da), interval.absolute),
+    "sgn": _function("sgn", interval.sign, lambda a, da: Const(0.0), interval.sgn),
+}
+FUNCTIONS = tuple(op for op, row in _OPS.items() if row.function)
 _PRECEDENCE = (("+", "-"), ("*", "/"))  # the binary operators, loosest first
 
 # the tokens the parser scans: [0-9], as str.isdigit and \d take digits of other
@@ -358,13 +394,13 @@ class _Parser:
         e = make(*args)
         if isinstance(e, Const):
             return self.leaf(offset, e)
-        if all(isinstance(a, Const) for a in args if isinstance(a, Expr)):
+        if all(isinstance(a, Const) for a in args):
             try:
                 evaluate(e, {})
             except DomainError as exc:
                 raise ParseError(offset, "a defined constant", str(exc)) from exc
         if id(e) not in self.depths:  # else make returned one of args
-            depth = 1 + max(self.depths[id(a)][1] for a in args if isinstance(a, Expr))
+            depth = 1 + max(self.depths[id(a)][1] for a in args)
             if depth > MAX_DEPTH:
                 raise ParseError(offset, f"at most {MAX_DEPTH} nested operations", str(depth))
             self.depths[id(e)] = e, depth
@@ -384,7 +420,7 @@ class _Parser:
         e = self.parse_expr(level + 1)
         while (c := self.peek()) in _PRECEDENCE[level]:
             self.pos += 1  # now the operator's 1-based offset
-            e = self.node(self.pos, _OPERATORS[c][0], e, self.parse_expr(level + 1))
+            e = self.node(self.pos, _OPS[c].make, e, self.parse_expr(level + 1))
         return e
 
     def parse_factor(self) -> Expr:
@@ -395,12 +431,13 @@ class _Parser:
             e = self.node(self.pos, powi, e, self.parse_exponent())
         return self.node(start, neg, e) if negate else e
 
-    def parse_exponent(self) -> int:
+    def parse_exponent(self) -> Expr:
         text = self.scan(_EXPONENT, "integer exponent")
+        offset = self.pos - len(text) + 1
         if (digits := len(text.lstrip("-0"))) > MAX_EXPONENT_DIGITS:  # leading zeros do not count
-            raise ParseError(self.pos - len(text) + 1,
-                             f"at most {MAX_EXPONENT_DIGITS} exponent digits", str(digits))
-        return int(float(text))  # exact; int() refuses more than 4,300 digits, zeros included
+            raise ParseError(offset, f"at most {MAX_EXPONENT_DIGITS} exponent digits", str(digits))
+        # exact; int() refuses more than 4,300 digits, zeros included
+        return self.leaf(offset, Const(int(float(text))))
 
     def parse_nested(self) -> Expr:
         """The expression after an opening parenthesis, and its ')'."""
@@ -427,7 +464,7 @@ class _Parser:
             if self.take("("):
                 if name not in FUNCTIONS:
                     raise ParseError(self.pos, f"one of {', '.join(FUNCTIONS)}", repr(name))
-                return self.node(start, call, name, self.parse_nested())
+                return self.node(start, _OPS[name].make, self.parse_nested())
             return self.leaf(start, Var(name))
         raise self.error("number, identifier or '('")
 
@@ -444,29 +481,6 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _apply_function(fn: str, v: float) -> float:
-    function = _FUNCTIONS[fn][0]
-    if fn == "sqrt" and v < 0.0:
-        raise DomainError(f"sqrt of negative value {v}")
-    try:
-        return function(v)
-    except OverflowError as exc:
-        raise DomainError(f"overflow in {fn}({v})") from exc
-    except ValueError as exc:  # libm's domain error, as of sin(inf)
-        raise DomainError(f"{fn} undefined at {v}") from exc
-
-
-def _pow_value(base: float, exponent: int) -> float:
-    if base == 0.0 and exponent < 0:
-        raise DomainError(f"zero raised to negative power {exponent}")
-    if base == 0.0 and exponent == 0:
-        return 1.0
-    try:
-        return base ** exponent
-    except OverflowError as exc:
-        raise DomainError(f"overflow in {base}^{exponent}") from exc
-
-
 def evaluate(e: Expr, bindings: Bindings) -> float:
     """Evaluate ``e`` at the given variable values.
 
@@ -481,15 +495,8 @@ def evaluate(e: Expr, bindings: Bindings) -> float:
             return float(bindings[e.name])
         except KeyError:
             raise UnboundVariableError(e.name) from None
-    if isinstance(e, Unary):
-        v = evaluate(e.arg, bindings)
-        return -v if e.op == "neg" else _apply_function(e.op, v)
-    if isinstance(e, Binary):
-        a = evaluate(e.left, bindings)
-        b = evaluate(e.right, bindings)
-        return _OPERATORS[e.op][1](a, b)
-    if isinstance(e, Pow):
-        return _pow_value(evaluate(e.base, bindings), e.exponent)
+    if isinstance(e, Op):
+        return _OPS[e.op].value(*[evaluate(a, bindings) for a in e.args])
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -498,15 +505,11 @@ def evaluate(e: Expr, bindings: Bindings) -> float:
 
 COMPILE_CACHE_SIZE = 256  # code objects kept, one per distinct tree shape
 
-# the functions generated code may call; nothing else is looked up by name.
-# Enclosures call the interval rules i_<function>, i_<constructor> of an
-# operator (i_add, i_sub, i_mul, i_div), i_neg and i_pow.
+# the functions generated code may call; nothing else is looked up by name:
+# the f_<rule> of each function, and the interval rule i_<rule> of each row
 _NAMESPACE = {
-    **{f"f_{name}": row[0] for name, row in _FUNCTIONS.items()},
-    **{f"i_{name}": row[2] for name, row in _FUNCTIONS.items()},
-    **{f"i_{row[0].__name__}": row[3] for row in _OPERATORS.values()},
-    "i_neg": interval.neg,
-    "i_pow": interval.power,
+    **{f"f_{row.rule}": row.function for row in _OPS.values() if row.function},
+    **{f"i_{row.rule}": row.bounds for row in _OPS.values()},
 }
 
 
@@ -571,21 +574,9 @@ class Emitter:
             return slot
         if id(e) in self._shared:
             return self._shared[id(e)]
-        if isinstance(e, Unary):
-            a = self._emit(e.arg, slots)
-            if e.op == "neg":
-                rhs = f"-{a}"
-            else:
-                _FUNCTIONS[e.op]  # refuses an unknown name
-                rhs = f"f_{e.op}({a})"
-        elif isinstance(e, Binary):
-            _OPERATORS[e.op]  # refuses an unknown symbol
-            a = self._emit(e.left, slots)
-            rhs = f"{a} {e.op} {self._emit(e.right, slots)}"
-        elif isinstance(e, Pow):
-            rhs = f"{self._emit(e.base, slots)} ** {self.constant(e.exponent)}"
-        else:
+        if not isinstance(e, Op):
             raise TypeError(f"not an expression: {e!r}")
+        rhs = _OPS[e.op].code.format(*[self._emit(a, slots) for a in e.args])
         name = f"r{self._results}"
         self._results += 1
         self.body.append(f"{name} = {rhs}")
@@ -601,20 +592,12 @@ class Emitter:
             return slots[e.name]
         if id(e) in self._shared:
             return self._shared[id(e)]
-        if isinstance(e, Unary):
-            rule, args = e.op, self._enclose(e.arg, slots)
-            if e.op != "neg":
-                _FUNCTIONS[e.op]  # refuses an unknown name
-        elif isinstance(e, Binary):
-            rule = _OPERATORS[e.op][0].__name__  # refuses an unknown symbol
-            args = self._enclose(e.left, slots) + self._enclose(e.right, slots)
-        elif isinstance(e, Pow):
-            rule, args = "pow", (*self._enclose(e.base, slots), self.constant(e.exponent))
-        else:
+        if not isinstance(e, Op):
             raise TypeError(f"not an expression: {e!r}")
+        args = ", ".join(end for a in e.args for end in self._enclose(a, slots))
         name = f"l{self._results}", f"h{self._results}"
         self._results += 1
-        self.body.append(f"{name[0]}, {name[1]} = i_{rule}({', '.join(args)})")
+        self.body.append(f"{name[0]}, {name[1]} = i_{_OPS[e.op].rule}({args})")
         self._shared[id(e)] = name
         return name
 
@@ -673,7 +656,7 @@ def _code(source: str) -> types.CodeType:
 
 def differentiate(e: Expr, name: str) -> Expr:
     """Symbolic partial derivative of ``e`` with respect to ``name``, by the
-    rules of _FUNCTIONS and _OPERATORS.
+    rules of _OPS.
 
     sgn differentiates to 0 and abs to sgn (both taken as 0 at the kink);
     results feed numerical classification, where the convention is harmless
@@ -683,16 +666,8 @@ def differentiate(e: Expr, name: str) -> Expr:
         return Const(0.0)
     if isinstance(e, Var):
         return Const(1.0) if e.name == name else Const(0.0)
-    if isinstance(e, Unary):
-        d = differentiate(e.arg, name)
-        return neg(d) if e.op == "neg" else _FUNCTIONS[e.op][1](e.arg, d)
-    if isinstance(e, Binary):
-        da = differentiate(e.left, name)
-        db = differentiate(e.right, name)
-        return _OPERATORS[e.op][2](e.left, da, e.right, db)
-    if isinstance(e, Pow):
-        inner = differentiate(e.base, name)
-        return mul(mul(Const(float(e.exponent)), powi(e.base, e.exponent - 1)), inner)
+    if isinstance(e, Op):
+        return _OPS[e.op].deriv(*e.args, *[differentiate(a, name) for a in e.args])
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -708,30 +683,28 @@ def substitute(e: Expr, mapping: dict[str, Expr | float]) -> Expr:
             r = mapping[e.name]
             return const(r) if isinstance(r, (int, float)) else r
         return e
-    if isinstance(e, Unary):
-        a = substitute(e.arg, mapping)
-        return neg(a) if e.op == "neg" else call(e.op, a)
-    if isinstance(e, Binary):
-        a = substitute(e.left, mapping)
-        b = substitute(e.right, mapping)
-        return _OPERATORS[e.op][0](a, b)
-    if isinstance(e, Pow):
-        return powi(substitute(e.base, mapping), e.exponent)
+    if isinstance(e, Op):
+        # one operand or two, passed to make directly: a list or map of them
+        # per node made substitution, most of a config's load after parsing,
+        # about a third slower
+        make, args = _OPS[e.op].make, e.args
+        if len(args) == 1:
+            return make(substitute(args[0], mapping))
+        return make(substitute(args[0], mapping), substitute(args[1], mapping))
     raise TypeError(f"not an expression: {e!r}")
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Unary):
-        return free_vars(e.arg)
-    if isinstance(e, Binary):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, Pow):
-        return free_vars(e.base)
-    raise TypeError(f"not an expression: {e!r}")
+    names, stack = set(), [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Op):
+            stack.extend(e.args)
+        elif isinstance(e, Var):
+            names.add(e.name)
+        elif not isinstance(e, Const):
+            raise TypeError(f"not an expression: {e!r}")
+    return frozenset(names)
 
 
 def _fmt_float(v: float) -> str:
@@ -740,22 +713,9 @@ def _fmt_float(v: float) -> str:
     return repr(v)
 
 
-# precedence levels used by the printer; parenthesization is chosen so that
-# parse(to_text(e)) == e for every tree
-_LEVEL_ADD = 1
-_LEVEL_MUL = 2
-_LEVEL_NEG = 1.5
-_LEVEL_POW = 3
-_LEVEL_ATOM = 4
-
-
 def _level(e: Expr) -> float:
-    if isinstance(e, Binary):
-        return _LEVEL_ADD if e.op in "+-" else _LEVEL_MUL
-    if isinstance(e, Unary) and e.op == "neg":
-        return _LEVEL_NEG
-    if isinstance(e, Pow):
-        return _LEVEL_POW
+    if isinstance(e, Op):
+        return _OPS[e.op].levels[0]
     if isinstance(e, Const) and e.value < 0:
         return _LEVEL_NEG
     return _LEVEL_ATOM
@@ -772,18 +732,7 @@ def to_text(e: Expr) -> str:
         return _fmt_float(e.value)
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return "-" + _wrap(e.arg, _LEVEL_POW)
-        return f"{e.op}({to_text(e.arg)})"
-    if isinstance(e, Binary):
-        if e.op in "+-":
-            left = _wrap(e.left, _LEVEL_ADD)
-            right = _wrap(e.right, _LEVEL_MUL if e.op == "-" else _LEVEL_ADD + 0.25)
-            return f"{left} {e.op} {right}"
-        left = _wrap(e.left, _LEVEL_MUL)
-        right = _wrap(e.right, _LEVEL_MUL + 0.25)
-        return f"{left}{e.op}{right}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _LEVEL_ATOM)}^{e.exponent}"
+    if isinstance(e, Op):
+        row = _OPS[e.op]
+        return row.text.format(*map(_wrap, e.args, row.levels[1:]))
     raise TypeError(f"not an expression: {e!r}")

@@ -6,8 +6,7 @@ Interval Analysis, SIAM 2009).  A bound is rounded outward: one float for
 the correctly rounded + - * / and sqrt, LIBM_ULPS ulps for libm's exp,
 tanh, sin, cos and integer powers.  No rule raises: a divisor that holds 0,
 a factor with a NaN end or a sqrt argument below 0 gives (-inf, inf), and
-an overflow an infinite bound.  The rows of expr._FUNCTIONS and
-expr._OPERATORS name them.
+an overflow an infinite bound.  The rows of expr._OPS name them.
 """
 
 from __future__ import annotations
@@ -84,12 +83,12 @@ def _raise(v: float, n: int) -> float:
         return -_INF if v < 0.0 and n % 2 else _INF
 
 
-def power(al, ah, n):
-    """[al, ah]^n for an integer n: monotone for odd n, in |v| for even n."""
+def power(al, ah, n, _):
+    """[al, ah]^n for the bounds (n, n) of an integer: monotone for odd n, in |v| for even n."""
     if n == 0:
         return 1.0, 1.0
     if n < 0:
-        return div(1.0, 1.0, *power(al, ah, -n))
+        return div(1.0, 1.0, *power(al, ah, -n, -n))
     if n % 2 == 0:
         al, ah = (0.0 if al <= 0.0 <= ah else min(abs(al), abs(ah))), max(abs(al), abs(ah))
         if n == 2:

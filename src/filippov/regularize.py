@@ -561,15 +561,11 @@ def _guarded(e: ex.Expr, *sources: ex.Expr) -> ex.Expr:
     on t, where the sgn jumps.  Over a cell where every such u keeps one
     sign the enclosure of 0/u is 0, and elsewhere (-inf, inf)."""
     def arguments(e):
-        if isinstance(e, ex.Unary):
-            yield from arguments(e.arg)
-            if e.op == "sgn" and "t" in ex.free_vars(e.arg):
-                yield e.arg
-        elif isinstance(e, ex.Binary):
-            yield from arguments(e.left)
-            yield from arguments(e.right)
-        elif isinstance(e, ex.Pow):
-            yield from arguments(e.base)
+        if isinstance(e, ex.Op):
+            for a in e.args:
+                yield from arguments(a)
+            if e.op == "sgn" and "t" in ex.free_vars(e.args[0]):
+                yield e.args[0]
 
     jumps = dict.fromkeys(u for source in sources for u in arguments(source))
     return reduce(lambda acc, u: ex.add(acc, ex.div(ex.Const(0.0), u)), jumps, e)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import filippov.expr as ex
 from filippov.dynamics import integrate, integrate_filippov
-from filippov.expr import FUNCTIONS, Binary, Const, DomainError, Pow, Unary, Var, parse
+from filippov.expr import FUNCTIONS, Const, DomainError, Op, Var, parse
 from filippov.regularize import Custom, certify, regularized_field, regularized_jacobian
 from filippov.system import system_from_strings
 
@@ -32,9 +32,9 @@ LEAVES = st.one_of(
 TREES = st.recursive(
     LEAVES,
     lambda sub: st.one_of(
-        st.builds(Unary, st.sampled_from(("neg",) + FUNCTIONS), sub),
-        st.builds(Binary, st.sampled_from(("+", "-", "*", "/")), sub, sub),
-        st.builds(Pow, sub, st.integers(-3, 4)),
+        st.builds(lambda op, a: Op(op, (a,)), st.sampled_from(("neg",) + FUNCTIONS), sub),
+        st.builds(lambda op, a, b: Op(op, (a, b)), st.sampled_from(("+", "-", "*", "/")), sub, sub),
+        st.builds(lambda a, n: Op("^", (a, Const(n))), sub, st.integers(-3, 4)),
     ),
     max_leaves=12,
 )
@@ -102,6 +102,14 @@ def test_an_enclosure_holds_every_value_its_box_gives(trees, data):
                 assert Fraction(bounds[2 * k]) <= real <= Fraction(bounds[2 * k + 1]), str(tree)
 
 
+# the operations exact() computes, None where one is undefined
+RATIONAL = {
+    "+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b if b else None, "^": lambda a, n: None if a == 0 and n < 0 else a ** n,
+    "neg": lambda a: -a, "abs": abs, "sgn": lambda a: Fraction((a > 0) - (a < 0)),
+}
+
+
 def exact(e, point):
     """The value of a tree of + - * /, powers, neg, abs and sgn in rational
     arithmetic, or None where it is undefined or uses another function."""
@@ -109,20 +117,10 @@ def exact(e, point):
         return Fraction(e.value)
     if isinstance(e, Var):
         return point[e.name]
-    if isinstance(e, Pow):
-        base = exact(e.base, point)
-        if base is None or base == 0 and e.exponent < 0:
-            return None
-        return base ** e.exponent
-    if isinstance(e, Unary):
-        v = exact(e.arg, point)
-        if v is None or e.op not in ("neg", "abs", "sgn"):
-            return None
-        return -v if e.op == "neg" else abs(v) if e.op == "abs" else Fraction((v > 0) - (v < 0))
-    a, b = exact(e.left, point), exact(e.right, point)
-    if a is None or b is None or e.op == "/" and b == 0:
+    values = [exact(a, point) for a in e.args]
+    if None in values or e.op not in RATIONAL:
         return None
-    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else None}[e.op]
+    return RATIONAL[e.op](*values)
 
 
 @pytest.mark.parametrize("text, box, want", [
@@ -155,7 +153,7 @@ def test_an_enclosure_of_a_known_shape_compiles_nothing(monkeypatch):
 
 @pytest.mark.parametrize("op", ("neg",) + FUNCTIONS)
 def test_compile_agrees_on_special_values(op):
-    trees = [Unary(op, Var("x")), Pow(Unary(op, Var("x")), -1)]
+    trees = [Op(op, (Var("x"),)), Op("^", (Op(op, (Var("x"),)), Const(-1)))]
     for value in SPECIAL:
         fn = ex.compile(trees, ["x"])
         assert outcome(lambda: fn(value)) == outcome(lambda: walked(trees, ["x"], [value]))

@@ -119,6 +119,12 @@ def test_integrators_refuse_a_span_that_is_not_finite_and_increasing(t_span, mon
         integrate_filippov(fold(), (-1.0, 0.5), t_span)
 
 
+def test_integrate_refuses_an_empty_state():
+    # the first step's norm divided by the dimension 0: ZeroDivisionError
+    with pytest.raises(ValueError, match="^x0 is empty: there is no state to integrate$"):
+        integrate(lambda t, y: [], [], (0.0, 1.0), jac=lambda t, y: [])
+
+
 @pytest.mark.parametrize("t_span", [
     (0.587851162064913, 6.630109559562878),  # t + (t_end - t) falls an ulp short
     (0.8814913579141315, 7.194978862342071),  # and here an ulp past
@@ -1180,6 +1186,12 @@ def test_track_manifold_exclusions():
 
     with pytest.raises(ValueError):
         track_manifold((0.0,), [(x, certify(fold(), Smoothstep(), x)) for x in xs])
+
+
+def test_track_manifold_refuses_no_points():
+    # with no point, there was no first exclusion to name: IndexError
+    with pytest.raises(ValueError, match="^certified is empty: there is no point to track$"):
+        track_manifold((0.1,), [])
 
 
 def test_track_manifold_degenerate_reason():

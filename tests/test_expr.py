@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,13 +7,11 @@ import pytest
 import filippov.expr as ex
 from filippov.expr import (
     MAX_DEPTH,
-    Binary,
     Const,
     DomainError,
+    Op,
     ParseError,
-    Pow,
     UnboundVariableError,
-    Unary,
     Var,
     differentiate,
     evaluate,
@@ -24,13 +23,13 @@ from filippov.expr import (
 
 
 def test_parse_precedence():
-    assert parse("2*x+1") == Binary("+", Binary("*", Const(2.0), Var("x")), Const(1.0))
+    assert parse("2*x+1") == Op("+", (Op("*", (Const(2.0), Var("x"))), Const(1.0)))
     # subtraction associates left
-    assert parse("a-b-c") == Binary("-", Binary("-", Var("a"), Var("b")), Var("c"))
+    assert parse("a-b-c") == Op("-", (Op("-", (Var("a"), Var("b"))), Var("c")))
     # exponent binds before unary minus
-    assert parse("-x^2") == Unary("neg", Pow(Var("x"), 2))
-    assert parse("(-x)^2") == Pow(Unary("neg", Var("x")), 2)
-    assert parse("2*x^3") == Binary("*", Const(2.0), Pow(Var("x"), 3))
+    assert parse("-x^2") == Op("neg", (Op("^", (Var("x"), Const(2))),))
+    assert parse("(-x)^2") == Op("^", (Op("neg", (Var("x"),)), Const(2)))
+    assert parse("2*x^3") == Op("*", (Const(2.0), Op("^", (Var("x"), Const(3)))))
 
 
 
@@ -123,10 +122,20 @@ def test_an_exponent_has_at_most_max_exponent_digits(text, offset, digits):
 def test_an_exponent_within_the_bound_is_exact():
     # leading zeros are not digits of the bound, however many int() would refuse
     largest = 10 ** ex.MAX_EXPONENT_DIGITS - 1
-    assert parse(f"x^{largest}") == Pow(Var("x"), largest)
-    assert parse("x^-" + "0" * 5000 + "3") == Pow(Var("x"), -3)
-    assert differentiate(parse(f"x^{largest}"), "x") == Binary(
-        "*", Const(float(largest)), Pow(Var("x"), largest - 1))
+    assert parse(f"x^{largest}") == Op("^", (Var("x"), Const(largest)))
+    assert parse("x^-" + "0" * 5000 + "3") == Op("^", (Var("x"), Const(-3)))
+    assert differentiate(parse(f"x^{largest}"), "x") == Op(
+        "*", (Const(float(largest)), Op("^", (Var("x"), Const(largest - 1)))))
+
+
+def test_an_exponent_is_a_const_that_holds_an_int():
+    # ** raises a float to an int, in evaluate and in generated code alike
+    _, exponent = parse("x^-3").args
+    assert exponent == Const(-3.0) and type(exponent.value) is int
+    emitter = ex.Emitter(["x"])
+    emitter.emit([parse("x^-3")])
+    assert emitter.consts == [-3] and type(emitter.consts[0]) is int
+    assert type(differentiate(parse("x^3"), "x").args[1].args[1].value) is int
 
 
 def test_the_scan_patterns_take_the_characters_the_grammar_names():
@@ -166,15 +175,15 @@ def test_a_zero_divisor_built_by_substitution_stays_a_tree():
     # the normal trace of a field 1/y puts y = 0: the config loads, and the
     # division fails only when the trace is evaluated
     trace = substitute(parse("1/y"), {"y": 0.0})
-    assert trace == Binary("/", Const(1.0), Const(0.0))
+    assert trace == Op("/", (Const(1.0), Const(0.0)))
     with pytest.raises(DomainError, match="division by zero"):
         evaluate(trace, {})
 
 
 @pytest.mark.parametrize("text, tree, error", [
-    ("y^-1", Pow(Const(0.0), -1), "zero raised to negative power -1"),
-    ("sqrt(y - 1)", Unary("sqrt", Const(-1.0)), "sqrt of negative value -1.0"),
-    ("exp(1000 + y)", Unary("exp", Const(1000.0)), "overflow in exp(1000.0)"),
+    ("y^-1", Op("^", (Const(0.0), Const(-1))), "zero raised to negative power -1"),
+    ("sqrt(y - 1)", Op("sqrt", (Const(-1.0),)), "sqrt of negative value -1.0"),
+    ("exp(1000 + y)", Op("exp", (Const(1000.0),)), "overflow in exp(1000.0)"),
 ], ids=["power", "sqrt", "exp"])
 def test_an_undefined_constant_built_by_substitution_stays_a_tree(text, tree, error):
     # as for 1/y: folding raised DomainError inside substitute, and a config
@@ -295,15 +304,21 @@ def central_difference(e, name, point, h=1e-6):
     return (evaluate(e, up) - evaluate(e, down)) / (2 * h)
 
 
+def arity(op: str) -> int:
+    return ex._OPS[op].text.count("{}")
+
+
 # every table row, applied to operands that stay off kinks and poles for
 # x, y in [0.5, 1.5]: sqrt and the divisor keep a positive argument, abs
-# and sgn see both signs away from 0
-ROW_TREES = [(f"function {name}", tree)
-             for name in ex._FUNCTIONS
-             for tree in [Unary(name, parse("x*y + x"))]
-             + ([Unary(name, parse("-x*y - x"))] if name != "sqrt" else [])] + [
-    (f"operator {symbol}", Binary(symbol, parse("sin(x) + 2*y"), parse("x*y + 1")))
-    for symbol in ex._OPERATORS]
+# and sgn see both signs away from 0, and ^ takes a negative exponent too
+OPERANDS = {
+    1: [(parse("x*y + x"),), (parse("-x*y - x"),)],
+    2: [(parse("sin(x) + 2*y"), parse("x*y + 1"))],
+    "sqrt": [(parse("x*y + x"),)],
+    "^": [(parse("sin(x) + 2*y"), Const(3)), (parse("x*y + 1"), Const(-2))],
+}
+ROW_TREES = [(f"{'function' if op in ex.FUNCTIONS else 'operator'} {op}", Op(op, args))
+             for op in ex._OPS for args in OPERANDS.get(op, OPERANDS[arity(op)])]
 
 
 @pytest.mark.parametrize("row, tree", ROW_TREES, ids=[f"{row} {tree}" for row, tree in ROW_TREES])
@@ -320,7 +335,7 @@ def test_each_derivative_rule_agrees_with_central_differences(row, tree):
 
 def test_substitute():
     e = parse("x^2 + y")
-    assert substitute(e, {"y": 0.0}) == Pow(Var("x"), 2)
+    assert substitute(e, {"y": 0.0}) == Op("^", (Var("x"), Const(2)))
     shifted = substitute(e, {"x": parse("x + 1")})
     assert evaluate(shifted, {"x": 1.0, "y": 0.0}) == 4.0
     # substitution folds constants through
@@ -371,7 +386,7 @@ def test_print_parse_round_trip_random_trees():
             fn = ("sin", "cos", "exp", "tanh", "abs")[rng.integers(5)]
             return call(fn, build(depth - 1))
         if pick == 2:
-            return powi(build(depth - 1), int(rng.integers(2, 5)))
+            return powi(build(depth - 1), Const(int(rng.integers(2, 5))))
         op = (add, sub, mul, div)[rng.integers(4)]
         return op(build(depth - 1), build(depth - 1))
 
@@ -422,8 +437,8 @@ def test_an_enclosure_of_an_unbound_variable_is_refused():
 
 
 # every interval rule against the exact operation at the ends of its
-# operands and between them: rational arithmetic for + - * /, powers, neg,
-# abs and sgn, squares for sqrt, and mpmath at 50 digits for the libm
+# operands and between them: rational arithmetic for neg, + - * /, ^, abs
+# and sgn, squares for sqrt, and mpmath at 50 digits for the libm
 # functions (test-only oracles)
 mpmath = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
@@ -436,7 +451,7 @@ ENDS = st.one_of(st.floats(-10.0, 10.0), st.floats(-800.0, 800.0),
 BOXES = st.tuples(ENDS, ENDS).map(sorted)
 EXACT = {
     "+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b if b else None,
+    "/": lambda a, b: a / b if b else None, "^": lambda a, n: None if a == 0 and n < 0 else a ** n,
     "neg": lambda a: -a, "abs": abs, "sgn": lambda a: Fraction((a > 0) - (a < 0)),
 }
 
@@ -455,28 +470,21 @@ def holds(bounds, value) -> bool:
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(a=BOXES, b=BOXES, n=st.integers(-4, 5), data=st.data())
 def test_each_interval_rule_bounds_the_exact_operation(a, b, n, data):
+    # the operands are the box a, then b, or the exponent n of ^ as (n, n)
     pa, pb = points(a, data), points(b, data)
-    for symbol, row in ex._OPERATORS.items():
-        bounds = row[3](*a, *b)
-        for u in pa:
-            for v in pb:
-                value = EXACT[symbol](Fraction(u), Fraction(v))
-                assert value is None or holds(bounds, value), (symbol, a, b, bounds, u, v)
-    pow_bounds = ex._NAMESPACE["i_pow"](*a, n)
-    neg_bounds = ex._NAMESPACE["i_neg"](*a)
-    for u in pa:
-        exact = Fraction(u)
-        assert exact == 0 and n < 0 or holds(pow_bounds, exact ** n), (a, n, pow_bounds, u)
-        assert holds(neg_bounds, -exact)
-        for name, row in ex._FUNCTIONS.items():
-            bounds = row[2](*a)
-            assert not (math.isnan(bounds[0]) or math.isnan(bounds[1]))
-            if name in EXACT:
-                assert holds(bounds, EXACT[name](exact)), (name, a, bounds, u)
-            elif name == "sqrt":
-                assert u < 0 or ((bounds[0] <= 0 or Fraction(bounds[0]) ** 2 <= exact)
-                                 and (bounds[1] == math.inf or Fraction(bounds[1]) ** 2 >= exact))
+    for op, row in ex._OPS.items():
+        boxes = [(a, pa), ((n, n), [n]) if op == "^" else (b, pb)][:arity(op)]
+        bounds = row.bounds(*(end for box, _ in boxes for end in box))
+        assert not (math.isnan(bounds[0]) or math.isnan(bounds[1])), (op, boxes, bounds)
+        for us in itertools.product(*(ends for _, ends in boxes)):
+            exact = [Fraction(u) for u in us]
+            if op in EXACT:
+                value = EXACT[op](*exact)
+                assert value is None or holds(bounds, value), (op, boxes, bounds, us)
+            elif op == "sqrt":
+                assert us[0] < 0 or ((bounds[0] <= 0 or Fraction(bounds[0]) ** 2 <= exact[0])
+                                     and (bounds[1] == math.inf or Fraction(bounds[1]) ** 2 >= exact[0]))
             else:
                 with mpmath.workdps(50):
-                    value = getattr(mpmath, name)(mpmath.mpf(u))
-                    assert holds(bounds, value), (name, a, bounds, u)
+                    value = getattr(mpmath, op)(mpmath.mpf(us[0]))
+                    assert holds(bounds, value), (op, boxes, bounds, us)
