@@ -46,16 +46,15 @@ class ConfigError(Exception):
 
 
 class RunParams:
-    def __init__(self, grid: tuple[float, float, int] = (-1.0, 1.0, 201),
-                 epsilons: tuple[float, ...] = (0.1,), etas: tuple[float, ...] = (),
-                 t_span: tuple[float, float] = (0.0, 1.0), x0: tuple[float, ...] | None = None,
-                 mode: str = "filippov"):
-        self.grid = grid
-        self.epsilons = epsilons
-        self.etas = etas
-        self.t_span = t_span
-        self.x0 = x0
-        self.mode = mode
+    """The [run] values: these defaults, then the file's and the flags' (see _build_run)."""
+
+    def __init__(self):
+        self.grid: tuple[float, float, int] = (-1.0, 1.0, 201)
+        self.epsilons: tuple[float, ...] = (0.1,)
+        self.etas: tuple[float, ...] = ()
+        self.t_span: tuple[float, float] = (0.0, 1.0)
+        self.x0: tuple[float, ...] | None = None
+        self.mode = "filippov"
 
 
 class SystemConfig:

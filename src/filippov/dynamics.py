@@ -34,9 +34,9 @@ switching surface, classifies the hit, and either sews through, enters a
 sliding segment, or stops on an unresolvable singular hit.  A slide steps
 the generated psi-blend on the surface at psi = r = 2*lam - 1, where it is
 tangent to the surface, with the blend's Jacobian.  Segments and slides
-step straight into the orbit's one recorder, which lifts a slide's nodes
-onto y = 0; the end node of the step that reaches an event gives way to
-the located event node.
+step straight into the one Trajectory the orbit returns, which lifts a
+slide's nodes onto y = 0; the end node of the step that reaches an event
+gives way to the located event node.
 """
 
 from __future__ import annotations
@@ -98,13 +98,13 @@ class Event(NamedTuple):
 
 class UnresolvedSingularityError(Exception):
     """At (time, state) the orbit hit a singular surface point with no exit
-    rule, or a slide's step from there tried x = ``pole``, where a_plus = a_minus."""
+    rule, or a slide's step from there tried x = ``pole``, where a_plus = a_minus.
+    The integrator sets ``trajectory`` to the orbit up to there."""
 
-    def __init__(self, time: float, state: Sequence[float], trajectory: "Trajectory | None",
-                 pole: Sequence[float] | None = None):
+    def __init__(self, time: float, state: Sequence[float], pole: Sequence[float] | None = None):
         self.time = time
         self.state = tuple(map(float, state))
-        self.trajectory = trajectory
+        self.trajectory: Trajectory | None = None
         where = f"at t = {time}: state {list(self.state)}"
         super().__init__(f"singular surface point {where}" if pole is None else
                          f"slide stopped {where}: the Filippov weight has a pole "
@@ -121,33 +121,69 @@ class NoSlidingAtError(Exception):
 class IntegratorStats:
     """What an integration did.  Counters only: no artifact writes them."""
 
-    def __init__(self, accepted: int = 0, rejected: int = 0, rhs_evals: int = 0,
-                 jac_evals: int = 0, min_step: float = math.inf):
-        self.accepted = accepted
-        self.rejected = rejected
-        self.rhs_evals = rhs_evals
-        self.jac_evals = jac_evals
-        self.min_step = min_step  # smallest accepted step
+    def __init__(self):
+        self.accepted = 0
+        self.rejected = 0
+        self.rhs_evals = 0
+        self.jac_evals = 0
+        self.min_step = math.inf  # smallest accepted step
 
 
 class Trajectory:
-    """Accepted integration nodes plus node derivatives and events, in the
-    float lists they were recorded in; ``events`` and ``stats`` default to
-    a new empty list and IntegratorStats."""
+    """Accepted integration nodes plus node derivatives, events and
+    counters, in the float lists the integrator recorded them in.
 
-    def __init__(self, node_times: list[float], node_states: list[Sequence[float]],
-                 node_derivs: list[Sequence[float]], events: list[Event] | None = None,
-                 stats: IntegratorStats | None = None):
-        self.node_times = node_times
-        self.node_states = node_states
-        self.node_derivs = node_derivs
-        self.events = [] if events is None else events
-        self.stats = IntegratorStats() if stats is None else stats
+    An integrator records into the Trajectory it returns: _push keeps the
+    sequences it is given, which nothing changes afterwards, and a node or
+    event one component short, a slide's, is lifted onto y = 0.  An orbit
+    ends in _close, or in _fail where an error stops it.  While it is
+    recorded only the node lists are read: the arrays are built on first use.
+    """
+
+    def __init__(self, dim: int):
+        self._dim = dim
+        self.node_times: list[float] = []
+        self.node_states: list[Sequence[float]] = []
+        self.node_derivs: list[Sequence[float]] = []
+        self.events: list[Event] = []
+        self.stats = IntegratorStats()
 
     # the nodes as float arrays, built on first use
     times = functools.cached_property(lambda self: _floats(self.node_times))
     states = functools.cached_property(lambda self: _floats(self.node_states))
     derivs = functools.cached_property(lambda self: _floats(self.node_derivs))
+
+    def _push(self, t, y, f):
+        if len(y) < self._dim:
+            y, f = [*y, 0.0], [*f, 0.0]
+        self.node_times.append(t)
+        self.node_states.append(y)
+        self.node_derivs.append(f)
+
+    def _event(self, t, y, kind: EventKind, f=None):
+        """Record an event at (t, y).  With the derivative f, the node
+        (t, y, f) first replaces the last node, the end of the step that
+        reached the event."""
+        if len(y) < self._dim:
+            y = [*y, 0.0]
+        if f is not None:
+            self.node_times[-1], self.node_states[-1], self.node_derivs[-1] = t, y, f
+        self.events.append(Event(t, tuple(y), kind))
+
+    def _close(self, t, y) -> Trajectory:
+        """The trajectory; the start (t, y) is its one node if nothing was
+        recorded."""
+        if not self.node_times:
+            self._push(t, y, [0.0] * self._dim)
+        return self
+
+    def _fail(self, exc: Exception, t, y) -> None:
+        """End the orbit with a StepFailure at its last node, or at the start
+        (t, y) if it has none, and attach it to exc as its trajectory."""
+        if self.node_times:
+            t, y = self.node_times[-1], self.node_states[-1]
+        self._event(t, y, EventKind.STEP_FAILURE)
+        exc.trajectory = self._close(t, y)
 
 
 def _hermite(s: float, h: float, y0: float, f0: float, y1: float, f1: float) -> float:
@@ -178,58 +214,6 @@ _RO_STAGES = (
      (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
       -6.058818238834054)),
 )
-
-
-class _Recorder:
-    """Nodes, events and counters of a trajectory under construction.
-
-    push keeps the sequences it is given, which nothing changes afterwards.
-    A node or event one component short, a slide's, is lifted onto y = 0.
-    An orbit ends in close, or in fail where an error stops it.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.times: list[float] = []
-        self.states: list[Sequence[float]] = []
-        self.derivs: list[Sequence[float]] = []
-        self.events: list[Event] = []
-        self.stats = IntegratorStats()
-
-    def push(self, t, y, f):
-        if len(y) < self.dim:
-            y, f = [*y, 0.0], [*f, 0.0]
-        self.times.append(t)
-        self.states.append(y)
-        self.derivs.append(f)
-
-    def event(self, t, y, kind: EventKind, f=None):
-        """Record an event at (t, y).  With the derivative f, the node
-        (t, y, f) first replaces the last node, the end of the step that
-        reached the event."""
-        if len(y) < self.dim:
-            y = [*y, 0.0]
-        if f is not None:
-            self.times[-1], self.states[-1], self.derivs[-1] = t, y, f
-        self.events.append(Event(t, tuple(y), kind))
-
-    def build(self) -> Trajectory:
-        return Trajectory(self.times, self.states, self.derivs, self.events, self.stats)
-
-    def close(self, t, y) -> Trajectory:
-        """The trajectory; the start (t, y) is its one node if nothing was
-        recorded."""
-        if not self.times:
-            self.push(t, y, [0.0] * self.dim)
-        return self.build()
-
-    def fail(self, exc: Exception, t, y) -> None:
-        """End the orbit with a StepFailure at its last node, or at the start
-        (t, y) if it has none, and attach it to exc as its trajectory."""
-        if self.times:
-            t, y = self.times[-1], self.states[-1]
-        self.event(t, y, EventKind.STEP_FAILURE)
-        exc.trajectory = self.close(t, y)
 
 
 def _rms(values, scales) -> float:
@@ -393,17 +377,17 @@ def integrate(
     y = [float(v) for v in x0]
     if not y:
         raise ValueError("x0 is empty: there is no state to integrate")
-    rec = _Recorder(len(y))
+    traj = Trajectory(len(y))
     try:
-        _run(rec, fn, y, t0, t_end, None, jac)
+        _run(traj, fn, y, t0, t_end, None, jac)
     except (UnresolvedSingularityError, ex.DomainError) as exc:
-        rec.fail(exc, t0, y)
+        traj._fail(exc, t0, y)
         raise
-    return rec.close(t0, y)
+    return traj._close(t0, y)
 
 
-def _run(rec: _Recorder, fn, y: list[float], t: float, t_end: float, stop, jac) -> tuple | None:
-    """Step x' = fn(t, x) from (t, y) towards t_end into rec, as integrate
+def _run(traj: Trajectory, fn, y: list[float], t: float, t_end: float, stop, jac) -> tuple | None:
+    """Step x' = fn(t, x) from (t, y) towards t_end into traj, as integrate
     describes, and stop early when asked; the step (t0, y0, f0, t1, y1, f1)
     on which stop fired followed by the time stop returned, or None.
 
@@ -411,20 +395,20 @@ def _run(rec: _Recorder, fn, y: list[float], t: float, t_end: float, stop, jac) 
     the two nodes and node derivatives of its cubic Hermite interpolant, and
     returns a time in (t0, t1] by which the event function it watches has
     changed sign, or None.  The run ends after the first step where it
-    returns a time, whose end is then rec's last node.
+    returns a time, whose end is then traj's last node.
 
-    The first node is skipped when rec's last node already lies at t, where
-    a run continues an orbit; the counters add up in rec.stats.
+    The first node is skipped when traj's last node already lies at t, where
+    a run continues an orbit; the counters add up in traj.stats.
     """
-    stats = rec.stats
+    stats = traj.stats
 
     def rhs(tt, yy):
         stats.rhs_evals += 1
         return fn(tt, yy)
 
     fcur = rhs(t, y)
-    if not rec.times or rec.times[-1] != t:
-        rec.push(t, y, fcur)
+    if not traj.node_times or traj.node_times[-1] != t:
+        traj._push(t, y, fcur)
     if t_end == t:
         return None
     step = _rodas(rhs, jac, len(y), stats)
@@ -434,7 +418,7 @@ def _run(rec: _Recorder, fn, y: list[float], t: float, t_end: float, stop, jac) 
             return None
         h = min(h, t_end - t)
         if h < MIN_STEP:
-            rec.event(t, y, EventKind.STEP_FAILURE)
+            traj._event(t, y, EventKind.STEP_FAILURE)
             return None
         y_new, err = step(t, y, fcur, h)
         if err <= 1.0:
@@ -446,7 +430,7 @@ def _run(rec: _Recorder, fn, y: list[float], t: float, t_end: float, stop, jac) 
             t = t_end if h >= t_end - t else t + h
             y = y_new
             fcur = rhs(t, y)
-            rec.push(t, y, fcur)
+            traj._push(t, y, fcur)
             if stop is not None and (t_hi := stop(*start, t, y, fcur)) is not None:
                 return (*start, t, y, fcur, t_hi)
         else:
@@ -456,7 +440,7 @@ def _run(rec: _Recorder, fn, y: list[float], t: float, t_end: float, stop, jac) 
         # term took 30-60% more steps
         h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.25))
     if t < t_end:  # MAX_STEPS ran out
-        rec.event(t, y, EventKind.STEP_FAILURE)
+        traj._event(t, y, EventKind.STEP_FAILURE)
     return None
 
 
@@ -492,7 +476,7 @@ def integrate_filippov(
         raise ValueError(
             f"state dimension {len(state)} does not match system dimension {system.dim}"
         )
-    orbit = _Recorder(system.dim)
+    orbit = Trajectory(system.dim)
     region = 0  # the field the next segment follows; 0: the surface branch decides
     try:
         for _ in range(MAX_EVENTS):
@@ -501,14 +485,14 @@ def integrate_filippov(
             if not region and abs(state[-1]) <= SURFACE_BAND:
                 verdict = classify_point(system, state[:-1])
                 if verdict == SigmaClass.SLIDING:
-                    orbit.event(t, state, EventKind.SLIDE_ENTRY)
+                    orbit._event(t, state, EventKind.SLIDE_ENTRY)
                     exit_ = _slide(system, orbit, t, state, t_end)
                     if exit_ is None:
                         break  # reached t_end (or failed) while sliding
                     t, state, region = exit_
                     continue
                 if verdict == SigmaClass.SIGMA_SINGULAR:
-                    raise UnresolvedSingularityError(t, state, None)
+                    raise UnresolvedSingularityError(t, state)
                 a_plus, _ = system.normal_components_on_sigma(state[:-1])
                 region = 1 if a_plus > 0 else -1
             elif not region:
@@ -527,15 +511,15 @@ def integrate_filippov(
                 target = -region * SURFACE_BAND / 2.0
             t, state = _locate(lambda tt, s: s[-1] - target, *step)
             state[-1] = 0.0
-            orbit.event(t, state, EventKind.SIGMA_HIT, fn(t, state))
+            orbit._event(t, state, EventKind.SIGMA_HIT, fn(t, state))
             region = 0  # the surface branch classifies the hit
         else:
             if t < t_end - EVENT_TIME_TOL:  # MAX_EVENTS ran out
-                orbit.event(t, state, EventKind.STEP_FAILURE)
+                orbit._event(t, state, EventKind.STEP_FAILURE)
     except (UnresolvedSingularityError, ex.DomainError) as exc:
-        orbit.fail(exc, t, state)
+        orbit._fail(exc, t, state)
         raise
-    return orbit.close(t, state)
+    return orbit._close(t, state)
 
 
 def _slide(system, orbit, t, state, t_end):
@@ -556,7 +540,7 @@ def _slide(system, orbit, t, state, t_end):
         # the band edge, which the stop rule then locates
         combo = filippov_tangent(system, x)
         if combo is None:  # the slide's first x is Sliding, so the orbit has a node by now
-            raise UnresolvedSingularityError(orbit.times[-1], orbit.states[-1], None, x)
+            raise UnresolvedSingularityError(orbit.node_times[-1], orbit.node_states[-1], x)
         return combo[1]
 
     # fn has been evaluated at every node jac sees, so jac never meets the pole
@@ -570,7 +554,7 @@ def _slide(system, orbit, t, state, t_end):
     a_plus, a_minus = system.normal_components_on_sigma(x)
     side = 1 if abs(a_plus) <= abs(a_minus) else -1
     exit_field = system.plus if side > 0 else system.minus
-    orbit.event(t, state, EventKind.SLIDE_EXIT, exit_field.values(state))
+    orbit._event(t, state, EventKind.SLIDE_EXIT, exit_field.values(state))
     return t, state, side
 
 

@@ -699,13 +699,11 @@ def height_roots(
     followed by an UnresolvedInterval for each cell where psi is not proven
     monotone and may take the level.  Where a_plus = a_minus, h is the
     constant 2*a_plus: no zero, or a DegenerateInterval over the band if it
-    is 0.
+    is 0.  A point whose x or a_pm are not finite raises DomainError
+    (system._check_finite).
     """
     xs, a_plus, a_minus, r = system_module._sliding_level(system, x)
-    if not all(map(math.isfinite, xs)):
-        raise ex.DomainError(f"tangential coordinates {xs} are not finite")
-    if not (math.isfinite(a_plus) and math.isfinite(a_minus)):
-        raise ex.DomainError(f"normal components {a_plus}, {a_minus} at x = {xs} are not finite")
+    system_module._check_finite(xs, a_plus, a_minus)
     if r is None:
         return [DegenerateInterval(-1.0, 1.0)] if a_plus == 0.0 else []
     diff = a_plus - a_minus

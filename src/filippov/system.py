@@ -9,6 +9,7 @@ meet Sigma; the tangential components move points along it.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -285,14 +286,26 @@ def classify_point(system: PiecewiseSystem, x: Sequence[float] | float) -> Sigma
     (or both away) and a sliding segment exists.  A component within
     CLASS_TOL of zero relative to the other is left as singular rather than
     forced into either class; the test is unchanged by positive rescaling
-    of the fields.
+    of the fields.  A point refused by _check_finite raises DomainError.
     """
-    a_plus, a_minus = system.normal_components_on_sigma(x)
+    xs = system.tangential(x)
+    a_plus, a_minus = system._normal_traces(*xs)
+    _check_finite(xs, a_plus, a_minus)
     if _margin(a_plus, a_minus) > 0.0:
         return SigmaClass.SLIDING
     if _margin(a_plus, -a_minus) > 0.0:  # flipping a_minus swaps sewing and sliding
         return SigmaClass.SEWING
     return SigmaClass.SIGMA_SINGULAR
+
+
+def _check_finite(xs: tuple[float, ...], a_plus: float, a_minus: float) -> None:
+    """Refuse the surface point xs, with normal components a_pm there, by
+    DomainError unless all of them are finite: classify_point and
+    height_roots take no verdict on such a point."""
+    if not all(map(math.isfinite, xs)):
+        raise ex.DomainError(f"tangential coordinates {xs} are not finite")
+    if not (math.isfinite(a_plus) and math.isfinite(a_minus)):
+        raise ex.DomainError(f"normal components {a_plus}, {a_minus} at x = {xs} are not finite")
 
 
 def _sliding_level(system: PiecewiseSystem, x: Sequence[float] | float):

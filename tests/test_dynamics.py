@@ -213,9 +213,8 @@ def test_stop_ends_at_first_accepted_node_where_true():
         seen.append((t0, y0[0], f0[0], t, y[0], f[0]))
         return t if y[0] > 2.0 else None
 
-    rec = dynamics._Recorder(2)
-    dynamics._run(rec, fn, [0.0, 0.0], 0.0, 10.0, stop, jac)
-    traj = rec.build()
+    traj = dynamics.Trajectory(2)
+    dynamics._run(traj, fn, [0.0, 0.0], 0.0, 10.0, stop, jac)
     first = int(np.argmax(full.states[:, 0] > 2.0))
     assert np.array_equal(traj.times, full.times[: first + 1])
     assert traj.states[-1][0] > 2.0 >= traj.states[-2, 0]
@@ -881,7 +880,14 @@ HYBRID_ORBITS = {
     "domain_error": lambda: _failed_partial(
         DomainError, system_from_strings(("x", "y"), ("1", "sqrt(1 - x)"), ("1", "1")),
         (0.0, 1.0), (0.0, 2.0)),
+    "nan_trace_start": lambda: _failed_partial(DomainError, nan_trace(), (0.5, 0.0), (0.0, 2.0)),
+    "nan_trace_hit": lambda: _failed_partial(DomainError, nan_trace(), (0.5, -1.0), (0.0, 2.0)),
 }
+
+
+def nan_trace():
+    # inf*x - inf*x makes a_plus NaN at every surface point but x = 0
+    return system_from_strings(("x", "y"), ("1", "1e300*x*1e300 - 1e300*x*1e300 + 1"), ("1", "2"))
 
 
 def capture():
@@ -976,7 +982,7 @@ def test_crossing_between_two_nodes_is_found():
 def test_integrate_error_carries_its_accepted_nodes():
     def fn(t, y):
         if t > 1.0:
-            raise UnresolvedSingularityError(t, y, None)
+            raise UnresolvedSingularityError(t, y)
         return -np.asarray(y)
 
     with pytest.raises(UnresolvedSingularityError) as err:
@@ -1068,13 +1074,27 @@ def test_hybrid_orbit_counts_each_run_once(name):
     assert stats.rhs_evals == 2 * runs + 6 * stats.accepted + 5 * stats.rejected
 
 
+@pytest.mark.parametrize("orbit, kinds", [
+    ("nan_trace_start", [EventKind.STEP_FAILURE]),
+    ("nan_trace_hit", [EventKind.SIGMA_HIT, EventKind.STEP_FAILURE]),
+])
+def test_a_surface_point_with_non_finite_normal_components_is_a_domain_error(orbit, kinds):
+    # classify_point called the start, and the hit near x = 1, SigmaSingular
+    # where certify refuses such a point: the orbit raised
+    # UnresolvedSingularityError, and now the DomainError certify raises
+    traj = HYBRID_ORBITS[orbit]()
+    assert [e.kind for e in traj.events] == kinds
+    assert traj.node_states[-1][-1] == 0.0
+
+
 @pytest.mark.parametrize("orbit", ["hit_slide_exit", "domain_error"])
 def test_hybrid_orbit_builds_one_trajectory(monkeypatch, orbit):
-    # segments and slides step into the orbit's recorder: each used to build
-    # a Trajectory of its own, which the orbit read back into lists
+    # segments and slides step into the orbit's Trajectory: each used to
+    # build a Trajectory of its own, which the orbit read back into lists
     built = []
-    build = dynamics._Recorder.build
-    monkeypatch.setattr(dynamics._Recorder, "build", lambda rec: built.append(rec) or build(rec))
+    init = dynamics.Trajectory.__init__
+    monkeypatch.setattr(dynamics.Trajectory, "__init__",
+                        lambda traj, dim: built.append(traj) or init(traj, dim))
     traj = HYBRID_ORBITS[orbit]()
     assert traj.events and len(built) == 1
 

@@ -56,8 +56,8 @@ def test_a_grid_sweep_round_reports_what_its_jobs_did_not_run():
     # the grid commands certify points, and no job integrates a hybrid orbit
     certify = _line_of("regularize.py", "found = height_roots(system, transition, x)")
     assert f"  {certify}: found = height_roots(system, transition, x)" not in report
-    hybrid = _line_of("dynamics.py", "orbit = _Recorder(system.dim)")
-    assert f"  {hybrid}: orbit = _Recorder(system.dim)" in report
+    hybrid = _line_of("dynamics.py", "orbit = Trajectory(system.dim)")
+    assert f"  {hybrid}: orbit = Trajectory(system.dim)" in report
     assert report[-1].endswith("statements of src/filippov/ not run")
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,26 @@ def test_classify_fold():
     assert classify_point(sys, -0.99e-9) == SigmaClass.SIGMA_SINGULAR
     assert classify_point(sys, 1.01e-9) == SigmaClass.SEWING
     assert classify_point(sys, -1.01e-9) == SigmaClass.SLIDING
+
+
+def nan_trace():
+    # inf*x - inf*x is NaN at every x but 0, so a_plus is NaN there
+    return system_from_strings(("x", "y"), ("1", "1e300*x*1e300 - 1e300*x*1e300 + 1"), ("1", "2"))
+
+
+@pytest.mark.parametrize("x, error", [
+    (0.5, r"normal components nan, 2.0 at x = \(0.5,\) are not finite"),
+    (math.nan, r"tangential coordinates \(nan,\) are not finite"),
+])
+def test_classify_refuses_what_certify_refuses(x, error):
+    # classify_point called such a point SigmaSingular where height_roots
+    # refused it, so classify wrote a row for a point certify exits 1 on
+    sys = nan_trace()
+    for judge in (lambda: classify_point(sys, x), lambda: height_roots(sys, Smoothstep(), x)):
+        with pytest.raises(DomainError, match=error):
+            judge()
+    # the slide's margin reads NaN there, which no step accepts
+    assert math.isnan(sliding_margin(sys, x))
 
 
 def test_classify_matches_sign_product():

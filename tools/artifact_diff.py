@@ -60,6 +60,8 @@ TRACE_POLE = FOLD.replace("2*x", "1/y + x")
 NAN_PSI = "[transition]\nkind = custom\nexpr = (3*t - t^3)/2 + 1e200*t*1e200 - 1e200*t*1e200\n"
 CROSS = ("[cross]\nx_pp = -1, -1, 1\nx_pm = -1, 1, 1\nx_mp = 1, -1, 1\nx_mm = 1, 1, 1\n"
          "phi_kind = biased\nphi_t0 = 0.25\npsi_kind = biased\npsi_t0 = -0.5\n")
+# inf*x - inf*x makes a_plus NaN at every surface point but x = 0
+NAN_TRACE = FOLD.replace("2*x", "1e300*x*1e300 - 1e300*x*1e300 + 1")
 # sqrt(1 - x) is undefined once the orbit passes x = 1
 SQRT_ORBIT = ("[system]\ncoords = x, y\nx_plus = 1, sqrt(1 - x)\nx_minus = 1, 1\n"
               "[run]\nx0 = 0, 1\nt_span = 0, 2\n")
@@ -71,6 +73,7 @@ ERROR_JOBS = [
     # sin(inf) at x = -1 and 1: libm's domain error, a DomainError like sqrt(-1)'s
     ("classify-sin-of-infinity", 1, ["classify"],
      FOLD.replace("2*x", "2*x + sin(1e308*x*x*10)") + "[run]\ngrid = -1:1:5\n"),
+    ("classify-nan-normal-component", 1, ["classify"], NAN_TRACE + "[run]\ngrid = -1:1:5\n"),
     ("classify-bad-constant", 2, ["classify"], FOLD.replace("2*x", "1e999*x")),
     ("classify-coordinate-not-a-name", 2, ["classify"], FOLD.replace("x, y", "x, 2")),
     ("classify-coordinate-two-words", 2, ["classify"], FOLD.replace("x, y", "x, y z")),
@@ -89,6 +92,7 @@ ERROR_JOBS = [
     # the orbit hits the surface where a_minus = x vanishes
     ("integrate-singular-hit", 1, ["integrate"], "[system]\ncoords = x, y\nx_plus = 1, -1\n"
      "x_minus = 1, x\n[run]\nx0 = -0.5, 0.5\nt_span = 0, 2\n"),
+    ("integrate-nan-normal-component", 1, ["integrate"], NAN_TRACE + "[run]\nx0 = 0.5, 0\n"),
     ("integrate-no-x0", 2, ["integrate"], FOLD),
     ("integrate-regularized-sqrt", 1, ["integrate", "--mode", "regularized"], SQRT_ORBIT),
     ("integrate-regularized-zero-epsilon", 2, ["integrate", "--mode", "regularized",
@@ -128,26 +132,31 @@ def golden_cases() -> dict[str, tuple[str, list[str]]]:
     return module.CASES
 
 
+def jobs(workload: str, seeds: list[int], rounds: list[int]) -> list[tuple[str, object]]:
+    """The jobs of a workload as (name, bench/workloads.py's Job) pairs, in
+    the order they run; bench/ must be on the path."""
+    import workloads
+
+    if workload == "errors":
+        return [(label, workloads.Job(label, argv[0], config, extra_argv=argv[1:]))
+                for label, _, argv, config in ERROR_JOBS]
+    if workload == "golden":
+        return [(label, workloads.Job(label, argv[0], config, extra_argv=argv[1:]))
+                for label, (config, argv) in sorted(golden_cases().items())]
+    return [(f"{seed}-{round_no}-{index:02d}-{job.label}", job)
+            for seed in seeds for round_no in rounds
+            for index, job in enumerate(workloads.ROUNDS[workload](seed, round_no))]
+
+
 def emit(src: Path, out: Path, workload: str, seeds: list[int], rounds: list[int]) -> None:
     """Run every job with the library in src; artifacts land in
     out/<job>/, and each job's exit code and stderr in out/manifest.json."""
     sys.path[:0] = [str(src), str(BENCH)]
-    import workloads
     from filippov.cli import run_command
 
-    if workload == "errors":
-        jobs = [(label, workloads.Job(label, argv[0], config, extra_argv=argv[1:]))
-                for label, _, argv, config in ERROR_JOBS]
-    elif workload == "golden":
-        jobs = [(label, workloads.Job(label, argv[0], config, extra_argv=argv[1:]))
-                for label, (config, argv) in sorted(golden_cases().items())]
-    else:
-        jobs = [(f"{seed}-{round_no}-{index:02d}-{job.label}", job)
-                for seed in seeds for round_no in rounds
-                for index, job in enumerate(workloads.ROUNDS[workload](seed, round_no))]
     manifest = {}
     signal.signal(signal.SIGALRM, _on_alarm)
-    for name, job in jobs:
+    for name, job in jobs(workload, seeds, rounds):
         cfg = out / f"{name}.cfg"
         cfg.write_text(job.config)
         err = io.StringIO()
