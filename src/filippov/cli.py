@@ -55,15 +55,15 @@ from .regularize import (
     SlidingCertificate,
     ValidationFailure,
     Verdict,
+    certificate_margin,
     certify,
     linspace,
     regularized,
     regularized_field,  # not called here: bench/tracing.py counts calls under this name
     zeroin,
 )
-from .system import CLASS_TOL, NotSlidingError, SigmaClass, classify_point
+from .system import CLASS_TOL, NotSlidingError, SigmaClass, classify_point, sliding_margin
 
-BOUNDARY_BISECTION_TOL = 1e-12  # width at which a refined verdict boundary stops bisecting
 Certified = list[tuple[float, SlidingCertificate]]  # grid points with their certificates
 
 
@@ -160,33 +160,33 @@ def _require_planar(cfg: SystemConfig):
 
 def _write_verdict_report(cfg: SystemConfig, path: Path,
                           rows: list[tuple[float, str, Sequence[HeightRoot]]],
-                          judge: Callable[[float], str], sliding: str, sewing: str) -> None:
+                          margin: Callable[[float], float], sliding: str, sewing: str) -> None:
     """Grid rows {x, verdict, roots} from ``rows`` of (x, verdict, roots),
     plus the refined boundaries between sliding and sewing runs.
 
     Runs of the two decided labels may be separated by up to two undecided
-    grid points; the flip inside the gap is then refined by zeroin on +1
-    where judge(x), the verdict at a point off the grid, is sliding and -1
-    elsewhere.  The two values are alike in size at every probe, so zeroin
-    bisects, with one judge call per halving.
+    grid points; the flip inside the gap is then the zero of margin(x),
+    positive where the verdict at x is sliding and negative where it is
+    sewing, which zeroin runs to the last float.  The bracket's signs are
+    the two grid verdicts', so its ends cost no margin call.
     """
     report = _report_skeleton(cfg)
     report["grid"] = _Rows(_grid_row, rows)
-    side = lambda verdict: 1.0 if verdict == sliding else -1.0
-    decided = [(i, x, v) for i, (x, v, _) in enumerate(rows) if v in (sliding, sewing)]
+    decided = [(i, x, 1.0 if v == sliding else -1.0)
+               for i, (x, v, _) in enumerate(rows) if v in (sliding, sewing)]
     report["boundary_estimates"] = [
-        zeroin(lambda x: side(judge(x)), xa, xb, BOUNDARY_BISECTION_TOL, fa=side(va), fb=side(vb))
-        for (i, xa, va), (j, xb, vb) in zip(decided, decided[1:])
-        if va != vb and j - i <= 3
+        zeroin(margin, xa, xb, 0.0, fa=sa, fb=sb)
+        for (i, xa, sa), (j, xb, sb) in zip(decided, decided[1:])
+        if sa != sb and j - i <= 3
     ]
     _write_json(path, report)
 
 
 def _cmd_classify(cfg: SystemConfig, out: Path) -> None:
     system = _require_planar(cfg)
-    judge = lambda x: classify_point(system, x).value
-    rows = [(x, judge(x), []) for x in grid_points(cfg.run.grid)]
-    _write_verdict_report(cfg, out / "classification.json", rows, judge,
+    rows = [(x, classify_point(system, x).value, []) for x in grid_points(cfg.run.grid)]
+    _write_verdict_report(cfg, out / "classification.json", rows,
+                          functools.partial(sliding_margin, system),
                           SigmaClass.SLIDING.value, SigmaClass.SEWING.value)
 
 
@@ -198,8 +198,8 @@ def _certify_grid(cfg: SystemConfig) -> Certified:
 
 def _write_certificates(cfg: SystemConfig, out: Path, certified: Certified) -> None:
     rows = [(x, cert.verdict.value, cert.roots) for x, cert in certified]
-    judge = lambda x: certify(cfg.system, cfg.transition, x).verdict.value
-    _write_verdict_report(cfg, out / "certificates.json", rows, judge,
+    _write_verdict_report(cfg, out / "certificates.json", rows,
+                          functools.partial(certificate_margin, cfg.system, cfg.transition),
                           Verdict.SLIDING_CERTIFIED.value, Verdict.SEWING_CERTIFIED.value)
 
 

@@ -38,10 +38,9 @@ identically, an unproven piece) is indeterminate.
 
 zeroin is the one search for a bracketed sign change: psi - r, psi' at a
 turn, g and its slope in dynamics.equilibria_on_manifold, the hybrid event
-times (dynamics), which it runs to the last float and, reading only ratios
-of values, keeps in place under a positive rescaling of the fields, up to
-the rounding of the rescaled values, and a verdict that steps between -1
-and 1 (cli), which it bisects.
+times (dynamics) and a margin at a verdict boundary (cli), which it runs to
+the last float and, reading only ratios of values, keeps in place under a
+positive rescaling of the fields, up to the rounding of the rescaled values.
 """
 
 from __future__ import annotations
@@ -110,13 +109,12 @@ def zeroin(
     ratios of f's values; it bisects instead where that point lies beyond
     three quarters of the way to c or the step is not under half the step
     before last.  So it is superlinear where f is smooth, and at worst
-    takes about the square of bisection's count of probes.  Where |f| is
-    the same at every probe, as on a step between -1 and 1, it never
-    interpolates: it bisects.  Signs are compared, never multiplied.  The
-    search stops early at an exact zero or a NaN value, and when no float
-    lies strictly between b and c, which ends it for any tol below the
-    float spacing: tol 0 runs it to the last float.  The result lies
-    strictly inside (a, b), but for a bracket with no float inside.
+    takes about the square of bisection's count of probes.  Signs are
+    compared, never multiplied.  The search stops early at an exact zero or
+    a NaN value, and when no float lies strictly between b and c, which
+    ends it for any tol below the float spacing: tol 0 runs it to the last
+    float.  The result lies strictly inside (a, b), but for a bracket with
+    no float inside.
     """
     lo, hi, half_tol = a, b, 0.5 * tol
     fa = f(a) if fa is None else fa
@@ -284,6 +282,11 @@ class TransitionFunction:
         is sought.  Each kind gives its own."""
         raise NotImplementedError
 
+    def range_ends(self, x: Sequence[float] = ()) -> tuple[float, float]:
+        """The least and greatest level psi(x, .) may take on the band, the
+        hull level_set tests r against: -1 and 1 for a monotone psi."""
+        return -1.0, 1.0
+
 
 class Smoothstep(TransitionFunction):
     """Clamped cubic (3t - t^3)/2; odd, strictly increasing, zero at 0."""
@@ -327,6 +330,9 @@ class Overshoot(TransitionFunction):
         # psi is monotone on [-1, u] and on [u, 1], with exact values at the breaks
         return monotone_zeros(lambda t: self._psi(t, x) - r, (-1.0, self.u, 1.0),
                               (-1.0 - r, self.m - r, 1.0 - r), 0.0), []
+
+    def range_ends(self, x=()):
+        return -1.0, self.m
 
 
 def _overshoot_peak(m: float) -> float:
@@ -492,6 +498,12 @@ class Custom(TransitionFunction):
         return zeros, [(breaks[k], breaks[k + 1]) for k, (lo, hi) in unproven.items()
                        if not (lo > r or hi < r)]  # NaN bounds hold r too
 
+    def range_ends(self, x=()):
+        # over the break values and unproven-piece bounds; a NaN one rules out no level
+        _, values, unproven = self._pieces(x)
+        levels = [*values, *itertools.chain(*unproven.values())]
+        return (math.nan,) * 2 if any(map(math.isnan, levels)) else (min(levels), max(levels))
+
     def _pieces(self, x):
         """Breaks from -1 to 1, psi at them, and the unproven pieces: psi(x, .)
         is monotone between consecutive breaks, but for the piece from
@@ -650,6 +662,19 @@ def regularized_jacobian(
 
 # ---------------------------------------------------------------------------
 # height function and certificates
+
+def certificate_margin(system: PiecewiseSystem, transition: TransitionFunction,
+                       x: Sequence[float] | float) -> float:
+    """Positive exactly where r lies strictly inside psi's range, the ends L
+    of range_ends at x: +-min(|h_lo|, |h_hi|), + where the two differ in sign,
+    h_L = (1 + L)*a_plus + (1 - L)*a_minus being h at psi = L.  Continuous,
+    with no pole at a_plus = a_minus; it refuses what height_roots refuses."""
+    xs, a_plus, a_minus, _ = system_module._sliding_level(system, x)
+    system_module._check_finite(xs, a_plus, a_minus)
+    h_lo, h_hi = ((1.0 + end) * a_plus + (1.0 - end) * a_minus for end in transition.range_ends(xs))
+    small = min(abs(h_lo), abs(h_hi))
+    return small if (h_lo > 0.0) != (h_hi > 0.0) else -small
+
 
 def height(
     system: PiecewiseSystem,

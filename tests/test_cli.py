@@ -74,8 +74,10 @@ def test_classify_report(tmp_path):
     assert grid[0] == {"x": -1.0, "verdict": "Sliding", "roots": []}
     assert grid[-1]["verdict"] == "Sewing"
     assert len(report["boundary_estimates"]) == 1
-    # the flip refines to the edge of the singular band |a+ a-| <= class_tol
-    assert abs(report["boundary_estimates"][0]) < 1e-9
+    # the flip is the edge of the singular band, |a+| = class_tol * |a-| with
+    # a+ = 2x and a- = 2, where zeroin on sliding_margin lands to the last float
+    [estimate] = report["boundary_estimates"]
+    assert abs(estimate + 1e-9) <= 2 * math.ulp(1e-9)
 
 
 def test_certify_report_boundary(tmp_path):
@@ -266,9 +268,50 @@ def test_boundaries_refine_across_at_most_two_undecided_points(
         assert out["boundary_estimates"] == []
     else:
         [estimate] = out["boundary_estimates"]
-        # classify flips where |a_plus| = CLASS_TOL * a_minus, certify where
-        # the witness turns tangential: both just left of lo
-        assert estimate == pytest.approx(lo, abs=2e-9 if command == "classify" else 1e-3)
+        if command == "classify" or lo == hi:
+            # classify flips where |a_plus| = CLASS_TOL * a_minus, just left
+            # of lo, and certify where a_plus = 0, the witness at the band end
+            assert estimate == pytest.approx(lo, abs=2e-9 if command == "classify" else 1e-12)
+        else:
+            # a_plus = 0 on all of [lo, hi], so certificate_margin is 0 there
+            # and zeroin stops at its first probe inside
+            assert lo <= estimate <= hi
+
+
+def test_an_unproven_piece_moves_the_certified_boundary_to_the_hull(tmp_path, monkeypatch):
+    # with 6 cells, the bump's piece [0.5, 1] stays unproven with bounds
+    # (0.25, 1.775), above psi's true peak 1.038: certify is Indeterminate
+    # where r = (1 + x)/(1 - x) lies in (psi(0.5), 1.775], and
+    # certificate_margin, over the hull (-1, 1.775), vanishes at its far end
+    monkeypatch.setattr(regularize, "MAX_CELLS", 6)
+    text = FOLD + "\n[transition]\nkind = custom\nexpr = (3*t - t^3)/2 + 0.6*(1 - t^2)^2\n"
+    assert run_command(["certify", "--config", setup_cfg(tmp_path, text), "--out", str(tmp_path),
+                        "--grid=-1:1:21"]) == 0
+    report = json.loads((tmp_path / "certificates.json").read_text())
+    verdicts = {row["x"]: row["verdict"] for row in report["grid"]}
+    assert [verdicts[x] for x in (0.0, 0.10000000000000009, 0.20000000000000018,
+                                  0.30000000000000004)] == [
+        "SlidingCertified", "Indeterminate", "Indeterminate", "SewingCertified"]
+    _, top = load_config(setup_cfg(tmp_path, text)).transition.range_ends((0.0,))
+    assert top == pytest.approx(1.775)
+    assert report["boundary_estimates"] == [pytest.approx((top - 1.0) / (top + 1.0), abs=1e-15)]
+
+
+def test_a_nan_margin_stops_the_boundary_search_inside_its_gap(tmp_path):
+    # psi is NaN on (0.25, 0.35), where 1e300*w*1e300 overflows twice, so
+    # there range_ends and certificate_margin are NaN: zeroin stops at its
+    # first probe, the midpoint of the gap, which holds the one undecided row
+    w = "(0.05 - abs(x - 0.3) + abs(0.05 - abs(x - 0.3)))"
+    text = ("[system]\ncoords = x, y\nx_plus = 1, x - 0.3\nx_minus = 1, 1\n[transition]\n"
+            f"kind = custom\nexpr = (3*t - t^3)/2 + 1e300*{w}*1e300 - 1e300*{w}*1e300\n")
+    cfg = setup_cfg(tmp_path, text)
+    assert run_command(["certify", "--config", cfg, "--out", str(tmp_path), "--grid=-1:1:21"]) == 0
+    report = json.loads((tmp_path / "certificates.json").read_text())
+    assert [row["verdict"] for row in report["grid"][12:15]] == [
+        "SlidingCertified", "Indeterminate", "SewingCertified"]
+    loaded = load_config(cfg)
+    assert math.isnan(regularize.certificate_margin(loaded.system, loaded.transition, 0.3))
+    assert report["boundary_estimates"] == [0.5 * (0.20000000000000018 + 0.40000000000000013)]
 
 
 @pytest.mark.parametrize("command, report", [
@@ -451,18 +494,18 @@ def test_all_certifies_each_grid_point_once(tmp_path, monkeypatch, text):
     assert counts["all"] == counts["certify"] >= 41
 
 
-def test_a_refined_boundary_costs_one_certify_per_halving(tmp_path, monkeypatch):
-    # the golden fold grid: 41 points, and the gap from -0.05 to 0.05 around
-    # the undecided x = 0 halved 37 times, down to 1e-12; zeroin on the
-    # verdict's +-1 bisects, with as many certify calls as bisection made
+def test_a_refined_boundary_costs_no_certify_call(tmp_path, monkeypatch):
+    # the golden fold grid: 41 points, one certify each; the gap from -0.05
+    # to 0.05 around the undecided x = 0 is refined on certificate_margin,
+    # whose first probe, the midpoint, is its exact zero
     calls = []
     monkeypatch.setattr(cli, "certify", lambda *args: calls.append(args) or certify(*args))
     out = tmp_path / "out"
     assert run_command(["certify", "--config", setup_cfg(tmp_path, FOLD), "--out", str(out),
                         "--grid=-1:1:41"]) == 0
-    assert len(calls) == 41 + math.ceil(math.log2(0.1 / 1e-12)) == 78
+    assert len(calls) == 41
     [boundary] = json.loads((out / "certificates.json").read_text())["boundary_estimates"]
-    assert abs(boundary) <= 1e-12
+    assert boundary == 0.0
 
 
 @pytest.mark.parametrize("text", [

@@ -25,11 +25,12 @@ from filippov.regularize import (
     Smoothstep,
     certify,
     make_transition,
+    regularized,
     regularized_field,
     regularized_jacobian,
     zeroin,
 )
-from filippov.system import SigmaClass, classify_point, system_from_strings
+from filippov.system import CLASS_TOL, SigmaClass, classify_point, system_from_strings
 
 
 def fold():
@@ -1304,3 +1305,28 @@ def test_equilibria_refuse_a_range_that_is_not_finite_and_increasing(x_range):
     # stability 0, where the equilibria lie at -0.1 and 0.1
     with pytest.raises(ValueError, match="x_range must be finite and increasing"):
         equilibria_on_manifold(trichotomy_system(), Biased(-0.5), 0.02, x_range)
+
+
+def test_the_regularized_slide_leaves_the_fold_late_where_fenichel_stops():
+    # a_plus = x^2 - 0.25 vanishes at x = 0.5, where h_1 = 2 a_plus does: the
+    # root of h runs into the band end t = 1, psi' = 0 there, and the slow
+    # manifold loses normal hyperbolicity.  Past that fold the regularized
+    # orbit stays near Sigma a delay that falls like eps^(2/3) (Krupa &
+    # Szmolyan, SIAM J. Math. Anal. 33, 2001), so each halving of eps shrinks
+    # it by a ratio that tends to 2^(2/3) = 1.587 from above
+    system = system_from_strings(("x", "y"), ("1", "x^2 - 0.25 - y"), ("1", "2 + x"))
+    delays = []
+    for eps in (0.02 / 2**k for k in range(6)):
+        fn, jac = regularized(system, Smoothstep(), eps)
+        orbit = integrate(fn, [-0.4, 0.0], (0.0, 1.5), jac=jac)
+        # the first node past y = eps, beyond the fold at x = 0.5
+        delays.append(next(x for x, y in orbit.node_states if y > eps) - 0.5)
+    assert delays == pytest.approx([0.0780, 0.0478, 0.0291, 0.0179, 0.0110, 0.0068], abs=1e-4)
+    ratios = [a / b for a, b in zip(delays, delays[1:])]
+    assert all(1.55 <= q <= 1.70 for q in ratios), ratios
+    # the hybrid orbit leaves where sliding_margin falls to 0, |a_plus| =
+    # CLASS_TOL * |a_minus|, 2.5e-9 before the fold: its limit has no delay
+    hybrid = integrate_filippov(system, [-0.4, 0.0], (0.0, 1.5))
+    kinds = [(e.kind, e.time) for e in hybrid.events]
+    assert kinds == [(EventKind.SLIDE_ENTRY, 0.0), (EventKind.SLIDE_EXIT, 0.8999999975000008)]
+    assert 0.9 - kinds[1][1] == pytest.approx(CLASS_TOL * 2.5, rel=1e-6)

@@ -107,36 +107,36 @@ GOLDEN = {
         "cross.json": "dfd2adb66bbd0ca50da0b7bbcf3ef057e8df20a501f3899c2d1ace554fe3a5ee",
     },
     "curved": {
-        "certificates.json": "37fad446d64b656be15fd3711247937ec8a528b52c77bf8d4171ade83c393ede",
-        "classification.json": "0cee88670fc35f6064e8afd0b4b3188ed4edd9f14cf563d9316062ce19524925",
+        "certificates.json": "642fcc9bc245e2fef60b500a9388803dfaf747a7b47b14275495a359a1843cf3",
+        "classification.json": "9829726f3f6924c503c4daa682b5954fbd6af479ff024f5b65d83d771b8320e3",
         "manifold.json": "e22f5a8221aff52626f787c34ea8426bc634ff9a0eb01cff477b8e5d6e424c0b",
         "slowfast.csv": "4760e11f6085107b446f3a1287f3db48972105edfedc7b91581ed41719ab5566",
         "trajectory.csv": "68741d3f4a6128889dd2d007ff83e34a93443b6e73d2d43501c2f151d25db80c",
     },
     "fold_biased": {
-        "certificates.json": "32ac1d445e5352b2e3da281e088a431872fd3c13640eb14c2a9f248133403e81",
-        "classification.json": "c3279ede01fc86b93e5316464793ba91f926b5753a4e6637bbb0485df990c41b",
+        "certificates.json": "b6bc990647c121d0d556e005cd063d08a2c2624f366537e1db14836294b5ad66",
+        "classification.json": "d25ef2034ee154147ebb49cfd6b5d4e726a839f625ff43d12002e84823092dc4",
         "manifold.json": "b923294a2139f5ee5677a70e2bed70ab34829a5d9ddef1065c49f8d692bbd3d6",
         "slowfast.csv": "4e44b526e75615292b0adf844e23ce6db1725718d291b90e5fcfea6fd394805c",
         "trajectory.csv": "6118201f26757f23427ad4a93990e6b536a7e461eafd77c18f4199f453f067f6",
     },
     "fold_custom": {
-        "certificates.json": "36c22aff4b446df5ecafd7da9342f75bc208a5e7b18e82f2bb0c5e9bb10ab333",
-        "classification.json": "64a8ab417cd676e8d42e4608cb8cef16a5fbcf2a41efc87e7cb1d504b6fed1f6",
+        "certificates.json": "0ac02f77fee1be4517061f2c2a85373990f8325899b1e98bcde3feaa51147b4a",
+        "classification.json": "bcbd10cefadde8d876774b87962aa477091e55dff360b8d9ab7bd7f45f41beae",
         "manifold.json": "440c2e6dbbb6e062e18e5312af74b0edfefcff9a5a8bca232b908b2620344f38",
         "slowfast.csv": "e20b01ae01118980dec62de289b3346537b3f5e9a192f31fb3cc60f58faf8dd3",
         "trajectory.csv": "6118201f26757f23427ad4a93990e6b536a7e461eafd77c18f4199f453f067f6",
     },
     "fold_custom_bump": {
-        "certificates.json": "ee0bb00caf7d9fc4d1588c2109df79e3372248674ddd1ca06b9c41f1146d469e",
-        "classification.json": "3f7fac2feb6ffc277f65b40be5bd89bd1b1031111abe5e718bdc6aa492490c08",
+        "certificates.json": "1c0e2d5e6297066d1ffe99695083050661bbc187c55fa7759c8bdda2aa0ec49a",
+        "classification.json": "1aa6b329753b7d463b1e7dcb3ebc937472055c3afd611d8ec6b548dd76dfc434",
         "manifold.json": "585815762befdfa2c1a165dcb2e2d5b619ecf91099c9adb5cea4c3ef84751d6e",
         "slowfast.csv": "27924e78b8faffdb40f000d7fab72b55c1cab7ebbded80961f04cd89a189b08a",
         "trajectory.csv": "6118201f26757f23427ad4a93990e6b536a7e461eafd77c18f4199f453f067f6",
     },
     "fold_overshoot": {
-        "certificates.json": "5fdecd5b7d9e5f6a88756956bf236f34883de8f79baaa0ea6042773593040008",
-        "classification.json": "23abe5e8c3a355a4bba7f18bcc19748e079e8f6b3ea99b69f91b605b53554832",
+        "certificates.json": "6b8f6c903170e8cab0c977b8c3c790f279f2847787d2588494f4cc56982c1747",
+        "classification.json": "c510ce40eb313ceb117a422bc8111aae0e6db655e78f80210e80fbcf6f07b478",
         "manifold.json": "a2f58802d27e23720fe837d6677edb26409b1cf1f2277633995a8092ec75040c",
         "slowfast.csv": "6e5d861a0b3deb0f532850c378aaed657b7bc863710c0ab3517b2ab7a7ed7fdf",
         "trajectory.csv": "6118201f26757f23427ad4a93990e6b536a7e461eafd77c18f4199f453f067f6",
@@ -145,8 +145,8 @@ GOLDEN = {
         "trajectory.csv": "86dd001cf28f43b50b817430724978d8e4eb9f52deb08378987fd4fa41bf9c13",
     },
     "fold_smoothstep": {
-        "certificates.json": "e3f558e942101ab64f51ab1b08caeafd0ad8fc3687fc9c36fa1360f436b2ca43",
-        "classification.json": "68d19a8dbc4123d01d475b53d82eb2321b331ab153009ecaa69fcccbd2c5fb75",
+        "certificates.json": "d024e36ec11c719948e68f3084be851bf10c1d6b5d625a407ecee3f81dc81eb6",
+        "classification.json": "c7cf8c9b12b56e85b194352318afcb4384a4f26fdca284b92315e59c7a0793bc",
         "manifold.json": "666ba8eeb72bb7aa1a95c89d2431bbfc6f8527f61c402a9104e216612356d092",
         "slowfast.csv": "2ebab8c8894e68f53a8d17976415f670286d797cd63181187236e17850679380",
         "trajectory.csv": "6118201f26757f23427ad4a93990e6b536a7e461eafd77c18f4199f453f067f6",

@@ -17,6 +17,7 @@ from filippov.regularize import (
     UnresolvedInterval,
     ValidationFailure,
     Verdict,
+    certificate_margin,
     certify,
     height,
     height_roots,
@@ -1135,3 +1136,35 @@ def test_a_nan_band_width_is_refused(entry):
     # and stratified_slide_curve reported residual_y = max(0.0, nan) = 0.0
     with pytest.raises(ValueError, match="must be (positive|nonnegative), got"):
         entry(fold())
+
+
+def test_each_kind_states_its_range_ends():
+    assert Smoothstep().range_ends() == Biased(0.3).range_ends() == (-1.0, 1.0)
+    assert Overshoot(2.0).range_ends() == (-1.0, 2.0)
+    # a custom psi's: the least and greatest break value, here the peak
+    bump = Custom("(3*t - t^3)/2 + 0.6*(1 - t^2)^2")
+    lo, hi = bump.range_ends()
+    assert lo == -1.0
+    assert hi == pytest.approx(max(bump.value(t) for t in linspace(-1.0, 1.0, 2001)), abs=1e-6)
+
+
+def test_a_nan_bound_makes_both_range_ends_nan(monkeypatch):
+    # the interval rules give no NaN bound at a finite x, as a NaN operand
+    # becomes (-inf, inf); a NaN level, bound or break value, rules out no
+    # level, and certificate_margin then reads NaN, which stops zeroin
+    tf = Custom("(3*t - t^3)/2")
+    monkeypatch.setattr(tf, "_pieces", lambda x: ([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0],
+                                                  {0: (math.nan, 0.5)}))
+    assert all(map(math.isnan, tf.range_ends()))
+    system = system_from_strings(("x", "y"), ("1", "2*x"), ("1", "2"))
+    assert math.isnan(certificate_margin(system, tf, 0.3))
+
+
+def test_certificate_margin_has_no_pole_and_refuses_what_certify_refuses():
+    # a_plus = a_minus = 1 + x: h_L = 2 a_plus at every level, the same sign
+    # at both ends, so the margin is -2|a_plus|, and 0 where h vanishes
+    system = system_from_strings(("x", "y"), ("1", "1 + x"), ("1", "1 + x"))
+    assert certificate_margin(system, Smoothstep(), 0.5) == -3.0
+    assert certificate_margin(system, Smoothstep(), -1.0) == 0.0
+    with pytest.raises(DomainError):
+        certificate_margin(system, Smoothstep(), math.inf)
