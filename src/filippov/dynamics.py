@@ -463,9 +463,10 @@ def integrate_filippov(
     leaves it (SlideExit) where the class test stops saying Sliding, along
     the field whose normal component is the smaller there; Sewing goes on
     along the field a_plus points into; SigmaSingular raises
-    UnresolvedSingularityError, and a field outside its domain DomainError;
-    either leaves with the orbit up to its last node, ended by a StepFailure
-    event, as its trajectory.  A hit within EVENT_TIME_TOL of t_end, or on
+    UnresolvedSingularityError, and a field outside its domain or a start,
+    hit or slide stage with non-finite a_pm DomainError; either leaves
+    with the orbit up to its last node, ended by a StepFailure event, as
+    its trajectory.  A hit within EVENT_TIME_TOL of t_end, or on
     the last of MAX_EVENTS, ends the orbit unclassified.
     """
     state = [float(v) for v in x0]
@@ -531,7 +532,8 @@ def _slide(system, orbit, t, state, t_end):
     side: X_plus (+1) when |a_plus| <= |a_minus| there, else X_minus (-1).
     The margin has no pole, so the exit is never located on the pole
     a_plus = a_minus of the Filippov weight; a right-hand side evaluated on
-    that pole raises UnresolvedSingularityError at the orbit's last node.
+    that pole raises UnresolvedSingularityError at the orbit's last node,
+    and one where a_pm are not finite DomainError, naming that stage x.
     """
     margin = lambda tt, x: sliding_margin(system, x)
 

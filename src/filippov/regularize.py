@@ -670,7 +670,6 @@ def certificate_margin(system: PiecewiseSystem, transition: TransitionFunction,
     h_L = (1 + L)*a_plus + (1 - L)*a_minus being h at psi = L.  Continuous,
     with no pole at a_plus = a_minus; it refuses what height_roots refuses."""
     xs, a_plus, a_minus, _ = system_module._sliding_level(system, x)
-    system_module._check_finite(xs, a_plus, a_minus)
     h_lo, h_hi = ((1.0 + end) * a_plus + (1.0 - end) * a_minus for end in transition.range_ends(xs))
     small = min(abs(h_lo), abs(h_hi))
     return small if (h_lo > 0.0) != (h_hi > 0.0) else -small
@@ -725,10 +724,9 @@ def height_roots(
     monotone and may take the level.  Where a_plus = a_minus, h is the
     constant 2*a_plus: no zero, or a DegenerateInterval over the band if it
     is 0.  A point whose x or a_pm are not finite raises DomainError
-    (system._check_finite).
+    (system._sliding_level).
     """
     xs, a_plus, a_minus, r = system_module._sliding_level(system, x)
-    system_module._check_finite(xs, a_plus, a_minus)
     if r is None:
         return [DegenerateInterval(-1.0, 1.0)] if a_plus == 0.0 else []
     diff = a_plus - a_minus

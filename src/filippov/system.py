@@ -164,8 +164,8 @@ class PiecewiseSystem:
         return ex.compile(self.normal_traces, self.x_names)
 
     def normal_components_on_sigma(self, x: Sequence[float] | float) -> tuple[float, float]:
-        """(a_plus, a_minus) evaluated at (x, 0)."""
-        return self._normal_traces(*self.tangential(x))
+        """(a_plus, a_minus) evaluated at (x, 0), as _sliding_level reads them."""
+        return _sliding_level(self, x)[1:3]
 
     # the psi-blend at a given psi and its Jacobian, built on first use
     @cached_property
@@ -275,7 +275,7 @@ def sliding_margin(system: PiecewiseSystem, x: Sequence[float] | float) -> float
     Unlike the Filippov weight it has no pole at a_plus = a_minus, so a
     sliding orbit can locate its exit on it.
     """
-    return _margin(*system.normal_components_on_sigma(x))
+    return _margin(*_sliding_level(system, x)[1:3])
 
 
 def classify_point(system: PiecewiseSystem, x: Sequence[float] | float) -> SigmaClass:
@@ -286,11 +286,9 @@ def classify_point(system: PiecewiseSystem, x: Sequence[float] | float) -> Sigma
     (or both away) and a sliding segment exists.  A component within
     CLASS_TOL of zero relative to the other is left as singular rather than
     forced into either class; the test is unchanged by positive rescaling
-    of the fields.  A point refused by _check_finite raises DomainError.
+    of the fields.  A point _sliding_level refuses raises DomainError.
     """
-    xs = system.tangential(x)
-    a_plus, a_minus = system._normal_traces(*xs)
-    _check_finite(xs, a_plus, a_minus)
+    _, a_plus, a_minus, _ = _sliding_level(system, x)
     if _margin(a_plus, a_minus) > 0.0:
         return SigmaClass.SLIDING
     if _margin(a_plus, -a_minus) > 0.0:  # flipping a_minus swaps sewing and sliding
@@ -298,24 +296,19 @@ def classify_point(system: PiecewiseSystem, x: Sequence[float] | float) -> Sigma
     return SigmaClass.SIGMA_SINGULAR
 
 
-def _check_finite(xs: tuple[float, ...], a_plus: float, a_minus: float) -> None:
-    """Refuse the surface point xs, with normal components a_pm there, by
-    DomainError unless all of them are finite: classify_point and
-    height_roots take no verdict on such a point."""
-    if not all(map(math.isfinite, xs)):
-        raise ex.DomainError(f"tangential coordinates {xs} are not finite")
-    if not (math.isfinite(a_plus) and math.isfinite(a_minus)):
-        raise ex.DomainError(f"normal components {a_plus}, {a_minus} at x = {xs} are not finite")
-
-
 def _sliding_level(system: PiecewiseSystem, x: Sequence[float] | float):
     """(x, a_plus, a_minus, r) from one parse of x, with x the checked tuple
     of floats, a_pm the normal components at (x, 0) and r the level
     -(a_plus + a_minus)/(a_plus - a_minus) = 2*lam - 1 of psi that the
     certificate, a slide's field and its Jacobian share; r is None where
-    a_plus = a_minus, its pole."""
+    a_plus = a_minus, its pole.  It is the one reader of a surface point,
+    and refuses one whose x or a_pm are not finite by DomainError."""
     xs = system.tangential(x)
     a_plus, a_minus = system._normal_traces(*xs)
+    if not all(map(math.isfinite, xs)):
+        raise ex.DomainError(f"tangential coordinates {xs} are not finite")
+    if not (math.isfinite(a_plus) and math.isfinite(a_minus)):
+        raise ex.DomainError(f"normal components {a_plus}, {a_minus} at x = {xs} are not finite")
     diff = a_plus - a_minus
     return xs, a_plus, a_minus, None if diff == 0.0 else -(a_plus + a_minus) / diff
 

@@ -883,12 +883,21 @@ HYBRID_ORBITS = {
         (0.0, 1.0), (0.0, 2.0)),
     "nan_trace_start": lambda: _failed_partial(DomainError, nan_trace(), (0.5, 0.0), (0.0, 2.0)),
     "nan_trace_hit": lambda: _failed_partial(DomainError, nan_trace(), (0.5, -1.0), (0.0, 2.0)),
+    "nan_trace_slide": lambda: _failed_partial(
+        DomainError, nan_trace_beyond_half(), (0.0, 0.0), (0.0, 2.0)),
 }
 
 
 def nan_trace():
     # inf*x - inf*x makes a_plus NaN at every surface point but x = 0
     return system_from_strings(("x", "y"), ("1", "1e300*x*1e300 - 1e300*x*1e300 + 1"), ("1", "2"))
+
+
+def nan_trace_beyond_half():
+    # a_plus = -1 + b - b with b = inf*(x - 0.5 + |x - 0.5|) is -1 up to
+    # x = 0.5 and NaN past it, so a slide from x = 0 runs into the NaN
+    b = "1e300*(x - 0.5 + abs(x - 0.5))*1e300"
+    return system_from_strings(("x", "y"), ("1", f"-1 + {b} - {b}"), ("1", "1"))
 
 
 def capture():
@@ -1057,15 +1066,16 @@ def test_hybrid_orbit_invariants(name):
         assert failures[0].time == traj.node_times[-1]
 
 
-@pytest.mark.parametrize("name", sorted(set(HYBRID_ORBITS) - {"domain_error"}))
+@pytest.mark.parametrize("name", sorted(
+    set(HYBRID_ORBITS) - {"domain_error", "nan_trace_slide"}))
 def test_hybrid_orbit_counts_each_run_once(name):
     # one IntegratorStats counts the whole orbit.  A run, a segment or a
     # slide, starts at the orbit's start and after each SigmaHit and
     # SlideExit the orbit goes on from; it costs 2 right-hand sides (its
     # first node and the initial step's probe), 6 per accepted step and 5
     # per rejected one, and a Jacobian per node a step starts from.  The
-    # DomainError orbit fails inside an attempt, which counts up to the
-    # failing evaluation.
+    # DomainError orbits left out fail inside an attempt, which counts up to
+    # the failing evaluation.
     traj = HYBRID_ORBITS[name]()
     starts = [traj.times[0]] + [
         e.time for e in traj.events if e.kind in (EventKind.SIGMA_HIT, EventKind.SLIDE_EXIT)]
@@ -1078,6 +1088,7 @@ def test_hybrid_orbit_counts_each_run_once(name):
 @pytest.mark.parametrize("orbit, kinds", [
     ("nan_trace_start", [EventKind.STEP_FAILURE]),
     ("nan_trace_hit", [EventKind.SIGMA_HIT, EventKind.STEP_FAILURE]),
+    ("nan_trace_slide", [EventKind.SLIDE_ENTRY, EventKind.STEP_FAILURE]),
 ])
 def test_a_surface_point_with_non_finite_normal_components_is_a_domain_error(orbit, kinds):
     # classify_point called the start, and the hit near x = 1, SigmaSingular
@@ -1086,6 +1097,15 @@ def test_a_surface_point_with_non_finite_normal_components_is_a_domain_error(orb
     traj = HYBRID_ORBITS[orbit]()
     assert [e.kind for e in traj.events] == kinds
     assert traj.node_states[-1][-1] == 0.0
+
+
+def test_a_slide_refuses_non_finite_normal_components_as_a_start_does():
+    # the slide's margin and right-hand side read NaN past x = 0.5, where the
+    # orbit spent 33 rejected attempts to end in a StepFailure and no error;
+    # its right-hand side now refuses the first stage there, and the orbit
+    # ends at its last node before it
+    traj = HYBRID_ORBITS["nan_trace_slide"]()
+    assert traj.node_states[-1][0] < 0.5 and traj.stats.rejected == 0
 
 
 @pytest.mark.parametrize("orbit", ["hit_slide_exit", "domain_error"])

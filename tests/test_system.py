@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from filippov.expr import Const, DomainError, evaluate, parse
-from filippov.regularize import Smoothstep, height_roots
+from filippov.regularize import Smoothstep, certificate_margin, height, height_roots
 from filippov.system import (
     NotSlidingError,
     PiecewiseSystem,
@@ -108,13 +108,17 @@ def nan_trace():
 ])
 def test_classify_refuses_what_certify_refuses(x, error):
     # classify_point called such a point SigmaSingular where height_roots
-    # refused it, so classify wrote a row for a point certify exits 1 on
+    # refused it, so classify wrote a row for a point certify exits 1 on;
+    # every reader of a_pm refuses it, a slide's margin and right-hand side
+    # as well
     sys = nan_trace()
-    for judge in (lambda: classify_point(sys, x), lambda: height_roots(sys, Smoothstep(), x)):
+    for judge in (lambda: classify_point(sys, x), lambda: height_roots(sys, Smoothstep(), x),
+                  lambda: sliding_margin(sys, x), lambda: certificate_margin(sys, Smoothstep(), x),
+                  lambda: height(sys, Smoothstep(), x, 0.0),
+                  lambda: filippov_tangent(sys, x), lambda: filippov_jacobian(sys, x),
+                  lambda: sys.normal_components_on_sigma(x)):
         with pytest.raises(DomainError, match=error):
             judge()
-    # the slide's margin reads NaN there, which no step accepts
-    assert math.isnan(sliding_margin(sys, x))
 
 
 def test_classify_matches_sign_product():
@@ -283,7 +287,11 @@ def test_surface_coordinate_is_parsed_once_per_call(monkeypatch):
     monkeypatch.setattr(PiecewiseSystem, "tangential", counting)
     sys = fold()
     for fn in (lambda: filippov_tangent(sys, -0.5), lambda: filippov_jacobian(sys, -0.5),
-               lambda: height_roots(sys, Smoothstep(), -0.5), lambda: sliding_margin(sys, -0.5)):
+               lambda: height_roots(sys, Smoothstep(), -0.5), lambda: sliding_margin(sys, -0.5),
+               lambda: classify_point(sys, -0.5),
+               lambda: certificate_margin(sys, Smoothstep(), -0.5),
+               lambda: height(sys, Smoothstep(), -0.5, 0.0),
+               lambda: sys.normal_components_on_sigma(-0.5)):
         calls = 0
         fn()
         assert calls == 1

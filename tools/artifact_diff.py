@@ -62,6 +62,16 @@ CROSS = ("[cross]\nx_pp = -1, -1, 1\nx_pm = -1, 1, 1\nx_mp = 1, -1, 1\nx_mm = 1,
          "phi_kind = biased\nphi_t0 = 0.25\npsi_kind = biased\npsi_t0 = -0.5\n")
 # inf*x - inf*x makes a_plus NaN at every surface point but x = 0
 NAN_TRACE = FOLD.replace("2*x", "1e300*x*1e300 - 1e300*x*1e300 + 1")
+# b - b with b = inf*(x - 0.5 + |x - 0.5|) makes a_plus NaN past x = 0.5,
+# where a slide from x = 0 goes
+NAN_SLIDE = ("[system]\ncoords = x, y\nx_plus = 1, -1 + {b} - {b}\nx_minus = 1, 1\n"
+             "[run]\nx0 = 0, 0\nt_span = 0, 2\n").format(
+                 b="1e300*(x - 0.5 + abs(x - 0.5))*1e300")
+# b - b with b = inf*w makes a_plus NaN where w > 0, on (0.25, 0.35): the
+# verdict boundary between the grid rows 0.2 and 0.4 runs into it
+NAN_BOUNDARY = ("[system]\ncoords = x, y\nx_plus = 1, x - 0.3 + {b} - {b}\nx_minus = 1, 1\n"
+                "[run]\ngrid = -1:1:11\n").format(
+                    b="1e300*(0.05 - abs(x - 0.3) + abs(0.05 - abs(x - 0.3)))*1e300")
 # sqrt(1 - x) is undefined once the orbit passes x = 1
 SQRT_ORBIT = ("[system]\ncoords = x, y\nx_plus = 1, sqrt(1 - x)\nx_minus = 1, 1\n"
               "[run]\nx0 = 0, 1\nt_span = 0, 2\n")
@@ -74,6 +84,7 @@ ERROR_JOBS = [
     ("classify-sin-of-infinity", 1, ["classify"],
      FOLD.replace("2*x", "2*x + sin(1e308*x*x*10)") + "[run]\ngrid = -1:1:5\n"),
     ("classify-nan-normal-component", 1, ["classify"], NAN_TRACE + "[run]\ngrid = -1:1:5\n"),
+    ("classify-nan-boundary", 1, ["classify"], NAN_BOUNDARY),
     ("classify-bad-constant", 2, ["classify"], FOLD.replace("2*x", "1e999*x")),
     ("classify-coordinate-not-a-name", 2, ["classify"], FOLD.replace("x, y", "x, 2")),
     ("classify-coordinate-two-words", 2, ["classify"], FOLD.replace("x, y", "x, y z")),
@@ -93,6 +104,7 @@ ERROR_JOBS = [
     ("integrate-singular-hit", 1, ["integrate"], "[system]\ncoords = x, y\nx_plus = 1, -1\n"
      "x_minus = 1, x\n[run]\nx0 = -0.5, 0.5\nt_span = 0, 2\n"),
     ("integrate-nan-normal-component", 1, ["integrate"], NAN_TRACE + "[run]\nx0 = 0.5, 0\n"),
+    ("integrate-nan-slide", 1, ["integrate"], NAN_SLIDE),
     ("integrate-no-x0", 2, ["integrate"], FOLD),
     ("integrate-regularized-sqrt", 1, ["integrate", "--mode", "regularized"], SQRT_ORBIT),
     ("integrate-regularized-zero-epsilon", 2, ["integrate", "--mode", "regularized",
