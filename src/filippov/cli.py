@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
-from .config import ConfigError, SystemConfig, grid_points, load_config
+from .config import ConfigError, SystemConfig, load_config
 from .cross import NonMonotoneTransitionError, stratified_slide_curve
 from .expr import DomainError
 from .dynamics import (
@@ -53,7 +53,6 @@ from .regularize import (
     ZERO_TOL,
     HeightRoot,
     SlidingCertificate,
-    ValidationFailure,
     Verdict,
     certificate_margin,
     certify,
@@ -62,7 +61,7 @@ from .regularize import (
     regularized_field,  # not called here: bench/tracing.py counts calls under this name
     zeroin,
 )
-from .system import CLASS_TOL, NotSlidingError, SigmaClass, classify_point, sliding_margin
+from .system import CLASS_TOL, SigmaClass, classify_point, sliding_margin
 
 Certified = list[tuple[float, SlidingCertificate]]  # grid points with their certificates
 
@@ -184,7 +183,7 @@ def _write_verdict_report(cfg: SystemConfig, path: Path,
 
 def _cmd_classify(cfg: SystemConfig, out: Path) -> None:
     system = _require_planar(cfg)
-    rows = [(x, classify_point(system, x).value, []) for x in grid_points(cfg.run.grid)]
+    rows = [(x, classify_point(system, x).value, []) for x in linspace(*cfg.run.grid)]
     _write_verdict_report(cfg, out / "classification.json", rows,
                           functools.partial(sliding_margin, system),
                           SigmaClass.SLIDING.value, SigmaClass.SEWING.value)
@@ -193,7 +192,7 @@ def _cmd_classify(cfg: SystemConfig, out: Path) -> None:
 def _certify_grid(cfg: SystemConfig) -> Certified:
     """Each grid point with its certificate, the one the grid artifacts read."""
     system = _require_planar(cfg)
-    return [(x, certify(system, cfg.transition, x)) for x in grid_points(cfg.run.grid)]
+    return [(x, certify(system, cfg.transition, x)) for x in linspace(*cfg.run.grid)]
 
 
 def _write_certificates(cfg: SystemConfig, out: Path, certified: Certified) -> None:
@@ -336,13 +335,12 @@ def run_command(argv: Sequence[str]) -> int:
     except (
         UnresolvedSingularityError,
         NoSlidingAtError,
-        NotSlidingError,
         NonMonotoneTransitionError,
         DomainError,
     ) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValidationFailure, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import expr as ex
 from .cross import CROSS_COORDS, CrossSystem
-from .regularize import TransitionFunction, ValidationFailure, linspace, make_transition
+from .regularize import TransitionFunction, ValidationFailure, make_transition
 from .system import PiecewiseSystem, VectorFieldDef
 
 
@@ -327,7 +327,3 @@ def load_config(path: str | Path, flags: dict[str, str | None] | None = None) ->
         run=run,
         sha256=hashlib.sha256(data).hexdigest(),
     )
-
-
-def grid_points(grid: tuple[float, float, int]) -> list[float]:
-    return linspace(*grid)

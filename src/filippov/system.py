@@ -48,13 +48,15 @@ class VectorFieldDef:
     """A smooth vector field given componentwise by expressions.
 
     ``coords`` are the chart coordinate names in order, the last being the
-    normal coordinate y.  ``components[i]`` is the coefficient of
+    normal coordinate y, and ``dim`` is their number: the chart is fixed
+    when the field is built.  ``components[i]`` is the coefficient of
     d/d(coords[i]).
     """
 
     def __init__(self, coords: tuple[str, ...], components: tuple[ex.Expr, ...]):
         self.coords = coords
         self.components = components
+        self.dim = len(coords)
         if len(coords) != len(components):
             raise ValueError(f"{len(coords)} coordinates but {len(components)} components")
         if len(coords) < 2:
@@ -68,10 +70,6 @@ class VectorFieldDef:
                 raise ValueError(
                     f"component for {name} uses unknown variables {sorted(extra)}"
                 )
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
 
     def _point(self, point: Sequence[float]) -> list[float]:
         pt = _floats(point)
@@ -120,7 +118,9 @@ class PiecewiseSystem:
     """Two smooth fields glued along Sigma = {y = 0}.
 
     ``plus`` governs y > 0 and ``minus`` governs y < 0.  Both must share the
-    same coordinate chart.  ``normal_traces`` are their y-components at y = 0.
+    same coordinate chart, which is fixed when the system is built:
+    ``coords``, ``dim``, the tangential ``x_names`` and the normal
+    ``y_name`` are plus's.  ``normal_traces`` are their y-components at y = 0.
     """
 
     def __init__(self, plus: VectorFieldDef, minus: VectorFieldDef):
@@ -128,27 +128,14 @@ class PiecewiseSystem:
             raise ValueError(f"field charts disagree: {plus.coords} vs {minus.coords}")
         self.plus = plus
         self.minus = minus
-        y = self.y_name
+        self.coords = plus.coords
+        self.dim = plus.dim
+        self.x_names = plus.coords[:-1]
+        self.y_name = plus.coords[-1]
         self.normal_traces = (
-            ex.substitute(plus.components[-1], {y: 0.0}),
-            ex.substitute(minus.components[-1], {y: 0.0}),
+            ex.substitute(plus.components[-1], {self.y_name: 0.0}),
+            ex.substitute(minus.components[-1], {self.y_name: 0.0}),
         )
-
-    @property
-    def coords(self) -> tuple[str, ...]:
-        return self.plus.coords
-
-    @property
-    def dim(self) -> int:
-        return self.plus.dim
-
-    @property
-    def y_name(self) -> str:
-        return self.coords[-1]
-
-    @property
-    def x_names(self) -> tuple[str, ...]:
-        return self.coords[:-1]
 
     def tangential(self, x: Sequence[float] | float) -> tuple[float, ...]:
         """Sigma coordinates as a checked tuple of floats; a bare number is a planar x."""

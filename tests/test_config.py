@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from filippov.config import ConfigError, grid_points, load_config
+from filippov.config import ConfigError, load_config
 from filippov.regularize import Biased, Custom, Overshoot, Smoothstep
 from filippov.system import SigmaClass, classify_point
 
@@ -61,11 +60,6 @@ def test_sha_tracks_content(tmp_path):
     c = load_config(write(tmp_path, FOLD + "# trailing comment\n", "c.cfg"))
     assert a.sha256 == b.sha256
     assert a.sha256 != c.sha256
-
-
-def test_grid_points():
-    xs = grid_points((-1.0, 1.0, 11))
-    assert xs == np.linspace(-1, 1, 11).tolist()
 
 
 def test_line_numbered_errors(tmp_path):

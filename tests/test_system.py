@@ -1,4 +1,6 @@
 import math
+import os
+from sys import setprofile
 
 import numpy as np
 import pytest
@@ -295,3 +297,26 @@ def test_surface_coordinate_is_parsed_once_per_call(monkeypatch):
         calls = 0
         fn()
         assert calls == 1
+
+
+@pytest.mark.parametrize("read", [classify_point, sliding_margin])
+def test_a_read_of_sigma_enters_no_property(read):
+    # the chart is data set at construction: after a warm-up read, which
+    # compiles the normal traces, a read enters the reader, _sliding_level,
+    # tangential, the compiled traces and _margin (once at a sliding point)
+    system = fold()
+    read(system, -0.5)
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append((os.path.basename(frame.f_code.co_filename), frame.f_code.co_name))
+
+    setprofile(profile)
+    try:
+        read(system, -0.5)
+    finally:
+        setprofile(None)
+    assert entered == [("system.py", read.__name__), ("system.py", "_sliding_level"),
+                       ("system.py", "tangential"), ("<filippov.expr.compile>", "compiled"),
+                       ("system.py", "_margin")]

@@ -43,10 +43,11 @@ import sys
 import tempfile
 import types
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "filippov"
+T = TypeVar("T")
 
 
 def statements(source: str, filename: str) -> list[tuple[int, int]]:
@@ -80,47 +81,59 @@ def statements(source: str, filename: str) -> list[tuple[int, int]]:
     return sorted(spans)
 
 
-def traced(call: Callable[[], int]) -> tuple[int, dict[Path, set[int]]]:
+def traced(call: Callable[[], T], enter_for: Callable[[str], Callable | None]) -> T:
+    """What ``call()`` returns, run under sys.settrace.  enter_for(filename),
+    asked once per code filename, gives None to leave that file's frames
+    untraced, or a function called with each of its frames as the frame is
+    entered, which returns the frame's local trace function."""
+    enters = {}
+
+    def on_call(frame, event, arg):
+        name = frame.f_code.co_filename
+        if name not in enters:
+            enters[name] = enter_for(name)
+        enter = enters[name]
+        return None if enter is None else enter(frame)
+
+    sys.settrace(on_call)
+    try:
+        return call()
+    finally:
+        sys.settrace(None)
+
+
+def lines_ran(call: Callable[[], int]) -> tuple[int, dict[Path, set[int]]]:
     """What ``call()`` returns, and the lines of each module of the package
     that ran meanwhile."""
     ran = {path: set() for path in sorted(PACKAGE.glob("*.py"))}
     by_name = {os.path.realpath(path): lines for path, lines in ran.items()}
-    tracers = {}
 
-    def local(lines):
+    def enter_for(name):
+        lines = by_name.get(os.path.realpath(name))
+        if lines is None:
+            return None
+
         def trace(frame, event, arg):
             if event == "line":
                 lines.add(frame.f_lineno)
             return trace
-        return trace
-
-    def on_call(frame, event, arg):
-        name = frame.f_code.co_filename
-        if name not in tracers:
-            lines = by_name.get(os.path.realpath(name))
-            tracers[name] = None if lines is None else local(lines)
-        return tracers[name]
+        return lambda frame: trace
 
     sys.path.insert(0, str(PACKAGE.parent))
-    sys.settrace(on_call)
-    try:
-        status = call()
-    finally:
-        sys.settrace(None)
-    return status, ran
+    return traced(call, enter_for), ran
 
 
 def run(args: list[str]) -> tuple[int, dict[Path, set[int]]]:
-    """pytest's exit status on ``args``, and the lines that ran (see traced)."""
+    """pytest's exit status on ``args``, and the lines that ran (see lines_ran)."""
     import pytest
 
-    return traced(lambda: int(pytest.main(args)))
+    return lines_ran(lambda: int(pytest.main(args)))
 
 
 def run_workloads(names: list[str], seeds: list[int], rounds: list[int]
                   ) -> tuple[int, dict[Path, set[int]]]:
     """1 if one of the workloads' jobs exited with another code than it is
-    built to, else 0, and the lines that ran (see traced)."""
+    built to, else 0, and the lines that ran (see lines_ran)."""
     import artifact_diff
 
     expected = {label: code for label, code, _, _ in artifact_diff.ERROR_JOBS}
@@ -135,7 +148,7 @@ def run_workloads(names: list[str], seeds: list[int], rounds: list[int]
                           for label, job in manifest.items())
         return int(failed)
 
-    return traced(jobs)
+    return lines_ran(jobs)
 
 
 def report(ran: dict[Path, set[int]]) -> list[str]:
